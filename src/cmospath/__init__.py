@@ -17,7 +17,13 @@ from .buffering import (
     min_delay_with_buffers,
     optimal_buffer_size,
 )
-from .errors import CmosPathError, ConfigError, ConvergenceError, InfeasibleError
+from .errors import (
+    CmosPathError,
+    ConfigError,
+    ConvergenceError,
+    InfeasibleError,
+    InvariantError,
+)
 from .path import (
     CoefficientSet,
     LogicPath,

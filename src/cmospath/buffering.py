@@ -12,13 +12,14 @@ minimum delay keeps improving.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .bounds import min_delay_sizing
 from .errors import ConfigError
 from .path import GateLibrary, LogicPath, PathModel, Sizing
-from .process import EDGES, ProcessParams
+from .process import EDGES, GateTemplate, ProcessParams
 
 FLIMIT_LO = 1.0
 FLIMIT_HI = 100.0
@@ -60,13 +61,14 @@ def optimal_buffer_size(a_gate: float, cin_gate: float, a_buf: float,
     return max(c1, params.cref)
 
 
-def _probe_paths(driver: str, gate: str, buffer_kind: str, cin: float,
-                 fanout: float, edge: str) -> tuple[LogicPath, LogicPath]:
+def _probe_paths(gate: str, buffer_kind: str, cin: float, fanout: float,
+                 edge: str) -> tuple[LogicPath, LogicPath]:
+    """Plain and buffered probe structures, the buffer kind driving both."""
     common = dict(input_cap=cin, terminal_load=fanout * cin,
                   input_edge=edge, driver_slope_rise=0.0,
                   driver_slope_fall=0.0)
-    return (LogicPath(gates=(driver, gate), **common),
-            LogicPath(gates=(driver, gate, buffer_kind), **common))
+    return (LogicPath(gates=(buffer_kind, gate), **common),
+            LogicPath(gates=(buffer_kind, gate, buffer_kind), **common))
 
 
 def _buffered_probe_delay(model: PathModel, cin: float, load: float,
@@ -93,44 +95,56 @@ def flimit(driver: str, gate: str, params: ProcessParams,
     an optimally sized buffer appended, full chained delays averaged over
     both input polarities, and bisects the crossing to 1e-3 absolute.
     Returns f_limit = inf when the buffered structure never wins in range.
+
+    The driving stage adds the same delay to both structures, so the probe
+    always uses the buffer kind as its driver and the crossing is computed
+    once per process for each (gate, buffer) template pair.
     """
     for kind in (driver, gate, buffer_kind):
         if kind not in library:
             raise ConfigError(f"unknown gate kind: {kind}")
+    value = _crossing(params, gate, library[gate], buffer_kind,
+                      library[buffer_kind])
+    return FanoutLimit(driver, gate, value)
+
+
+@functools.lru_cache(maxsize=256)
+def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
+              buffer_kind: str, buffer_template: GateTemplate) -> float:
+    """The bisection behind `flimit`, keyed on frozen values only.
+
+    The kind names ride along with their templates because the probe
+    paths refer to the gates by the names the library files them under.
+    """
+    library = {gate: gate_template, buffer_kind: buffer_template}
     cin = 64.0 * params.cref
 
-    models: list[tuple[PathModel, PathModel]] = []
-    for edge in EDGES:
-        plain, buffered = _probe_paths(driver, gate, buffer_kind, cin, 2.0, edge)
-        models.append((PathModel(plain, params, library),
-                       PathModel(buffered, params, library)))
-
     def gap(fanout: float) -> float:
-        load = fanout * cin
         total = 0.0
-        for plain_model, buf_model in models:
-            plain_model.terminal_load = load
-            buf_model.terminal_load = load
-            d_plain = plain_model.evaluate((cin, cin)).total_delay
-            d_buf = _buffered_probe_delay(buf_model, cin, load, params)
+        for edge in EDGES:
+            plain, buffered = _probe_paths(gate, buffer_kind, cin, fanout,
+                                           edge)
+            d_plain = PathModel(plain, params, library).evaluate(
+                (cin, cin)).total_delay
+            d_buf = _buffered_probe_delay(
+                PathModel(buffered, params, library), cin, fanout * cin,
+                params)
             total += d_buf - d_plain
-        return total / len(models)
+        return total / len(EDGES)
 
     lo, hi = FLIMIT_LO, FLIMIT_HI
-    g_lo = gap(lo)
-    g_hi = gap(hi)
-    if g_lo <= 0.0:
+    if gap(lo) <= 0.0:
         # Buffering already wins at unit fanout; the limit degenerates.
-        return FanoutLimit(driver, gate, 1.0 + FLIMIT_TOL)
-    if g_hi > 0.0:
-        return FanoutLimit(driver, gate, math.inf)
+        return 1.0 + FLIMIT_TOL
+    if gap(hi) > 0.0:
+        return math.inf
     while hi - lo > FLIMIT_TOL:
         mid = 0.5 * (lo + hi)
         if gap(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return FanoutLimit(driver, gate, 0.5 * (lo + hi))
+    return 0.5 * (lo + hi)
 
 
 def flimit_table(params: ProcessParams, library: GateLibrary,

@@ -4,7 +4,8 @@ Subcommands mirror the library surface: bounds, size, equal-delay,
 flimit, sweep, optimize.  Outputs are plain text or CSV with six
 significant digits, deterministic for fixed inputs.  Exit codes: 0
 success, 1 usage or input parse failure, 2 infeasible constraint (the
-message carries the achievable t_min), 3 solver non-convergence.
+message carries the achievable t_min), 3 solver non-convergence or a
+failed internal check.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import sys
 
 from .bounds import compute_bounds
 from .buffering import flimit, flimit_table
-from .errors import ConfigError, ConvergenceError, InfeasibleError
+from .errors import (ConfigError, ConvergenceError, InfeasibleError,
+                     InvariantError)
 from .path import LogicPath, PathModel, parse_path_text_file
 from .process import load_process_file, width_of
 from .protocol import optimize
@@ -242,6 +244,9 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except ConvergenceError as exc:
         print(f"no convergence: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except InvariantError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -51,3 +51,12 @@ class ConvergenceError(CmosPathError):
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual
+
+
+class InvariantError(CmosPathError):
+    """A result broke a guarantee the package checks before returning it.
+
+    Raised when a logic rewrite changes the function of the segment it
+    replaces, or when the optimizer's final sizing misses its constraint.
+    Either one is a defect in the package, not in the input.
+    """

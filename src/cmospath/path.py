@@ -17,6 +17,7 @@ sensitivities re-anchored to the exact model at every refresh.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .process import (
     ProcessParams,
     miller_factor,
     other_edge,
+    require_finite,
     symmetry_factors,
 )
 
@@ -69,6 +71,11 @@ class LogicPath:
     def __post_init__(self):
         if len(self.gates) < 1:
             raise ValueError("a path needs at least one gate")
+        require_finite(self, ("input_cap", "terminal_load",
+                               "driver_slope_rise", "driver_slope_fall"))
+        if self.seed_cin is not None and not all(
+                s is None or math.isfinite(s) for s in self.seed_cin):
+            raise ValueError("seed_cin must be finite")
         if not self.input_cap > 0:
             raise ValueError("input_cap must be positive")
         if not self.terminal_load > 0:
@@ -472,8 +479,9 @@ def parse_path_file(text: str) -> LogicPath:
             except ValueError:
                 raise ConfigError(f"non-numeric cin on gate line: {tok!r}",
                                   line_no) from None
-            if not seed > 0:
-                raise ConfigError("cin on gate line must be positive", line_no)
+            if not (seed > 0 and math.isfinite(seed)):
+                raise ConfigError("cin on gate line must be positive and finite",
+                                  line_no)
         gates.append(kind)
         seeds.append(seed)
 
@@ -494,7 +502,14 @@ def parse_path_file(text: str) -> LogicPath:
             seed_cin=tuple(seeds) if any(s is not None for s in seeds) else None,
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        # Re-attach the line number of the header key the check names.
+        msg = str(exc)
+        culprit = msg.split()[0]
+        key = {field: key for key, field in _PATH_HEADER_KEYS.items()}.get(
+            culprit, culprit)
+        if key in seen:
+            raise ConfigError(f"{key}: {msg}", seen[key]) from None
+        raise ConfigError(msg) from None
 
 
 def parse_path_text_file(path: str) -> LogicPath:

@@ -32,6 +32,14 @@ def other_edge(edge: str) -> str:
     return FALLING if edge == RISING else RISING
 
 
+def require_finite(obj, names) -> None:
+    """ValueError naming the first field holding inf or NaN (None passes)."""
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProcessParams:
     """Process constants shared by every delay expression.
@@ -64,6 +72,9 @@ class ProcessParams:
     slope_warn_ratio: float | None = None
 
     def __post_init__(self):
+        require_finite(self, ("tau", "vtn", "vtp", "r_ratio", "k_ratio",
+                               "cref", "cap_per_width", "weak_threshold",
+                               "hard_threshold", "slope_warn_ratio"))
         if not self.tau > 0:
             raise ValueError("tau must be positive")
         for name in ("vtn", "vtp"):
@@ -117,6 +128,7 @@ class GateTemplate:
     def __post_init__(self):
         if self.n_inputs < 1:
             raise ValueError("n_inputs must be at least 1")
+        require_finite(self, ("dw_hl", "dw_lh", "par_coeff", "cm_override"))
         if self.dw_hl < 1.0 or self.dw_lh < 1.0:
             raise ValueError("delay weights must be at least 1")
         if self.n_inputs == 1 and (self.dw_hl != 1.0 or self.dw_lh != 1.0):

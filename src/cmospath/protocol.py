@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .bounds import DelayBounds, max_delay_sizing, min_delay_sizing
 from .buffering import FlimitCache, insert_buffers, min_delay_with_buffers
-from .errors import InfeasibleError
+from .errors import InfeasibleError, InvariantError
 from .path import GateLibrary, LogicPath, Sizing
 from .process import ProcessParams
 from .restructure import (
@@ -128,7 +128,7 @@ def _checked_rewrite(path: LogicPath, index: int,
     rewritten = demorgan_rewrite(path, index, library)
     after = segment_of(rewritten, library, lo, hi + 3)
     if not local_equivalence_check(before, after):
-        raise AssertionError(
+        raise InvariantError(
             f"rewrite at gate {index} changed the segment function")
     cancelled = cancel_inverter_pairs(rewritten)
     pairs = (rewritten.n - cancelled.n) // 2
@@ -199,6 +199,8 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
 
     elif domain.kind is Domain.MEDIUM:
         solution = distribute(path, bounds0)
+        # The buffer-only route competes with restructuring, and is all
+        # that is left when restructuring found nothing to rewrite.
         if allow_buffer:
             outcome = min_delay_with_buffers(path, params, library,
                                              buffer_kind, buffer_mode, limits)
@@ -218,6 +220,8 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
                         "area_without": solution.area}))
 
     elif domain.kind is Domain.HARD:
+        # The buffer-only route competes with restructuring, and is all
+        # that is left when restructuring found nothing to rewrite.
         if allow_buffer:
             outcome = min_delay_with_buffers(path, params, library,
                                              buffer_kind, buffer_mode, limits)
@@ -272,20 +276,9 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
             if tc >= r_tmin:
                 candidates.append(("restruct", r_path, r_steps, r_tmin, r_sizing))
 
-        if allow_buffer and (did_rewrite or not allow_restruct):
-            outcome = min_delay_with_buffers(path, params, library,
-                                             buffer_kind, buffer_mode, limits)
-            b_steps = [TraceStep("insert_buffer", {
-                "index": index, "mode": mode, "kind": buffer_kind})
-                for index, mode in outcome.insertions]
-            if outcome.t_min < best_t_min:
-                best_t_min, best_path = outcome.t_min, outcome.path
-            if tc >= outcome.t_min:
-                candidates.append(("buffer", outcome.path, b_steps,
-                                   outcome.t_min, outcome.sizing))
-        elif allow_buffer and allow_restruct and not did_rewrite:
-            # The restructuring route found nothing to rewrite and, being
-            # still infeasible, never reached its buffering stage: run it.
+        # The buffer-only route competes with restructuring, and is all
+        # that is left when restructuring found nothing to rewrite.
+        if allow_buffer:
             outcome = min_delay_with_buffers(path, params, library,
                                              buffer_kind, buffer_mode, limits)
             b_steps = [TraceStep("insert_buffer", {
@@ -321,7 +314,7 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
     notes = (solution.note,) if solution.note else ()
     achieved = solution.delay
     if achieved > tc * (1.0 + 1e-3):
-        raise AssertionError(
+        raise InvariantError(
             f"optimizer produced delay {achieved:.6g} ps above constraint "
             f"{tc:.6g} ps")
     return OptimizationResult(

@@ -5,19 +5,24 @@ buffered structures, and the greedy pass is replayed insertion by
 insertion to confirm each accepted step actually paid.
 """
 
+import dataclasses
 import math
 import time
 
 import pytest
 
 import oracles
+from conftest import REF_PROC
+from cmospath import buffering
 from cmospath.bounds import min_delay_sizing
-from cmospath.buffering import (FanoutLimit, FlimitCache, find_critical_nodes,
-                                flimit, flimit_table, insert_buffers,
-                                min_delay_with_buffers, optimal_buffer_size)
+from cmospath.buffering import (FanoutLimit, FlimitCache, _crossing,
+                                find_critical_nodes, flimit, flimit_table,
+                                insert_buffers, min_delay_with_buffers,
+                                optimal_buffer_size)
 from cmospath.errors import ConfigError
 from cmospath.path import LogicPath, PathModel
-from cmospath.process import EDGES, GateTemplate
+from cmospath.process import EDGES, GateTemplate, load_process_file
+from cmospath.protocol import optimize
 
 
 class TestOptimalBufferSize:
@@ -168,8 +173,16 @@ class TestFlimitTable:
         for gate in kinds:
             ref = table[(kinds[0], gate)].f_limit
             for driver in kinds[1:]:
-                assert table[(driver, gate)].f_limit == pytest.approx(
-                    ref, abs=1e-9)
+                assert table[(driver, gate)].f_limit == ref
+
+    def test_reference_table_values(self, ref_params, ref_library):
+        # bisection midpoints are dyadic, so the values pin exactly
+        table = flimit_table(ref_params, ref_library)
+        expected = {"inv": 5.699916839599609, "nand2": 4.900043487548828,
+                    "nand3": 4.500484466552734, "nor2": 3.800312042236328,
+                    "nor3": 2.6998252868652344}
+        for (driver, gate), limit in table.items():
+            assert limit == FanoutLimit(driver, gate, expected[gate])
 
     def test_cache_matches_and_memoizes(self, ref_params, ref_library):
         cache = FlimitCache(ref_params, ref_library)
@@ -177,6 +190,58 @@ class TestFlimitTable:
         first = cache[("inv", "nand3")]
         assert first.f_limit == pytest.approx(direct.f_limit, abs=1e-9)
         assert cache[("inv", "nand3")] is first
+
+
+class TestFlimitMemo:
+    def test_changed_template_gets_its_own_limit(self, ref_params,
+                                                 ref_library):
+        ref = flimit("inv", "nand2", ref_params, ref_library)
+        lib = dict(ref_library)
+        lib["nand2"] = dataclasses.replace(lib["nand2"], par_coeff=1.5)
+        other = flimit("inv", "nand2", ref_params, lib)
+        assert other.f_limit != ref.f_limit
+        _crossing.cache_clear()
+        assert flimit("inv", "nand2", ref_params, lib) == other
+        assert flimit("inv", "nand2", ref_params, ref_library) == ref
+
+    def test_unknown_kinds_raise_when_warm(self, ref_params, ref_library):
+        flimit("inv", "nand2", ref_params, ref_library)
+        for driver, gate, buffer_kind in (("xor9", "nand2", "inv"),
+                                          ("inv", "xor9", "inv"),
+                                          ("inv", "nand2", "xor9")):
+            with pytest.raises(ConfigError, match="xor9"):
+                flimit(driver, gate, ref_params, ref_library, buffer_kind)
+
+    def test_equal_config_computes_no_new_crossing(self, heavy_path):
+        # hard (buffering) and infeasible (restructuring ranks the library)
+        params, library = load_process_file(REF_PROC)
+        _, t_min, _ = min_delay_sizing(heavy_path, params, library)
+        for ratio in (1.1, 0.85):
+            optimize(heavy_path, ratio * t_min, params, library)
+        before = _crossing.cache_info()
+        params2, library2 = load_process_file(REF_PROC)
+        assert params2 is not params and library2 is not library
+        for ratio in (1.1, 0.85):
+            optimize(heavy_path, ratio * t_min, params2, library2)
+        after = _crossing.cache_info()
+        assert after.misses == before.misses
+        assert after.hits > before.hits
+
+    def test_probing_mutates_nothing(self, ref_params, ref_library,
+                                     monkeypatch):
+        class FixedLoadModel(PathModel):
+            def __setattr__(self, name, value):
+                assert not hasattr(self, name), f"{name} reassigned"
+                super().__setattr__(name, value)
+
+        monkeypatch.setattr(buffering, "PathModel", FixedLoadModel)
+        _crossing.cache_clear()
+        snapshot = dict(ref_library)
+        copies = {k: dataclasses.replace(t) for k, t in ref_library.items()}
+        flimit_table(ref_params, ref_library)
+        assert ref_library == copies
+        assert all(ref_library[k] is t for k, t in snapshot.items())
+        assert set(ref_library) == set(snapshot)
 
 
 class TestCriticalNodes:

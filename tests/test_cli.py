@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from conftest import CHAIN11, CHAIN13, HEAVY, REF_PROC
+from cmospath import protocol
 from cmospath.bounds import min_delay_sizing
 from cmospath.cli import main
 from cmospath.path import parse_path_text_file
@@ -207,6 +208,17 @@ class TestOptimize:
             ["optimize", "--tc", str(tc), "--no-restruct", "--no-buffer",
              REF_PROC, CHAIN11], capsys)
         assert code == 2
+
+    def test_failed_internal_check_exits_3(self, capsys, monkeypatch,
+                                           heavy_tmin):
+        monkeypatch.setattr(protocol, "local_equivalence_check",
+                            lambda before, after: False)
+        code, out, err = run_cli(
+            ["optimize", "--tc", str(0.85 * heavy_tmin), REF_PROC, HEAVY],
+            capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal check failed:")
 
     def test_deterministic_output(self, capsys, heavy_tmin):
         argv = ["optimize", "--tc", str(1.5 * heavy_tmin), REF_PROC, HEAVY]

@@ -79,6 +79,28 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_path_file(text)
 
+    @pytest.mark.parametrize("field", ["input_cap", "terminal_load",
+                                       "driver_slope_rise",
+                                       "driver_slope_fall"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_values_rejected(self, field, value):
+        fields = dict(gates=("inv", "inv"), input_cap=3.0, terminal_load=50.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LogicPath(**fields)
+        with pytest.raises(ValueError, match="seed_cin"):
+            LogicPath(gates=("inv", "inv"), input_cap=3.0, terminal_load=50.0,
+                      seed_cin=(None, value))
+
+    def test_loader_reports_non_finite_with_its_line(self):
+        text = "input_cap_ff = 3\nload_ff = inf\ninv\n"
+        with pytest.raises(ConfigError, match="load_ff") as err:
+            parse_path_file(text)
+        assert err.value.line == 2
+        with pytest.raises(ConfigError, match="finite") as err:
+            parse_path_file("input_cap_ff = 3\nload_ff = 50\ninv cin=inf\n")
+        assert err.value.line == 3
+
 
 class TestEvaluate:
     def test_single_inverter_collapse(self):

@@ -98,6 +98,38 @@ class TestTemplateValidation:
         with pytest.raises(ValueError):
             make_params(weak_threshold=1.1, hard_threshold=1.2)
 
+    @pytest.mark.parametrize("field", ["tau", "r_ratio", "k_ratio", "cref",
+                                       "cap_per_width", "weak_threshold",
+                                       "slope_warn_ratio"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_params_reject_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_params(**{field: value})
+
+    @pytest.mark.parametrize("field", ["dw_hl", "dw_lh", "par_coeff",
+                                       "cm_override"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_template_rejects_non_finite(self, field, value):
+        fields = dict(name="nand2", n_inputs=2, dw_hl=1.5, dw_lh=1.2,
+                      par_coeff=0.5)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GateTemplate(**fields)
+
+    def test_loader_reports_non_finite_with_its_line(self):
+        text = ("tau_ps = 10\nvtn = 0.2\nvtp = 0.2\nr_ratio = inf\n"
+                "k_ratio = 1\ncref_ff = 1\ncap_per_width_ff_um = 2\n"
+                "[gate inv]\ninputs = 1\ndw_hl = 1\ndw_lh = 1\n"
+                "par_coeff = 0.2\n")
+        with pytest.raises(ConfigError, match="r_ratio") as err:
+            load_process_config(text)
+        assert err.value.line == 4
+        text = text.replace("r_ratio = inf", "r_ratio = 2").replace(
+            "par_coeff = 0.2", "par_coeff = nan")
+        with pytest.raises(ConfigError, match="par_coeff") as err:
+            load_process_config(text)
+        assert err.value.line == 8
+
 
 class TestSymmetryFactors:
     def test_inverter_reference_split(self):

@@ -5,11 +5,14 @@ independent delay oracle, so a solution that only looks feasible to the
 package's own model cannot slip through.
 """
 
+import dataclasses
+
 import pytest
 
 import oracles
+from cmospath import protocol
 from cmospath.bounds import min_delay_sizing
-from cmospath.errors import InfeasibleError
+from cmospath.errors import CmosPathError, InfeasibleError, InvariantError
 from cmospath.path import LogicPath
 from cmospath.protocol import (Domain, TraceStep, classify_constraint,
                                optimize, replay_trace)
@@ -197,6 +200,32 @@ class TestInfeasibleDomain:
         with pytest.raises(InfeasibleError):
             optimize(chain11, 0.95 * t_min, ref_params, ref_library,
                      allow_buffer=False, allow_restruct=False)
+
+
+class TestInternalChecks:
+    def test_inequivalent_rewrite_raises_typed_error(self, ref_params,
+                                                     ref_library, chain11,
+                                                     monkeypatch):
+        monkeypatch.setattr(protocol, "local_equivalence_check",
+                            lambda before, after: False)
+        _, t_min, _ = min_delay_sizing(chain11, ref_params, ref_library)
+        with pytest.raises(InvariantError, match="changed the segment") as err:
+            optimize(chain11, 0.95 * t_min, ref_params, ref_library)
+        assert isinstance(err.value, CmosPathError)
+
+    def test_delay_above_constraint_raises_typed_error(self, ref_params,
+                                                       ref_library, chain11,
+                                                       monkeypatch):
+        real = protocol.distribute_constraint
+
+        def overshooting(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            return dataclasses.replace(sol, delay=sol.delay * 1.01)
+
+        monkeypatch.setattr(protocol, "distribute_constraint", overshooting)
+        _, t_min, _ = min_delay_sizing(chain11, ref_params, ref_library)
+        with pytest.raises(InvariantError, match="above constraint"):
+            optimize(chain11, 2.0 * t_min, ref_params, ref_library)
 
 
 class TestGlobalProperties:
