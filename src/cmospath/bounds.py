@@ -2,17 +2,17 @@
 
 The slowest corner is every free gate at minimum drive.  The fastest
 corner makes every free gate's exact delay sensitivity vanish.  The solver
-sweeps the link equations of the frozen surrogate, cin[i]^2 = (A_i /
-A_{i-1}) * (cin[i+1] + c_par[i]) * cin[i-1], backward from the load,
-re-freezing the coefficients between sweeps (quasi-static refresh).  Each
-refresh also re-anchors the per-gate target by the snapshot mismatch
-between the exact and frozen sensitivities, so the fixed point is
-stationary for the exact model; the shift vanishes when parasitics and
-coupling are zero, where the plain link equations are already exact.  A
-descent check on the exact model guards every sweep, damping steps that
-would overshoot.  The same engine with target a < 0 solves the
-constant-sensitivity problem used by the area distribution module, so it
-lives here and takes a as a parameter.
+seeds with one backward pass of the frozen surrogate's link equations,
+cin[i]^2 = (A_i / A_{i-1}) * (cin[i+1] + c_par[i]) * cin[i-1], then runs
+log-space Newton iterations on the exact model.  Each iteration makes one
+derivative pass (exact gradient and tridiagonal Hessian) and steps in this
+order of preference: exact Newton; frozen-surrogate Newton where the exact
+Hessian loses positive definiteness, which strong fixed coupling causes;
+the chosen step damped toward the previous sizing when it would raise the
+descent merit; and standing still when every damping ascends, which only
+happens at a point stationary to rounding.  The same engine with target
+a < 0 solves the constant-sensitivity problem used by the area
+distribution module, so it lives here and takes a as a parameter.
 """
 
 from __future__ import annotations
@@ -55,53 +55,29 @@ def max_delay_sizing(path: LogicPath, params: ProcessParams,
     return sizing, model.evaluate(sizing).total_delay
 
 
-def _link_sweep(model: PathModel, cin, coeffs, g_exact, g_frozen,
-                a: float, cref: float) -> list[float]:
-    """One backward Gauss-Seidel pass over the corrected link equations.
-
-    cin[i] <- sqrt(A_i (cin[i+1] + c_par[i]) / (A_{i-1}/cin[i-1] - a_i)),
-    where the per-gate target a_i is a minus the snapshot gap between the
-    exact and frozen sensitivities at gate i.  Robust far from the
-    solution; contracts one stage per pass, so it serves as the fallback
-    when the Newton step is unusable.
-    """
-    n = model.n
-    prop = list(cin)
-    for i in range(n - 1, 0, -1):
-        nxt = prop[i + 1] if i < n - 1 else model.terminal_load
-        target = a - (g_exact[i - 1] - g_frozen[i - 1])
-        den = coeffs.a[i - 1] / prop[i - 1] - target
-        if den > 0.0:
-            new = math.sqrt(coeffs.a[i] * (nxt + coeffs.c_par[i]) / den)
-        else:
-            # No finite size meets the target at this snapshot; grow
-            # boundedly and let the next refresh re-balance.
-            new = prop[i] * 4.0
-        prop[i] = max(cref, new)
-    return prop
-
-
-def _newton_step(model: PathModel, cin, coeffs, g_exact, curvature,
-                 a: float, cref: float) -> list[float] | None:
-    """One damped log-space Newton step on the stationarity residual.
+def _newton_step(model: PathModel, cin, grad, hd, ho,
+                 a: float, cref: float) -> list[float]:
+    """One log-space Newton step on the stationarity residual.
 
     Residual r_j = cin[j] * (dT/dcin[j] - a) with the exact sensitivities.
     Curvature is the exact delay Hessian mapped to log sizes, d2/dy2 =
-    c^2 T'' + c (T' - a); where that matrix loses positive definiteness
-    (its Thomas pivots go non-positive) the frozen surrogate's Hessian
-    stands in, which is strictly diagonally dominant and always usable.
-    Gates pinned at cref whose residual pushes further down are held
-    fixed.  The step is scaled to at most one e-fold per gate and applied
-    multiplicatively.  The proposal is returned unclamped so the caller
-    can damp along the undistorted direction; clamping each coordinate
-    here would bend the direction and can turn it uphill.  Returns None
-    only if both systems degenerate.
+    c^2 T'' + c (T' - a).  Where that matrix loses positive definiteness
+    (a Thomas pivot goes non-positive), the frozen surrogate's Hessian
+    stands in: the coefficients are frozen at cin only then, and the
+    surrogate system is strictly diagonally dominant, so for finite
+    values it always factors.  Gates pinned at cref whose residual pushes
+    further down are held fixed.  The step is scaled to at most one
+    e-fold per gate and applied multiplicatively.  The proposal is
+    returned unclamped so the caller can damp along the undistorted
+    direction; clamping each coordinate here would bend the direction and
+    can turn it uphill.
     """
     n = model.n
     m = n - 1
-    hd, ho = curvature
 
     def solve(frozen: bool) -> list[float] | None:
+        if frozen:
+            coeffs = model.coefficients(cin)
         diag = [0.0] * m
         sup = [0.0] * m
         sub = [0.0] * m
@@ -109,7 +85,7 @@ def _newton_step(model: PathModel, cin, coeffs, g_exact, curvature,
         for idx in range(m):
             j = idx + 1
             cj = cin[j]
-            r = cj * (g_exact[idx] - a)
+            r = cj * (grad[idx] - a)
             if frozen:
                 nxt = cin[j + 1] if j < n - 1 else model.terminal_load
                 diag[idx] = cj * coeffs.a[j - 1] / cin[j - 1] \
@@ -155,6 +131,8 @@ def _newton_step(model: PathModel, cin, coeffs, g_exact, curvature,
     prop = solve(frozen=False)
     if prop is None:
         prop = solve(frozen=True)
+    if prop is None:
+        raise ConvergenceError("frozen Newton system degenerated")
     return prop
 
 
@@ -168,18 +146,19 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     """Solve the equal-sensitivity stationarity system at target a <= 0.
 
     Seeds with one backward pass of the link equations (predecessor held
-    at init_cref), then drives the exact sensitivities dT/dcin[i] to a for
-    every unclamped gate: each outer iteration re-freezes the surrogate
-    coefficients (quasi-static refresh), takes a tridiagonal Newton step
-    on the exact residual with the surrogate's curvature, and falls back
-    to a corrected link-equation sweep if the step degenerates.  Both step
-    kinds are accepted only if they do not increase the descent merit
-    T - a * sum(cin); otherwise the step is damped toward the previous
-    sizing in log space, falling back to the exact merit gradient and, as
-    a last resort, holding the point.  Sizes are clamped at cref from
-    below.  a = 0 is
-    the minimum-delay condition.  Iterates until sizes move less than
-    cap_tol (relative), the full-model delay moves less than delay_tol
+    at init_cref) unless a warm start is given, then drives the exact
+    sensitivities dT/dcin[i] to a for every unclamped gate.  Each outer
+    iteration makes one exact derivative pass and takes a tridiagonal
+    Newton step: on the exact Hessian, or on the frozen surrogate's where
+    the exact one loses positive definiteness.  The step is accepted only
+    if it does not increase the descent merit T - a * sum(cin); otherwise
+    it is damped toward the previous sizing in log space, up to 20
+    halvings.  A step from a positive-definite system always descends, so
+    if every damping ascends the point is stationary to rounding and the
+    iteration stands still, leaving the exit checks and certificate to
+    decide.  Sizes are clamped at cref from below.  a = 0 is the
+    minimum-delay condition.  Iterates until sizes move less than cap_tol
+    (relative), the full-model delay moves less than delay_tol
     (relative), and the optional certificate predicate accepts the sizing.
     """
     if a > 0:
@@ -214,13 +193,8 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     prev_delay = timing.total_delay
     max_rel = math.inf
     for outer in range(1, max_iterations + 1):
-        coeffs = model.coefficients(cin)
-        g_exact = model.model_gradient(cin)
-        curvature = model.model_curvature(cin)
-        prop = _newton_step(model, cin, coeffs, g_exact, curvature, a, cref)
-        if prop is None:
-            g_frozen = model.gradient(cin, coeffs)
-            prop = _link_sweep(model, cin, coeffs, g_exact, g_frozen, a, cref)
+        grad, hd, ho = model.derivatives(cin)
+        prop = _newton_step(model, cin, grad, hd, ho, a, cref)
 
         cand = [prop[0]] + [max(cref, p) for p in prop[1:]]
         cand_timing = model.evaluate(cand)
@@ -228,8 +202,9 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         if cand_merit > merit + abs(merit) * 1e-12:
             # Damp along the unclamped direction, clamping after the
             # scale: scaling the clamped proposal instead would keep the
-            # bent direction at every lambda.
-            cand = None
+            # bent direction at every lambda.  If every damping ascends,
+            # stand still and let the exit checks and certificate decide.
+            cand, cand_timing, cand_merit = list(cin), timing, merit
             lam = 0.5
             for _ in range(20):
                 trial = [cin[0]] + [
@@ -241,35 +216,6 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                     cand, cand_timing, cand_merit = trial, t_timing, t_merit
                     break
                 lam *= 0.5
-            if cand is None:
-                # Every damping of the proposal ascends, so walk the
-                # exact merit gradient instead (held gates stay put).
-                d = []
-                for k in range(1, n):
-                    r = cin[k] * (g_exact[k - 1] - a)
-                    if cin[k] <= cref * (1.0 + 1e-9) and r > 0.0:
-                        d.append(0.0)
-                    else:
-                        d.append(-r)
-                widest = max(abs(s) for s in d)
-                if widest > 1.0:
-                    d = [s / widest for s in d]
-                lam = 1.0
-                for _ in range(20):
-                    trial = [cin[0]] + [
-                        max(cref, cin[k] * math.exp(lam * d[k - 1]))
-                        for k in range(1, n)]
-                    t_timing = model.evaluate(trial)
-                    t_merit = t_timing.total_delay - a * sum(trial[1:])
-                    if t_merit <= merit + abs(merit) * 1e-12:
-                        cand, cand_timing, cand_merit = trial, t_timing, t_merit
-                        break
-                    lam *= 0.5
-            if cand is None:
-                # Neither direction lowers the merit at any damping, so
-                # the point is numerically stationary: stand still and
-                # let the exit checks and certificate decide.
-                cand, cand_timing, cand_merit = list(cin), timing, merit
 
         max_rel = max(abs(cand[i] - cin[i]) / cin[i] for i in range(1, n))
         delay_ok = (abs(cand_timing.total_delay - prev_delay)

@@ -26,6 +26,7 @@ FLIMIT_HI = 100.0
 FLIMIT_TOL = 1e-3
 IMPROVE_TOL = 1e-3
 MAX_INSERTIONS = 32
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,9 @@ def find_critical_nodes(path: LogicPath, sizing, limits,
     Effective fanout of gate i is (next cin + own parasitic) / cin[i]; the
     applicable limit is looked up under the gate's actual driver (the
     buffer kind stands in for the external driver of gate 0).  Sorted by
-    overshoot ratio, worst first.
+    overshoot ratio, worst first.  Ratios within TIE_RTOL (relative) of
+    the worst one left count as tied and go in index order, so rounding
+    in the last bits of the sizing cannot reorder nodes that tie exactly.
     """
     model = PathModel(path, params, library)
     model.check_sizing(sizing)
@@ -197,7 +200,13 @@ def find_critical_nodes(path: LogicPath, sizing, limits,
         if math.isfinite(limit) and fanout > limit:
             flagged.append((fanout / limit, i))
     flagged.sort(key=lambda item: (-item[0], item[1]))
-    return [i for _, i in flagged]
+    order: list[int] = []
+    while flagged:
+        lead = flagged[0][0]
+        tied = [item for item in flagged if item[0] >= lead * (1.0 - TIE_RTOL)]
+        order.extend(sorted(i for _, i in tied))
+        flagged = flagged[len(tied):]
+    return order
 
 
 def insert_buffers(path: LogicPath, node_indices, buffer_kind: str = "inv",

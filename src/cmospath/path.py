@@ -7,12 +7,14 @@ chain once, alternating transition polarity at every node and feeding each
 gate's output transition time into the next gate's delay term.
 
 Two views of the total delay coexist.  ``evaluate_path`` is the exact
-chained model.  ``path_coefficients`` regroups the same expression by each
-gate's output transition time into T = const + sum A_i * (cin[i+1] +
-c_par[i]) / cin[i], freezing the Miller factors and parasitics at the
-current sizing.  At the freezing point both views agree to rounding; away
-from it the frozen view is the surrogate the solvers sweep, with its
-sensitivities re-anchored to the exact model at every refresh.
+chained model, and ``PathModel.derivatives`` gives its exact gradient and
+tridiagonal Hessian in one pass; the solvers step on those.
+``path_coefficients`` regroups the same expression by each gate's output
+transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
+cin[i], freezing the Miller factors and parasitics at the current sizing.
+At the freezing point both views agree to rounding.  The solvers use the
+frozen view to seed a cold start and, where the exact Hessian is not
+positive definite, for the curvature of a Newton step.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ from .process import (
 )
 
 Sizing = tuple[float, ...]
+
+# Largest accepted capacitance (fF).  Far above any real net, and small
+# enough that cubes of node capacitances in the curvature stay finite.
+MAX_CAP_FF = 1e12
 
 
 @dataclass(frozen=True)
@@ -73,9 +79,14 @@ class LogicPath:
             raise ValueError("a path needs at least one gate")
         require_finite(self, ("input_cap", "terminal_load",
                                "driver_slope_rise", "driver_slope_fall"))
+        for name in ("input_cap", "terminal_load"):
+            if getattr(self, name) > MAX_CAP_FF:
+                raise ValueError(f"{name} must be at most {MAX_CAP_FF:g} fF")
         if self.seed_cin is not None and not all(
-                s is None or math.isfinite(s) for s in self.seed_cin):
-            raise ValueError("seed_cin must be finite")
+                s is None or (math.isfinite(s) and s <= MAX_CAP_FF)
+                for s in self.seed_cin):
+            raise ValueError(
+                f"seed_cin must be finite and at most {MAX_CAP_FF:g} fF")
         if not self.input_cap > 0:
             raise ValueError("input_cap must be positive")
         if not self.terminal_load > 0:
@@ -290,60 +301,34 @@ class PathModel:
                        - a[j] * (nxt + cp[j]) / (sizing[j] * sizing[j]))
         return tuple(out)
 
-    def model_gradient(self, sizing) -> tuple[float, ...]:
-        """Exact-model delay sensitivities for the free gates 1..n-1.
+    def derivatives(self, sizing) -> tuple[tuple[float, ...], list[float],
+                                           list[float]]:
+        """Exact delay gradient and tridiagonal Hessian in one pass.
 
-        Closed-form derivative of evaluate() with everything live: growing
-        cin[j] loads gate j-1 (raising its transition time but lowering its
-        Miller factor), speeds up gate j's own fanout, and raises gate j's
-        coupling share.  Self-loading c_par[j] = p * cin[j] drops out of
-        gate j's own term because it scales with the gate itself.
+        The exact total is a constant plus sum_i f_i(cin[i], x_i), where
+        x_i is gate i's downstream node (cin[i+1], or the terminal load for
+        the last gate) and f_i = tau * S_i * (M_i + v_next) * load_i /
+        (2 * cin[i]) collects gate i's output transition time from its own
+        Miller term and gate i+1's slope term.  Growing cin[j] loads gate
+        j-1 (raising its transition time but lowering its Miller factor),
+        speeds up gate j's own fanout and raises gate j's coupling share,
+        so over the free gates 1..n-1:
+
+            grad[j-1] = f_x[j-1] + f_c[j]     dT/dcin[j]
+            diag[j-1] = f_xx[j-1] + f_cc[j]   d2T/dcin[j]^2
+            off[j-1]  = f_cx[j]               d2T/dcin[j]dcin[j+1]
+
+        with off zero for the last gate, whose downstream node is the
+        fixed terminal load.  Only adjacent gates couple, so the full
+        Hessian is this symmetric tridiagonal matrix.
         """
         self.check_sizing(sizing)
         tau = self.params.tau
         n = self.n
-        out = []
-        for j in range(1, n):
-            up = j - 1
-            c_up = sizing[up]
-            load_up = sizing[j] + self._par[up] * c_up
-            m_up = self.c_m(up, c_up)
-            w_up = tau * self._s_out[up] * load_up / (2.0 * c_up)
-            mil_up = miller_factor(m_up, load_up)
-            g = (mil_up + self._v_next[up]) * tau * self._s_out[up] / (2.0 * c_up) \
-                - w_up * 2.0 * m_up / (m_up + load_up) ** 2
-
-            c_j = sizing[j]
-            nxt = sizing[j + 1] if j < n - 1 else self.terminal_load
-            load_j = nxt + self._par[j] * c_j
-            m_j = self.c_m(j, c_j)
-            w_j = tau * self._s_out[j] * load_j / (2.0 * c_j)
-            mil_j = miller_factor(m_j, load_j)
-            gamma = self._gamma[j]
-            if gamma is None:
-                gamma = 0.0
-            g -= (mil_j + self._v_next[j]) * tau * self._s_out[j] * nxt \
-                / (2.0 * c_j * c_j)
-            g += w_j * 2.0 * (gamma * load_j - m_j * self._par[j]) \
-                / (m_j + load_j) ** 2
-            out.append(g)
-        return tuple(out)
-
-    def model_curvature(self, sizing) -> tuple[list[float], list[float]]:
-        """Tridiagonal second derivatives of the exact delay.
-
-        Returns (diag, off) over the free gates: diag[j-1] is
-        d2T/dcin[j]^2 and off[j-1] is d2T/dcin[j]dcin[j+1] (zero for the
-        last gate, whose downstream node is the fixed terminal load).
-        Only adjacent gates couple, so the full Hessian is this symmetric
-        tridiagonal matrix.
-        """
-        self.check_sizing(sizing)
-        tau = self.params.tau
-        n = self.n
-        f_cc = [0.0] * n
-        f_cx = [0.0] * n
-        f_xx = [0.0] * n
+        grad = []
+        diag = []
+        off = []
+        f_x_up = f_xx_up = 0.0
         for i in range(n):
             c = sizing[i]
             x = sizing[i + 1] if i < n - 1 else self.terminal_load
@@ -354,31 +339,44 @@ class PathModel:
                 gamma = 0.0
             m = self.c_m(i, c)
             k_half = tau * self._s_out[i] / 2.0
-            v = self._v_next[i]
             den = m + load
-            mil = 1.0 + 2.0 * m / den
-            mil_m = 2.0 * load / (den * den)
-            mil_load = -2.0 * m / (den * den)
-            den3 = den * den * den
+            mil_v = 1.0 + 2.0 * m / den + self._v_next[i]
+            den2 = den * den
+            den3 = den2 * den
+            mil_m = 2.0 * load / den2
+            mil_load = -2.0 * m / den2
             mil_mm = -4.0 * load / den3
             mil_mload = 2.0 * (m - load) / den3
             mil_loadload = 4.0 * m / den3
             mil_c = gamma * mil_m + p * mil_load
-            f_cc[i] = k_half * (
-                (gamma * gamma * mil_mm + 2.0 * gamma * p * mil_mload
-                 + p * p * mil_loadload) * load / c
-                - 2.0 * mil_c * x / (c * c)
-                + 2.0 * (mil + v) * x / (c * c * c))
-            f_cx[i] = k_half * (
-                (gamma * mil_mload + p * mil_loadload) * load / c
-                + mil_c / c - mil_load * x / (c * c) - (mil + v) / (c * c))
-            f_xx[i] = k_half * (mil_loadload * load / c + 2.0 * mil_load / c)
-        diag = []
-        off = []
-        for j in range(1, n):
-            diag.append(f_cc[j] + f_xx[j - 1])
-            off.append(f_cx[j] if j < n - 1 else 0.0)
-        return diag, off
+            f_x = k_half * (mil_load * load / c + mil_v / c)
+            f_xx = k_half * (mil_loadload * load / c + 2.0 * mil_load / c)
+            if i > 0:
+                f_c = k_half * (mil_c * load / c - mil_v * x / (c * c))
+                f_cc = k_half * (
+                    (gamma * gamma * mil_mm + 2.0 * gamma * p * mil_mload
+                     + p * p * mil_loadload) * load / c
+                    - 2.0 * mil_c * x / (c * c)
+                    + 2.0 * mil_v * x / (c * c * c))
+                grad.append(f_x_up + f_c)
+                diag.append(f_cc + f_xx_up)
+                if i < n - 1:
+                    off.append(k_half * (
+                        (gamma * mil_mload + p * mil_loadload) * load / c
+                        + mil_c / c - mil_load * x / (c * c) - mil_v / (c * c)))
+                else:
+                    off.append(0.0)
+            f_x_up = f_x
+            f_xx_up = f_xx
+        return tuple(grad), diag, off
+
+    def model_gradient(self, sizing) -> tuple[float, ...]:
+        """Exact-model delay sensitivities for the free gates 1..n-1."""
+        return self.derivatives(sizing)[0]
+
+    def model_curvature(self, sizing) -> tuple[list[float], list[float]]:
+        """(diag, off) of the exact tridiagonal Hessian over the free gates."""
+        return self.derivatives(sizing)[1:]
 
     def clamped(self, sizing) -> list[bool]:
         """Which free gates sit at the minimum realizable size."""
@@ -479,9 +477,9 @@ def parse_path_file(text: str) -> LogicPath:
             except ValueError:
                 raise ConfigError(f"non-numeric cin on gate line: {tok!r}",
                                   line_no) from None
-            if not (seed > 0 and math.isfinite(seed)):
-                raise ConfigError("cin on gate line must be positive and finite",
-                                  line_no)
+            if not 0 < seed <= MAX_CAP_FF:
+                raise ConfigError("cin on gate line must be positive and "
+                                  f"finite, at most {MAX_CAP_FF:g} fF", line_no)
         gates.append(kind)
         seeds.append(seed)
 

@@ -1,11 +1,13 @@
 """Delay window of a path: minimum-delay solver and the all-cref ceiling."""
 
 import math
+import pathlib
 import random
 
 import pytest
 
 import oracles
+from conftest import REF_PROC
 from cmospath import (
     ConvergenceError,
     GateTemplate,
@@ -16,10 +18,13 @@ from cmospath import (
     evaluate_path,
     exact_path_gradient,
     feasibility,
+    load_process_file,
     max_delay_sizing,
     min_delay_sizing,
     path_coefficients,
+    solve_at_sensitivity,
 )
+from cmospath.path import MAX_CAP_FF
 
 
 def ideal_chain(n, input_cap, load, params_kwargs=None):
@@ -179,6 +184,18 @@ class TestMinDelaySolver:
         assert any(c == pytest.approx(ref_params.cref, rel=1e-9)
                    for c in sizing[1:])
 
+    def test_largest_accepted_load_solves(self, ref_params, ref_library):
+        # far beyond any real net the stage count is fixed, so t_min grows
+        # as load^(1/3); at MAX_CAP_FF every node and its cube stay finite
+        t = {}
+        for load in (MAX_CAP_FF / 10.0, MAX_CAP_FF):
+            path = LogicPath(gates=("inv", "nand2", "inv"), input_cap=4.0,
+                             terminal_load=load)
+            _, t[load], _ = min_delay_sizing(path, ref_params, ref_library)
+        assert t[MAX_CAP_FF] == pytest.approx(322708.19, rel=1e-6)
+        assert t[MAX_CAP_FF] / t[MAX_CAP_FF / 10.0] == pytest.approx(
+            10.0 ** (1.0 / 3.0), rel=1e-2)
+
     def test_runs_out_of_iterations(self, ref_params, ref_library, chain11):
         with pytest.raises(ConvergenceError) as err:
             min_delay_sizing(chain11, ref_params, ref_library,
@@ -190,6 +207,76 @@ class TestMinDelaySolver:
                                       chain11):
         with pytest.raises(ValueError):
             min_delay_sizing(chain11, ref_params, ref_library, init_cref=0.0)
+
+
+def fd_gradient(model, sizing):
+    """Central differences of the exact delay over the free gates."""
+    out = []
+    for j in range(1, model.n):
+        h = 1e-5 * sizing[j]
+        up = list(sizing)
+        down = list(sizing)
+        up[j] += h
+        down[j] -= h
+        out.append((model.evaluate(up).total_delay
+                    - model.evaluate(down).total_delay) / (2.0 * h))
+    return out
+
+
+class TestFrozenSurrogateStep:
+    """Strong fixed coupling makes the exact log-space Hessian indefinite
+    on the way to the fixed point, so the solver must take Newton steps on
+    the frozen surrogate's curvature instead."""
+
+    GATES = ("inv", "nand2", "nor2", "inv", "nand3", "inv", "nor3",
+             "nand2", "inv", "inv", "nand2", "inv")
+
+    @pytest.fixture
+    def coupled(self, tmp_path):
+        lines = []
+        ref_text = pathlib.Path(REF_PROC).read_text(encoding="utf-8")
+        for line in ref_text.splitlines():
+            lines.append(line)
+            if line.startswith("inputs ="):
+                lines.append("cm_override_ff = 500")
+        proc = tmp_path / "coupled.proc"
+        proc.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        params, library = load_process_file(str(proc))
+        assert all(t.cm_override == 500.0 for t in library.values())
+        path = LogicPath(gates=self.GATES, input_cap=4.0, terminal_load=200.0)
+        return path, params, library
+
+    @pytest.fixture
+    def frozen_calls(self, monkeypatch):
+        # coefficients() runs once for the cold-start init pass and
+        # otherwise only when a step falls back to the frozen surrogate
+        calls = []
+        original = PathModel.coefficients
+
+        def counting(model, sizing):
+            calls.append(tuple(sizing))
+            return original(model, sizing)
+
+        monkeypatch.setattr(PathModel, "coefficients", counting)
+        return calls
+
+    @pytest.mark.parametrize("a", [0.0, -1e-3])
+    def test_converges_to_a_certified_point(self, coupled, frozen_calls, a):
+        path, params, library = coupled
+        model = PathModel(path, params, library)
+        if a == 0.0:
+            sizing, delay, _ = min_delay_sizing(path, params, library)
+        else:
+            sol = solve_at_sensitivity(path, a, params, library)
+            sizing, delay = sol.sizing, sol.delay
+        assert len(frozen_calls) > 1
+        assert delay == pytest.approx(model.evaluate(sizing).total_delay,
+                                      rel=1e-12)
+        clamped = model.clamped(sizing)
+        grad = fd_gradient(model, sizing)
+        free = [g for g, c in zip(grad, clamped[1:]) if not c]
+        assert len(free) >= 8
+        assert max(abs(g - a) for g in free) * params.cref / delay < 1e-5
 
 
 class TestFeasibility:

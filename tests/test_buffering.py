@@ -275,6 +275,43 @@ class TestCriticalNodes:
             key=lambda item: nodes.index(item[0]))]
         assert ordered == sorted(ordered, reverse=True)
 
+    @staticmethod
+    def _two_flagged(ref_library, gap):
+        """Limits flagging only nodes 0 and 2, node 2's ratio set by gap.
+
+        gap None puts node 2's overshoot ratio one ulp above node 0's;
+        otherwise node 2's ratio is node 0's times (1 + gap).
+        """
+        path = LogicPath(gates=("inv", "nand2", "nor2", "inv"),
+                         input_cap=4.0, terminal_load=300.0)
+        sizing = (4.0, 12.0, 10.0, 60.0)
+        fanout = [((sizing[i + 1] if i < 3 else path.terminal_load)
+                   + ref_library[k].par_coeff * sizing[i]) / sizing[i]
+                  for i, k in enumerate(path.gates)]
+        ratio0 = fanout[0] / (fanout[0] / 2.0)
+        if gap is None:
+            limit2 = fanout[2] / math.nextafter(ratio0, math.inf)
+            while fanout[2] / limit2 <= ratio0:
+                limit2 = math.nextafter(limit2, 0.0)
+            assert fanout[2] / limit2 <= ratio0 * (1.0 + 1e-15)
+        else:
+            limit2 = fanout[2] / (ratio0 * (1.0 + gap))
+        limits = {("inv", "inv"): FanoutLimit("inv", "inv", fanout[0] / 2.0),
+                  ("inv", "nand2"): FanoutLimit("inv", "nand2", math.inf),
+                  ("nand2", "nor2"): FanoutLimit("nand2", "nor2", limit2),
+                  ("nor2", "inv"): FanoutLimit("nor2", "inv", math.inf)}
+        return path, sizing, limits
+
+    @pytest.mark.parametrize("gap, order", [(None, [0, 2]), (1e-6, [2, 0])])
+    def test_near_tie_goes_to_the_lower_index(self, ref_params, ref_library,
+                                              gap, order):
+        # a one-ulp lead is rounding noise: which of two exactly tied
+        # nodes comes first must not hang on the last bit of the sizing,
+        # while a real lead still goes first
+        path, sizing, limits = self._two_flagged(ref_library, gap)
+        assert find_critical_nodes(path, sizing, limits, ref_params,
+                                   ref_library) == order
+
     def test_sizing_is_validated(self, ref_params, ref_library, heavy_path):
         cache = FlimitCache(ref_params, ref_library)
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import pytest
 from conftest import CHAIN11, CHAIN13, HEAVY, REF_PROC
 from cmospath import protocol
 from cmospath.bounds import min_delay_sizing
-from cmospath.cli import main
+from cmospath.cli import EXIT_USAGE, main
 from cmospath.path import parse_path_text_file
 from cmospath.process import load_process_file
 
@@ -201,6 +201,17 @@ class TestOptimize:
         assert code == 2
         assert err.startswith("infeasible:")
         assert re.search(r"[0-9.]+ ps", err)
+
+    def test_huge_load_is_a_usage_error(self, capsys, tmp_path):
+        path_file = tmp_path / "huge.path"
+        path_file.write_text(
+            "input_cap_ff = 4\nload_ff = 1e300\ninv\nnand2\ninv\n")
+        code, out, err = run_cli(
+            ["optimize", "--tc", "1000", REF_PROC, str(path_file)], capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error:")
+        assert "line 2: load_ff" in err
 
     def test_restruct_can_be_disabled(self, capsys, ref_tmin):
         tc = 0.95 * ref_tmin

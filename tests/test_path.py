@@ -19,6 +19,7 @@ from cmospath import (
     path_coefficients,
     path_gradient,
 )
+from cmospath.path import MAX_CAP_FF
 
 KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
 
@@ -82,7 +83,7 @@ class TestParsing:
     @pytest.mark.parametrize("field", ["input_cap", "terminal_load",
                                        "driver_slope_rise",
                                        "driver_slope_fall"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_values_rejected(self, field, value):
         fields = dict(gates=("inv", "inv"), input_cap=3.0, terminal_load=50.0)
         fields[field] = value
@@ -91,6 +92,27 @@ class TestParsing:
         with pytest.raises(ValueError, match="seed_cin"):
             LogicPath(gates=("inv", "inv"), input_cap=3.0, terminal_load=50.0,
                       seed_cin=(None, value))
+
+    @pytest.mark.parametrize("field", ["input_cap", "terminal_load"])
+    def test_huge_capacitance_rejected(self, field):
+        fields = dict(gates=("inv", "nand2", "inv"), input_cap=4.0,
+                      terminal_load=50.0)
+        fields[field] = 1e300
+        with pytest.raises(ValueError, match=f"{field} must be at most"):
+            LogicPath(**fields)
+        fields[field] = MAX_CAP_FF
+        assert getattr(LogicPath(**fields), field) == MAX_CAP_FF
+        with pytest.raises(ValueError, match="seed_cin"):
+            LogicPath(gates=("inv", "inv"), input_cap=3.0, terminal_load=50.0,
+                      seed_cin=(None, 1e300))
+
+    def test_loader_reports_huge_capacitance_with_its_line(self):
+        with pytest.raises(ConfigError, match="load_ff") as err:
+            parse_path_file("input_cap_ff = 3\nload_ff = 1e300\ninv\n")
+        assert err.value.line == 2
+        with pytest.raises(ConfigError, match="cin") as err:
+            parse_path_file("input_cap_ff = 3\nload_ff = 50\ninv cin=1e300\n")
+        assert err.value.line == 3
 
     def test_loader_reports_non_finite_with_its_line(self):
         text = "input_cap_ff = 3\nload_ff = inf\ninv\n"
