@@ -226,25 +226,11 @@ def insert_buffers(path: LogicPath, node_indices, buffer_kind: str = "inv",
         raise ValueError("buffer insertion index out of range")
 
     count = 1 if polarity_mode == "single" else 2
-    gates = list(path.gates)
-    seeds = list(path.seed_cin) if path.seed_cin is not None else [None] * path.n
-    flags = list(path.side_inverted) if path.side_inverted is not None else [False] * path.n
+    records = path.records()
     for i in reversed(indices):
-        gates[i + 1:i + 1] = [buffer_kind] * count
-        seeds[i + 1:i + 1] = [None] * count
-        flags[i + 1:i + 1] = [False] * count
-    return LogicPath(
-        gates=tuple(gates),
-        input_cap=path.input_cap,
-        terminal_load=path.terminal_load,
-        input_edge=path.input_edge,
-        driver_slope_rise=path.driver_slope_rise,
-        driver_slope_fall=path.driver_slope_fall,
-        seed_cin=tuple(seeds) if any(s is not None for s in seeds) else None,
-        side_inverted=tuple(flags) if any(flags) else None,
-        offpath_inverters=path.offpath_inverters,
-        polarity_flips=path.polarity_flips + (len(indices) if count == 1 else 0),
-    )
+        records[i + 1:i + 1] = [(buffer_kind, None, False)] * count
+    return path.with_records(records, polarity_flips=(
+        path.polarity_flips + (len(indices) if count == 1 else 0)))
 
 
 @dataclass(frozen=True)

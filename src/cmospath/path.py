@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .process import (
@@ -112,6 +112,25 @@ class LogicPath:
 
     def side_flag(self, i: int) -> bool:
         return bool(self.side_inverted[i]) if self.side_inverted is not None else False
+
+    def records(self) -> list[tuple[str, float | None, bool]]:
+        """Per-gate (kind, seed_cin, side_inverted), input to output."""
+        seeds = self.seed_cin or (None,) * self.n
+        flags = self.side_inverted or (False,) * self.n
+        return list(zip(self.gates, seeds, flags))
+
+    def with_records(self, records, **changes) -> LogicPath:
+        """This path with its gates replaced by `records`.
+
+        The one constructor of every path edit: the endpoints, edge and
+        driver slopes carry over, `changes` sets any other field, and
+        all-None seeds or all-False flags are stored as None.
+        """
+        gates, seeds, flags = zip(*records)
+        return replace(
+            self, gates=gates,
+            seed_cin=seeds if any(s is not None for s in seeds) else None,
+            side_inverted=flags if any(flags) else None, **changes)
 
 
 @dataclass(frozen=True)

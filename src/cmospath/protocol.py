@@ -10,8 +10,8 @@ decision lands in a replayable trace.
 from __future__ import annotations
 
 import enum
-import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import DelayBounds, max_delay_sizing, min_delay_sizing
 from .buffering import FlimitCache, insert_buffers, min_delay_with_buffers
@@ -19,15 +19,15 @@ from .errors import InfeasibleError, InvariantError
 from .path import GateLibrary, LogicPath, Sizing
 from .process import ProcessParams
 from .restructure import (
+    MAX_EQUIV_INPUTS,
     cancel_inverter_pairs,
     demorgan_rewrite,
+    dual_kind,
     local_equivalence_check,
     rank_gate_efficiency,
     segment_of,
 )
 from .sizing import SensitivitySolution, distribute_constraint
-
-_ARITY_RE = re.compile(r"^(nand|nor)(\d+)$")
 
 
 class Domain(enum.Enum):
@@ -113,16 +113,16 @@ def replay_trace(path: LogicPath, trace, library: GateLibrary) -> LogicPath:
 
 
 def _checked_rewrite(path: LogicPath, index: int,
-                     library: GateLibrary) -> tuple[LogicPath, int, bool]:
+                     library: GateLibrary) -> tuple[LogicPath, int]:
     """demorgan_rewrite + cancellation, with a truth-table window check.
 
-    Returns the new path, the number of inverter pairs cancelled, and the
-    equivalence verdict (always True on success; inequivalence raises).
+    Returns the new path and the number of inverter pairs cancelled; a
+    rewrite that changes the window's function raises InvariantError.
     """
     lo = max(0, index - 1)
     hi = min(path.n - 1, index + 1)
     before = segment_of(path, library, lo, hi + 1)
-    if before.n_inputs > 6:
+    if before.n_inputs > MAX_EQUIV_INPUTS:
         lo = hi = index
         before = segment_of(path, library, lo, hi + 1)
     rewritten = demorgan_rewrite(path, index, library)
@@ -131,22 +131,20 @@ def _checked_rewrite(path: LogicPath, index: int,
         raise InvariantError(
             f"rewrite at gate {index} changed the segment function")
     cancelled = cancel_inverter_pairs(rewritten)
-    pairs = (rewritten.n - cancelled.n) // 2
-    return cancelled, pairs, True
+    return cancelled, (rewritten.n - cancelled.n) // 2
 
 
-def _pick_rewrite(path: LogicPath, library: GateLibrary,
-                  rank_pos: dict[str, int]) -> int | None:
-    """Lowest-efficiency gate whose De Morgan dual ranks strictly better."""
+def _pick_rewrite(path: LogicPath, rank_pos: dict[str, int]) -> int | None:
+    """Lowest-efficiency gate whose De Morgan dual ranks strictly better.
+
+    rank_pos holds every library kind, so a kind missing from it (the
+    dual, or the inverters the rewrite adds) is missing from the library.
+    """
     best: tuple[int, int] | None = None
     for i, kind in enumerate(path.gates):
-        m = _ARITY_RE.match(kind)
-        if m is None or int(m.group(2)) > 3:
-            continue
-        partner = ("nand" if m.group(1) == "nor" else "nor") + m.group(2)
-        if partner not in library or "inv" not in library:
-            continue
-        if kind not in rank_pos or partner not in rank_pos:
+        partner = dual_kind(kind)
+        if partner not in rank_pos or kind not in rank_pos \
+                or "inv" not in rank_pos:
             continue
         if rank_pos[partner] <= rank_pos[kind]:
             continue
@@ -156,11 +154,18 @@ def _pick_rewrite(path: LogicPath, library: GateLibrary,
     return None if best is None else best[1]
 
 
-def _quick_bounds(path: LogicPath, params, library, t_min: float,
-                  sizing_min: Sizing) -> DelayBounds:
-    sizing_max, t_max = max_delay_sizing(path, params, library)
-    return DelayBounds(t_min=t_min, t_max=t_max,
-                       sizing_min=sizing_min, sizing_max=sizing_max)
+class _Route(NamedTuple):
+    """One candidate structure for optimize: the path, the trace steps
+    that built it from the input path, and its fastest sizing.
+
+    A named tuple, not a frozen dataclass: creating a dataclass costs
+    about 1 ms at import.
+    """
+
+    path: LogicPath
+    steps: tuple[TraceStep, ...]
+    t_min: float
+    sizing_min: Sizing
 
 
 def optimize(path: LogicPath, tc: float, params: ProcessParams,
@@ -181,131 +186,92 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
     limits = FlimitCache(params, library, buffer_kind)
 
     sizing_min, t_min0, _ = min_delay_sizing(path, params, library)
-    bounds0 = _quick_bounds(path, params, library, t_min0, sizing_min)
-    trace.append(TraceStep("bounds", {"t_min": t_min0, "t_max": bounds0.t_max}))
+    base = _Route(path, (), t_min0, sizing_min)
+    trace.append(TraceStep("bounds", {
+        "t_min": t_min0,
+        "t_max": max_delay_sizing(path, params, library)[1]}))
     domain = classify_constraint(tc, t_min0, params)
     trace.append(TraceStep("classify", {
         "domain": domain.kind.value, "ratio": domain.ratio, "tc": tc}))
 
-    def distribute(target_path: LogicPath, known: DelayBounds | None = None):
-        return distribute_constraint(target_path, tc, params, library,
-                                     bounds=known)
+    def buffered(route: _Route) -> _Route:
+        """Greedy buffering of a route, its insertions appended as steps."""
+        outcome = min_delay_with_buffers(route.path, params, library,
+                                         buffer_kind, buffer_mode, limits)
+        steps = tuple(TraceStep("insert_buffer", {
+            "index": index, "mode": mode, "kind": buffer_kind})
+            for index, mode in outcome.insertions)
+        return _Route(outcome.path, route.steps + steps, outcome.t_min,
+                      outcome.sizing)
 
-    final_path = path
-    solution: SensitivitySolution
+    def distribute(route: _Route) -> SensitivitySolution:
+        sizing_max, t_max = max_delay_sizing(route.path, params, library)
+        return distribute_constraint(
+            route.path, tc, params, library,
+            bounds=DelayBounds(t_min=route.t_min, t_max=t_max,
+                               sizing_min=route.sizing_min,
+                               sizing_max=sizing_max))
 
-    if domain.kind is Domain.WEAK:
-        solution = distribute(path, bounds0)
-
-    elif domain.kind is Domain.MEDIUM:
-        solution = distribute(path, bounds0)
-        # The buffer-only route competes with restructuring, and is all
-        # that is left when restructuring found nothing to rewrite.
-        if allow_buffer:
-            outcome = min_delay_with_buffers(path, params, library,
-                                             buffer_kind, buffer_mode, limits)
-            if outcome.path.n > path.n:
-                buffered_sol = distribute(outcome.path)
-                if buffered_sol.area < solution.area:
-                    for index, mode in outcome.insertions:
-                        trace.append(TraceStep("insert_buffer", {
-                            "index": index, "mode": mode, "kind": buffer_kind}))
-                    trace.append(TraceStep("buffering_kept", {
-                        "area_with": buffered_sol.area,
-                        "area_without": solution.area}))
-                    final_path, solution = outcome.path, buffered_sol
+    if domain.kind is not Domain.INFEASIBLE:
+        hard = domain.kind is Domain.HARD
+        chosen = buffered(base) if hard and allow_buffer else base
+        trace.extend(chosen.steps)
+        if chosen.steps:
+            trace.append(TraceStep("rebound", {"t_min": chosen.t_min}))
+        solution = distribute(chosen)
+        if domain.kind is Domain.MEDIUM and allow_buffer:
+            # Buffers must pay for themselves in area at this constraint.
+            alt = buffered(base)
+            if alt.steps:
+                alt_solution = distribute(alt)
+                areas = {"area_with": alt_solution.area,
+                         "area_without": solution.area}
+                if alt_solution.area < solution.area:
+                    trace.extend(alt.steps)
+                    trace.append(TraceStep("buffering_kept", areas))
+                    chosen, solution = alt, alt_solution
                 else:
-                    trace.append(TraceStep("buffering_rejected", {
-                        "area_with": buffered_sol.area,
-                        "area_without": solution.area}))
-
-    elif domain.kind is Domain.HARD:
-        # The buffer-only route competes with restructuring, and is all
-        # that is left when restructuring found nothing to rewrite.
-        if allow_buffer:
-            outcome = min_delay_with_buffers(path, params, library,
-                                             buffer_kind, buffer_mode, limits)
-            for index, mode in outcome.insertions:
-                trace.append(TraceStep("insert_buffer", {
-                    "index": index, "mode": mode, "kind": buffer_kind}))
-            final_path = outcome.path
-            if outcome.path.n > path.n:
-                trace.append(TraceStep("rebound", {"t_min": outcome.t_min}))
-                solution = distribute(final_path)
-            else:
-                solution = distribute(path, bounds0)
-        else:
-            solution = distribute(path, bounds0)
+                    trace.append(TraceStep("buffering_rejected", areas))
 
     else:  # infeasible at the current structure
-        best_t_min = t_min0
-        best_path = path
-        candidates: list[tuple[str, LogicPath, list[TraceStep], float, Sizing]] = []
-        did_rewrite = False
-
+        routes: list[tuple[str, _Route]] = []
         if allow_restruct:
             ranking = rank_gate_efficiency(library, params, buffer_kind)
             rank_pos = {kind: i for i, (kind, _) in enumerate(ranking)}
-            r_path, r_tmin, r_sizing = path, t_min0, sizing_min
-            r_steps: list[TraceStep] = []
-            while tc < r_tmin:
-                index = _pick_rewrite(r_path, library, rank_pos)
+            route = base
+            while tc < route.t_min:
+                index = _pick_rewrite(route.path, rank_pos)
                 if index is None:
                     break
-                old_kind = r_path.gates[index]
-                new_path, pairs, _ = _checked_rewrite(r_path, index, library)
-                r_sizing, r_tmin, _ = min_delay_sizing(new_path, params, library)
-                dual = ("nand" if old_kind.startswith("nor") else "nor") + old_kind[-1]
-                r_steps.append(TraceStep("restruct", {
+                old_kind = route.path.gates[index]
+                new_path, pairs = _checked_rewrite(route.path, index, library)
+                sizing, t_min, _ = min_delay_sizing(new_path, params, library)
+                step = TraceStep("restruct", {
                     "index": index, "from": old_kind,
-                    "to": f"inv+{dual}+inv", "cancelled": pairs,
-                    "equivalent": True, "t_min": r_tmin}))
-                r_path = new_path
-                did_rewrite = True
-            if did_rewrite and tc < r_tmin and allow_buffer:
-                outcome = min_delay_with_buffers(r_path, params, library,
-                                                 buffer_kind, buffer_mode,
-                                                 limits)
-                for index, mode in outcome.insertions:
-                    r_steps.append(TraceStep("insert_buffer", {
-                        "index": index, "mode": mode, "kind": buffer_kind}))
-                r_path, r_sizing, r_tmin = (outcome.path, outcome.sizing,
-                                            outcome.t_min)
-            if r_tmin < best_t_min:
-                best_t_min, best_path = r_tmin, r_path
-            if tc >= r_tmin:
-                candidates.append(("restruct", r_path, r_steps, r_tmin, r_sizing))
-
+                    "to": f"inv+{dual_kind(old_kind)}+inv",
+                    "cancelled": pairs, "equivalent": True, "t_min": t_min})
+                route = _Route(new_path, route.steps + (step,), t_min, sizing)
+            if route.steps and tc < route.t_min and allow_buffer:
+                route = buffered(route)
+            routes.append(("restruct", route))
         # The buffer-only route competes with restructuring, and is all
         # that is left when restructuring found nothing to rewrite.
         if allow_buffer:
-            outcome = min_delay_with_buffers(path, params, library,
-                                             buffer_kind, buffer_mode, limits)
-            b_steps = [TraceStep("insert_buffer", {
-                "index": index, "mode": mode, "kind": buffer_kind})
-                for index, mode in outcome.insertions]
-            if outcome.t_min < best_t_min:
-                best_t_min, best_path = outcome.t_min, outcome.path
-            if tc >= outcome.t_min:
-                candidates.append(("buffer", outcome.path, b_steps,
-                                   outcome.t_min, outcome.sizing))
+            routes.append(("buffer", buffered(base)))
 
-        if not candidates:
+        fastest = min([base] + [route for _, route in routes],
+                      key=lambda route: route.t_min)
+        scored = [(name, route, distribute(route)) for name, route in routes
+                  if tc >= route.t_min]
+        if not scored:
             raise InfeasibleError(
                 f"constraint {tc:.6g} ps unreachable; best achievable "
-                f"minimum delay is {best_t_min:.6g} ps", t_min=best_t_min,
-                best_path=best_path, trace=tuple(trace))
-
-        best: tuple[str, LogicPath, list[TraceStep], SensitivitySolution] | None = None
-        for route, cand_path, steps, cand_tmin, cand_sizing in candidates:
-            sol = distribute(cand_path,
-                             _quick_bounds(cand_path, params, library,
-                                           cand_tmin, cand_sizing))
-            if best is None or sol.area < best[3].area:
-                best = (route, cand_path, steps, sol)
-        route, final_path, steps, solution = best
-        trace.extend(steps)
-        trace.append(TraceStep("route", {"chosen": route}))
+                f"minimum delay is {fastest.t_min:.6g} ps",
+                t_min=fastest.t_min, best_path=fastest.path,
+                trace=tuple(trace))
+        name, chosen, solution = min(scored, key=lambda s: s[2].area)
+        trace.extend(chosen.steps)
+        trace.append(TraceStep("route", {"chosen": name}))
 
     trace.append(TraceStep("distribute", {
         "a": solution.a_value, "delay": solution.delay,
@@ -318,7 +284,7 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
             f"optimizer produced delay {achieved:.6g} ps above constraint "
             f"{tc:.6g} ps")
     return OptimizationResult(
-        final_path=final_path, sizing=solution.sizing,
+        final_path=chosen.path, sizing=solution.sizing,
         achieved_delay=achieved, area=solution.area,
         a_value=solution.a_value, domain=domain, trace=tuple(trace),
         notes=notes)

@@ -130,19 +130,12 @@ def local_equivalence_check(before: PathSegment, after: PathSegment) -> bool:
     return before.truth_table() == after.truth_table()
 
 
-def _partner_kind(kind: str, library: GateLibrary) -> tuple[str, int]:
+def dual_kind(kind: str) -> str | None:
+    """De Morgan partner of a nand/nor kind of arity up to 3, else None."""
     m = _ARITY_RE.match(kind)
-    if m is None:
-        raise ValueError(f"gate kind {kind!r} has no De Morgan rewrite")
-    arity = int(m.group(2))
-    if arity > 3:
-        raise ValueError(f"De Morgan rewrite supports arity up to 3, got {kind}")
-    partner = ("nand" if m.group(1) == "nor" else "nor") + m.group(2)
-    if partner not in library:
-        raise ConfigError(f"rewrite needs gate kind {partner} in the library")
-    if "inv" not in library:
-        raise ConfigError("rewrite needs gate kind inv in the library")
-    return partner, arity
+    if m is None or int(m.group(2)) > 3:
+        return None
+    return ("nand" if m.group(1) == "nor" else "nor") + m.group(2)
 
 
 def demorgan_rewrite(path: LogicPath, index: int,
@@ -159,35 +152,27 @@ def demorgan_rewrite(path: LogicPath, index: int,
     kind = path.gates[index]
     if kind not in library:
         raise ConfigError(f"unknown gate kind: {kind}")
-    partner, arity = _partner_kind(kind, library)
+    partner = dual_kind(kind)
+    if partner is None:
+        raise ValueError(f"gate kind {kind!r} has no De Morgan rewrite; "
+                         "only nand/nor of arity up to 3 have one")
+    for needed in (partner, "inv"):
+        if needed not in library:
+            raise ConfigError(f"rewrite needs gate kind {needed} in the library")
+    arity = int(_ARITY_RE.match(kind).group(2))
     if library[kind].n_inputs != arity:
         raise ConfigError(
             f"gate {kind} declares {library[kind].n_inputs} inputs; "
             f"its name implies {arity}")
 
     was_inverted = path.side_flag(index)
+    records = path.records()
+    records[index:index + 1] = [("inv", None, False),
+                                (partner, None, not was_inverted),
+                                ("inv", None, False)]
     n_side = arity - 1
-    gates = list(path.gates)
-    seeds = list(path.seed_cin) if path.seed_cin is not None else [None] * path.n
-    flags = list(path.side_inverted) if path.side_inverted is not None else [False] * path.n
-
-    gates[index:index + 1] = ["inv", partner, "inv"]
-    seeds[index:index + 1] = [None, None, None]
-    flags[index:index + 1] = [False, not was_inverted, False]
-
-    offpath = path.offpath_inverters + (n_side if not was_inverted else -n_side)
-    return LogicPath(
-        gates=tuple(gates),
-        input_cap=path.input_cap,
-        terminal_load=path.terminal_load,
-        input_edge=path.input_edge,
-        driver_slope_rise=path.driver_slope_rise,
-        driver_slope_fall=path.driver_slope_fall,
-        seed_cin=tuple(seeds) if any(s is not None for s in seeds) else None,
-        side_inverted=tuple(flags) if any(flags) else None,
-        offpath_inverters=offpath,
-        polarity_flips=path.polarity_flips,
-    )
+    return path.with_records(records, offpath_inverters=(
+        path.offpath_inverters + (-n_side if was_inverted else n_side)))
 
 
 def cancel_inverter_pairs(path: LogicPath) -> LogicPath:
@@ -196,45 +181,31 @@ def cancel_inverter_pairs(path: LogicPath) -> LogicPath:
     Only plain ``inv`` gates cancel; the operation preserves the segment
     function exactly and leaves off-path bookkeeping untouched.
     """
-    seeds = list(path.seed_cin) if path.seed_cin is not None else [None] * path.n
-    flags = list(path.side_inverted) if path.side_inverted is not None else [False] * path.n
-    stack: list[tuple[str, float | None, bool]] = []
-    for item in zip(path.gates, seeds, flags):
-        if stack and item[0] == "inv" and stack[-1][0] == "inv":
+    stack = []
+    for record in path.records():
+        if stack and record[0] == "inv" and stack[-1][0] == "inv":
             stack.pop()
-            continue
-        stack.append(item)
+        else:
+            stack.append(record)
     if len(stack) == path.n:
         return path
-    if not stack:
-        # A pure inverter chain of even length cancels to nothing; keep
-        # one pair so the path stays structurally valid.
-        stack = [("inv", None, False), ("inv", None, False)]
-    gates, new_seeds, new_flags = zip(*stack)
-    return LogicPath(
-        gates=tuple(gates),
-        input_cap=path.input_cap,
-        terminal_load=path.terminal_load,
-        input_edge=path.input_edge,
-        driver_slope_rise=path.driver_slope_rise,
-        driver_slope_fall=path.driver_slope_fall,
-        seed_cin=tuple(new_seeds) if any(s is not None for s in new_seeds) else None,
-        side_inverted=tuple(new_flags) if any(new_flags) else None,
-        offpath_inverters=path.offpath_inverters,
-        polarity_flips=path.polarity_flips,
-    )
+    # A pure inverter chain of even length cancels to nothing; keep one
+    # pair so the path stays structurally valid.
+    return path.with_records(stack or [("inv", None, False)] * 2)
 
 
 def rank_gate_efficiency(library: GateLibrary, params: ProcessParams,
                          buffer_kind: str = "inv") -> list[tuple[str, float]]:
     """Library kinds from least to most drive-efficient.
 
-    Efficiency is the fanout limit under an inverter driver; ties break
-    toward the larger dw_hl, then lexicographic name.
+    Efficiency is the fanout limit, probed with the buffer kind driving
+    (limits do not depend on the driver); ties break toward the larger
+    dw_hl, then lexicographic name.
     """
     rows = []
     for kind, template in library.items():
-        limit = flimit("inv", kind, params, library, buffer_kind).f_limit
+        limit = flimit(buffer_kind, kind, params, library,
+                       buffer_kind).f_limit
         rows.append((kind, limit, template.dw_hl))
     rows.sort(key=lambda r: (r[1], -r[2], r[0]))
     return [(kind, limit) for kind, limit, _ in rows]

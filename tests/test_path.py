@@ -19,7 +19,9 @@ from cmospath import (
     path_coefficients,
     path_gradient,
 )
+from cmospath.buffering import insert_buffers
 from cmospath.path import MAX_CAP_FF
+from cmospath.restructure import cancel_inverter_pairs, demorgan_rewrite
 
 KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
 
@@ -122,6 +124,51 @@ class TestParsing:
         with pytest.raises(ConfigError, match="finite") as err:
             parse_path_file("input_cap_ff = 3\nload_ff = 50\ninv cin=inf\n")
         assert err.value.line == 3
+
+
+class TestPathEdits:
+    # Falling input, distinct non-zero driver slopes, seeds and flags set,
+    # so an edit that rebuilt a field from a default would show.
+    PATH = LogicPath(gates=("inv", "inv", "nor2", "inv"), input_cap=5.0,
+                     terminal_load=120.0, input_edge="falling",
+                     driver_slope_rise=12.0, driver_slope_fall=31.0,
+                     seed_cin=(5.0, None, 9.0, None),
+                     side_inverted=(False, False, True, False),
+                     offpath_inverters=1, polarity_flips=1)
+
+    def test_records_round_trip(self):
+        plain = LogicPath(gates=("inv", "nand2"), input_cap=4.0,
+                          terminal_load=60.0)
+        for path in (self.PATH, plain):
+            assert path.with_records(path.records()) == path
+        assert self.PATH.records()[2] == ("nor2", 9.0, True)
+        assert plain.records() == [("inv", None, False),
+                                   ("nand2", None, False)]
+
+    def test_all_none_seeds_and_all_false_flags_store_none(self):
+        out = self.PATH.with_records([("inv", None, False),
+                                      ("nand2", None, False)],
+                                     offpath_inverters=0)
+        assert out.gates == ("inv", "nand2")
+        assert out.seed_cin is None
+        assert out.side_inverted is None
+        assert out.offpath_inverters == 0
+        assert out.polarity_flips == 1
+
+    @pytest.mark.parametrize("edit, gates", [
+        (lambda path, lib: insert_buffers(path, [2], "inv", "single"),
+         ("inv", "inv", "nor2", "inv", "inv")),
+        (lambda path, lib: demorgan_rewrite(path, 2, lib),
+         ("inv", "inv", "inv", "nand2", "inv", "inv")),
+        (lambda path, lib: cancel_inverter_pairs(path), ("nor2", "inv")),
+    ], ids=("insert_buffers", "demorgan_rewrite", "cancel_inverter_pairs"))
+    def test_edits_keep_endpoints_edge_and_slopes(self, ref_library, edit,
+                                                  gates):
+        out = edit(self.PATH, ref_library)
+        assert out.gates == gates
+        for name in ("input_cap", "terminal_load", "input_edge",
+                     "driver_slope_rise", "driver_slope_fall"):
+            assert getattr(out, name) == getattr(self.PATH, name), name
 
 
 class TestEvaluate:

@@ -33,8 +33,7 @@ def check_result(res, path, tc, params, library):
     assert got == pytest.approx(res.achieved_delay, rel=1e-9)
     assert got <= tc * (1.0 + 1e-3)
     assert res.a_value <= 0.0
-    replayed = replay_trace(path, res.trace, library)
-    assert replayed.gates == res.final_path.gates
+    assert replay_trace(path, res.trace, library) == res.final_path
 
 
 class TestClassify:
@@ -200,6 +199,27 @@ class TestInfeasibleDomain:
         with pytest.raises(InfeasibleError):
             optimize(chain11, 0.95 * t_min, ref_params, ref_library,
                      allow_buffer=False, allow_restruct=False)
+
+    def test_library_without_inv_probes_under_the_buffer_kind(
+            self, ref_params, ref_library):
+        # The inverter filed as "buf": ranking must probe under the buffer
+        # kind, find no rewrite (it needs "inv") and fall through to the
+        # buffer route, exactly as with restructuring switched off.
+        library = {("buf" if kind == "inv" else kind):
+                   (dataclasses.replace(t, name="buf") if kind == "inv" else t)
+                   for kind, t in ref_library.items()}
+        path = LogicPath(gates=("buf", "nor2", "nor3", "buf"), input_cap=4.0,
+                         terminal_load=60.0)
+        _, t_min, _ = min_delay_sizing(path, ref_params, library)
+        errors = []
+        for allow_restruct in (True, False):
+            with pytest.raises(InfeasibleError) as excinfo:
+                optimize(path, 0.9 * t_min, ref_params, library,
+                         allow_restruct=allow_restruct, buffer_kind="buf")
+            errors.append(excinfo.value)
+        assert str(errors[0]) == str(errors[1])
+        assert errors[0].best_path == errors[1].best_path
+        assert errors[0].trace == errors[1].trace
 
 
 class TestInternalChecks:
