@@ -55,6 +55,33 @@ def max_delay_sizing(path: LogicPath, params: ProcessParams,
     return sizing, model.evaluate(sizing).total_delay
 
 
+def _solve_tridiagonal(diag, off, rhs) -> list[float] | None:
+    """Solve a symmetric tridiagonal system by the Thomas sweep.
+
+    diag is the main diagonal and off[i] couples rows i and i+1 (its last
+    entry is unused).  Returns None when a pivot is not positive, i.e. the
+    matrix is not positive definite, or when the solution is not finite.
+    The elimination overwrites diag and rhs.
+    """
+    m = len(diag)
+    for idx in range(1, m):
+        piv = diag[idx - 1]
+        if not piv > 0.0:
+            return None
+        w = off[idx - 1] / piv
+        diag[idx] -= w * off[idx - 1]
+        rhs[idx] -= w * rhs[idx - 1]
+    if not diag[m - 1] > 0.0:
+        return None
+    x = [0.0] * m
+    x[m - 1] = rhs[m - 1] / diag[m - 1]
+    for idx in range(m - 2, -1, -1):
+        x[idx] = (rhs[idx] - off[idx] * x[idx + 1]) / diag[idx]
+    if not all(math.isfinite(v) for v in x):
+        return None
+    return x
+
+
 def _newton_step(model: PathModel, cin, grad, hd, ho,
                  a: float, cref: float) -> list[float]:
     """One log-space Newton step on the stationarity residual.
@@ -79,8 +106,7 @@ def _newton_step(model: PathModel, cin, grad, hd, ho,
         if frozen:
             coeffs = model.coefficients(cin)
         diag = [0.0] * m
-        sup = [0.0] * m
-        sub = [0.0] * m
+        off = [0.0] * m
         rhs = [0.0] * m
         for idx in range(m):
             j = idx + 1
@@ -91,36 +117,21 @@ def _newton_step(model: PathModel, cin, grad, hd, ho,
                 diag[idx] = cj * coeffs.a[j - 1] / cin[j - 1] \
                     + coeffs.a[j] * (nxt + coeffs.c_par[j]) / cj - a * cj
                 if j < n - 1:
-                    sup[idx] = -coeffs.a[j] * cin[j + 1] / cj
+                    off[idx] = -coeffs.a[j] * cin[j + 1] / cj
             else:
                 diag[idx] = cj * cj * hd[idx] + r
                 if j < n - 1:
-                    sup[idx] = cj * cin[j + 1] * ho[idx]
-            if idx > 0:
-                sub[idx] = sup[idx - 1]
+                    off[idx] = cj * cin[j + 1] * ho[idx]
             rhs[idx] = -r
             if cj <= cref * (1.0 + 1e-9) and r > 0.0:
                 # Active at the lower bound: hold this gate in place.
                 diag[idx] = 1.0
                 rhs[idx] = 0.0
-                sup[idx] = 0.0
-                sub[idx] = 0.0
+                off[idx] = 0.0
                 if idx > 0:
-                    sup[idx - 1] = 0.0
-        for idx in range(1, m):
-            piv = diag[idx - 1]
-            if not piv > 0.0:
-                return None
-            w = sub[idx] / piv
-            diag[idx] -= w * sup[idx - 1]
-            rhs[idx] -= w * rhs[idx - 1]
-        if not diag[m - 1] > 0.0:
-            return None
-        step = [0.0] * m
-        step[m - 1] = rhs[m - 1] / diag[m - 1]
-        for idx in range(m - 2, -1, -1):
-            step[idx] = (rhs[idx] - sup[idx] * step[idx + 1]) / diag[idx]
-        if not all(math.isfinite(s) for s in step):
+                    off[idx - 1] = 0.0
+        step = _solve_tridiagonal(diag, off, rhs)
+        if step is None:
             return None
         widest = max(abs(s) for s in step)
         if widest > 1.0:

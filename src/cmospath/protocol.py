@@ -279,7 +279,7 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
 
     notes = (solution.note,) if solution.note else ()
     achieved = solution.delay
-    if achieved > tc * (1.0 + 1e-3):
+    if achieved > tc:
         raise InvariantError(
             f"optimizer produced delay {achieved:.6g} ps above constraint "
             f"{tc:.6g} ps")

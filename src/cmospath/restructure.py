@@ -166,11 +166,16 @@ def demorgan_rewrite(path: LogicPath, index: int,
             f"its name implies {arity}")
 
     was_inverted = path.side_flag(index)
+    n_side = arity - 1
+    if was_inverted and path.offpath_inverters < n_side:
+        raise ConfigError(
+            f"gate {index} ({kind}) has inverted side inputs that need "
+            f"{n_side} off-path inverters, but the path counts only "
+            f"{path.offpath_inverters}")
     records = path.records()
     records[index:index + 1] = [("inv", None, False),
                                 (partner, None, not was_inverted),
                                 ("inv", None, False)]
-    n_side = arity - 1
     return path.with_records(records, offpath_inverters=(
         path.offpath_inverters + (-n_side if was_inverted else n_side)))
 

@@ -3,10 +3,12 @@
 At the area-optimal sizing for a given delay budget every free gate sees
 the same delay-per-capacitance sensitivity a <= 0; a = 0 is the fastest
 point and a -> -inf collapses everything to minimum drive.  Solving the
-stationarity system at a fixed a and bisecting on a until the achieved
-delay matches the constraint turns the constrained area problem into a
-one-dimensional search.  An equal-delay-per-stage reference sizing is
-included for comparison; it is a heuristic, not an optimizer.
+stationarity system at a fixed a turns the constrained area problem into
+a one-dimensional search on a: a safeguarded Newton iteration, with
+dT/da from the exact Hessian, that starts at the fastest sizing and
+stops once the delay lands in tc * (1 - 1e-3) <= delay <= tc.  An
+equal-delay-per-stage reference sizing is included for comparison; it is
+a heuristic, not an optimizer.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import DelayBounds, compute_bounds, link_fixed_point
+from .bounds import (DelayBounds, _solve_tridiagonal, compute_bounds,
+                     link_fixed_point)
 from .errors import ConvergenceError, InfeasibleError
 from .path import GateLibrary, LogicPath, PathModel, Sizing
 from .process import ProcessParams, miller_factor
@@ -22,6 +25,7 @@ from .process import ProcessParams, miller_factor
 DELAY_MATCH_TOL = 1e-3
 SPREAD_REL = 1e-4
 SPREAD_FLOOR = 2e-6
+MAX_SENSITIVITY_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -89,16 +93,47 @@ def _all_free_clamped(model: PathModel, sizing: Sizing) -> bool:
     return all(clamped[1:]) if model.n > 1 else True
 
 
+def _delay_curvature(model: PathModel, sizing: Sizing) -> float | None:
+    """q = 1^T H_ff^-1 1 at a constant-sensitivity point, so dT/da = a * q.
+
+    Differentiating the stationarity system g(cin) = a * 1 over the free
+    gates gives H_ff dcin/da = 1, hence dT/da = g^T dcin/da = a * q.  H_ff
+    is the exact Hessian with clamped gates pinned (unit diagonal, zero
+    right-hand side).  Returns None when H_ff is not positive definite,
+    which strong fixed coupling can cause.
+    """
+    _, diag, off = model.derivatives(sizing)
+    clamped = model.clamped(sizing)
+    rhs = [1.0] * len(diag)
+    for idx in range(len(diag)):
+        if clamped[idx + 1]:
+            diag[idx] = 1.0
+            rhs[idx] = 0.0
+            off[idx] = 0.0
+            if idx > 0:
+                off[idx - 1] = 0.0
+    x = _solve_tridiagonal(diag, off, rhs)
+    if x is None:
+        return None
+    q = sum(x)
+    return q if 0.0 < q < math.inf else None
+
+
 def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
                           library: GateLibrary,
                           bounds: DelayBounds | None = None) -> SensitivitySolution:
     """Minimum-area sizing meeting delay constraint tc.
 
-    Bisects on the sensitivity a between the fastest point (a = 0) and a
-    geometrically expanded lower bracket until the achieved delay is
-    within 0.1% of tc.  tc below t_min raises InfeasibleError carrying
-    t_min; tc at or above t_max returns the all-minimum sizing with a
-    note.
+    Starts from the fastest sizing (a = 0, taken from bounds) and runs a
+    safeguarded Newton iteration on the sensitivity a, warm-starting each
+    solve from the previous one, until the achieved delay lands in the
+    one-sided band tc * (1 - 1e-3) <= delay <= tc.  Newton uses dT/da =
+    a * 1^T H^-1 1 over the unclamped gates, and its first step from a = 0
+    the quadratic model T = t_min + q a^2 / 2; a step that leaves the
+    bracket of a values known to be too slow and too fast falls back to
+    the bracket's geometric mean.  tc below t_min raises InfeasibleError
+    carrying t_min; tc at or above t_max returns the all-minimum sizing
+    with a note.
     """
     if not tc > 0:
         raise ValueError("tc must be positive")
@@ -119,46 +154,44 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
             note="constraint at or above the all-minimum-drive delay; "
                  "every free gate held at cref")
 
-    sol_hi = _solve(model, 0.0)
-    if abs(sol_hi.delay - tc) <= DELAY_MATCH_TOL * tc:
-        return sol_hi
+    sol = SensitivitySolution(a_value=0.0, sizing=bounds.sizing_min,
+                              delay=bounds.t_min,
+                              area=model.total_width(bounds.sizing_min))
+    low = tc * (1.0 - DELAY_MATCH_TOL)
+    if sol.delay >= low:
+        return sol
+    target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
 
-    # Expand the lower bracket geometrically until the delay overshoots tc.
-    scale = -bounds.t_min / (model.n * params.cref)
-    a_lo = scale * 1e-3
-    sol_lo = _solve(model, a_lo, warm=sol_hi.sizing)
-    guard = 0
-    while sol_lo.delay < tc:
-        if _all_free_clamped(model, sol_lo.sizing):
-            break
-        a_lo *= 8.0
-        if a_lo < a_floor:
-            a_lo = a_floor
-        sol_lo = _solve(model, a_lo, warm=sol_lo.sizing)
-        guard += 1
-        if guard > 80:
-            raise ConvergenceError("bracket expansion failed to reach tc",
-                                   iterations=guard, residual=sol_lo.delay - tc)
-    if abs(sol_lo.delay - tc) <= DELAY_MATCH_TOL * tc:
-        return sol_lo
-    if sol_lo.delay < tc:
-        # Everything clamped and still faster than tc can only happen in
-        # the tc >= t_max region handled above; keep a guarded exit.
-        return sol_lo
-
-    lo, hi = a_lo, 0.0
-    sol = sol_lo
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        sol = _solve(model, mid, warm=sol.sizing)
-        if abs(sol.delay - tc) <= DELAY_MATCH_TOL * tc:
+    # T(a) rises monotonically as a falls below 0.  lo is too slow (at
+    # a_floor every free gate sits at cref, so T = t_max > tc), hi too fast.
+    lo, hi = a_floor, 0.0
+    a = 0.0
+    for _ in range(MAX_SENSITIVITY_STEPS):
+        q = _delay_curvature(model, sol.sizing)
+        if q is None:
+            step = math.nan  # fails the bracket test below
+        elif a == 0.0:
+            step = -math.sqrt(2.0 * (target - sol.delay) / q)
+        else:
+            step = a - (sol.delay - target) / (a * q)
+        if lo < step < hi:
+            a = step
+        else:
+            a = -math.sqrt(lo * hi) if hi < 0.0 else lo / 8.0
+        sol = _solve(model, a, warm=sol.sizing)
+        if low <= sol.delay <= tc:
             return sol
         if sol.delay > tc:
-            lo = mid
+            lo = a
+        elif _all_free_clamped(model, sol.sizing):
+            # Everything clamped and still faster than tc can only happen
+            # in the tc >= t_max region handled above; keep a guarded exit.
+            return sol
         else:
-            hi = mid
-    raise ConvergenceError("sensitivity bisection did not meet the constraint",
-                           iterations=200, residual=abs(sol.delay - tc) / tc)
+            hi = a
+    raise ConvergenceError("sensitivity search did not meet the constraint",
+                           iterations=MAX_SENSITIVITY_STEPS,
+                           residual=(sol.delay - tc) / tc)
 
 
 def sweep(path: LogicPath, a_values, params: ProcessParams,

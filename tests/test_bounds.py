@@ -15,6 +15,7 @@ from cmospath import (
     PathModel,
     ProcessParams,
     compute_bounds,
+    distribute_constraint,
     evaluate_path,
     exact_path_gradient,
     feasibility,
@@ -277,6 +278,15 @@ class TestFrozenSurrogateStep:
         free = [g for g, c in zip(grad, clamped[1:]) if not c]
         assert len(free) >= 8
         assert max(abs(g - a) for g in free) * params.cref / delay < 1e-5
+
+    @pytest.mark.parametrize("ratio", [1.01, 1.1, 1.5, 2.0, 3.0])
+    def test_distribution_lands_in_the_band(self, coupled, ratio):
+        path, params, library = coupled
+        bounds = compute_bounds(path, params, library)
+        tc = ratio * bounds.t_min
+        sol = distribute_constraint(path, tc, params, library, bounds=bounds)
+        assert tc * (1.0 - 1e-3) <= sol.delay <= tc
+        assert sol.a_value < 0.0
 
 
 class TestFeasibility:

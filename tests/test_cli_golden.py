@@ -86,6 +86,19 @@ def test_recording_reaches_every_domain_and_exit_code():
     assert {r["code"] for r in recorded} == {0, 2}
 
 
+def test_recorded_delays_meet_the_constraint():
+    checked = 0
+    for r in _recorded():
+        if r["argv"][0] != "optimize" or r["code"] != 0:
+            continue
+        tc = float(r["argv"][r["argv"].index("--tc") + 1])
+        fields = dict(line.split(" = ", 1) for line in r["stdout"].splitlines()
+                      if " = " in line)
+        assert float(fields["achieved_delay_ps"]) <= tc, r["argv"]
+        checked += 1
+    assert checked > 0
+
+
 @pytest.mark.parametrize("index", range(len(cases())),
                          ids=[" ".join(a for a in argv if a != PROC)
                               for argv in cases()])

@@ -5,6 +5,7 @@ import math
 import pytest
 
 import oracles
+from cmospath import sizing
 from cmospath import (
     GateTemplate,
     InfeasibleError,
@@ -106,8 +107,44 @@ class TestDistributeConstraint:
                                         ref_params, ref_library)
         assert relaxed.a_value < 0.0
         assert relaxed.area < tight.area
-        assert abs(relaxed.delay - 1.5 * bounds.t_min) \
-            <= 1e-3 * 1.5 * bounds.t_min
+        tc = 1.5 * bounds.t_min
+        assert tc * (1.0 - 1e-3) <= relaxed.delay <= tc
+
+    def test_few_solves_per_call(self, ref_params, ref_library, chain11,
+                                 chain13, heavy_path, monkeypatch):
+        # Newton on a from the known fastest sizing: each call makes a
+        # handful of fixed-point solves and lands in the one-sided band.
+        solves = []
+        real = sizing.link_fixed_point
+
+        def counting(*args, **kwargs):
+            solves[-1] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sizing, "link_fixed_point", counting)
+        for path in (chain11, chain13, heavy_path):
+            bounds = compute_bounds(path, ref_params, ref_library)
+            for ratio in (1.05, 1.1, 1.2, 1.5, 2.0, 2.5, 3.0, 4.0):
+                tc = ratio * bounds.t_min
+                solves.append(0)
+                sol = distribute_constraint(path, tc, ref_params, ref_library,
+                                            bounds=bounds)
+                assert tc * (1.0 - 1e-3) <= sol.delay <= tc
+        assert sum(solves) / len(solves) <= 5.0
+        assert max(solves) <= 8
+
+    def test_bracket_alone_meets_the_band(self, ref_params, ref_library,
+                                          chain11, monkeypatch):
+        # With no usable dT/da (an indefinite Hessian), every step falls
+        # back to the bracket: a_floor / 8 toward 0 until the delay drops
+        # below tc, then geometric means.
+        monkeypatch.setattr(sizing, "_delay_curvature", lambda *args: None)
+        bounds = compute_bounds(chain11, ref_params, ref_library)
+        for ratio in (1.01, 1.5, 4.0):
+            tc = ratio * bounds.t_min
+            sol = distribute_constraint(chain11, tc, ref_params, ref_library,
+                                        bounds=bounds)
+            assert tc * (1.0 - 1e-3) <= sol.delay <= tc
 
     def test_constraint_above_ceiling_returns_floor_sizing(self, ref_params,
                                                            ref_library,
