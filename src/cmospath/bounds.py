@@ -10,9 +10,11 @@ order of preference: exact Newton; frozen-surrogate Newton where the exact
 Hessian loses positive definiteness, which strong fixed coupling causes;
 the chosen step damped toward the previous sizing when it would raise the
 descent merit; and standing still when every damping ascends, which only
-happens at a point stationary to rounding.  The same engine with target
-a < 0 solves the constant-sensitivity problem used by the area
-distribution module, so it lives here and takes a as a parameter.
+happens at a point stationary to rounding.  It stops on one rule, read
+off the derivative pass that opens each iteration: after a step that
+settled, every unclamped sensitivity lies within 5e-5 * |a| + 1e-6 *
+delay / cref of a.  The same engine with target a < 0 solves the
+constant-sensitivity problem of the area distribution module.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ MAX_ITERATIONS = 500
 CAP_TOL = 1e-7
 DELAY_TOL = 1e-9
 RESIDUAL_TOL = 1e-6
+SENSITIVITY_REL = 5e-5
 
 
 @dataclass(frozen=True)
@@ -151,14 +154,12 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                      init_cref: float | None = None,
                      warm: Sizing | None = None,
                      max_iterations: int = MAX_ITERATIONS,
-                     cap_tol: float = CAP_TOL,
-                     delay_tol: float = DELAY_TOL,
-                     certificate=None) -> tuple[Sizing, PathTiming, int]:
+                     ) -> tuple[Sizing, PathTiming, int]:
     """Solve the equal-sensitivity stationarity system at target a <= 0.
 
     Seeds with one backward pass of the link equations (predecessor held
     at init_cref) unless a warm start is given, then drives the exact
-    sensitivities dT/dcin[i] to a for every unclamped gate.  Each outer
+    sensitivities dT/dcin[i] to a for every unclamped gate.  Each
     iteration makes one exact derivative pass and takes a tridiagonal
     Newton step: on the exact Hessian, or on the frozen surrogate's where
     the exact one loses positive definiteness.  The step is accepted only
@@ -166,11 +167,12 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     it is damped toward the previous sizing in log space, up to 20
     halvings.  A step from a positive-definite system always descends, so
     if every damping ascends the point is stationary to rounding and the
-    iteration stands still, leaving the exit checks and certificate to
-    decide.  Sizes are clamped at cref from below.  a = 0 is the
-    minimum-delay condition.  Iterates until sizes move less than cap_tol
-    (relative), the full-model delay moves less than delay_tol
-    (relative), and the optional certificate predicate accepts the sizing.
+    iteration stands still.  Sizes are clamped at cref from below.  a = 0
+    is the minimum-delay condition.  Once a step settles (sizes move less
+    than CAP_TOL, the delay less than DELAY_TOL, both relative), the next
+    derivative pass returns the sizing, its timing and the steps taken if
+    every unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| +
+    RESIDUAL_TOL * T / cref.
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
@@ -201,10 +203,22 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
 
     timing = model.evaluate(cin)
     merit = timing.total_delay - a * sum(cin[1:])
-    prev_delay = timing.total_delay
+    settled = False
     max_rel = math.inf
-    for outer in range(1, max_iterations + 1):
+    for outer in range(max_iterations + 1):
         grad, hd, ho = model.derivatives(cin)
+        if settled:
+            tol = SENSITIVITY_REL * -a \
+                + RESIDUAL_TOL * timing.total_delay / cref
+            if all(abs(grad[j - 1] - a) <= tol for j in range(1, n)
+                   if cin[j] > cref * (1.0 + 1e-9)):
+                clamped = [j for j in range(1, n)
+                           if cin[j] <= cref * (1.0 + 1e-9)]
+                if clamped:
+                    logger.debug("fixed point clamped gates at cref: %s", clamped)
+                return tuple(cin), timing, outer
+        if outer == max_iterations:
+            break
         prop = _newton_step(model, cin, grad, hd, ho, a, cref)
 
         cand = [prop[0]] + [max(cref, p) for p in prop[1:]]
@@ -214,7 +228,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
             # Damp along the unclamped direction, clamping after the
             # scale: scaling the clamped proposal instead would keep the
             # bent direction at every lambda.  If every damping ascends,
-            # stand still and let the exit checks and certificate decide.
+            # stand still and let the stopping rule decide.
             cand, cand_timing, cand_merit = list(cin), timing, merit
             lam = 0.5
             for _ in range(20):
@@ -229,19 +243,12 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                 lam *= 0.5
 
         max_rel = max(abs(cand[i] - cin[i]) / cin[i] for i in range(1, n))
-        delay_ok = (abs(cand_timing.total_delay - prev_delay)
-                    <= delay_tol * cand_timing.total_delay)
+        settled = (max_rel < CAP_TOL
+                   and abs(cand_timing.total_delay - timing.total_delay)
+                   <= DELAY_TOL * cand_timing.total_delay)
         cin = list(cand)
         timing = cand_timing
         merit = cand_merit
-        prev_delay = cand_timing.total_delay
-        if max_rel < cap_tol and delay_ok:
-            if certificate is None or certificate(tuple(cin), timing):
-                clamped = [i for i in range(1, n)
-                           if cin[i] <= cref * (1.0 + 1e-9)]
-                if clamped:
-                    logger.debug("fixed point clamped gates at cref: %s", clamped)
-                return tuple(cin), timing, outer
     raise ConvergenceError("sizing fixed point did not converge",
                            iterations=max_iterations, residual=max_rel)
 
@@ -250,28 +257,16 @@ def min_delay_sizing(path: LogicPath, params: ProcessParams,
                      library: GateLibrary, init_cref: float | None = None,
                      max_iterations: int = MAX_ITERATIONS,
                      warm: Sizing | None = None) -> tuple[Sizing, float, int]:
-    """Fastest sizing of the path and its delay.
+    """Fastest sizing of the path, its delay and the Newton steps taken.
 
-    init_cref seeds the backward init pass (predecessor size in the first
-    sweep); the converged answer does not depend on it.  Convergence also
-    requires the scaled residual max |g_i| * cref / t_min of unclamped
-    gates to fall below 1e-6, with g the exact-model sensitivities.
+    The a = 0 solve of link_fixed_point, so it stops once every unclamped
+    exact sensitivity g_i has |g_i| <= 1e-6 * t_min / cref.  init_cref
+    seeds the backward init pass (predecessor size in the first sweep);
+    the converged answer does not depend on it.
     """
-    model = PathModel(path, params, library)
-
-    def residual_ok(sizing, timing):
-        g = model.model_gradient(sizing)
-        clamped = model.clamped(sizing)
-        worst = 0.0
-        for j in range(1, model.n):
-            if clamped[j]:
-                continue
-            worst = max(worst, abs(g[j - 1]))
-        return worst * params.cref / timing.total_delay < RESIDUAL_TOL
-
     sizing, timing, iters = link_fixed_point(
-        model, a=0.0, init_cref=init_cref, warm=warm,
-        max_iterations=max_iterations, certificate=residual_ok)
+        PathModel(path, params, library), a=0.0, init_cref=init_cref,
+        warm=warm, max_iterations=max_iterations)
     return sizing, timing.total_delay, iters
 
 

@@ -6,9 +6,12 @@ and the last gate drives a fixed terminal load.  Evaluation walks the
 chain once, alternating transition polarity at every node and feeding each
 gate's output transition time into the next gate's delay term.
 
-Two views of the total delay coexist.  ``evaluate_path`` is the exact
-chained model, and ``PathModel.derivatives`` gives its exact gradient and
-tridiagonal Hessian in one pass; the solvers step on those.
+``PathModel`` builds each gate's constants once, and ``PathModel.stage``
+is the one place the stage delay is written (``process.stage_delay``,
+shared with ``gate_delay``).  Two views of the total delay coexist.
+``evaluate_path`` is the exact chained model, and
+``PathModel.derivatives`` gives its exact gradient and tridiagonal
+Hessian in one pass; the solvers step on those and stop on that gradient.
 ``path_coefficients`` regroups the same expression by each gate's output
 transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
 cin[i], freezing the Miller factors and parasitics at the current sizing.
@@ -32,10 +35,12 @@ from .process import (
     GateLibrary,
     GateTemplate,
     ProcessParams,
+    coupling_split,
     miller_factor,
     other_edge,
+    output_scale,
     require_finite,
-    symmetry_factors,
+    stage_delay,
 )
 
 Sizing = tuple[float, ...]
@@ -193,33 +198,24 @@ class PathModel:
             self.templates.append(library[kind])
 
         edge_in = path.input_edge
-        self._s_out: list[float] = []     # symmetry factor for the output edge
-        self._v_in: list[float] = []      # threshold weighting the input slope
-        self._v_next: list[float] = []    # threshold of the next gate, 0 at the end
-        self._gamma: list[float | None] = []  # cin share for c_m, None if overridden
+        v_in = []                         # threshold weighting the input slope
+        self._tau_s: list[float] = []     # tau * S for the output edge
+        self._gamma: list[float] = []     # c_m = gamma * cin + cm_fixed
         self._cm_fixed: list[float] = []
         self._par: list[float] = []
         self.out_edges: list[str] = []
-
-        k = params.k_ratio
-        for i, template in enumerate(self.templates):
+        for template in self.templates:
             edge_out = other_edge(edge_in)
-            s_hl, s_lh = symmetry_factors(template, params)
-            self._s_out.append(s_hl if edge_out == FALLING else s_lh)
-            self._v_in.append(params.threshold(edge_in))
-            if template.cm_override is not None:
-                self._gamma.append(None)
-                self._cm_fixed.append(template.cm_override)
-            else:
-                share = k if edge_in == RISING else 1.0
-                self._gamma.append(share / (2.0 * (1.0 + k)))
-                self._cm_fixed.append(0.0)
+            self._tau_s.append(output_scale(template, edge_out, params))
+            v_in.append(params.threshold(edge_in))
+            gamma, fixed = coupling_split(template, edge_in, params)
+            self._gamma.append(gamma)
+            self._cm_fixed.append(fixed)
             self._par.append(template.par_coeff)
             self.out_edges.append(edge_out)
             edge_in = edge_out
-        for i in range(self.n - 1):
-            self._v_next.append(self._v_in[i + 1])
-        self._v_next.append(0.0)
+        self._v_half = [v / 2.0 for v in v_in]
+        self._v_next = v_in[1:] + [0.0]   # next gate's threshold, 0 at the end
 
     def check_sizing(self, sizing) -> None:
         if len(sizing) != self.n:
@@ -232,39 +228,30 @@ class PathModel:
             if c < cref * (1.0 - 1e-9):
                 raise ValueError(f"cin[{i}] below the minimum realizable cin")
 
-    def loads(self, sizing) -> list[float]:
-        out = []
-        for i in range(self.n):
-            nxt = sizing[i + 1] if i < self.n - 1 else self.terminal_load
-            out.append(nxt + self._par[i] * sizing[i])
-        return out
-
-    def c_m(self, i: int, cin_i: float) -> float:
-        g = self._gamma[i]
-        return self._cm_fixed[i] if g is None else g * cin_i
-
     def total_width(self, sizing) -> float:
         cap = sum(sizing) + self.path.offpath_inverters * self.params.cref
         return cap / self.params.cap_per_width
 
+    def stage(self, i: int, cin: float, x: float,
+              slope: float) -> tuple[float, float]:
+        """(delay, output transition time) of gate i at size cin, driving
+        downstream node capacitance x from an input transition slope."""
+        return stage_delay(self._tau_s[i], self._v_half[i],
+                           self._gamma[i] * cin + self._cm_fixed[i], cin,
+                           x + self._par[i] * cin, slope)
+
     def evaluate(self, sizing) -> PathTiming:
         """Exact chained delay of the path at one sizing."""
         self.check_sizing(sizing)
-        p = self.params
-        tau = p.tau
-        warn_ratio = p.slope_warn_ratio
+        warn_ratio = self.params.slope_warn_ratio
         slope = self.path.driver_slope()
+        n = self.n
         delays = []
         slopes = []
         total = 0.0
-        for i in range(self.n):
-            c = sizing[i]
-            load = (sizing[i + 1] if i < self.n - 1 else self.terminal_load) \
-                + self._par[i] * c
-            t_out = tau * self._s_out[i] * load / c
-            c_m = self.c_m(i, c)
-            d = self._v_in[i] / 2.0 * slope \
-                + miller_factor(c_m, load) * t_out / 2.0
+        for i in range(n):
+            x = sizing[i + 1] if i < n - 1 else self.terminal_load
+            d, t_out = self.stage(i, sizing[i], x, slope)
             if warn_ratio is not None and slope > warn_ratio * t_out:
                 warnings.warn(
                     f"gate {i} ({self.path.gates[i]}): input transition "
@@ -287,17 +274,16 @@ class PathModel:
         for the last gate.  The driving slope contributes the constant.
         """
         self.check_sizing(sizing)
-        tau = self.params.tau
         a = []
         c_par = []
         for i in range(self.n):
             c = sizing[i]
             cp = self._par[i] * c
             load = (sizing[i + 1] if i < self.n - 1 else self.terminal_load) + cp
-            m = miller_factor(self.c_m(i, c), load)
-            a.append(tau * self._s_out[i] * (m + self._v_next[i]) / 2.0)
+            m = miller_factor(self._gamma[i] * c + self._cm_fixed[i], load)
+            a.append(self._tau_s[i] * (m + self._v_next[i]) / 2.0)
             c_par.append(cp)
-        constant = self._v_in[0] / 2.0 * self.path.driver_slope()
+        constant = self._v_half[0] * self.path.driver_slope()
         return CoefficientSet(tuple(a), tuple(c_par), constant,
                               self.terminal_load)
 
@@ -342,7 +328,6 @@ class PathModel:
         Hessian is this symmetric tridiagonal matrix.
         """
         self.check_sizing(sizing)
-        tau = self.params.tau
         n = self.n
         grad = []
         diag = []
@@ -354,10 +339,8 @@ class PathModel:
             p = self._par[i]
             load = x + p * c
             gamma = self._gamma[i]
-            if gamma is None:
-                gamma = 0.0
-            m = self.c_m(i, c)
-            k_half = tau * self._s_out[i] / 2.0
+            m = gamma * c + self._cm_fixed[i]
+            k_half = self._tau_s[i] / 2.0
             den = m + load
             mil_v = 1.0 + 2.0 * m / den + self._v_next[i]
             den2 = den * den

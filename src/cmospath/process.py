@@ -157,6 +157,28 @@ def symmetry_factors(template: GateTemplate, params: ProcessParams) -> tuple[flo
     return s_hl, s_lh
 
 
+def output_scale(template: GateTemplate, out_edge: str,
+                 params: ProcessParams) -> float:
+    """tau * S for the output edge: transition time per unit fanout."""
+    s_hl, s_lh = symmetry_factors(template, params)
+    return params.tau * (s_hl if out_edge == FALLING else s_lh)
+
+
+def coupling_split(template: GateTemplate, input_edge: str,
+                   params: ProcessParams) -> tuple[float, float]:
+    """(gamma, fixed) with coupling capacitance c_m = gamma * cin + fixed.
+
+    Half the input capacitance of the transistor still conducting at the
+    start of the output transition: the P share for a rising input, the
+    N share for a falling one.  A template override fixes c_m instead.
+    """
+    if template.cm_override is not None:
+        return 0.0, template.cm_override
+    k = params.k_ratio
+    share = k if input_edge == RISING else 1.0
+    return share / (2.0 * (1.0 + k)), 0.0
+
+
 @dataclass(frozen=True)
 class GateInstance:
     """A sized gate: a template plus an input capacitance in fF."""
@@ -174,19 +196,9 @@ class GateInstance:
         return self.template.par_coeff * self.cin
 
     def coupling_cap(self, input_edge: str, params: ProcessParams) -> float:
-        """Input-to-output coupling capacitance seen during a transition.
-
-        Half the input capacitance of the transistor still conducting at
-        the start of the output transition: the P share for a rising
-        input, the N share for a falling one.  A template override wins
-        when present.
-        """
-        if self.template.cm_override is not None:
-            return self.template.cm_override
-        k = params.k_ratio
-        if input_edge == RISING:
-            return k * self.cin / (2.0 * (1.0 + k))
-        return self.cin / (2.0 * (1.0 + k))
+        """Input-to-output coupling capacitance seen during a transition."""
+        gamma, fixed = coupling_split(self.template, input_edge, params)
+        return gamma * self.cin + fixed
 
 
 def transition_time(gate: GateInstance, edge: str, load: float,
@@ -198,9 +210,7 @@ def transition_time(gate: GateInstance, edge: str, load: float,
     """
     if not load > 0:
         raise ValueError("load must be positive")
-    s_hl, s_lh = symmetry_factors(gate.template, params)
-    s = s_hl if edge == FALLING else s_lh
-    return params.tau * s * load / gate.cin
+    return output_scale(gate.template, edge, params) * load / gate.cin
 
 
 def miller_factor(c_m: float, load: float) -> float:
@@ -208,9 +218,21 @@ def miller_factor(c_m: float, load: float) -> float:
 
     Always in (1, 3); equals 1 when the coupling capacitance is zero.
     """
-    if c_m == 0.0:
-        return 1.0
     return 1.0 + 2.0 * c_m / (c_m + load)
+
+
+def stage_delay(tau_s: float, v_half: float, c_m: float, cin: float,
+                load: float, input_slope: float) -> tuple[float, float]:
+    """(delay, output transition time) of one gate from its constants.
+
+    The one place the stage delay is written: half the input threshold
+    times the input slope, plus half the output transition time tau * S *
+    load / cin amplified by the Miller factor (inlined here, so a path
+    evaluation costs one call per gate below the model).
+    """
+    t_out = tau_s * load / cin
+    miller = 1.0 + 2.0 * c_m / (c_m + load)
+    return v_half * input_slope + miller * t_out / 2.0, t_out
 
 
 def gate_delay(gate: GateInstance, input_slope: float, edge: str, load: float,
@@ -224,12 +246,13 @@ def gate_delay(gate: GateInstance, input_slope: float, edge: str, load: float,
     """
     if input_slope < 0:
         raise ValueError("input_slope must be non-negative")
+    if not load > 0:
+        raise ValueError("load must be positive")
     input_edge = other_edge(edge)
-    v = params.threshold(input_edge)
-    c_m = gate.coupling_cap(input_edge, params)
-    t_out = transition_time(gate, edge, load, params)
-    delay = v / 2.0 * input_slope + miller_factor(c_m, load) * t_out / 2.0
-    return delay, t_out
+    return stage_delay(output_scale(gate.template, edge, params),
+                       params.threshold(input_edge) / 2.0,
+                       gate.coupling_cap(input_edge, params), gate.cin, load,
+                       input_slope)
 
 
 def width_of(cin: float, params: ProcessParams) -> tuple[float, float]:

@@ -156,7 +156,8 @@ def _pick_rewrite(path: LogicPath, rank_pos: dict[str, int]) -> int | None:
 
 class _Route(NamedTuple):
     """One candidate structure for optimize: the path, the trace steps
-    that built it from the input path, and its fastest sizing.
+    that built it from the input path, its fastest sizing and, once
+    known, its all-minimum-drive corner (sizing, t_max).
 
     A named tuple, not a frozen dataclass: creating a dataclass costs
     about 1 ms at import.
@@ -166,6 +167,7 @@ class _Route(NamedTuple):
     steps: tuple[TraceStep, ...]
     t_min: float
     sizing_min: Sizing
+    max_corner: tuple[Sizing, float] | None = None
 
 
 def optimize(path: LogicPath, tc: float, params: ProcessParams,
@@ -186,10 +188,9 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
     limits = FlimitCache(params, library, buffer_kind)
 
     sizing_min, t_min0, _ = min_delay_sizing(path, params, library)
-    base = _Route(path, (), t_min0, sizing_min)
-    trace.append(TraceStep("bounds", {
-        "t_min": t_min0,
-        "t_max": max_delay_sizing(path, params, library)[1]}))
+    corner = max_delay_sizing(path, params, library)
+    base = _Route(path, (), t_min0, sizing_min, corner)
+    trace.append(TraceStep("bounds", {"t_min": t_min0, "t_max": corner[1]}))
     domain = classify_constraint(tc, t_min0, params)
     trace.append(TraceStep("classify", {
         "domain": domain.kind.value, "ratio": domain.ratio, "tc": tc}))
@@ -205,7 +206,8 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
                       outcome.sizing)
 
     def distribute(route: _Route) -> SensitivitySolution:
-        sizing_max, t_max = max_delay_sizing(route.path, params, library)
+        sizing_max, t_max = route.max_corner \
+            or max_delay_sizing(route.path, params, library)
         return distribute_constraint(
             route.path, tc, params, library,
             bounds=DelayBounds(t_min=route.t_min, t_max=t_max,

@@ -2,13 +2,14 @@
 
 At the area-optimal sizing for a given delay budget every free gate sees
 the same delay-per-capacitance sensitivity a <= 0; a = 0 is the fastest
-point and a -> -inf collapses everything to minimum drive.  Solving the
-stationarity system at a fixed a turns the constrained area problem into
-a one-dimensional search on a: a safeguarded Newton iteration, with
-dT/da from the exact Hessian, that starts at the fastest sizing and
-stops once the delay lands in tc * (1 - 1e-3) <= delay <= tc.  An
-equal-delay-per-stage reference sizing is included for comparison; it is
-a heuristic, not an optimizer.
+point and a -> -inf collapses everything to minimum drive.  A solve at a
+fixed a is the bounds engine's fixed point with its one stopping rule.
+The constrained area problem becomes a one-dimensional search on a: a
+safeguarded Newton iteration, with dT/da from the exact Hessian, that
+starts at the fastest sizing and stops once the delay lands in tc * (1 -
+1e-3) <= delay <= tc.  A tc at or above the all-minimum-drive delay takes
+that corner with no solve.  The equal-delay-per-stage reference sizing
+is a heuristic for comparison, not an optimizer.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from .bounds import (DelayBounds, _solve_tridiagonal, compute_bounds,
                      link_fixed_point)
 from .errors import ConvergenceError, InfeasibleError
 from .path import GateLibrary, LogicPath, PathModel, Sizing
-from .process import ProcessParams, miller_factor
+from .process import ProcessParams
 
 DELAY_MATCH_TOL = 1e-3
-SPREAD_REL = 1e-4
-SPREAD_FLOOR = 2e-6
 MAX_SENSITIVITY_STEPS = 60
 
 
@@ -43,32 +42,9 @@ class SensitivitySolution:
             raise ValueError("a_value must be <= 0")
 
 
-def _certificate(model: PathModel, a: float):
-    """Equal-sensitivity spread check over unclamped free gates.
-
-    The absolute floor scales like the minimum-delay residual criterion,
-    delay / cref, so a = 0 demands the same stationarity quality as the
-    bounds solver instead of an unreachable fixed epsilon.
-    """
-    cref = model.params.cref
-
-    def ok(sizing, timing):
-        g = model.model_gradient(sizing)
-        clamped = model.clamped(sizing)
-        free = [g[j - 1] for j in range(1, model.n) if not clamped[j]]
-        if len(free) < 2:
-            return True
-        bound = SPREAD_REL * abs(a) + SPREAD_FLOOR * timing.total_delay / cref
-        return max(free) - min(free) <= bound
-
-    return ok
-
-
-def _solve(model: PathModel, a: float, warm: Sizing | None = None,
-           init_cref: float | None = None) -> SensitivitySolution:
-    sizing, timing, _ = link_fixed_point(
-        model, a=a, warm=warm, init_cref=init_cref,
-        certificate=_certificate(model, a))
+def _solve(model: PathModel, a: float,
+           warm: Sizing | None = None) -> SensitivitySolution:
+    sizing, timing, _ = link_fixed_point(model, a=a, warm=warm)
     return SensitivitySolution(a_value=a, sizing=sizing,
                                delay=timing.total_delay,
                                area=timing.total_width)
@@ -79,18 +55,13 @@ def solve_at_sensitivity(path: LogicPath, a: float, params: ProcessParams,
                          warm: Sizing | None = None) -> SensitivitySolution:
     """Sizing whose free delay sensitivities all equal a (a <= 0).
 
-    Same fixed-point engine and tolerances as the minimum-delay solve,
-    plus an equal-sensitivity certificate: the spread of unclamped exact
-    sensitivities stays within 1e-4 * |a| + 2e-6 * delay / cref.
+    The minimum-delay engine at target a, with its one stopping rule:
+    every unclamped exact sensitivity g_j ends within 5e-5 * |a| +
+    1e-6 * delay / cref of a, so their spread stays within twice that.
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
     return _solve(PathModel(path, params, library), a, warm=warm)
-
-
-def _all_free_clamped(model: PathModel, sizing: Sizing) -> bool:
-    clamped = model.clamped(sizing)
-    return all(clamped[1:]) if model.n > 1 else True
 
 
 def _delay_curvature(model: PathModel, sizing: Sizing) -> float | None:
@@ -147,10 +118,9 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
 
     a_floor = -1e6 * bounds.t_min / params.cref
     if tc >= bounds.t_max:
-        sol = _solve(model, a_floor)
         return SensitivitySolution(
-            a_value=sol.a_value, sizing=sol.sizing, delay=sol.delay,
-            area=sol.area,
+            a_value=a_floor, sizing=bounds.sizing_max, delay=bounds.t_max,
+            area=model.total_width(bounds.sizing_max),
             note="constraint at or above the all-minimum-drive delay; "
                  "every free gate held at cref")
 
@@ -183,10 +153,6 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
             return sol
         if sol.delay > tc:
             lo = a
-        elif _all_free_clamped(model, sol.sizing):
-            # Everything clamped and still faster than tc can only happen
-            # in the tc >= t_max region handled above; keep a guarded exit.
-            return sol
         else:
             hi = a
     raise ConvergenceError("sensitivity search did not meet the constraint",
@@ -218,15 +184,6 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
         solutions.append(sol)
         warm = sol.sizing
     return solutions, failures
-
-
-def _stage_delay(model: PathModel, i: int, cin: float, next_cap: float,
-                 input_slope: float) -> float:
-    """Exact delay of gate i at size cin with a fixed input slope."""
-    load = next_cap + model._par[i] * cin
-    t_out = model.params.tau * model._s_out[i] * load / cin
-    m = miller_factor(model.c_m(i, cin), load)
-    return model._v_in[i] / 2.0 * input_slope + m * t_out / 2.0
 
 
 def equal_delay_distribution(path: LogicPath, tc: float,
@@ -262,20 +219,20 @@ def equal_delay_distribution(path: LogicPath, tc: float,
             target = pool / (i + 1)
             # delay never falls below the huge-size limit; budget at
             # least that, plus a margin the bisection can actually hit
-            floor = _stage_delay(model, i, 1e9, next_cap, slope)
+            floor = model.stage(i, 1e9, next_cap, slope)[0]
             if floor >= target:
                 target = floor * 1.05
             if target >= pool:
                 raise InfeasibleError(
                     f"stage {i} needs {target:.6g} ps, exhausting the "
                     f"remaining budget {pool:.6g} ps of the equal split")
-            if _stage_delay(model, i, cref, next_cap, slope) <= target:
+            if model.stage(i, cref, next_cap, slope)[0] <= target:
                 sizing[i] = cref
             else:
                 lo = cref
                 hi = cref * 2.0
                 guard = 0
-                while _stage_delay(model, i, hi, next_cap, slope) > target:
+                while model.stage(i, hi, next_cap, slope)[0] > target:
                     lo = hi
                     hi *= 2.0
                     guard += 1
@@ -285,14 +242,14 @@ def equal_delay_distribution(path: LogicPath, tc: float,
                             f"{target:.6g} ps at any realizable size")
                 for _ in range(100):
                     mid = 0.5 * (lo + hi)
-                    if _stage_delay(model, i, mid, next_cap, slope) > target:
+                    if model.stage(i, mid, next_cap, slope)[0] > target:
                         lo = mid
                     else:
                         hi = mid
                     if hi - lo <= 1e-12 * hi:
                         break
                 sizing[i] = hi
-            pool -= _stage_delay(model, i, sizing[i], next_cap, slope)
+            pool -= model.stage(i, sizing[i], next_cap, slope)[0]
 
     total = model.evaluate(sizing).total_delay
     if total > tc * 1.01:

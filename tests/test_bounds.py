@@ -24,6 +24,7 @@ from cmospath import (
     min_delay_sizing,
     path_coefficients,
     solve_at_sensitivity,
+    sweep,
 )
 from cmospath.path import MAX_CAP_FF
 
@@ -120,16 +121,37 @@ class TestMinDelaySolver:
 
     def test_stationarity_certificate(self, ref_params, ref_library,
                                       chain11, chain13, heavy_path):
+        # Every solve, at a = 0 and below, ends inside the one stopping
+        # bound |g - a| <= 5e-5 * |a| + 1e-6 * delay / cref, which at
+        # a = 0 is the scaled residual test and for a < 0 bounds the
+        # spread of the unclamped sensitivities by twice that.
+        def check(path, a, sizing, delay):
+            grad = exact_path_gradient(path, sizing, ref_params,
+                                       ref_library)
+            clamped = PathModel(path, ref_params, ref_library).clamped(sizing)
+            free = [g for g, c in zip(grad, clamped[1:]) if not c]
+            bound = 5e-5 * abs(a) + 1e-6 * delay / ref_params.cref
+            worst = max((abs(g - a) for g in free), default=0.0)
+            assert worst <= bound
+            if len(free) >= 2:
+                assert max(free) - min(free) <= 2.0 * bound
+            return worst
+
         for path in (chain11, chain13, heavy_path):
             sizing, t_min, _ = min_delay_sizing(path, ref_params,
                                                 ref_library)
-            grad = exact_path_gradient(path, sizing, ref_params,
-                                       ref_library)
-            model = PathModel(path, ref_params, ref_library)
-            clamped = model.clamped(sizing)
-            residual = max((abs(g) for g, c in zip(grad, clamped[1:])
-                            if not c), default=0.0)
+            residual = check(path, 0.0, sizing, t_min)
             assert residual * ref_params.cref / t_min < 1e-6
+            scale = t_min / ref_params.cref
+            for a in (-1e-3 * scale, -0.1 * scale, -10.0 * scale):
+                sol = solve_at_sensitivity(path, a, ref_params, ref_library)
+                check(path, a, sol.sizing, sol.delay)
+            rows, failures = sweep(path, [-x * scale for x in
+                                          (3.0, 0.3, 0.03, 0.003)],
+                                   ref_params, ref_library)
+            assert not failures and len(rows) == 4
+            for row in rows:
+                check(path, row.a_value, row.sizing, row.delay)
 
     def test_never_beaten_by_random_sizings(self, ref_params, ref_library,
                                             chain11):

@@ -245,3 +245,18 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "t_min_ps = " in proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--points", "400", REF_PROC, HEAVY],
+        ["bounds", REF_PROC, CHAIN11],
+    ], ids=["long-output", "short-output"])
+    def test_closed_stdout_exits_quietly(self, argv):
+        # `cmospath ... | head -1`: the reader is gone before the child
+        # writes, whether the output overflows the pipe buffer or not.
+        proc = subprocess.Popen([sys.executable, "-m", "cmospath", *argv],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""

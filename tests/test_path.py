@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from cmospath import (
     ConfigError,
+    GateInstance,
     GateTemplate,
     LogicPath,
     PathModel,
     ProcessParams,
     evaluate_path,
     exact_path_gradient,
+    gate_delay,
     parse_path_file,
     path_coefficients,
     path_gradient,
@@ -207,6 +209,25 @@ class TestEvaluate:
         per_width = sum(c / ref_params.cap_per_width for c in sizing)
         assert timing.total_width == pytest.approx(per_width, rel=1e-12)
 
+    def test_stage_matches_gate_delay(self, ref_params, ref_library):
+        # PathModel.stage and process.gate_delay share one stage
+        # expression: gate by gate they agree exactly.
+        rng = random.Random(31)
+        for _ in range(25):
+            path, sizing = random_case(rng, ref_library)
+            model = PathModel(path, ref_params, ref_library)
+            timing = model.evaluate(sizing)
+            slope = path.driver_slope()
+            for i, kind in enumerate(path.gates):
+                x = sizing[i + 1] if i < path.n - 1 else path.terminal_load
+                gate = GateInstance(ref_library[kind], sizing[i])
+                want = gate_delay(gate, slope, model.out_edges[i],
+                                  x + gate.c_par, ref_params)
+                assert model.stage(i, sizing[i], x, slope) == want
+                assert want == (timing.per_gate_delay[i],
+                                timing.per_gate_slope[i])
+                slope = want[1]
+
     def test_matches_direct_recurrence(self, ref_params, ref_library):
         rng = random.Random(7)
         for _ in range(25):
@@ -300,7 +321,9 @@ class TestCoefficients:
         nor2 = ref_library["nor2"]
         s_lh = (ref_params.r_ratio * (1.0 + ref_params.k_ratio)
                 / ref_params.k_ratio * nor2.dw_lh)
-        c_m = model.c_m(1, 12.0)
+        # gate 1's input edge is gate 0's output edge
+        c_m = GateInstance(nor2, 12.0).coupling_cap(model.out_edges[0],
+                                                    ref_params)
         load = 40.0 + nor2.par_coeff * 12.0
         miller = 1.0 + 2.0 * c_m / (c_m + load)
         assert coeffs.a[1] == pytest.approx(

@@ -157,6 +157,27 @@ class TestDistributeConstraint:
         assert sol.delay <= 2.0 * bounds.t_max
         assert sol.note is not None
 
+    def test_ceiling_takes_the_corner_without_a_solve(self, ref_params,
+                                                      ref_library, chain11,
+                                                      chain13, heavy_path,
+                                                      monkeypatch):
+        # tc >= t_max is answered from bounds alone: the all-minimum
+        # sizing, its delay and the floor sensitivity, no fixed point.
+        calls = []
+        monkeypatch.setattr(sizing, "link_fixed_point",
+                            lambda *args, **kwargs: calls.append(args))
+        for path in (chain11, chain13, heavy_path):
+            bounds = compute_bounds(path, ref_params, ref_library)
+            for tc in (bounds.t_max, 1.5 * bounds.t_max):
+                sol = distribute_constraint(path, tc, ref_params,
+                                            ref_library, bounds=bounds)
+                assert sol.sizing == bounds.sizing_max
+                assert sol.delay == bounds.t_max
+                assert sol.a_value == -1e6 * bounds.t_min / ref_params.cref
+                assert sol.area == path_area(path, bounds.sizing_max,
+                                             ref_params, ref_library)
+        assert calls == []
+
 
 class TestSweep:
     def test_single_zero_row(self, ref_params, ref_library, chain13):
