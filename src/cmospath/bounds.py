@@ -153,7 +153,7 @@ def _newton_step(model: PathModel, cin, grad, hd, ho,
 def link_fixed_point(model: PathModel, a: float = 0.0,
                      init_cref: float | None = None,
                      warm: Sizing | None = None,
-                     max_iterations: int = MAX_ITERATIONS,
+                     max_iterations: int = MAX_ITERATIONS
                      ) -> tuple[Sizing, PathTiming, int]:
     """Solve the equal-sensitivity stationarity system at target a <= 0.
 

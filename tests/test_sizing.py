@@ -146,36 +146,28 @@ class TestDistributeConstraint:
                                         bounds=bounds)
             assert tc * (1.0 - 1e-3) <= sol.delay <= tc
 
-    def test_constraint_above_ceiling_returns_floor_sizing(self, ref_params,
-                                                           ref_library,
-                                                           chain13):
-        bounds = compute_bounds(chain13, ref_params, ref_library)
-        sol = distribute_constraint(chain13, 2.0 * bounds.t_max, ref_params,
-                                    ref_library)
-        assert all(c == pytest.approx(ref_params.cref, rel=1e-9)
-                   for c in sol.sizing[1:])
-        assert sol.delay <= 2.0 * bounds.t_max
-        assert sol.note is not None
-
-    def test_ceiling_takes_the_corner_without_a_solve(self, ref_params,
-                                                      ref_library, chain11,
-                                                      chain13, heavy_path,
-                                                      monkeypatch):
-        # tc >= t_max is answered from bounds alone: the all-minimum
-        # sizing, its delay and the floor sensitivity, no fixed point.
+    def test_constraint_above_ceiling_returns_floor_sizing(
+            self, ref_params, ref_library, chain11, chain13, heavy_path,
+            monkeypatch):
+        # tc >= t_max is answered from the bounds corner alone: the
+        # all-minimum sizing, its delay and the floor sensitivity, with
+        # no fixed-point solve.
         calls = []
         monkeypatch.setattr(sizing, "link_fixed_point",
                             lambda *args, **kwargs: calls.append(args))
         for path in (chain11, chain13, heavy_path):
             bounds = compute_bounds(path, ref_params, ref_library)
-            for tc in (bounds.t_max, 1.5 * bounds.t_max):
+            for tc in (bounds.t_max, 2.0 * bounds.t_max):
                 sol = distribute_constraint(path, tc, ref_params,
-                                            ref_library, bounds=bounds)
+                                            ref_library)
+                assert all(c == pytest.approx(ref_params.cref, rel=1e-9)
+                           for c in sol.sizing[1:])
                 assert sol.sizing == bounds.sizing_max
-                assert sol.delay == bounds.t_max
+                assert sol.delay == bounds.t_max <= tc
                 assert sol.a_value == -1e6 * bounds.t_min / ref_params.cref
-                assert sol.area == path_area(path, bounds.sizing_max,
-                                             ref_params, ref_library)
+                assert sol.area == path_area(path, sol.sizing, ref_params,
+                                             ref_library)
+                assert sol.note is not None
         assert calls == []
 
 
