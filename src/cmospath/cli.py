@@ -25,7 +25,6 @@ from .protocol import optimize
 from .sizing import (
     distribute_constraint,
     equal_delay_distribution,
-    path_area,
     sweep,
 )
 

@@ -23,7 +23,6 @@ positive definite, for the curvature of a Newton step.
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -31,14 +30,19 @@ from .errors import ConfigError
 from .process import (
     FALLING,
     RISING,
-    GateInstance,
     GateLibrary,
     GateTemplate,
     ProcessParams,
+    add_entry,
+    build_from_file,
+    check_keys,
+    config_lines,
     coupling_split,
     miller_factor,
     other_edge,
     output_scale,
+    parse_number,
+    read_config_file,
     require_finite,
     stage_delay,
 )
@@ -85,21 +89,22 @@ class LogicPath:
         require_finite(self, ("input_cap", "terminal_load",
                                "driver_slope_rise", "driver_slope_fall"))
         for name in ("input_cap", "terminal_load"):
-            if getattr(self, name) > MAX_CAP_FF:
+            value = getattr(self, name)
+            if value > MAX_CAP_FF:
                 raise ValueError(f"{name} must be at most {MAX_CAP_FF:g} fF")
+            if not value > 0:
+                raise ValueError(f"{name} must be positive")
         if self.seed_cin is not None and not all(
                 s is None or (math.isfinite(s) and s <= MAX_CAP_FF)
                 for s in self.seed_cin):
             raise ValueError(
                 f"seed_cin must be finite and at most {MAX_CAP_FF:g} fF")
-        if not self.input_cap > 0:
-            raise ValueError("input_cap must be positive")
-        if not self.terminal_load > 0:
-            raise ValueError("terminal_load must be positive")
         if self.input_edge not in (RISING, FALLING):
-            raise ValueError(f"bad input_edge: {self.input_edge!r}")
-        if self.driver_slope_rise < 0 or self.driver_slope_fall < 0:
-            raise ValueError("driver slopes must be non-negative")
+            raise ValueError("input_edge must be rising or falling, got "
+                             f"{self.input_edge!r}")
+        for name in ("driver_slope_rise", "driver_slope_fall"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.seed_cin is not None and len(self.seed_cin) != len(self.gates):
             raise ValueError("seed_cin length must match gates")
         if self.side_inverted is not None and len(self.side_inverted) != len(self.gates):
@@ -421,105 +426,50 @@ _PATH_HEADER_KEYS = {
 
 _PATH_REQUIRED = ("input_cap_ff", "load_ff")
 
-_CIN_RE = re.compile(r"^cin=([^\s]+)$")
-
 
 def parse_path_file(text: str) -> LogicPath:
     """Parse the line-oriented path format into a LogicPath.
 
     Header ``key = value`` lines first (input_cap_ff and load_ff required;
     input_edge defaults to rising, driver slopes to 0), then one gate kind
-    per line with an optional ``cin=<fF>`` starting size.
+    per line with an optional ``cin=<fF>`` starting size.  The grammar is
+    the process config's: ``#`` comments, a one-word key before ``=``,
+    unknown keys rejected, errors reported with the key and its line.
     """
-    header: dict[str, object] = {}
-    seen: dict[str, int] = {}
+    header: dict = {}
     gates: list[str] = []
     seeds: list[float | None] = []
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line
-        hash_pos = line.find("#")
-        if hash_pos >= 0:
-            line = line[:hash_pos]
-        line = line.strip()
-        if not line:
+    for line_no, line, key, raw_value in config_lines(text):
+        if key is not None:
+            if gates and key in _PATH_HEADER_KEYS:
+                raise ConfigError(f"header key {key} after gate lines", line_no)
+            add_entry(header, key, raw_value, line_no,
+                      number=key != "input_edge")
             continue
-        if "=" in line and not line.split()[0].startswith("cin="):
-            first = line.split("=")[0].strip()
-            if first in _PATH_HEADER_KEYS:
-                if gates:
-                    raise ConfigError(f"header key {first} after gate lines", line_no)
-                if first in seen:
-                    raise ConfigError(f"duplicate key {first}", line_no)
-                raw_value = line.partition("=")[2].strip()
-                if first == "input_edge":
-                    if raw_value not in (RISING, FALLING):
-                        raise ConfigError(
-                            f"input_edge must be rising or falling, got {raw_value!r}",
-                            line_no)
-                    header["input_edge"] = raw_value
-                else:
-                    try:
-                        header[_PATH_HEADER_KEYS[first]] = float(raw_value)
-                    except ValueError:
-                        raise ConfigError(
-                            f"non-numeric value for {first}: {raw_value!r}",
-                            line_no) from None
-                seen[first] = line_no
-                continue
-        tokens = line.split()
-        kind = tokens[0]
+        kind, *tokens = line.split()
         seed = None
-        for tok in tokens[1:]:
-            m = _CIN_RE.match(tok)
-            if m is None:
-                raise ConfigError(f"unexpected token {tok!r} on gate line", line_no)
-            try:
-                seed = float(m.group(1))
-            except ValueError:
-                raise ConfigError(f"non-numeric cin on gate line: {tok!r}",
-                                  line_no) from None
+        for token in tokens:
+            name, _, raw_seed = token.partition("=")
+            if name != "cin" or not raw_seed:
+                raise ConfigError(f"unexpected token {token!r} on gate line",
+                                  line_no)
+            seed = parse_number(raw_seed, line_no,
+                                f"cin on gate line: {token!r}")
             if not 0 < seed <= MAX_CAP_FF:
                 raise ConfigError("cin on gate line must be positive and "
                                   f"finite, at most {MAX_CAP_FF:g} fF", line_no)
         gates.append(kind)
         seeds.append(seed)
 
-    for key in _PATH_REQUIRED:
-        if key not in seen:
-            raise ConfigError(f"missing required key: {key}")
+    check_keys(header, _PATH_HEADER_KEYS, _PATH_REQUIRED)
     if not gates:
         raise ConfigError("path file lists no gates")
-
-    try:
-        return LogicPath(
-            gates=tuple(gates),
-            input_cap=float(header["input_cap"]),
-            terminal_load=float(header["terminal_load"]),
-            input_edge=str(header.get("input_edge", RISING)),
-            driver_slope_rise=float(header.get("driver_slope_rise", 0.0)),
-            driver_slope_fall=float(header.get("driver_slope_fall", 0.0)),
-            seed_cin=tuple(seeds) if any(s is not None for s in seeds) else None,
-        )
-    except ValueError as exc:
-        # Re-attach the line number of the header key the check names.
-        msg = str(exc)
-        culprit = msg.split()[0]
-        key = {field: key for key, field in _PATH_HEADER_KEYS.items()}.get(
-            culprit, culprit)
-        if key in seen:
-            raise ConfigError(f"{key}: {msg}", seen[key]) from None
-        raise ConfigError(msg) from None
+    return build_from_file(
+        LogicPath, header, _PATH_HEADER_KEYS, gates=tuple(gates),
+        seed_cin=tuple(seeds) if any(s is not None for s in seeds) else None)
 
 
 def parse_path_text_file(path: str) -> LogicPath:
     """parse_path_file on a file, prefixing errors with the file name."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read path file {path}: {exc.strerror}") from None
-    try:
-        return parse_path_file(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return read_config_file(path, "path file", parse_path_file)

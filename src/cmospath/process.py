@@ -75,26 +75,19 @@ class ProcessParams:
         require_finite(self, ("tau", "vtn", "vtp", "r_ratio", "k_ratio",
                                "cref", "cap_per_width", "weak_threshold",
                                "hard_threshold", "slope_warn_ratio"))
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        for name in ("tau", "r_ratio", "k_ratio", "cref", "cap_per_width",
+                     "slope_warn_ratio"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive")
         for name in ("vtn", "vtp"):
             v = getattr(self, name)
             if not 0.0 < v < 0.5:
                 raise ValueError(f"{name} out of (0,0.5)")
-        if not self.r_ratio > 0:
-            raise ValueError("r_ratio must be positive")
-        if not self.k_ratio > 0:
-            raise ValueError("k_ratio must be positive")
-        if not self.cref > 0:
-            raise ValueError("cref must be positive")
-        if not self.cap_per_width > 0:
-            raise ValueError("cap_per_width must be positive")
         if not self.weak_threshold > self.hard_threshold:
             raise ValueError("weak_threshold must exceed hard_threshold")
         if not self.hard_threshold >= 1.0:
             raise ValueError("hard_threshold must be at least 1")
-        if self.slope_warn_ratio is not None and not self.slope_warn_ratio > 0:
-            raise ValueError("slope_warn_ratio must be positive")
 
     def threshold(self, input_edge: str) -> float:
         """Threshold fraction of the transistor switched by an input edge.
@@ -267,7 +260,7 @@ def width_of(cin: float, params: ProcessParams) -> tuple[float, float]:
     return w_n, params.k_ratio * w_n
 
 
-_REQUIRED_KEYS = {
+_PARAM_KEYS = {
     "tau_ps": "tau",
     "vtn": "vtn",
     "vtp": "vtp",
@@ -275,30 +268,107 @@ _REQUIRED_KEYS = {
     "k_ratio": "k_ratio",
     "cref_ff": "cref",
     "cap_per_width_ff_um": "cap_per_width",
-}
-
-_OPTIONAL_KEYS = {
     "weak_threshold": "weak_threshold",
     "hard_threshold": "hard_threshold",
     "slope_warn_ratio": "slope_warn_ratio",
 }
 
+_PARAM_REQUIRED = ("tau_ps", "vtn", "vtp", "r_ratio", "k_ratio", "cref_ff",
+                   "cap_per_width_ff_um")
+
+_GATE_KEYS = {
+    "inputs": "n_inputs",
+    "dw_hl": "dw_hl",
+    "dw_lh": "dw_lh",
+    "par_coeff": "par_coeff",
+    "cm_override_ff": "cm_override",
+}
+
 _GATE_REQUIRED = ("inputs", "dw_hl", "dw_lh", "par_coeff")
-_GATE_OPTIONAL = ("cm_override_ff",)
 
 
-def _strip(line: str) -> str:
-    hash_pos = line.find("#")
-    if hash_pos >= 0:
-        line = line[:hash_pos]
-    return line.strip()
+def config_lines(text: str):
+    """(line number, text, key, raw value) of each non-blank line, with
+    ``#`` comments cut.
+
+    A line is ``key = value`` exactly when the text before its first
+    ``=`` is one word; on any other line the key is None.
+    """
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.partition("#")[0].strip()
+        if line:
+            head, eq, raw_value = line.partition("=")
+            words = head.split()
+            key = words[0] if eq and len(words) == 1 else None
+            yield line_no, line, key, raw_value.strip()
 
 
-def _parse_float(key: str, raw: str, line_no: int) -> float:
+def parse_number(raw: str, line_no: int, what: str) -> float:
+    """float(raw), or a ConfigError "non-numeric <what>" at its line."""
     try:
         return float(raw)
     except ValueError:
-        raise ConfigError(f"non-numeric value for {key}: {raw!r}", line_no) from None
+        raise ConfigError(f"non-numeric {what}", line_no) from None
+
+
+def add_entry(entries: dict, key: str, value: str, line_no: int,
+              number: bool = True) -> None:
+    """Record entries[key] = (value, line_no), the value parsed as a
+    number unless `number` is false; a key set twice is an error."""
+    if key in entries:
+        raise ConfigError(f"duplicate key {key}", line_no)
+    if number:
+        value = parse_number(value, line_no, f"value for {key}: {value!r}")
+    entries[key] = (value, line_no)
+
+
+def check_keys(entries: dict, keys, required, at=None) -> None:
+    """A missing required key is an error at `at`, a (message prefix,
+    line) pair; a key outside `keys` is an error at its own line."""
+    prefix, line = at or ("", None)
+    for key in required:
+        if key not in entries:
+            raise ConfigError(f"{prefix}missing required key: {key}", line)
+    for key, (_, key_line) in entries.items():
+        if key not in keys:
+            raise ConfigError(f"{prefix}unknown key {key}", key_line)
+
+
+def build_from_file(cls, entries: dict, keys: dict[str, str], at=None,
+                    **fixed):
+    """cls(**fixed) plus each entry's value passed as the field `keys` names.
+
+    A ValueError from cls's checks becomes a ConfigError.  With `at` =
+    (message prefix, line) it is reported there.  Otherwise it goes to
+    the line of the file key whose field starts the message (every check
+    names its field first), the key prepended when the two names differ.
+    """
+    try:
+        return cls(**{keys[key]: value for key, (value, _) in entries.items()},
+                   **fixed)
+    except ValueError as exc:
+        msg = str(exc)
+        if at is not None:
+            raise ConfigError(at[0] + msg, at[1]) from None
+        field = msg.split()[0]
+        for key, (_, line) in entries.items():
+            if keys[key] == field:
+                raise ConfigError(msg if key == field else f"{key}: {msg}",
+                                  line) from None
+        raise ConfigError(msg) from None
+
+
+def read_config_file(path: str, what: str, parse):
+    """parse(text of the file at path), errors prefixed with the file name."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def load_process_config(text: str) -> tuple[ProcessParams, GateLibrary]:
@@ -307,89 +377,44 @@ def load_process_config(text: str) -> tuple[ProcessParams, GateLibrary]:
     Format: ``key = value`` pairs, ``#`` comments, and ``[gate <name>]``
     blocks carrying the per-kind keys (inputs, dw_hl, dw_lh, par_coeff,
     optional cm_override_ff).  Every violation is reported with the key
-    name and the line number it came from.
+    name and the line number it came from; a gate kind's own checks are
+    reported at its ``[gate]`` line.
     """
-    top: dict[str, tuple[float, int]] = {}
-    gates: list[tuple[str, int, dict[str, tuple[float, int]]]] = []
-    current: dict[str, tuple[float, int]] | None = None
+    top: dict = {}
+    gates: list[tuple[str, int, dict]] = []
+    entries = top
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip(raw_line)
-        if not line:
-            continue
+    for line_no, line, key, raw_value in config_lines(text):
         if line.startswith("["):
-            if not (line.endswith("]") and line[1:-1].split()[:1] == ["gate"]):
-                raise ConfigError(f"malformed section header: {line!r}", line_no)
             parts = line[1:-1].split()
+            if not (line.endswith("]") and parts[:1] == ["gate"]):
+                raise ConfigError(f"malformed section header: {line!r}", line_no)
             if len(parts) != 2:
                 raise ConfigError(f"malformed gate header: {line!r}", line_no)
             name = parts[1]
             if any(name == g[0] for g in gates):
                 raise ConfigError(f"duplicate gate block: {name}", line_no)
-            current = {}
-            gates.append((name, line_no, current))
+            entries = {}
+            gates.append((name, line_no, entries))
             continue
-        if "=" not in line:
+        if key is None or not raw_value:
             raise ConfigError(f"expected 'key = value', got {line!r}", line_no)
-        key, _, raw_value = line.partition("=")
-        key = key.strip()
-        raw_value = raw_value.strip()
-        if not key or not raw_value:
-            raise ConfigError(f"expected 'key = value', got {line!r}", line_no)
-        value = _parse_float(key, raw_value, line_no)
-        target = current if current is not None else top
-        if key in target:
-            raise ConfigError(f"duplicate key {key}", line_no)
-        target[key] = (value, line_no)
+        add_entry(entries, key, raw_value, line_no)
 
-    for key in _REQUIRED_KEYS:
-        if key not in top:
-            raise ConfigError(f"missing required key: {key}")
-    for key in top:
-        if key not in _REQUIRED_KEYS and key not in _OPTIONAL_KEYS:
-            raise ConfigError(f"unknown key {key}", top[key][1])
-
-    kwargs = {field: top[key][0] for key, field in _REQUIRED_KEYS.items()}
-    for key, field in _OPTIONAL_KEYS.items():
-        if key in top:
-            kwargs[field] = top[key][0]
-    try:
-        params = ProcessParams(**kwargs)
-    except ValueError as exc:
-        # Re-attach the line number of the key the check names.
-        msg = str(exc)
-        culprit = msg.split()[0]
-        reverse = {field: key for key, field in
-                   list(_REQUIRED_KEYS.items()) + list(_OPTIONAL_KEYS.items())}
-        key = reverse.get(culprit, culprit)
-        line = top[key][1] if key in top else None
-        raise ConfigError(msg if key == culprit else f"{key}: {msg}", line) from None
+    check_keys(top, _PARAM_KEYS, _PARAM_REQUIRED)
+    params = build_from_file(ProcessParams, top, _PARAM_KEYS)
 
     library: GateLibrary = {}
     for name, header_line, block in gates:
-        for key in _GATE_REQUIRED:
-            if key not in block:
-                raise ConfigError(f"gate {name}: missing required key: {key}",
-                                  header_line)
-        for key in block:
-            if key not in _GATE_REQUIRED and key not in _GATE_OPTIONAL:
-                raise ConfigError(f"gate {name}: unknown key {key}", block[key][1])
-        n_inputs = block["inputs"][0]
-        if n_inputs != int(n_inputs) or n_inputs < 1:
+        at = (f"gate {name}: ", header_line)
+        check_keys(block, _GATE_KEYS, _GATE_REQUIRED, at)
+        n_inputs, inputs_line = block["inputs"]
+        if not (n_inputs >= 1 and n_inputs.is_integer()):
             raise ConfigError(f"gate {name}: inputs must be a positive integer",
-                              block["inputs"][1])
-        try:
-            template = GateTemplate(
-                name=name,
-                n_inputs=int(n_inputs),
-                dw_hl=block["dw_hl"][0],
-                dw_lh=block["dw_lh"][0],
-                par_coeff=block["par_coeff"][0],
-                cm_override=block["cm_override_ff"][0] if "cm_override_ff" in block else None,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"gate {name}: {exc}", header_line) from None
-        library[name] = template
+                              inputs_line)
+        block["inputs"] = (int(n_inputs), inputs_line)
+        library[name] = build_from_file(GateTemplate, block, _GATE_KEYS, at,
+                                        name=name)
 
     if not library:
         raise ConfigError("config defines no gates")
@@ -398,12 +423,4 @@ def load_process_config(text: str) -> tuple[ProcessParams, GateLibrary]:
 
 def load_process_file(path: str) -> tuple[ProcessParams, GateLibrary]:
     """load_process_config on a file, prefixing errors with the file name."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read process config {path}: {exc.strerror}") from None
-    try:
-        return load_process_config(text)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return read_config_file(path, "process config", load_process_config)

@@ -79,6 +79,19 @@ class TestParsing:
         with pytest.raises(ConfigError, match="no gates"):
             parse_path_file("input_cap_ff = 3\nload_ff = 50\n")
 
+    @pytest.mark.parametrize("text,line,key", [
+        ("input_cap_ff = 3\nload_ff = 50\nfoo = 3\ninv\n", 3, "foo"),
+        ("input_cap_ff = 3\nload_ff = 50\ninv\ncin=3\ninv\n", 4, "cin"),
+        ("input_cap_ff = 3\ncin = 3\nload_ff = 50\ninv\n", 2, "cin"),
+    ], ids=["unknown-header-key", "bare-cin-line", "cin-as-header-key"])
+    def test_unknown_key_rejected_at_its_line(self, text, line, key):
+        # One rule for both input files: a one-word key before `=` makes a
+        # key line, never a gate kind or a gate line with a stray token.
+        with pytest.raises(ConfigError) as err:
+            parse_path_file(text)
+        assert str(err.value) == f"line {line}: unknown key {key}"
+        assert err.value.line == line
+
     def test_header_after_gates_rejected(self):
         text = "input_cap_ff = 3\nload_ff = 50\ninv\ninput_edge = rising\n"
         with pytest.raises(ConfigError):

@@ -18,10 +18,53 @@ from cmospath import (
     transition_time,
     width_of,
 )
+from cmospath import path as path_module
+from cmospath import process
+from cmospath.path import parse_path_file
 from cmospath.process import miller_factor
 
 caps = st.floats(min_value=0.1, max_value=1e4, allow_nan=False,
                  allow_infinity=False)
+
+
+PROC = """\
+tau_ps = 10
+vtn = 0.2
+vtp = 0.2
+r_ratio = 2
+k_ratio = 1
+cref_ff = 1
+cap_per_width_ff_um = 2
+weak_threshold = 2.5
+hard_threshold = 1.2
+slope_warn_ratio = 3
+[gate inv]
+inputs = 1
+dw_hl = 1
+dw_lh = 1
+par_coeff = 0.2
+"""
+
+PATH = """\
+input_cap_ff = 3
+load_ff = 50
+driver_slope_rise_ps = 0
+driver_slope_fall_ps = 0
+inv
+inv
+"""
+
+# A value outside each numeric key's range, every other key valid.
+PROC_OUT_OF_RANGE = {
+    "tau_ps": "0", "vtn": "0.5", "vtp": "-0.1", "r_ratio": "0",
+    "k_ratio": "-1", "cref_ff": "0", "cap_per_width_ff_um": "-2",
+    "weak_threshold": "1.1", "hard_threshold": "0.9",
+    "slope_warn_ratio": "0",
+}
+PATH_OUT_OF_RANGE = {
+    "input_cap_ff": "0", "load_ff": "1e300", "driver_slope_rise_ps": "-1",
+    "driver_slope_fall_ps": "-0.5",
+}
 
 
 def make_params(**overrides):
@@ -67,6 +110,44 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             load_process_config(text)
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "inf", "nan"])
+    def test_gate_inputs_must_be_a_positive_integer(self, value):
+        text = PROC.replace("inputs = 1", f"inputs = {value}")
+        with pytest.raises(ConfigError, match="inputs must be a positive "
+                                              "integer") as err:
+            load_process_config(text)
+        assert err.value.line == 12
+
+    @pytest.mark.parametrize("reader,key,value", [
+        *(("process", key, value) for key, value in PROC_OUT_OF_RANGE.items()),
+        *(("path", key, value) for key, value in PATH_OUT_OF_RANGE.items()),
+    ])
+    def test_every_numeric_key_reports_its_key_and_line(self, reader, key,
+                                                         value):
+        base, read = (PROC, load_process_config) if reader == "process" \
+            else (PATH, parse_path_file)
+        lines = base.splitlines()
+        line = next(i for i, text in enumerate(lines, start=1)
+                    if text.startswith(f"{key} ="))
+        lines[line - 1] = f"{key} = {value}"
+        with pytest.raises(ConfigError) as err:
+            read("\n".join(lines) + "\n")
+        assert str(err.value).startswith(f"line {line}: {key}")
+        assert err.value.line == line
+
+    def test_numeric_key_cases_cover_every_key(self):
+        assert set(PROC_OUT_OF_RANGE) == set(process._PARAM_KEYS)
+        assert set(PATH_OUT_OF_RANGE) == \
+            set(path_module._PATH_HEADER_KEYS) - {"input_edge"}
+
+    def test_negative_driver_slope_names_its_key(self):
+        text = PATH.replace("driver_slope_rise_ps = 0",
+                            "driver_slope_rise_ps = -1")
+        with pytest.raises(ConfigError) as err:
+            parse_path_file(text)
+        assert str(err.value) == ("line 3: driver_slope_rise_ps: "
+                                  "driver_slope_rise must be non-negative")
 
     def test_gate_block_fields(self, ref_library):
         nor3 = ref_library["nor3"]
