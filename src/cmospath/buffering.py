@@ -246,18 +246,19 @@ class BufferingOutcome:
 def min_delay_with_buffers(path: LogicPath, params: ProcessParams,
                            library: GateLibrary, buffer_kind: str = "inv",
                            polarity_mode: str = "pair",
-                           limits=None) -> BufferingOutcome:
+                           limits=None, *, start=None) -> BufferingOutcome:
     """Greedy buffer insertion: worst over-limit node, one at a time.
 
     After each tentative insertion the whole path is resized for minimum
     delay; the insertion sticks only if it improves t_min by at least
     0.1%.  Stops when no node is over its limit or the gain dries up.
-    Never returns a slower path than the input.
+    Never returns a slower path than the input, whose min-delay solve
+    (sizing, t_min) is passed as `start` when the caller already has it.
     """
     if limits is None:
         limits = FlimitCache(params, library, buffer_kind)
     current = path
-    sizing, t_min, _ = min_delay_sizing(current, params, library)
+    sizing, t_min = start or min_delay_sizing(current, params, library)[:2]
     steps: list[tuple[int, str]] = []
     for _ in range(MAX_INSERTIONS):
         nodes = find_critical_nodes(current, sizing, limits, params, library,

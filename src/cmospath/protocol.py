@@ -197,8 +197,9 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
 
     def buffered(route: _Route) -> _Route:
         """Greedy buffering of a route, its insertions appended as steps."""
-        outcome = min_delay_with_buffers(route.path, params, library,
-                                         buffer_kind, buffer_mode, limits)
+        outcome = min_delay_with_buffers(
+            route.path, params, library, buffer_kind, buffer_mode, limits,
+            start=(route.sizing_min, route.t_min))
         steps = tuple(TraceStep("insert_buffer", {
             "index": index, "mode": mode, "kind": buffer_kind})
             for index, mode in outcome.insertions)

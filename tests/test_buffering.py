@@ -407,3 +407,28 @@ class TestMinDelayWithBuffers:
         _, t_unbuf, _ = min_delay_sizing(chain13, ref_params, ref_library)
         out = min_delay_with_buffers(chain13, ref_params, ref_library)
         assert out.t_min <= t_unbuf * (1.0 + 1e-12)
+
+    def test_start_is_the_cold_solve(self, ref_params, ref_library,
+                                     heavy_path):
+        sizing, t_min, _ = min_delay_sizing(heavy_path, ref_params,
+                                            ref_library)
+        cold = min_delay_with_buffers(heavy_path, ref_params, ref_library)
+        assert min_delay_with_buffers(heavy_path, ref_params, ref_library,
+                                      start=(sizing, t_min)) == cold
+
+    def test_optimize_extends_the_known_route(self, ref_params, ref_library,
+                                              heavy_path, monkeypatch):
+        # The route's min-delay sizing is known before greedy buffering
+        # starts, so the loop only solves the buffered candidates.
+        solved = []
+
+        def recording(path, params, library, *args, **kwargs):
+            solved.append(path)
+            return min_delay_sizing(path, params, library, *args, **kwargs)
+
+        monkeypatch.setattr(buffering, "min_delay_sizing", recording)
+        _, t_min, _ = min_delay_sizing(heavy_path, ref_params, ref_library)
+        result = optimize(heavy_path, 1.1 * t_min, ref_params, ref_library)
+        assert result.domain.kind.value == "hard"
+        assert result.final_path.gates != heavy_path.gates
+        assert solved and heavy_path not in solved
