@@ -141,14 +141,6 @@ class TestConfigParsing:
         assert set(PATH_OUT_OF_RANGE) == \
             set(path_module._PATH_HEADER_KEYS) - {"input_edge"}
 
-    def test_negative_driver_slope_names_its_key(self):
-        text = PATH.replace("driver_slope_rise_ps = 0",
-                            "driver_slope_rise_ps = -1")
-        with pytest.raises(ConfigError) as err:
-            parse_path_file(text)
-        assert str(err.value) == ("line 3: driver_slope_rise_ps: "
-                                  "driver_slope_rise must be non-negative")
-
     def test_gate_block_fields(self, ref_library):
         nor3 = ref_library["nor3"]
         assert nor3.dw_lh == 2.4792
