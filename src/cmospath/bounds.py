@@ -1,16 +1,17 @@
 """Delay bounds of a bounded path: slowest and fastest reachable delay.
 
 The slowest corner is every free gate at minimum drive.  The fastest
-corner makes every free gate's exact delay sensitivity vanish.  The solver
-seeds with one backward pass of the frozen surrogate's link equations,
-cin[i]^2 = (A_i / A_{i-1}) * (cin[i+1] + c_par[i]) * cin[i-1], then runs
-log-space Newton iterations on the exact model.  Each iteration makes one
-derivative pass (exact gradient and tridiagonal Hessian) and steps in this
-order of preference: exact Newton; frozen-surrogate Newton where the exact
-Hessian loses positive definiteness, which strong fixed coupling causes;
-the chosen step damped toward the previous sizing when it would raise the
-descent merit; and standing still when every damping ascends, which only
-happens at a point stationary to rounding.  It stops on one rule, read
+corner makes every free gate's exact delay sensitivity vanish.  A cold
+solve starts on the geometric taper from the fixed input capacitance to
+the terminal load, cin[i] = input_cap * (load / input_cap)^(i/n) held at
+cref or above, then runs log-space Newton iterations on the exact model.
+Each iteration makes one derivative pass (exact gradient and tridiagonal
+Hessian) and steps in this order of preference: exact Newton;
+frozen-surrogate Newton where the exact Hessian loses positive
+definiteness, which strong fixed coupling causes; the chosen step damped
+toward the previous sizing when it would raise the descent merit; and
+standing still when every damping ascends, which only happens at a point
+stationary to rounding.  It stops on one rule, read
 off the derivative pass that opens each iteration: after a step that
 settled, every unclamped sensitivity lies within 5e-5 * |a| + 1e-6 *
 delay / cref of a.  The same engine with target a < 0 solves the
@@ -58,14 +59,22 @@ def max_delay_sizing(path: LogicPath, params: ProcessParams,
     return sizing, model.evaluate(sizing).total_delay
 
 
-def _solve_tridiagonal(diag, off, rhs) -> list[float] | None:
+def _solve_tridiagonal(diag, off, rhs, pinned) -> list[float] | None:
     """Solve a symmetric tridiagonal system by the Thomas sweep.
 
     diag is the main diagonal and off[i] couples rows i and i+1 (its last
-    entry is unused).  Returns None when a pivot is not positive, i.e. the
-    matrix is not positive definite, or when the solution is not finite.
-    The elimination overwrites diag and rhs.
+    entry is unused).  Each row in pinned, a gate clamped at cref, gets a
+    unit diagonal, a zero right-hand side and no coupling, so it solves to
+    exactly 0.  Returns None when a pivot is not positive, i.e. the matrix
+    is not positive definite, or when the solution is not finite.  The
+    elimination overwrites diag, off and rhs.
     """
+    for idx in pinned:
+        diag[idx] = 1.0
+        rhs[idx] = 0.0
+        off[idx] = 0.0
+        if idx > 0:
+            off[idx - 1] = 0.0
     m = len(diag)
     for idx in range(1, m):
         piv = diag[idx - 1]
@@ -85,8 +94,8 @@ def _solve_tridiagonal(diag, off, rhs) -> list[float] | None:
     return x
 
 
-def _newton_step(model: PathModel, cin, grad, hd, ho,
-                 a: float, cref: float) -> list[float]:
+def _newton_step(model: PathModel, cin, grad, hd, ho, a: float,
+                 clamped) -> list[float]:
     """One log-space Newton step on the stationarity residual.
 
     Residual r_j = cin[j] * (dT/dcin[j] - a) with the exact sensitivities.
@@ -126,14 +135,9 @@ def _newton_step(model: PathModel, cin, grad, hd, ho,
                 if j < n - 1:
                     off[idx] = cj * cin[j + 1] * ho[idx]
             rhs[idx] = -r
-            if cj <= cref * (1.0 + 1e-9) and r > 0.0:
-                # Active at the lower bound: hold this gate in place.
-                diag[idx] = 1.0
-                rhs[idx] = 0.0
-                off[idx] = 0.0
-                if idx > 0:
-                    off[idx - 1] = 0.0
-        step = _solve_tridiagonal(diag, off, rhs)
+        # Gates active at the lower bound (r > 0) are held in place.
+        step = _solve_tridiagonal(diag, off, rhs, [
+            idx for idx in range(m) if clamped[idx + 1] and rhs[idx] < 0.0])
         if step is None:
             return None
         widest = max(abs(s) for s in step)
@@ -151,14 +155,14 @@ def _newton_step(model: PathModel, cin, grad, hd, ho,
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
-                     init_cref: float | None = None,
                      warm: Sizing | None = None,
                      max_iterations: int = MAX_ITERATIONS
                      ) -> tuple[Sizing, PathTiming, int]:
     """Solve the equal-sensitivity stationarity system at target a <= 0.
 
-    Seeds with one backward pass of the link equations (predecessor held
-    at init_cref) unless a warm start is given, then drives the exact
+    Starts from warm if given, else from the geometric taper cin[i] =
+    max(cref, input_cap * (load / input_cap)^(i/n)), which does not depend
+    on a, nor on cref unless it clamps.  It then drives the exact
     sensitivities dT/dcin[i] to a for every unclamped gate.  Each
     iteration makes one exact derivative pass and takes a tridiagonal
     Newton step: on the exact Hessian, or on the frozen surrogate's where
@@ -177,12 +181,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
     n = model.n
-    params = model.params
-    cref = params.cref
-    if init_cref is None:
-        init_cref = cref
-    if not init_cref > 0:
-        raise ValueError("init_cref must be positive")
+    cref = model.params.cref
 
     if n == 1:
         sizing = (model.input_cap,)
@@ -192,14 +191,9 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         cin = list(warm)
         cin[0] = model.input_cap
     else:
-        cin = [model.input_cap] + [cref] * (n - 1)
-        # Init pass: each link equation with the predecessor held at
-        # init_cref, so the starting point is independent of cref scale.
-        coeffs = model.coefficients(cin)
-        for i in range(n - 1, 0, -1):
-            nxt = cin[i + 1] if i < n - 1 else model.terminal_load
-            den = coeffs.a[i - 1] / init_cref - a
-            cin[i] = max(cref, math.sqrt(coeffs.a[i] * (nxt + coeffs.c_par[i]) / den))
+        ratio = model.terminal_load / model.input_cap
+        cin = [model.input_cap] + [
+            max(cref, model.input_cap * ratio ** (i / n)) for i in range(1, n)]
 
     timing = model.evaluate(cin)
     merit = timing.total_delay - a * sum(cin[1:])
@@ -207,19 +201,19 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     max_rel = math.inf
     for outer in range(max_iterations + 1):
         grad, hd, ho = model.derivatives(cin)
+        clamped = model.clamped(cin)
         if settled:
             tol = SENSITIVITY_REL * -a \
                 + RESIDUAL_TOL * timing.total_delay / cref
             if all(abs(grad[j - 1] - a) <= tol for j in range(1, n)
-                   if cin[j] > cref * (1.0 + 1e-9)):
-                clamped = [j for j in range(1, n)
-                           if cin[j] <= cref * (1.0 + 1e-9)]
-                if clamped:
-                    logger.debug("fixed point clamped gates at cref: %s", clamped)
+                   if not clamped[j]):
+                held = [j for j in range(1, n) if clamped[j]]
+                if held:
+                    logger.debug("fixed point clamped gates at cref: %s", held)
                 return tuple(cin), timing, outer
         if outer == max_iterations:
             break
-        prop = _newton_step(model, cin, grad, hd, ho, a, cref)
+        prop = _newton_step(model, cin, grad, hd, ho, a, clamped)
 
         cand = [prop[0]] + [max(cref, p) for p in prop[1:]]
         cand_timing = model.evaluate(cand)
@@ -254,19 +248,20 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
 
 
 def min_delay_sizing(path: LogicPath, params: ProcessParams,
-                     library: GateLibrary, init_cref: float | None = None,
+                     library: GateLibrary,
                      max_iterations: int = MAX_ITERATIONS,
                      warm: Sizing | None = None) -> tuple[Sizing, float, int]:
     """Fastest sizing of the path, its delay and the Newton steps taken.
 
     The a = 0 solve of link_fixed_point, so it stops once every unclamped
-    exact sensitivity g_i has |g_i| <= 1e-6 * t_min / cref.  init_cref
-    seeds the backward init pass (predecessor size in the first sweep);
-    the converged answer does not depend on it.
+    exact sensitivity g_i has |g_i| <= 1e-6 * t_min / cref.  A cold solve
+    starts on the geometric taper from input_cap to the terminal load;
+    warm starts anywhere else, and the converged answer does not depend on
+    where it starts.
     """
     sizing, timing, iters = link_fixed_point(
-        PathModel(path, params, library), a=0.0, init_cref=init_cref,
-        warm=warm, max_iterations=max_iterations)
+        PathModel(path, params, library), a=0.0, warm=warm,
+        max_iterations=max_iterations)
     return sizing, timing.total_delay, iters
 
 

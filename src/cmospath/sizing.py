@@ -74,16 +74,9 @@ def _delay_curvature(model: PathModel, sizing: Sizing) -> float | None:
     which strong fixed coupling can cause.
     """
     _, diag, off = model.derivatives(sizing)
-    clamped = model.clamped(sizing)
-    rhs = [1.0] * len(diag)
-    for idx in range(len(diag)):
-        if clamped[idx + 1]:
-            diag[idx] = 1.0
-            rhs[idx] = 0.0
-            off[idx] = 0.0
-            if idx > 0:
-                off[idx - 1] = 0.0
-    x = _solve_tridiagonal(diag, off, rhs)
+    clamped = model.clamped(sizing)[1:]
+    x = _solve_tridiagonal(diag, off, [1.0] * len(diag),
+                           [idx for idx, c in enumerate(clamped) if c])
     if x is None:
         return None
     q = sum(x)
@@ -166,12 +159,14 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
     """Constant-sensitivity solutions over a grid of a values.
 
     Rows come back ordered by a ascending (most negative first); solver
-    failures are collected per row instead of aborting the sweep.
+    failures are collected per row instead of aborting the sweep.  Each
+    solve starts warm from the last row solved, and the first from the
+    all-minimum corner, where a -> -inf sends every free gate.
     """
     model = PathModel(path, params, library)
     solutions: list[SensitivitySolution] = []
     failures: list[tuple[float, Exception]] = []
-    warm: Sizing | None = None
+    warm = (path.input_cap,) + (params.cref,) * (model.n - 1)
     for a in sorted(a_values):
         if a > 0:
             failures.append((a, ValueError("sensitivity target a must be <= 0")))

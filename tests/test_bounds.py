@@ -1,10 +1,12 @@
 """Delay window of a path: minimum-delay solver and the all-cref ceiling."""
 
+import dataclasses
 import math
 import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import REF_PROC
@@ -27,6 +29,9 @@ from cmospath import (
     sweep,
 )
 from cmospath.path import MAX_CAP_FF
+
+
+KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
 
 
 def ideal_chain(n, input_cap, load, params_kwargs=None):
@@ -110,10 +115,11 @@ class TestMinDelaySolver:
     def test_initialization_independence(self, ref_params, ref_library,
                                          chain13):
         results = []
-        for factor in (0.25, 1.0, 4.0, 10.0):
+        for factor in (1.0, 4.0, 10.0, 100.0):
+            warm = (chain13.input_cap,) + (factor * ref_params.cref,) * (
+                chain13.n - 1)
             _, t_min, iters = min_delay_sizing(
-                chain13, ref_params, ref_library,
-                init_cref=factor * ref_params.cref)
+                chain13, ref_params, ref_library, warm=warm)
             assert iters < 500
             results.append(t_min)
         spread = (max(results) - min(results)) / min(results)
@@ -219,6 +225,50 @@ class TestMinDelaySolver:
         assert t[MAX_CAP_FF] / t[MAX_CAP_FF / 10.0] == pytest.approx(
             10.0 ** (1.0 / 3.0), rel=1e-2)
 
+    def test_cold_start_is_scale_free(self, ref_params, ref_library):
+        # The taper seed never touches cref on this path, so the solve
+        # is the same at any cref, down to 1e-300 where a seed anchored
+        # at cref underflows den^2 in the derivative pass.
+        path = LogicPath(gates=("inv", "nand2", "nor3", "inv"),
+                         input_cap=1e6, terminal_load=1e9)
+        results = [min_delay_sizing(
+            path, dataclasses.replace(ref_params, cref=cref), ref_library)
+            for cref in (ref_params.cref, 1e-3, 1e-300)]
+        assert results[0][1] == pytest.approx(509.911026092058, rel=1e-12)
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cold_and_warm_solves_agree(self, ref_params, ref_library, data):
+        n = data.draw(st.integers(2, 40))
+        path = LogicPath(
+            gates=tuple(data.draw(st.lists(st.sampled_from(KINDS),
+                                           min_size=n, max_size=n))),
+            input_cap=data.draw(st.floats(2.0, 10.0)),
+            terminal_load=data.draw(st.floats(30.0, 5000.0)),
+            input_edge=data.draw(st.sampled_from(("rising", "falling"))),
+            driver_slope_rise=data.draw(st.floats(0.0, 60.0)),
+            driver_slope_fall=data.draw(st.floats(0.0, 60.0)))
+        cref = ref_params.cref
+        warm = (path.input_cap,) + tuple(data.draw(st.lists(
+            st.floats(cref, 1000.0 * cref), min_size=n - 1, max_size=n - 1)))
+        cold = min_delay_sizing(path, ref_params, ref_library)
+        hot = min_delay_sizing(path, ref_params, ref_library, warm=warm)
+        # Both ends meet the stopping bound |g| <= 1e-6 * delay / cref on
+        # every unclamped gate, so on the convex delay their delays differ
+        # by at most that bound times the distance between the sizings.
+        model = PathModel(path, ref_params, ref_library)
+        bound = 0.0
+        for sizing, delay, _ in (cold, hot):
+            bound = max(bound, 1e-6 * delay / cref)
+            grad = model.derivatives(sizing)[0]
+            clamped = model.clamped(sizing)[1:]
+            assert all(abs(g) <= 1e-6 * delay / cref
+                       for g, c in zip(grad, clamped) if not c)
+        moved = sum(abs(x - y) for x, y in zip(cold[0], hot[0]))
+        assert abs(cold[1] - hot[1]) <= bound * moved + 1e-12 * cold[1]
+
     def test_runs_out_of_iterations(self, ref_params, ref_library, chain11):
         with pytest.raises(ConvergenceError) as err:
             min_delay_sizing(chain11, ref_params, ref_library,
@@ -228,8 +278,11 @@ class TestMinDelaySolver:
 
     def test_rejects_nonpositive_init(self, ref_params, ref_library,
                                       chain11):
+        warm = [chain11.input_cap] + [8.0] * (chain11.n - 1)
+        warm[5] = 0.0
         with pytest.raises(ValueError):
-            min_delay_sizing(chain11, ref_params, ref_library, init_cref=0.0)
+            min_delay_sizing(chain11, ref_params, ref_library,
+                             warm=tuple(warm))
 
 
 def fd_gradient(model, sizing):
@@ -271,8 +324,8 @@ class TestFrozenSurrogateStep:
 
     @pytest.fixture
     def frozen_calls(self, monkeypatch):
-        # coefficients() runs once for the cold-start init pass and
-        # otherwise only when a step falls back to the frozen surrogate
+        # coefficients() runs only when a Newton step falls back to the
+        # frozen surrogate
         calls = []
         original = PathModel.coefficients
 

@@ -12,11 +12,17 @@ Newton fallback.
 Regenerate the recording only when an output change is intended:
 
     PYTHONPATH=src python tests/test_solver_golden.py
+
+Before it rewrites the file, that prints the largest relative change of
+any recorded number per result field and every min-delay iteration count
+that changed.
 """
 
 import json
+import math
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -134,7 +140,59 @@ def test_solver_results_are_exact(index):
     assert solve_case(path, *_configs()[config]) == expected["results"]
 
 
+NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf)|nan")
+
+
+def _rel(old: str, new: str) -> float:
+    x, y = float(old), float(new)
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(y - x) / abs(x) if x else math.inf
+
+
+def report_drift(old: list[dict], new: list[dict]) -> None:
+    """Print how far `new` moved from `old`, field by field.
+
+    A field whose text changed in anything but its numbers counts as
+    changed in structure.  The last number of `min_delay` is the
+    iteration count, which is listed per case instead.
+    """
+    before = {r["case"]: r["results"] for r in old}
+    worst: dict[str, float] = {}
+    reshaped: dict[str, int] = {}
+    iterations = []
+    for row in new:
+        prev = before.get(row["case"])
+        if prev is None:
+            print(f"new case {row['case']}")
+            continue
+        for field, text in row["results"].items():
+            was = prev.get(field, "")
+            a, b = NUMBER.findall(was), NUMBER.findall(text)
+            if NUMBER.sub("#", was) != NUMBER.sub("#", text):
+                reshaped[field] = reshaped.get(field, 0) + 1
+                continue
+            if field == "min_delay":
+                iterations.append((row["case"], int(a.pop()), int(b.pop())))
+            worst[field] = max([worst.get(field, 0.0)]
+                               + [_rel(x, y) for x, y in zip(a, b)])
+    print("largest relative change per field:")
+    for field, rel in worst.items():
+        print(f"  {field:20s} {rel:.3g}")
+    for field, count in reshaped.items():
+        print(f"  {field:20s} structure changed in {count} cases")
+    changed = [(c, x, y) for c, x, y in iterations if x != y]
+    print(f"min-delay iterations changed in {len(changed)} of "
+          f"{len(iterations)} cases, total {sum(x for _, x, _ in iterations)}"
+          f" -> {sum(y for _, _, y in iterations)}:")
+    for case, x, y in changed:
+        print(f"  {case:24s} {x} -> {y}")
+
+
 if __name__ == "__main__":
+    recording = record()
+    if GOLDEN.exists():
+        report_drift(_recorded(), recording)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n",
+    GOLDEN.write_text(json.dumps(recording, indent=1) + "\n",
                       encoding="utf-8")
