@@ -359,16 +359,21 @@ def build_from_file(cls, entries: dict, keys: dict[str, str], at=None,
 
 
 def read_config_file(path: str, what: str, parse):
-    """parse(text of the file at path), errors prefixed with the file name."""
+    """parse(text of the file at path); errors name the file, keep .line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {what} {path}: not UTF-8 "
+                          f"({exc.reason} at offset {exc.start})") from None
     try:
         return parse(text)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        err = ConfigError(f"{path}: {exc}")
+        err.line = exc.line
+        raise err from None
 
 
 def load_process_config(text: str) -> tuple[ProcessParams, GateLibrary]:

@@ -136,6 +136,34 @@ class TestConfigParsing:
         assert str(err.value).startswith(f"line {line}: {key}")
         assert err.value.line == line
 
+    @pytest.mark.parametrize("reader,read", [
+        ("process config", process.load_process_file),
+        ("path file", path_module.parse_path_text_file)],
+        ids=["process", "path"])
+    def test_file_that_is_not_utf8_names_the_file(self, reader, read,
+                                                  tmp_path):
+        bad = tmp_path / "bad.input"
+        bad.write_bytes(bytes.fromhex("fffe00626164"))
+        with pytest.raises(ConfigError) as err:
+            read(str(bad))
+        assert str(err.value) == (f"cannot read {reader} {bad}: not UTF-8 "
+                                  "(invalid start byte at offset 0)")
+
+    @pytest.mark.parametrize("reader,read,base", [
+        ("process", process.load_process_file, PROC),
+        ("path", path_module.parse_path_text_file, PATH)],
+        ids=["process", "path"])
+    def test_file_errors_keep_their_line(self, reader, read, base,
+                                         tmp_path):
+        lines = base.splitlines()
+        lines.insert(1, "bogus_key = 1")
+        bad = tmp_path / f"bad.{reader}"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            read(str(bad))
+        assert str(err.value).startswith(f"{bad}: line 2: ")
+        assert err.value.line == 2
+
     def test_numeric_key_cases_cover_every_key(self):
         assert set(PROC_OUT_OF_RANGE) == set(process._PARAM_KEYS)
         assert set(PATH_OUT_OF_RANGE) == \
