@@ -11,11 +11,11 @@ frozen-surrogate Newton where the exact Hessian loses positive
 definiteness, which strong fixed coupling causes; the chosen step damped
 toward the previous sizing when it would raise the descent merit; and
 standing still when every damping ascends, which only happens at a point
-stationary to rounding.  It stops on one rule, read
-off the derivative pass that opens each iteration: after a step that
-settled, every unclamped sensitivity lies within 5e-5 * |a| + 1e-6 *
-delay / cref of a.  The same engine with target a < 0 solves the
-constant-sensitivity problem of the area distribution module.
+stationary to rounding.  It stops on one rule, read off the derivative
+pass that opens each iteration: after a step that settled, every
+unclamped sensitivity lies within 5e-5 * |a| + 1e-6 * delay / cref of a.
+The same engine with target a < 0 solves the constant-sensitivity
+problem of the area distribution module.
 """
 
 from __future__ import annotations

@@ -15,9 +15,9 @@ Hessian in one pass; the solvers step on those and stop on that gradient.
 ``path_coefficients`` regroups the same expression by each gate's output
 transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
 cin[i], freezing the Miller factors and parasitics at the current sizing.
-At the freezing point both views agree to rounding.  The solvers use the
-frozen view to seed a cold start and, where the exact Hessian is not
-positive definite, for the curvature of a Newton step.
+At the freezing point both views agree to rounding.  A Newton step takes
+the frozen view's curvature where the exact Hessian is not positive
+definite, and the fanout-limit probes size their buffer on it.
 """
 
 from __future__ import annotations
@@ -387,8 +387,8 @@ class PathModel:
 
     def clamped(self, sizing) -> list[bool]:
         """Which free gates sit at the minimum realizable size."""
-        cref = self.params.cref
-        return [sizing[i] <= cref * (1.0 + 1e-9) for i in range(self.n)]
+        floor = self.params.cref * (1.0 + 1e-9)
+        return [c <= floor for c in sizing]
 
 
 def evaluate_path(path: LogicPath, sizing, params: ProcessParams,

@@ -189,6 +189,18 @@ def report_drift(old: list[dict], new: list[dict]) -> None:
         print(f"  {case:24s} {x} -> {y}")
 
 
+def test_drift_report_names_each_change(capsys):
+    old = [{"case": "c", "results": {"min_delay": "((4.0, 8.0), 2.0, 9)",
+                                      "sweep": "ValueError: x"}}]
+    new = [{"case": "c", "results": {"min_delay": "((4.0, 8.2), 2.0, 6)",
+                                      "sweep": "([], [])"}}]
+    report_drift(old, new)
+    out = capsys.readouterr().out
+    assert "min_delay            0.025\n" in out
+    assert "sweep                structure changed in 1 cases" in out
+    assert "changed in 1 of 1 cases, total 9 -> 6:\n  c " in out
+
+
 if __name__ == "__main__":
     recording = record()
     if GOLDEN.exists():
