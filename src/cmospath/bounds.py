@@ -5,15 +5,16 @@ corner makes every free gate's exact delay sensitivity vanish.  A cold
 solve starts on the geometric taper from the fixed input capacitance to
 the terminal load, cin[i] = input_cap * (load / input_cap)^(i/n) held at
 cref or above, then runs log-space Newton iterations on the exact model.
-Each iteration makes one derivative pass (exact gradient and tridiagonal
-Hessian) and steps in this order of preference: exact Newton;
-frozen-surrogate Newton where the exact Hessian loses positive
-definiteness, which strong fixed coupling causes; the chosen step damped
-toward the previous sizing when it would raise the descent merit; and
-standing still when every damping ascends, which only happens at a point
-stationary to rounding.  It stops on one rule, read off the derivative
-pass that opens each iteration: after a step that settled, every
-unclamped sensitivity lies within 5e-5 * |a| + 1e-6 * delay / cref of a.
+Each sizing visited gets one pass (exact gradient, tridiagonal Hessian
+and delay), which judges the step to it and opens the next iteration.
+Steps go in this order of preference: exact Newton; frozen-surrogate
+Newton where the exact Hessian loses positive definiteness, which strong
+fixed coupling causes; the chosen step damped toward the previous sizing
+when it would raise the descent merit; and standing still when every
+damping ascends, which only happens at a point stationary to rounding.
+It stops on one rule, read off the pass the step made: after a step that
+settled, every unclamped sensitivity lies within 5e-5 * |a| + 1e-6 *
+delay / cref of a.  The full timing is evaluated once, on the result.
 The same engine with target a < 0 solves the constant-sensitivity
 problem of the area distribution module.
 """
@@ -164,19 +165,20 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     max(cref, input_cap * (load / input_cap)^(i/n)), which does not depend
     on a, nor on cref unless it clamps.  It then drives the exact
     sensitivities dT/dcin[i] to a for every unclamped gate.  Each
-    iteration makes one exact derivative pass and takes a tridiagonal
-    Newton step: on the exact Hessian, or on the frozen surrogate's where
-    the exact one loses positive definiteness.  The step is accepted only
-    if it does not increase the descent merit T - a * sum(cin); otherwise
-    it is damped toward the previous sizing in log space, up to 20
-    halvings.  A step from a positive-definite system always descends, so
-    if every damping ascends the point is stationary to rounding and the
-    iteration stands still.  Sizes are clamped at cref from below.  a = 0
-    is the minimum-delay condition.  Once a step settles (sizes move less
-    than CAP_TOL, the delay less than DELAY_TOL, both relative), the next
-    derivative pass returns the sizing, its timing and the steps taken if
-    every unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| +
-    RESIDUAL_TOL * T / cref.
+    iteration takes a tridiagonal Newton step off the derivative pass that
+    opens it: on the exact Hessian, or on the frozen surrogate's where the
+    exact one loses positive definiteness.  The proposal's own pass gives
+    its delay; the step is accepted only if it does not increase the
+    descent merit T - a * sum(cin), else it is damped toward the previous
+    sizing in log space, up to 20 halvings of one pass each.  A step from
+    a positive-definite system always descends, so if every damping
+    ascends the point is stationary to rounding and the iteration stands
+    still.  Sizes are clamped at cref from below.  a = 0 is the
+    minimum-delay condition.  Once a step settles (sizes move less than
+    CAP_TOL, the delay less than DELAY_TOL, both relative), its pass
+    returns the sizing, its evaluated timing and the steps taken if every
+    unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| + RESIDUAL_TOL
+    * T / cref.  The accepted pass opens the next iteration.
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
@@ -195,54 +197,43 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         cin = [model.input_cap] + [
             max(cref, model.input_cap * ratio ** (i / n)) for i in range(1, n)]
 
-    timing = model.evaluate(cin)
-    merit = timing.total_delay - a * sum(cin[1:])
-    settled = False
+    def visit(sizing):
+        """(sizing, its derivative pass, its descent merit)."""
+        dv = model.derivatives(sizing)
+        return sizing, dv, dv[3] - a * sum(sizing[1:])
+
+    here = visit(cin)
     max_rel = math.inf
-    for outer in range(max_iterations + 1):
-        grad, hd, ho = model.derivatives(cin)
-        clamped = model.clamped(cin)
-        if settled:
-            tol = SENSITIVITY_REL * -a \
-                + RESIDUAL_TOL * timing.total_delay / cref
+    for steps in range(1, max_iterations + 1):
+        cin, (grad, hd, ho, delay), merit = here
+        prop = _newton_step(model, cin, grad, hd, ho, a, model.clamped(cin))
+        ceiling = merit + abs(merit) * 1e-12
+        nxt = visit([prop[0]] + [max(cref, p) for p in prop[1:]])
+        if nxt[2] > ceiling:
+            # Damp along the unclamped direction, clamping after the
+            # scale: scaling the clamped proposal instead would keep the
+            # bent direction at every lambda.  If every damping ascends,
+            # stand still and let the stopping rule decide.
+            nxt = here
+            for k in range(1, 21):
+                trial = visit([cin[0]] + [
+                    max(cref, cin[j] * (prop[j] / cin[j]) ** (0.5 ** k))
+                    for j in range(1, n)])
+                if trial[2] <= ceiling:
+                    nxt = trial
+                    break
+        new, (grad, _, _, new_delay), _ = here = nxt
+        max_rel = max(abs(new[i] - cin[i]) / cin[i] for i in range(1, n))
+        if (max_rel < CAP_TOL
+                and abs(new_delay - delay) <= DELAY_TOL * new_delay):
+            clamped = model.clamped(new)
+            tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * new_delay / cref
             if all(abs(grad[j - 1] - a) <= tol for j in range(1, n)
                    if not clamped[j]):
                 held = [j for j in range(1, n) if clamped[j]]
                 if held:
                     logger.debug("fixed point clamped gates at cref: %s", held)
-                return tuple(cin), timing, outer
-        if outer == max_iterations:
-            break
-        prop = _newton_step(model, cin, grad, hd, ho, a, clamped)
-
-        cand = [prop[0]] + [max(cref, p) for p in prop[1:]]
-        cand_timing = model.evaluate(cand)
-        cand_merit = cand_timing.total_delay - a * sum(cand[1:])
-        if cand_merit > merit + abs(merit) * 1e-12:
-            # Damp along the unclamped direction, clamping after the
-            # scale: scaling the clamped proposal instead would keep the
-            # bent direction at every lambda.  If every damping ascends,
-            # stand still and let the stopping rule decide.
-            cand, cand_timing, cand_merit = list(cin), timing, merit
-            lam = 0.5
-            for _ in range(20):
-                trial = [cin[0]] + [
-                    max(cref, cin[k] * (prop[k] / cin[k]) ** lam)
-                    for k in range(1, n)]
-                t_timing = model.evaluate(trial)
-                t_merit = t_timing.total_delay - a * sum(trial[1:])
-                if t_merit <= merit + abs(merit) * 1e-12:
-                    cand, cand_timing, cand_merit = trial, t_timing, t_merit
-                    break
-                lam *= 0.5
-
-        max_rel = max(abs(cand[i] - cin[i]) / cin[i] for i in range(1, n))
-        settled = (max_rel < CAP_TOL
-                   and abs(cand_timing.total_delay - timing.total_delay)
-                   <= DELAY_TOL * cand_timing.total_delay)
-        cin = list(cand)
-        timing = cand_timing
-        merit = cand_merit
+                return tuple(new), model.evaluate(new), steps
     raise ConvergenceError("sizing fixed point did not converge",
                            iterations=max_iterations, residual=max_rel)
 

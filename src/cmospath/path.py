@@ -10,8 +10,9 @@ gate's output transition time into the next gate's delay term.
 is the one place the stage delay is written (``process.stage_delay``,
 shared with ``gate_delay``).  Two views of the total delay coexist.
 ``evaluate_path`` is the exact chained model, and
-``PathModel.derivatives`` gives its exact gradient and tridiagonal
-Hessian in one pass; the solvers step on those and stop on that gradient.
+``PathModel.derivatives`` gives its exact gradient, tridiagonal Hessian
+and total delay in one pass; the solvers step on those, judge steps by
+that total and stop on that gradient.
 ``path_coefficients`` regroups the same expression by each gate's output
 transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
 cin[i], freezing the Miller factors and parasitics at the current sizing.
@@ -312,8 +313,8 @@ class PathModel:
         return tuple(out)
 
     def derivatives(self, sizing) -> tuple[tuple[float, ...], list[float],
-                                           list[float]]:
-        """Exact delay gradient and tridiagonal Hessian in one pass.
+                                           list[float], float]:
+        """Exact delay gradient, tridiagonal Hessian and total in one pass.
 
         The exact total is a constant plus sum_i f_i(cin[i], x_i), where
         x_i is gate i's downstream node (cin[i+1], or the terminal load for
@@ -330,13 +331,16 @@ class PathModel:
 
         with off zero for the last gate, whose downstream node is the
         fixed terminal load.  Only adjacent gates couple, so the full
-        Hessian is this symmetric tridiagonal matrix.
+        Hessian is this symmetric tridiagonal matrix.  Last comes the
+        total, the constant plus sum_i f_i: the frozen regrouping at its
+        own freezing point, which is evaluate's total_delay to rounding.
         """
         self.check_sizing(sizing)
         n = self.n
         grad = []
         diag = []
         off = []
+        total = self._v_half[0] * self.path.driver_slope()
         f_x_up = f_xx_up = 0.0
         for i in range(n):
             c = sizing[i]
@@ -348,6 +352,7 @@ class PathModel:
             k_half = self._tau_s[i] / 2.0
             den = m + load
             mil_v = 1.0 + 2.0 * m / den + self._v_next[i]
+            total += k_half * mil_v * load / c
             den2 = den * den
             den3 = den2 * den
             mil_m = 2.0 * load / den2
@@ -375,7 +380,7 @@ class PathModel:
                     off.append(0.0)
             f_x_up = f_x
             f_xx_up = f_xx
-        return tuple(grad), diag, off
+        return tuple(grad), diag, off, total
 
     def model_gradient(self, sizing) -> tuple[float, ...]:
         """Exact-model delay sensitivities for the free gates 1..n-1."""
@@ -383,7 +388,7 @@ class PathModel:
 
     def model_curvature(self, sizing) -> tuple[list[float], list[float]]:
         """(diag, off) of the exact tridiagonal Hessian over the free gates."""
-        return self.derivatives(sizing)[1:]
+        return self.derivatives(sizing)[1:3]
 
     def clamped(self, sizing) -> list[bool]:
         """Which free gates sit at the minimum realizable size."""

@@ -73,7 +73,7 @@ def _delay_curvature(model: PathModel, sizing: Sizing) -> float | None:
     right-hand side).  Returns None when H_ff is not positive definite,
     which strong fixed coupling can cause.
     """
-    _, diag, off = model.derivatives(sizing)
+    diag, off = model.derivatives(sizing)[1:3]
     clamped = model.clamped(sizing)[1:]
     x = _solve_tridiagonal(diag, off, [1.0] * len(diag),
                            [idx for idx, c in enumerate(clamped) if c])

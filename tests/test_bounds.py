@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pathlib
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -46,6 +47,16 @@ def ideal_chain(n, input_cap, load, params_kwargs=None):
     path = LogicPath(gates=("inv",) * n, input_cap=input_cap,
                      terminal_load=load)
     return path, params, {"inv": inv}
+
+
+def random_path(rng, n_max=40):
+    n = rng.randint(2, n_max)
+    return LogicPath(gates=tuple(rng.choice(KINDS) for _ in range(n)),
+                     input_cap=rng.uniform(2.0, 10.0),
+                     terminal_load=rng.uniform(30.0, 5000.0),
+                     input_edge=rng.choice(("rising", "falling")),
+                     driver_slope_rise=rng.uniform(0.0, 60.0),
+                     driver_slope_fall=rng.uniform(0.0, 60.0))
 
 
 class TestMaxDelay:
@@ -268,6 +279,63 @@ class TestMinDelaySolver:
                        for g, c in zip(grad, clamped) if not c)
         moved = sum(abs(x - y) for x, y in zip(cold[0], hot[0]))
         assert abs(cold[1] - hot[1]) <= bound * moved + 1e-12 * cold[1]
+
+    def test_one_pass_per_visited_sizing(self, ref_params, ref_library,
+                                         monkeypatch):
+        # The full timing is evaluated once, on the returned sizing.  Every
+        # other sizing a solve visits gets one derivative pass: the start,
+        # one Newton proposal per iteration, and each damping trial.  A
+        # trial is a pass that follows one whose delay (the a = 0 merit)
+        # rose above the last accepted, up to 20 in a row.
+        totals, evaluated = [], []
+        derivatives, evaluate = PathModel.derivatives, PathModel.evaluate
+
+        def counting_derivatives(model, sizing):
+            out = derivatives(model, sizing)
+            totals.append(out[3])
+            return out
+
+        def counting_evaluate(model, sizing):
+            evaluated.append(tuple(sizing))
+            return evaluate(model, sizing)
+
+        monkeypatch.setattr(PathModel, "derivatives", counting_derivatives)
+        monkeypatch.setattr(PathModel, "evaluate", counting_evaluate)
+        all_trials = 0
+        for seed in range(40):
+            path = random_path(random.Random(seed))
+            totals.clear()
+            evaluated.clear()
+            sizing, _, iters = min_delay_sizing(path, ref_params, ref_library)
+            assert evaluated == [sizing]
+            accepted, left, trials = totals[0], 0, 0
+            for total in totals[1:]:
+                is_trial = left > 0
+                trials += is_trial
+                if total <= accepted + abs(accepted) * 1e-12:
+                    accepted, left = total, 0
+                else:
+                    left = left - 1 if is_trial else 20
+            assert len(totals) == iters + 1 + trials
+            all_trials += trials
+        assert all_trials > 0
+
+    # At 1.5 most returned sizings warn; at 3 none do, but iterates would.
+    @pytest.mark.parametrize("ratio", [1.5, 3.0])
+    def test_warns_only_about_the_returned_sizing(self, ref_params,
+                                                  ref_library, ratio):
+        params = dataclasses.replace(ref_params, slope_warn_ratio=ratio)
+        rng = random.Random(3)
+        for _ in range(30):
+            path = random_path(rng)
+            with warnings.catch_warnings(record=True) as solve_warnings:
+                warnings.simplefilter("always")
+                sizing, _, _ = min_delay_sizing(path, params, ref_library)
+            with warnings.catch_warnings(record=True) as result_warnings:
+                warnings.simplefilter("always")
+                PathModel(path, params, ref_library).evaluate(sizing)
+            assert ([str(w.message) for w in solve_warnings]
+                    == [str(w.message) for w in result_warnings])
 
     def test_runs_out_of_iterations(self, ref_params, ref_library, chain11):
         with pytest.raises(ConvergenceError) as err:

@@ -297,6 +297,9 @@ class TestCoefficients:
                                   ref_library).total_delay
             frozen = coeffs.frozen_delay(sizing)
             assert abs(frozen - exact) / exact <= 1e-9
+            fused = PathModel(path, ref_params, ref_library).derivatives(
+                sizing)[3]
+            assert abs(fused - exact) / exact <= 1e-14
 
     def test_matches_independent_regrouping(self, ref_params, ref_library,
                                             chain11):
