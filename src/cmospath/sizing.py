@@ -109,7 +109,10 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
             f"constraint {tc:.6g} ps below minimum achievable delay "
             f"{bounds.t_min:.6g} ps", t_min=bounds.t_min, best_path=path)
 
-    a_floor = -1e6 * bounds.t_min / params.cref
+    # Below every gate's sensitivity at the all-minimum corner, so the
+    # corner holds there: a_floor is too slow whenever tc < t_max.
+    a_floor = min(-1e6 * bounds.t_min / params.cref, 2.0 * min(
+        model.derivatives(bounds.sizing_max)[0], default=0.0))
     if tc >= bounds.t_max:
         return SensitivitySolution(
             a_value=a_floor, sizing=bounds.sizing_max, delay=bounds.t_max,
@@ -126,7 +129,7 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
     target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
 
     # T(a) rises monotonically as a falls below 0.  lo is too slow (at
-    # a_floor every free gate sits at cref, so T = t_max > tc), hi too fast.
+    # a_floor T = t_max > tc), hi too fast.
     lo, hi = a_floor, 0.0
     a = 0.0
     for _ in range(MAX_SENSITIVITY_STEPS):

@@ -146,6 +146,25 @@ class TestDistributeConstraint:
                                         bounds=bounds)
             assert tc * (1.0 - 1e-3) <= sol.delay <= tc
 
+    def test_floor_sits_below_the_corner_sensitivities(self, ref_params,
+                                                       ref_library):
+        # Under a huge load the corner's steepest sensitivity lies far
+        # below -1e6 * t_min / cref, so the bracket's too-slow end is twice
+        # that steepest sensitivity, where the corner still holds.
+        path = LogicPath(gates=("inv",) * 3, input_cap=4.0,
+                         terminal_load=1e12)
+        bounds = compute_bounds(path, ref_params, ref_library)
+        steepest = min(PathModel(path, ref_params, ref_library).derivatives(
+            bounds.sizing_max)[0])
+        assert steepest < -1e6 * bounds.t_min / ref_params.cref
+        for tc in (3e12, 0.5 * (bounds.t_min + bounds.t_max)):
+            sol = distribute_constraint(path, tc, ref_params, ref_library,
+                                        bounds=bounds)
+            assert tc * (1.0 - 1e-3) <= sol.delay <= tc
+        corner = distribute_constraint(path, bounds.t_max, ref_params,
+                                       ref_library, bounds=bounds)
+        assert corner.a_value == 2.0 * steepest
+
     def test_constraint_above_ceiling_returns_floor_sizing(
             self, ref_params, ref_library, chain11, chain13, heavy_path,
             monkeypatch):
