@@ -1,3 +1,4 @@
+import os
 import pathlib
 import sys
 
@@ -19,6 +20,10 @@ REF_PROC = str(FIXTURES / "ref.proc")
 CHAIN11 = str(FIXTURES / "chain11.path")
 CHAIN13 = str(FIXTURES / "chain13.path")
 HEAVY = str(FIXTURES / "heavy.path")
+
+# Environment for a fresh interpreter that imports the package from src/.
+PACKAGE_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from conftest import CHAIN11, CHAIN13, HEAVY, REF_PROC
+from conftest import CHAIN11, CHAIN13, HEAVY, PACKAGE_ENV, REF_PROC
 from cmospath import protocol
 from cmospath.bounds import min_delay_sizing
 from cmospath.cli import EXIT_USAGE, main
@@ -242,7 +242,7 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cmospath", "bounds", REF_PROC, CHAIN11],
-            capture_output=True, text=True, timeout=60)
+            env=PACKAGE_ENV, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0
         assert "t_min_ps = " in proc.stdout
 
@@ -254,7 +254,7 @@ class TestEntryPoint:
         # `cmospath ... | head -1`: the reader is gone before the child
         # writes, whether the output overflows the pipe buffer or not.
         proc = subprocess.Popen([sys.executable, "-m", "cmospath", *argv],
-                                stdout=subprocess.PIPE,
+                                env=PACKAGE_ENV, stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE)
         proc.stdout.close()
         err = proc.stderr.read()

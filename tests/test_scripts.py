@@ -1,23 +1,19 @@
 """The scripts under scripts/, each run as a user would: a fresh
 interpreter with the package on PYTHONPATH, small arguments."""
 
-import os
 import re
 import subprocess
 import sys
 
-from conftest import CHAIN11, REF_PROC, ROOT
+from conftest import CHAIN11, PACKAGE_ENV, REF_PROC, ROOT
 
 SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args], cwd=ROOT, env=env,
+        [sys.executable, str(SCRIPTS / name), *args], cwd=ROOT,
+        env=PACKAGE_ENV,
         capture_output=True, text=True, timeout=120)
 
 
