@@ -7,11 +7,12 @@ the terminal load, cin[i] = input_cap * (load / input_cap)^(i/n) held at
 cref or above, then runs log-space Newton iterations on the exact model.
 Each sizing visited gets one pass (exact gradient, tridiagonal Hessian
 and delay), which judges the step to it and opens the next iteration.
-Steps go in this order of preference: exact Newton; frozen-surrogate
-Newton where the exact Hessian loses positive definiteness, which strong
-fixed coupling causes; the chosen step damped toward the previous sizing
-when it would raise the descent merit; and standing still when every
-damping ascends, which only happens at a point stationary to rounding.
+Steps go in this order of preference: exact Newton; Newton on the exact
+Hessian made diagonally dominant where it loses positive definiteness,
+which strong fixed coupling causes; the chosen step damped toward the
+previous sizing when it would raise the descent merit; and standing
+still when every damping ascends, which only happens at a point
+stationary to rounding.
 It stops on one rule, read off the pass the step made: after a step that
 settled, every unclamped sensitivity lies within 5e-5 * |a| + 1e-6 *
 delay / cref of a.  The full timing is evaluated once, on the result.
@@ -102,22 +103,22 @@ def _newton_step(model: PathModel, cin, grad, hd, ho, a: float,
     Residual r_j = cin[j] * (dT/dcin[j] - a) with the exact sensitivities.
     Curvature is the exact delay Hessian mapped to log sizes, d2/dy2 =
     c^2 T'' + c (T' - a).  Where that matrix loses positive definiteness
-    (a Thomas pivot goes non-positive), the frozen surrogate's Hessian
-    stands in: the coefficients are frozen at cin only then, and the
-    surrogate system is strictly diagonally dominant, so for finite
-    values it always factors.  Gates pinned at cref whose residual pushes
-    further down are held fixed.  The step is scaled to at most one
-    e-fold per gate and applied multiplicatively.  The proposal is
-    returned unclamped so the caller can damp along the undistorted
-    direction; clamping each coordinate here would bend the direction and
-    can turn it uphill.
+    (a Thomas pivot goes non-positive), which strong fixed coupling
+    causes, the system is built again and every row whose diagonal does
+    not exceed the sum of its absolute couplings gets that sum times
+    1 + 1e-9 (its |diagonal| if it has no coupling).  The result is
+    strictly diagonally dominant with a positive diagonal, hence positive
+    definite, so its step descends the merit.  Gates pinned at cref whose
+    residual pushes further down are held fixed.  The step is scaled to
+    at most one e-fold per gate and applied multiplicatively.  The
+    proposal is returned unclamped so the caller can damp along the
+    undistorted direction; clamping each coordinate here would bend the
+    direction and can turn it uphill.
     """
     n = model.n
     m = n - 1
 
-    def solve(frozen: bool) -> list[float] | None:
-        if frozen:
-            coeffs = model.coefficients(cin)
+    def system():
         diag = [0.0] * m
         off = [0.0] * m
         rhs = [0.0] * m
@@ -125,34 +126,30 @@ def _newton_step(model: PathModel, cin, grad, hd, ho, a: float,
             j = idx + 1
             cj = cin[j]
             r = cj * (grad[idx] - a)
-            if frozen:
-                nxt = cin[j + 1] if j < n - 1 else model.terminal_load
-                diag[idx] = cj * coeffs.a[j - 1] / cin[j - 1] \
-                    + coeffs.a[j] * (nxt + coeffs.c_par[j]) / cj - a * cj
-                if j < n - 1:
-                    off[idx] = -coeffs.a[j] * cin[j + 1] / cj
-            else:
-                diag[idx] = cj * cj * hd[idx] + r
-                if j < n - 1:
-                    off[idx] = cj * cin[j + 1] * ho[idx]
+            diag[idx] = cj * cj * hd[idx] + r
+            if j < n - 1:
+                off[idx] = cj * cin[j + 1] * ho[idx]
             rhs[idx] = -r
-        # Gates active at the lower bound (r > 0) are held in place.
-        step = _solve_tridiagonal(diag, off, rhs, [
-            idx for idx in range(m) if clamped[idx + 1] and rhs[idx] < 0.0])
-        if step is None:
-            return None
-        widest = max(abs(s) for s in step)
-        if widest > 1.0:
-            step = [s / widest for s in step]
-        return [cin[0]] + [cin[j] * math.exp(step[j - 1])
-                           for j in range(1, n)]
+        return diag, off, rhs
 
-    prop = solve(frozen=False)
-    if prop is None:
-        prop = solve(frozen=True)
-    if prop is None:
-        raise ConvergenceError("frozen Newton system degenerated")
-    return prop
+    diag, off, rhs = system()
+    # Gates active at the lower bound (r > 0) are held in place.
+    pinned = [idx for idx in range(m) if clamped[idx + 1] and rhs[idx] < 0.0]
+    step = _solve_tridiagonal(diag, off, rhs, pinned)
+    if step is None:
+        diag, off, rhs = system()
+        for idx in range(m):
+            coupling = abs(off[idx]) + (abs(off[idx - 1]) if idx else 0.0)
+            if not diag[idx] > coupling:
+                diag[idx] = (coupling * (1.0 + 1e-9) if coupling
+                             else abs(diag[idx]))
+        step = _solve_tridiagonal(diag, off, rhs, pinned)
+    if step is None:
+        raise ConvergenceError("Newton system degenerated")
+    widest = max(abs(s) for s in step)
+    if widest > 1.0:
+        step = [s / widest for s in step]
+    return [cin[0]] + [cin[j] * math.exp(step[j - 1]) for j in range(1, n)]
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
@@ -166,14 +163,14 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     on a, nor on cref unless it clamps.  It then drives the exact
     sensitivities dT/dcin[i] to a for every unclamped gate.  Each
     iteration takes a tridiagonal Newton step off the derivative pass that
-    opens it: on the exact Hessian, or on the frozen surrogate's where the
-    exact one loses positive definiteness.  The proposal's own pass gives
-    its delay; the step is accepted only if it does not increase the
-    descent merit T - a * sum(cin), else it is damped toward the previous
-    sizing in log space, up to 20 halvings of one pass each.  A step from
-    a positive-definite system always descends, so if every damping
-    ascends the point is stationary to rounding and the iteration stands
-    still.  Sizes are clamped at cref from below.  a = 0 is the
+    opens it, on the exact Hessian; where that is not positive definite,
+    each row that is not diagonally dominant is made so.  The proposal's
+    own pass gives its delay; the step is accepted only if it does not
+    increase the descent merit T - a * sum(cin), else it is damped toward
+    the previous sizing in log space, up to 20 halvings of one pass each.
+    A step from a positive-definite system always descends, so if every
+    damping ascends the point is stationary to rounding and the iteration
+    stands still.  Sizes are clamped at cref from below.  a = 0 is the
     minimum-delay condition.  Once a step settles (sizes move less than
     CAP_TOL, the delay less than DELAY_TOL, both relative), its pass
     returns the sizing, its evaluated timing and the steps taken if every

@@ -16,9 +16,9 @@ that total and stop on that gradient.
 ``path_coefficients`` regroups the same expression by each gate's output
 transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
 cin[i], freezing the Miller factors and parasitics at the current sizing.
-At the freezing point both views agree to rounding.  A Newton step takes
-the frozen view's curvature where the exact Hessian is not positive
-definite, and the fanout-limit probes size their buffer on it.
+At the freezing point both views agree to rounding.  The fanout-limit
+probes size their buffer on the frozen view, and ``path_gradient`` is
+its public gradient; no solver steps on it.
 """
 
 from __future__ import annotations
@@ -65,7 +65,8 @@ class LogicPath:
     input_edge       polarity of the transition entering gate 0
     driver_slope_rise / driver_slope_fall
                      transition time of the driving signal per polarity (ps)
-    seed_cin         optional per-gate starting sizes from the path file
+    seed_cin         optional per-gate cin= values from the path file;
+                     checked and carried through edits, read by no solver
     side_inverted    per-gate flag: True when the gate's side inputs pass
                      through added off-path inverters (set by rewrites)
     offpath_inverters  count of off-path inverters charged to this path's

@@ -6,8 +6,8 @@ at three tc/t_min ratios and above the all-minimum-drive ceiling, one
 `sweep` ladder and the equal-delay reference split.  The paths are 24
 seeded random chains over every `ref.proc` kind and both input edges,
 plus one chain on a library with a fixed 500 fF coupling capacitance,
-whose indefinite exact Hessian sends the solver to its frozen-surrogate
-Newton fallback.
+whose exact Hessian turns indefinite on the way, so the solver steps on
+its diagonally dominant fix.
 
 Regenerate the recording only when an output change is intended:
 
