@@ -235,6 +235,36 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                            iterations=max_iterations, residual=max_rel)
 
 
+def splice_sizing(sizes, path: LogicPath, cref: float) -> list[float]:
+    """Warm start for an edited path from its parent's fastest sizing.
+
+    sizes runs gate by gate along the edited path: the parent's size for
+    each gate that survived the edit, None for each gate it added.  A
+    survivor keeps its size.  Each run of new gates goes on the geometric
+    taper from the sized gate on its left to the one on its right (the
+    terminal load past the last gate), held at cref or above.  Gate 0 is
+    the path's input_cap.
+    """
+    out = list(sizes)
+    out[0] = path.input_cap
+    n = len(out)
+    start = 1
+    while start < n:
+        if out[start] is not None:
+            start += 1
+            continue
+        stop = start + 1
+        while stop < n and out[stop] is None:
+            stop += 1
+        left = out[start - 1]
+        ratio = (out[stop] if stop < n else path.terminal_load) / left
+        span = stop - start + 1
+        for i in range(start, stop):
+            out[i] = max(cref, left * ratio ** ((i - start + 1) / span))
+        start = stop
+    return out
+
+
 def min_delay_sizing(path: LogicPath, params: ProcessParams,
                      library: GateLibrary,
                      max_iterations: int = MAX_ITERATIONS,
@@ -244,8 +274,12 @@ def min_delay_sizing(path: LogicPath, params: ProcessParams,
     The a = 0 solve of link_fixed_point, so it stops once every unclamped
     exact sensitivity g_i has |g_i| <= 1e-6 * t_min / cref.  A cold solve
     starts on the geometric taper from input_cap to the terminal load;
-    warm starts anywhere else, and the converged answer does not depend on
-    where it starts.
+    warm starts anywhere else.  On libraries with strong fixed coupling
+    (cm_override_ff) the delay can have several local minima, and the
+    answer is the minimum whose basin the start lies in.  optimize and
+    greedy buffering start every edited path from its parent's fastest
+    sizing, spliced around the edit by splice_sizing, so an edited path
+    starts in its parent's basin.
     """
     sizing, timing, iters = link_fixed_point(
         PathModel(path, params, library), a=0.0, warm=warm,

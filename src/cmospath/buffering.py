@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bounds import min_delay_sizing
+from .bounds import min_delay_sizing, splice_sizing
 from .errors import ConfigError
 from .path import GateLibrary, LogicPath, PathModel, Sizing
 from .process import EDGES, GateTemplate, ProcessParams
@@ -250,8 +250,10 @@ def min_delay_with_buffers(path: LogicPath, params: ProcessParams,
     """Greedy buffer insertion: worst over-limit node, one at a time.
 
     After each tentative insertion the whole path is resized for minimum
-    delay; the insertion sticks only if it improves t_min by at least
-    0.1%.  Stops when no node is over its limit or the gain dries up.
+    delay, starting from the current sizing with the new buffers spliced
+    in (splice_sizing); the insertion sticks only if it improves t_min by
+    at least 0.1%, and its sizing is then the one the next trial splices.
+    Stops when no node is over its limit or the gain dries up.
     Never returns a slower path than the input, whose min-delay solve
     (sizing, t_min) is passed as `start` when the caller already has it.
     """
@@ -267,7 +269,11 @@ def min_delay_with_buffers(path: LogicPath, params: ProcessParams,
         for node in nodes:
             candidate = insert_buffers(current, [node], buffer_kind,
                                        polarity_mode)
-            cand_sizing, cand_t, _ = min_delay_sizing(candidate, params, library)
+            warm = splice_sizing(
+                [*sizing[:node + 1], *(None,) * (candidate.n - current.n),
+                 *sizing[node + 1:]], candidate, params.cref)
+            cand_sizing, cand_t, _ = min_delay_sizing(candidate, params,
+                                                      library, warm=warm)
             if cand_t < t_min * (1.0 - IMPROVE_TOL):
                 steps.append((node, polarity_mode))
                 current, sizing, t_min = candidate, cand_sizing, cand_t

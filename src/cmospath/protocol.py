@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bounds import DelayBounds, max_delay_sizing, min_delay_sizing
+from .bounds import (DelayBounds, max_delay_sizing, min_delay_sizing,
+                     splice_sizing)
 from .buffering import FlimitCache, insert_buffers, min_delay_with_buffers
 from .errors import InfeasibleError, InvariantError
 from .path import GateLibrary, LogicPath, Sizing
@@ -26,6 +27,7 @@ from .restructure import (
     local_equivalence_check,
     rank_gate_efficiency,
     segment_of,
+    without_inverter_pairs,
 )
 from .sizing import SensitivitySolution, distribute_constraint
 
@@ -112,12 +114,15 @@ def replay_trace(path: LogicPath, trace, library: GateLibrary) -> LogicPath:
     return current
 
 
-def _checked_rewrite(path: LogicPath, index: int,
-                     library: GateLibrary) -> tuple[LogicPath, int]:
+def _checked_rewrite(path: LogicPath, index: int, library: GateLibrary,
+                     sizing: Sizing) -> tuple[LogicPath, int, list]:
     """demorgan_rewrite + cancellation, with a truth-table window check.
 
-    Returns the new path and the number of inverter pairs cancelled; a
-    rewrite that changes the window's function raises InvariantError.
+    Returns the new path, the number of inverter pairs cancelled and, for
+    splice_sizing, the parent's sizing carried through the same edit: the
+    three gates the rewrite puts in place of gate `index` are unsized
+    (None), and a cancelled pair takes its sizes with it.  A rewrite that
+    changes the window's function raises InvariantError.
     """
     lo = max(0, index - 1)
     hi = min(path.n - 1, index + 1)
@@ -131,7 +136,10 @@ def _checked_rewrite(path: LogicPath, index: int,
         raise InvariantError(
             f"rewrite at gate {index} changed the segment function")
     cancelled = cancel_inverter_pairs(rewritten)
-    return cancelled, (rewritten.n - cancelled.n) // 2
+    sizes = [*sizing[:index], None, None, None, *sizing[index + 1:]]
+    sizes = [size for _, size in
+             without_inverter_pairs(zip(rewritten.gates, sizes))]
+    return cancelled, (rewritten.n - cancelled.n) // 2, sizes
 
 
 def _pick_rewrite(path: LogicPath, rank_pos: dict[str, int]) -> int | None:
@@ -247,8 +255,11 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
                 if index is None:
                     break
                 old_kind = route.path.gates[index]
-                new_path, pairs = _checked_rewrite(route.path, index, library)
-                sizing, t_min, _ = min_delay_sizing(new_path, params, library)
+                new_path, pairs, sizes = _checked_rewrite(
+                    route.path, index, library, route.sizing_min)
+                sizing, t_min, _ = min_delay_sizing(
+                    new_path, params, library,
+                    warm=splice_sizing(sizes, new_path, params.cref))
                 step = TraceStep("restruct", {
                     "index": index, "from": old_kind,
                     "to": f"inv+{dual_kind(old_kind)}+inv",

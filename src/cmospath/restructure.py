@@ -11,6 +11,7 @@ critical line are cancelled afterwards.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -118,11 +119,14 @@ def segment_of(path: LogicPath, library: GateLibrary, start: int,
     return PathSegment(tuple(gates))
 
 
+@functools.lru_cache(maxsize=256)
 def local_equivalence_check(before: PathSegment, after: PathSegment) -> bool:
     """Exhaustive truth-table equality of two segments.
 
     The segments must expose the same number of external inputs;
-    mismatched arity is a structural error, not inequivalence.
+    mismatched arity is a structural error, not inequivalence.  Segments
+    are frozen values and rewrites revisit the same few windows, so
+    answers are memoized; an arity error is raised on every call.
     """
     if before.n_inputs != after.n_inputs:
         raise ValueError(
@@ -180,18 +184,28 @@ def demorgan_rewrite(path: LogicPath, index: int,
         path.offpath_inverters + (-n_side if was_inverted else n_side)))
 
 
+def without_inverter_pairs(records) -> list:
+    """Per-gate records with back-to-back inverter pairs removed, to fixpoint.
+
+    A record is any tuple whose first item is the gate kind, so whatever
+    else it carries (a seed, a size) leaves with its gate.
+    """
+    stack = []
+    for record in records:
+        if stack and record[0] == "inv" and stack[-1][0] == "inv":
+            stack.pop()
+        else:
+            stack.append(record)
+    return stack
+
+
 def cancel_inverter_pairs(path: LogicPath) -> LogicPath:
     """Remove back-to-back inverter pairs on the critical line, to fixpoint.
 
     Only plain ``inv`` gates cancel; the operation preserves the segment
     function exactly and leaves off-path bookkeeping untouched.
     """
-    stack = []
-    for record in path.records():
-        if stack and record[0] == "inv" and stack[-1][0] == "inv":
-            stack.pop()
-        else:
-            stack.append(record)
+    stack = without_inverter_pairs(path.records())
     if len(stack) == path.n:
         return path
     # A pure inverter chain of even length cancels to nothing; keep one

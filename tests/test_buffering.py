@@ -7,6 +7,7 @@ insertion to confirm each accepted step actually paid.
 
 import dataclasses
 import math
+import random
 import time
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import oracles
 from conftest import REF_PROC
 from cmospath import buffering
-from cmospath.bounds import min_delay_sizing
+from cmospath.bounds import min_delay_sizing, splice_sizing
 from cmospath.buffering import (FanoutLimit, FlimitCache, _crossing,
                                 find_critical_nodes, flimit, flimit_table,
                                 insert_buffers, min_delay_with_buffers,
@@ -432,3 +433,97 @@ class TestMinDelayWithBuffers:
         assert result.domain.kind.value == "hard"
         assert result.final_path.gates != heavy_path.gates
         assert solved and heavy_path not in solved
+
+
+def taper(left, right, count, cref):
+    """`count` sizes on the geometric taper strictly between left and right."""
+    return [max(cref, left * (right / left) ** (k / (count + 1)))
+            for k in range(1, count + 1)]
+
+
+class TestSpliceSizing:
+    PATH = LogicPath(gates=("inv", "nand2", "nor2", "inv"), input_cap=4.0,
+                     terminal_load=400.0)
+
+    def first_trial_warm(self, node, mode, params, library, monkeypatch):
+        """The parent sizing and the warm start of greedy buffering's trial
+        at `node`, taken from the call the loop makes."""
+        sizing, t_min, _ = min_delay_sizing(self.PATH, params, library)
+        nodes = [[node]]
+        warms = []
+
+        def recording(path, params, library, *args, warm=None, **kwargs):
+            warms.append(warm)
+            return min_delay_sizing(path, params, library, *args, warm=warm,
+                                    **kwargs)
+
+        monkeypatch.setattr(buffering, "find_critical_nodes",
+                            lambda *args: nodes.pop() if nodes else [])
+        monkeypatch.setattr(buffering, "min_delay_sizing", recording)
+        min_delay_with_buffers(self.PATH, params, library,
+                               polarity_mode=mode, start=(sizing, t_min))
+        return sizing, warms[0]
+
+    @pytest.mark.parametrize("mode, count", [("single", 1), ("pair", 2)])
+    @pytest.mark.parametrize("node", [0, 1, 3])
+    def test_insertion_keeps_the_parent_and_tapers_the_buffers(
+            self, ref_params, ref_library, monkeypatch, node, mode, count):
+        sizing, warm = self.first_trial_warm(node, mode, ref_params,
+                                             ref_library, monkeypatch)
+        assert len(warm) == self.PATH.n + count
+        # Survivors keep their parent size bit for bit, gate 0 included.
+        assert warm[:node + 1] == list(sizing[:node + 1])
+        assert warm[node + 1 + count:] == list(sizing[node + 1:])
+        assert warm[0] == self.PATH.input_cap
+        # Past the last gate the terminal load is the right neighbour.
+        right = (sizing[node + 1] if node + 1 < self.PATH.n
+                 else self.PATH.terminal_load)
+        new = warm[node + 1:node + 1 + count]
+        assert new == pytest.approx(
+            taper(sizing[node], right, count, ref_params.cref), rel=1e-15)
+        assert all(c >= ref_params.cref for c in new)
+
+    def test_new_gates_held_at_cref(self):
+        # A terminal load below cref would pull the taper under it.
+        path = LogicPath(gates=("inv",) * 4, input_cap=4.0,
+                         terminal_load=0.5)
+        warm = splice_sizing([4.0, 3.0, None, None], path, 2.0)
+        assert warm[:2] == [4.0, 3.0]
+        assert warm[2:] == [2.0, 2.0]
+
+    def test_new_gate_zero_is_the_input_cap(self):
+        path = LogicPath(gates=("inv", "inv", "nand2"), input_cap=4.0,
+                         terminal_load=100.0)
+        warm = splice_sizing([None, None, 36.0], path, 2.0)
+        assert warm == [4.0, pytest.approx(12.0, rel=1e-15), 36.0]
+
+    def test_warm_trials_take_fewer_iterations(self, ref_params, ref_library,
+                                               monkeypatch):
+        # Every greedy trial on a long chain is re-solved cold; the trials
+        # started from the spliced parent sizing must take at most 3/4 of
+        # the cold iterations and reach the same t_min.
+        rng = random.Random(4)
+        path = LogicPath(
+            gates=tuple(rng.choice(sorted(ref_library)) for _ in range(120)),
+            input_cap=rng.uniform(2.0, 8.0),
+            terminal_load=rng.uniform(100.0, 2000.0))
+        trials = []
+
+        def recording(path, params, library, *args, **kwargs):
+            out = min_delay_sizing(path, params, library, *args, **kwargs)
+            trials.append((path, out))
+            return out
+
+        sizing, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
+        monkeypatch.setattr(buffering, "min_delay_sizing", recording)
+        min_delay_with_buffers(path, ref_params, ref_library,
+                               start=(sizing, t_min))
+        assert len(trials) >= 5
+        warm = cold = 0
+        for trial, (_, t_warm, iters) in trials:
+            _, t_cold, cold_iters = min_delay_sizing(trial, ref_params,
+                                                     ref_library)
+            assert t_warm == pytest.approx(t_cold, rel=1e-12)
+            warm += iters
+            cold += cold_iters
+        assert warm <= 0.75 * cold

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from cmospath import protocol
-from cmospath.bounds import min_delay_sizing
+from cmospath import protocol, restructure
+from cmospath.bounds import min_delay_sizing, splice_sizing
+from cmospath.buffering import insert_buffers
 from cmospath.errors import (CmosPathError, ConfigError, InfeasibleError,
                              InvariantError)
 from cmospath.path import LogicPath
@@ -235,6 +236,31 @@ class TestInternalChecks:
             optimize(chain11, 0.95 * t_min, ref_params, ref_library)
         assert isinstance(err.value, CmosPathError)
 
+    def test_memoized_window_check_still_catches_a_wrong_rewrite(
+            self, ref_params, ref_library, chain11, monkeypatch):
+        _, t_min, _ = min_delay_sizing(chain11, ref_params, ref_library)
+        tc = 0.95 * t_min
+        restructure.local_equivalence_check.cache_clear()
+        try:
+            optimize(chain11, tc, ref_params, ref_library)
+        except InfeasibleError:
+            pass
+        # Valid rewrites filled the cache, the same windows included.
+        assert restructure.local_equivalence_check.cache_info().currsize
+        real = restructure.demorgan_rewrite
+
+        def same_kind_back(path, index, library):
+            # The inverters and flipped side inputs of a De Morgan rewrite,
+            # but around the original kind instead of its dual.
+            out = real(path, index, library)
+            gates = list(out.gates)
+            gates[index + 1] = path.gates[index]
+            return dataclasses.replace(out, gates=tuple(gates))
+
+        monkeypatch.setattr(protocol, "demorgan_rewrite", same_kind_back)
+        with pytest.raises(InvariantError, match="changed the segment"):
+            optimize(chain11, tc, ref_params, ref_library)
+
     def test_missing_offpath_inverters_raise_config_error(self, ref_params,
                                                           ref_library):
         # The inverted nor3 side inputs need two off-path inverters; undoing
@@ -263,6 +289,70 @@ class TestInternalChecks:
 
 
 KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
+
+
+class TestRewriteSplice:
+    def test_rewrite_at_zero_cancels_a_pair_with_its_size(
+            self, ref_params, ref_library, monkeypatch):
+        path = LogicPath(gates=("nor2", "inv", "nand2", "inv"),
+                         input_cap=4.0, terminal_load=400.0)
+        sizing, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
+        solves = []
+
+        def recording(path, params, library, *args, warm=None, **kwargs):
+            solves.append((path, warm))
+            return min_delay_sizing(path, params, library, *args, warm=warm,
+                                    **kwargs)
+
+        monkeypatch.setattr(protocol, "min_delay_sizing", recording)
+        try:
+            optimize(path, 0.9 * t_min, ref_params, ref_library,
+                     allow_buffer=False)
+        except InfeasibleError:
+            pass
+        assert solves[0] == (path, None)
+        rewritten, warm = solves[1]
+        # nor2 -> inv + nand2 + inv; the trailing inv cancels the parent's
+        # gate 1, whose size leaves with it.
+        assert rewritten.gates == ("inv", "nand2", "nand2", "inv")
+        assert warm[0] == path.input_cap
+        assert warm[2:] == list(sizing[2:])
+        assert warm[1] == pytest.approx(
+            max(ref_params.cref, (path.input_cap * sizing[2]) ** 0.5),
+            rel=1e-15)
+        assert warm[1] >= ref_params.cref
+
+    @settings(max_examples=40, deadline=None)
+    @given(gates=st.lists(st.sampled_from(KINDS), min_size=2, max_size=40),
+           input_cap=st.floats(2.0, 8.0), load=st.floats(10.0, 2000.0),
+           edge=st.sampled_from(("rising", "falling")),
+           pick=st.floats(0.0, 1.0), edit=st.sampled_from(
+               ("single", "pair", "rewrite")))
+    def test_spliced_start_reaches_the_cold_minimum(
+            self, ref_params, ref_library, gates, input_cap, load, edge,
+            pick, edit):
+        path = LogicPath(gates=tuple(gates), input_cap=input_cap,
+                         terminal_load=load, input_edge=edge)
+        sizing, _, _ = min_delay_sizing(path, ref_params, ref_library)
+        if edit == "rewrite":
+            sites = [i for i, kind in enumerate(gates) if kind != "inv"]
+            if not sites:
+                return
+            index = sites[int(pick * (len(sites) - 1))]
+            edited, _, sizes = protocol._checked_rewrite(
+                path, index, ref_library, sizing)
+        else:
+            node = int(pick * (path.n - 1))
+            edited = insert_buffers(path, [node], polarity_mode=edit)
+            sizes = [*sizing[:node + 1], *(None,) * (edited.n - path.n),
+                     *sizing[node + 1:]]
+        warm = splice_sizing(sizes, edited, ref_params.cref)
+        assert len(warm) == edited.n
+        assert all(c >= ref_params.cref for c in warm[1:])
+        _, t_warm, _ = min_delay_sizing(edited, ref_params, ref_library,
+                                        warm=warm)
+        _, t_cold, _ = min_delay_sizing(edited, ref_params, ref_library)
+        assert t_warm == pytest.approx(t_cold, rel=1e-12)
 
 
 @st.composite
