@@ -25,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError
 from .path import GateLibrary, LogicPath, PathModel, PathTiming, Sizing
@@ -51,6 +52,22 @@ class DelayBounds:
     def __post_init__(self):
         if self.t_min > self.t_max * (1.0 + 1e-12):
             raise ValueError("t_min must not exceed t_max")
+
+
+class FixedPoint(NamedTuple):
+    """A converged link fixed point and the derivative pass it stopped on.
+
+    diag and off are that pass's exact Hessian over the free gates (see
+    PathModel.derivatives), taken at sizing, so a caller that needs the
+    curvature there has it without another pass.  A named tuple, not a
+    frozen dataclass: creating a dataclass costs about 1 ms at import.
+    """
+
+    sizing: Sizing
+    timing: PathTiming
+    steps: int
+    diag: list[float]
+    off: list[float]
 
 
 def max_delay_sizing(path: LogicPath, params: ProcessParams,
@@ -154,8 +171,7 @@ def _newton_step(model: PathModel, cin, grad, hd, ho, a: float,
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
                      warm: Sizing | None = None,
-                     max_iterations: int = MAX_ITERATIONS
-                     ) -> tuple[Sizing, PathTiming, int]:
+                     max_iterations: int = MAX_ITERATIONS) -> FixedPoint:
     """Solve the equal-sensitivity stationarity system at target a <= 0.
 
     Starts from warm if given, else from the geometric taper cin[i] =
@@ -173,9 +189,10 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     stands still.  Sizes are clamped at cref from below.  a = 0 is the
     minimum-delay condition.  Once a step settles (sizes move less than
     CAP_TOL, the delay less than DELAY_TOL, both relative), its pass
-    returns the sizing, its evaluated timing and the steps taken if every
-    unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| + RESIDUAL_TOL
-    * T / cref.  The accepted pass opens the next iteration.
+    returns the sizing, its evaluated timing, the steps taken and its
+    Hessian (diag, off) as a FixedPoint if every unclamped gate has
+    |g_j - a| <= SENSITIVITY_REL * |a| + RESIDUAL_TOL * T / cref.  The
+    accepted pass opens the next iteration.
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
@@ -184,7 +201,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
 
     if n == 1:
         sizing = (model.input_cap,)
-        return sizing, model.evaluate(sizing), 0
+        return FixedPoint(sizing, model.evaluate(sizing), 0, [], [])
 
     if warm is not None:
         cin = list(warm)
@@ -219,7 +236,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                 if trial[2] <= ceiling:
                     nxt = trial
                     break
-        new, (grad, _, _, new_delay), _ = here = nxt
+        new, (grad, hd, ho, new_delay), _ = here = nxt
         max_rel = max(abs(new[i] - cin[i]) / cin[i] for i in range(1, n))
         if (max_rel < CAP_TOL
                 and abs(new_delay - delay) <= DELAY_TOL * new_delay):
@@ -230,7 +247,8 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                 held = [j for j in range(1, n) if clamped[j]]
                 if held:
                     logger.debug("fixed point clamped gates at cref: %s", held)
-                return tuple(new), model.evaluate(new), steps
+                return FixedPoint(tuple(new), model.evaluate(new), steps,
+                                  hd, ho)
     raise ConvergenceError("sizing fixed point did not converge",
                            iterations=max_iterations, residual=max_rel)
 
@@ -281,10 +299,9 @@ def min_delay_sizing(path: LogicPath, params: ProcessParams,
     sizing, spliced around the edit by splice_sizing, so an edited path
     starts in its parent's basin.
     """
-    sizing, timing, iters = link_fixed_point(
-        PathModel(path, params, library), a=0.0, warm=warm,
-        max_iterations=max_iterations)
-    return sizing, timing.total_delay, iters
+    fixed = link_fixed_point(PathModel(path, params, library), a=0.0,
+                             warm=warm, max_iterations=max_iterations)
+    return fixed.sizing, fixed.timing.total_delay, fixed.steps
 
 
 def compute_bounds(path: LogicPath, params: ProcessParams,

@@ -4,10 +4,12 @@ A gate kind has a characteristic fanout beyond which handing its load to
 an optimally sized buffer is faster than driving the load directly.  That
 crossing, measured on a two-gate probe structure, depends only on the
 loaded gate, the buffer kind, and the process: the driving stage
-contributes identically to both alternatives.  Nodes whose effective
-fanout exceeds the limit of their driving gate are where insertion pays;
-insertion is accepted greedily, worst node first, only while the global
-minimum delay keeps improving.
+contributes identically to both alternatives.  A gate's fanout is its
+downstream node's capacitance over its own input capacitance (`fanout`);
+the model adds the gate's parasitic par_coeff * cin on top, in the probe
+and on a path alike.  Gates whose fanout exceeds their kind's limit are
+where insertion pays; insertion is accepted greedily, worst gate first,
+only while the global minimum delay keeps improving.
 """
 
 from __future__ import annotations
@@ -62,10 +64,26 @@ def optimal_buffer_size(a_gate: float, cin_gate: float, a_buf: float,
     return max(c1, params.cref)
 
 
-def _probe_paths(gate: str, buffer_kind: str, cin: float, fanout: float,
+def fanout(sizing, i: int, terminal_load: float) -> float:
+    """Fanout of gate i: its downstream node over its own cin.
+
+    The downstream node is cin[i+1], or the terminal load for the last
+    gate; the gate's parasitic is left out, since the model adds it.  The
+    probe loads its gate with fanout * cin, so that this reads back the
+    fanout it was probed at, and find_critical_nodes reads a path with it.
+    """
+    nxt = sizing[i + 1] if i < len(sizing) - 1 else terminal_load
+    return nxt / sizing[i]
+
+
+def _probe_paths(gate: str, buffer_kind: str, cin: float, f: float,
                  edge: str) -> tuple[LogicPath, LogicPath]:
-    """Plain and buffered probe structures, the buffer kind driving both."""
-    common = dict(input_cap=cin, terminal_load=fanout * cin,
+    """Plain and buffered probe structures, the buffer kind driving both.
+
+    The gate sits at cin behind a buffer of the same cin, loaded so that
+    its fanout is f.
+    """
+    common = dict(input_cap=cin, terminal_load=f * cin,
                   input_edge=edge, driver_slope_rise=0.0,
                   driver_slope_fall=0.0)
     return (LogicPath(gates=(buffer_kind, gate), **common),
@@ -120,16 +138,14 @@ def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
     library = {gate: gate_template, buffer_kind: buffer_template}
     cin = 64.0 * params.cref
 
-    def gap(fanout: float) -> float:
+    def gap(f: float) -> float:
         total = 0.0
         for edge in EDGES:
-            plain, buffered = _probe_paths(gate, buffer_kind, cin, fanout,
-                                           edge)
+            plain, buffered = _probe_paths(gate, buffer_kind, cin, f, edge)
             d_plain = PathModel(plain, params, library).evaluate(
                 (cin, cin)).total_delay
             d_buf = _buffered_probe_delay(
-                PathModel(buffered, params, library), cin, fanout * cin,
-                params)
+                PathModel(buffered, params, library), cin, f * cin, params)
             total += d_buf - d_plain
         return total / len(EDGES)
 
@@ -160,31 +176,34 @@ def flimit_table(params: ProcessParams, library: GateLibrary,
 
 
 class FlimitCache:
-    """Lazy fanout-limit lookup keyed by (driver_kind, gate_kind)."""
+    """Lazy fanout-limit lookup keyed by gate kind.
+
+    The limit does not depend on the driver, so each is probed with the
+    buffer kind driving, as flimit always does.
+    """
 
     def __init__(self, params: ProcessParams, library: GateLibrary,
                  buffer_kind: str = "inv"):
         self.params = params
         self.library = library
         self.buffer_kind = buffer_kind
-        self._table: dict[tuple[str, str], FanoutLimit] = {}
+        self._table: dict[str, FanoutLimit] = {}
 
-    def __getitem__(self, key: tuple[str, str]) -> FanoutLimit:
-        if key not in self._table:
-            driver, gate = key
-            self._table[key] = flimit(driver, gate, self.params,
-                                      self.library, self.buffer_kind)
-        return self._table[key]
+    def __getitem__(self, gate: str) -> FanoutLimit:
+        if gate not in self._table:
+            self._table[gate] = flimit(self.buffer_kind, gate, self.params,
+                                       self.library, self.buffer_kind)
+        return self._table[gate]
 
 
 def find_critical_nodes(path: LogicPath, sizing, limits,
                         params: ProcessParams, library: GateLibrary,
                         buffer_kind: str = "inv") -> list[int]:
-    """Gate indices whose effective fanout exceeds their kind's limit.
+    """Gate indices whose fanout exceeds their kind's limit.
 
-    Effective fanout of gate i is (next cin + own parasitic) / cin[i]; the
-    applicable limit is looked up under the gate's actual driver (the
-    buffer kind stands in for the external driver of gate 0).  Sorted by
+    Fanout is measured as the probe measures it (`fanout`), and limits
+    maps a gate kind to its FanoutLimit.  buffer_kind is not read: the
+    limits were already probed with it.  Sorted by
     overshoot ratio, worst first.  Ratios within TIE_RTOL (relative) of
     the worst one left count as tied and go in index order, so rounding
     in the last bits of the sizing cannot reorder nodes that tie exactly.
@@ -193,12 +212,10 @@ def find_critical_nodes(path: LogicPath, sizing, limits,
     model.check_sizing(sizing)
     flagged: list[tuple[float, int]] = []
     for i in range(model.n):
-        nxt = sizing[i + 1] if i < model.n - 1 else model.terminal_load
-        fanout = (nxt + model._par[i] * sizing[i]) / sizing[i]
-        driver = path.gates[i - 1] if i > 0 else buffer_kind
-        limit = limits[(driver, path.gates[i])].f_limit
-        if math.isfinite(limit) and fanout > limit:
-            flagged.append((fanout / limit, i))
+        f = fanout(sizing, i, model.terminal_load)
+        limit = limits[path.gates[i]].f_limit
+        if math.isfinite(limit) and f > limit:
+            flagged.append((f / limit, i))
     flagged.sort(key=lambda item: (-item[0], item[1]))
     order: list[int] = []
     while flagged:

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import (DelayBounds, _solve_tridiagonal, compute_bounds,
-                     link_fixed_point)
+from .bounds import (DelayBounds, FixedPoint, _solve_tridiagonal,
+                     compute_bounds, link_fixed_point)
 from .errors import ConvergenceError, InfeasibleError
 from .path import GateLibrary, LogicPath, PathModel, Sizing
 from .process import ProcessParams
@@ -42,12 +42,15 @@ class SensitivitySolution:
             raise ValueError("a_value must be <= 0")
 
 
+def _solution(a: float, fixed: FixedPoint) -> SensitivitySolution:
+    return SensitivitySolution(a_value=a, sizing=fixed.sizing,
+                               delay=fixed.timing.total_delay,
+                               area=fixed.timing.total_width)
+
+
 def _solve(model: PathModel, a: float,
            warm: Sizing | None = None) -> SensitivitySolution:
-    sizing, timing, _ = link_fixed_point(model, a=a, warm=warm)
-    return SensitivitySolution(a_value=a, sizing=sizing,
-                               delay=timing.total_delay,
-                               area=timing.total_width)
+    return _solution(a, link_fixed_point(model, a=a, warm=warm))
 
 
 def solve_at_sensitivity(path: LogicPath, a: float, params: ProcessParams,
@@ -64,18 +67,20 @@ def solve_at_sensitivity(path: LogicPath, a: float, params: ProcessParams,
     return _solve(PathModel(path, params, library), a, warm=warm)
 
 
-def _delay_curvature(model: PathModel, sizing: Sizing) -> float | None:
+def _delay_curvature(model: PathModel, sizing: Sizing, diag,
+                     off) -> float | None:
     """q = 1^T H_ff^-1 1 at a constant-sensitivity point, so dT/da = a * q.
 
     Differentiating the stationarity system g(cin) = a * 1 over the free
     gates gives H_ff dcin/da = 1, hence dT/da = g^T dcin/da = a * q.  H_ff
-    is the exact Hessian with clamped gates pinned (unit diagonal, zero
-    right-hand side).  Returns None when H_ff is not positive definite,
-    which strong fixed coupling can cause.
+    is the exact Hessian (diag, off) at sizing, as PathModel.derivatives
+    or the solve that reached sizing gives it, with clamped gates pinned
+    (unit diagonal, zero right-hand side); diag and off are not modified.
+    Returns None when H_ff is not positive definite, which strong fixed
+    coupling can cause.
     """
-    diag, off = model.derivatives(sizing)[1:3]
     clamped = model.clamped(sizing)[1:]
-    x = _solve_tridiagonal(diag, off, [1.0] * len(diag),
+    x = _solve_tridiagonal(list(diag), list(off), [1.0] * len(diag),
                            [idx for idx, c in enumerate(clamped) if c])
     if x is None:
         return None
@@ -93,7 +98,9 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
     solve from the previous one, until the achieved delay lands in the
     one-sided band tc * (1 - 1e-3) <= delay <= tc.  Newton uses dT/da =
     a * 1^T H^-1 1 over the unclamped gates, and its first step from a = 0
-    the quadratic model T = t_min + q a^2 / 2; a step that leaves the
+    the quadratic model T = t_min + q a^2 / 2; q is read off the last
+    derivative pass of the solve that reached each a, so only the one at
+    the fastest sizing takes a pass of its own.  A step that leaves the
     bracket of a values known to be too slow and too fast falls back to
     the bracket's geometric mean.  tc below t_min raises InfeasibleError
     carrying t_min; tc at or above t_max returns the all-minimum sizing
@@ -132,8 +139,9 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
     # a_floor T = t_max > tc), hi too fast.
     lo, hi = a_floor, 0.0
     a = 0.0
+    curvature = model.derivatives(sol.sizing)[1:3]
     for _ in range(MAX_SENSITIVITY_STEPS):
-        q = _delay_curvature(model, sol.sizing)
+        q = _delay_curvature(model, sol.sizing, *curvature)
         if q is None:
             step = math.nan  # fails the bracket test below
         elif a == 0.0:
@@ -144,7 +152,9 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
             a = step
         else:
             a = -math.sqrt(lo * hi) if hi < 0.0 else lo / 8.0
-        sol = _solve(model, a, warm=sol.sizing)
+        fixed = link_fixed_point(model, a=a, warm=sol.sizing)
+        sol = _solution(a, fixed)
+        curvature = fixed.diag, fixed.off
         if low <= sol.delay <= tc:
             return sol
         if sol.delay > tc:

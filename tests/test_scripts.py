@@ -53,3 +53,14 @@ def test_frontier_sweep_runs_from_floor_to_minimum(tmp_path):
     t_min = float(re.search(r"t_min=([0-9.]+) ps", proc.stdout).group(1))
     assert delays[-1] == t_min
     assert "# equal-delay baseline at tc=" in proc.stdout
+
+
+def test_diff_optimize_finds_no_difference_against_its_own_tree():
+    proc = run_script("diff_optimize.py", str(ROOT / "src"), "--seed", "3",
+                      "--count", "12")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(r"^# 12 cases: 0 structural differences, 0 infeasible "
+                     r"flips, 0 area changes$", proc.stdout, flags=re.M), \
+        proc.stdout
+    assert "largest relative drift 0.000e+00" in proc.stdout
+    assert not re.search(r"^case ", proc.stdout, flags=re.M)

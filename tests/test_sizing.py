@@ -133,6 +133,43 @@ class TestDistributeConstraint:
         assert sum(solves) / len(solves) <= 5.0
         assert max(solves) <= 8
 
+    def test_curvature_comes_from_the_solves(self, ref_params, ref_library,
+                                             chain11, chain13, heavy_path,
+                                             monkeypatch):
+        # Each Newton step on a needs the Hessian at the last solve's
+        # sizing, and that solve's final derivative pass already holds it.
+        # Outside the fixed-point solves only two passes remain: the
+        # all-minimum corner (the bracket's floor) and the fastest sizing
+        # (the first step).
+        real_solve, real_derivatives = (sizing.link_fixed_point,
+                                        PathModel.derivatives)
+        open_solves, outside = [], []
+
+        def solving(*args, **kwargs):
+            open_solves.append(True)
+            try:
+                return real_solve(*args, **kwargs)
+            finally:
+                open_solves.pop()
+
+        def derivatives(model, at):
+            if not open_solves:
+                outside.append(tuple(at))
+            return real_derivatives(model, at)
+
+        for path in (chain11, chain13, heavy_path):
+            bounds = compute_bounds(path, ref_params, ref_library)
+            for ratio in (1.1, 1.5, 3.0):
+                outside.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(sizing, "link_fixed_point", solving)
+                    patch.setattr(PathModel, "derivatives", derivatives)
+                    sol = distribute_constraint(path, ratio * bounds.t_min,
+                                                ref_params, ref_library,
+                                                bounds=bounds)
+                assert sol.a_value < 0.0
+                assert outside == [bounds.sizing_max, bounds.sizing_min]
+
     def test_bracket_alone_meets_the_band(self, ref_params, ref_library,
                                           chain11, monkeypatch):
         # With no usable dT/da (an indefinite Hessian), every step falls
