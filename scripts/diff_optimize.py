@@ -93,9 +93,10 @@ def worker(argv) -> int:
             input_edge=spec["input_edge"],
             driver_slope_rise=spec["driver_slope_rise"],
             driver_slope_fall=spec["driver_slope_fall"])
-        t_min = cmospath.min_delay_sizing(path, params, library)[1]
-        out = {"spec": spec, "numbers": {"t_min": t_min}}
+        out = {"spec": spec, "numbers": {}}
         try:
+            t_min = cmospath.min_delay_sizing(path, params, library)[1]
+            out["numbers"]["t_min"] = t_min
             result = cmospath.optimize(path, spec["ratio"] * t_min, params,
                                        library,
                                        buffer_mode=spec["buffer_mode"])

@@ -5,11 +5,13 @@ an optimally sized buffer is faster than driving the load directly.  That
 crossing, measured on a two-gate probe structure, depends only on the
 loaded gate, the buffer kind, and the process: the driving stage
 contributes identically to both alternatives.  A gate's fanout is its
-downstream node's capacitance over its own input capacitance (`fanout`);
-the model adds the gate's parasitic par_coeff * cin on top, in the probe
-and on a path alike.  Gates whose fanout exceeds their kind's limit are
-where insertion pays; insertion is accepted greedily, worst gate first,
-only while the global minimum delay keeps improving.
+downstream node's capacitance over its own input capacitance
+(`load_ratios`); the model adds the gate's parasitic par_coeff * cin on
+top, in the probe and on a path alike.  Gates whose fanout exceeds their
+kind's limit are where insertion pays; insertion is accepted greedily,
+worst gate first, only while the global minimum delay keeps improving.
+The probe holds the gate's size fixed and sees no edge flip, so a round
+in which no over-limit gate pays tries a few more sites (`_extra_sites`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 from .bounds import min_delay_sizing, splice_sizing
 from .errors import ConfigError
 from .path import GateLibrary, LogicPath, PathModel, Sizing
-from .process import EDGES, GateTemplate, ProcessParams
+from .process import (EDGES, GateTemplate, ProcessParams, coupling_split,
+                      other_edge, output_scale, stage_delay)
 
 FLIMIT_LO = 1.0
 FLIMIT_HI = 100.0
@@ -64,26 +67,14 @@ def optimal_buffer_size(a_gate: float, cin_gate: float, a_buf: float,
     return max(c1, params.cref)
 
 
-def fanout(sizing, i: int, terminal_load: float) -> float:
-    """Fanout of gate i: its downstream node over its own cin.
-
-    The downstream node is cin[i+1], or the terminal load for the last
-    gate; the gate's parasitic is left out, since the model adds it.  The
-    probe loads its gate with fanout * cin, so that this reads back the
-    fanout it was probed at, and find_critical_nodes reads a path with it.
-    """
-    nxt = sizing[i + 1] if i < len(sizing) - 1 else terminal_load
-    return nxt / sizing[i]
-
-
-def _probe_paths(gate: str, buffer_kind: str, cin: float, f: float,
+def _probe_paths(gate: str, buffer_kind: str, cin: float, fanout: float,
                  edge: str) -> tuple[LogicPath, LogicPath]:
     """Plain and buffered probe structures, the buffer kind driving both.
 
-    The gate sits at cin behind a buffer of the same cin, loaded so that
-    its fanout is f.
+    The gate sits at cin behind a buffer of the same cin, its downstream
+    node at fanout * cin: the fanout that load_ratios reads on a path.
     """
-    common = dict(input_cap=cin, terminal_load=f * cin,
+    common = dict(input_cap=cin, terminal_load=fanout * cin,
                   input_edge=edge, driver_slope_rise=0.0,
                   driver_slope_fall=0.0)
     return (LogicPath(gates=(buffer_kind, gate), **common),
@@ -138,14 +129,16 @@ def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
     library = {gate: gate_template, buffer_kind: buffer_template}
     cin = 64.0 * params.cref
 
-    def gap(f: float) -> float:
+    def gap(fanout: float) -> float:
         total = 0.0
         for edge in EDGES:
-            plain, buffered = _probe_paths(gate, buffer_kind, cin, f, edge)
+            plain, buffered = _probe_paths(gate, buffer_kind, cin, fanout,
+                                           edge)
             d_plain = PathModel(plain, params, library).evaluate(
                 (cin, cin)).total_delay
             d_buf = _buffered_probe_delay(
-                PathModel(buffered, params, library), cin, f * cin, params)
+                PathModel(buffered, params, library), cin, fanout * cin,
+                params)
             total += d_buf - d_plain
         return total / len(EDGES)
 
@@ -196,26 +189,38 @@ class FlimitCache:
         return self._table[gate]
 
 
+def load_ratios(path: LogicPath, sizing, limits) -> list[float | None]:
+    """Each gate's fanout over its kind's limit; None where the limit is inf.
+
+    A gate's fanout is its downstream node over its own cin: cin[i+1], or
+    the terminal load for the last gate.  Its parasitic is left out, as
+    the probe leaves it out: the model adds it in both.
+    """
+    n = len(sizing)
+    ratios: list[float | None] = []
+    for i, kind in enumerate(path.gates):
+        nxt = sizing[i + 1] if i < n - 1 else path.terminal_load
+        limit = limits[kind].f_limit
+        ratios.append(nxt / sizing[i] / limit if math.isfinite(limit)
+                      else None)
+    return ratios
+
+
 def find_critical_nodes(path: LogicPath, sizing, limits,
                         params: ProcessParams, library: GateLibrary,
                         buffer_kind: str = "inv") -> list[int]:
     """Gate indices whose fanout exceeds their kind's limit.
 
-    Fanout is measured as the probe measures it (`fanout`), and limits
-    maps a gate kind to its FanoutLimit.  buffer_kind is not read: the
-    limits were already probed with it.  Sorted by
-    overshoot ratio, worst first.  Ratios within TIE_RTOL (relative) of
-    the worst one left count as tied and go in index order, so rounding
-    in the last bits of the sizing cannot reorder nodes that tie exactly.
+    Fanout is read by load_ratios, and limits maps a gate kind to its
+    FanoutLimit.  buffer_kind is not read: the limits were already probed
+    with it.  Sorted by overshoot ratio, worst first.  Ratios within
+    TIE_RTOL (relative) of the worst one left count as tied and go in
+    index order, so rounding in the last bits of the sizing cannot
+    reorder nodes that tie exactly.
     """
-    model = PathModel(path, params, library)
-    model.check_sizing(sizing)
-    flagged: list[tuple[float, int]] = []
-    for i in range(model.n):
-        f = fanout(sizing, i, model.terminal_load)
-        limit = limits[path.gates[i]].f_limit
-        if math.isfinite(limit) and f > limit:
-            flagged.append((f / limit, i))
+    PathModel(path, params, library).check_sizing(sizing)
+    flagged = [(r, i) for i, r in enumerate(load_ratios(path, sizing, limits))
+               if r is not None and r > 1.0]
     flagged.sort(key=lambda item: (-item[0], item[1]))
     order: list[int] = []
     while flagged:
@@ -224,6 +229,97 @@ def find_critical_nodes(path: LogicPath, sizing, limits,
         order.extend(sorted(i for _, i in tied))
         flagged = flagged[len(tied):]
     return order
+
+
+def _chain_stage_delay(template: GateTemplate, params: ProcessParams,
+                       effort: float) -> float:
+    """Stage delay in a long chain of one gate kind at a given stage effort.
+
+    Each stage drives effort times its own cin and is driven by its twin's
+    output transition; the two output edges alternate, so they are
+    averaged.  Sized at the probe's cin, since coupling may be fixed.
+    """
+    cin = 64.0 * params.cref
+    load = (effort + template.par_coeff) * cin
+    total = 0.0
+    for edge in EDGES:
+        before = other_edge(edge)
+        gamma, fixed = coupling_split(template, before, params)
+        total += stage_delay(
+            output_scale(template, edge, params),
+            params.threshold(before) / 2.0, gamma * cin + fixed, cin, load,
+            output_scale(template, before, params) * load / cin)[0]
+    return total / len(EDGES)
+
+
+def _wants_more_stages(model: PathModel, params: ProcessParams,
+                       buffer_template: GateTemplate) -> bool:
+    """Whether one more stage would speed the path up, by logical effort.
+
+    The path effort is its electrical gain, terminal_load / input_cap,
+    times each gate's output scale over the buffer kind's mean one.  Spread
+    evenly over N stages timed as buffer kind stages, it is faster over
+    N + 1 stages when N is below the count that effort wants.  This is a
+    screen for a trial, not a verdict: positions, parasitics and edges are
+    left to the trial solve.
+    """
+    scale = sum(output_scale(buffer_template, edge, params)
+                for edge in EDGES) / len(EDGES)
+    log_effort = math.log(model.terminal_load / model.input_cap) + sum(
+        math.log(output_scale(template, edge, params) / scale)
+        for template, edge in zip(model.templates, model.out_edges))
+
+    def delay(stages: int) -> float:
+        return stages * _chain_stage_delay(
+            buffer_template, params, math.exp(log_effort / stages))
+
+    return delay(model.n + 1) < delay(model.n)
+
+
+def _flip_site(model: PathModel, params: ProcessParams) -> int | None:
+    """The gate after which one inverter most lowers the path effort.
+
+    The inverter flips the output edge of every later gate, swapping the
+    symmetry factor its transition takes (output_scale).  The site whose
+    later gates' product of factors falls the most wins, lowest index
+    among ties; None when no flip lowers it.
+    """
+    best, site, suffix = 0.0, None, 0.0
+    for i in range(model.n - 1, -1, -1):
+        if suffix < 0.0 and suffix <= best:
+            best, site = suffix, i
+        template, edge = model.templates[i], model.out_edges[i]
+        suffix += math.log(output_scale(template, other_edge(edge), params)
+                           / output_scale(template, edge, params))
+    return site
+
+
+def _extra_sites(path: LogicPath, sizing, limits, params: ProcessParams,
+                 library: GateLibrary, buffer_kind: str,
+                 polarity_mode: str) -> list[int]:
+    """The sites a greedy round tries when no over-limit gate pays.
+
+    The gate closest to its limit, lowest index among ties: in pair mode
+    only on a path with fewer stages than its effort wants
+    (_wants_more_stages), where the whole path resizes around the pair and
+    the break-even sits below the probe's limit, which holds the gate's
+    size fixed.  In single mode it is always tried, and so is the site
+    whose edge flip lowers the path effort most (_flip_site): a single
+    inverter mostly pays by flipping every later gate's edge, which no
+    fanout test sees.
+    """
+    model = PathModel(path, params, library)
+    sites = []
+    if polarity_mode == "single" or _wants_more_stages(
+            model, params, library[buffer_kind]):
+        ratios = [(r, -i) for i, r in
+                  enumerate(load_ratios(path, sizing, limits))
+                  if r is not None]
+        if ratios:
+            sites.append(-max(ratios)[1])
+    if polarity_mode == "single":
+        sites.append(_flip_site(model, params))
+    return [site for site in dict.fromkeys(sites) if site is not None]
 
 
 def insert_buffers(path: LogicPath, node_indices, buffer_kind: str = "inv",
@@ -266,37 +362,50 @@ def min_delay_with_buffers(path: LogicPath, params: ProcessParams,
                            limits=None, *, start=None) -> BufferingOutcome:
     """Greedy buffer insertion: worst over-limit node, one at a time.
 
-    After each tentative insertion the whole path is resized for minimum
-    delay, starting from the current sizing with the new buffers spliced
-    in (splice_sizing); the insertion sticks only if it improves t_min by
-    at least 0.1%, and its sizing is then the one the next trial splices.
-    Stops when no node is over its limit or the gain dries up.
+    Each round tries the gates over their fanout limit, worst first, and
+    takes the first that pays; when none does, it tries the extra sites
+    (_extra_sites) and takes the fastest that pays.  After each tentative
+    insertion the whole path is resized for minimum delay, starting from
+    the current sizing with the new buffers spliced in (splice_sizing); an
+    insertion pays if it improves t_min by at least 0.1%, and its sizing
+    is then the one the next trial splices.  Stops when a round's trials
+    all fail.
     Never returns a slower path than the input, whose min-delay solve
     (sizing, t_min) is passed as `start` when the caller already has it.
     """
+    if buffer_kind not in library:
+        raise ConfigError(f"unknown gate kind: {buffer_kind}")
     if limits is None:
         limits = FlimitCache(params, library, buffer_kind)
     current = path
     sizing, t_min = start or min_delay_sizing(current, params, library)[:2]
     steps: list[tuple[int, str]] = []
+
+    def trial(node: int) -> tuple[float, int, LogicPath, Sizing]:
+        """(t_min, node, path, sizing) with buffers after node, solved warm."""
+        candidate = insert_buffers(current, [node], buffer_kind,
+                                   polarity_mode)
+        warm = splice_sizing(
+            [*sizing[:node + 1], *(None,) * (candidate.n - current.n),
+             *sizing[node + 1:]], candidate, params.cref)
+        cand_sizing, cand_t, _ = min_delay_sizing(candidate, params,
+                                                  library, warm=warm)
+        return cand_t, node, candidate, cand_sizing
+
     for _ in range(MAX_INSERTIONS):
-        nodes = find_critical_nodes(current, sizing, limits, params, library,
-                                    buffer_kind)
-        accepted = False
-        for node in nodes:
-            candidate = insert_buffers(current, [node], buffer_kind,
-                                       polarity_mode)
-            warm = splice_sizing(
-                [*sizing[:node + 1], *(None,) * (candidate.n - current.n),
-                 *sizing[node + 1:]], candidate, params.cref)
-            cand_sizing, cand_t, _ = min_delay_sizing(candidate, params,
-                                                      library, warm=warm)
-            if cand_t < t_min * (1.0 - IMPROVE_TOL):
-                steps.append((node, polarity_mode))
-                current, sizing, t_min = candidate, cand_sizing, cand_t
-                accepted = True
-                break
-        if not accepted:
+        bar = t_min * (1.0 - IMPROVE_TOL)
+        over = find_critical_nodes(current, sizing, limits, params, library,
+                                   buffer_kind)
+        best = next((t for t in map(trial, over) if t[0] < bar), None)
+        if best is None:
+            sites = [node for node in _extra_sites(
+                current, sizing, limits, params, library, buffer_kind,
+                polarity_mode) if node not in over]
+            paying = [t for t in map(trial, sites) if t[0] < bar]
+            best = min(paying, key=lambda t: t[0], default=None)
+        if best is None:
             break
+        t_min, node, current, sizing = best
+        steps.append((node, polarity_mode))
     return BufferingOutcome(path=current, sizing=sizing, t_min=t_min,
                             insertions=tuple(steps))

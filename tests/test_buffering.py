@@ -439,8 +439,9 @@ class TestMinDelayWithBuffers:
     def test_no_futile_trials_on_long_chains(self, ref_params, ref_library,
                                              monkeypatch, seed):
         # A min-delay sizing of a long random chain keeps every gate's
-        # fanout under its limit, so greedy buffering solves no trial and
-        # hands the input path back.
+        # fanout under its limit, and the chain has more stages than its
+        # effort wants, so greedy buffering in pair mode solves no trial
+        # and hands the input path back.
         rng = random.Random(seed)
         path = LogicPath(
             gates=tuple(rng.choice(sorted(ref_library))
@@ -462,6 +463,68 @@ class TestMinDelayWithBuffers:
         assert out.path is path
         assert out.insertions == ()
         assert (out.sizing, out.t_min) == (sizing, t_min)
+
+    # Short heavily loaded paths with no gate over its limit, as drawn by
+    # scripts/diff_optimize.py (seed 11, cases 652 and 972).
+    UNDER_LIMIT_PAIR = LogicPath(
+        gates=("nand3", "nand2", "nand3", "nand2"),
+        input_cap=4.7637999517739615, terminal_load=959.7961557063912,
+        input_edge="rising", driver_slope_rise=33.46034449268341,
+        driver_slope_fall=13.78550112075465)
+    UNDER_LIMIT_FLIP = LogicPath(
+        gates=("nor2", "nand3", "nand2", "nor3", "nor2", "nand2"),
+        input_cap=7.554167186563367, terminal_load=410.56883074329204,
+        input_edge="rising", driver_slope_rise=0.6688751798241965,
+        driver_slope_fall=6.811707665983002)
+
+    @pytest.mark.parametrize("path, mode", [
+        (UNDER_LIMIT_PAIR, "pair"), (UNDER_LIMIT_FLIP, "single")],
+        ids=["pair", "single"])
+    def test_pays_below_the_fanout_limit(self, ref_params, ref_library,
+                                         path, mode):
+        # The pair: the whole short path resizes around it, so it pays
+        # below the probe's limit, which holds the gate's size fixed.  The
+        # single inverter: it pays by flipping the later gates' edges.
+        # Either way a route at 0.97 t_min becomes feasible.
+        sizing, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
+        limits = FlimitCache(ref_params, ref_library)
+        assert find_critical_nodes(path, sizing, limits, ref_params,
+                                   ref_library) == []
+        out = min_delay_with_buffers(path, ref_params, ref_library,
+                                     polarity_mode=mode)
+        assert out.insertions and all(m == mode for _, m in out.insertions)
+        assert out.t_min < t_min * (1.0 - buffering.IMPROVE_TOL)
+        result = optimize(path, 0.97 * t_min, ref_params, ref_library,
+                          buffer_mode=mode)
+        assert result.achieved_delay <= 0.97 * t_min
+
+    def test_unknown_buffer_kind_raises_with_given_limits(
+            self, ref_params, ref_library):
+        # No gate is over its limit, so no trial would name the kind.
+        path = LogicPath(gates=("nand2", "nor2", "inv"), input_cap=4.0,
+                         terminal_load=20.0)
+        limits = FlimitCache(ref_params, ref_library)
+        with pytest.raises(ConfigError, match="xor9"):
+            min_delay_with_buffers(path, ref_params, ref_library, "xor9",
+                                   limits=limits)
+
+    def test_no_extra_trial_on_a_lightly_loaded_short_path(
+            self, ref_params, ref_library, monkeypatch):
+        # Three stages already exceed what a light load wants, and no gate
+        # is over its limit: pair mode solves nothing.
+        path = LogicPath(gates=("nand2", "nor2", "inv"), input_cap=4.0,
+                         terminal_load=20.0)
+        sizing, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
+        solved = []
+
+        def recording(path, *args, **kwargs):
+            solved.append(path)
+            return min_delay_sizing(path, *args, **kwargs)
+
+        monkeypatch.setattr(buffering, "min_delay_sizing", recording)
+        out = min_delay_with_buffers(path, ref_params, ref_library,
+                                     start=(sizing, t_min))
+        assert solved == [] and out.path is path
 
     def test_optimize_extends_the_known_route(self, ref_params, ref_library,
                                               heavy_path, monkeypatch):
