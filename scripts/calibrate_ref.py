@@ -40,7 +40,7 @@ def build_library(values):
 
 def column(values):
     lib = build_library(values)
-    return {kind: flimit("inv", kind, PARAMS, lib).f_limit for kind in values}
+    return {kind: flimit(kind, PARAMS, lib) for kind in values}
 
 
 def tune(values, kind, lo, hi, steps=28):

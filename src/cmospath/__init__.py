@@ -9,10 +9,9 @@ from .bounds import (
 )
 from .buffering import (
     BufferingOutcome,
-    FanoutLimit,
+    fanout_limits,
     find_critical_nodes,
     flimit,
-    flimit_table,
     insert_buffers,
     min_delay_with_buffers,
     optimal_buffer_size,

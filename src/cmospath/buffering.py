@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from .bounds import min_delay_sizing, splice_sizing
 from .errors import ConfigError
 from .path import GateLibrary, LogicPath, PathModel, Sizing
-from .process import (EDGES, GateTemplate, ProcessParams, coupling_split,
-                      other_edge, output_scale, stage_delay)
+from .process import (EDGES, GateInstance, GateTemplate, ProcessParams,
+                      gate_delay, other_edge, output_scale, transition_time)
 
 FLIMIT_LO = 1.0
 FLIMIT_HI = 100.0
@@ -32,23 +32,6 @@ FLIMIT_TOL = 1e-3
 IMPROVE_TOL = 1e-3
 MAX_INSERTIONS = 32
 TIE_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FanoutLimit:
-    """Break-even fanout of a (driver, gate) pair; inf when none in range."""
-
-    driver: str
-    gate: str
-    f_limit: float
-
-    def __post_init__(self):
-        if not self.f_limit > 1.0:
-            raise ValueError("f_limit must exceed 1")
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.f_limit)
 
 
 def optimal_buffer_size(a_gate: float, cin_gate: float, a_buf: float,
@@ -97,25 +80,25 @@ def _buffered_probe_delay(model: PathModel, cin: float, load: float,
     return model.evaluate((cin, cin, c_buf)).total_delay
 
 
-def flimit(driver: str, gate: str, params: ProcessParams,
-           library: GateLibrary, buffer_kind: str = "inv") -> FanoutLimit:
-    """Break-even fanout of `gate` under `driver`, probed in [1, 100].
+def flimit(gate: str, params: ProcessParams, library: GateLibrary,
+           buffer_kind: str = "inv") -> float:
+    """Break-even fanout of `gate`, probed in [1, 100]; inf when none.
 
     Compares the plain two-gate structure against the same structure with
     an optimally sized buffer appended, full chained delays averaged over
     both input polarities, and bisects the crossing to 1e-3 absolute.
-    Returns f_limit = inf when the buffered structure never wins in range.
+    Returns inf when the buffered structure never wins in range.
 
     The driving stage adds the same delay to both structures, so the probe
-    always uses the buffer kind as its driver and the crossing is computed
-    once per process for each (gate, buffer) template pair.
+    uses the buffer kind as its driver and the limit depends only on the
+    gate, the buffer kind and the process; it is computed once for each
+    (gate, buffer) template pair.
     """
-    for kind in (driver, gate, buffer_kind):
+    for kind in (gate, buffer_kind):
         if kind not in library:
             raise ConfigError(f"unknown gate kind: {kind}")
-    value = _crossing(params, gate, library[gate], buffer_kind,
-                      library[buffer_kind])
-    return FanoutLimit(driver, gate, value)
+    return _crossing(params, gate, library[gate], buffer_kind,
+                     library[buffer_kind])
 
 
 @functools.lru_cache(maxsize=256)
@@ -157,36 +140,11 @@ def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
     return 0.5 * (lo + hi)
 
 
-def flimit_table(params: ProcessParams, library: GateLibrary,
-                 buffer_kind: str = "inv") -> dict[tuple[str, str], FanoutLimit]:
-    """Fanout limits for the full driver x gate matrix of the library."""
-    table: dict[tuple[str, str], FanoutLimit] = {}
-    for driver in library:
-        for gate in library:
-            table[(driver, gate)] = flimit(driver, gate, params, library,
-                                           buffer_kind)
-    return table
-
-
-class FlimitCache:
-    """Lazy fanout-limit lookup keyed by gate kind.
-
-    The limit does not depend on the driver, so each is probed with the
-    buffer kind driving, as flimit always does.
-    """
-
-    def __init__(self, params: ProcessParams, library: GateLibrary,
-                 buffer_kind: str = "inv"):
-        self.params = params
-        self.library = library
-        self.buffer_kind = buffer_kind
-        self._table: dict[str, FanoutLimit] = {}
-
-    def __getitem__(self, gate: str) -> FanoutLimit:
-        if gate not in self._table:
-            self._table[gate] = flimit(self.buffer_kind, gate, self.params,
-                                       self.library, self.buffer_kind)
-        return self._table[gate]
+def fanout_limits(params: ProcessParams, library: GateLibrary,
+                  buffer_kind: str = "inv") -> dict[str, float]:
+    """Fanout limit of every library kind, in library order."""
+    return {kind: flimit(kind, params, library, buffer_kind)
+            for kind in library}
 
 
 def load_ratios(path: LogicPath, sizing, limits) -> list[float | None]:
@@ -200,23 +158,22 @@ def load_ratios(path: LogicPath, sizing, limits) -> list[float | None]:
     ratios: list[float | None] = []
     for i, kind in enumerate(path.gates):
         nxt = sizing[i + 1] if i < n - 1 else path.terminal_load
-        limit = limits[kind].f_limit
+        limit = limits[kind]
         ratios.append(nxt / sizing[i] / limit if math.isfinite(limit)
                       else None)
     return ratios
 
 
 def find_critical_nodes(path: LogicPath, sizing, limits,
-                        params: ProcessParams, library: GateLibrary,
-                        buffer_kind: str = "inv") -> list[int]:
+                        params: ProcessParams,
+                        library: GateLibrary) -> list[int]:
     """Gate indices whose fanout exceeds their kind's limit.
 
     Fanout is read by load_ratios, and limits maps a gate kind to its
-    FanoutLimit.  buffer_kind is not read: the limits were already probed
-    with it.  Sorted by overshoot ratio, worst first.  Ratios within
-    TIE_RTOL (relative) of the worst one left count as tied and go in
-    index order, so rounding in the last bits of the sizing cannot
-    reorder nodes that tie exactly.
+    fanout limit (fanout_limits).  Sorted by overshoot ratio, worst
+    first.  Ratios within TIE_RTOL (relative) of the worst one left count
+    as tied and go in index order, so rounding in the last bits of the
+    sizing cannot reorder nodes that tie exactly.
     """
     PathModel(path, params, library).check_sizing(sizing)
     flagged = [(r, i) for i, r in enumerate(load_ratios(path, sizing, limits))
@@ -239,17 +196,11 @@ def _chain_stage_delay(template: GateTemplate, params: ProcessParams,
     output transition; the two output edges alternate, so they are
     averaged.  Sized at the probe's cin, since coupling may be fixed.
     """
-    cin = 64.0 * params.cref
-    load = (effort + template.par_coeff) * cin
-    total = 0.0
-    for edge in EDGES:
-        before = other_edge(edge)
-        gamma, fixed = coupling_split(template, before, params)
-        total += stage_delay(
-            output_scale(template, edge, params),
-            params.threshold(before) / 2.0, gamma * cin + fixed, cin, load,
-            output_scale(template, before, params) * load / cin)[0]
-    return total / len(EDGES)
+    gate = GateInstance(template, 64.0 * params.cref)
+    load = (effort + template.par_coeff) * gate.cin
+    return sum(gate_delay(gate, transition_time(gate, other_edge(edge), load,
+                                                params), edge, load, params)[0]
+               for edge in EDGES) / len(EDGES)
 
 
 def _wants_more_stages(model: PathModel, params: ProcessParams,
@@ -322,6 +273,12 @@ def _extra_sites(path: LogicPath, sizing, limits, params: ProcessParams,
     return [site for site in dict.fromkeys(sites) if site is not None]
 
 
+def check_polarity_mode(polarity_mode: str) -> None:
+    """Raise ValueError unless polarity_mode is ``single`` or ``pair``."""
+    if polarity_mode not in ("single", "pair"):
+        raise ValueError(f"bad polarity_mode: {polarity_mode!r}")
+
+
 def insert_buffers(path: LogicPath, node_indices, buffer_kind: str = "inv",
                    polarity_mode: str = "pair") -> LogicPath:
     """Insert buffers after the given gate indices.
@@ -330,8 +287,7 @@ def insert_buffers(path: LogicPath, node_indices, buffer_kind: str = "inv",
     adds one and records the net inversion on the path.  New gates enter
     unsized (minimum drive until the next global resize).
     """
-    if polarity_mode not in ("single", "pair"):
-        raise ValueError(f"bad polarity_mode: {polarity_mode!r}")
+    check_polarity_mode(polarity_mode)
     indices = sorted(set(node_indices))
     if not indices:
         return path
@@ -358,8 +314,8 @@ class BufferingOutcome:
 
 def min_delay_with_buffers(path: LogicPath, params: ProcessParams,
                            library: GateLibrary, buffer_kind: str = "inv",
-                           polarity_mode: str = "pair",
-                           limits=None, *, start=None) -> BufferingOutcome:
+                           polarity_mode: str = "pair", *,
+                           start=None) -> BufferingOutcome:
     """Greedy buffer insertion: worst over-limit node, one at a time.
 
     Each round tries the gates over their fanout limit, worst first, and
@@ -372,11 +328,10 @@ def min_delay_with_buffers(path: LogicPath, params: ProcessParams,
     all fail.
     Never returns a slower path than the input, whose min-delay solve
     (sizing, t_min) is passed as `start` when the caller already has it.
+    An unknown buffer kind or polarity mode raises before any solve.
     """
-    if buffer_kind not in library:
-        raise ConfigError(f"unknown gate kind: {buffer_kind}")
-    if limits is None:
-        limits = FlimitCache(params, library, buffer_kind)
+    check_polarity_mode(polarity_mode)
+    limits = fanout_limits(params, library, buffer_kind)
     current = path
     sizing, t_min = start or min_delay_sizing(current, params, library)[:2]
     steps: list[tuple[int, str]] = []
@@ -394,8 +349,7 @@ def min_delay_with_buffers(path: LogicPath, params: ProcessParams,
 
     for _ in range(MAX_INSERTIONS):
         bar = t_min * (1.0 - IMPROVE_TOL)
-        over = find_critical_nodes(current, sizing, limits, params, library,
-                                   buffer_kind)
+        over = find_critical_nodes(current, sizing, limits, params, library)
         best = next((t for t in map(trial, over) if t[0] < bar), None)
         if best is None:
             sites = [node for node in _extra_sites(

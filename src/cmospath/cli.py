@@ -16,7 +16,7 @@ import os
 import sys
 
 from .bounds import compute_bounds
-from .buffering import flimit, flimit_table
+from .buffering import fanout_limits, flimit
 from .errors import (ConfigError, ConvergenceError, InfeasibleError,
                      InvariantError)
 from .path import LogicPath, PathModel, parse_path_text_file
@@ -95,17 +95,15 @@ def _cmd_equal_delay(args, out) -> int:
 def _cmd_flimit(args, out) -> int:
     params, library = load_process_file(args.proc)
     if args.table:
-        table = flimit_table(params, library, args.buffer_kind)
-        print("driver,gate,f_limit", file=out)
-        for driver in library:
-            for gate in library:
-                limit = table[(driver, gate)].f_limit
-                print(f"{driver},{gate},{_fmt(limit)}", file=out)
+        table = fanout_limits(params, library, args.buffer_kind)
+        print("gate,f_limit", file=out)
+        for gate, limit in table.items():
+            print(f"{gate},{_fmt(limit)}", file=out)
         return EXIT_OK
-    if not args.driver or not args.gate:
-        raise ConfigError("flimit needs --driver and --gate, or --table")
-    result = flimit(args.driver, args.gate, params, library, args.buffer_kind)
-    print(f"f_limit = {_fmt(result.f_limit)}", file=out)
+    if not args.gate:
+        raise ConfigError("flimit needs --gate or --table")
+    limit = flimit(args.gate, params, library, args.buffer_kind)
+    print(f"f_limit = {_fmt(limit)}", file=out)
     return EXIT_OK
 
 
@@ -197,10 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_equal_delay)
 
     p = sub.add_parser("flimit", help="break-even fanout of a gate kind")
-    p.add_argument("--driver", help="driving gate kind")
     p.add_argument("--gate", help="loaded gate kind")
     p.add_argument("--table", action="store_true",
-                   help="emit the full driver x gate CSV matrix")
+                   help="emit every library kind's limit as CSV")
     p.add_argument("--buffer-kind", default="inv")
     p.add_argument("proc")
     p.set_defaults(func=_cmd_flimit)

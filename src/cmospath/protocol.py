@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from .bounds import (DelayBounds, max_delay_sizing, min_delay_sizing,
                      splice_sizing)
-from .buffering import FlimitCache, insert_buffers, min_delay_with_buffers
+from .buffering import (check_polarity_mode, insert_buffers,
+                        min_delay_with_buffers)
 from .errors import InfeasibleError, InvariantError
 from .path import GateLibrary, LogicPath, Sizing
 from .process import ProcessParams
@@ -190,10 +191,11 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
     efficient gates (then buffer if still short); a buffer-only route is
     kept as the alternative and the smaller final area wins, ties going to
     restructuring.  Still-unreachable constraints raise InfeasibleError
-    carrying the best achievable t_min and the trace.
+    carrying the best achievable t_min and the trace.  An unknown
+    buffer_mode raises ValueError in every domain.
     """
+    check_polarity_mode(buffer_mode)
     trace: list[TraceStep] = []
-    limits = FlimitCache(params, library, buffer_kind)
 
     sizing_min, t_min0, _ = min_delay_sizing(path, params, library)
     corner = max_delay_sizing(path, params, library)
@@ -206,7 +208,7 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
     def buffered(route: _Route) -> _Route:
         """Greedy buffering of a route, its insertions appended as steps."""
         outcome = min_delay_with_buffers(
-            route.path, params, library, buffer_kind, buffer_mode, limits,
+            route.path, params, library, buffer_kind, buffer_mode,
             start=(route.sizing_min, route.t_min))
         steps = tuple(TraceStep("insert_buffer", {
             "index": index, "mode": mode, "kind": buffer_kind})

@@ -16,7 +16,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .buffering import flimit
+from .buffering import fanout_limits
 from .errors import ConfigError
 from .path import GateLibrary, LogicPath
 from .process import ProcessParams
@@ -217,14 +217,8 @@ def rank_gate_efficiency(library: GateLibrary, params: ProcessParams,
                          buffer_kind: str = "inv") -> list[tuple[str, float]]:
     """Library kinds from least to most drive-efficient.
 
-    Efficiency is the fanout limit, probed with the buffer kind driving
-    (limits do not depend on the driver); ties break toward the larger
-    dw_hl, then lexicographic name.
+    Efficiency is the fanout limit (fanout_limits); ties break toward the
+    larger dw_hl, then lexicographic name.
     """
-    rows = []
-    for kind, template in library.items():
-        limit = flimit(buffer_kind, kind, params, library,
-                       buffer_kind).f_limit
-        rows.append((kind, limit, template.dw_hl))
-    rows.sort(key=lambda r: (r[1], -r[2], r[0]))
-    return [(kind, limit) for kind, limit, _ in rows]
+    return sorted(fanout_limits(params, library, buffer_kind).items(),
+                  key=lambda row: (row[1], -library[row[0]].dw_hl, row[0]))

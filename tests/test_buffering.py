@@ -16,8 +16,8 @@ import oracles
 from conftest import REF_PROC
 from cmospath import buffering
 from cmospath.bounds import min_delay_sizing, splice_sizing
-from cmospath.buffering import (FanoutLimit, FlimitCache, _crossing,
-                                find_critical_nodes, flimit, flimit_table,
+from cmospath.buffering import (_buffered_probe_delay, _crossing,
+                                fanout_limits, find_critical_nodes, flimit,
                                 insert_buffers, min_delay_with_buffers,
                                 optimal_buffer_size)
 from cmospath.errors import ConfigError
@@ -79,22 +79,19 @@ class TestOptimalBufferSize:
 
 
 class TestFanoutLimit:
-    def test_value_guard(self):
-        with pytest.raises(ValueError):
-            FanoutLimit("inv", "inv", 1.0)
-        fl = FanoutLimit("inv", "inv", math.inf)
-        assert not fl.finite
-        assert FanoutLimit("inv", "inv", 4.0).finite
+    def test_value_guard(self, ref_params, ref_library):
+        # a limit is a plain float above unit fanout
+        for limit in fanout_limits(ref_params, ref_library).values():
+            assert type(limit) is float and limit > 1.0
 
     def test_inverter_on_inverter_range(self, ref_params, ref_library):
-        fl = flimit("inv", "inv", ref_params, ref_library)
-        assert 4.0 <= fl.f_limit <= 8.0
-        assert fl.f_limit == pytest.approx(5.7, rel=0.25)
+        limit = flimit("inv", ref_params, ref_library)
+        assert 4.0 <= limit <= 8.0
+        assert limit == pytest.approx(5.7, rel=0.25)
 
     def test_strictly_ordered_by_gate_weight(self, ref_params, ref_library):
         kinds = ("inv", "nand2", "nand3", "nor2", "nor3")
-        vals = [flimit("inv", k, ref_params, ref_library).f_limit
-                for k in kinds]
+        vals = [flimit(k, ref_params, ref_library) for k in kinds]
         for a, b in zip(vals, vals[1:]):
             assert a > b
 
@@ -102,7 +99,7 @@ class TestFanoutLimit:
         # independent check: golden-size the buffer on the exact model and
         # confirm the buffered structure loses just below the limit and
         # wins just above it
-        fl = flimit("inv", "nor2", ref_params, ref_library)
+        limit = flimit("nor2", ref_params, ref_library)
         cin = 64.0 * ref_params.cref
 
         def gap(fanout):
@@ -123,12 +120,12 @@ class TestFanoutLimit:
                 total += d_buf - plain.evaluate((cin, cin)).total_delay
             return total / 2.0
 
-        assert gap(fl.f_limit - 0.5) > 0.0
-        assert gap(fl.f_limit + 0.5) < 0.0
+        assert gap(limit - 0.5) > 0.0
+        assert gap(limit + 0.5) < 0.0
 
     def test_unknown_kind_raises(self, ref_params, ref_library):
         with pytest.raises(ConfigError):
-            flimit("inv", "xor9", ref_params, ref_library)
+            flimit("xor9", ref_params, ref_library)
 
     def test_hopeless_gate_degenerates_to_unit_fanout(self, ref_params,
                                                       ref_library):
@@ -136,9 +133,8 @@ class TestFanoutLimit:
                             dw_lh=40.0, par_coeff=0.2, inverting=True)
         lib = dict(ref_library)
         lib["weakgate"] = weak
-        fl = flimit("inv", "weakgate", ref_params, lib)
-        assert fl.finite
-        assert fl.f_limit <= 1.01
+        limit = flimit("weakgate", ref_params, lib)
+        assert 1.0 < limit <= 1.01
 
     def test_hopeless_buffer_has_no_finite_limit(self, ref_params,
                                                  ref_library):
@@ -147,71 +143,86 @@ class TestFanoutLimit:
                             par_coeff=120.0, inverting=True)
         lib = dict(ref_library)
         lib["slug"] = slug
-        fl = flimit("inv", "inv", ref_params, lib, buffer_kind="slug")
-        assert not fl.finite
-        assert fl.f_limit == math.inf
+        assert flimit("inv", ref_params, lib, buffer_kind="slug") == math.inf
 
     def test_buffer_kind_moves_the_crossing(self, ref_params, ref_library):
-        via_inv = flimit("inv", "nor3", ref_params, ref_library)
-        via_nand = flimit("inv", "nor3", ref_params, ref_library,
+        via_inv = flimit("nor3", ref_params, ref_library)
+        via_nand = flimit("nor3", ref_params, ref_library,
                           buffer_kind="nand2")
-        assert via_nand.f_limit > via_inv.f_limit
+        assert via_nand > via_inv
 
 
 class TestFlimitTable:
-    def test_full_matrix_fast_and_complete(self, ref_params, ref_library):
+    def test_table_fast_and_complete(self, ref_params, ref_library):
+        _crossing.cache_clear()
         start = time.perf_counter()
-        table = flimit_table(ref_params, ref_library)
+        table = fanout_limits(ref_params, ref_library)
         assert time.perf_counter() - start < 1.0
-        kinds = list(ref_library)
-        assert set(table) == {(d, g) for d in kinds for g in kinds}
+        assert list(table) == list(ref_library)
 
-    def test_rows_identical_per_driver(self, ref_params, ref_library):
-        # the driving stage cancels out of the comparison, so the limit
-        # depends on the loaded gate only
-        table = flimit_table(ref_params, ref_library)
-        kinds = list(ref_library)
-        for gate in kinds:
-            ref = table[(kinds[0], gate)].f_limit
-            for driver in kinds[1:]:
-                assert table[(driver, gate)].f_limit == ref
+    def test_limit_does_not_depend_on_the_driver(self, ref_params,
+                                                 ref_library):
+        # The driving stage adds the same delay with and without the
+        # buffer, so whichever kind drives the probe, the buffered
+        # structure loses just below the limit and wins just above it.
+        cin = 64.0 * ref_params.cref
+        for gate, limit in fanout_limits(ref_params, ref_library).items():
+            for driver in ref_library:
+                for fanout, loses in ((limit - 1e-3, True),
+                                      (limit + 1e-3, False)):
+                    gap = 0.0
+                    for edge in EDGES:
+                        common = dict(input_cap=cin,
+                                      terminal_load=fanout * cin,
+                                      input_edge=edge, driver_slope_rise=0.0,
+                                      driver_slope_fall=0.0)
+                        plain = PathModel(
+                            LogicPath(gates=(driver, gate), **common),
+                            ref_params, ref_library)
+                        buffered = PathModel(
+                            LogicPath(gates=(driver, gate, "inv"), **common),
+                            ref_params, ref_library)
+                        gap += _buffered_probe_delay(
+                            buffered, cin, fanout * cin, ref_params) \
+                            - plain.evaluate((cin, cin)).total_delay
+                    assert (gap > 0.0) == loses, (driver, gate, fanout)
 
     def test_reference_table_values(self, ref_params, ref_library):
         # bisection midpoints are dyadic, so the values pin exactly
-        table = flimit_table(ref_params, ref_library)
         expected = {"inv": 5.699916839599609, "nand2": 4.900043487548828,
                     "nand3": 4.500484466552734, "nor2": 3.800312042236328,
                     "nor3": 2.6998252868652344}
-        for (driver, gate), limit in table.items():
-            assert limit == FanoutLimit(driver, gate, expected[gate])
+        table = fanout_limits(ref_params, ref_library)
+        assert list(table.items()) == list(expected.items())
 
     def test_cache_matches_and_memoizes(self, ref_params, ref_library):
-        cache = FlimitCache(ref_params, ref_library)
-        direct = flimit("inv", "nand3", ref_params, ref_library)
-        first = cache["nand3"]
-        assert first.f_limit == pytest.approx(direct.f_limit, abs=1e-9)
-        assert cache["nand3"] is first
+        table = fanout_limits(ref_params, ref_library)
+        assert table == {kind: flimit(kind, ref_params, ref_library)
+                         for kind in ref_library}
+        before = _crossing.cache_info()
+        assert fanout_limits(ref_params, ref_library) == table
+        after = _crossing.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + len(ref_library)
 
 
 class TestFlimitMemo:
     def test_changed_template_gets_its_own_limit(self, ref_params,
                                                  ref_library):
-        ref = flimit("inv", "nand2", ref_params, ref_library)
+        ref = flimit("nand2", ref_params, ref_library)
         lib = dict(ref_library)
         lib["nand2"] = dataclasses.replace(lib["nand2"], par_coeff=1.5)
-        other = flimit("inv", "nand2", ref_params, lib)
-        assert other.f_limit != ref.f_limit
+        other = flimit("nand2", ref_params, lib)
+        assert other != ref
         _crossing.cache_clear()
-        assert flimit("inv", "nand2", ref_params, lib) == other
-        assert flimit("inv", "nand2", ref_params, ref_library) == ref
+        assert flimit("nand2", ref_params, lib) == other
+        assert flimit("nand2", ref_params, ref_library) == ref
 
     def test_unknown_kinds_raise_when_warm(self, ref_params, ref_library):
-        flimit("inv", "nand2", ref_params, ref_library)
-        for driver, gate, buffer_kind in (("xor9", "nand2", "inv"),
-                                          ("inv", "xor9", "inv"),
-                                          ("inv", "nand2", "xor9")):
+        flimit("nand2", ref_params, ref_library)
+        for gate, buffer_kind in (("xor9", "inv"), ("nand2", "xor9")):
             with pytest.raises(ConfigError, match="xor9"):
-                flimit(driver, gate, ref_params, ref_library, buffer_kind)
+                flimit(gate, ref_params, ref_library, buffer_kind)
 
     def test_equal_config_computes_no_new_crossing(self, heavy_path):
         # hard (buffering) and infeasible (restructuring ranks the library)
@@ -239,7 +250,7 @@ class TestFlimitMemo:
         _crossing.cache_clear()
         snapshot = dict(ref_library)
         copies = {k: dataclasses.replace(t) for k, t in ref_library.items()}
-        flimit_table(ref_params, ref_library)
+        fanout_limits(ref_params, ref_library)
         assert ref_library == copies
         assert all(ref_library[k] is t for k, t in snapshot.items())
         assert set(ref_library) == set(snapshot)
@@ -249,15 +260,15 @@ class TestCriticalNodes:
     def test_well_staged_path_has_none(self, ref_params, ref_library,
                                        chain11):
         sizing, _, _ = min_delay_sizing(chain11, ref_params, ref_library)
-        cache = FlimitCache(ref_params, ref_library)
-        assert find_critical_nodes(chain11, sizing, cache, ref_params,
+        limits = fanout_limits(ref_params, ref_library)
+        assert find_critical_nodes(chain11, sizing, limits, ref_params,
                                    ref_library) == []
 
     def test_overloaded_path_flagged_worst_first(self, ref_params,
                                                  ref_library, heavy_path):
         sizing, _, _ = min_delay_sizing(heavy_path, ref_params, ref_library)
-        cache = FlimitCache(ref_params, ref_library)
-        nodes = find_critical_nodes(heavy_path, sizing, cache, ref_params,
+        limits = fanout_limits(ref_params, ref_library)
+        nodes = find_critical_nodes(heavy_path, sizing, limits, ref_params,
                                     ref_library)
         assert nodes
         # recompute the overshoot ratios independently and check the order:
@@ -267,7 +278,7 @@ class TestCriticalNodes:
             nxt = sizing[i + 1] if i < heavy_path.n - 1 \
                 else heavy_path.terminal_load
             fanout = nxt / sizing[i]
-            limit = cache[heavy_path.gates[i]].f_limit
+            limit = limits[heavy_path.gates[i]]
             assert fanout > limit
             ratios[i] = fanout / limit
         ordered = [r for _, r in sorted(
@@ -295,10 +306,8 @@ class TestCriticalNodes:
             assert fanout[2] / limit2 <= ratio0 * (1.0 + 1e-15)
         else:
             limit2 = fanout[2] / (ratio0 * (1.0 + gap))
-        limits = {"inv": FanoutLimit("inv", "inv", fanout[0] / 2.0),
-                  "nand2": FanoutLimit("inv", "nand2", math.inf),
-                  "nor2": FanoutLimit("inv", "nor2", limit2),
-                  "nand3": FanoutLimit("inv", "nand3", math.inf)}
+        limits = {"inv": fanout[0] / 2.0, "nand2": math.inf,
+                  "nor2": limit2, "nand3": math.inf}
         return path, sizing, limits
 
     @pytest.mark.parametrize("gap, order", [(None, [0, 2]), (1e-6, [2, 0])])
@@ -319,8 +328,8 @@ class TestCriticalNodes:
         # both at the probe's cin) the gate is flagged just above its
         # limit and not just below it: the test and the probe measure
         # fanout the same way.
-        cache = FlimitCache(ref_params, ref_library)
-        limit = cache[gate].f_limit
+        limits = fanout_limits(ref_params, ref_library)
+        limit = limits[gate]
         assert math.isfinite(limit)
         cin = 64.0 * ref_params.cref
         for f, expected in ((limit * (1 + 1e-3), [1]),
@@ -328,13 +337,13 @@ class TestCriticalNodes:
             path = LogicPath(gates=("inv", gate), input_cap=cin,
                              terminal_load=f * cin, driver_slope_rise=0.0,
                              driver_slope_fall=0.0)
-            assert find_critical_nodes(path, (cin, cin), cache, ref_params,
-                                       ref_library) == expected
+            assert find_critical_nodes(path, (cin, cin), limits,
+                                       ref_params, ref_library) == expected
 
     def test_sizing_is_validated(self, ref_params, ref_library, heavy_path):
-        cache = FlimitCache(ref_params, ref_library)
+        limits = fanout_limits(ref_params, ref_library)
         with pytest.raises(ValueError):
-            find_critical_nodes(heavy_path, (4.0, 10.0), cache, ref_params,
+            find_critical_nodes(heavy_path, (4.0, 10.0), limits, ref_params,
                                 ref_library)
 
 
@@ -487,7 +496,7 @@ class TestMinDelayWithBuffers:
         # single inverter: it pays by flipping the later gates' edges.
         # Either way a route at 0.97 t_min becomes feasible.
         sizing, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
-        limits = FlimitCache(ref_params, ref_library)
+        limits = fanout_limits(ref_params, ref_library)
         assert find_critical_nodes(path, sizing, limits, ref_params,
                                    ref_library) == []
         out = min_delay_with_buffers(path, ref_params, ref_library,
@@ -498,15 +507,27 @@ class TestMinDelayWithBuffers:
                           buffer_mode=mode)
         assert result.achieved_delay <= 0.97 * t_min
 
-    def test_unknown_buffer_kind_raises_with_given_limits(
-            self, ref_params, ref_library):
-        # No gate is over its limit, so no trial would name the kind.
-        path = LogicPath(gates=("nand2", "nor2", "inv"), input_cap=4.0,
-                         terminal_load=20.0)
-        limits = FlimitCache(ref_params, ref_library)
-        with pytest.raises(ConfigError, match="xor9"):
-            min_delay_with_buffers(path, ref_params, ref_library, "xor9",
-                                   limits=limits)
+    @pytest.mark.parametrize("option, error", [
+        ({"buffer_kind": "xor9"}, ConfigError),
+        ({"polarity_mode": "sngle"}, ValueError)],
+        ids=["buffer_kind", "polarity_mode"])
+    def test_unknown_option_raises_up_front(self, ref_params, ref_library,
+                                            chain11, option, error):
+        # No gate of chain11 is over its limit and pair mode tries no
+        # extra site, so no trial would ever name the option.
+        value, = option.values()
+        with pytest.raises(error, match=value):
+            min_delay_with_buffers(chain11, ref_params, ref_library,
+                                   **option)
+
+    @pytest.mark.parametrize("ratio", [1.1, 1.5, 3.0])
+    def test_optimize_rejects_an_unknown_buffer_mode(
+            self, ref_params, ref_library, chain11, ratio):
+        # hard, medium and weak: the weak domain runs no buffering at all
+        _, t_min, _ = min_delay_sizing(chain11, ref_params, ref_library)
+        with pytest.raises(ValueError, match="bogus"):
+            optimize(chain11, ratio * t_min, ref_params, ref_library,
+                     buffer_mode="bogus")
 
     def test_no_extra_trial_on_a_lightly_loaded_short_path(
             self, ref_params, ref_library, monkeypatch):

@@ -9,6 +9,7 @@ when existing ones become redundant).
 import pytest
 
 import oracles
+from cmospath.buffering import fanout_limits
 from cmospath.errors import ConfigError
 from cmospath.path import LogicPath
 from cmospath.process import GateTemplate
@@ -245,3 +246,11 @@ class TestRankGateEfficiency:
         ranked = rank_gate_efficiency(ref_library, ref_params)
         limits = [v for _, v in ranked]
         assert limits == sorted(limits)
+
+    @pytest.mark.parametrize("buffer_kind", ["inv", "nand2"])
+    def test_ranks_exactly_the_fanout_limits(self, ref_params, ref_library,
+                                             buffer_kind):
+        limits = fanout_limits(ref_params, ref_library, buffer_kind)
+        assert len(set(limits.values())) == len(limits)
+        assert rank_gate_efficiency(ref_library, ref_params, buffer_kind) \
+            == sorted(limits.items(), key=lambda row: row[1])
