@@ -2,7 +2,8 @@
 
 `optimize` runs over a constraint ladder that reaches all four domains on
 each fixture (infeasible ones that exit 2 included), plus the route
-switches, and `flimit --table` prints the full driver x gate matrix.
+switches; `flimit --table` prints every library kind's limit and
+`flimit --gate` one kind's under a non-default buffer kind.
 Exit code, stdout and stderr must match the recorded run exactly.
 
 Regenerate the recording only when an output change is intended:
@@ -50,7 +51,8 @@ VARIANTS = (
 
 
 def cases() -> list[list[str]]:
-    out = [["flimit", "--table", PROC]]
+    out = [["flimit", "--table", PROC],
+           ["flimit", "--gate", "nor3", "--buffer-kind", "nand2", PROC]]
     for name, ladder in LADDERS.items():
         for tc in ladder:
             out.append(["optimize", "--tc", str(tc), PROC,
