@@ -198,9 +198,11 @@ def _chain_stage_delay(template: GateTemplate, params: ProcessParams,
     """
     gate = GateInstance(template, 64.0 * params.cref)
     load = (effort + template.par_coeff) * gate.cin
-    return sum(gate_delay(gate, transition_time(gate, other_edge(edge), load,
-                                                params), edge, load, params)[0]
-               for edge in EDGES) / len(EDGES)
+    total = 0.0
+    for edge in EDGES:
+        slope = transition_time(gate, other_edge(edge), load, params)
+        total += gate_delay(gate, slope, edge, load, params)[0]
+    return total / len(EDGES)
 
 
 def _wants_more_stages(model: PathModel, params: ProcessParams,
