@@ -14,7 +14,6 @@ from .buffering import (
     flimit,
     insert_buffers,
     min_delay_with_buffers,
-    optimal_buffer_size,
 )
 from .errors import (
     CmosPathError,
@@ -33,7 +32,6 @@ from .path import (
     parse_path_file,
     parse_path_text_file,
     path_coefficients,
-    path_gradient,
 )
 from .process import (
     FALLING,

@@ -1,17 +1,17 @@
 """Fanout limits and buffer insertion.
 
 A gate kind has a characteristic fanout beyond which handing its load to
-an optimally sized buffer is faster than driving the load directly.  That
-crossing, measured on a two-gate probe structure, depends only on the
-loaded gate, the buffer kind, and the process: the driving stage
-contributes identically to both alternatives.  A gate's fanout is its
-downstream node's capacitance over its own input capacitance
-(`load_ratios`); the model adds the gate's parasitic par_coeff * cin on
-top, in the probe and on a path alike.  Gates whose fanout exceeds their
-kind's limit are where insertion pays; insertion is accepted greedily,
-worst gate first, only while the global minimum delay keeps improving.
-The probe holds the gate's size fixed and sees no edge flip, so a round
-in which no over-limit gate pays tries a few more sites (`_extra_sites`).
+an optimally sized buffer is faster than driving the load directly.  The
+probe compares the gate alone against the gate with a buffer that
+min_delay_sizing sizes, so the crossing depends only on the loaded gate,
+the buffer kind, and the process.  A gate's fanout is its downstream
+node's capacitance over its own input capacitance (`load_ratios`); the
+model adds the gate's parasitic par_coeff * cin on top, in the probe and
+on a path alike.  Gates whose fanout exceeds their kind's limit are where
+insertion pays; insertion is accepted greedily, worst gate first, only
+while the global minimum delay keeps improving.  The probe holds the
+gate's size fixed and sees no edge flip, so a round in which no
+over-limit gate pays tries a few more sites (`_extra_sites`).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .bounds import min_delay_sizing, splice_sizing
 from .errors import ConfigError
-from .path import GateLibrary, LogicPath, PathModel, Sizing
+from .path import GateLibrary, LogicPath, PathModel, Sizing, evaluate_path
 from .process import (EDGES, GateInstance, GateTemplate, ProcessParams,
                       gate_delay, other_edge, output_scale, transition_time)
 
@@ -34,65 +34,19 @@ MAX_INSERTIONS = 32
 TIE_RTOL = 1e-9
 
 
-def optimal_buffer_size(a_gate: float, cin_gate: float, a_buf: float,
-                        c_par_buf_coeff: float, load: float,
-                        params: ProcessParams) -> float:
-    """Buffer input capacitance minimizing the frozen two-stage delay.
-
-    Stationarity of a_gate * C_buf / cin_gate + a_buf * load / C_buf gives
-    C_buf = sqrt(a_buf * load * cin_gate / a_gate); one re-freeze folds the
-    buffer's own parasitic back into its load.  Clamped at cref.
-    """
-    if min(a_gate, a_buf, cin_gate, load) <= 0:
-        raise ValueError("coefficients, cin_gate, and load must be positive")
-    c0 = math.sqrt(a_buf * load * cin_gate / a_gate)
-    c1 = math.sqrt(a_buf * (load + c_par_buf_coeff * c0) * cin_gate / a_gate)
-    return max(c1, params.cref)
-
-
-def _probe_paths(gate: str, buffer_kind: str, cin: float, fanout: float,
-                 edge: str) -> tuple[LogicPath, LogicPath]:
-    """Plain and buffered probe structures, the buffer kind driving both.
-
-    The gate sits at cin behind a buffer of the same cin, its downstream
-    node at fanout * cin: the fanout that load_ratios reads on a path.
-    """
-    common = dict(input_cap=cin, terminal_load=fanout * cin,
-                  input_edge=edge, driver_slope_rise=0.0,
-                  driver_slope_fall=0.0)
-    return (LogicPath(gates=(buffer_kind, gate), **common),
-            LogicPath(gates=(buffer_kind, gate, buffer_kind), **common))
-
-
-def _buffered_probe_delay(model: PathModel, cin: float, load: float,
-                          params: ProcessParams) -> float:
-    """Delay of the 3-gate probe with its buffer optimally sized."""
-    p_buf = model.templates[2].par_coeff
-    c_buf = max(params.cref, math.sqrt(cin * load))
-    for _ in range(6):
-        coeffs = model.coefficients((cin, cin, c_buf))
-        new = optimal_buffer_size(coeffs.a[1], cin, coeffs.a[2], p_buf,
-                                  load, params)
-        if abs(new - c_buf) <= 1e-9 * c_buf:
-            c_buf = new
-            break
-        c_buf = new
-    return model.evaluate((cin, cin, c_buf)).total_delay
-
-
 def flimit(gate: str, params: ProcessParams, library: GateLibrary,
            buffer_kind: str = "inv") -> float:
     """Break-even fanout of `gate`, probed in [1, 100]; inf when none.
 
-    Compares the plain two-gate structure against the same structure with
-    an optimally sized buffer appended, full chained delays averaged over
-    both input polarities, and bisects the crossing to 1e-3 absolute.
-    Returns inf when the buffered structure never wins in range.
-
-    The driving stage adds the same delay to both structures, so the probe
-    uses the buffer kind as its driver and the limit depends only on the
-    gate, the buffer kind and the process; it is computed once for each
-    (gate, buffer) template pair.
+    Compares the gate alone, driving fanout times its cin, against the
+    same gate with a buffer appended and sized by min_delay_sizing (the
+    gate's cin is pinned, so the buffer is the one free size), delays
+    averaged over both input polarities, and bisects the crossing to 1e-3
+    absolute.  Returns inf when the buffered structure never wins in
+    range.  A driving stage would add the same delay and the same input
+    slope into the gate to both structures, so the probe has none: the
+    limit depends only on the gate, the buffer kind and the process, and
+    it is computed once for each (gate, buffer) template pair.
     """
     for kind in (gate, buffer_kind):
         if kind not in library:
@@ -115,14 +69,13 @@ def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
     def gap(fanout: float) -> float:
         total = 0.0
         for edge in EDGES:
-            plain, buffered = _probe_paths(gate, buffer_kind, cin, fanout,
-                                           edge)
-            d_plain = PathModel(plain, params, library).evaluate(
-                (cin, cin)).total_delay
-            d_buf = _buffered_probe_delay(
-                PathModel(buffered, params, library), cin, fanout * cin,
-                params)
-            total += d_buf - d_plain
+            common = dict(input_cap=cin, terminal_load=fanout * cin,
+                          input_edge=edge)
+            plain = LogicPath(gates=(gate,), **common)
+            buffered = LogicPath(gates=(gate, buffer_kind), **common)
+            total += (min_delay_sizing(buffered, params, library)[1]
+                      - evaluate_path(plain, (cin,), params,
+                                      library).total_delay)
         return total / len(EDGES)
 
     lo, hi = FLIMIT_LO, FLIMIT_HI

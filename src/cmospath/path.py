@@ -16,9 +16,8 @@ that total and stop on that gradient.
 ``path_coefficients`` regroups the same expression by each gate's output
 transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
 cin[i], freezing the Miller factors and parasitics at the current sizing.
-At the freezing point both views agree to rounding.  The fanout-limit
-probes size their buffer on the frozen view, and ``path_gradient`` is
-its public gradient; no solver steps on it.
+At the freezing point both views agree to rounding; nothing in the
+package reads the frozen view.
 """
 
 from __future__ import annotations
@@ -294,25 +293,6 @@ class PathModel:
         return CoefficientSet(tuple(a), tuple(c_par), constant,
                               self.terminal_load)
 
-    def gradient(self, sizing, coeffs: CoefficientSet | None = None) -> tuple[float, ...]:
-        """Frozen-model delay sensitivities for the free gates 1..n-1.
-
-        Component j (0-based gate index j >= 1) is
-        a[j-1]/cin[j-1] - a[j]*(cin[j+1] + c_par[j])/cin[j]^2, coefficients
-        and parasitics frozen at the evaluation sizing unless a snapshot is
-        supplied.
-        """
-        if coeffs is None:
-            coeffs = self.coefficients(sizing)
-        a = coeffs.a
-        cp = coeffs.c_par
-        out = []
-        for j in range(1, self.n):
-            nxt = sizing[j + 1] if j < self.n - 1 else self.terminal_load
-            out.append(a[j - 1] / sizing[j - 1]
-                       - a[j] * (nxt + cp[j]) / (sizing[j] * sizing[j]))
-        return tuple(out)
-
     def derivatives(self, sizing) -> tuple[tuple[float, ...], list[float],
                                            list[float], float]:
         """Exact delay gradient, tridiagonal Hessian and total in one pass.
@@ -407,13 +387,6 @@ def path_coefficients(path: LogicPath, sizing, params: ProcessParams,
                       library: GateLibrary) -> CoefficientSet:
     """Frozen coefficient snapshot at one sizing."""
     return PathModel(path, params, library).coefficients(sizing)
-
-
-def path_gradient(path: LogicPath, sizing, params: ProcessParams,
-                  library: GateLibrary,
-                  coeffs: CoefficientSet | None = None) -> tuple[float, ...]:
-    """Frozen-model gradient over the free gates."""
-    return PathModel(path, params, library).gradient(sizing, coeffs)
 
 
 def exact_path_gradient(path: LogicPath, sizing, params: ProcessParams,

@@ -15,7 +15,7 @@ import pytest
 import oracles
 from cmospath.bounds import compute_bounds, min_delay_sizing
 from cmospath.buffering import fanout_limits, min_delay_with_buffers
-from cmospath.path import (LogicPath, PathModel, path_gradient)
+from cmospath.path import LogicPath, exact_path_gradient
 from cmospath.protocol import Domain, classify_constraint, optimize
 from cmospath.restructure import cancel_inverter_pairs, demorgan_rewrite
 from cmospath.sizing import (distribute_constraint, equal_delay_distribution,
@@ -95,19 +95,19 @@ def test_criterion_03_gradient_matches_finite_differences(ref_params,
         sizing = [path.input_cap] + [
             math.exp(rng.uniform(math.log(2.0), math.log(150.0)))
             for _ in range(n - 1)]
-        analytic = path_gradient(path, sizing, ref_params, ref_library)
+        analytic = exact_path_gradient(path, sizing, ref_params,
+                                       ref_library)
         templates = [ref_library[k] for k in gates]
-        const, a, c_par = oracles.frozen_coefficients(
-            templates, sizing, path.terminal_load, path.input_edge,
-            path.driver_slope_rise, path.driver_slope_fall, ref_params)
 
-        def frozen(x):
-            return oracles.frozen_delay(const, a, c_par, x,
-                                        path.terminal_load)
+        def exact(x):
+            return oracles.chain_delay(
+                templates, x, path.terminal_load, path.input_edge,
+                path.driver_slope_rise, path.driver_slope_fall,
+                ref_params)[0]
 
         scale = max(abs(g) for g in analytic)
         for j in range(1, n):
-            fd = oracles.central_diff(frozen, sizing, j, sizing[j] * 1e-6)
+            fd = oracles.central_diff(exact, sizing, j, sizing[j] * 1e-6)
             err = abs(analytic[j - 1] - fd) / scale
             worst = max(worst, err)
             assert err <= 1e-6

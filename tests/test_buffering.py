@@ -14,68 +14,38 @@ import pytest
 
 import oracles
 from conftest import REF_PROC
-from cmospath import buffering
+from cmospath import bounds, buffering, path as path_module
 from cmospath.bounds import min_delay_sizing, splice_sizing
-from cmospath.buffering import (_buffered_probe_delay, _crossing,
-                                fanout_limits, find_critical_nodes, flimit,
-                                insert_buffers, min_delay_with_buffers,
-                                optimal_buffer_size)
+from cmospath.buffering import (_crossing, fanout_limits, find_critical_nodes,
+                                flimit, insert_buffers, min_delay_with_buffers)
 from cmospath.errors import ConfigError
 from cmospath.path import LogicPath, PathModel
 from cmospath.process import EDGES, GateTemplate, load_process_file
 from cmospath.protocol import optimize
 
 
-class TestOptimalBufferSize:
-    def test_square_root_form(self, ref_params):
-        # equal coefficients, no parasitic: plain geometric mean of the caps
-        assert optimal_buffer_size(10.0, 1.0, 10.0, 0.0, 16.0,
-                                   ref_params) == pytest.approx(4.0)
+def golden_gap(gates, fanout, params, library):
+    """Buffered minus plain delay of `gates` into fanout * cin, averaged
+    over both input edges, from the independent stage recurrence.
 
-    def test_load_equal_to_cin_is_identity(self, ref_params):
-        c = optimal_buffer_size(7.0, 12.0, 7.0, 0.0, 12.0, ref_params)
-        assert c == pytest.approx(12.0)
+    Every gate sits at the probe's cin; the buffered structure appends an
+    inverter whose size golden-section search picks.
+    """
+    cin = 64.0 * params.cref
+    load = fanout * cin
+    plain = [library[k] for k in gates]
+    sizes = [cin] * len(gates)
+    total = 0.0
+    for edge in EDGES:
+        def delay(templates, cins):
+            return oracles.chain_delay(templates, cins, load, edge, 0.0, 0.0,
+                                       params)[0]
 
-    def test_parasitic_refreeze_grows_the_buffer(self, ref_params):
-        a_g, cin, a_b, load, p = 10.0, 4.0, 8.0, 200.0, 0.3
-        c0 = math.sqrt(a_b * load * cin / a_g)
-        expected = math.sqrt(a_b * (load + p * c0) * cin / a_g)
-        got = optimal_buffer_size(a_g, cin, a_b, p, load, ref_params)
-        assert got == pytest.approx(expected, rel=1e-12)
-        assert got > c0
-
-    def test_clamps_at_cref(self, ref_params):
-        assert optimal_buffer_size(10.0, 1.0, 10.0, 0.0, 1e-3,
-                                   ref_params) == ref_params.cref
-
-    def test_rejects_nonpositive_inputs(self, ref_params):
-        with pytest.raises(ValueError):
-            optimal_buffer_size(0.0, 1.0, 1.0, 0.0, 16.0, ref_params)
-        with pytest.raises(ValueError):
-            optimal_buffer_size(1.0, 1.0, 1.0, 0.0, -2.0, ref_params)
-
-    def test_matches_golden_section_on_the_exact_model(self, ref_params,
-                                                       ref_library):
-        # free buffer behind a fixed nand2; the closed form with one
-        # parasitic re-freeze should land within 0.5% of the true minimum
-        path = LogicPath(gates=("inv", "nand2", "inv"), input_cap=8.0,
-                         terminal_load=160.0, driver_slope_rise=0.0,
-                         driver_slope_fall=0.0)
-        model = PathModel(path, ref_params, ref_library)
-        p_buf = ref_library["inv"].par_coeff
-
-        def exact(c_buf):
-            return model.evaluate((8.0, 8.0, c_buf)).total_delay
-
-        c = math.sqrt(8.0 * 160.0)
-        for _ in range(6):
-            coeffs = model.coefficients((8.0, 8.0, c))
-            c = optimal_buffer_size(coeffs.a[1], 8.0, coeffs.a[2], p_buf,
-                                    160.0, ref_params)
-        c_star, d_star = oracles.golden_min(exact, ref_params.cref, 1600.0,
-                                            tol=1e-10)
-        assert exact(c) <= d_star * 1.005
-        assert c == pytest.approx(c_star, rel=0.1)
+        _, d_buf = oracles.golden_min(
+            lambda c: delay(plain + [library["inv"]], sizes + [c]),
+            params.cref, 40.0 * load, tol=1e-9)
+        total += d_buf - delay(plain, sizes)
+    return total / len(EDGES)
 
 
 class TestFanoutLimit:
@@ -96,32 +66,14 @@ class TestFanoutLimit:
             assert a > b
 
     def test_crossing_brackets_the_limit(self, ref_params, ref_library):
-        # independent check: golden-size the buffer on the exact model and
-        # confirm the buffered structure loses just below the limit and
-        # wins just above it
-        limit = flimit("nor2", ref_params, ref_library)
-        cin = 64.0 * ref_params.cref
-
-        def gap(fanout):
-            load = fanout * cin
-            total = 0.0
-            for edge in EDGES:
-                common = dict(input_cap=cin, terminal_load=load,
-                              input_edge=edge, driver_slope_rise=0.0,
-                              driver_slope_fall=0.0)
-                plain = PathModel(LogicPath(gates=("inv", "nor2"), **common),
-                                  ref_params, ref_library)
-                buf = PathModel(
-                    LogicPath(gates=("inv", "nor2", "inv"), **common),
-                    ref_params, ref_library)
-                _, d_buf = oracles.golden_min(
-                    lambda c: buf.evaluate((cin, cin, c)).total_delay,
-                    ref_params.cref, 40.0 * load, tol=1e-9)
-                total += d_buf - plain.evaluate((cin, cin)).total_delay
-            return total / 2.0
-
-        assert gap(limit - 0.5) > 0.0
-        assert gap(limit + 0.5) < 0.0
+        # independent check: golden-size the buffer on the stage recurrence
+        # and confirm the buffered structure loses just below each limit
+        # and wins just above it, within the bisection's 1e-3
+        for gate, limit in fanout_limits(ref_params, ref_library).items():
+            assert golden_gap((gate,), limit - 2e-3, ref_params,
+                              ref_library) > 0.0, gate
+            assert golden_gap((gate,), limit + 2e-3, ref_params,
+                              ref_library) < 0.0, gate
 
     def test_unknown_kind_raises(self, ref_params, ref_library):
         with pytest.raises(ConfigError):
@@ -165,33 +117,19 @@ class TestFlimitTable:
         # The driving stage adds the same delay with and without the
         # buffer, so whichever kind drives the probe, the buffered
         # structure loses just below the limit and wins just above it.
-        cin = 64.0 * ref_params.cref
         for gate, limit in fanout_limits(ref_params, ref_library).items():
             for driver in ref_library:
                 for fanout, loses in ((limit - 1e-3, True),
                                       (limit + 1e-3, False)):
-                    gap = 0.0
-                    for edge in EDGES:
-                        common = dict(input_cap=cin,
-                                      terminal_load=fanout * cin,
-                                      input_edge=edge, driver_slope_rise=0.0,
-                                      driver_slope_fall=0.0)
-                        plain = PathModel(
-                            LogicPath(gates=(driver, gate), **common),
-                            ref_params, ref_library)
-                        buffered = PathModel(
-                            LogicPath(gates=(driver, gate, "inv"), **common),
-                            ref_params, ref_library)
-                        gap += _buffered_probe_delay(
-                            buffered, cin, fanout * cin, ref_params) \
-                            - plain.evaluate((cin, cin)).total_delay
+                    gap = golden_gap((driver, gate), fanout, ref_params,
+                                     ref_library)
                     assert (gap > 0.0) == loses, (driver, gate, fanout)
 
     def test_reference_table_values(self, ref_params, ref_library):
         # bisection midpoints are dyadic, so the values pin exactly
-        expected = {"inv": 5.699916839599609, "nand2": 4.900043487548828,
-                    "nand3": 4.500484466552734, "nor2": 3.800312042236328,
-                    "nor3": 2.6998252868652344}
+        expected = {"inv": 5.668193817138672, "nand2": 4.885692596435547,
+                    "nand3": 4.489910125732422, "nor2": 3.773876190185547,
+                    "nor3": 2.6786766052246094}
         table = fanout_limits(ref_params, ref_library)
         assert list(table.items()) == list(expected.items())
 
@@ -246,7 +184,8 @@ class TestFlimitMemo:
                 assert not hasattr(self, name), f"{name} reassigned"
                 super().__setattr__(name, value)
 
-        monkeypatch.setattr(buffering, "PathModel", FixedLoadModel)
+        for module in (buffering, bounds, path_module):
+            monkeypatch.setattr(module, "PathModel", FixedLoadModel)
         _crossing.cache_clear()
         snapshot = dict(ref_library)
         copies = {k: dataclasses.replace(t) for k, t in ref_library.items()}

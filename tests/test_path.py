@@ -1,4 +1,4 @@
-"""Path evaluation, frozen coefficients, and both gradients."""
+"""Path evaluation, frozen coefficients, and the exact gradient."""
 
 import math
 import random
@@ -19,8 +19,8 @@ from cmospath import (
     gate_delay,
     parse_path_file,
     path_coefficients,
-    path_gradient,
 )
+from cmospath.bounds import min_delay_sizing
 from cmospath.buffering import insert_buffers
 from cmospath.path import MAX_CAP_FF
 from cmospath.restructure import cancel_inverter_pairs, demorgan_rewrite
@@ -361,25 +361,29 @@ class TestCoefficients:
 
 
 class TestFrozenGradient:
+    """Checks once made on the frozen gradient, held on the exact one.
+
+    The package keeps no frozen gradient; the exact gradient answers to a
+    finite difference of the independent stage recurrence instead.
+    """
+
     def test_matches_finite_difference_of_frozen_model(self, ref_params,
                                                        ref_library):
         rng = random.Random(23)
         for _ in range(20):
             path, sizing = random_case(rng, ref_library, n_gates=5)
-            grad = path_gradient(path, sizing, ref_params, ref_library)
-            const, a, c_par = oracles.frozen_coefficients(
-                templates_for(path, ref_library), sizing,
-                path.terminal_load, path.input_edge,
-                path.driver_slope_rise, path.driver_slope_fall, ref_params)
+            grad = exact_path_gradient(path, sizing, ref_params, ref_library)
+            tpls = templates_for(path, ref_library)
 
-            def frozen(c):
-                return oracles.frozen_delay(const, a, c_par, c,
-                                            path.terminal_load)
+            def full(c):
+                return oracles.chain_delay(
+                    tpls, c, path.terminal_load, path.input_edge,
+                    path.driver_slope_rise, path.driver_slope_fall,
+                    ref_params)[0]
 
             scale = max(abs(g) for g in grad)
             for j in range(1, path.n):
-                fd = oracles.central_diff(frozen, sizing, j,
-                                          sizing[j] * 1e-6)
+                fd = oracles.central_diff(full, sizing, j, sizing[j] * 1e-6)
                 assert abs(grad[j - 1] - fd) <= 1e-6 * max(abs(fd), scale)
 
     def test_sign_flip_across_single_variable_optimum(self, ref_params,
@@ -388,11 +392,12 @@ class TestFrozenGradient:
                          terminal_load=64.0, input_edge="rising")
 
         def component(c):
-            return path_gradient(path, [4.0, c], ref_params, ref_library)[0]
+            return exact_path_gradient(path, [4.0, c], ref_params,
+                                       ref_library)[0]
 
         assert component(6.0) < 0.0
         assert component(40.0) > 0.0
-        # and it crosses where the frozen link equation says it should
+        # and it crosses at the size the min-delay solver settles on
         lo, hi = 6.0, 40.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
@@ -400,10 +405,8 @@ class TestFrozenGradient:
                 lo = mid
             else:
                 hi = mid
-        coeffs = path_coefficients(path, [4.0, lo], ref_params, ref_library)
-        cp = coeffs.c_par[1]
-        want = math.sqrt(coeffs.a[1] / coeffs.a[0] * (64.0 + cp) * 4.0)
-        assert lo == pytest.approx(want, rel=1e-4)
+        sizing, _, _ = min_delay_sizing(path, ref_params, ref_library)
+        assert lo == pytest.approx(sizing[1], rel=1e-9)
 
 
 class TestExactGradient:
@@ -465,7 +468,11 @@ class TestExactGradient:
                          terminal_load=100.0, driver_slope_rise=20.0,
                          driver_slope_fall=20.0)
         sizing = [2.0, 4.5, 11.0, 26.0, 60.0]
-        frozen = path_gradient(path, sizing, params, lib)
+        coeffs = PathModel(path, params, lib).coefficients(sizing)
+        a, cp = coeffs.a, coeffs.c_par
+        frozen = [a[j - 1] / sizing[j - 1] - a[j] * (
+            (sizing[j + 1] if j < path.n - 1 else path.terminal_load)
+            + cp[j]) / sizing[j] ** 2 for j in range(1, path.n)]
         exact = exact_path_gradient(path, sizing, params, lib)
         for f, e in zip(frozen, exact):
             assert f == pytest.approx(e, rel=1e-12)
