@@ -95,16 +95,6 @@ def frozen_coefficients(templates, cins, load, input_edge, slope_rise,
     return constant, a, c_par
 
 
-def frozen_delay(constant, a, c_par, cins, load):
-    """Evaluate the affine regrouping at a (possibly different) sizing."""
-    n = len(a)
-    total = constant
-    for i in range(n):
-        nxt = cins[i + 1] if i + 1 < n else load
-        total = total + a[i] * (nxt + c_par[i]) / cins[i]
-    return total
-
-
 def central_diff(f, x, index, h):
     """Central finite difference of f along one coordinate of x."""
     up = list(x)

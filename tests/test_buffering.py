@@ -34,17 +34,19 @@ def golden_gap(gates, fanout, params, library):
     cin = 64.0 * params.cref
     load = fanout * cin
     plain = [library[k] for k in gates]
+    buffered = plain + [library["inv"]]
     sizes = [cin] * len(gates)
+
+    def delay(templates, cins, edge):
+        return oracles.chain_delay(templates, cins, load, edge, 0.0, 0.0,
+                                   params)[0]
+
     total = 0.0
     for edge in EDGES:
-        def delay(templates, cins):
-            return oracles.chain_delay(templates, cins, load, edge, 0.0, 0.0,
-                                       params)[0]
-
         _, d_buf = oracles.golden_min(
-            lambda c: delay(plain + [library["inv"]], sizes + [c]),
-            params.cref, 40.0 * load, tol=1e-9)
-        total += d_buf - delay(plain, sizes)
+            lambda c: delay(buffered, sizes + [c], edge), params.cref,
+            40.0 * load, tol=1e-9)
+        total += d_buf - delay(plain, sizes, edge)
     return total / len(EDGES)
 
 

@@ -361,11 +361,8 @@ class TestCoefficients:
 
 
 class TestFrozenGradient:
-    """Checks once made on the frozen gradient, held on the exact one.
-
-    The package keeps no frozen gradient; the exact gradient answers to a
-    finite difference of the independent stage recurrence instead.
-    """
+    """Gradient checks against independent oracles; the package's one
+    gradient is the exact one."""
 
     def test_matches_finite_difference_of_frozen_model(self, ref_params,
                                                        ref_library):
