@@ -10,6 +10,9 @@ each in its own interpreter, and compares the results case by case:
   infeasible;
 * area changes: both trees solve the case but their areas differ by more
   than 1e-9 relative, with or without a structural difference;
+* greedy t_min: min_delay_with_buffers on the case's path in its buffer
+  mode, counted per mode as lower, higher or equal (1e-9 relative),
+  each change listed;
 * the largest relative numeric drift over every number of the cases
   whose structure agrees (sizes, delays, areas, a values, trace values).
 
@@ -43,7 +46,7 @@ from concurrent.futures import ThreadPoolExecutor
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROC = os.path.join(ROOT, "fixtures", "ref.proc")
 RATIOS = (0.8, 0.9, 0.97, 1.02, 1.1, 1.2, 1.5, 2.0, 2.5, 3.5)
-AREA_RTOL = 1e-9
+RTOL = 1e-9
 
 
 def cases(seed: int, count: int, gates: tuple[int, int], kinds):
@@ -97,6 +100,9 @@ def worker(argv) -> int:
         try:
             t_min = cmospath.min_delay_sizing(path, params, library)[1]
             out["numbers"]["t_min"] = t_min
+            out["numbers"]["greedy_t_min"] = cmospath.min_delay_with_buffers(
+                path, params, library,
+                polarity_mode=spec["buffer_mode"]).t_min
             result = cmospath.optimize(path, spec["ratio"] * t_min, params,
                                        library,
                                        buffer_mode=spec["buffer_mode"])
@@ -176,6 +182,8 @@ def main(argv=None) -> int:
           f"gates={args.gates[0]}-{args.gates[1]}: - {args.other}  + {this}")
 
     structural = flips = area_changes = 0
+    greedy = {mode: {"lower": 0, "higher": 0, "equal": 0}
+              for mode in ("pair", "single")}
     largest_area = (0.0, None)
     drift = (0.0, None, None)
     for index, (a, b) in enumerate(zip(old, new)):
@@ -202,17 +210,28 @@ def main(argv=None) -> int:
                 gap = relative(na[name], nb[name])
                 if gap > drift[0]:
                     drift = (gap, index, name)
+        if "greedy_t_min" in na and "greedy_t_min" in nb:
+            old_t, new_t = na["greedy_t_min"], nb["greedy_t_min"]
+            verdict = ("equal" if relative(old_t, new_t) <= RTOL
+                       else "lower" if new_t < old_t else "higher")
+            greedy[a["spec"]["buffer_mode"]][verdict] += 1
+            if verdict != "equal":
+                print(f"{label}: greedy t_min {old_t:.9g} -> {new_t:.9g} ps "
+                      f"({(new_t - old_t) / old_t:+.3e})")
         if sa["result"] == sb["result"] == "ok":
             change = (nb["area"] - na["area"]) / na["area"]
             if abs(change) > abs(largest_area[0]):
                 largest_area = (change, index)
-            if abs(change) > AREA_RTOL:
+            if abs(change) > RTOL:
                 area_changes += 1
                 print(f"{label}: area {na['area']:.9g} -> "
                       f"{nb['area']:.9g} um ({change:+.3e})")
 
     print(f"# {len(old)} cases: {structural} structural differences, "
           f"{flips} infeasible flips, {area_changes} area changes")
+    for mode, counts in greedy.items():
+        print(f"# greedy t_min, {mode} mode: {counts['lower']} lower, "
+              f"{counts['higher']} higher, {counts['equal']} equal")
     print(f"# largest area change {largest_area[0]:+.3e} "
           f"(case {largest_area[1]}); largest relative drift "
           f"{drift[0]:.3e} (case {drift[1]}, {drift[2]})")

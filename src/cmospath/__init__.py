@@ -10,7 +10,6 @@ from .bounds import (
 from .buffering import (
     BufferingOutcome,
     fanout_limits,
-    find_critical_nodes,
     flimit,
     insert_buffers,
     min_delay_with_buffers,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import ConvergenceError
 from .path import GateLibrary, LogicPath, PathModel, PathTiming, Sizing
@@ -170,17 +170,18 @@ def _newton_step(model: PathModel, cin, grad, hd, ho, a: float,
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
-                     warm: Sizing | None = None,
-                     max_iterations: int = MAX_ITERATIONS) -> FixedPoint:
+                     warm: Sequence[float | None] | None = None
+                     ) -> FixedPoint:
     """Solve the equal-sensitivity stationarity system at target a <= 0.
 
-    Starts from warm if given, else from the geometric taper cin[i] =
-    max(cref, input_cap * (load / input_cap)^(i/n)), which does not depend
-    on a, nor on cref unless it clamps.  It then drives the exact
-    sensitivities dT/dcin[i] to a for every unclamped gate.  Each
-    iteration takes a tridiagonal Newton step off the derivative pass that
-    opens it, on the exact Hessian; where that is not positive definite,
-    each row that is not diagonally dominant is made so.  The proposal's
+    Starts from warm, each None in it filled by splice_sizing; no warm is
+    all None, the geometric taper cin[i] = max(cref, input_cap * (load /
+    input_cap)^(i/n)), which does not depend on a, nor on cref unless it
+    clamps.  It then drives the exact sensitivities dT/dcin[i] to a for
+    every unclamped gate, within MAX_ITERATIONS steps.  Each iteration
+    takes a tridiagonal Newton step off the derivative pass that opens
+    it, on the exact Hessian; where that is not positive definite, each
+    row that is not diagonally dominant is made so.  The proposal's
     own pass gives its delay; the step is accepted only if it does not
     increase the descent merit T - a * sum(cin), else it is damped toward
     the previous sizing in log space, up to 20 halvings of one pass each.
@@ -203,13 +204,8 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         sizing = (model.input_cap,)
         return FixedPoint(sizing, model.evaluate(sizing), 0, [], [])
 
-    if warm is not None:
-        cin = list(warm)
-        cin[0] = model.input_cap
-    else:
-        ratio = model.terminal_load / model.input_cap
-        cin = [model.input_cap] + [
-            max(cref, model.input_cap * ratio ** (i / n)) for i in range(1, n)]
+    cin = splice_sizing([None] * n if warm is None else warm, model.path,
+                        cref)
 
     def visit(sizing):
         """(sizing, its derivative pass, its descent merit)."""
@@ -218,7 +214,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
 
     here = visit(cin)
     max_rel = math.inf
-    for steps in range(1, max_iterations + 1):
+    for steps in range(1, MAX_ITERATIONS + 1):
         cin, (grad, hd, ho, delay), merit = here
         prop = _newton_step(model, cin, grad, hd, ho, a, model.clamped(cin))
         ceiling = merit + abs(merit) * 1e-12
@@ -250,18 +246,18 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                 return FixedPoint(tuple(new), model.evaluate(new), steps,
                                   hd, ho)
     raise ConvergenceError("sizing fixed point did not converge",
-                           iterations=max_iterations, residual=max_rel)
+                           iterations=MAX_ITERATIONS, residual=max_rel)
 
 
 def splice_sizing(sizes, path: LogicPath, cref: float) -> list[float]:
-    """Warm start for an edited path from its parent's fastest sizing.
+    """The start link_fixed_point solves from: sizes with its gaps filled.
 
-    sizes runs gate by gate along the edited path: the parent's size for
-    each gate that survived the edit, None for each gate it added.  A
-    survivor keeps its size.  Each run of new gates goes on the geometric
-    taper from the sized gate on its left to the one on its right (the
-    terminal load past the last gate), held at cref or above.  Gate 0 is
-    the path's input_cap.
+    sizes runs gate by gate along the path: a size for each gate that has
+    one, None for each that has not (a gate an edit added, or every gate
+    of a cold start).  A sized gate keeps its size.  Each run of None goes
+    on the geometric taper from the sized gate on its left to the one on
+    its right (the terminal load past the last gate), held at cref or
+    above.  Gate 0 is the path's input_cap, so all None is the cold taper.
     """
     out = list(sizes)
     out[0] = path.input_cap
@@ -285,22 +281,23 @@ def splice_sizing(sizes, path: LogicPath, cref: float) -> list[float]:
 
 def min_delay_sizing(path: LogicPath, params: ProcessParams,
                      library: GateLibrary,
-                     max_iterations: int = MAX_ITERATIONS,
-                     warm: Sizing | None = None) -> tuple[Sizing, float, int]:
+                     warm: Sequence[float | None] | None = None
+                     ) -> tuple[Sizing, float, int]:
     """Fastest sizing of the path, its delay and the Newton steps taken.
 
     The a = 0 solve of link_fixed_point, so it stops once every unclamped
     exact sensitivity g_i has |g_i| <= 1e-6 * t_min / cref.  A cold solve
     starts on the geometric taper from input_cap to the terminal load;
-    warm starts anywhere else.  On libraries with strong fixed coupling
-    (cm_override_ff) the delay can have several local minima, and the
-    answer is the minimum whose basin the start lies in.  optimize and
-    greedy buffering start every edited path from its parent's fastest
-    sizing, spliced around the edit by splice_sizing, so an edited path
-    starts in its parent's basin.
+    warm starts anywhere else, each None in it on the taper between its
+    sized neighbours (splice_sizing).  On libraries with strong fixed
+    coupling (cm_override_ff) the delay can have several local minima,
+    and the answer is the minimum whose basin the start lies in.  optimize
+    and greedy buffering start every edited path from its parent's fastest
+    sizing, None for each gate the edit added, so an edited path starts
+    in its parent's basin.
     """
     fixed = link_fixed_point(PathModel(path, params, library), a=0.0,
-                             warm=warm, max_iterations=max_iterations)
+                             warm=warm)
     return fixed.sizing, fixed.timing.total_delay, fixed.steps
 
 

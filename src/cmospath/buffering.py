@@ -7,11 +7,13 @@ min_delay_sizing sizes, so the crossing depends only on the loaded gate,
 the buffer kind, and the process.  A gate's fanout is its downstream
 node's capacitance over its own input capacitance (`load_ratios`); the
 model adds the gate's parasitic par_coeff * cin on top, in the probe and
-on a path alike.  Gates whose fanout exceeds their kind's limit are where
-insertion pays; insertion is accepted greedily, worst gate first, only
-while the global minimum delay keeps improving.  The probe holds the
-gate's size fixed and sees no edge flip, so a round in which no
-over-limit gate pays tries a few more sites (`_extra_sites`).
+on a path alike.  The gate whose fanout most exceeds its kind's limit is
+where insertion pays; insertion is accepted greedily, one site per round,
+only while the global minimum delay keeps improving.  The probe holds the
+gate's size fixed and sees no edge flip, so a round also tries the worst
+gate below its limit where the path wants more stages, and in single
+mode the other over-limit gates and the best flip site; it keeps the
+fastest site that pays (`_sites`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bounds import min_delay_sizing, splice_sizing
+from .bounds import min_delay_sizing
 from .errors import ConfigError
 from .path import GateLibrary, LogicPath, PathModel, Sizing, evaluate_path
 from .process import (EDGES, GateInstance, GateTemplate, ProcessParams,
@@ -117,30 +119,6 @@ def load_ratios(path: LogicPath, sizing, limits) -> list[float | None]:
     return ratios
 
 
-def find_critical_nodes(path: LogicPath, sizing, limits,
-                        params: ProcessParams,
-                        library: GateLibrary) -> list[int]:
-    """Gate indices whose fanout exceeds their kind's limit.
-
-    Fanout is read by load_ratios, and limits maps a gate kind to its
-    fanout limit (fanout_limits).  Sorted by overshoot ratio, worst
-    first.  Ratios within TIE_RTOL (relative) of the worst one left count
-    as tied and go in index order, so rounding in the last bits of the
-    sizing cannot reorder nodes that tie exactly.
-    """
-    PathModel(path, params, library).check_sizing(sizing)
-    flagged = [(r, i) for i, r in enumerate(load_ratios(path, sizing, limits))
-               if r is not None and r > 1.0]
-    flagged.sort(key=lambda item: (-item[0], item[1]))
-    order: list[int] = []
-    while flagged:
-        lead = flagged[0][0]
-        tied = [item for item in flagged if item[0] >= lead * (1.0 - TIE_RTOL)]
-        order.extend(sorted(i for _, i in tied))
-        flagged = flagged[len(tied):]
-    return order
-
-
 def _chain_stage_delay(template: GateTemplate, params: ProcessParams,
                        effort: float) -> float:
     """Stage delay in a long chain of one gate kind at a given stage effort.
@@ -200,31 +178,37 @@ def _flip_site(model: PathModel, params: ProcessParams) -> int | None:
     return site
 
 
-def _extra_sites(path: LogicPath, sizing, limits, params: ProcessParams,
-                 library: GateLibrary, buffer_kind: str,
-                 polarity_mode: str) -> list[int]:
-    """The sites a greedy round tries when no over-limit gate pays.
+def _sites(model: PathModel, sizing, limits, buffer_template: GateTemplate,
+           polarity_mode: str) -> list[int]:
+    """The gates after which a greedy round tries buffers, in trial order.
 
-    The gate closest to its limit, lowest index among ties: in pair mode
-    only on a path with fewer stages than its effort wants
-    (_wants_more_stages), where the whole path resizes around the pair and
-    the break-even sits below the probe's limit, which holds the gate's
-    size fixed.  In single mode it is always tried, and so is the site
-    whose edge flip lowers the path effort most (_flip_site): a single
-    inverter mostly pays by flipping every later gate's edge, which no
-    fanout test sees.
+    First the worst gate: the lowest index among those whose load ratio
+    (load_ratios) lies within TIE_RTOL (relative) of the highest, so
+    rounding in the last bits of the sizing cannot choose between gates
+    that tie exactly.  It is tried when it is over its limit; below its
+    limit, always in single mode, and in pair mode on a path with fewer
+    stages than its effort wants (_wants_more_stages), where the whole
+    path resizes around the pair and the break-even sits below the
+    probe's limit, which holds the gate's size fixed.  Single mode then
+    adds every other gate over its limit, worst first, and the site whose
+    edge flip lowers the path effort most (_flip_site): a single inverter
+    mostly pays by flipping every later gate's edge, which no fanout test
+    sees.  A bad sizing raises ValueError.
     """
-    model = PathModel(path, params, library)
-    sites = []
-    if polarity_mode == "single" or _wants_more_stages(
-            model, params, library[buffer_kind]):
-        ratios = [(r, -i) for i, r in
-                  enumerate(load_ratios(path, sizing, limits))
-                  if r is not None]
-        if ratios:
-            sites.append(-max(ratios)[1])
+    model.check_sizing(sizing)
+    ranked = sorted((-r, i) for i, r in
+                    enumerate(load_ratios(model.path, sizing, limits))
+                    if r is not None)
+    sites: list[int | None] = []
+    if ranked:
+        lead = -ranked[0][0]
+        if (lead > 1.0 or polarity_mode == "single"
+                or _wants_more_stages(model, model.params, buffer_template)):
+            sites.append(min(i for r, i in ranked
+                             if -r >= lead * (1.0 - TIE_RTOL)))
     if polarity_mode == "single":
-        sites.append(_flip_site(model, params))
+        sites += [i for r, i in ranked if -r > 1.0]
+        sites.append(_flip_site(model, model.params))
     return [site for site in dict.fromkeys(sites) if site is not None]
 
 
@@ -271,16 +255,16 @@ def min_delay_with_buffers(path: LogicPath, params: ProcessParams,
                            library: GateLibrary, buffer_kind: str = "inv",
                            polarity_mode: str = "pair", *,
                            start=None) -> BufferingOutcome:
-    """Greedy buffer insertion: worst over-limit node, one at a time.
+    """Greedy buffer insertion, one site per round.
 
-    Each round tries the gates over their fanout limit, worst first, and
-    takes the first that pays; when none does, it tries the extra sites
-    (_extra_sites) and takes the fastest that pays.  After each tentative
-    insertion the whole path is resized for minimum delay, starting from
-    the current sizing with the new buffers spliced in (splice_sizing); an
-    insertion pays if it improves t_min by at least 0.1%, and its sizing
-    is then the one the next trial splices.  Stops when a round's trials
-    all fail.
+    Each round tries the sites of the site rule (_sites): the worst gate
+    and, in single mode, the other over-limit gates and the flip site.
+    After each tentative insertion the whole path is resized for minimum
+    delay, starting from the current sizing with the new buffers unsized,
+    on the taper between their neighbours; an insertion pays if it
+    improves t_min by at least 0.1%.  The round keeps the fastest that
+    pays, the first tried among equals, and its sizing is the one the
+    next round starts from.  Stops when a round's trials all fail.
     Never returns a slower path than the input, whose min-delay solve
     (sizing, t_min) is passed as `start` when the caller already has it.
     An unknown buffer kind or polarity mode raises before any solve.
@@ -295,23 +279,18 @@ def min_delay_with_buffers(path: LogicPath, params: ProcessParams,
         """(t_min, node, path, sizing) with buffers after node, solved warm."""
         candidate = insert_buffers(current, [node], buffer_kind,
                                    polarity_mode)
-        warm = splice_sizing(
-            [*sizing[:node + 1], *(None,) * (candidate.n - current.n),
-             *sizing[node + 1:]], candidate, params.cref)
+        warm = [*sizing[:node + 1], *(None,) * (candidate.n - current.n),
+                *sizing[node + 1:]]
         cand_sizing, cand_t, _ = min_delay_sizing(candidate, params,
                                                   library, warm=warm)
         return cand_t, node, candidate, cand_sizing
 
     for _ in range(MAX_INSERTIONS):
         bar = t_min * (1.0 - IMPROVE_TOL)
-        over = find_critical_nodes(current, sizing, limits, params, library)
-        best = next((t for t in map(trial, over) if t[0] < bar), None)
-        if best is None:
-            sites = [node for node in _extra_sites(
-                current, sizing, limits, params, library, buffer_kind,
-                polarity_mode) if node not in over]
-            paying = [t for t in map(trial, sites) if t[0] < bar]
-            best = min(paying, key=lambda t: t[0], default=None)
+        sites = _sites(PathModel(current, params, library), sizing, limits,
+                       library[buffer_kind], polarity_mode)
+        paying = [t for t in map(trial, sites) if t[0] < bar]
+        best = min(paying, key=lambda t: t[0], default=None)
         if best is None:
             break
         t_min, node, current, sizing = best

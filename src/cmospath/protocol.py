@@ -13,8 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bounds import (DelayBounds, max_delay_sizing, min_delay_sizing,
-                     splice_sizing)
+from .bounds import DelayBounds, max_delay_sizing, min_delay_sizing
 from .buffering import (check_polarity_mode, insert_buffers,
                         min_delay_with_buffers)
 from .errors import InfeasibleError, InvariantError
@@ -119,8 +118,8 @@ def _checked_rewrite(path: LogicPath, index: int, library: GateLibrary,
                      sizing: Sizing) -> tuple[LogicPath, int, list]:
     """demorgan_rewrite + cancellation, with a truth-table window check.
 
-    Returns the new path, the number of inverter pairs cancelled and, for
-    splice_sizing, the parent's sizing carried through the same edit: the
+    Returns the new path, the number of inverter pairs cancelled and, as
+    a warm start, the parent's sizing carried through the same edit: the
     three gates the rewrite puts in place of gate `index` are unsized
     (None), and a cancelled pair takes its sizes with it.  A rewrite that
     changes the window's function raises InvariantError.
@@ -259,9 +258,8 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
                 old_kind = route.path.gates[index]
                 new_path, pairs, sizes = _checked_rewrite(
                     route.path, index, library, route.sizing_min)
-                sizing, t_min, _ = min_delay_sizing(
-                    new_path, params, library,
-                    warm=splice_sizing(sizes, new_path, params.cref))
+                sizing, t_min, _ = min_delay_sizing(new_path, params,
+                                                    library, warm=sizes)
                 step = TraceStep("restruct", {
                     "index": index, "from": old_kind,
                     "to": f"inv+{dual_kind(old_kind)}+inv",

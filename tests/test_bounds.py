@@ -339,10 +339,11 @@ class TestMinDelaySolver:
             assert ([str(w.message) for w in solve_warnings]
                     == [str(w.message) for w in result_warnings])
 
-    def test_runs_out_of_iterations(self, ref_params, ref_library, chain11):
+    def test_runs_out_of_iterations(self, ref_params, ref_library, chain11,
+                                    monkeypatch):
+        monkeypatch.setattr(bounds_module, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as err:
-            min_delay_sizing(chain11, ref_params, ref_library,
-                             max_iterations=1)
+            min_delay_sizing(chain11, ref_params, ref_library)
         assert err.value.iterations == 1
         assert err.value.residual is not None
 

@@ -16,8 +16,9 @@ import oracles
 from conftest import REF_PROC
 from cmospath import bounds, buffering, path as path_module
 from cmospath.bounds import min_delay_sizing, splice_sizing
-from cmospath.buffering import (_crossing, fanout_limits, find_critical_nodes,
-                                flimit, insert_buffers, min_delay_with_buffers)
+from cmospath.buffering import (_crossing, _sites, fanout_limits, flimit,
+                                insert_buffers, load_ratios,
+                                min_delay_with_buffers)
 from cmospath.errors import ConfigError
 from cmospath.path import LogicPath, PathModel
 from cmospath.process import EDGES, GateTemplate, load_process_file
@@ -197,35 +198,47 @@ class TestFlimitMemo:
         assert set(ref_library) == set(snapshot)
 
 
+def sites(path, sizing, limits, params, library, mode):
+    """The site rule's trial order on a path at a sizing."""
+    return _sites(PathModel(path, params, library), sizing, limits,
+                  library["inv"], mode)
+
+
 class TestCriticalNodes:
     def test_well_staged_path_has_none(self, ref_params, ref_library,
                                        chain11):
         sizing, _, _ = min_delay_sizing(chain11, ref_params, ref_library)
         limits = fanout_limits(ref_params, ref_library)
-        assert find_critical_nodes(chain11, sizing, limits, ref_params,
-                                   ref_library) == []
+        ratios = load_ratios(chain11, sizing, limits)
+        assert all(r is not None and r <= 1.0 for r in ratios)
+        assert sites(chain11, sizing, limits, ref_params, ref_library,
+                     "pair") == []
 
     def test_overloaded_path_flagged_worst_first(self, ref_params,
                                                  ref_library, heavy_path):
         sizing, _, _ = min_delay_sizing(heavy_path, ref_params, ref_library)
         limits = fanout_limits(ref_params, ref_library)
-        nodes = find_critical_nodes(heavy_path, sizing, limits, ref_params,
-                                    ref_library)
-        assert nodes
-        # recompute the overshoot ratios independently and check the order:
-        # fanout is the downstream node over the gate's own cin
+        # recompute the overshoot ratios independently: fanout is the
+        # downstream node over the gate's own cin
         ratios = {}
-        for i in nodes:
+        for i, kind in enumerate(heavy_path.gates):
             nxt = sizing[i + 1] if i < heavy_path.n - 1 \
                 else heavy_path.terminal_load
-            fanout = nxt / sizing[i]
-            limit = limits[heavy_path.gates[i]]
-            assert fanout > limit
-            ratios[i] = fanout / limit
-        ordered = [r for _, r in sorted(
-            ((i, ratios[i]) for i in nodes),
-            key=lambda item: nodes.index(item[0]))]
-        assert ordered == sorted(ordered, reverse=True)
+            ratios[i] = nxt / sizing[i] / limits[kind]
+        assert load_ratios(heavy_path, sizing, limits) == list(
+            ratios.values())
+        over = [i for i, r in ratios.items() if r > 1.0]
+        assert over
+        # single mode tries every over-limit gate, worst first; pair mode
+        # only the worst
+        single = sites(heavy_path, sizing, limits, ref_params, ref_library,
+                       "single")
+        ordered = [i for i in single if i in over]
+        assert sorted(ordered) == over
+        assert [ratios[i] for i in ordered] == sorted(
+            (ratios[i] for i in ordered), reverse=True)
+        assert sites(heavy_path, sizing, limits, ref_params, ref_library,
+                     "pair") == ordered[:1]
 
     @staticmethod
     def _two_flagged(ref_library, gap):
@@ -255,11 +268,14 @@ class TestCriticalNodes:
     def test_near_tie_goes_to_the_lower_index(self, ref_params, ref_library,
                                               gap, order):
         # a one-ulp lead is rounding noise: which of two exactly tied
-        # nodes comes first must not hang on the last bit of the sizing,
-        # while a real lead still goes first
+        # nodes is the worst must not hang on the last bit of the sizing,
+        # while a real lead still is the worst
         path, sizing, limits = self._two_flagged(ref_library, gap)
-        assert find_critical_nodes(path, sizing, limits, ref_params,
-                                   ref_library) == order
+        assert sites(path, sizing, limits, ref_params, ref_library,
+                     "pair") == order[:1]
+        single = sites(path, sizing, limits, ref_params, ref_library,
+                       "single")
+        assert [i for i in single if i in order] == order
 
     @pytest.mark.parametrize("gate", ["inv", "nand2", "nand3", "nor2",
                                       "nor3"])
@@ -278,14 +294,16 @@ class TestCriticalNodes:
             path = LogicPath(gates=("inv", gate), input_cap=cin,
                              terminal_load=f * cin, driver_slope_rise=0.0,
                              driver_slope_fall=0.0)
-            assert find_critical_nodes(path, (cin, cin), limits,
-                                       ref_params, ref_library) == expected
+            ratio = load_ratios(path, (cin, cin), limits)[1]
+            assert (ratio > 1.0) == bool(expected)
+            assert sites(path, (cin, cin), limits, ref_params, ref_library,
+                         "pair") == expected
 
     def test_sizing_is_validated(self, ref_params, ref_library, heavy_path):
         limits = fanout_limits(ref_params, ref_library)
         with pytest.raises(ValueError):
-            find_critical_nodes(heavy_path, (4.0, 10.0), limits, ref_params,
-                                ref_library)
+            sites(heavy_path, (4.0, 10.0), limits, ref_params, ref_library,
+                  "pair")
 
 
 class TestInsertBuffers:
@@ -438,8 +456,7 @@ class TestMinDelayWithBuffers:
         # Either way a route at 0.97 t_min becomes feasible.
         sizing, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
         limits = fanout_limits(ref_params, ref_library)
-        assert find_critical_nodes(path, sizing, limits, ref_params,
-                                   ref_library) == []
+        assert all(r <= 1.0 for r in load_ratios(path, sizing, limits))
         out = min_delay_with_buffers(path, ref_params, ref_library,
                                      polarity_mode=mode)
         assert out.insertions and all(m == mode for _, m in out.insertions)
@@ -447,6 +464,53 @@ class TestMinDelayWithBuffers:
         result = optimize(path, 0.97 * t_min, ref_params, ref_library,
                           buffer_mode=mode)
         assert result.achieved_delay <= 0.97 * t_min
+
+    # Drawn by scripts/diff_optimize.py, seed 11: gates 6 and 10 of case
+    # 414 sit 0.65% over their limits, and gates 0 and 2 of case 128 at
+    # 1.97 and 1.40 times theirs.
+    OVER_LIMIT_FLIP = LogicPath(
+        gates=("nand2", "nor3", "inv", "nand3", "nand2", "nor2", "nor3",
+               "nand2", "nor2", "nand3", "nor3", "nand3", "inv", "nor3",
+               "nand2", "inv"),
+        input_cap=2.285634657175529, terminal_load=1293.9935408761833,
+        input_edge="rising", driver_slope_rise=25.354296440835718,
+        driver_slope_fall=3.8587659250725492)
+    OVER_LIMIT_FAILING = LogicPath(
+        gates=("nor3", "nand2", "nor2", "nor3"),
+        input_cap=4.734697135689483, terminal_load=429.8758917808865,
+        input_edge="rising", driver_slope_rise=9.311188292922656,
+        driver_slope_fall=30.99709678527099)
+
+    def test_single_mode_keeps_the_fastest_site(self, ref_params,
+                                                ref_library):
+        # A single inverter after an over-limit gate pays, but the flip
+        # site pays more: the round tries both and keeps the faster.
+        out = min_delay_with_buffers(self.OVER_LIMIT_FLIP, ref_params,
+                                     ref_library, polarity_mode="single")
+        assert out.insertions == ((12, "single"),)
+        assert out.t_min <= 1007.1
+
+    def test_pair_mode_tries_only_the_worst_gate(self, ref_params,
+                                                 ref_library, monkeypatch):
+        # Both gates over their limits, neither pair pays: the round
+        # solves the worst gate's trial alone and stops.
+        path = self.OVER_LIMIT_FAILING
+        sizing, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
+        limits = fanout_limits(ref_params, ref_library)
+        assert [r > 1.0 for r in load_ratios(path, sizing, limits)] == [
+            True, False, True, False]
+        solved = []
+
+        def recording(path, *args, **kwargs):
+            solved.append(path)
+            return min_delay_sizing(path, *args, **kwargs)
+
+        monkeypatch.setattr(buffering, "min_delay_sizing", recording)
+        out = min_delay_with_buffers(path, ref_params, ref_library,
+                                     start=(sizing, t_min))
+        assert [trial.gates for trial in solved] == [
+            ("nor3", "inv", "inv", "nand2", "nor2", "nor3")]
+        assert out.path is path and out.insertions == ()
 
     @pytest.mark.parametrize("option, error", [
         ({"buffer_kind": "xor9"}, ConfigError),
@@ -517,39 +581,43 @@ class TestSpliceSizing:
                      terminal_load=400.0)
 
     def first_trial_warm(self, node, mode, params, library, monkeypatch):
-        """The parent sizing and the warm start of greedy buffering's trial
-        at `node`, taken from the call the loop makes."""
+        """The parent sizing, and the path and warm start of greedy
+        buffering's trial at `node`, taken from the call the loop makes."""
         sizing, t_min, _ = min_delay_sizing(self.PATH, params, library)
         nodes = [[node]]
-        warms = []
+        solves = []
 
         def recording(path, params, library, *args, warm=None, **kwargs):
-            warms.append(warm)
+            solves.append((path, warm))
             return min_delay_sizing(path, params, library, *args, warm=warm,
                                     **kwargs)
 
-        monkeypatch.setattr(buffering, "find_critical_nodes",
+        monkeypatch.setattr(buffering, "_sites",
                             lambda *args: nodes.pop() if nodes else [])
         monkeypatch.setattr(buffering, "min_delay_sizing", recording)
         min_delay_with_buffers(self.PATH, params, library,
                                polarity_mode=mode, start=(sizing, t_min))
-        return sizing, warms[0]
+        return sizing, *solves[0]
 
     @pytest.mark.parametrize("mode, count", [("single", 1), ("pair", 2)])
     @pytest.mark.parametrize("node", [0, 1, 3])
     def test_insertion_keeps_the_parent_and_tapers_the_buffers(
             self, ref_params, ref_library, monkeypatch, node, mode, count):
-        sizing, warm = self.first_trial_warm(node, mode, ref_params,
-                                             ref_library, monkeypatch)
-        assert len(warm) == self.PATH.n + count
+        sizing, trial, warm = self.first_trial_warm(
+            node, mode, ref_params, ref_library, monkeypatch)
+        # The trial passes the parent sizing with the buffers unsized.
+        assert warm == [*sizing[:node + 1], *(None,) * count,
+                        *sizing[node + 1:]]
+        start = splice_sizing(warm, trial, ref_params.cref)
+        assert len(start) == self.PATH.n + count
         # Survivors keep their parent size bit for bit, gate 0 included.
-        assert warm[:node + 1] == list(sizing[:node + 1])
-        assert warm[node + 1 + count:] == list(sizing[node + 1:])
-        assert warm[0] == self.PATH.input_cap
+        assert start[:node + 1] == list(sizing[:node + 1])
+        assert start[node + 1 + count:] == list(sizing[node + 1:])
+        assert start[0] == self.PATH.input_cap
         # Past the last gate the terminal load is the right neighbour.
         right = (sizing[node + 1] if node + 1 < self.PATH.n
                  else self.PATH.terminal_load)
-        new = warm[node + 1:node + 1 + count]
+        new = start[node + 1:node + 1 + count]
         assert new == pytest.approx(
             taper(sizing[node], right, count, ref_params.cref), rel=1e-15)
         assert all(c >= ref_params.cref for c in new)
@@ -570,8 +638,9 @@ class TestSpliceSizing:
 
     def test_warm_trials_take_fewer_iterations(self, ref_params, ref_library):
         # Buffer pairs inserted along a long chain, each trial solved from
-        # the spliced parent sizing as greedy buffering splices it, must
-        # take at most 3/4 of the cold iterations and reach the same t_min.
+        # the parent sizing with the pair unsized, as greedy buffering
+        # passes it, must take at most 3/4 of the cold iterations and reach
+        # the same t_min.
         rng = random.Random(4)
         path = LogicPath(
             gates=tuple(rng.choice(sorted(ref_library)) for _ in range(120)),
@@ -581,9 +650,7 @@ class TestSpliceSizing:
         warm = cold = 0
         for node in (10, 14, 34, 64, 78, 80, 88, 110):
             trial = insert_buffers(path, [node])
-            start = splice_sizing([*sizing[:node + 1], None, None,
-                                   *sizing[node + 1:]], trial,
-                                  ref_params.cref)
+            start = [*sizing[:node + 1], None, None, *sizing[node + 1:]]
             _, t_warm, iters = min_delay_sizing(trial, ref_params,
                                                 ref_library, warm=start)
             _, t_cold, cold_iters = min_delay_sizing(trial, ref_params,
