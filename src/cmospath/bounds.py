@@ -59,7 +59,8 @@ class FixedPoint(NamedTuple):
 
     diag and off are that pass's exact Hessian over the free gates (see
     PathModel.derivatives), taken at sizing, so a caller that needs the
-    curvature there has it without another pass.  A named tuple, not a
+    curvature there has it without another pass; passes counts every
+    derivative pass the solve took, damping trials included.  A named tuple, not a
     frozen dataclass: creating a dataclass costs about 1 ms at import.
     """
 
@@ -68,6 +69,7 @@ class FixedPoint(NamedTuple):
     steps: int
     diag: list[float]
     off: list[float]
+    passes: int
 
 
 def max_delay_sizing(path: LogicPath, params: ProcessParams,
@@ -113,26 +115,23 @@ def _solve_tridiagonal(diag, off, rhs, pinned) -> list[float] | None:
     return x
 
 
-def _newton_step(model: PathModel, cin, grad, hd, ho, a: float,
-                 clamped) -> list[float]:
-    """One log-space Newton step on the stationarity residual.
+def _newton_solve(cin, grad, hd, ho, a: float, clamped,
+                  border: bool = False) -> list[list[float]] | None:
+    """Solve the log-space Newton system at cin; None if it degenerates.
 
-    Residual r_j = cin[j] * (dT/dcin[j] - a) with the exact sensitivities.
-    Curvature is the exact delay Hessian mapped to log sizes, d2/dy2 =
-    c^2 T'' + c (T' - a).  Where that matrix loses positive definiteness
-    (a Thomas pivot goes non-positive), which strong fixed coupling
-    causes, the system is built again and every row whose diagonal does
-    not exceed the sum of its absolute couplings gets that sum times
-    1 + 1e-9 (its |diagonal| if it has no coupling).  The result is
-    strictly diagonally dominant with a positive diagonal, hence positive
-    definite, so its step descends the merit.  Gates pinned at cref whose
-    residual pushes further down are held fixed.  The step is scaled to
-    at most one e-fold per gate and applied multiplicatively.  The
-    proposal is returned unclamped so the caller can damp along the
-    undistorted direction; clamping each coordinate here would bend the
-    direction and can turn it uphill.
+    The system M is the Jacobian of the residual r_j = cin[j] * (dT/dcin[j]
+    - a) with respect to the log sizes: the exact delay Hessian mapped to
+    log space, d2/dy2 = c^2 T'' + c (T' - a).  Gates pinned at cref whose
+    residual pushes further down are held fixed (their rows solve to 0).
+    Where M loses positive definiteness (a Thomas pivot goes
+    non-positive), which strong fixed coupling causes, the system is built
+    again and every row whose diagonal does not exceed the sum of its
+    absolute couplings gets that sum times 1 + 1e-9 (its |diagonal| if it
+    has no coupling).  The result is strictly diagonally dominant with a
+    positive diagonal, hence positive definite.  Returns [M^-1 (-r)], and
+    with border also M^-1 c, the response to the target a.
     """
-    n = model.n
+    n = len(cin)
     m = n - 1
 
     def system():
@@ -152,21 +151,45 @@ def _newton_step(model: PathModel, cin, grad, hd, ho, a: float,
     diag, off, rhs = system()
     # Gates active at the lower bound (r > 0) are held in place.
     pinned = [idx for idx in range(m) if clamped[idx + 1] and rhs[idx] < 0.0]
-    step = _solve_tridiagonal(diag, off, rhs, pinned)
-    if step is None:
-        diag, off, rhs = system()
-        for idx in range(m):
-            coupling = abs(off[idx]) + (abs(off[idx - 1]) if idx else 0.0)
-            if not diag[idx] > coupling:
-                diag[idx] = (coupling * (1.0 + 1e-9) if coupling
-                             else abs(diag[idx]))
+    for dominant in (False, True):
+        if dominant:
+            diag, off, rhs = system()
+            for idx in range(m):
+                coupling = abs(off[idx]) + (abs(off[idx - 1]) if idx else 0.0)
+                if not diag[idx] > coupling:
+                    diag[idx] = (coupling * (1.0 + 1e-9) if coupling
+                                 else abs(diag[idx]))
+        if border:
+            v = _solve_tridiagonal(list(diag), list(off), list(cin[1:]),
+                                   pinned)
+            if v is None:
+                continue
         step = _solve_tridiagonal(diag, off, rhs, pinned)
-    if step is None:
+        if step is not None:
+            return [step, v] if border else [step]
+    return None
+
+
+def _newton_step(model: PathModel, cin, grad, hd, ho, a: float,
+                 clamped) -> list[float]:
+    """One log-space Newton step on the stationarity residual.
+
+    Solves the system of _newton_solve, exact or made diagonally dominant,
+    so the step descends the merit.  The step is scaled to at most one
+    e-fold per gate and applied multiplicatively.  The proposal is
+    returned unclamped so the caller can damp along the undistorted
+    direction; clamping each coordinate here would bend the direction and
+    can turn it uphill.
+    """
+    solved = _newton_solve(cin, grad, hd, ho, a, clamped)
+    if solved is None:
         raise ConvergenceError("Newton system degenerated")
+    step = solved[0]
     widest = max(abs(s) for s in step)
     if widest > 1.0:
         step = [s / widest for s in step]
-    return [cin[0]] + [cin[j] * math.exp(step[j - 1]) for j in range(1, n)]
+    return [cin[0]] + [cin[j] * math.exp(step[j - 1])
+                       for j in range(1, model.n)]
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
@@ -190,10 +213,10 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     stands still.  Sizes are clamped at cref from below.  a = 0 is the
     minimum-delay condition.  Once a step settles (sizes move less than
     CAP_TOL, the delay less than DELAY_TOL, both relative), its pass
-    returns the sizing, its evaluated timing, the steps taken and its
-    Hessian (diag, off) as a FixedPoint if every unclamped gate has
-    |g_j - a| <= SENSITIVITY_REL * |a| + RESIDUAL_TOL * T / cref.  The
-    accepted pass opens the next iteration.
+    returns the sizing, its evaluated timing, the steps taken, its
+    Hessian (diag, off) and the passes taken as a FixedPoint if every
+    unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| + RESIDUAL_TOL *
+    T / cref.  The accepted pass opens the next iteration.
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
@@ -202,13 +225,17 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
 
     if n == 1:
         sizing = (model.input_cap,)
-        return FixedPoint(sizing, model.evaluate(sizing), 0, [], [])
+        return FixedPoint(sizing, model.evaluate(sizing), 0, [], [], 0)
 
     cin = splice_sizing([None] * n if warm is None else warm, model.path,
                         cref)
 
+    passes = 0
+
     def visit(sizing):
         """(sizing, its derivative pass, its descent merit)."""
+        nonlocal passes
+        passes += 1
         dv = model.derivatives(sizing)
         return sizing, dv, dv[3] - a * sum(sizing[1:])
 
@@ -244,7 +271,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                 if held:
                     logger.debug("fixed point clamped gates at cref: %s", held)
                 return FixedPoint(tuple(new), model.evaluate(new), steps,
-                                  hd, ho)
+                                  hd, ho, passes)
     raise ConvergenceError("sizing fixed point did not converge",
                            iterations=MAX_ITERATIONS, residual=max_rel)
 

@@ -64,20 +64,32 @@ def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
 
     The kind names ride along with their templates because the probe
     paths refer to the gates by the names the library files them under.
+    Each midpoint's buffered solve starts warm from the previous
+    midpoint's buffer size, scaled by the square root of the fanout ratio
+    as the optimal buffer scales; the two ends of the range start cold.
     """
     library = {gate: gate_template, buffer_kind: buffer_template}
     cin = 64.0 * params.cref
+    # (buffer size, fanout) at the previous midpoint, per input edge.
+    warm: dict[str, tuple[float, float]] = {}
 
-    def gap(fanout: float) -> float:
+    def gap(fanout: float, midpoint: bool = False) -> float:
         total = 0.0
         for edge in EDGES:
             common = dict(input_cap=cin, terminal_load=fanout * cin,
                           input_edge=edge)
             plain = LogicPath(gates=(gate,), **common)
             buffered = LogicPath(gates=(gate, buffer_kind), **common)
-            total += (min_delay_sizing(buffered, params, library)[1]
-                      - evaluate_path(plain, (cin,), params,
-                                      library).total_delay)
+            start = None
+            if edge in warm:
+                size, at = warm[edge]
+                start = (cin, size * math.sqrt(fanout / at))
+            sizing, delay, _ = min_delay_sizing(buffered, params, library,
+                                                warm=start)
+            if midpoint:
+                warm[edge] = sizing[1], fanout
+            total += delay - evaluate_path(plain, (cin,), params,
+                                           library).total_delay
         return total / len(EDGES)
 
     lo, hi = FLIMIT_LO, FLIMIT_HI
@@ -88,7 +100,7 @@ def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
         return math.inf
     while hi - lo > FLIMIT_TOL:
         mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
+        if gap(mid, midpoint=True) > 0.0:
             lo = mid
         else:
             hi = mid

@@ -4,24 +4,33 @@ At the area-optimal sizing for a given delay budget every free gate sees
 the same delay-per-capacitance sensitivity a <= 0; a = 0 is the fastest
 point and a -> -inf collapses everything to minimum drive.  A solve at a
 fixed a is the bounds engine's fixed point with its one stopping rule.
-The constrained area problem becomes a one-dimensional search on a: a
-safeguarded Newton iteration, with dT/da from the exact Hessian, that
-starts at the fastest sizing and stops once the delay lands in tc * (1 -
-1e-3) <= delay <= tc.  A tc at or above the all-minimum-drive delay takes
-that corner with no solve.  The equal-delay-per-stage reference sizing
-is a heuristic for comparison, not an optimizer.
+Meeting a constraint tc solves those stationarity conditions and T = tc
+at once: one Newton iteration on the log sizes and a together, whose
+bordered tridiagonal Jacobian costs one derivative pass and two Thomas
+sweeps per step, opened by an Euler predictor from the fastest sizing.
+It stops on the fixed point's certificate once the delay lands in tc *
+(1 - 1e-3) <= delay <= tc.  Where it gives up (strong fixed coupling can
+leave the log-space system indefinite), a bracketed Newton search on a
+alone, one fixed-point solve per step, takes over.  A tc at or above the
+all-minimum-drive delay takes that corner with no solve.  The
+equal-delay-per-stage reference sizing is a heuristic for comparison,
+not an optimizer.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
-from .bounds import (DelayBounds, FixedPoint, _solve_tridiagonal,
-                     compute_bounds, link_fixed_point)
+from .bounds import (RESIDUAL_TOL, SENSITIVITY_REL, DelayBounds, FixedPoint,
+                     _newton_solve, _solve_tridiagonal, compute_bounds,
+                     link_fixed_point)
 from .errors import ConvergenceError, InfeasibleError
 from .path import GateLibrary, LogicPath, PathModel, Sizing
 from .process import ProcessParams
+
+logger = logging.getLogger(__name__)
 
 DELAY_MATCH_TOL = 1e-3
 MAX_SENSITIVITY_STEPS = 60
@@ -67,25 +76,165 @@ def solve_at_sensitivity(path: LogicPath, a: float, params: ProcessParams,
     return _solve(PathModel(path, params, library), a, warm=warm)
 
 
+def _unit_response(model: PathModel, sizing: Sizing, diag,
+                   off) -> list[float] | None:
+    """dcin/da = H_ff^-1 1 at a constant-sensitivity point.
+
+    Differentiating the stationarity system g(cin) = a * 1 over the free
+    gates gives H_ff dcin/da = 1.  H_ff is the exact Hessian (diag, off)
+    at sizing, as PathModel.derivatives or the solve that reached sizing
+    gives it, with clamped gates pinned (unit diagonal, zero right-hand
+    side); diag and off are not modified.  Returns None when H_ff is not
+    positive definite, which strong fixed coupling can cause.
+    """
+    clamped = model.clamped(sizing)[1:]
+    return _solve_tridiagonal(list(diag), list(off), [1.0] * len(diag),
+                              [idx for idx, c in enumerate(clamped) if c])
+
+
 def _delay_curvature(model: PathModel, sizing: Sizing, diag,
                      off) -> float | None:
     """q = 1^T H_ff^-1 1 at a constant-sensitivity point, so dT/da = a * q.
 
-    Differentiating the stationarity system g(cin) = a * 1 over the free
-    gates gives H_ff dcin/da = 1, hence dT/da = g^T dcin/da = a * q.  H_ff
-    is the exact Hessian (diag, off) at sizing, as PathModel.derivatives
-    or the solve that reached sizing gives it, with clamped gates pinned
-    (unit diagonal, zero right-hand side); diag and off are not modified.
-    Returns None when H_ff is not positive definite, which strong fixed
-    coupling can cause.
+    dT/da = g^T dcin/da = a * q, with dcin/da from _unit_response.
+    Returns None when H_ff is not positive definite or q not positive.
     """
-    clamped = model.clamped(sizing)[1:]
-    x = _solve_tridiagonal(list(diag), list(off), [1.0] * len(diag),
-                           [idx for idx, c in enumerate(clamped) if c])
+    x = _unit_response(model, sizing, diag, off)
     if x is None:
         return None
     q = sum(x)
     return q if 0.0 < q < math.inf else None
+
+
+def _certified(model: PathModel, cin, grad, delay: float, a: float) -> bool:
+    """The stopping rule of link_fixed_point, settledness included.
+
+    Every unclamped gate has |g_j - a| <= 5e-5 * |a| + 1e-6 * delay /
+    cref, and no clamped gate's g_j lies more than that below a, which
+    would make it grow.
+    """
+    tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * delay / model.params.cref
+    clamped = model.clamped(cin)
+    return all(grad[j - 1] - a >= -tol if clamped[j]
+               else abs(grad[j - 1] - a) <= tol for j in range(1, model.n))
+
+
+def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
+                     first) -> tuple[SensitivitySolution | None, int]:
+    """Newton on the log sizes y and the sensitivity a together.
+
+    The unknowns (y, a) solve r_j = c_j (g_j - a) = 0 over the free gates
+    and T = target, the middle of the band.  The Jacobian is bordered
+    tridiagonal, [[M, -c], [(c*g)^T, 0]], with M the log-space system of
+    the fixed-point engine (_newton_solve), so each iteration takes one
+    derivative pass and two Thomas sweeps, M u = -r and M v = c; then da
+    = (target - T - (c*g).u) / ((c*g).v) and dy = u + v da.  At a = 0 the
+    delay is flat to first order, so the first step is the Euler
+    predictor from the fastest sizing, whose pass is `first`: da = a0 =
+    -sqrt(2 (target - t_min) / q) and dy = a0 * H^-1 1 / c.  Every step
+    is scaled to at most one e-fold per gate, and further so that a stops
+    halfway to 0 if it would reach it; sizes are clamped at cref.  It
+    stops on the fixed point's certificate (_certified) once the
+    evaluated delay lies in the band.  Returns the solution (None when it
+    gives up: a sweep fails even on the dominance-fixed M, (c*g).v is not
+    negative and finite, or MAX_SENSITIVITY_STEPS iterations pass) and
+    the iterations taken.
+    """
+    cref = model.params.cref
+    low = tc * (1.0 - DELAY_MATCH_TOL)
+    target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
+    a, cin = 0.0, list(bounds.sizing_min)
+    x = _unit_response(model, cin, first[1], first[2])
+    q = sum(x) if x is not None else math.nan
+    if not 0.0 < q < math.inf:
+        return None, 0
+    da = -math.sqrt(2.0 * (target - bounds.t_min) / q)
+    dy = [da * dc / c for c, dc in zip(cin[1:], x)]
+    for iteration in range(1, MAX_SENSITIVITY_STEPS + 1):
+        scale = 1.0 / max(1.0, max(abs(d) for d in dy))
+        if a + scale * da >= 0.0:
+            scale = -0.5 * a / da
+        a += scale * da
+        cin = [cin[0]] + [max(cref, c * math.exp(scale * d))
+                          for c, d in zip(cin[1:], dy)]
+        grad, hd, ho, delay = model.derivatives(cin)
+        if low <= delay <= tc and _certified(model, cin, grad, delay, a):
+            timing = model.evaluate(cin)
+            if low <= timing.total_delay <= tc:
+                return SensitivitySolution(
+                    a_value=a, sizing=tuple(cin), delay=timing.total_delay,
+                    area=timing.total_width), iteration
+        solved = _newton_solve(cin, grad, hd, ho, a, model.clamped(cin),
+                               border=True)
+        if solved is None:
+            return None, iteration
+        u, v = solved
+        cg = [c * g for c, g in zip(cin[1:], grad)]
+        slope = sum(w * vj for w, vj in zip(cg, v))
+        if not -math.inf < slope < 0.0:
+            return None, iteration
+        da = (target - delay - sum(w * uj for w, uj in zip(cg, u))) / slope
+        if not math.isfinite(da):
+            return None, iteration
+        dy = [uj + vj * da for uj, vj in zip(u, v)]
+    return None, MAX_SENSITIVITY_STEPS
+
+
+def _floor_sensitivity(model: PathModel, bounds: DelayBounds) -> float:
+    """An a at which the all-minimum corner holds: too slow below t_max.
+
+    The lower of -1e6 * t_min / cref and twice the steepest gate
+    sensitivity at the corner, so below every one of them.
+    """
+    return min(-1e6 * bounds.t_min / model.params.cref, 2.0 * min(
+        model.derivatives(bounds.sizing_max)[0], default=0.0))
+
+
+def _bracketed(model: PathModel, bounds: DelayBounds, tc: float,
+               curvature) -> tuple[SensitivitySolution, int]:
+    """The fallback: a safeguarded Newton search on a alone.
+
+    Each step solves the fixed point at a, warm from the previous one,
+    with dT/da = a * q; q is read off the Hessian of the solve that
+    reached each a, and curvature is the one at the fastest sizing, where
+    the first step uses the quadratic model T = t_min + q a^2 / 2.  A step
+    that leaves the bracket of a values known to be too slow and too fast
+    falls back to the bracket's geometric mean.  Returns the solution and
+    the derivative passes taken.
+    """
+    low = tc * (1.0 - DELAY_MATCH_TOL)
+    target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
+    # T(a) rises monotonically as a falls below 0.  lo is too slow (at
+    # the floor T = t_max > tc), hi too fast.
+    lo, hi = _floor_sensitivity(model, bounds), 0.0
+    passes = 1  # the floor's pass at the all-minimum corner
+    a = 0.0
+    warm, delay = bounds.sizing_min, bounds.t_min
+    for _ in range(MAX_SENSITIVITY_STEPS):
+        q = _delay_curvature(model, warm, *curvature)
+        if q is None:
+            step = math.nan  # fails the bracket test below
+        elif a == 0.0:
+            step = -math.sqrt(2.0 * (target - delay) / q)
+        else:
+            step = a - (delay - target) / (a * q)
+        if lo < step < hi:
+            a = step
+        else:
+            a = -math.sqrt(lo * hi) if hi < 0.0 else lo / 8.0
+        fixed = link_fixed_point(model, a=a, warm=warm)
+        warm, delay = fixed.sizing, fixed.timing.total_delay
+        curvature = fixed.diag, fixed.off
+        passes += fixed.passes
+        if low <= delay <= tc:
+            return _solution(a, fixed), passes
+        if delay > tc:
+            lo = a
+        else:
+            hi = a
+    raise ConvergenceError("sensitivity search did not meet the constraint",
+                           iterations=MAX_SENSITIVITY_STEPS,
+                           residual=(delay - tc) / tc)
 
 
 def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
@@ -93,18 +242,18 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
                           bounds: DelayBounds | None = None) -> SensitivitySolution:
     """Minimum-area sizing meeting delay constraint tc.
 
-    Starts from the fastest sizing (a = 0, taken from bounds) and runs a
-    safeguarded Newton iteration on the sensitivity a, warm-starting each
-    solve from the previous one, until the achieved delay lands in the
-    one-sided band tc * (1 - 1e-3) <= delay <= tc.  Newton uses dT/da =
-    a * 1^T H^-1 1 over the unclamped gates, and its first step from a = 0
-    the quadratic model T = t_min + q a^2 / 2; q is read off the last
-    derivative pass of the solve that reached each a, so only the one at
-    the fastest sizing takes a pass of its own.  A step that leaves the
-    bracket of a values known to be too slow and too fast falls back to
-    the bracket's geometric mean.  tc below t_min raises InfeasibleError
-    carrying t_min; tc at or above t_max returns the all-minimum sizing
-    with a note.
+    The result's evaluated delay lies in the one-sided band tc * (1 -
+    1e-3) <= delay <= tc, and its sizing carries the fixed point's
+    certificate at its sensitivity a: every unclamped gate has |g_j - a|
+    <= 5e-5 * |a| + 1e-6 * delay / cref.  The fastest sizing (a = 0, taken
+    from bounds) answers when it already lies in the band.  Otherwise one
+    Newton iteration on the log sizes and a together (_bordered_newton)
+    aims at the band's middle from the fastest sizing; if it gives up,
+    the bracketed search on a alone (_bracketed), which runs a full
+    fixed-point solve per step, takes over from the fastest sizing.  tc
+    below t_min raises InfeasibleError carrying t_min; tc at or above
+    t_max returns the all-minimum sizing with a note, at the floor
+    sensitivity (_floor_sensitivity).
     """
     if not tc > 0:
         raise ValueError("tc must be positive")
@@ -115,55 +264,28 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
         raise InfeasibleError(
             f"constraint {tc:.6g} ps below minimum achievable delay "
             f"{bounds.t_min:.6g} ps", t_min=bounds.t_min, best_path=path)
-
-    # Below every gate's sensitivity at the all-minimum corner, so the
-    # corner holds there: a_floor is too slow whenever tc < t_max.
-    a_floor = min(-1e6 * bounds.t_min / params.cref, 2.0 * min(
-        model.derivatives(bounds.sizing_max)[0], default=0.0))
     if tc >= bounds.t_max:
         return SensitivitySolution(
-            a_value=a_floor, sizing=bounds.sizing_max, delay=bounds.t_max,
+            a_value=_floor_sensitivity(model, bounds),
+            sizing=bounds.sizing_max, delay=bounds.t_max,
             area=model.total_width(bounds.sizing_max),
             note="constraint at or above the all-minimum-drive delay; "
                  "every free gate held at cref")
+    if bounds.t_min >= tc * (1.0 - DELAY_MATCH_TOL):
+        return SensitivitySolution(
+            a_value=0.0, sizing=bounds.sizing_min, delay=bounds.t_min,
+            area=model.total_width(bounds.sizing_min))
 
-    sol = SensitivitySolution(a_value=0.0, sizing=bounds.sizing_min,
-                              delay=bounds.t_min,
-                              area=model.total_width(bounds.sizing_min))
-    low = tc * (1.0 - DELAY_MATCH_TOL)
-    if sol.delay >= low:
-        return sol
-    target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
-
-    # T(a) rises monotonically as a falls below 0.  lo is too slow (at
-    # a_floor T = t_max > tc), hi too fast.
-    lo, hi = a_floor, 0.0
-    a = 0.0
-    curvature = model.derivatives(sol.sizing)[1:3]
-    for _ in range(MAX_SENSITIVITY_STEPS):
-        q = _delay_curvature(model, sol.sizing, *curvature)
-        if q is None:
-            step = math.nan  # fails the bracket test below
-        elif a == 0.0:
-            step = -math.sqrt(2.0 * (target - sol.delay) / q)
-        else:
-            step = a - (sol.delay - target) / (a * q)
-        if lo < step < hi:
-            a = step
-        else:
-            a = -math.sqrt(lo * hi) if hi < 0.0 else lo / 8.0
-        fixed = link_fixed_point(model, a=a, warm=sol.sizing)
-        sol = _solution(a, fixed)
-        curvature = fixed.diag, fixed.off
-        if low <= sol.delay <= tc:
-            return sol
-        if sol.delay > tc:
-            lo = a
-        else:
-            hi = a
-    raise ConvergenceError("sensitivity search did not meet the constraint",
-                           iterations=MAX_SENSITIVITY_STEPS,
-                           residual=(sol.delay - tc) / tc)
+    first = model.derivatives(bounds.sizing_min)
+    sol, iterations = _bordered_newton(model, bounds, tc, first)
+    route, passes = "bordered", 1 + iterations
+    if sol is None:
+        route = "fallback"
+        sol, extra = _bracketed(model, bounds, tc, first[1:3])
+        passes += extra
+    logger.debug("distribute: %s route, %d bordered iterations, "
+                 "%d derivative passes", route, iterations, passes)
+    return sol
 
 
 def sweep(path: LogicPath, a_values, params: ProcessParams,

@@ -1,6 +1,8 @@
 """Constant-sensitivity sizing, constraint distribution, and the baseline."""
 
+import dataclasses
 import math
+import random
 
 import pytest
 
@@ -22,6 +24,8 @@ from cmospath import (
     solve_at_sensitivity,
     sweep,
 )
+
+KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
 
 FOUR_GATE = LogicPath(gates=("inv", "nand2", "nor2", "inv"), input_cap=4.0,
                       terminal_load=120.0, input_edge="rising",
@@ -110,71 +114,74 @@ class TestDistributeConstraint:
         tc = 1.5 * bounds.t_min
         assert tc * (1.0 - 1e-3) <= relaxed.delay <= tc
 
-    def test_few_solves_per_call(self, ref_params, ref_library, chain11,
-                                 chain13, heavy_path, monkeypatch):
-        # Newton on a from the known fastest sizing: each call makes a
-        # handful of fixed-point solves and lands in the one-sided band.
-        solves = []
-        real = sizing.link_fixed_point
+    FIXTURE_RATIOS = (1.05, 1.1, 1.2, 1.5, 2.0, 2.5, 3.0, 4.0)
 
-        def counting(*args, **kwargs):
-            solves[-1] += 1
-            return real(*args, **kwargs)
+    @pytest.fixture
+    def fixture_calls(self, ref_params, ref_library, chain11, chain13,
+                      heavy_path, monkeypatch):
+        """Run the 24 fixture calls; each call's derivative passes, the
+        sizings they were taken at, its route and its floor passes."""
+        real_derivatives = PathModel.derivatives
+        real_bracketed = sizing._bracketed
+        real_floor = sizing._floor_sensitivity
+        calls = []
 
-        monkeypatch.setattr(sizing, "link_fixed_point", counting)
-        for path in (chain11, chain13, heavy_path):
-            bounds = compute_bounds(path, ref_params, ref_library)
-            for ratio in (1.05, 1.1, 1.2, 1.5, 2.0, 2.5, 3.0, 4.0):
+        def derivatives(model, at):
+            calls[-1]["passes"].append(tuple(at))
+            return real_derivatives(model, at)
+
+        def bracketed(*args):
+            calls[-1]["route"] = "fallback"
+            return real_bracketed(*args)
+
+        def floor(*args):
+            calls[-1]["floor"] += 1
+            return real_floor(*args)
+
+        paths = [(path, compute_bounds(path, ref_params, ref_library))
+                 for path in (chain11, chain13, heavy_path)]
+        monkeypatch.setattr(PathModel, "derivatives", derivatives)
+        monkeypatch.setattr(sizing, "_bracketed", bracketed)
+        monkeypatch.setattr(sizing, "_floor_sensitivity", floor)
+        for path, bounds in paths:
+            for ratio in self.FIXTURE_RATIOS:
                 tc = ratio * bounds.t_min
-                solves.append(0)
+                calls.append({"bounds": bounds, "route": "bordered",
+                              "passes": [], "floor": 0})
                 sol = distribute_constraint(path, tc, ref_params, ref_library,
                                             bounds=bounds)
                 assert tc * (1.0 - 1e-3) <= sol.delay <= tc
-        assert sum(solves) / len(solves) <= 5.0
-        assert max(solves) <= 8
+        return calls
 
-    def test_curvature_comes_from_the_solves(self, ref_params, ref_library,
-                                             chain11, chain13, heavy_path,
-                                             monkeypatch):
-        # Each Newton step on a needs the Hessian at the last solve's
-        # sizing, and that solve's final derivative pass already holds it.
-        # Outside the fixed-point solves only two passes remain: the
-        # all-minimum corner (the bracket's floor) and the fastest sizing
-        # (the first step).
-        real_solve, real_derivatives = (sizing.link_fixed_point,
-                                        PathModel.derivatives)
-        open_solves, outside = [], []
+    def test_few_passes_per_call(self, fixture_calls):
+        # One Newton iteration on the sizes and a together: one pass at
+        # the fastest sizing, then one per iteration.  The nested search
+        # it replaced took 26.8 passes a call here (36 at most).
+        passes = [len(call["passes"]) for call in fixture_calls]
+        assert len(passes) == 24
+        assert sum(passes) / len(passes) <= 12.0
+        assert max(passes) <= 16
 
-        def solving(*args, **kwargs):
-            open_solves.append(True)
-            try:
-                return real_solve(*args, **kwargs)
-            finally:
-                open_solves.pop()
+    def test_fixture_calls_take_the_bordered_route(self, fixture_calls):
+        assert [call["route"] for call in fixture_calls] == \
+            ["bordered"] * 24
 
-        def derivatives(model, at):
-            if not open_solves:
-                outside.append(tuple(at))
-            return real_derivatives(model, at)
-
-        for path in (chain11, chain13, heavy_path):
-            bounds = compute_bounds(path, ref_params, ref_library)
-            for ratio in (1.1, 1.5, 3.0):
-                outside.clear()
-                with monkeypatch.context() as patch:
-                    patch.setattr(sizing, "link_fixed_point", solving)
-                    patch.setattr(PathModel, "derivatives", derivatives)
-                    sol = distribute_constraint(path, ratio * bounds.t_min,
-                                                ref_params, ref_library,
-                                                bounds=bounds)
-                assert sol.a_value < 0.0
-                assert outside == [bounds.sizing_max, bounds.sizing_min]
+    def test_no_corner_pass_below_the_ceiling(self, fixture_calls):
+        # The first pass is at the fastest sizing, which the bounds hold.
+        # The floor sensitivity, and its pass at the all-minimum corner,
+        # is only needed at or above t_max or by the fallback's bracket.
+        for call in fixture_calls:
+            assert call["passes"][0] == call["bounds"].sizing_min
+            assert call["floor"] == 0
 
     def test_bracket_alone_meets_the_band(self, ref_params, ref_library,
                                           chain11, monkeypatch):
-        # With no usable dT/da (an indefinite Hessian), every step falls
-        # back to the bracket: a_floor / 8 toward 0 until the delay drops
-        # below tc, then geometric means.
+        # With the joint iteration giving up and no usable dT/da (an
+        # indefinite Hessian), every step falls back to the bracket:
+        # a_floor / 8 toward 0 until the delay drops below tc, then
+        # geometric means.
+        monkeypatch.setattr(sizing, "_bordered_newton",
+                            lambda *args: (None, 0))
         monkeypatch.setattr(sizing, "_delay_curvature", lambda *args: None)
         bounds = compute_bounds(chain11, ref_params, ref_library)
         for ratio in (1.01, 1.5, 4.0):
@@ -182,6 +189,45 @@ class TestDistributeConstraint:
             sol = distribute_constraint(chain11, tc, ref_params, ref_library,
                                         bounds=bounds)
             assert tc * (1.0 - 1e-3) <= sol.delay <= tc
+
+    @pytest.mark.parametrize("route", ["chosen", "fallback"])
+    def test_random_coupled_results_are_certified(self, ref_params,
+                                                  ref_library, route,
+                                                  monkeypatch):
+        # Random coupled libraries, as in the fixed-point engine's test:
+        # every result lands in the band and carries the fixed point's
+        # certificate at its own sizing and a, whichever route made it.
+        # This seed sends a few calls to the fallback by itself; the
+        # second run sends every call there.
+        if route == "fallback":
+            monkeypatch.setattr(sizing, "_bordered_newton",
+                                lambda *args: (None, 0))
+        rng = random.Random(2)
+        for _ in range(200):
+            library = {kind: dataclasses.replace(
+                t, par_coeff=rng.uniform(0.0, 2.5),
+                cm_override=rng.choice((None, rng.uniform(1.0, 1000.0))))
+                for kind, t in ref_library.items()}
+            n = rng.randint(2, 24)
+            path = LogicPath(gates=tuple(rng.choice(KINDS) for _ in range(n)),
+                             input_cap=rng.uniform(2.0, 10.0),
+                             terminal_load=rng.uniform(2.0, 500.0))
+            model = PathModel(path, ref_params, library)
+            bounds = compute_bounds(path, ref_params, library)
+            for ratio in (1.01, 1.5, 3.0):
+                tc = ratio * bounds.t_min
+                sol = distribute_constraint(path, tc, ref_params, library,
+                                            bounds=bounds)
+                assert sol.delay <= tc, (path, ratio)
+                if sol.note is not None:
+                    continue  # the all-minimum corner, tc >= t_max
+                assert tc * (1.0 - 1e-3) <= sol.delay, (path, ratio)
+                grad, _, _, delay = model.derivatives(sol.sizing)
+                a = sol.a_value
+                tol = 5e-5 * -a + 1e-6 * delay / ref_params.cref
+                clamped = model.clamped(sol.sizing)
+                assert all(abs(grad[j - 1] - a) <= tol for j in range(1, n)
+                           if not clamped[j]), (path, ratio)
 
     def test_floor_sits_below_the_corner_sensitivities(self, ref_params,
                                                        ref_library):
