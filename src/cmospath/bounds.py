@@ -60,8 +60,9 @@ class FixedPoint(NamedTuple):
     diag and off are that pass's exact Hessian over the free gates (see
     PathModel.derivatives), taken at sizing, so a caller that needs the
     curvature there has it without another pass; passes counts every
-    derivative pass the solve took, damping trials included.  A named tuple, not a
-    frozen dataclass: creating a dataclass costs about 1 ms at import.
+    derivative pass the solve took, damping trials included.  A named
+    tuple, not a frozen dataclass: creating a dataclass costs about 1 ms
+    at import.
     """
 
     sizing: Sizing

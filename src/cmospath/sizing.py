@@ -107,11 +107,12 @@ def _delay_curvature(model: PathModel, sizing: Sizing, diag,
 
 
 def _certified(model: PathModel, cin, grad, delay: float, a: float) -> bool:
-    """The stopping rule of link_fixed_point, settledness included.
+    """link_fixed_point's stopping rule, a sign test for its settle test.
 
     Every unclamped gate has |g_j - a| <= 5e-5 * |a| + 1e-6 * delay /
     cref, and no clamped gate's g_j lies more than that below a, which
-    would make it grow.
+    would make it grow: the iteration stops without waiting for its
+    steps to settle.
     """
     tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * delay / model.params.cref
     clamped = model.clamped(cin)
