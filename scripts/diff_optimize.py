@@ -13,6 +13,10 @@ each in its own interpreter, and compares the results case by case:
 * greedy t_min: min_delay_with_buffers on the case's path in its buffer
   mode, counted per mode as lower, higher or equal (1e-9 relative),
   each change listed;
+* sweep rows: sweep on the case's path over the CLI's 24-point ladder
+  (23 geometric values from -100 t_min / cref down to 1e-5 of that, then
+  a = 0), each row or row failure compared by its repr, so a row that
+  differs by any bit counts, and each one is listed;
 * the largest relative numeric drift over every number of the cases
   whose structure agrees (sizes, delays, areas, a values, trace values).
 
@@ -35,6 +39,7 @@ area change is found, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -47,6 +52,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROC = os.path.join(ROOT, "fixtures", "ref.proc")
 RATIOS = (0.8, 0.9, 0.97, 1.02, 1.1, 1.2, 1.5, 2.0, 2.5, 3.5)
 RTOL = 1e-9
+SWEEP_POINTS = 24
 
 
 def cases(seed: int, count: int, gates: tuple[int, int], kinds):
@@ -81,6 +87,25 @@ def _trace(trace):
     return steps, numbers
 
 
+def ladder(t_min: float, cref: float) -> list[float]:
+    """The CLI sweep's default a values for a path with minimum delay
+    t_min."""
+    a_deep = -100.0 * t_min / cref
+    ratio = 1e-5 ** (1.0 / (SWEEP_POINTS - 2))
+    return [a_deep * ratio ** k for k in range(SWEEP_POINTS - 1)] + [0.0]
+
+
+def sweep_rows(path, t_min: float, params, library) -> list[str]:
+    """Each ladder point's sweep row or failure, as its repr, by a."""
+    from cmospath import sweep
+
+    values = ladder(t_min, params.cref)
+    rows, failures = sweep(path, values, params, library)
+    by_a = {row.a_value: repr(row) for row in rows}
+    by_a.update((a, f"a={a!r} failed: {exc!r}") for a, exc in failures)
+    return [by_a[a] for a in sorted(values)]
+
+
 def worker(argv) -> int:
     """Solve every case under the tree on PYTHONPATH; one JSON line each."""
     import cmospath
@@ -100,6 +125,7 @@ def worker(argv) -> int:
         try:
             t_min = cmospath.min_delay_sizing(path, params, library)[1]
             out["numbers"]["t_min"] = t_min
+            out["sweep"] = sweep_rows(path, t_min, params, library)
             out["numbers"]["greedy_t_min"] = cmospath.min_delay_with_buffers(
                 path, params, library,
                 polarity_mode=spec["buffer_mode"]).t_min
@@ -181,7 +207,7 @@ def main(argv=None) -> int:
     print(f"# diff_optimize seed={args.seed} count={args.count} "
           f"gates={args.gates[0]}-{args.gates[1]}: - {args.other}  + {this}")
 
-    structural = flips = area_changes = 0
+    structural = flips = area_changes = rows = rows_differ = 0
     greedy = {mode: {"lower": 0, "higher": 0, "equal": 0}
               for mode in ("pair", "single")}
     largest_area = (0.0, None)
@@ -218,6 +244,15 @@ def main(argv=None) -> int:
             if verdict != "equal":
                 print(f"{label}: greedy t_min {old_t:.9g} -> {new_t:.9g} ps "
                       f"({(new_t - old_t) / old_t:+.3e})")
+        sweep_a, sweep_b = a.get("sweep", []), b.get("sweep", [])
+        rows += max(len(sweep_a), len(sweep_b))
+        for k, (ra, rb) in enumerate(itertools.zip_longest(sweep_a,
+                                                           sweep_b)):
+            if ra != rb:
+                rows_differ += 1
+                print(f"{label}: sweep row {k} differs")
+                print(f"  - {ra}")
+                print(f"  + {rb}")
         if sa["result"] == sb["result"] == "ok":
             change = (nb["area"] - na["area"]) / na["area"]
             if abs(change) > abs(largest_area[0]):
@@ -232,6 +267,8 @@ def main(argv=None) -> int:
     for mode, counts in greedy.items():
         print(f"# greedy t_min, {mode} mode: {counts['lower']} lower, "
               f"{counts['higher']} higher, {counts['equal']} equal")
+    print(f"# sweep on the {SWEEP_POINTS}-point ladder: {rows} rows, "
+          f"{rows_differ} differ")
     print(f"# largest area change {largest_area[0]:+.3e} "
           f"(case {largest_area[1]}); largest relative drift "
           f"{drift[0]:.3e} (case {drift[1]}, {drift[2]})")

@@ -7,6 +7,8 @@ the terminal load, cin[i] = input_cap * (load / input_cap)^(i/n) held at
 cref or above, then runs log-space Newton iterations on the exact model.
 Each sizing visited gets one pass (exact gradient, tridiagonal Hessian
 and delay), which judges the step to it and opens the next iteration.
+The solve returns its last pass with its FixedPoint, and a solve warm
+from a FixedPoint opens on that pass, so it takes no pass at its start.
 Steps go in this order of preference: exact Newton; Newton on the exact
 Hessian made diagonally dominant where it loses positive definiteness,
 which strong fixed coupling causes; the chosen step damped toward the
@@ -57,19 +59,24 @@ class DelayBounds:
 class FixedPoint(NamedTuple):
     """A converged link fixed point and the derivative pass it stopped on.
 
-    diag and off are that pass's exact Hessian over the free gates (see
-    PathModel.derivatives), taken at sizing, so a caller that needs the
-    curvature there has it without another pass; passes counts every
-    derivative pass the solve took, damping trials included.  A named
-    tuple, not a frozen dataclass: creating a dataclass costs about 1 ms
-    at import.
+    grad, diag, off and total are that pass (PathModel.derivatives), taken
+    at sizing: the exact gradient, the exact Hessian over the free gates
+    and the pass's total delay.  A caller that needs the curvature there
+    has it without another pass, and link_fixed_point warm-started from a
+    FixedPoint of the same model opens on that pass and takes no new one.
+    passes counts every derivative pass the solve took, damping trials
+    included.  A one-gate path takes no pass: its grad, diag and off are
+    empty and total is the evaluated delay.  A named tuple, not a frozen
+    dataclass: creating a dataclass costs about 1 ms at import.
     """
 
     sizing: Sizing
     timing: PathTiming
     steps: int
+    grad: tuple[float, ...]
     diag: list[float]
     off: list[float]
+    total: float
     passes: int
 
 
@@ -87,9 +94,9 @@ def _solve_tridiagonal(diag, off, rhs, pinned) -> list[float] | None:
     diag is the main diagonal and off[i] couples rows i and i+1 (its last
     entry is unused).  Each row in pinned, a gate clamped at cref, gets a
     unit diagonal, a zero right-hand side and no coupling, so it solves to
-    exactly 0.  Returns None when a pivot is not positive, i.e. the matrix
-    is not positive definite, or when the solution is not finite.  The
-    elimination overwrites diag, off and rhs.
+    exactly 0; those rows are written into diag, off and rhs.  Returns
+    None when a pivot is not positive, i.e. the matrix is not positive
+    definite, or when the solution is not finite.
     """
     for idx in pinned:
         diag[idx] = 1.0
@@ -97,23 +104,28 @@ def _solve_tridiagonal(diag, off, rhs, pinned) -> list[float] | None:
         off[idx] = 0.0
         if idx > 0:
             off[idx - 1] = 0.0
-    m = len(diag)
-    for idx in range(1, m):
-        piv = diag[idx - 1]
+    rows = zip(diag, off, rhs)
+    piv, o, r = next(rows)
+    eliminated = []  # (off, pivot, rhs) of each row above the last
+    for d, o_next, b in rows:
         if not piv > 0.0:
             return None
-        w = off[idx - 1] / piv
-        diag[idx] -= w * off[idx - 1]
-        rhs[idx] -= w * rhs[idx - 1]
-    if not diag[m - 1] > 0.0:
+        w = o / piv
+        eliminated.append((o, piv, r))
+        piv = d - w * o
+        r = b - w * r
+        o = o_next
+    if not piv > 0.0:
         return None
-    x = [0.0] * m
-    x[m - 1] = rhs[m - 1] / diag[m - 1]
-    for idx in range(m - 2, -1, -1):
-        x[idx] = (rhs[idx] - off[idx] * x[idx + 1]) / diag[idx]
-    if not all(math.isfinite(v) for v in x):
+    x = r / piv
+    out = [x]
+    for o, piv, r in reversed(eliminated):
+        x = (r - o * x) / piv
+        out.append(x)
+    out.reverse()
+    if not all(map(math.isfinite, out)):
         return None
-    return x
+    return out
 
 
 def _newton_solve(cin, grad, hd, ho, a: float, clamped,
@@ -132,21 +144,18 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped,
     positive diagonal, hence positive definite.  Returns [M^-1 (-r)], and
     with border also M^-1 c, the response to the target a.
     """
-    n = len(cin)
-    m = n - 1
+    m = len(cin) - 1
 
     def system():
-        diag = [0.0] * m
-        off = [0.0] * m
-        rhs = [0.0] * m
-        for idx in range(m):
-            j = idx + 1
-            cj = cin[j]
-            r = cj * (grad[idx] - a)
-            diag[idx] = cj * cj * hd[idx] + r
-            if j < n - 1:
-                off[idx] = cj * cin[j + 1] * ho[idx]
-            rhs[idx] = -r
+        # ho's last entry is 0.0, so the padded 0.0 size keeps off's too.
+        diag = []
+        off = []
+        rhs = []
+        for cj, cn, g, d, o in zip(cin[1:], (*cin[2:], 0.0), grad, hd, ho):
+            r = cj * (g - a)
+            diag.append(cj * cj * d + r)
+            off.append(cj * cn * o)
+            rhs.append(-r)
         return diag, off, rhs
 
     diag, off, rhs = system()
@@ -161,8 +170,9 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped,
                     diag[idx] = (coupling * (1.0 + 1e-9) if coupling
                                  else abs(diag[idx]))
         if border:
-            v = _solve_tridiagonal(list(diag), list(off), list(cin[1:]),
-                                   pinned)
+            # The sweep writes only the pinned rows into diag and off,
+            # the same ones the step's sweep writes.
+            v = _solve_tridiagonal(diag, off, list(cin[1:]), pinned)
             if v is None:
                 continue
         step = _solve_tridiagonal(diag, off, rhs, pinned)
@@ -194,14 +204,16 @@ def _newton_step(model: PathModel, cin, grad, hd, ho, a: float,
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
-                     warm: Sequence[float | None] | None = None
+                     warm: FixedPoint | Sequence[float | None] | None = None
                      ) -> FixedPoint:
     """Solve the equal-sensitivity stationarity system at target a <= 0.
 
     Starts from warm, each None in it filled by splice_sizing; no warm is
     all None, the geometric taper cin[i] = max(cref, input_cap * (load /
     input_cap)^(i/n)), which does not depend on a, nor on cref unless it
-    clamps.  It then drives the exact sensitivities dT/dcin[i] to a for
+    clamps.  A warm FixedPoint of the same model starts from its sizing
+    and opens on its pass, so the solve takes no pass at the start; any
+    other start takes one there.  It then drives the exact sensitivities dT/dcin[i] to a for
     every unclamped gate, within MAX_ITERATIONS steps.  Each iteration
     takes a tridiagonal Newton step off the derivative pass that opens
     it, on the exact Hessian; where that is not positive definite, each
@@ -217,7 +229,8 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     returns the sizing, its evaluated timing, the steps taken, its
     Hessian (diag, off) and the passes taken as a FixedPoint if every
     unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| + RESIDUAL_TOL *
-    T / cref.  The accepted pass opens the next iteration.
+    T / cref.  The accepted pass opens the next iteration, and the last
+    one rides along in the FixedPoint.
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
@@ -226,21 +239,27 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
 
     if n == 1:
         sizing = (model.input_cap,)
-        return FixedPoint(sizing, model.evaluate(sizing), 0, [], [], 0)
-
-    cin = splice_sizing([None] * n if warm is None else warm, model.path,
-                        cref)
+        timing = model.evaluate(sizing)
+        return FixedPoint(sizing, timing, 0, (), [], [], timing.total_delay,
+                          0)
 
     passes = 0
 
-    def visit(sizing):
+    def opened(sizing, dv):
         """(sizing, its derivative pass, its descent merit)."""
-        nonlocal passes
-        passes += 1
-        dv = model.derivatives(sizing)
         return sizing, dv, dv[3] - a * sum(sizing[1:])
 
-    here = visit(cin)
+    def visit(sizing):
+        nonlocal passes
+        passes += 1
+        return opened(sizing, model.derivatives(sizing))
+
+    if isinstance(warm, FixedPoint):
+        here = opened(list(warm.sizing),
+                      (warm.grad, warm.diag, warm.off, warm.total))
+    else:
+        here = visit(splice_sizing([None] * n if warm is None else warm,
+                                   model.path, cref))
     max_rel = math.inf
     for steps in range(1, MAX_ITERATIONS + 1):
         cin, (grad, hd, ho, delay), merit = here
@@ -272,7 +291,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                 if held:
                     logger.debug("fixed point clamped gates at cref: %s", held)
                 return FixedPoint(tuple(new), model.evaluate(new), steps,
-                                  hd, ho, passes)
+                                  grad, hd, ho, new_delay, passes)
     raise ConvergenceError("sizing fixed point did not converge",
                            iterations=MAX_ITERATIONS, residual=max_rel)
 

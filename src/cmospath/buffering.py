@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .bounds import min_delay_sizing
 from .errors import ConfigError
-from .path import GateLibrary, LogicPath, PathModel, Sizing, evaluate_path
+from .path import GateLibrary, LogicPath, PathModel, Sizing
 from .process import (EDGES, GateInstance, GateTemplate, ProcessParams,
                       gate_delay, other_edge, output_scale, transition_time)
 
@@ -70,16 +70,19 @@ def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
     """
     library = {gate: gate_template, buffer_kind: buffer_template}
     cin = 64.0 * params.cref
+    # The gate alone per input edge, timed as its one stage: the probe has
+    # no driver slope, so that is the whole path delay.
+    plain = {edge: PathModel(LogicPath(gates=(gate,), input_cap=cin,
+                                       terminal_load=cin, input_edge=edge),
+                             params, library) for edge in EDGES}
     # (buffer size, fanout) at the previous midpoint, per input edge.
     warm: dict[str, tuple[float, float]] = {}
 
     def gap(fanout: float, midpoint: bool = False) -> float:
         total = 0.0
         for edge in EDGES:
-            common = dict(input_cap=cin, terminal_load=fanout * cin,
-                          input_edge=edge)
-            plain = LogicPath(gates=(gate,), **common)
-            buffered = LogicPath(gates=(gate, buffer_kind), **common)
+            buffered = LogicPath(gates=(gate, buffer_kind), input_cap=cin,
+                                 terminal_load=fanout * cin, input_edge=edge)
             start = None
             if edge in warm:
                 size, at = warm[edge]
@@ -88,8 +91,7 @@ def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
                                                 warm=start)
             if midpoint:
                 warm[edge] = sizing[1], fanout
-            total += delay - evaluate_path(plain, (cin,), params,
-                                           library).total_delay
+            total += delay - plain[edge].stage(0, cin, fanout * cin, 0.0)[0]
         return total / len(EDGES)
 
     lo, hi = FLIMIT_LO, FLIMIT_HI

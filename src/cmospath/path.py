@@ -6,13 +6,14 @@ and the last gate drives a fixed terminal load.  Evaluation walks the
 chain once, alternating transition polarity at every node and feeding each
 gate's output transition time into the next gate's delay term.
 
-``PathModel`` builds each gate's constants once, and ``PathModel.stage``
-is the one place the stage delay is written (``process.stage_delay``,
-shared with ``gate_delay``).  Two views of the total delay coexist.
-``evaluate_path`` is the exact chained model, and
-``PathModel.derivatives`` gives its exact gradient, tridiagonal Hessian
-and total delay in one pass; the solvers step on those, judge steps by
-that total and stop on that gradient.
+``PathModel`` builds one constant tuple per gate kind and input edge,
+which ``stage``, ``evaluate``, ``coefficients`` and ``derivatives`` all
+read, and ``PathModel.stage`` is the one place the stage delay is
+written (``process.stage_delay``, shared with ``gate_delay``).  Two
+views of the total delay coexist.  ``evaluate_path`` is the exact
+chained model, and ``PathModel.derivatives`` gives its exact gradient,
+tridiagonal Hessian and total delay in one pass; the solvers step on
+those, judge steps by that total and stop on that gradient.
 ``path_coefficients`` regroups the same expression by each gate's output
 transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
 cin[i], freezing the Miller factors and parasitics at the current sizing.
@@ -177,6 +178,27 @@ class CoefficientSet:
         return total
 
 
+def _gate_constants(template: GateTemplate, edge_in: str,
+                    params: ProcessParams, v_next: float) -> tuple:
+    """A gate's delay constants for one input edge, as a plain tuple:
+
+        (tau_s, v_half, gamma, cm_fixed, par, k_half, v_next,
+         gamma * gamma, 2 * gamma * par, par * par)
+
+    tau_s is tau * S for the output edge, v_half half the threshold
+    weighting the input slope, c_m = gamma * cin + cm_fixed the coupling
+    and par * cin the parasitic.  k_half = tau_s / 2, and v_next is the
+    threshold of the next gate's input (0 for a path's last gate).  The
+    last three are the products the curvature reads.  A plain tuple
+    unpacks faster than a named one in the derivative loop.
+    """
+    tau_s = output_scale(template, other_edge(edge_in), params)
+    gamma, cm_fixed = coupling_split(template, edge_in, params)
+    par = template.par_coeff
+    return (tau_s, params.threshold(edge_in) / 2.0, gamma, cm_fixed, par,
+            tau_s / 2.0, v_next, gamma * gamma, 2.0 * gamma * par, par * par)
+
+
 class PathModel:
     """Per-path evaluation context with the edge chain precomputed.
 
@@ -197,31 +219,29 @@ class PathModel:
         if path.input_cap < params.cref * (1.0 - 1e-12):
             raise ValueError("input_cap below the minimum realizable cin")
 
+        # One entry (template, constants) per (kind, input edge), shared
+        # by its gates.
+        table: dict[tuple[str, str], tuple[GateTemplate, tuple]] = {}
         self.templates: list[GateTemplate] = []
-        for kind in path.gates:
-            if kind not in library:
-                raise ConfigError(f"unknown gate kind: {kind}")
-            self.templates.append(library[kind])
-
-        edge_in = path.input_edge
-        v_in = []                         # threshold weighting the input slope
-        self._tau_s: list[float] = []     # tau * S for the output edge
-        self._gamma: list[float] = []     # c_m = gamma * cin + cm_fixed
-        self._cm_fixed: list[float] = []
-        self._par: list[float] = []
         self.out_edges: list[str] = []
-        for template in self.templates:
-            edge_out = other_edge(edge_in)
-            self._tau_s.append(output_scale(template, edge_out, params))
-            v_in.append(params.threshold(edge_in))
-            gamma, fixed = coupling_split(template, edge_in, params)
-            self._gamma.append(gamma)
-            self._cm_fixed.append(fixed)
-            self._par.append(template.par_coeff)
+        self._consts: list[tuple] = []
+        edge_in = path.input_edge
+        edge_out = other_edge(edge_in)
+        for kind in path.gates:
+            entry = table.get((kind, edge_in))
+            if entry is None:
+                template = library.get(kind)
+                if template is None:
+                    raise ConfigError(f"unknown gate kind: {kind}")
+                entry = table[kind, edge_in] = template, _gate_constants(
+                    template, edge_in, params, params.threshold(edge_out))
+            self.templates.append(entry[0])
+            self._consts.append(entry[1])
             self.out_edges.append(edge_out)
-            edge_in = edge_out
-        self._v_half = [v / 2.0 for v in v_in]
-        self._v_next = v_in[1:] + [0.0]   # next gate's threshold, 0 at the end
+            edge_in, edge_out = edge_out, edge_in
+        # No gate follows the last one, so no threshold weights its output.
+        last = self._consts[-1]
+        self._consts[-1] = last[:6] + (0.0,) + last[7:]
 
     def check_sizing(self, sizing) -> None:
         if len(sizing) != self.n:
@@ -229,10 +249,12 @@ class PathModel:
                              f"{len(sizing)} sizes for {self.n} gates")
         if abs(sizing[0] - self.input_cap) > 1e-9 * self.input_cap:
             raise ValueError("cin[0] must equal the path's fixed input_cap")
-        cref = self.params.cref
-        for i, c in enumerate(sizing):
-            if c < cref * (1.0 - 1e-9):
-                raise ValueError(f"cin[{i}] below the minimum realizable cin")
+        floor = self.params.cref * (1.0 - 1e-9)
+        if not min(sizing) >= floor:
+            for i, c in enumerate(sizing):
+                if c < floor:
+                    raise ValueError(
+                        f"cin[{i}] below the minimum realizable cin")
 
     def total_width(self, sizing) -> float:
         cap = sum(sizing) + self.path.offpath_inverters * self.params.cref
@@ -242,9 +264,9 @@ class PathModel:
               slope: float) -> tuple[float, float]:
         """(delay, output transition time) of gate i at size cin, driving
         downstream node capacitance x from an input transition slope."""
-        return stage_delay(self._tau_s[i], self._v_half[i],
-                           self._gamma[i] * cin + self._cm_fixed[i], cin,
-                           x + self._par[i] * cin, slope)
+        tau_s, v_half, gamma, cm_fixed, par = self._consts[i][:5]
+        return stage_delay(tau_s, v_half, gamma * cin + cm_fixed, cin,
+                           x + par * cin, slope)
 
     def evaluate(self, sizing) -> PathTiming:
         """Exact chained delay of the path at one sizing."""
@@ -282,14 +304,14 @@ class PathModel:
         self.check_sizing(sizing)
         a = []
         c_par = []
-        for i in range(self.n):
-            c = sizing[i]
-            cp = self._par[i] * c
-            load = (sizing[i + 1] if i < self.n - 1 else self.terminal_load) + cp
-            m = miller_factor(self._gamma[i] * c + self._cm_fixed[i], load)
-            a.append(self._tau_s[i] * (m + self._v_next[i]) / 2.0)
+        for ((tau_s, _, gamma, cm_fixed, par, _, v_next, _, _, _), c,
+             x) in zip(self._consts, sizing, self._nodes(sizing)):
+            cp = par * c
+            load = x + cp
+            m = miller_factor(gamma * c + cm_fixed, load)
+            a.append(tau_s * (m + v_next) / 2.0)
             c_par.append(cp)
-        constant = self._v_half[0] * self.path.driver_slope()
+        constant = self._consts[0][1] * self.path.driver_slope()
         return CoefficientSet(tuple(a), tuple(c_par), constant,
                               self.terminal_load)
 
@@ -315,24 +337,32 @@ class PathModel:
         Hessian is this symmetric tridiagonal matrix.  Last comes the
         total, the constant plus sum_i f_i: the frozen regrouping at its
         own freezing point, which is evaluate's total_delay to rounding.
+        A one-gate path has no free gate: its grad, diag and off are empty.
         """
         self.check_sizing(sizing)
-        n = self.n
+        gates = zip(self._consts, sizing, self._nodes(sizing))
+        # Gate 0's size is fixed: it enters only through its downstream node.
+        (_, v_half, gamma, cm_fixed, p, k_half, v_next, _, _, _), c, x = \
+            next(gates)
+        load = x + p * c
+        m = gamma * c + cm_fixed
+        den = m + load
+        mil_v = 1.0 + 2.0 * m / den + v_next
+        total = v_half * self.path.driver_slope() + k_half * mil_v * load / c
+        den2 = den * den
+        mil_load = -2.0 * m / den2
+        mil_loadload = 4.0 * m / (den2 * den)
+        f_x_up = k_half * (mil_load * load / c + mil_v / c)
+        f_xx_up = k_half * (mil_loadload * load / c + 2.0 * mil_load / c)
         grad = []
         diag = []
         off = []
-        total = self._v_half[0] * self.path.driver_slope()
-        f_x_up = f_xx_up = 0.0
-        for i in range(n):
-            c = sizing[i]
-            x = sizing[i + 1] if i < n - 1 else self.terminal_load
-            p = self._par[i]
+        for ((_, _, gamma, cm_fixed, p, k_half, v_next, gamma_gamma,
+              gamma_par2, par_par), c, x) in gates:
             load = x + p * c
-            gamma = self._gamma[i]
-            m = gamma * c + self._cm_fixed[i]
-            k_half = self._tau_s[i] / 2.0
+            m = gamma * c + cm_fixed
             den = m + load
-            mil_v = 1.0 + 2.0 * m / den + self._v_next[i]
+            mil_v = 1.0 + 2.0 * m / den + v_next
             total += k_half * mil_v * load / c
             den2 = den * den
             den3 = den2 * den
@@ -342,26 +372,28 @@ class PathModel:
             mil_mload = 2.0 * (m - load) / den3
             mil_loadload = 4.0 * m / den3
             mil_c = gamma * mil_m + p * mil_load
-            f_x = k_half * (mil_load * load / c + mil_v / c)
-            f_xx = k_half * (mil_loadload * load / c + 2.0 * mil_load / c)
-            if i > 0:
-                f_c = k_half * (mil_c * load / c - mil_v * x / (c * c))
-                f_cc = k_half * (
-                    (gamma * gamma * mil_mm + 2.0 * gamma * p * mil_mload
-                     + p * p * mil_loadload) * load / c
-                    - 2.0 * mil_c * x / (c * c)
-                    + 2.0 * mil_v * x / (c * c * c))
-                grad.append(f_x_up + f_c)
-                diag.append(f_cc + f_xx_up)
-                if i < n - 1:
-                    off.append(k_half * (
-                        (gamma * mil_mload + p * mil_loadload) * load / c
-                        + mil_c / c - mil_load * x / (c * c) - mil_v / (c * c)))
-                else:
-                    off.append(0.0)
-            f_x_up = f_x
-            f_xx_up = f_xx
+            cc = c * c
+            f_c = k_half * (mil_c * load / c - mil_v * x / cc)
+            f_cc = k_half * (
+                (gamma_gamma * mil_mm + gamma_par2 * mil_mload
+                 + par_par * mil_loadload) * load / c
+                - 2.0 * mil_c * x / cc
+                + 2.0 * mil_v * x / (cc * c))
+            grad.append(f_x_up + f_c)
+            diag.append(f_cc + f_xx_up)
+            off.append(k_half * (
+                (gamma * mil_mload + p * mil_loadload) * load / c
+                + mil_c / c - mil_load * x / cc - mil_v / cc))
+            f_x_up = k_half * (mil_load * load / c + mil_v / c)
+            f_xx_up = k_half * (mil_loadload * load / c + 2.0 * mil_load / c)
+        if off:
+            off[-1] = 0.0  # the last gate drives the fixed terminal load
         return tuple(grad), diag, off, total
+
+    def _nodes(self, sizing) -> list[float]:
+        """Each gate's downstream node: the next cin, then the terminal
+        load."""
+        return [*sizing[1:], self.terminal_load]
 
     def model_gradient(self, sizing) -> tuple[float, ...]:
         """Exact-model delay sensitivities for the free gates 1..n-1."""

@@ -57,11 +57,6 @@ def _solution(a: float, fixed: FixedPoint) -> SensitivitySolution:
                                area=fixed.timing.total_width)
 
 
-def _solve(model: PathModel, a: float,
-           warm: Sizing | None = None) -> SensitivitySolution:
-    return _solution(a, link_fixed_point(model, a=a, warm=warm))
-
-
 def solve_at_sensitivity(path: LogicPath, a: float, params: ProcessParams,
                          library: GateLibrary,
                          warm: Sizing | None = None) -> SensitivitySolution:
@@ -73,7 +68,8 @@ def solve_at_sensitivity(path: LogicPath, a: float, params: ProcessParams,
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
-    return _solve(PathModel(path, params, library), a, warm=warm)
+    return _solution(a, link_fixed_point(PathModel(path, params, library),
+                                         a=a, warm=warm))
 
 
 def _unit_response(model: PathModel, sizing: Sizing, diag,
@@ -192,16 +188,17 @@ def _floor_sensitivity(model: PathModel, bounds: DelayBounds) -> float:
 
 
 def _bracketed(model: PathModel, bounds: DelayBounds, tc: float,
-               curvature) -> tuple[SensitivitySolution, int]:
+               first) -> tuple[SensitivitySolution, int]:
     """The fallback: a safeguarded Newton search on a alone.
 
-    Each step solves the fixed point at a, warm from the previous one,
-    with dT/da = a * q; q is read off the Hessian of the solve that
-    reached each a, and curvature is the one at the fastest sizing, where
-    the first step uses the quadratic model T = t_min + q a^2 / 2.  A step
-    that leaves the bracket of a values known to be too slow and too fast
-    falls back to the bracket's geometric mean.  Returns the solution and
-    the derivative passes taken.
+    Each step solves the fixed point at a, warm from the previous one and
+    opening on its last pass, with dT/da = a * q; q is read off the
+    Hessian of the solve that reached each a.  first is the pass at the
+    fastest sizing, where the first solve opens and the first step uses
+    the quadratic model T = t_min + q a^2 / 2.  A step that leaves the
+    bracket of a values known to be too slow and too fast falls back to
+    the bracket's geometric mean.  Returns the solution and the
+    derivative passes taken.
     """
     low = tc * (1.0 - DELAY_MATCH_TOL)
     target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
@@ -210,9 +207,11 @@ def _bracketed(model: PathModel, bounds: DelayBounds, tc: float,
     lo, hi = _floor_sensitivity(model, bounds), 0.0
     passes = 1  # the floor's pass at the all-minimum corner
     a = 0.0
-    warm, delay = bounds.sizing_min, bounds.t_min
+    # The fastest sizing and its pass; no solve made it, so no timing.
+    fixed = FixedPoint(bounds.sizing_min, None, 0, *first, 0)
+    delay = bounds.t_min
     for _ in range(MAX_SENSITIVITY_STEPS):
-        q = _delay_curvature(model, warm, *curvature)
+        q = _delay_curvature(model, fixed.sizing, fixed.diag, fixed.off)
         if q is None:
             step = math.nan  # fails the bracket test below
         elif a == 0.0:
@@ -223,9 +222,8 @@ def _bracketed(model: PathModel, bounds: DelayBounds, tc: float,
             a = step
         else:
             a = -math.sqrt(lo * hi) if hi < 0.0 else lo / 8.0
-        fixed = link_fixed_point(model, a=a, warm=warm)
-        warm, delay = fixed.sizing, fixed.timing.total_delay
-        curvature = fixed.diag, fixed.off
+        fixed = link_fixed_point(model, a=a, warm=fixed)
+        delay = fixed.timing.total_delay
         passes += fixed.passes
         if low <= delay <= tc:
             return _solution(a, fixed), passes
@@ -282,7 +280,7 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
     route, passes = "bordered", 1 + iterations
     if sol is None:
         route = "fallback"
-        sol, extra = _bracketed(model, bounds, tc, first[1:3])
+        sol, extra = _bracketed(model, bounds, tc, first)
         passes += extra
     logger.debug("distribute: %s route, %d bordered iterations, "
                  "%d derivative passes", route, iterations, passes)
@@ -296,24 +294,28 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
 
     Rows come back ordered by a ascending (most negative first); solver
     failures are collected per row instead of aborting the sweep.  Each
-    solve starts warm from the last row solved, and the first from the
-    all-minimum corner, where a -> -inf sends every free gate.
+    solve starts warm from the last row solved, opening on the pass that
+    solve ended on, and the first from the all-minimum corner, where a ->
+    -inf sends every free gate.  So every row after the first solved
+    takes one derivative pass fewer than solve_at_sensitivity warm from
+    the previous row's sizing, and returns the same row bit for bit.
     """
     model = PathModel(path, params, library)
     solutions: list[SensitivitySolution] = []
     failures: list[tuple[float, Exception]] = []
-    warm = (path.input_cap,) + (params.cref,) * (model.n - 1)
+    warm: FixedPoint | Sizing = \
+        (path.input_cap,) + (params.cref,) * (model.n - 1)
     for a in sorted(a_values):
         if a > 0:
             failures.append((a, ValueError("sensitivity target a must be <= 0")))
             continue
         try:
-            sol = _solve(model, a, warm=warm)
+            fixed = link_fixed_point(model, a=a, warm=warm)
         except (ConvergenceError, ValueError) as exc:
             failures.append((a, exc))
             continue
-        solutions.append(sol)
-        warm = sol.sizing
+        solutions.append(_solution(a, fixed))
+        warm = fixed
     return solutions, failures
 
 

@@ -475,6 +475,60 @@ class TestExactGradient:
             assert f == pytest.approx(e, rel=1e-12)
 
 
+class TestDerivativePass:
+    """The pass peels gate 0 off its loop and zeroes the last off entry."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_short_paths_match_the_full_model(self, ref_params, ref_library,
+                                              n, clamp):
+        rng = random.Random(70 + n)
+        cref = ref_params.cref
+        for _ in range(12):
+            path, sizing = random_case(rng, ref_library, n_gates=n)
+            if clamp:
+                # every other free gate at minimum drive, the last included
+                for j in range(n - 1, 0, -2):
+                    sizing[j] = cref
+            model = PathModel(path, ref_params, ref_library)
+            grad, diag, off, total = model.derivatives(sizing)
+            tpls = templates_for(path, ref_library)
+
+            def full(c):
+                t, _, _ = oracles.chain_delay(
+                    tpls, c, path.terminal_load, path.input_edge,
+                    path.driver_slope_rise, path.driver_slope_fall,
+                    ref_params)
+                return t
+
+            assert total == pytest.approx(full(sizing), rel=1e-12)
+            assert total == pytest.approx(model.evaluate(sizing).total_delay,
+                                          rel=1e-12)
+            assert len(grad) == len(diag) == len(off) == n - 1
+            if n == 1:
+                assert (grad, diag, off) == ((), [], [])
+                continue
+            assert off[-1] == 0.0 and math.copysign(1.0, off[-1]) == 1.0
+            scale = max(abs(g) for g in grad)
+            for j in range(1, n):
+                fd = oracles.central_diff(full, sizing, j, sizing[j] * 1e-6)
+                assert abs(grad[j - 1] - fd) <= 2e-6 * max(abs(fd), scale)
+                if sizing[j] == cref:
+                    continue  # the model refuses sizes below cref
+                h = sizing[j] * 1e-5
+                up = list(sizing)
+                dn = list(sizing)
+                up[j] += h
+                dn[j] -= h
+                col = [(a - b) / (2.0 * h) for a, b in
+                       zip(model.model_gradient(up), model.model_gradient(dn))]
+                assert col[j - 1] == pytest.approx(diag[j - 1], rel=5e-5,
+                                                   abs=1e-12)
+                if j < n - 1:
+                    assert col[j] == pytest.approx(off[j - 1], rel=5e-5,
+                                                   abs=1e-12)
+
+
 class TestConvexity:
     def test_midpoint_convexity_in_log_sizes(self, ref_params, ref_library):
         # the chained delay is convex over log-capacitance, which is the

@@ -9,6 +9,7 @@ import pytest
 import oracles
 from cmospath import sizing
 from cmospath import (
+    ConvergenceError,
     GateTemplate,
     InfeasibleError,
     LogicPath,
@@ -24,6 +25,7 @@ from cmospath import (
     solve_at_sensitivity,
     sweep,
 )
+from cmospath.bounds import FixedPoint
 
 KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
 
@@ -190,6 +192,51 @@ class TestDistributeConstraint:
                                         bounds=bounds)
             assert tc * (1.0 - 1e-3) <= sol.delay <= tc
 
+    @pytest.mark.parametrize("curvature", ["exact", "none"])
+    def test_bracket_opens_each_solve_on_the_pass_before(
+            self, ref_params, ref_library, chain11, curvature, monkeypatch):
+        # The fallback alone, as in the test above (and with its dT/da
+        # left in), run twice: as it is, and with every warm solve started
+        # from the FixedPoint's sizing alone, which takes a fresh pass
+        # there.  The results agree bit for bit, and each solve saves one
+        # pass.
+        monkeypatch.setattr(sizing, "_bordered_newton",
+                            lambda *args: (None, 0))
+        if curvature == "none":
+            monkeypatch.setattr(sizing, "_delay_curvature",
+                                lambda *args: None)
+        real_solve = sizing.link_fixed_point
+        real_derivatives = PathModel.derivatives
+        count = {}
+
+        def derivatives(model, at):
+            count["passes"] += 1
+            return real_derivatives(model, at)
+
+        def run(path, tc, bounds, from_sizing):
+            def solve(model, a=0.0, warm=None):
+                count["solves"] += 1
+                assert isinstance(warm, FixedPoint)
+                return real_solve(model, a=a,
+                                  warm=warm.sizing if from_sizing else warm)
+
+            monkeypatch.setattr(sizing, "link_fixed_point", solve)
+            count.update(passes=0, solves=0)
+            sol = distribute_constraint(path, tc, ref_params, ref_library,
+                                        bounds=bounds)
+            assert tc * (1.0 - 1e-3) <= sol.delay <= tc
+            return repr(sol), dict(count)
+
+        bounds = compute_bounds(chain11, ref_params, ref_library)
+        monkeypatch.setattr(PathModel, "derivatives", derivatives)
+        for ratio in (1.01, 1.5, 4.0):
+            tc = ratio * bounds.t_min
+            got, counts = run(chain11, tc, bounds, from_sizing=False)
+            want, fresh = run(chain11, tc, bounds, from_sizing=True)
+            assert got == want
+            assert counts["solves"] == fresh["solves"] > 0
+            assert counts["passes"] == fresh["passes"] - fresh["solves"]
+
     @pytest.mark.parametrize("route", ["chosen", "fallback"])
     def test_random_coupled_results_are_certified(self, ref_params,
                                                   ref_library, route,
@@ -298,6 +345,100 @@ class TestSweep:
         assert len(rows) == 1
         assert len(failures) == 1
         assert failures[0][0] == 1.5
+
+    @staticmethod
+    def _sweep_cases(ref_params, ref_library):
+        """(path, library, ladder, forced failure a) cases: seeded ref.proc
+        paths on the 9-point ladder of the solver goldens, one of them
+        with a > 0 and a forced failure in the middle, and the coupled
+        golden path on the cm_override_ff = 500 library."""
+        coupled = {kind: dataclasses.replace(t, cm_override=500.0)
+                   for kind, t in ref_library.items()}
+        rng = random.Random(29)
+        cases = []
+        for k in range(6):
+            n = rng.randint(2, 40)
+            path = LogicPath(
+                gates=tuple(rng.choice(KINDS) for _ in range(n)),
+                input_cap=rng.uniform(2.0, 10.0),
+                terminal_load=rng.uniform(30.0, 2000.0),
+                input_edge=rng.choice(("rising", "falling")),
+                driver_slope_rise=rng.uniform(0.0, 60.0),
+                driver_slope_fall=rng.uniform(0.0, 60.0))
+            cases.append((path, ref_library))
+        cases.append((LogicPath(
+            gates=("inv", "nand2", "nor2", "inv", "nand3", "inv", "nor3",
+                   "nand2", "inv", "inv", "nand2", "inv"),
+            input_cap=4.0, terminal_load=200.0), coupled))
+        out = []
+        for k, (path, library) in enumerate(cases):
+            t_min = min_delay_sizing(path, ref_params, library)[1]
+            a_deep = -100.0 * t_min / ref_params.cref
+            step = 1e-5 ** (1.0 / 7)
+            ladder = [a_deep * step ** i for i in range(8)] + [0.0]
+            fail = None
+            if k == 0:
+                ladder.insert(4, 0.5)
+                fail = ladder[5]
+            out.append((path, library, ladder, fail))
+        return out
+
+    def test_rows_equal_their_solves_one_by_one(self, ref_params,
+                                                ref_library, monkeypatch):
+        # sweep against a loop of solve_at_sensitivity, each warm from the
+        # row before: the same rows and failures, bit for bit.  Each row
+        # after the first solved opens on the pass its predecessor ended
+        # on, so it takes exactly one derivative pass fewer.
+        cases = self._sweep_cases(ref_params, ref_library)
+        real_solve = sizing.link_fixed_point
+        real_derivatives = PathModel.derivatives
+        solves = []  # (a, derivative passes) per fixed-point solve
+
+        def derivatives(model, at):
+            a, passes = solves[-1]
+            solves[-1] = a, passes + 1
+            return real_derivatives(model, at)
+
+        def solve(model, a=0.0, warm=None):
+            solves.append((a, 0))
+            if a == fail:
+                raise ConvergenceError("forced failure")
+            return real_solve(model, a=a, warm=warm)
+
+        monkeypatch.setattr(PathModel, "derivatives", derivatives)
+        monkeypatch.setattr(sizing, "link_fixed_point", solve)
+        for path, library, ladder, fail in cases:
+            del solves[:]
+            rows, failures = sweep(path, ladder, ref_params, library)
+            swept = list(solves)
+
+            del solves[:]
+            want_rows, want_failures = [], []
+            warm = (path.input_cap,) + (ref_params.cref,) * (path.n - 1)
+            for a in sorted(ladder):
+                try:
+                    row = solve_at_sensitivity(path, a, ref_params, library,
+                                               warm=warm)
+                except (ConvergenceError, ValueError) as exc:
+                    want_failures.append((a, exc))
+                    continue
+                want_rows.append(row)
+                warm = row.sizing
+            assert repr(rows) == repr(want_rows)
+            assert [(a, repr(e)) for a, e in failures] == \
+                [(a, repr(e)) for a, e in want_failures]
+            assert len(rows) >= 8
+            if fail is not None:
+                assert [a for a, _ in failures] == [fail, 0.5]
+
+            assert [a for a, _ in swept] == [a for a, _ in solves]
+            solved = {row.a_value for row in rows}
+            first = min(solved)
+            for (a, got), (_, want) in zip(swept, solves):
+                if a in solved and a != first:
+                    assert got == want - 1, (path, a)
+                else:
+                    assert got == want, (path, a)
 
     def test_saturated_rows_identical(self, ref_params, ref_library,
                                       chain13):
