@@ -7,8 +7,14 @@ the terminal load, cin[i] = input_cap * (load / input_cap)^(i/n) held at
 cref or above, then runs log-space Newton iterations on the exact model.
 Each sizing visited gets one pass (exact gradient, tridiagonal Hessian
 and delay), which judges the step to it and opens the next iteration.
-The solve returns its last pass with its FixedPoint, and a solve warm
-from a FixedPoint opens on that pass, so it takes no pass at its start.
+A pass is windowed on the pass the iteration holds: it computes only
+the gates next to the sizes the step moved and splices them in, bit
+for bit the full pass, so a step that moves a few gates costs a few
+gates, and one that moves none computes none.  Each step solves the
+log-space system in one sweep that builds and eliminates each row,
+with rows pinned at cref taken as unit rows.  The solve returns its
+last pass with its FixedPoint, and a solve warm from a FixedPoint
+opens on that pass, so it takes no pass at its start.
 Steps go in this order of preference: exact Newton; Newton on the exact
 Hessian made diagonally dominant where it loses positive definiteness,
 which strong fixed coupling causes; the chosen step damped toward the
@@ -61,13 +67,15 @@ class FixedPoint(NamedTuple):
 
     grad, diag, off and total are that pass (PathModel.derivatives), taken
     at sizing: the exact gradient, the exact Hessian over the free gates
-    and the pass's total delay.  A caller that needs the curvature there
-    has it without another pass, and link_fixed_point warm-started from a
-    FixedPoint of the same model opens on that pass and takes no new one.
-    passes counts every derivative pass the solve took, damping trials
-    included.  A one-gate path takes no pass: its grad, diag and off are
-    empty and total is the evaluated delay.  A named tuple, not a frozen
-    dataclass: creating a dataclass costs about 1 ms at import.
+    and the pass's total delay; terms are its delay terms (see
+    path.Pass), None where none are kept.  A caller that needs the
+    curvature there has it without another pass, and link_fixed_point
+    warm-started from a FixedPoint of the same model opens on that pass,
+    takes no new one, and windows its next pass on it.  passes counts
+    every derivative pass the solve took, damping trials included.  A
+    one-gate path takes no pass: its grad, diag and off are empty and
+    total is the evaluated delay.  A named tuple, not a frozen dataclass:
+    creating a dataclass costs about 1 ms at import.
     """
 
     sizing: Sizing
@@ -78,6 +86,7 @@ class FixedPoint(NamedTuple):
     off: list[float]
     total: float
     passes: int
+    terms: list[float] | None = None
 
 
 def max_delay_sizing(path: LogicPath, params: ProcessParams,
@@ -88,46 +97,6 @@ def max_delay_sizing(path: LogicPath, params: ProcessParams,
     return sizing, model.evaluate(sizing).total_delay
 
 
-def _solve_tridiagonal(diag, off, rhs, pinned) -> list[float] | None:
-    """Solve a symmetric tridiagonal system by the Thomas sweep.
-
-    diag is the main diagonal and off[i] couples rows i and i+1 (its last
-    entry is unused).  Each row in pinned, a gate clamped at cref, gets a
-    unit diagonal, a zero right-hand side and no coupling, so it solves to
-    exactly 0; those rows are written into diag, off and rhs.  Returns
-    None when a pivot is not positive, i.e. the matrix is not positive
-    definite, or when the solution is not finite.
-    """
-    for idx in pinned:
-        diag[idx] = 1.0
-        rhs[idx] = 0.0
-        off[idx] = 0.0
-        if idx > 0:
-            off[idx - 1] = 0.0
-    rows = zip(diag, off, rhs)
-    piv, o, r = next(rows)
-    eliminated = []  # (off, pivot, rhs) of each row above the last
-    for d, o_next, b in rows:
-        if not piv > 0.0:
-            return None
-        w = o / piv
-        eliminated.append((o, piv, r))
-        piv = d - w * o
-        r = b - w * r
-        o = o_next
-    if not piv > 0.0:
-        return None
-    x = r / piv
-    out = [x]
-    for o, piv, r in reversed(eliminated):
-        x = (r - o * x) / piv
-        out.append(x)
-    out.reverse()
-    if not all(map(math.isfinite, out)):
-        return None
-    return out
-
-
 def _newton_solve(cin, grad, hd, ho, a: float, clamped,
                   border: bool = False) -> list[list[float]] | None:
     """Solve the log-space Newton system at cin; None if it degenerates.
@@ -135,54 +104,75 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped,
     The system M is the Jacobian of the residual r_j = cin[j] * (dT/dcin[j]
     - a) with respect to the log sizes: the exact delay Hessian mapped to
     log space, d2/dy2 = c^2 T'' + c (T' - a).  Gates pinned at cref whose
-    residual pushes further down are held fixed (their rows solve to 0).
-    Where M loses positive definiteness (a Thomas pivot goes
-    non-positive), which strong fixed coupling causes, the system is built
-    again and every row whose diagonal does not exceed the sum of its
-    absolute couplings gets that sum times 1 + 1e-9 (its |diagonal| if it
-    has no coupling).  The result is strictly diagonally dominant with a
-    positive diagonal, hence positive definite.  Returns [M^-1 (-r)], and
-    with border also M^-1 c, the response to the target a.
+    residual pushes further down are held fixed: each is a unit row with
+    a zero right-hand side and no coupling, so it solves to exactly 0,
+    and its coefficients are not computed.  Each row is built and
+    eliminated in one Thomas sweep; a pivot that is not positive means M
+    is not positive definite, which strong fixed coupling causes.  Then
+    the sweep runs again with every row whose diagonal does not exceed
+    the sum of its absolute couplings (pinned neighbours included) given
+    that sum times 1 + 1e-9 (its |diagonal| if it has no coupling).  The
+    result is strictly diagonally dominant with a positive diagonal,
+    hence positive definite.  Returns [M^-1 (-r)], and with border also
+    M^-1 c, the response to the target a, eliminated in the same sweep;
+    None when a sweep of the dominance-fixed M fails too or a solution is
+    not finite.
     """
-    m = len(cin) - 1
-
-    def system():
-        # ho's last entry is 0.0, so the padded 0.0 size keeps off's too.
-        diag = []
-        off = []
-        rhs = []
-        for cj, cn, g, d, o in zip(cin[1:], (*cin[2:], 0.0), grad, hd, ho):
-            r = cj * (g - a)
-            diag.append(cj * cj * d + r)
-            off.append(cj * cn * o)
-            rhs.append(-r)
-        return diag, off, rhs
-
-    diag, off, rhs = system()
-    # Gates active at the lower bound (r > 0) are held in place.
-    pinned = [idx for idx in range(m) if clamped[idx + 1] and rhs[idx] < 0.0]
+    nxt = (*cin[2:], 0.0)
     for dominant in (False, True):
-        if dominant:
-            diag, off, rhs = system()
-            for idx in range(m):
-                coupling = abs(off[idx]) + (abs(off[idx - 1]) if idx else 0.0)
-                if not diag[idx] > coupling:
-                    diag[idx] = (coupling * (1.0 + 1e-9) if coupling
-                                 else abs(diag[idx]))
-        if border:
-            # The sweep writes only the pinned rows into diag and off,
-            # the same ones the step's sweep writes.
-            v = _solve_tridiagonal(diag, off, list(cin[1:]), pinned)
-            if v is None:
+        # A unit row stands ahead of the first; it is dropped at the end.
+        piv, r, rv, o, o_raw = 1.0, 0.0, 0.0, 0.0, 0.0
+        eliminated = []  # (off, pivot, rhs, border rhs) of each row
+        push = eliminated.append
+        for cj, cn, g, d, oo, cl in zip(cin[1:], nxt, grad, hd, ho,
+                                        clamped[1:]):
+            res = cj * (g - a)
+            if cl and res > 0.0:
+                # Pinned: the row above loses its coupling to this one.
+                push((0.0, piv, r, rv))
+                piv, r, rv, o = 1.0, 0.0, 0.0, 0.0
+                if dominant:
+                    o_raw = cj * cn * oo
                 continue
-        step = _solve_tridiagonal(diag, off, rhs, pinned)
-        if step is not None:
-            return [step, v] if border else [step]
+            d = cj * cj * d + res
+            o_next = cj * cn * oo
+            if dominant:
+                coupling = abs(o_next) + abs(o_raw)
+                if not d > coupling:
+                    d = coupling * (1.0 + 1e-9) if coupling else abs(d)
+                o_raw = o_next
+            push((o, piv, r, rv))
+            w = o / piv
+            piv = d - w * o
+            if not piv > 0.0:
+                break
+            r = -res - w * r
+            rv = cj - w * rv
+            o = o_next
+        else:
+            del eliminated[0]
+            x = r / piv
+            step = [x]
+            for o, p, b, _ in reversed(eliminated):
+                x = (b - o * x) / p
+                step.append(x)
+            step.reverse()
+            if not all(map(math.isfinite, step)):
+                continue
+            if not border:
+                return [step]
+            x = rv / piv
+            v = [x]
+            for o, p, _, b in reversed(eliminated):
+                x = (b - o * x) / p
+                v.append(x)
+            v.reverse()
+            if all(map(math.isfinite, v)):
+                return [step, v]
     return None
 
 
-def _newton_step(model: PathModel, cin, grad, hd, ho, a: float,
-                 clamped) -> list[float]:
+def _newton_step(cin, grad, hd, ho, a: float, clamped) -> list[float]:
     """One log-space Newton step on the stationarity residual.
 
     Solves the system of _newton_solve, exact or made diagonally dominant,
@@ -196,11 +186,10 @@ def _newton_step(model: PathModel, cin, grad, hd, ho, a: float,
     if solved is None:
         raise ConvergenceError("Newton system degenerated")
     step = solved[0]
-    widest = max(abs(s) for s in step)
+    widest = max(map(abs, step))
     if widest > 1.0:
         step = [s / widest for s in step]
-    return [cin[0]] + [cin[j] * math.exp(step[j - 1])
-                       for j in range(1, model.n)]
+    return [cin[0]] + [c * math.exp(s) for c, s in zip(cin[1:], step)]
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
@@ -211,13 +200,18 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     Starts from warm, each None in it filled by splice_sizing; no warm is
     all None, the geometric taper cin[i] = max(cref, input_cap * (load /
     input_cap)^(i/n)), which does not depend on a, nor on cref unless it
-    clamps.  A warm FixedPoint of the same model starts from its sizing
-    and opens on its pass, so the solve takes no pass at the start; any
-    other start takes one there.  It then drives the exact sensitivities dT/dcin[i] to a for
-    every unclamped gate, within MAX_ITERATIONS steps.  Each iteration
-    takes a tridiagonal Newton step off the derivative pass that opens
-    it, on the exact Hessian; where that is not positive definite, each
-    row that is not diagonally dominant is made so.  The proposal's
+    clamps.  A warm FixedPoint must come from a solve on this same model:
+    the solve starts from its sizing and opens on its pass, so it takes
+    no pass at the start, and windows its next pass on it; its sizing and
+    pass must have this path's lengths, else ValueError.  Any other start
+    takes a full pass there.  It then drives the exact sensitivities
+    dT/dcin[i] to a for every unclamped gate, within MAX_ITERATIONS
+    steps.  Each iteration takes a tridiagonal Newton step off the
+    derivative pass that opens it, on the exact Hessian; where that is
+    not positive definite, each row that is not diagonally dominant is
+    made so.  Every later pass is windowed on the pass the iteration
+    holds (PathModel.derivatives with a base), so it computes only the
+    gates around the sizes the step moved.  The proposal's
     own pass gives its delay; the step is accepted only if it does not
     increase the descent merit T - a * sum(cin), else it is damped toward
     the previous sizing in log space, up to 20 halvings of one pass each.
@@ -227,10 +221,12 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     minimum-delay condition.  Once a step settles (sizes move less than
     CAP_TOL, the delay less than DELAY_TOL, both relative), its pass
     returns the sizing, its evaluated timing, the steps taken, its
-    Hessian (diag, off) and the passes taken as a FixedPoint if every
-    unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| + RESIDUAL_TOL *
-    T / cref.  The accepted pass opens the next iteration, and the last
-    one rides along in the FixedPoint.
+    Hessian (diag, off), the passes taken and its delay terms as a
+    FixedPoint if every unclamped gate has |g_j - a| <= SENSITIVITY_REL
+    * |a| + RESIDUAL_TOL * T / cref.  The accepted pass opens the next
+    iteration, and the last one rides along in the FixedPoint.  Each
+    solve logs one debug line: its steps, its passes and the gates they
+    computed against n per pass.
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
@@ -243,57 +239,80 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         return FixedPoint(sizing, timing, 0, (), [], [], timing.total_delay,
                           0)
 
-    passes = 0
+    passes = gates = 0
 
-    def opened(sizing, dv):
-        """(sizing, its derivative pass, its descent merit)."""
-        return sizing, dv, dv[3] - a * sum(sizing[1:])
+    def opened(dv):
+        """(a derivative pass, its descent merit)."""
+        return dv, dv.total - a * sum(dv.sizing[1:])
 
-    def visit(sizing):
-        nonlocal passes
+    def visit(sizing, base):
+        nonlocal passes, gates
+        dv = model.derivatives(sizing, base)
         passes += 1
-        return opened(sizing, model.derivatives(sizing))
+        gates += dv.gates
+        return opened(dv)
 
     if isinstance(warm, FixedPoint):
-        here = opened(list(warm.sizing),
-                      (warm.grad, warm.diag, warm.off, warm.total))
+        model.check_sizing(warm.sizing)
+        if not (len(warm.grad) == len(warm.diag) == len(warm.off) == n - 1
+                and (warm.terms is None or len(warm.terms) == n + 1)):
+            raise ValueError("warm FixedPoint's pass does not match the "
+                             f"path's {n} gates")
+        here = opened(warm)
     else:
         here = visit(splice_sizing([None] * n if warm is None else warm,
-                                   model.path, cref))
-    max_rel = math.inf
+                                   model.path, cref), ())
     for steps in range(1, MAX_ITERATIONS + 1):
-        cin, (grad, hd, ho, delay), merit = here
-        prop = _newton_step(model, cin, grad, hd, ho, a, model.clamped(cin))
+        held, merit = here
+        cin = held.sizing
+        prop = _newton_step(cin, held.grad, held.diag, held.off, a,
+                            model.clamped(cin))
         ceiling = merit + abs(merit) * 1e-12
-        nxt = visit([prop[0]] + [max(cref, p) for p in prop[1:]])
-        if nxt[2] > ceiling:
+        nxt = visit([prop[0]] + [max(cref, p) for p in prop[1:]], held)
+        if nxt[1] > ceiling:
             # Damp along the unclamped direction, clamping after the
             # scale: scaling the clamped proposal instead would keep the
             # bent direction at every lambda.  If every damping ascends,
             # stand still and let the stopping rule decide.
             nxt = here
             for k in range(1, 21):
+                shrink = 0.5 ** k
                 trial = visit([cin[0]] + [
-                    max(cref, cin[j] * (prop[j] / cin[j]) ** (0.5 ** k))
-                    for j in range(1, n)])
-                if trial[2] <= ceiling:
+                    max(cref, c * (p / c) ** shrink)
+                    for c, p in zip(cin[1:], prop[1:])], held)
+                if trial[1] <= ceiling:
                     nxt = trial
                     break
-        new, (grad, hd, ho, new_delay), _ = here = nxt
-        max_rel = max(abs(new[i] - cin[i]) / cin[i] for i in range(1, n))
-        if (max_rel < CAP_TOL
-                and abs(new_delay - delay) <= DELAY_TOL * new_delay):
-            clamped = model.clamped(new)
-            tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * new_delay / cref
-            if all(abs(grad[j - 1] - a) <= tol for j in range(1, n)
-                   if not clamped[j]):
-                held = [j for j in range(1, n) if clamped[j]]
-                if held:
-                    logger.debug("fixed point clamped gates at cref: %s", held)
-                return FixedPoint(tuple(new), model.evaluate(new), steps,
-                                  grad, hd, ho, new_delay, passes)
+        new, _ = here = nxt
+        if (abs(new.total - held.total) <= DELAY_TOL * new.total
+                and _largest_move(new.sizing, cin) < CAP_TOL):
+            clamped = model.clamped(new.sizing)
+            tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * new.total / cref
+            if all(abs(g - a) <= tol
+                   for g, c in zip(new.grad, clamped[1:]) if not c):
+                if logger.isEnabledFor(logging.DEBUG):
+                    at_cref = [j for j in range(1, n) if clamped[j]]
+                    if at_cref:
+                        logger.debug("fixed point clamped gates at cref: %s",
+                                     at_cref)
+                logger.debug("fixed point at a=%g: %d steps, %d derivative "
+                             "passes, %d of %d gates computed", a, steps,
+                             passes, gates, n * passes)
+                return FixedPoint(tuple(new.sizing),
+                                  model.evaluate(new.sizing), steps,
+                                  new.grad, new.diag, new.off, new.total,
+                                  passes, new.terms)
+    logger.debug("fixed point at a=%g: no convergence in %d steps, %d "
+                 "derivative passes, %d of %d gates computed", a,
+                 MAX_ITERATIONS, passes, gates, n * passes)
     raise ConvergenceError("sizing fixed point did not converge",
-                           iterations=MAX_ITERATIONS, residual=max_rel)
+                           iterations=MAX_ITERATIONS,
+                           residual=_largest_move(new.sizing, cin))
+
+
+def _largest_move(new, old) -> float:
+    """The largest relative change of a free gate's size."""
+    return max(abs(x - y) / y for x, y in zip(new[1:], old[1:]))
 
 
 def splice_sizing(sizes, path: LogicPath, cref: float) -> list[float]:

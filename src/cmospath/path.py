@@ -13,7 +13,11 @@ written (``process.stage_delay``, shared with ``gate_delay``).  Two
 views of the total delay coexist.  ``evaluate_path`` is the exact
 chained model, and ``PathModel.derivatives`` gives its exact gradient,
 tridiagonal Hessian and total delay in one pass; the solvers step on
-those, judge steps by that total and stop on that gradient.
+those, judge steps by that total and stop on that gradient.  A pass
+taken on a base (an earlier ``Pass`` of the same model) computes only
+the gates next to the sizes that moved and splices them in, equal to
+the full pass bit for bit; the full pass is that window over the whole
+chain, so the per-gate algebra is written once (``_window``).
 ``path_coefficients`` regroups the same expression by each gate's output
 transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
 cin[i], freezing the Miller factors and parasitics at the current sizing.
@@ -26,6 +30,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add, ne
+from typing import NamedTuple, Sequence
 
 from .errors import ConfigError
 from .process import (
@@ -178,6 +185,25 @@ class CoefficientSet:
         return total
 
 
+class Pass(NamedTuple):
+    """A derivative pass as a later windowed pass splices into it.
+
+    grad, diag, off and total are PathModel.derivatives at sizing, so a
+    Pass's first four entries are the plain pass.  terms are the delay
+    terms whose running sum is total: the driving slope's constant, then
+    each gate's f_i.  gates counts the gates the pass computed (n for a
+    full pass, 0 when no size moved).
+    """
+
+    grad: tuple[float, ...]
+    diag: list[float]
+    off: list[float]
+    total: float
+    sizing: Sequence[float]
+    terms: list[float]
+    gates: int
+
+
 def _gate_constants(template: GateTemplate, edge_in: str,
                     params: ProcessParams, v_next: float) -> tuple:
     """A gate's delay constants for one input edge, as a plain tuple:
@@ -315,8 +341,9 @@ class PathModel:
         return CoefficientSet(tuple(a), tuple(c_par), constant,
                               self.terminal_load)
 
-    def derivatives(self, sizing) -> tuple[tuple[float, ...], list[float],
-                                           list[float], float]:
+    def derivatives(self, sizing, base=None
+                    ) -> tuple[tuple[float, ...], list[float], list[float],
+                               float] | Pass:
         """Exact delay gradient, tridiagonal Hessian and total in one pass.
 
         The exact total is a constant plus sum_i f_i(cin[i], x_i), where
@@ -335,20 +362,61 @@ class PathModel:
         with off zero for the last gate, whose downstream node is the
         fixed terminal load.  Only adjacent gates couple, so the full
         Hessian is this symmetric tridiagonal matrix.  Last comes the
-        total, the constant plus sum_i f_i: the frozen regrouping at its
-        own freezing point, which is evaluate's total_delay to rounding.
-        A one-gate path has no free gate: its grad, diag and off are empty.
+        total, the constant plus sum_i f_i added in gate order: the frozen
+        regrouping at its own freezing point, which is evaluate's
+        total_delay to rounding.  A one-gate path has no free gate: its
+        grad, diag and off are empty.  Returns (grad, diag, off, total).
+
+        With base, an earlier pass of this model (a Pass, or a FixedPoint
+        that carries its terms; () or no terms for none), the result is a
+        Pass, which can be the base of the next.  If sizes lo..hi differ
+        from base's, only gates lo-2..hi+1 are computed, their rows and
+        terms spliced into base's, and the total re-added from the terms
+        in their order, so the pass equals the full one bit for bit; if no
+        size differs, no gate is computed.  The full pass is the same
+        window over the whole chain.
         """
         self.check_sizing(sizing)
-        gates = zip(self._consts, sizing, self._nodes(sizing))
-        # Gate 0's size is fixed: it enters only through its downstream node.
-        (_, v_half, gamma, cm_fixed, p, k_half, v_next, _, _, _), c, x = \
+        n = self.n
+        first, last = 0, n - 1
+        if base and base.terms is not None:
+            moved = list(map(ne, sizing, base.sizing))
+            if not any(moved):
+                return Pass(base.grad, base.diag, base.off, base.total,
+                            sizing, base.terms, 0)
+            first = max(0, moved.index(True) - 2)
+            last = min(n - 1, n - moved[::-1].index(True))
+        terms, grad, diag, off = self._window(sizing, first, last)
+        if last == n - 1 and off:
+            off[-1] = 0.0  # the last gate drives the fixed terminal load
+        if first == 0 and last == n - 1:
+            terms.insert(0, self._consts[0][1] * self.path.driver_slope())
+            grad = tuple(grad)
+        else:
+            terms = [*base.terms[:first + 1], *terms, *base.terms[last + 2:]]
+            grad = (*base.grad[:first], *grad, *base.grad[last:])
+            diag = [*base.diag[:first], *diag, *base.diag[last:]]
+            off = [*base.off[:first], *off, *base.off[last:]]
+        total = reduce(add, terms)
+        if base is None:
+            return grad, diag, off, total
+        return Pass(grad, diag, off, total, sizing, terms, last - first + 1)
+
+    def _window(self, sizing, first: int, last: int):
+        """Gates first..last of a derivative pass, the one copy of its
+        per-gate algebra: their delay terms f_i, and (grad, diag, off) of
+        rows first+1..last.  Gate first is peeled off the loop: its own
+        row lies outside the window, so only its term and its pull on row
+        first+1 are taken.  sizing is checked."""
+        gates = zip(self._consts[first:last + 1], sizing[first:last + 1],
+                    (*sizing[first + 1:last + 2], self.terminal_load))
+        (_, _, gamma, cm_fixed, p, k_half, v_next, _, _, _), c, x = \
             next(gates)
         load = x + p * c
         m = gamma * c + cm_fixed
         den = m + load
         mil_v = 1.0 + 2.0 * m / den + v_next
-        total = v_half * self.path.driver_slope() + k_half * mil_v * load / c
+        terms = [k_half * mil_v * load / c]
         den2 = den * den
         mil_load = -2.0 * m / den2
         mil_loadload = 4.0 * m / (den2 * den)
@@ -363,7 +431,7 @@ class PathModel:
             m = gamma * c + cm_fixed
             den = m + load
             mil_v = 1.0 + 2.0 * m / den + v_next
-            total += k_half * mil_v * load / c
+            terms.append(k_half * mil_v * load / c)
             den2 = den * den
             den3 = den2 * den
             mil_m = 2.0 * load / den2
@@ -386,9 +454,7 @@ class PathModel:
                 + mil_c / c - mil_load * x / cc - mil_v / cc))
             f_x_up = k_half * (mil_load * load / c + mil_v / c)
             f_xx_up = k_half * (mil_loadload * load / c + 2.0 * mil_load / c)
-        if off:
-            off[-1] = 0.0  # the last gate drives the fixed terminal load
-        return tuple(grad), diag, off, total
+        return terms, grad, diag, off
 
     def _nodes(self, sizing) -> list[float]:
         """Each gate's downstream node: the next cin, then the terminal

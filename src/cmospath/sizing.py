@@ -6,8 +6,9 @@ point and a -> -inf collapses everything to minimum drive.  A solve at a
 fixed a is the bounds engine's fixed point with its one stopping rule.
 Meeting a constraint tc solves those stationarity conditions and T = tc
 at once: one Newton iteration on the log sizes and a together, whose
-bordered tridiagonal Jacobian costs one derivative pass and two Thomas
-sweeps per step, opened by an Euler predictor from the fastest sizing.
+bordered tridiagonal Jacobian costs one derivative pass and one Thomas
+sweep with two right-hand sides per step, opened by an Euler predictor
+from the fastest sizing.
 It stops on the fixed point's certificate once the delay lands in tc *
 (1 - 1e-3) <= delay <= tc.  Where it gives up (strong fixed coupling can
 leave the log-space system indefinite), a bracketed Newton search on a
@@ -24,8 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .bounds import (RESIDUAL_TOL, SENSITIVITY_REL, DelayBounds, FixedPoint,
-                     _newton_solve, _solve_tridiagonal, compute_bounds,
-                     link_fixed_point)
+                     _newton_solve, compute_bounds, link_fixed_point)
 from .errors import ConvergenceError, InfeasibleError
 from .path import GateLibrary, LogicPath, PathModel, Sizing
 from .process import ProcessParams
@@ -70,6 +70,46 @@ def solve_at_sensitivity(path: LogicPath, a: float, params: ProcessParams,
         raise ValueError("sensitivity target a must be <= 0")
     return _solution(a, link_fixed_point(PathModel(path, params, library),
                                          a=a, warm=warm))
+
+
+def _solve_tridiagonal(diag, off, rhs, pinned) -> list[float] | None:
+    """Solve a symmetric tridiagonal system by the Thomas sweep.
+
+    diag is the main diagonal and off[i] couples rows i and i+1 (its last
+    entry is unused).  Each row in pinned, a gate clamped at cref, gets a
+    unit diagonal, a zero right-hand side and no coupling, so it solves to
+    exactly 0; those rows are written into diag, off and rhs.  Returns
+    None when a pivot is not positive, i.e. the matrix is not positive
+    definite, or when the solution is not finite.
+    """
+    for idx in pinned:
+        diag[idx] = 1.0
+        rhs[idx] = 0.0
+        off[idx] = 0.0
+        if idx > 0:
+            off[idx - 1] = 0.0
+    rows = zip(diag, off, rhs)
+    piv, o, r = next(rows)
+    eliminated = []  # (off, pivot, rhs) of each row above the last
+    for d, o_next, b in rows:
+        if not piv > 0.0:
+            return None
+        w = o / piv
+        eliminated.append((o, piv, r))
+        piv = d - w * o
+        r = b - w * r
+        o = o_next
+    if not piv > 0.0:
+        return None
+    x = r / piv
+    out = [x]
+    for o, piv, r in reversed(eliminated):
+        x = (r - o * x) / piv
+        out.append(x)
+    out.reverse()
+    if not all(map(math.isfinite, out)):
+        return None
+    return out
 
 
 def _unit_response(model: PathModel, sizing: Sizing, diag,
@@ -124,7 +164,8 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
     and T = target, the middle of the band.  The Jacobian is bordered
     tridiagonal, [[M, -c], [(c*g)^T, 0]], with M the log-space system of
     the fixed-point engine (_newton_solve), so each iteration takes one
-    derivative pass and two Thomas sweeps, M u = -r and M v = c; then da
+    derivative pass and one sweep of M for two right-hand sides, M u = -r
+    and M v = c; then da
     = (target - T - (c*g).u) / ((c*g).v) and dy = u + v da.  At a = 0 the
     delay is flat to first order, so the first step is the Euler
     predictor from the fastest sizing, whose pass is `first`: da = a0 =

@@ -252,3 +252,89 @@ def path_truth_table(path, library):
             x = gate_bool(name, [x] + sides)
         rows.append(x)
     return tuple(rows)
+
+
+def newton_system(cin, grad, hd, ho, a):
+    """(diag, off, rhs) of the log-space Newton system, built row by row.
+
+    Row j-1 is gate j: diag = c_j^2 T''_jj + r_j, off = c_j c_{j+1} T''_j,j+1
+    (0 past the last gate) and rhs = -r_j, with r_j = c_j (g_j - a).
+    """
+    diag = []
+    off = []
+    rhs = []
+    for cj, cn, g, d, o in zip(cin[1:], (*cin[2:], 0.0), grad, hd, ho):
+        r = cj * (g - a)
+        diag.append(cj * cj * d + r)
+        off.append(cj * cn * o)
+        rhs.append(-r)
+    return diag, off, rhs
+
+
+def solve_tridiagonal(diag, off, rhs, pinned):
+    """Thomas sweep of a symmetric tridiagonal system, or None.
+
+    off[i] couples rows i and i+1.  Each row in pinned becomes a unit row
+    with a zero right-hand side and no coupling, written into diag, off
+    and rhs.  None when a pivot is not positive or the solution is not
+    finite.
+    """
+    for idx in pinned:
+        diag[idx] = 1.0
+        rhs[idx] = 0.0
+        off[idx] = 0.0
+        if idx > 0:
+            off[idx - 1] = 0.0
+    rows = zip(diag, off, rhs)
+    piv, o, r = next(rows)
+    eliminated = []
+    for d, o_next, b in rows:
+        if not piv > 0.0:
+            return None
+        w = o / piv
+        eliminated.append((o, piv, r))
+        piv = d - w * o
+        r = b - w * r
+        o = o_next
+    if not piv > 0.0:
+        return None
+    x = r / piv
+    out = [x]
+    for o, piv, r in reversed(eliminated):
+        x = (r - o * x) / piv
+        out.append(x)
+    out.reverse()
+    if not all(map(math.isfinite, out)):
+        return None
+    return out
+
+
+def newton_solve(cin, grad, hd, ho, a, clamped, border=False):
+    """The log-space Newton solve as separate build and sweep steps.
+
+    Rows of clamped gates whose residual pushes them down are pinned.
+    First the exact system; if a sweep fails, the system is built again
+    and every row whose diagonal does not exceed the sum of its absolute
+    couplings gets that sum times 1 + 1e-9 (its |diagonal| with no
+    coupling).  Returns [M^-1 (-r)], with border also [.., M^-1 c], or
+    None.  Also returns whether the exact sweep failed.
+    """
+    m = len(cin) - 1
+    diag, off, rhs = newton_system(cin, grad, hd, ho, a)
+    pinned = [idx for idx in range(m) if clamped[idx + 1] and rhs[idx] < 0.0]
+    for dominant in (False, True):
+        if dominant:
+            diag, off, rhs = newton_system(cin, grad, hd, ho, a)
+            for idx in range(m):
+                coupling = abs(off[idx]) + (abs(off[idx - 1]) if idx else 0.0)
+                if not diag[idx] > coupling:
+                    diag[idx] = (coupling * (1.0 + 1e-9) if coupling
+                                 else abs(diag[idx]))
+        if border:
+            v = solve_tridiagonal(diag, off, list(cin[1:]), pinned)
+            if v is None:
+                continue
+        step = solve_tridiagonal(diag, off, rhs, pinned)
+        if step is not None:
+            return ([step, v] if border else [step]), dominant
+    return None, True

@@ -1,7 +1,9 @@
 """Delay window of a path: minimum-delay solver and the all-cref ceiling."""
 
 import dataclasses
+import logging
 import math
+import re
 import pathlib
 import random
 import warnings
@@ -292,8 +294,8 @@ class TestMinDelaySolver:
         totals, evaluated = [], []
         derivatives, evaluate = PathModel.derivatives, PathModel.evaluate
 
-        def counting_derivatives(model, sizing):
-            out = derivatives(model, sizing)
+        def counting_derivatives(model, sizing, base=None):
+            out = derivatives(model, sizing, base)
             totals.append(out[3])
             return out
 
@@ -347,6 +349,48 @@ class TestMinDelaySolver:
         assert err.value.iterations == 1
         assert err.value.residual is not None
 
+    def test_logs_one_line_per_solve(self, ref_params, ref_library,
+                                     chain13, caplog):
+        # steps and passes as the FixedPoint counts them, and the gates
+        # those passes computed: all n on a cold start's first pass, at
+        # most n per pass
+        model = PathModel(chain13, ref_params, ref_library)
+        caplog.set_level(logging.DEBUG, logger="cmospath.bounds")
+        cold = link_fixed_point(model, a=-1e-2)
+        warm = link_fixed_point(model, a=-2e-2, warm=cold)
+        lines = [re.fullmatch(
+            r"fixed point at a=(\S+): (\d+) steps, (\d+) derivative passes, "
+            r"(\d+) of (\d+) gates computed", r.getMessage())
+            for r in caplog.records if r.name == "cmospath.bounds"]
+        lines = [m.groups() for m in lines if m]
+        assert [(float(a), int(steps), int(passes)) for a, steps, passes, _, _
+                in lines] == [(-1e-2, cold.steps, cold.passes),
+                              (-2e-2, warm.steps, warm.passes)]
+        n = chain13.n
+        for fixed, (_, _, _, gates, full) in zip((cold, warm), lines):
+            assert int(full) == n * fixed.passes
+            assert int(gates) <= int(full)
+        assert int(lines[0][3]) >= n
+
+    @pytest.mark.parametrize("gates", [
+        ("inv", "nand2", "nor2", "inv", "inv", "nand3"), ("inv", "nand2")])
+    def test_rejects_a_warm_fixed_point_of_another_path(
+            self, ref_params, ref_library, gates):
+        # A longer or shorter path cannot open on the pass of another.
+        path = LogicPath(gates=("inv", "nand2", "nor2", "inv"),
+                         input_cap=4.0, terminal_load=500.0)
+        fixed = link_fixed_point(PathModel(path, ref_params, ref_library),
+                                 a=-0.5)
+        other = PathModel(dataclasses.replace(path, gates=gates), ref_params,
+                          ref_library)
+        with pytest.raises(ValueError, match="mismatched sizing length"):
+            link_fixed_point(other, a=-0.5, warm=fixed)
+        # Sizes of the right length, a pass of the wrong one.
+        sizing = (path.input_cap,) + (ref_params.cref,) * (len(gates) - 1)
+        with pytest.raises(ValueError, match="does not match"):
+            link_fixed_point(other, a=-0.5,
+                             warm=fixed._replace(sizing=sizing))
+
     def test_rejects_nonpositive_init(self, ref_params, ref_library,
                                       chain11):
         warm = [chain11.input_cap] + [8.0] * (chain11.n - 1)
@@ -397,17 +441,22 @@ class TestDominantHessianStep:
     @pytest.fixture
     def failed_sweeps(self, monkeypatch):
         # the exact Thomas sweep fails only where the Hessian is not
-        # positive definite
+        # positive definite; the oracle, which builds the system and then
+        # sweeps it, tells each Newton solve whose exact sweep failed and
+        # gives the solution the kernel must match
         failures = []
-        original = bounds_module._solve_tridiagonal
+        original = bounds_module._newton_solve
 
-        def recording(diag, off, rhs, pinned):
-            step = original(diag, off, rhs, pinned)
-            if step is None:
-                failures.append(len(diag))
-            return step
+        def recording(cin, grad, hd, ho, a, clamped, border=False):
+            solved = original(cin, grad, hd, ho, a, clamped, border)
+            want, fixed = oracles.newton_solve(cin, grad, hd, ho, a, clamped,
+                                               border)
+            assert repr(solved) == repr(want)
+            if fixed:
+                failures.append(len(cin) - 1)
+            return solved
 
-        monkeypatch.setattr(bounds_module, "_solve_tridiagonal", recording)
+        monkeypatch.setattr(bounds_module, "_newton_solve", recording)
         return failures
 
     @pytest.fixture
@@ -486,6 +535,57 @@ class TestDominantHessianStep:
         sol = distribute_constraint(path, tc, params, library, bounds=bounds)
         assert tc * (1.0 - 1e-3) <= sol.delay <= tc
         assert sol.a_value < 0.0
+
+
+class TestNewtonKernel:
+    """The kernel builds and eliminates each row of the log-space Newton
+    system in one sweep, pinned rows as unit rows; the oracle builds the
+    whole system, then sweeps it once per right-hand side."""
+
+    @staticmethod
+    def _system(rng, m, kind):
+        """(cin, grad, hd, ho, a, clamped) of m free gates: positive
+        definite, indefinite (the dominance fix runs) or degenerate (the
+        solve gives up)."""
+        cin = [rng.uniform(1.0, 10.0)] + [
+            rng.choice((2.0, rng.uniform(2.0, 300.0))) for _ in range(m)]
+        clamped = [False] + [rng.random() < 0.4 for _ in range(m)]
+        a = rng.choice((0.0, -rng.uniform(1e-3, 1.0)))
+        scale = rng.choice((1e-4, 1e-2, 1.0))
+        grad = [a if rng.random() < 0.1 else a + rng.uniform(-1.0, 1.0)
+                * scale * 1e-4 for _ in range(m)]
+        ho = [rng.uniform(-1.0, 1.0) * scale * 1e-5 for _ in range(m - 1)]
+        ho.append(0.0)
+        low = -3e-3 if kind == "indefinite" else 3e-3
+        hd = [rng.uniform(low, 4e-3) * scale for _ in range(m)]
+        if kind == "degenerate":
+            spoil = rng.randrange(m)
+            values = rng.choice((grad, hd, ho, cin))
+            values[spoil] = 1e200 if values is cin else math.nan
+        return cin, grad, hd, ho, a, clamped
+
+    @pytest.mark.parametrize("border", [False, True])
+    def test_matches_the_oracle(self, border):
+        rng = random.Random(17)
+        outcomes = {"exact": 0, "dominant": 0, "none": 0}
+        pinned_rows = 0
+        for k in range(1500):
+            kind = ("definite", "indefinite", "degenerate")[k % 3]
+            m = rng.randint(1, 30)
+            cin, grad, hd, ho, a, clamped = self._system(rng, m, kind)
+            got = bounds_module._newton_solve(cin, grad, hd, ho, a, clamped,
+                                              border)
+            want, fixed = oracles.newton_solve(cin, grad, hd, ho, a, clamped,
+                                               border)
+            assert repr(got) == repr(want), (k, kind)
+            outcomes["none" if want is None
+                     else "dominant" if fixed else "exact"] += 1
+            if want is not None:
+                assert len(want) == (2 if border else 1)
+                pinned_rows += sum(x == 0.0 and c for x, c in
+                                   zip(want[0], clamped[1:]))
+        assert min(outcomes.values()) >= 200, outcomes
+        assert pinned_rows >= 1000
 
 
 class TestFeasibility:

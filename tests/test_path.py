@@ -1,5 +1,6 @@
 """Path evaluation, frozen coefficients, and the exact gradient."""
 
+import dataclasses
 import math
 import random
 
@@ -476,7 +477,82 @@ class TestExactGradient:
 
 
 class TestDerivativePass:
-    """The pass peels gate 0 off its loop and zeroes the last off entry."""
+    """The pass takes gate 0 as a stand-in row and zeroes the last off
+    entry; a pass on a base recomputes only the gates its moved sizes
+    touch."""
+
+    WINDOWS = ("gate 0", "last gate", "interior gate", "empty", "whole",
+               "at cref")
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           window=st.sampled_from(WINDOWS), coupled=st.booleans())
+    def test_windowed_pass_equals_the_full_pass(self, ref_params,
+                                                ref_library, seed, n,
+                                                window, coupled):
+        # A seeded ref.proc path, or the same gates on the cm_override_ff
+        # = 500 library; a base pass at one sizing, then passes at sizes
+        # moved in one window, each on the pass before, equal the full
+        # pass at the same sizes by repr, terms included.
+        rng = random.Random(seed)
+        cref = ref_params.cref
+        library = ref_library
+        if coupled:
+            library = {kind: dataclasses.replace(t, cm_override=500.0)
+                       for kind, t in ref_library.items()}
+        path = LogicPath(gates=tuple(rng.choice(KINDS) for _ in range(n)),
+                         input_cap=rng.uniform(2.0, 10.0),
+                         terminal_load=rng.uniform(30.0, 5000.0),
+                         input_edge=rng.choice(("rising", "falling")),
+                         driver_slope_rise=rng.uniform(0.0, 60.0),
+                         driver_slope_fall=rng.uniform(0.0, 60.0))
+        model = PathModel(path, ref_params, library)
+
+        def size():
+            return cref if rng.random() < 0.3 else rng.uniform(cref, 400.0)
+
+        sizing = [path.input_cap] + [size() for _ in range(n - 1)]
+        held = model.derivatives(sizing, ())
+        assert repr(tuple(held[:4])) == repr(model.derivatives(sizing))
+        assert held.gates == n
+        for _ in range(3):
+            moved = list(sizing)
+            # cin[0] may sit within 1e-9 of input_cap
+            nudged = path.input_cap * (1.0 + rng.uniform(1e-12, 5e-10))
+            if window == "gate 0":
+                moved[0] = nudged if sizing[0] == path.input_cap \
+                    else path.input_cap
+                lo = hi = 0
+            elif window == "empty":
+                lo, hi = 1, 0
+            elif window == "whole":
+                lo, hi = 0, n - 1
+                moved = [nudged] + [s * rng.uniform(1.01, 2.0)
+                                    for s in sizing[1:]]
+            elif n == 1:
+                lo, hi = 1, 0
+            else:
+                lo = {"last gate": n - 1}.get(window, rng.randint(1, n - 1))
+                hi = lo if window != "at cref" else rng.randint(lo, n - 1)
+                for j in range(lo, hi + 1):
+                    moved[j] = (sizing[j] * rng.uniform(1.01, 3.0)
+                                if window != "at cref" or sizing[j] > cref
+                                else rng.uniform(cref, 2.0 * cref))
+                    if window == "at cref" and sizing[j] > cref \
+                            and rng.random() < 0.7:
+                        moved[j] = cref
+                if window == "at cref":
+                    changed = [j for j in range(n) if moved[j] != sizing[j]]
+                    lo, hi = (changed[0], changed[-1]) if changed else (1, 0)
+            got = model.derivatives(moved, held)
+            assert repr(tuple(got[:4])) == repr(model.derivatives(moved))
+            assert got.terms == model.derivatives(moved, ()).terms
+            assert got.sizing is moved
+            if lo > hi:
+                assert got.gates == 0
+            else:
+                assert got.gates == min(n - 1, hi + 1) - max(0, lo - 2) + 1
+            sizing, held = moved, got
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("clamp", [False, True])

@@ -128,9 +128,9 @@ class TestDistributeConstraint:
         real_floor = sizing._floor_sensitivity
         calls = []
 
-        def derivatives(model, at):
+        def derivatives(model, at, base=None):
             calls[-1]["passes"].append(tuple(at))
-            return real_derivatives(model, at)
+            return real_derivatives(model, at, base)
 
         def bracketed(*args):
             calls[-1]["route"] = "fallback"
@@ -209,9 +209,9 @@ class TestDistributeConstraint:
         real_derivatives = PathModel.derivatives
         count = {}
 
-        def derivatives(model, at):
+        def derivatives(model, at, base=None):
             count["passes"] += 1
-            return real_derivatives(model, at)
+            return real_derivatives(model, at, base)
 
         def run(path, tc, bounds, from_sizing):
             def solve(model, a=0.0, warm=None):
@@ -394,10 +394,10 @@ class TestSweep:
         real_derivatives = PathModel.derivatives
         solves = []  # (a, derivative passes) per fixed-point solve
 
-        def derivatives(model, at):
+        def derivatives(model, at, base=None):
             a, passes = solves[-1]
             solves[-1] = a, passes + 1
-            return real_derivatives(model, at)
+            return real_derivatives(model, at, base)
 
         def solve(model, a=0.0, warm=None):
             solves.append((a, 0))
@@ -439,6 +439,47 @@ class TestSweep:
                     assert got == want - 1, (path, a)
                 else:
                     assert got == want, (path, a)
+
+    def test_long_chain_rows_equal_their_solves_one_by_one(
+            self, ref_params, ref_library, monkeypatch):
+        # A 400-gate seeded path on the CLI's 24-point ladder.  Most rows
+        # hold at least 90% of the gates at cref, so most of their passes
+        # are windowed on a few moved gates; the rows still equal, by
+        # repr, a loop of solve_at_sensitivity, each warm from the row
+        # before, whose every pass is a full one.
+        rng = random.Random(400)
+        n = 400
+        cref = ref_params.cref
+        path = LogicPath(gates=tuple(rng.choice(KINDS) for _ in range(n)),
+                         input_cap=rng.uniform(2.0, 8.0),
+                         terminal_load=rng.uniform(100.0, 2000.0),
+                         input_edge=rng.choice(("rising", "falling")),
+                         driver_slope_rise=rng.uniform(0.0, 50.0),
+                         driver_slope_fall=rng.uniform(0.0, 50.0))
+        t_min = min_delay_sizing(path, ref_params, ref_library)[1]
+        a_deep = -100.0 * t_min / cref
+        ratio = 1e-5 ** (1.0 / 22)
+        ladder = [a_deep * ratio ** k for k in range(23)] + [0.0]
+        rows, failures = sweep(path, ladder, ref_params, ref_library)
+        assert not failures
+
+        real_derivatives = PathModel.derivatives
+        monkeypatch.setattr(
+            PathModel, "derivatives",
+            lambda model, at, base=None: real_derivatives(
+                model, at, None if base is None else ()))
+        want = []
+        warm = (path.input_cap,) + (cref,) * (n - 1)
+        for a in sorted(ladder):
+            want.append(solve_at_sensitivity(path, a, ref_params,
+                                             ref_library, warm=warm))
+            warm = want[-1].sizing
+        monkeypatch.undo()
+        assert repr(rows) == repr(want)
+        assert len(rows) == 24
+        model = PathModel(path, ref_params, ref_library)
+        held = [sum(model.clamped(row.sizing)[1:]) for row in rows]
+        assert sum(h >= 0.9 * (n - 1) for h in held) > len(rows) / 2
 
     def test_saturated_rows_identical(self, ref_params, ref_library,
                                       chain13):
