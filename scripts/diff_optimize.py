@@ -17,6 +17,13 @@ each in its own interpreter, and compares the results case by case:
   (23 geometric values from -100 t_min / cref down to 1e-5 of that, then
   a = 0), each row or row failure compared by its repr, so a row that
   differs by any bit counts, and each one is listed;
+* coupled distribute: distribute_constraint on the case's gates, with
+  an input cap of 2-10 fF and a load of 2-500 fF, under a random
+  coupled library (each kind's par_coeff drawn from 0-2.5 and its
+  cm_override_ff from None or 1-1000 fF), at 1.01, 1.5 and 3 times its
+  t_min there, each result or failure compared by its repr and each
+  difference listed.  On ref.proc alone distribute_constraint never
+  leaves the bordered Newton; with these libraries a few calls do;
 * the largest relative numeric drift over every number of the cases
   whose structure agrees (sizes, delays, areas, a values, trace values).
 
@@ -39,6 +46,7 @@ area change is found, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -53,6 +61,7 @@ PROC = os.path.join(ROOT, "fixtures", "ref.proc")
 RATIOS = (0.8, 0.9, 0.97, 1.02, 1.1, 1.2, 1.5, 2.0, 2.5, 3.5)
 RTOL = 1e-9
 SWEEP_POINTS = 24
+COUPLED_RATIOS = (1.01, 1.5, 3.0)
 
 
 def cases(seed: int, count: int, gates: tuple[int, int], kinds):
@@ -106,6 +115,34 @@ def sweep_rows(path, t_min: float, params, library) -> list[str]:
     return [by_a[a] for a in sorted(values)]
 
 
+def coupled_distribute(path, seed: int, index: int, params,
+                       library) -> list[str]:
+    """distribute_constraint on path's gates under case index's coupled
+    library and endpoints, at each of COUPLED_RATIOS times its t_min, as
+    reprs."""
+    from cmospath import compute_bounds, distribute_constraint
+
+    rng = random.Random(1_000_003 * seed + index)
+    coupled = {kind: dataclasses.replace(
+        t, par_coeff=rng.uniform(0.0, 2.5),
+        cm_override=rng.choice((None, rng.uniform(1.0, 1000.0))))
+        for kind, t in library.items()}
+    path = dataclasses.replace(path, input_cap=rng.uniform(2.0, 10.0),
+                               terminal_load=rng.uniform(2.0, 500.0))
+    try:
+        bounds = compute_bounds(path, params, coupled)
+    except Exception as exc:  # reported, not raised: it is a result
+        return [f"bounds failed: {exc!r}"] * len(COUPLED_RATIOS)
+    out = []
+    for ratio in COUPLED_RATIOS:
+        try:
+            out.append(repr(distribute_constraint(
+                path, ratio * bounds.t_min, params, coupled, bounds=bounds)))
+        except Exception as exc:
+            out.append(f"ratio={ratio} failed: {exc!r}")
+    return out
+
+
 def worker(argv) -> int:
     """Solve every case under the tree on PYTHONPATH; one JSON line each."""
     import cmospath
@@ -113,15 +150,17 @@ def worker(argv) -> int:
     seed, count, lo, hi = argv
     params, library = cmospath.load_process_file(PROC)
     print(json.dumps({"package": os.path.abspath(cmospath.__file__)}))
-    for spec in cases(int(seed), int(count), (int(lo), int(hi)),
-                      sorted(library)):
+    for index, spec in enumerate(cases(int(seed), int(count),
+                                       (int(lo), int(hi)), sorted(library))):
         path = cmospath.LogicPath(
             gates=tuple(spec["gates"]), input_cap=spec["input_cap"],
             terminal_load=spec["terminal_load"],
             input_edge=spec["input_edge"],
             driver_slope_rise=spec["driver_slope_rise"],
             driver_slope_fall=spec["driver_slope_fall"])
-        out = {"spec": spec, "numbers": {}}
+        out = {"spec": spec, "numbers": {},
+               "coupled": coupled_distribute(path, int(seed), index, params,
+                                             library)}
         try:
             t_min = cmospath.min_delay_sizing(path, params, library)[1]
             out["numbers"]["t_min"] = t_min
@@ -208,6 +247,7 @@ def main(argv=None) -> int:
           f"gates={args.gates[0]}-{args.gates[1]}: - {args.other}  + {this}")
 
     structural = flips = area_changes = rows = rows_differ = 0
+    calls = calls_differ = 0
     greedy = {mode: {"lower": 0, "higher": 0, "equal": 0}
               for mode in ("pair", "single")}
     largest_area = (0.0, None)
@@ -253,6 +293,13 @@ def main(argv=None) -> int:
                 print(f"{label}: sweep row {k} differs")
                 print(f"  - {ra}")
                 print(f"  + {rb}")
+        calls += len(a["coupled"])
+        for ratio, ra, rb in zip(COUPLED_RATIOS, a["coupled"], b["coupled"]):
+            if ra != rb:
+                calls_differ += 1
+                print(f"{label}: coupled distribute at {ratio} t_min differs")
+                print(f"  - {ra}")
+                print(f"  + {rb}")
         if sa["result"] == sb["result"] == "ok":
             change = (nb["area"] - na["area"]) / na["area"]
             if abs(change) > abs(largest_area[0]):
@@ -269,6 +316,7 @@ def main(argv=None) -> int:
               f"{counts['higher']} higher, {counts['equal']} equal")
     print(f"# sweep on the {SWEEP_POINTS}-point ladder: {rows} rows, "
           f"{rows_differ} differ")
+    print(f"# coupled distribute: {calls} calls, {calls_differ} differ")
     print(f"# largest area change {largest_area[0]:+.3e} "
           f"(case {largest_area[1]}); largest relative drift "
           f"{drift[0]:.3e} (case {drift[1]}, {drift[2]})")

@@ -12,9 +12,10 @@ the gates next to the sizes the step moved and splices them in, bit
 for bit the full pass, so a step that moves a few gates costs a few
 gates, and one that moves none computes none.  Each step solves the
 log-space system in one sweep that builds and eliminates each row,
-with rows pinned at cref taken as unit rows.  The solve returns its
-last pass with its FixedPoint, and a solve warm from a FixedPoint
-opens on that pass, so it takes no pass at its start.
+with rows pinned at cref taken as unit rows; it is the package's one
+Thomas sweep.  The solve returns its last pass (a path.Pass) in its
+FixedPoint, and a solve warm from that pass opens on it, so it takes no
+pass at its start.
 Steps go in this order of preference: exact Newton; Newton on the exact
 Hessian made diagonally dominant where it loses positive definiteness,
 which strong fixed coupling causes; the chosen step damped toward the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import ConvergenceError
-from .path import GateLibrary, LogicPath, PathModel, PathTiming, Sizing
+from .path import GateLibrary, LogicPath, Pass, PathModel, PathTiming, Sizing
 from .process import ProcessParams
 
 logger = logging.getLogger(__name__)
@@ -65,28 +66,20 @@ class DelayBounds:
 class FixedPoint(NamedTuple):
     """A converged link fixed point and the derivative pass it stopped on.
 
-    grad, diag, off and total are that pass (PathModel.derivatives), taken
-    at sizing: the exact gradient, the exact Hessian over the free gates
-    and the pass's total delay; terms are its delay terms (see
-    path.Pass), None where none are kept.  A caller that needs the
-    curvature there has it without another pass, and link_fixed_point
-    warm-started from a FixedPoint of the same model opens on that pass,
-    takes no new one, and windows its next pass on it.  passes counts
-    every derivative pass the solve took, damping trials included.  A
-    one-gate path takes no pass: its grad, diag and off are empty and
-    total is the evaluated delay.  A named tuple, not a frozen dataclass:
-    creating a dataclass costs about 1 ms at import.
+    pass_ is that pass (a path.Pass, taken at sizing): a caller that needs
+    the gradient or curvature there has it without another pass, and
+    link_fixed_point warm-started from it opens on it, takes no new pass,
+    and windows its next pass on it.  passes counts every derivative pass
+    the solve took, damping trials included; a one-gate path takes one,
+    at its only sizing, and no step.  A named tuple, not a frozen
+    dataclass: creating a dataclass costs about 1 ms at import.
     """
 
     sizing: Sizing
     timing: PathTiming
     steps: int
-    grad: tuple[float, ...]
-    diag: list[float]
-    off: list[float]
-    total: float
+    pass_: Pass
     passes: int
-    terms: list[float] | None = None
 
 
 def max_delay_sizing(path: LogicPath, params: ProcessParams,
@@ -193,40 +186,40 @@ def _newton_step(cin, grad, hd, ho, a: float, clamped) -> list[float]:
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
-                     warm: FixedPoint | Sequence[float | None] | None = None
+                     warm: Pass | Sequence[float | None] | None = None
                      ) -> FixedPoint:
     """Solve the equal-sensitivity stationarity system at target a <= 0.
 
     Starts from warm, each None in it filled by splice_sizing; no warm is
     all None, the geometric taper cin[i] = max(cref, input_cap * (load /
     input_cap)^(i/n)), which does not depend on a, nor on cref unless it
-    clamps.  A warm FixedPoint must come from a solve on this same model:
-    the solve starts from its sizing and opens on its pass, so it takes
-    no pass at the start, and windows its next pass on it; its sizing and
-    pass must have this path's lengths, else ValueError.  Any other start
-    takes a full pass there.  It then drives the exact sensitivities
-    dT/dcin[i] to a for every unclamped gate, within MAX_ITERATIONS
-    steps.  Each iteration takes a tridiagonal Newton step off the
-    derivative pass that opens it, on the exact Hessian; where that is
-    not positive definite, each row that is not diagonally dominant is
-    made so.  Every later pass is windowed on the pass the iteration
-    holds (PathModel.derivatives with a base), so it computes only the
-    gates around the sizes the step moved.  The proposal's
-    own pass gives its delay; the step is accepted only if it does not
-    increase the descent merit T - a * sum(cin), else it is damped toward
-    the previous sizing in log space, up to 20 halvings of one pass each.
-    A step from a positive-definite system always descends, so if every
-    damping ascends the point is stationary to rounding and the iteration
-    stands still.  Sizes are clamped at cref from below.  a = 0 is the
-    minimum-delay condition.  Once a step settles (sizes move less than
-    CAP_TOL, the delay less than DELAY_TOL, both relative), its pass
-    returns the sizing, its evaluated timing, the steps taken, its
-    Hessian (diag, off), the passes taken and its delay terms as a
-    FixedPoint if every unclamped gate has |g_j - a| <= SENSITIVITY_REL
-    * |a| + RESIDUAL_TOL * T / cref.  The accepted pass opens the next
-    iteration, and the last one rides along in the FixedPoint.  Each
-    solve logs one debug line: its steps, its passes and the gates they
-    computed against n per pass.
+    clamps.  A warm Pass must be one of this same model (a FixedPoint's
+    pass_, say): the solve starts from its sizing and opens on it, so it
+    takes no pass at the start, and windows its next pass on it; its sizing
+    and rows must have this path's lengths, else ValueError.  A pass of
+    another model of the same length would be spliced in silently.  Any
+    other start takes a full pass there.  It then drives the exact
+    sensitivities dT/dcin[i] to a for every unclamped gate, within
+    MAX_ITERATIONS steps.  Each iteration takes a tridiagonal Newton step
+    off the derivative pass that opens it, on the exact Hessian; where that
+    is not positive definite, each row that is not diagonally dominant is
+    made so.  Every later pass is windowed on the pass the iteration holds
+    (PathModel.derivatives with a base), so it computes only the gates
+    around the sizes the step moved.  The proposal's own pass gives its
+    delay; the step is accepted only if it does not increase the descent
+    merit T - a * sum(cin), else it is damped toward the previous sizing in
+    log space, up to 20 halvings of one pass each.  A step from a
+    positive-definite system always descends, so if every damping ascends
+    the point is stationary to rounding and the iteration stands still.
+    Sizes are clamped at cref from below.  a = 0 is the minimum-delay
+    condition.  Once a step settles (sizes move less than CAP_TOL, the delay
+    less than DELAY_TOL, both relative), its pass returns the sizing, its
+    evaluated timing, the steps taken, that pass and the passes taken as a
+    FixedPoint if every unclamped gate has |g_j - a| <= SENSITIVITY_REL *
+    |a| + RESIDUAL_TOL * T / cref.  The accepted pass opens the next
+    iteration, and the last one rides along in the FixedPoint.  Each solve
+    logs one debug line: its steps, its passes and the gates they computed
+    against n per pass.
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
@@ -235,9 +228,8 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
 
     if n == 1:
         sizing = (model.input_cap,)
-        timing = model.evaluate(sizing)
-        return FixedPoint(sizing, timing, 0, (), [], [], timing.total_delay,
-                          0)
+        return FixedPoint(sizing, model.evaluate(sizing), 0,
+                          model.derivatives(sizing), 1)
 
     passes = gates = 0
 
@@ -252,16 +244,16 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         gates += dv.gates
         return opened(dv)
 
-    if isinstance(warm, FixedPoint):
+    if isinstance(warm, Pass):
         model.check_sizing(warm.sizing)
         if not (len(warm.grad) == len(warm.diag) == len(warm.off) == n - 1
-                and (warm.terms is None or len(warm.terms) == n + 1)):
-            raise ValueError("warm FixedPoint's pass does not match the "
-                             f"path's {n} gates")
+                and len(warm.terms) == n + 1):
+            raise ValueError(f"warm pass does not match the path's {n} "
+                             "gates")
         here = opened(warm)
     else:
         here = visit(splice_sizing([None] * n if warm is None else warm,
-                                   model.path, cref), ())
+                                   model.path, cref), None)
     for steps in range(1, MAX_ITERATIONS + 1):
         held, merit = here
         cin = held.sizing
@@ -299,9 +291,8 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                              "passes, %d of %d gates computed", a, steps,
                              passes, gates, n * passes)
                 return FixedPoint(tuple(new.sizing),
-                                  model.evaluate(new.sizing), steps,
-                                  new.grad, new.diag, new.off, new.total,
-                                  passes, new.terms)
+                                  model.evaluate(new.sizing), steps, new,
+                                  passes)
     logger.debug("fixed point at a=%g: no convergence in %d steps, %d "
                  "derivative passes, %d of %d gates computed", a,
                  MAX_ITERATIONS, passes, gates, n * passes)

@@ -12,9 +12,10 @@ read, and ``PathModel.stage`` is the one place the stage delay is
 written (``process.stage_delay``, shared with ``gate_delay``).  Two
 views of the total delay coexist.  ``evaluate_path`` is the exact
 chained model, and ``PathModel.derivatives`` gives its exact gradient,
-tridiagonal Hessian and total delay in one pass; the solvers step on
-those, judge steps by that total and stop on that gradient.  A pass
-taken on a base (an earlier ``Pass`` of the same model) computes only
+tridiagonal Hessian and total delay in one pass, always as a ``Pass``,
+the one record of a pass the solvers hold, hand on and warm-start
+from; they step on it, judge steps by its total and stop on its
+gradient.  A pass taken on a base (an earlier ``Pass``) computes only
 the gates next to the sizes that moved and splices them in, equal to
 the full pass bit for bit; the full pass is that window over the whole
 chain, so the per-gate algebra is written once (``_window``).
@@ -186,13 +187,14 @@ class CoefficientSet:
 
 
 class Pass(NamedTuple):
-    """A derivative pass as a later windowed pass splices into it.
+    """One derivative pass of a PathModel, the one record of it.
 
-    grad, diag, off and total are PathModel.derivatives at sizing, so a
-    Pass's first four entries are the plain pass.  terms are the delay
-    terms whose running sum is total: the driving slope's constant, then
-    each gate's f_i.  gates counts the gates the pass computed (n for a
-    full pass, 0 when no size moved).
+    grad, diag and off are the exact gradient and tridiagonal Hessian over
+    the free gates at sizing, total the exact delay there.  terms are the
+    delay terms whose running sum is total: the driving slope's constant,
+    then each gate's f_i; a later pass on this one as its base splices
+    into them.  gates counts the gates the pass computed (n for a full
+    pass, 0 when no size moved).
     """
 
     grad: tuple[float, ...]
@@ -341,9 +343,7 @@ class PathModel:
         return CoefficientSet(tuple(a), tuple(c_par), constant,
                               self.terminal_load)
 
-    def derivatives(self, sizing, base=None
-                    ) -> tuple[tuple[float, ...], list[float], list[float],
-                               float] | Pass:
+    def derivatives(self, sizing, base: Pass | None = None) -> Pass:
         """Exact delay gradient, tridiagonal Hessian and total in one pass.
 
         The exact total is a constant plus sum_i f_i(cin[i], x_i), where
@@ -365,11 +365,9 @@ class PathModel:
         total, the constant plus sum_i f_i added in gate order: the frozen
         regrouping at its own freezing point, which is evaluate's
         total_delay to rounding.  A one-gate path has no free gate: its
-        grad, diag and off are empty.  Returns (grad, diag, off, total).
+        grad, diag and off are empty.
 
-        With base, an earlier pass of this model (a Pass, or a FixedPoint
-        that carries its terms; () or no terms for none), the result is a
-        Pass, which can be the base of the next.  If sizes lo..hi differ
+        With base, an earlier Pass of this model, if sizes lo..hi differ
         from base's, only gates lo-2..hi+1 are computed, their rows and
         terms spliced into base's, and the total re-added from the terms
         in their order, so the pass equals the full one bit for bit; if no
@@ -379,7 +377,7 @@ class PathModel:
         self.check_sizing(sizing)
         n = self.n
         first, last = 0, n - 1
-        if base and base.terms is not None:
+        if base is not None:
             moved = list(map(ne, sizing, base.sizing))
             if not any(moved):
                 return Pass(base.grad, base.diag, base.off, base.total,
@@ -397,10 +395,8 @@ class PathModel:
             grad = (*base.grad[:first], *grad, *base.grad[last:])
             diag = [*base.diag[:first], *diag, *base.diag[last:]]
             off = [*base.off[:first], *off, *base.off[last:]]
-        total = reduce(add, terms)
-        if base is None:
-            return grad, diag, off, total
-        return Pass(grad, diag, off, total, sizing, terms, last - first + 1)
+        return Pass(grad, diag, off, reduce(add, terms), sizing, terms,
+                    last - first + 1)
 
     def _window(self, sizing, first: int, last: int):
         """Gates first..last of a derivative pass, the one copy of its

@@ -8,7 +8,8 @@ Meeting a constraint tc solves those stationarity conditions and T = tc
 at once: one Newton iteration on the log sizes and a together, whose
 bordered tridiagonal Jacobian costs one derivative pass and one Thomas
 sweep with two right-hand sides per step, opened by an Euler predictor
-from the fastest sizing.
+from the fastest sizing.  Every sweep, the predictor's H^-1 1 included,
+is the fixed-point engine's (bounds._newton_solve).
 It stops on the fixed point's certificate once the delay lands in tc *
 (1 - 1e-3) <= delay <= tc.  Where it gives up (strong fixed coupling can
 leave the log-space system indefinite), a bracketed Newton search on a
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from .bounds import (RESIDUAL_TOL, SENSITIVITY_REL, DelayBounds, FixedPoint,
                      _newton_solve, compute_bounds, link_fixed_point)
 from .errors import ConvergenceError, InfeasibleError
-from .path import GateLibrary, LogicPath, PathModel, Sizing
+from .path import GateLibrary, LogicPath, Pass, PathModel, Sizing
 from .process import ProcessParams
 
 logger = logging.getLogger(__name__)
@@ -66,83 +67,45 @@ def solve_at_sensitivity(path: LogicPath, a: float, params: ProcessParams,
     every unclamped exact sensitivity g_j ends within 5e-5 * |a| +
     1e-6 * delay / cref of a, so their spread stays within twice that.
     """
-    if a > 0:
-        raise ValueError("sensitivity target a must be <= 0")
     return _solution(a, link_fixed_point(PathModel(path, params, library),
                                          a=a, warm=warm))
 
 
-def _solve_tridiagonal(diag, off, rhs, pinned) -> list[float] | None:
-    """Solve a symmetric tridiagonal system by the Thomas sweep.
-
-    diag is the main diagonal and off[i] couples rows i and i+1 (its last
-    entry is unused).  Each row in pinned, a gate clamped at cref, gets a
-    unit diagonal, a zero right-hand side and no coupling, so it solves to
-    exactly 0; those rows are written into diag, off and rhs.  Returns
-    None when a pivot is not positive, i.e. the matrix is not positive
-    definite, or when the solution is not finite.
-    """
-    for idx in pinned:
-        diag[idx] = 1.0
-        rhs[idx] = 0.0
-        off[idx] = 0.0
-        if idx > 0:
-            off[idx - 1] = 0.0
-    rows = zip(diag, off, rhs)
-    piv, o, r = next(rows)
-    eliminated = []  # (off, pivot, rhs) of each row above the last
-    for d, o_next, b in rows:
-        if not piv > 0.0:
-            return None
-        w = o / piv
-        eliminated.append((o, piv, r))
-        piv = d - w * o
-        r = b - w * r
-        o = o_next
-    if not piv > 0.0:
-        return None
-    x = r / piv
-    out = [x]
-    for o, piv, r in reversed(eliminated):
-        x = (r - o * x) / piv
-        out.append(x)
-    out.reverse()
-    if not all(map(math.isfinite, out)):
-        return None
-    return out
-
-
-def _unit_response(model: PathModel, sizing: Sizing, diag,
-                   off) -> list[float] | None:
+def _unit_response(model: PathModel, held: Pass) -> list[float] | None:
     """dcin/da = H_ff^-1 1 at a constant-sensitivity point.
 
     Differentiating the stationarity system g(cin) = a * 1 over the free
-    gates gives H_ff dcin/da = 1.  H_ff is the exact Hessian (diag, off)
-    at sizing, as PathModel.derivatives or the solve that reached sizing
-    gives it, with clamped gates pinned (unit diagonal, zero right-hand
-    side); diag and off are not modified.  Returns None when H_ff is not
-    positive definite, which strong fixed coupling can cause.
+    gates gives H_ff dcin/da = 1.  H_ff is the exact Hessian of the pass
+    held, with its clamped gates pinned (unit row, zero right-hand side).
+    The response is the border right-hand side of the fixed-point
+    engine's solve (_newton_solve) at unit sizes and a = 0, where its
+    system is H_ff itself: a zero residual on the free gates, and a
+    positive one on the clamped gates, which pins them.  Where H_ff is
+    positive definite this is the Thomas sweep of H_ff x = 1, operation
+    for operation.  Where it is not, which strong fixed coupling can
+    cause, the response is that of H_ff made diagonally dominant, as in
+    the engine's steps; None only when that fails too.
     """
-    clamped = model.clamped(sizing)[1:]
-    return _solve_tridiagonal(list(diag), list(off), [1.0] * len(diag),
-                              [idx for idx, c in enumerate(clamped) if c])
+    clamped = model.clamped(held.sizing)
+    solved = _newton_solve([1.0] * model.n, list(map(float, clamped[1:])),
+                           held.diag, held.off, 0.0, clamped, border=True)
+    return None if solved is None else solved[1]
 
 
-def _delay_curvature(model: PathModel, sizing: Sizing, diag,
-                     off) -> float | None:
+def _delay_curvature(model: PathModel, held: Pass) -> float | None:
     """q = 1^T H_ff^-1 1 at a constant-sensitivity point, so dT/da = a * q.
 
     dT/da = g^T dcin/da = a * q, with dcin/da from _unit_response.
-    Returns None when H_ff is not positive definite or q not positive.
+    Returns None when that fails or q is not positive.
     """
-    x = _unit_response(model, sizing, diag, off)
+    x = _unit_response(model, held)
     if x is None:
         return None
     q = sum(x)
     return q if 0.0 < q < math.inf else None
 
 
-def _certified(model: PathModel, cin, grad, delay: float, a: float) -> bool:
+def _certified(model: PathModel, held: Pass, a: float) -> bool:
     """link_fixed_point's stopping rule, a sign test for its settle test.
 
     Every unclamped gate has |g_j - a| <= 5e-5 * |a| + 1e-6 * delay /
@@ -150,14 +113,15 @@ def _certified(model: PathModel, cin, grad, delay: float, a: float) -> bool:
     would make it grow: the iteration stops without waiting for its
     steps to settle.
     """
-    tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * delay / model.params.cref
-    clamped = model.clamped(cin)
+    grad = held.grad
+    tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * held.total / model.params.cref
+    clamped = model.clamped(held.sizing)
     return all(grad[j - 1] - a >= -tol if clamped[j]
                else abs(grad[j - 1] - a) <= tol for j in range(1, model.n))
 
 
 def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
-                     first) -> tuple[SensitivitySolution | None, int]:
+                     first: Pass) -> tuple[SensitivitySolution | None, int]:
     """Newton on the log sizes y and the sensitivity a together.
 
     The unknowns (y, a) solve r_j = c_j (g_j - a) = 0 over the free gates
@@ -182,7 +146,7 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
     low = tc * (1.0 - DELAY_MATCH_TOL)
     target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
     a, cin = 0.0, list(bounds.sizing_min)
-    x = _unit_response(model, cin, first[1], first[2])
+    x = _unit_response(model, first)
     q = sum(x) if x is not None else math.nan
     if not 0.0 < q < math.inf:
         return None, 0
@@ -195,15 +159,16 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
         a += scale * da
         cin = [cin[0]] + [max(cref, c * math.exp(scale * d))
                           for c, d in zip(cin[1:], dy)]
-        grad, hd, ho, delay = model.derivatives(cin)
-        if low <= delay <= tc and _certified(model, cin, grad, delay, a):
+        held = model.derivatives(cin)
+        grad, delay = held.grad, held.total
+        if low <= delay <= tc and _certified(model, held, a):
             timing = model.evaluate(cin)
             if low <= timing.total_delay <= tc:
                 return SensitivitySolution(
                     a_value=a, sizing=tuple(cin), delay=timing.total_delay,
                     area=timing.total_width), iteration
-        solved = _newton_solve(cin, grad, hd, ho, a, model.clamped(cin),
-                               border=True)
+        solved = _newton_solve(cin, grad, held.diag, held.off, a,
+                               model.clamped(cin), border=True)
         if solved is None:
             return None, iteration
         u, v = solved
@@ -225,18 +190,18 @@ def _floor_sensitivity(model: PathModel, bounds: DelayBounds) -> float:
     sensitivity at the corner, so below every one of them.
     """
     return min(-1e6 * bounds.t_min / model.params.cref, 2.0 * min(
-        model.derivatives(bounds.sizing_max)[0], default=0.0))
+        model.derivatives(bounds.sizing_max).grad, default=0.0))
 
 
 def _bracketed(model: PathModel, bounds: DelayBounds, tc: float,
-               first) -> tuple[SensitivitySolution, int]:
+               first: Pass) -> tuple[SensitivitySolution, int]:
     """The fallback: a safeguarded Newton search on a alone.
 
-    Each step solves the fixed point at a, warm from the previous one and
-    opening on its last pass, with dT/da = a * q; q is read off the
-    Hessian of the solve that reached each a.  first is the pass at the
-    fastest sizing, where the first solve opens and the first step uses
-    the quadratic model T = t_min + q a^2 / 2.  A step that leaves the
+    Each step solves the fixed point at a, warm from the last pass of the
+    previous one, with dT/da = a * q; q is read off the Hessian of that
+    pass.  first is the pass at the fastest sizing, where the first solve
+    opens and the first step uses the quadratic model T = t_min + q a^2 /
+    2.  A step that leaves the
     bracket of a values known to be too slow and too fast falls back to
     the bracket's geometric mean.  Returns the solution and the
     derivative passes taken.
@@ -247,12 +212,9 @@ def _bracketed(model: PathModel, bounds: DelayBounds, tc: float,
     # the floor T = t_max > tc), hi too fast.
     lo, hi = _floor_sensitivity(model, bounds), 0.0
     passes = 1  # the floor's pass at the all-minimum corner
-    a = 0.0
-    # The fastest sizing and its pass; no solve made it, so no timing.
-    fixed = FixedPoint(bounds.sizing_min, None, 0, *first, 0)
-    delay = bounds.t_min
+    a, held, delay = 0.0, first, bounds.t_min
     for _ in range(MAX_SENSITIVITY_STEPS):
-        q = _delay_curvature(model, fixed.sizing, fixed.diag, fixed.off)
+        q = _delay_curvature(model, held)
         if q is None:
             step = math.nan  # fails the bracket test below
         elif a == 0.0:
@@ -263,8 +225,8 @@ def _bracketed(model: PathModel, bounds: DelayBounds, tc: float,
             a = step
         else:
             a = -math.sqrt(lo * hi) if hi < 0.0 else lo / 8.0
-        fixed = link_fixed_point(model, a=a, warm=fixed)
-        delay = fixed.timing.total_delay
+        fixed = link_fixed_point(model, a=a, warm=held)
+        held, delay = fixed.pass_, fixed.timing.total_delay
         passes += fixed.passes
         if low <= delay <= tc:
             return _solution(a, fixed), passes
@@ -334,29 +296,26 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
     """Constant-sensitivity solutions over a grid of a values.
 
     Rows come back ordered by a ascending (most negative first); solver
-    failures are collected per row instead of aborting the sweep.  Each
-    solve starts warm from the last row solved, opening on the pass that
-    solve ended on, and the first from the all-minimum corner, where a ->
-    -inf sends every free gate.  So every row after the first solved
+    failures (a > 0 among them) are collected per row instead of aborting
+    the sweep.  Each solve starts warm from the last row solved, opening
+    on the pass that solve ended on (its FixedPoint's pass_), and the
+    first from the all-minimum corner, where a -> -inf sends every free
+    gate.  So every row after the first solved
     takes one derivative pass fewer than solve_at_sensitivity warm from
     the previous row's sizing, and returns the same row bit for bit.
     """
     model = PathModel(path, params, library)
     solutions: list[SensitivitySolution] = []
     failures: list[tuple[float, Exception]] = []
-    warm: FixedPoint | Sizing = \
-        (path.input_cap,) + (params.cref,) * (model.n - 1)
+    warm: Pass | Sizing = (path.input_cap,) + (params.cref,) * (model.n - 1)
     for a in sorted(a_values):
-        if a > 0:
-            failures.append((a, ValueError("sensitivity target a must be <= 0")))
-            continue
         try:
             fixed = link_fixed_point(model, a=a, warm=warm)
         except (ConvergenceError, ValueError) as exc:
             failures.append((a, exc))
             continue
         solutions.append(_solution(a, fixed))
-        warm = fixed
+        warm = fixed.pass_
     return solutions, failures
 
 

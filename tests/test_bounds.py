@@ -15,6 +15,7 @@ import oracles
 from conftest import REF_PROC
 from cmospath import (
     ConvergenceError,
+    DelayBounds,
     GateTemplate,
     LogicPath,
     PathModel,
@@ -357,7 +358,7 @@ class TestMinDelaySolver:
         model = PathModel(chain13, ref_params, ref_library)
         caplog.set_level(logging.DEBUG, logger="cmospath.bounds")
         cold = link_fixed_point(model, a=-1e-2)
-        warm = link_fixed_point(model, a=-2e-2, warm=cold)
+        warm = link_fixed_point(model, a=-2e-2, warm=cold.pass_)
         lines = [re.fullmatch(
             r"fixed point at a=(\S+): (\d+) steps, (\d+) derivative passes, "
             r"(\d+) of (\d+) gates computed", r.getMessage())
@@ -384,12 +385,21 @@ class TestMinDelaySolver:
         other = PathModel(dataclasses.replace(path, gates=gates), ref_params,
                           ref_library)
         with pytest.raises(ValueError, match="mismatched sizing length"):
-            link_fixed_point(other, a=-0.5, warm=fixed)
+            link_fixed_point(other, a=-0.5, warm=fixed.pass_)
         # Sizes of the right length, a pass of the wrong one.
         sizing = (path.input_cap,) + (ref_params.cref,) * (len(gates) - 1)
         with pytest.raises(ValueError, match="does not match"):
             link_fixed_point(other, a=-0.5,
-                             warm=fixed._replace(sizing=sizing))
+                             warm=fixed.pass_._replace(sizing=sizing))
+
+    def test_degenerate_newton_system_raises_convergence_error(
+            self, ref_params, ref_library, chain11, monkeypatch):
+        # Both sweeps failing (the exact one and the dominance-fixed one)
+        # is a typed failure of the solve, not a step.
+        monkeypatch.setattr(bounds_module, "_newton_solve",
+                            lambda *args, **kwargs: None)
+        with pytest.raises(ConvergenceError, match="degenerated"):
+            link_fixed_point(PathModel(chain11, ref_params, ref_library))
 
     def test_rejects_nonpositive_init(self, ref_params, ref_library,
                                       chain11):
@@ -595,6 +605,14 @@ class TestFeasibility:
         assert feasibility(chain13, bounds.t_min, bounds)
         assert not feasibility(chain13, 0.9 * bounds.t_min, bounds)
         assert feasibility(chain13, 2.0 * bounds.t_max, bounds)
+
+    def test_bounds_reject_t_min_above_t_max(self, ref_params, ref_library,
+                                             chain13):
+        bounds = compute_bounds(chain13, ref_params, ref_library)
+        with pytest.raises(ValueError, match="must not exceed"):
+            DelayBounds(t_min=bounds.t_max * 1.01, t_max=bounds.t_max,
+                        sizing_min=bounds.sizing_min,
+                        sizing_max=bounds.sizing_max)
 
     def test_rejects_nonpositive_tc(self, ref_params, ref_library, chain13):
         bounds = compute_bounds(chain13, ref_params, ref_library)

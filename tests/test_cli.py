@@ -65,6 +65,16 @@ class TestBounds:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_unknown_gate_kind_is_a_usage_error(self, capsys, tmp_path):
+        path_file = tmp_path / "xor.path"
+        path_file.write_text("input_cap_ff = 4\nload_ff = 80\ninv\nxor2\n")
+        code, out, err = run_cli(["bounds", REF_PROC, str(path_file)],
+                                 capsys)
+        assert code == EXIT_USAGE == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "unknown gate kind: xor2" in err
+
     def test_no_subcommand_is_a_usage_error(self, capsys):
         code, out, err = run_cli([], capsys)
         assert code == 1

@@ -325,6 +325,27 @@ class TestRewriteSplice:
             rel=1e-15)
         assert start[1] >= ref_params.cref
 
+    def test_wide_window_is_checked_on_the_rewritten_gate_alone(
+            self, ref_params, ref_library):
+        # Gates 0-2 of nor3 nor3 nor3 have 7 inputs (the path input and
+        # two side inputs each), past what the exhaustive check takes, so
+        # the window narrows to the middle gate.
+        path = LogicPath(gates=("nor3",) * 3, input_cap=4.0,
+                         terminal_load=400.0)
+        assert restructure.segment_of(path, ref_library, 0, 3).n_inputs \
+            == 7 > restructure.MAX_EQUIV_INPUTS
+        sizing, _, _ = min_delay_sizing(path, ref_params, ref_library)
+        edited, pairs, sizes = protocol._checked_rewrite(
+            path, 1, ref_library, sizing)
+        assert edited.gates == ("nor3", "inv", "nand3", "inv", "nor3")
+        assert pairs == 0
+        assert sizes == [sizing[0], None, None, None, sizing[2]]
+        assert len(sizes) == edited.n
+        _, t_warm, _ = min_delay_sizing(edited, ref_params, ref_library,
+                                        warm=sizes)
+        _, t_cold, _ = min_delay_sizing(edited, ref_params, ref_library)
+        assert t_warm == pytest.approx(t_cold, rel=1e-12)
+
     @settings(max_examples=40, deadline=None)
     @given(gates=st.lists(st.sampled_from(KINDS), min_size=2, max_size=40),
            input_cap=st.floats(2.0, 8.0), load=st.floats(10.0, 2000.0),

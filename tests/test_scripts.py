@@ -121,4 +121,8 @@ def test_diff_optimize_finds_no_difference_against_its_own_tree():
     # Each of the 12 cases sweeps the 24 points of the CLI's ladder.
     assert re.search(r"^# sweep on the 24-point ladder: 288 rows, 0 differ$",
                      proc.stdout, flags=re.M), proc.stdout
+    # ... and runs distribute_constraint at three ratios under a random
+    # coupled library of its own.
+    assert re.search(r"^# coupled distribute: 36 calls, 0 differ$",
+                     proc.stdout, flags=re.M), proc.stdout
     assert not re.search(r"^case ", proc.stdout, flags=re.M)

@@ -25,7 +25,7 @@ from cmospath import (
     solve_at_sensitivity,
     sweep,
 )
-from cmospath.bounds import FixedPoint
+from cmospath.path import Pass
 
 KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
 
@@ -45,7 +45,8 @@ class TestSolveAtSensitivity:
 
     def test_rejects_positive_sensitivity(self, ref_params, ref_library,
                                           chain11):
-        with pytest.raises(ValueError):
+        # link_fixed_point's own check; sweep reports the same error.
+        with pytest.raises(ValueError, match="must be <= 0"):
             solve_at_sensitivity(chain11, 0.5, ref_params, ref_library)
 
     def test_deep_sensitivity_clamps_everything(self, ref_params,
@@ -216,7 +217,7 @@ class TestDistributeConstraint:
         def run(path, tc, bounds, from_sizing):
             def solve(model, a=0.0, warm=None):
                 count["solves"] += 1
-                assert isinstance(warm, FixedPoint)
+                assert isinstance(warm, Pass)
                 return real_solve(model, a=a,
                                   warm=warm.sizing if from_sizing else warm)
 
@@ -269,7 +270,7 @@ class TestDistributeConstraint:
                 if sol.note is not None:
                     continue  # the all-minimum corner, tc >= t_max
                 assert tc * (1.0 - 1e-3) <= sol.delay, (path, ratio)
-                grad, _, _, delay = model.derivatives(sol.sizing)
+                grad, _, _, delay = model.derivatives(sol.sizing)[:4]
                 a = sol.a_value
                 tol = 5e-5 * -a + 1e-6 * delay / ref_params.cref
                 clamped = model.clamped(sol.sizing)
@@ -318,6 +319,74 @@ class TestDistributeConstraint:
                                              ref_library)
                 assert sol.note is not None
         assert calls == []
+
+
+class TestUnitResponse:
+    """_unit_response takes H_ff^-1 1 from the fixed-point engine's solve
+    at unit sizes and a = 0; on a positive-definite H_ff that is the
+    oracle's Thomas sweep, bit for bit."""
+
+    @staticmethod
+    def _held(params, library, sizes, diag, off):
+        """A model with len(diag) free gates and a pass at sizes carrying
+        the Hessian (diag, off); _unit_response reads nothing else."""
+        path = LogicPath(gates=("inv",) * len(sizes), input_cap=sizes[0],
+                         terminal_load=100.0)
+        return (PathModel(path, params, library),
+                Pass((), diag, off, 0.0, sizes, [], 0))
+
+    def test_matches_the_oracle_sweep(self, ref_params, ref_library):
+        # Random systems, a third of their rows pinned (clamped at cref),
+        # every third one with its first and last row pinned.  Pinned
+        # rows get a random diagonal, which the pinning must ignore.
+        rng = random.Random(23)
+        cref = ref_params.cref
+        compared = ends = 0
+        for k in range(600):
+            m = rng.randint(1, 30)
+            pinned = {j for j in range(m) if rng.random() < 0.3}
+            if k % 3 == 0:
+                pinned |= {0, m - 1}
+            scale = 10.0 ** rng.uniform(-4.0, 1.0)
+            off = [rng.uniform(-1.0, 1.0) * scale for _ in range(m - 1)]
+            off.append(0.0)
+            diag = [rng.uniform(-1.0, 1.0) * scale if j in pinned else
+                    (abs(off[j]) + (abs(off[j - 1]) if j else 0.0))
+                    * rng.uniform(0.6, 2.0) + rng.uniform(0.0, 0.1) * scale
+                    for j in range(m)]
+            sizes = [4.0] + [cref if j in pinned
+                             else cref * rng.uniform(1.5, 100.0)
+                             for j in range(m)]
+            want = oracles.solve_tridiagonal(list(diag), list(off),
+                                             [1.0] * m, sorted(pinned))
+            if want is None:
+                continue  # not positive definite
+            model, held = self._held(ref_params, ref_library, sizes, diag,
+                                     off)
+            assert repr(sizing._unit_response(model, held)) == repr(want), k
+            compared += 1
+            ends += {0, m - 1} <= pinned
+        assert compared >= 500
+        assert ends >= 150
+
+    def test_indefinite_hessian_gets_the_dominance_fixed_response(
+            self, ref_params, ref_library):
+        # The middle row's diagonal is negative: the exact sweep fails
+        # (the response used to be None), and the response is that of the
+        # engine's dominance fix, which raises that diagonal to the sum of
+        # its absolute couplings times 1 + 1e-9.
+        cref = ref_params.cref
+        diag, off = [1.0, -0.5, 2.0], [0.3, 0.2, 0.0]
+        assert oracles.solve_tridiagonal(list(diag), list(off), [1.0] * 3,
+                                         []) is None
+        fixed = [1.0, (0.3 + 0.2) * (1.0 + 1e-9), 2.0]
+        want = oracles.solve_tridiagonal(fixed, list(off), [1.0] * 3, [])
+        model, held = self._held(ref_params, ref_library,
+                                 [4.0, 3.0 * cref, 5.0 * cref, 7.0 * cref],
+                                 diag, off)
+        got = sizing._unit_response(model, held)
+        assert repr(got) == repr(want)
+        assert sizing._delay_curvature(model, held) == sum(want) > 0.0
 
 
 class TestSweep:
@@ -466,8 +535,7 @@ class TestSweep:
         real_derivatives = PathModel.derivatives
         monkeypatch.setattr(
             PathModel, "derivatives",
-            lambda model, at, base=None: real_derivatives(
-                model, at, None if base is None else ()))
+            lambda model, at, base=None: real_derivatives(model, at))
         want = []
         warm = (path.input_cap,) + (cref,) * (n - 1)
         for a in sorted(ladder):
@@ -493,6 +561,13 @@ class TestSweep:
 
 
 class TestEqualDelay:
+    @pytest.mark.parametrize("tc", [0.0, -1.0])
+    def test_rejects_nonpositive_tc(self, ref_params, ref_library, chain11,
+                                    tc):
+        for method in (distribute_constraint, equal_delay_distribution):
+            with pytest.raises(ValueError, match="tc must be positive"):
+                method(chain11, tc, ref_params, ref_library)
+
     def test_uniform_chain_gets_uniform_taper(self):
         params = ProcessParams(tau=10.0, vtn=1e-9, vtp=1e-9, r_ratio=2.0,
                                k_ratio=2.0, cref=1.0, cap_per_width=2.0)
