@@ -24,6 +24,9 @@ each in its own interpreter, and compares the results case by case:
   t_min there, each result or failure compared by its repr and each
   difference listed.  On ref.proc alone distribute_constraint never
   leaves the bordered Newton; with these libraries a few calls do;
+* coupled distribute, fallback forced: the same calls again with the
+  bordered Newton made to give up at once, so every one that reaches a
+  solve runs the bracketed search on a alone, compared the same way;
 * the largest relative numeric drift over every number of the cases
   whose structure agrees (sizes, delays, areas, a values, trace values).
 
@@ -55,6 +58,7 @@ import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROC = os.path.join(ROOT, "fixtures", "ref.proc")
@@ -161,6 +165,10 @@ def worker(argv) -> int:
         out = {"spec": spec, "numbers": {},
                "coupled": coupled_distribute(path, int(seed), index, params,
                                              library)}
+        with mock.patch.object(cmospath.sizing, "_bordered_newton",
+                               lambda *args: (None, 0)):
+            out["fallback"] = coupled_distribute(path, int(seed), index,
+                                                 params, library)
         try:
             t_min = cmospath.min_delay_sizing(path, params, library)[1]
             out["numbers"]["t_min"] = t_min
@@ -247,7 +255,8 @@ def main(argv=None) -> int:
           f"gates={args.gates[0]}-{args.gates[1]}: - {args.other}  + {this}")
 
     structural = flips = area_changes = rows = rows_differ = 0
-    calls = calls_differ = 0
+    calls = {"coupled": 0, "fallback": 0}
+    calls_differ = dict.fromkeys(calls, 0)
     greedy = {mode: {"lower": 0, "higher": 0, "equal": 0}
               for mode in ("pair", "single")}
     largest_area = (0.0, None)
@@ -293,13 +302,15 @@ def main(argv=None) -> int:
                 print(f"{label}: sweep row {k} differs")
                 print(f"  - {ra}")
                 print(f"  + {rb}")
-        calls += len(a["coupled"])
-        for ratio, ra, rb in zip(COUPLED_RATIOS, a["coupled"], b["coupled"]):
-            if ra != rb:
-                calls_differ += 1
-                print(f"{label}: coupled distribute at {ratio} t_min differs")
-                print(f"  - {ra}")
-                print(f"  + {rb}")
+        for key, what in (("coupled", ""), ("fallback", ", fallback forced")):
+            calls[key] += len(a[key])
+            for ratio, ra, rb in zip(COUPLED_RATIOS, a[key], b[key]):
+                if ra != rb:
+                    calls_differ[key] += 1
+                    print(f"{label}: coupled distribute{what} at {ratio} "
+                          f"t_min differs")
+                    print(f"  - {ra}")
+                    print(f"  + {rb}")
         if sa["result"] == sb["result"] == "ok":
             change = (nb["area"] - na["area"]) / na["area"]
             if abs(change) > abs(largest_area[0]):
@@ -316,7 +327,10 @@ def main(argv=None) -> int:
               f"{counts['higher']} higher, {counts['equal']} equal")
     print(f"# sweep on the {SWEEP_POINTS}-point ladder: {rows} rows, "
           f"{rows_differ} differ")
-    print(f"# coupled distribute: {calls} calls, {calls_differ} differ")
+    print(f"# coupled distribute: {calls['coupled']} calls, "
+          f"{calls_differ['coupled']} differ")
+    print(f"# coupled distribute, fallback forced: {calls['fallback']} "
+          f"calls, {calls_differ['fallback']} differ")
     print(f"# largest area change {largest_area[0]:+.3e} "
           f"(case {largest_area[1]}); largest relative drift "
           f"{drift[0]:.3e} (case {drift[1]}, {drift[2]})")

@@ -22,9 +22,11 @@ which strong fixed coupling causes; the chosen step damped toward the
 previous sizing when it would raise the descent merit; and standing
 still when every damping ascends, which only happens at a point
 stationary to rounding.
-It stops on one rule, read off the pass the step made: after a step that
-settled, every unclamped sensitivity lies within 5e-5 * |a| + 1e-6 *
-delay / cref of a.  The full timing is evaluated once, on the result.
+It stops on the package's one certificate (certified), read off the pass
+the step made, after a step that settled: every unclamped sensitivity
+lies within 5e-5 * |a| + 1e-6 * delay / cref of a, and no clamped one
+more than that below a.  The full timing is evaluated once, on the
+result.
 The same engine with target a < 0 solves the constant-sensitivity
 problem of the area distribution module.
 """
@@ -215,11 +217,10 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     condition.  Once a step settles (sizes move less than CAP_TOL, the delay
     less than DELAY_TOL, both relative), its pass returns the sizing, its
     evaluated timing, the steps taken, that pass and the passes taken as a
-    FixedPoint if every unclamped gate has |g_j - a| <= SENSITIVITY_REL *
-    |a| + RESIDUAL_TOL * T / cref.  The accepted pass opens the next
-    iteration, and the last one rides along in the FixedPoint.  Each solve
-    logs one debug line: its steps, its passes and the gates they computed
-    against n per pass.
+    FixedPoint if that pass is certified (certified).  The accepted pass
+    opens the next iteration, and the last one rides along in the
+    FixedPoint.  Each solve logs one debug line: its steps, its passes and
+    the gates they computed against n per pass.
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
@@ -277,28 +278,40 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                     break
         new, _ = here = nxt
         if (abs(new.total - held.total) <= DELAY_TOL * new.total
-                and _largest_move(new.sizing, cin) < CAP_TOL):
-            clamped = model.clamped(new.sizing)
-            tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * new.total / cref
-            if all(abs(g - a) <= tol
-                   for g, c in zip(new.grad, clamped[1:]) if not c):
-                if logger.isEnabledFor(logging.DEBUG):
-                    at_cref = [j for j in range(1, n) if clamped[j]]
-                    if at_cref:
-                        logger.debug("fixed point clamped gates at cref: %s",
-                                     at_cref)
-                logger.debug("fixed point at a=%g: %d steps, %d derivative "
-                             "passes, %d of %d gates computed", a, steps,
-                             passes, gates, n * passes)
-                return FixedPoint(tuple(new.sizing),
-                                  model.evaluate(new.sizing), steps, new,
-                                  passes)
+                and _largest_move(new.sizing, cin) < CAP_TOL
+                and certified(model, new, a)):
+            if logger.isEnabledFor(logging.DEBUG):
+                clamped = model.clamped(new.sizing)
+                at_cref = [j for j in range(1, n) if clamped[j]]
+                if at_cref:
+                    logger.debug("fixed point clamped gates at cref: %s",
+                                 at_cref)
+            logger.debug("fixed point at a=%g: %d steps, %d derivative "
+                         "passes, %d of %d gates computed", a, steps,
+                         passes, gates, n * passes)
+            return FixedPoint(tuple(new.sizing), model.evaluate(new.sizing),
+                              steps, new, passes)
     logger.debug("fixed point at a=%g: no convergence in %d steps, %d "
                  "derivative passes, %d of %d gates computed", a,
                  MAX_ITERATIONS, passes, gates, n * passes)
     raise ConvergenceError("sizing fixed point did not converge",
                            iterations=MAX_ITERATIONS,
                            residual=_largest_move(new.sizing, cin))
+
+
+def certified(model: PathModel, held: Pass, a: float) -> bool:
+    """The package's one stopping rule, read off the pass held at target a.
+
+    Every unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| +
+    RESIDUAL_TOL * T / cref, with T the pass's delay, and no clamped g_j
+    lies more than that below a, which would make it grow.
+    link_fixed_point checks it once a step settles; the bordered Newton
+    of distribute_constraint once its delay lies in its band.
+    """
+    tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * held.total / model.params.cref
+    clamped = model.clamped(held.sizing)
+    return all(g - a >= -tol if c else abs(g - a) <= tol
+               for g, c in zip(held.grad, clamped[1:]))
 
 
 def _largest_move(new, old) -> float:

@@ -150,7 +150,7 @@ def _chain_stage_delay(template: GateTemplate, params: ProcessParams,
     return total / len(EDGES)
 
 
-def _wants_more_stages(model: PathModel, params: ProcessParams,
+def _wants_more_stages(model: PathModel,
                        buffer_template: GateTemplate) -> bool:
     """Whether one more stage would speed the path up, by logical effort.
 
@@ -161,6 +161,7 @@ def _wants_more_stages(model: PathModel, params: ProcessParams,
     screen for a trial, not a verdict: positions, parasitics and edges are
     left to the trial solve.
     """
+    params = model.params
     scale = sum(output_scale(buffer_template, edge, params)
                 for edge in EDGES) / len(EDGES)
     log_effort = math.log(model.terminal_load / model.input_cap) + sum(
@@ -174,7 +175,7 @@ def _wants_more_stages(model: PathModel, params: ProcessParams,
     return delay(model.n + 1) < delay(model.n)
 
 
-def _flip_site(model: PathModel, params: ProcessParams) -> int | None:
+def _flip_site(model: PathModel) -> int | None:
     """The gate after which one inverter most lowers the path effort.
 
     The inverter flips the output edge of every later gate, swapping the
@@ -182,6 +183,7 @@ def _flip_site(model: PathModel, params: ProcessParams) -> int | None:
     later gates' product of factors falls the most wins, lowest index
     among ties; None when no flip lowers it.
     """
+    params = model.params
     best, site, suffix = 0.0, None, 0.0
     for i in range(model.n - 1, -1, -1):
         if suffix < 0.0 and suffix <= best:
@@ -217,12 +219,12 @@ def _sites(model: PathModel, sizing, limits, buffer_template: GateTemplate,
     if ranked:
         lead = -ranked[0][0]
         if (lead > 1.0 or polarity_mode == "single"
-                or _wants_more_stages(model, model.params, buffer_template)):
+                or _wants_more_stages(model, buffer_template)):
             sites.append(min(i for r, i in ranked
                              if -r >= lead * (1.0 - TIE_RTOL)))
     if polarity_mode == "single":
         sites += [i for r, i in ranked if -r > 1.0]
-        sites.append(_flip_site(model, model.params))
+        sites.append(_flip_site(model))
     return [site for site in dict.fromkeys(sites) if site is not None]
 
 

@@ -59,9 +59,7 @@ def _gate_table(path: LogicPath, sizing, params, library, out) -> None:
     print(f"total_width_um = {_fmt(timing.total_width)}", file=out)
 
 
-def _cmd_bounds(args, out) -> int:
-    params, library = load_process_file(args.proc)
-    path = parse_path_text_file(args.path)
+def _cmd_bounds(args, params, library, path, out) -> int:
     bounds = compute_bounds(path, params, library)
     print(f"t_min_ps = {_fmt(bounds.t_min)}", file=out)
     print(f"t_max_ps = {_fmt(bounds.t_max)}", file=out)
@@ -72,9 +70,7 @@ def _cmd_bounds(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_size(args, out) -> int:
-    params, library = load_process_file(args.proc)
-    path = parse_path_text_file(args.path)
+def _cmd_size(args, params, library, path, out) -> int:
     solution = distribute_constraint(path, args.tc, params, library)
     print(f"a_value = {_fmt(solution.a_value)}", file=out)
     if solution.note:
@@ -83,17 +79,14 @@ def _cmd_size(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_equal_delay(args, out) -> int:
-    params, library = load_process_file(args.proc)
-    path = parse_path_text_file(args.path)
+def _cmd_equal_delay(args, params, library, path, out) -> int:
     sizing = equal_delay_distribution(path, args.tc, params, library)
     print(f"stage_budget_ps = {_fmt(args.tc / path.n)}", file=out)
     _gate_table(path, sizing, params, library, out)
     return EXIT_OK
 
 
-def _cmd_flimit(args, out) -> int:
-    params, library = load_process_file(args.proc)
+def _cmd_flimit(args, params, library, path, out) -> int:
     if args.table:
         table = fanout_limits(params, library, args.buffer_kind)
         print("gate,f_limit", file=out)
@@ -107,9 +100,7 @@ def _cmd_flimit(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args, out) -> int:
-    params, library = load_process_file(args.proc)
-    path = parse_path_text_file(args.path)
+def _cmd_sweep(args, params, library, path, out) -> int:
     if args.points < 2:
         raise ConfigError("sweep needs at least 2 points")
     bounds = compute_bounds(path, params, library)
@@ -120,13 +111,8 @@ def _cmd_sweep(args, out) -> int:
     # Geometric ladder of magnitudes down to 1e-5 of the deepest value,
     # then the exact minimum-delay endpoint a = 0.
     n_neg = args.points - 1
-    values = []
-    if n_neg == 1:
-        values.append(a_deep)
-    else:
-        ratio = (1e-5) ** (1.0 / (n_neg - 1))
-        values = [a_deep * ratio ** k for k in range(n_neg)]
-    values.append(0.0)
+    ratio = 1e-5 ** (1.0 / max(1, n_neg - 1))
+    values = [a_deep * ratio ** k for k in range(n_neg)] + [0.0]
     solutions, failures = sweep(path, values, params, library)
     for a, exc in failures:
         print(f"sweep: a={_fmt(a)} failed: {exc}", file=sys.stderr)
@@ -137,9 +123,7 @@ def _cmd_sweep(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_optimize(args, out) -> int:
-    params, library = load_process_file(args.proc)
-    path = parse_path_text_file(args.path)
+def _cmd_optimize(args, params, library, path, out) -> int:
     result = optimize(path, args.tc, params, library,
                       allow_buffer=not args.no_buffer,
                       allow_restruct=not args.no_restruct,
@@ -232,7 +216,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code = args.func(args, sys.stdout)
+        # The process file first, so its error wins; flimit has no path.
+        params, library = load_process_file(args.proc)
+        path = parse_path_text_file(args.path) if "path" in args else None
+        code = args.func(args, params, library, path, sys.stdout)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -3,20 +3,20 @@
 At the area-optimal sizing for a given delay budget every free gate sees
 the same delay-per-capacitance sensitivity a <= 0; a = 0 is the fastest
 point and a -> -inf collapses everything to minimum drive.  A solve at a
-fixed a is the bounds engine's fixed point with its one stopping rule.
-Meeting a constraint tc solves those stationarity conditions and T = tc
-at once: one Newton iteration on the log sizes and a together, whose
-bordered tridiagonal Jacobian costs one derivative pass and one Thomas
-sweep with two right-hand sides per step, opened by an Euler predictor
-from the fastest sizing.  Every sweep, the predictor's H^-1 1 included,
-is the fixed-point engine's (bounds._newton_solve).
-It stops on the fixed point's certificate once the delay lands in tc *
-(1 - 1e-3) <= delay <= tc.  Where it gives up (strong fixed coupling can
-leave the log-space system indefinite), a bracketed Newton search on a
-alone, one fixed-point solve per step, takes over.  A tc at or above the
-all-minimum-drive delay takes that corner with no solve.  The
-equal-delay-per-stage reference sizing is a heuristic for comparison,
-not an optimizer.
+fixed a is the bounds engine's fixed point.  Meeting a constraint tc
+solves those stationarity conditions and T = tc at once: one Newton
+iteration on the log sizes and a together, whose bordered tridiagonal
+Jacobian costs one derivative pass, windowed on the pass before as the
+engine's are, and one Thomas sweep with two right-hand sides per step,
+opened by an Euler predictor from the fastest sizing.  Every sweep, the
+predictor's H^-1 1 included, is the engine's (bounds._newton_solve).
+It stops on the engine's one certificate (bounds.certified) once the
+delay lands in tc * (1 - 1e-3) <= delay <= tc.  Where it gives up
+(strong fixed coupling can leave the log-space system indefinite), a
+bracketed Newton search on a alone, one fixed-point solve per step,
+takes over.  A tc at or above the all-minimum-drive delay takes that
+corner with no solve.  The equal-delay-per-stage reference sizing is a
+heuristic for comparison, not an optimizer.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .bounds import (RESIDUAL_TOL, SENSITIVITY_REL, DelayBounds, FixedPoint,
-                     _newton_solve, compute_bounds, link_fixed_point)
+from .bounds import (DelayBounds, FixedPoint, _newton_solve, certified,
+                     compute_bounds, link_fixed_point)
 from .errors import ConvergenceError, InfeasibleError
 from .path import GateLibrary, LogicPath, Pass, PathModel, Sizing
 from .process import ProcessParams
@@ -63,7 +63,7 @@ def solve_at_sensitivity(path: LogicPath, a: float, params: ProcessParams,
                          warm: Sizing | None = None) -> SensitivitySolution:
     """Sizing whose free delay sensitivities all equal a (a <= 0).
 
-    The minimum-delay engine at target a, with its one stopping rule:
+    The minimum-delay engine at target a, stopped by bounds.certified:
     every unclamped exact sensitivity g_j ends within 5e-5 * |a| +
     1e-6 * delay / cref of a, so their spread stays within twice that.
     """
@@ -105,21 +105,6 @@ def _delay_curvature(model: PathModel, held: Pass) -> float | None:
     return q if 0.0 < q < math.inf else None
 
 
-def _certified(model: PathModel, held: Pass, a: float) -> bool:
-    """link_fixed_point's stopping rule, a sign test for its settle test.
-
-    Every unclamped gate has |g_j - a| <= 5e-5 * |a| + 1e-6 * delay /
-    cref, and no clamped gate's g_j lies more than that below a, which
-    would make it grow: the iteration stops without waiting for its
-    steps to settle.
-    """
-    grad = held.grad
-    tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * held.total / model.params.cref
-    clamped = model.clamped(held.sizing)
-    return all(grad[j - 1] - a >= -tol if clamped[j]
-               else abs(grad[j - 1] - a) <= tol for j in range(1, model.n))
-
-
 def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
                      first: Pass) -> tuple[SensitivitySolution | None, int]:
     """Newton on the log sizes y and the sensitivity a together.
@@ -128,15 +113,16 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
     and T = target, the middle of the band.  The Jacobian is bordered
     tridiagonal, [[M, -c], [(c*g)^T, 0]], with M the log-space system of
     the fixed-point engine (_newton_solve), so each iteration takes one
-    derivative pass and one sweep of M for two right-hand sides, M u = -r
-    and M v = c; then da
-    = (target - T - (c*g).u) / ((c*g).v) and dy = u + v da.  At a = 0 the
+    derivative pass, windowed on the pass it holds (`first` on the first
+    step), and one sweep of M for two right-hand sides, M u = -r and
+    M v = c; then da = (target - T - (c*g).u) / ((c*g).v) and dy = u + v
+    da.  At a = 0 the
     delay is flat to first order, so the first step is the Euler
     predictor from the fastest sizing, whose pass is `first`: da = a0 =
     -sqrt(2 (target - t_min) / q) and dy = a0 * H^-1 1 / c.  Every step
     is scaled to at most one e-fold per gate, and further so that a stops
     halfway to 0 if it would reach it; sizes are clamped at cref.  It
-    stops on the fixed point's certificate (_certified) once the
+    stops on the engine's certificate (bounds.certified) once the
     evaluated delay lies in the band.  Returns the solution (None when it
     gives up: a sweep fails even on the dominance-fixed M, (c*g).v is not
     negative and finite, or MAX_SENSITIVITY_STEPS iterations pass) and
@@ -145,7 +131,7 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
     cref = model.params.cref
     low = tc * (1.0 - DELAY_MATCH_TOL)
     target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
-    a, cin = 0.0, list(bounds.sizing_min)
+    a, cin, held = 0.0, list(bounds.sizing_min), first
     x = _unit_response(model, first)
     q = sum(x) if x is not None else math.nan
     if not 0.0 < q < math.inf:
@@ -159,9 +145,9 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
         a += scale * da
         cin = [cin[0]] + [max(cref, c * math.exp(scale * d))
                           for c, d in zip(cin[1:], dy)]
-        held = model.derivatives(cin)
+        held = model.derivatives(cin, held)
         grad, delay = held.grad, held.total
-        if low <= delay <= tc and _certified(model, held, a):
+        if low <= delay <= tc and certified(model, held, a):
             timing = model.evaluate(cin)
             if low <= timing.total_delay <= tc:
                 return SensitivitySolution(
@@ -245,10 +231,9 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
     """Minimum-area sizing meeting delay constraint tc.
 
     The result's evaluated delay lies in the one-sided band tc * (1 -
-    1e-3) <= delay <= tc, and its sizing carries the fixed point's
-    certificate at its sensitivity a: every unclamped gate has |g_j - a|
-    <= 5e-5 * |a| + 1e-6 * delay / cref.  The fastest sizing (a = 0, taken
-    from bounds) answers when it already lies in the band.  Otherwise one
+    1e-3) <= delay <= tc, and its sizing carries bounds.certified at its
+    sensitivity a.  The fastest sizing (a = 0, taken from bounds) answers
+    when it already lies in the band.  Otherwise one
     Newton iteration on the log sizes and a together (_bordered_newton)
     aims at the band's middle from the fastest sizing; if it gives up,
     the bracketed search on a alone (_bracketed), which runs a full

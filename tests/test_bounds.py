@@ -33,8 +33,8 @@ from cmospath import (
     sweep,
 )
 from cmospath import bounds as bounds_module
-from cmospath.bounds import link_fixed_point
-from cmospath.path import MAX_CAP_FF
+from cmospath.bounds import certified, link_fixed_point
+from cmospath.path import MAX_CAP_FF, Pass
 
 
 KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
@@ -596,6 +596,64 @@ class TestNewtonKernel:
                                    zip(want[0], clamped[1:]))
         assert min(outcomes.values()) >= 200, outcomes
         assert pinned_rows >= 1000
+
+
+class TestCertified:
+    """The one stopping rule: every unclamped g_j within tol = 5e-5 * |a|
+    + 1e-6 * T / cref of a, and no clamped g_j more than tol below a."""
+
+    A, TOTAL = -0.25, 800.0
+
+    @pytest.fixture
+    def model(self, ref_params, ref_library):
+        path = LogicPath(gates=("inv", "nand2", "nor2", "inv"),
+                         input_cap=4.0, terminal_load=120.0)
+        return PathModel(path, ref_params, ref_library)
+
+    def held(self, model, grad):
+        """A pass with gate 1 at cref (clamped) and gates 2-3 free."""
+        cref = model.params.cref
+        sizing = (4.0, cref, 3.0 * cref, 9.0 * cref)
+        return Pass(tuple(grad), [1.0] * 3, [0.0] * 3, self.TOTAL, sizing,
+                    [], 0)
+
+    def edges(self, model):
+        """The farthest g above and below a within tol, as the rule
+        computes g - a."""
+        a = self.A
+        tol = 5e-5 * -a + 1e-6 * self.TOTAL / model.params.cref
+        out = []
+        for sign in (1.0, -1.0):
+            g = a + sign * tol
+            while abs(g - a) > tol:
+                g = math.nextafter(g, a)
+            while abs(math.nextafter(g, sign * math.inf) - a) <= tol:
+                g = math.nextafter(g, sign * math.inf)
+            out.append(g)
+        return out
+
+    def test_free_gates_at_and_past_the_tolerance(self, model):
+        a = self.A
+        for edge in self.edges(model):
+            for j in (1, 2):
+                grad = [a + 1.0, a, a]  # gate 1 clamped, wanting to shrink
+                grad[j] = edge
+                assert certified(model, self.held(model, grad), a)
+                grad[j] = math.nextafter(edge, math.copysign(math.inf,
+                                                             edge - a))
+                assert not certified(model, self.held(model, grad), a)
+
+    def test_clamped_gate_above_a_passes(self, model):
+        a = self.A
+        for g in (a, a + 1e-3, a + 1e3):
+            assert certified(model, self.held(model, [g, a, a]), a)
+
+    def test_clamped_gate_below_a_fails_past_the_tolerance(self, model):
+        a = self.A
+        _, low = self.edges(model)
+        assert certified(model, self.held(model, [low, a, a]), a)
+        for g in (math.nextafter(low, -math.inf), a - 1.0):
+            assert not certified(model, self.held(model, [g, a, a]), a)
 
 
 class TestFeasibility:

@@ -13,8 +13,8 @@ import sys
 import pytest
 
 from conftest import CHAIN11, CHAIN13, HEAVY, PACKAGE_ENV, REF_PROC
-from cmospath import protocol
-from cmospath.bounds import min_delay_sizing
+from cmospath import bounds, cli, protocol
+from cmospath.bounds import max_delay_sizing, min_delay_sizing
 from cmospath.cli import EXIT_USAGE, main
 from cmospath.path import parse_path_text_file
 from cmospath.process import load_process_file
@@ -75,6 +75,13 @@ class TestBounds:
         assert err.startswith("error:")
         assert "unknown gate kind: xor2" in err
 
+    def test_process_error_wins_over_the_path_error(self, capsys):
+        code, out, err = run_cli(["bounds", "nope.proc", "nope.path"],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot read process config nope.proc")
+
     def test_no_subcommand_is_a_usage_error(self, capsys):
         code, out, err = run_cli([], capsys)
         assert code == 1
@@ -100,6 +107,20 @@ class TestSize:
         assert out == ""
         assert err.startswith("infeasible:")
         assert f"{ref_tmin:.6g}" in err
+
+    def test_constraint_above_t_max_prints_a_note(self, capsys):
+        params, library = load_process_file(REF_PROC)
+        _, t_max = max_delay_sizing(parse_path_text_file(CHAIN11), params,
+                                    library)
+        code, out, err = run_cli(
+            ["size", "--tc", str(t_max), REF_PROC, CHAIN11], capsys)
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[1] == ("note: constraint at or above the "
+                            "all-minimum-drive delay; every free gate held "
+                            "at cref")
+        assert grab(r"total_delay_ps = ([0-9.]+)", out) <= t_max
 
     def test_missing_tc_is_a_usage_error(self, capsys):
         code, out, err = run_cli(["size", REF_PROC, CHAIN11], capsys)
@@ -167,6 +188,55 @@ class TestSweep:
         code, out, err = run_cli(
             ["sweep", "--points", "1", REF_PROC, CHAIN11], capsys)
         assert code == 1
+
+    def test_point_count_is_checked_after_both_files(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--points", "1", REF_PROC, "nope.path"], capsys)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "nope.path" in err
+
+    def test_two_points_end_at_zero(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--points", "2", REF_PROC, CHAIN11], capsys)
+        assert code == 0
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[0] == "a,delay_ps,area_um"
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert len(rows) == 2
+        assert rows[0][0] < 0.0 == rows[1][0]
+
+    def test_rejects_a_positive_a_min(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", "--points", "3", "--a-min", "1", REF_PROC, CHAIN11],
+            capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "error: --a-min must be negative\n"
+
+    def test_failed_rows_go_to_stderr(self, capsys, monkeypatch):
+        # The bounds solve runs in full; the sweep's own solves get one
+        # step each.  The deep rows, every gate at cref, settle in it;
+        # the rest fail, each reported on its own stderr line.
+        real_sweep = cli.sweep
+
+        def starved(*args):
+            monkeypatch.setattr(bounds, "MAX_ITERATIONS", 1)
+            return real_sweep(*args)
+
+        monkeypatch.setattr(cli, "sweep", starved)
+        code, out, err = run_cli(
+            ["sweep", "--points", "6", REF_PROC, CHAIN11], capsys)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        failed = err.splitlines()
+        assert failed and rows
+        assert len(rows) + len(failed) == 6
+        for line in failed:
+            assert re.match(r"^sweep: a=\S+ failed: sizing fixed point did "
+                            r"not converge \(iterations=1, ", line), line
+        assert float(failed[-1].split()[1][2:]) == 0.0
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run_cli(["sweep", "--points", "5", REF_PROC, CHAIN11],
@@ -238,6 +308,16 @@ class TestOptimize:
         assert code == 3
         assert out == ""
         assert err.startswith("internal check failed:")
+
+    def test_no_convergence_exits_3(self, capsys, monkeypatch, heavy_tmin):
+        monkeypatch.setattr(bounds, "MAX_ITERATIONS", 1)
+        code, out, err = run_cli(
+            ["optimize", "--tc", str(1.5 * heavy_tmin), REF_PROC, HEAVY],
+            capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("no convergence: sizing fixed point did not "
+                              "converge")
 
     def test_deterministic_output(self, capsys, heavy_tmin):
         argv = ["optimize", "--tc", str(1.5 * heavy_tmin), REF_PROC, HEAVY]

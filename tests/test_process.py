@@ -187,6 +187,16 @@ class TestTemplateValidation:
             GateTemplate(name="nand2", n_inputs=2, dw_hl=0.5, dw_lh=1.0,
                          par_coeff=0.0)
 
+    def test_needs_an_input(self):
+        with pytest.raises(ValueError, match="n_inputs"):
+            GateTemplate(name="inv", n_inputs=0, dw_hl=1.0, dw_lh=1.0,
+                         par_coeff=0.0)
+
+    def test_only_inverting_gates(self):
+        with pytest.raises(ValueError, match="inverting"):
+            GateTemplate(name="buf", n_inputs=1, dw_hl=1.0, dw_lh=1.0,
+                         par_coeff=0.0, inverting=False)
+
     def test_instance_needs_positive_cin(self):
         with pytest.raises(ValueError):
             ideal_inv(0.0)
@@ -276,7 +286,7 @@ class TestTransitionTime:
 
     def test_rejects_nonpositive_load(self):
         p = make_params()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="load"):
             transition_time(ideal_inv(5.0), FALLING, 0.0, p)
 
     @given(cin=caps, load=caps, scale=st.floats(min_value=0.01,
@@ -365,6 +375,10 @@ class TestWidthOf:
         w_n, w_p = width_of(3.0, p)
         assert w_n == pytest.approx(1.0, rel=1e-15)
         assert w_p == pytest.approx(2.0, rel=1e-15)
+
+    def test_rejects_nonpositive_cin(self):
+        with pytest.raises(ValueError, match="cin"):
+            width_of(0.0, make_params())
 
     @given(cin=caps)
     def test_round_trip(self, cin):

@@ -61,6 +61,10 @@ class TestPathSegment:
         with pytest.raises(ValueError):
             seg.evaluate((True, False))
 
+    def test_negative_side_count_rejected(self):
+        with pytest.raises(ValueError, match="n_side"):
+            SegmentGate("nand2", -1)
+
     def test_empty_segment_rejected(self):
         with pytest.raises(ValueError):
             PathSegment(())
@@ -184,6 +188,21 @@ class TestDeMorganRewrite:
         lib = {k: v for k, v in ref_library.items() if k != "nand3"}
         path = LogicPath(gates=("nor3",), input_cap=4.0, terminal_load=60.0)
         with pytest.raises(ConfigError, match="nand3"):
+            demorgan_rewrite(path, 0, lib)
+
+    def test_kind_missing_from_library_is_config_error(self, ref_library):
+        lib = {k: v for k, v in ref_library.items() if k != "nor2"}
+        path = LogicPath(gates=("inv", "nor2"), input_cap=4.0,
+                         terminal_load=60.0)
+        with pytest.raises(ConfigError, match="unknown gate kind: nor2"):
+            demorgan_rewrite(path, 1, lib)
+
+    def test_arity_mismatch_is_config_error(self, ref_library):
+        lib = dict(ref_library)
+        lib["nand2"] = GateTemplate(name="nand2", n_inputs=3, dw_hl=2.0,
+                                    dw_lh=1.0, par_coeff=1.0)
+        path = LogicPath(gates=("nand2",), input_cap=4.0, terminal_load=60.0)
+        with pytest.raises(ConfigError, match="declares 3 inputs"):
             demorgan_rewrite(path, 0, lib)
 
     def test_module_equivalence_check_agrees(self, ref_library):

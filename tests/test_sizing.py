@@ -15,6 +15,7 @@ from cmospath import (
     LogicPath,
     PathModel,
     ProcessParams,
+    SensitivitySolution,
     compute_bounds,
     distribute_constraint,
     equal_delay_distribution,
@@ -48,6 +49,11 @@ class TestSolveAtSensitivity:
         # link_fixed_point's own check; sweep reports the same error.
         with pytest.raises(ValueError, match="must be <= 0"):
             solve_at_sensitivity(chain11, 0.5, ref_params, ref_library)
+
+    def test_solution_rejects_positive_sensitivity(self):
+        with pytest.raises(ValueError, match="a_value must be <= 0"):
+            SensitivitySolution(a_value=0.1, sizing=(4.0, 2.0), delay=10.0,
+                                area=1.0)
 
     def test_deep_sensitivity_clamps_everything(self, ref_params,
                                                 ref_library, chain11):
@@ -176,6 +182,77 @@ class TestDistributeConstraint:
         for call in fixture_calls:
             assert call["passes"][0] == call["bounds"].sizing_min
             assert call["floor"] == 0
+
+    @staticmethod
+    def _seeded_chain(seed):
+        """A chain of 100-130 random ref.proc gates, drawn as
+        scripts/diff_optimize.py draws its cases."""
+        rng = random.Random(seed)
+        n = rng.randint(100, 130)
+        return LogicPath(
+            gates=tuple(rng.choice(KINDS) for _ in range(n)),
+            input_cap=rng.uniform(2.0, 8.0),
+            terminal_load=math.exp(rng.uniform(math.log(100.0),
+                                               math.log(2000.0))))
+
+    def test_bordered_passes_open_on_the_pass_held(
+            self, ref_params, ref_library, chain11, chain13, heavy_path,
+            monkeypatch):
+        # Each pass of the bordered Newton is windowed on the pass it
+        # holds: `first` on its first step, then the pass before.
+        real_newton = sizing._bordered_newton
+        real_derivatives = PathModel.derivatives
+        calls, inside = [], []
+
+        def bordered(model, bounds, tc, first):
+            calls.append([first])
+            inside.append(True)
+            try:
+                return real_newton(model, bounds, tc, first)
+            finally:
+                inside.pop()
+
+        def derivatives(model, at, base=None):
+            held = real_derivatives(model, at, base)
+            if inside:
+                assert base is calls[-1][-1]
+                calls[-1].append(held)
+            return held
+
+        paths = [(path, compute_bounds(path, ref_params, ref_library))
+                 for path in (chain11, chain13, heavy_path,
+                              self._seeded_chain(2))]
+        monkeypatch.setattr(sizing, "_bordered_newton", bordered)
+        monkeypatch.setattr(PathModel, "derivatives", derivatives)
+        for path, bounds in paths:
+            for ratio in (1.05, 1.5, 3.0):
+                distribute_constraint(path, ratio * bounds.t_min, ref_params,
+                                      ref_library, bounds=bounds)
+        assert calls
+        assert all(len(passes) > 1 for passes in calls)
+
+    def test_bordered_passes_compute_fewer_gates_than_the_chain(
+            self, ref_params, ref_library, monkeypatch):
+        # On a long chain a step moves only part of the sizes, so the
+        # windowed passes of a distribute call compute fewer than n gates
+        # each on average; full passes would compute n each.
+        path = self._seeded_chain(2)
+        bounds = compute_bounds(path, ref_params, ref_library)
+        real_derivatives = PathModel.derivatives
+        computed = []
+
+        def derivatives(model, at, base=None):
+            held = real_derivatives(model, at, base)
+            computed.append(held.gates)
+            return held
+
+        monkeypatch.setattr(PathModel, "derivatives", derivatives)
+        tc = 1.5 * bounds.t_min
+        sol = distribute_constraint(path, tc, ref_params, ref_library,
+                                    bounds=bounds)
+        assert tc * (1.0 - 1e-3) <= sol.delay <= tc
+        assert len(computed) > 2
+        assert sum(computed) < path.n * len(computed)
 
     def test_bracket_alone_meets_the_band(self, ref_params, ref_library,
                                           chain11, monkeypatch):
