@@ -42,8 +42,9 @@ repository root, e.g.
         --gates 100 130
 
 The other tree's src/ comes first; "-" lines are its results, "+" lines
-this tree's.  Exits 1 when any structural difference, infeasible flip or
-area change is found, 0 otherwise.
+this tree's.  Exits 1 when any structural difference, infeasible flip,
+area change, sweep row difference or coupled distribute difference
+(forced fallback included) is found, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -334,7 +335,9 @@ def main(argv=None) -> int:
     print(f"# largest area change {largest_area[0]:+.3e} "
           f"(case {largest_area[1]}); largest relative drift "
           f"{drift[0]:.3e} (case {drift[1]}, {drift[2]})")
-    return 1 if structural or flips or area_changes else 0
+    differs = (structural or flips or area_changes or rows_differ
+               or any(calls_differ.values()))
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":

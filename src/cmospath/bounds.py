@@ -11,9 +11,15 @@ A pass is windowed on the pass the iteration holds: it computes only
 the gates next to the sizes the step moved and splices them in, bit
 for bit the full pass, so a step that moves a few gates costs a few
 gates, and one that moves none computes none.  Each step solves the
-log-space system in one sweep that builds and eliminates each row,
-with rows pinned at cref taken as unit rows; it is the package's one
-Thomas sweep.  The solve returns its last pass (a path.Pass) in its
+log-space system in one sweep that builds and eliminates each row; it
+is the package's one Thomas sweep.  A row pinned at cref solves to
+exactly 0 and cuts the chain, so a warm solve, which can hold most
+gates pinned (a sweep row, say), sweeps only spans of rows that leave
+the long runs of pinned rows out.  It tests again only the rows it
+swept and those each new pass computed, since no other row can come
+free, and its proposal, clamp, largest move and certificate read only
+those rows, so an iteration costs about its free rows and the gates it
+moves.  The solve returns its last pass (a path.Pass) in its
 FixedPoint, and a solve warm from that pass opens on it, so it takes no
 pass at its start.
 Steps go in this order of preference: exact Newton; Newton on the exact
@@ -25,8 +31,10 @@ stationary to rounding.
 It stops on the package's one certificate (certified), read off the pass
 the step made, after a step that settled: every unclamped sensitivity
 lies within 5e-5 * |a| + 1e-6 * delay / cref of a, and no clamped one
-more than that below a.  The full timing is evaluated once, on the
-result.
+more than that below a.  The timing is evaluated once, on the result;
+a solve warm from a FixedPoint evaluates it windowed on that solve's
+timing, computing only the gates next to the sizes that moved, bit for
+bit the full evaluation.
 The same engine with target a < 0 solves the constant-sensitivity
 problem of the area distribution module.
 """
@@ -36,6 +44,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 from .errors import ConvergenceError
@@ -49,6 +58,10 @@ CAP_TOL = 1e-7
 DELAY_TOL = 1e-9
 RESIDUAL_TOL = 1e-6
 SENSITIVITY_REL = 5e-5
+# A sweep visits the pinned rows of a gap shorter than this rather than
+# skip them: a row costs its pin test, a skipped gap about as much as
+# visiting this many rows.
+SPAN_GAP = 8
 
 
 @dataclass(frozen=True)
@@ -71,10 +84,12 @@ class FixedPoint(NamedTuple):
     pass_ is that pass (a path.Pass, taken at sizing): a caller that needs
     the gradient or curvature there has it without another pass, and
     link_fixed_point warm-started from it opens on it, takes no new pass,
-    and windows its next pass on it.  passes counts every derivative pass
-    the solve took, damping trials included; a one-gate path takes one,
-    at its only sizing, and no step.  A named tuple, not a frozen
-    dataclass: creating a dataclass costs about 1 ms at import.
+    and windows its next pass on it; warm-started from the whole
+    FixedPoint, it also windows its closing evaluation on timing.  passes
+    counts every derivative pass the solve took, damping trials included;
+    a one-gate path takes one, at its only sizing, and no step.  A named
+    tuple, not a frozen dataclass: creating a dataclass costs about 1 ms
+    at import.
     """
 
     sizing: Sizing
@@ -93,34 +108,45 @@ def max_delay_sizing(path: LogicPath, params: ProcessParams,
 
 
 def _newton_solve(cin, grad, hd, ho, a: float, clamped,
-                  border: bool = False) -> list[list[float]] | None:
+                  border: bool = False,
+                  spans=None) -> list[list[float]] | None:
     """Solve the log-space Newton system at cin; None if it degenerates.
 
     The system M is the Jacobian of the residual r_j = cin[j] * (dT/dcin[j]
     - a) with respect to the log sizes: the exact delay Hessian mapped to
-    log space, d2/dy2 = c^2 T'' + c (T' - a).  Gates pinned at cref whose
-    residual pushes further down are held fixed: each is a unit row with
-    a zero right-hand side and no coupling, so it solves to exactly 0,
-    and its coefficients are not computed.  Each row is built and
-    eliminated in one Thomas sweep; a pivot that is not positive means M
-    is not positive definite, which strong fixed coupling causes.  Then
-    the sweep runs again with every row whose diagonal does not exceed
-    the sum of its absolute couplings (pinned neighbours included) given
-    that sum times 1 + 1e-9 (its |diagonal| if it has no coupling).  The
-    result is strictly diagonally dominant with a positive diagonal,
-    hence positive definite.  Returns [M^-1 (-r)], and with border also
-    M^-1 c, the response to the target a, eliminated in the same sweep;
-    None when a sweep of the dominance-fixed M fails too or a solution is
-    not finite.
+    log space, d2/dy2 = c^2 T'' + c (T' - a).  Gates clamped at cref
+    (clamped[j]) whose residual pushes further down are pinned: each is a
+    unit row with a zero right-hand side and no coupling, so it solves to
+    exactly 0, and its coefficients are not computed.  The sweep visits
+    the rows of spans, (first, last) runs of gates in order, every row by
+    default; every row it leaves out must be pinned, and each span must
+    start at gate 1 or at a pinned row, so a row left out changes nothing.
+    Each row is built and eliminated in one Thomas sweep; a pivot that is
+    not positive means M is not positive definite, which strong fixed
+    coupling causes.  Then the sweep runs again with every row whose
+    diagonal does not exceed the sum of its absolute couplings (pinned
+    neighbours included) given that sum times 1 + 1e-9 (its |diagonal| if
+    it has no coupling).  The result is strictly diagonally dominant with
+    a positive diagonal, hence positive definite.  Returns [M^-1 (-r)],
+    and with border also M^-1 c, the response to the target a, eliminated
+    in the same sweep, each over the rows visited; None when a sweep of
+    the dominance-fixed M fails too or a solution is not finite.
     """
-    nxt = (*cin[2:], 0.0)
+    n = len(cin)
     for dominant in (False, True):
         # A unit row stands ahead of the first; it is dropped at the end.
         piv, r, rv, o, o_raw = 1.0, 0.0, 0.0, 0.0, 0.0
         eliminated = []  # (off, pivot, rhs, border rhs) of each row
         push = eliminated.append
-        for cj, cn, g, d, oo, cl in zip(cin[1:], nxt, grad, hd, ho,
-                                        clamped[1:]):
+        rows = (zip(cin[1:], (*cin[2:], 0.0), grad, hd, ho, clamped[1:])
+                if spans is None else chain.from_iterable(
+                    zip(cin[first:last + 1],
+                        (cin[first + 1:last + 2] if last < n - 1
+                         else (*cin[first + 1:], 0.0)),
+                        grad[first - 1:last], hd[first - 1:last],
+                        ho[first - 1:last], clamped[first:last + 1])
+                    for first, last in spans))
+        for cj, cn, g, d, oo, cl in rows:
             res = cj * (g - a)
             if cl and res > 0.0:
                 # Pinned: the row above loses its coupling to this one.
@@ -145,6 +171,8 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped,
             rv = cj - w * rv
             o = o_next
         else:
+            if not eliminated:
+                return [[], []] if border else [[]]  # no row visited
             del eliminated[0]
             x = r / piv
             step = [x]
@@ -167,29 +195,80 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped,
     return None
 
 
-def _newton_step(cin, grad, hd, ho, a: float, clamped) -> list[float]:
+def _spans(spans, runs, n: int):
+    """spans with runs of gates added, each led by the gate before it, and
+    runs that meet or lie fewer than SPAN_GAP rows apart joined; None when
+    they cover every row."""
+    out = []
+    for lo, hi in sorted([*spans, *((max(1, lo - 1), hi) for lo, hi in runs)]):
+        if out and lo <= out[-1][1] + SPAN_GAP:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return None if out == [(1, n - 1)] else out
+
+
+def _unpinned(held: Pass, a: float, clamped, cref: float, spans=None):
+    """The spans of a sweep over the rows of spans (every row for None)
+    that leaves out those pinned in held by the kernel's own test, but not
+    one below cref, which the clamp lifts; None for every row."""
+    sizes, grad = held.sizing, held.grad
+    n = len(sizes)
+    rows = ((1, n - 1),) if spans is None else spans
+    pins = [j for first, last in rows for j in range(first, last + 1)
+            if clamped[j] and sizes[j] >= cref
+            and sizes[j] * (grad[j - 1] - a) > 0.0]
+    if spans is None and len(pins) < SPAN_GAP:
+        return None  # no run of pinned rows to leave out
+    runs = []
+    pins.append(n)
+    k = 0
+    for first, last in rows:
+        while pins[k] <= last:
+            if first < pins[k]:
+                runs.append((first, pins[k] - 1))
+            first = pins[k] + 1
+            k += 1
+        if first <= last:
+            runs.append((first, last))
+    return _spans([], runs, n)
+
+
+def _newton_step(cin, grad, hd, ho, a: float, clamped,
+                 spans=None) -> list[float]:
     """One log-space Newton step on the stationarity residual.
 
-    Solves the system of _newton_solve, exact or made diagonally dominant,
-    so the step descends the merit.  The step is scaled to at most one
-    e-fold per gate and applied multiplicatively.  The proposal is
-    returned unclamped so the caller can damp along the undistorted
-    direction; clamping each coordinate here would bend the direction and
-    can turn it uphill.
+    Solves the system of _newton_solve over spans, exact or made
+    diagonally dominant, so the step descends the merit.  The step is
+    scaled to at most one e-fold per gate and applied multiplicatively:
+    it returns the proposed sizes of the rows of spans, in order, a pinned
+    row's its own size.  The proposal is returned unclamped so the caller
+    can damp along the undistorted direction; clamping each coordinate
+    here would bend the direction and can turn it uphill.
     """
-    solved = _newton_solve(cin, grad, hd, ho, a, clamped)
+    solved = _newton_solve(cin, grad, hd, ho, a, clamped, spans=spans)
     if solved is None:
         raise ConvergenceError("Newton system degenerated")
     step = solved[0]
-    widest = max(map(abs, step))
+    widest = max(map(abs, step)) if step else 0.0
     if widest > 1.0:
         step = [s / widest for s in step]
-    return [cin[0]] + [c * math.exp(s) for c, s in zip(cin[1:], step)]
+    return [c * math.exp(s) for c, s in zip(
+        cin[1:] if spans is None else _sizes(cin, spans), step)]
+
+
+def _sizes(cin, spans) -> list[float]:
+    """The sizes of the rows of spans, in order."""
+    sizes = []
+    for first, last in spans:
+        sizes += cin[first:last + 1]
+    return sizes
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
-                     warm: Pass | Sequence[float | None] | None = None
-                     ) -> FixedPoint:
+                     warm: FixedPoint | Pass | Sequence[float | None]
+                     | None = None) -> FixedPoint:
     """Solve the equal-sensitivity stationarity system at target a <= 0.
 
     Starts from warm, each None in it filled by splice_sizing; no warm is
@@ -199,13 +278,21 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     pass_, say): the solve starts from its sizing and opens on it, so it
     takes no pass at the start, and windows its next pass on it; its sizing
     and rows must have this path's lengths, else ValueError.  A pass of
-    another model of the same length would be spliced in silently.  Any
-    other start takes a full pass there.  It then drives the exact
-    sensitivities dT/dcin[i] to a for every unclamped gate, within
-    MAX_ITERATIONS steps.  Each iteration takes a tridiagonal Newton step
-    off the derivative pass that opens it, on the exact Hessian; where that
-    is not positive definite, each row that is not diagonally dominant is
-    made so.  Every later pass is windowed on the pass the iteration holds
+    another model of the same length would be spliced in silently.  A warm
+    FixedPoint of this model opens on its pass_ the same way and windows
+    the closing evaluation on its timing.  Any other start takes a full
+    pass there.  It then drives the exact sensitivities dT/dcin[i] to a
+    for every unclamped gate, within MAX_ITERATIONS steps.  Each iteration
+    takes a tridiagonal Newton step off the derivative pass that opens it,
+    on the exact Hessian; where that is not positive definite, each row
+    that is not diagonally dominant is made so.  A warm solve sweeps only
+    spans of rows (_unpinned): every row but the runs of at least
+    SPAN_GAP rows pinned in the pass held, and tests again after each
+    step only the rows it swept and those the new pass computed (its
+    window), outside which every row keeps its pin; a cold one sweeps
+    every row.  So a gate pinned at cref neither moves nor costs more
+    than its test, often not even that.  Every later
+    pass is windowed on the pass the iteration holds
     (PathModel.derivatives with a base), so it computes only the gates
     around the sizes the step moved.  The proposal's own pass gives its
     delay; the step is accepted only if it does not increase the descent
@@ -220,7 +307,8 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     FixedPoint if that pass is certified (certified).  The accepted pass
     opens the next iteration, and the last one rides along in the
     FixedPoint.  Each solve logs one debug line: its steps, its passes and
-    the gates they computed against n per pass.
+    the gates they computed against n per pass, and the Newton rows its
+    steps swept against n - 1 per step.
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
@@ -232,7 +320,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         return FixedPoint(sizing, model.evaluate(sizing), 0,
                           model.derivatives(sizing), 1)
 
-    passes = gates = 0
+    passes = gates = rows = 0
 
     def opened(dv):
         """(a derivative pass, its descent merit)."""
@@ -245,6 +333,9 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         gates += dv.gates
         return opened(dv)
 
+    timing = None
+    if isinstance(warm, FixedPoint):
+        timing, warm = warm.timing, warm.pass_
     if isinstance(warm, Pass):
         model.check_sizing(warm.sizing)
         if not (len(warm.grad) == len(warm.diag) == len(warm.off) == n - 1
@@ -255,68 +346,113 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     else:
         here = visit(splice_sizing([None] * n if warm is None else warm,
                                    model.path, cref), None)
+    clamped = model.clamped(here[0].sizing)
+    # A warm start (a sweep row's, say) can hold most gates pinned at
+    # cref, so its steps leave out those rows; a cold one, on the taper,
+    # visits every row at every step.  Rows outside the gates a pass
+    # computed keep their pins, so each later step tests only the rows
+    # the step before visited and the new pass's window.
+    spans = (_unpinned(here[0], a, clamped, cref)
+             if warm is not None and n > SPAN_GAP else None)
+
+    def sized(sizes):
+        """cin with the rows of spans (every row for None) at sizes."""
+        if spans is None:
+            return [cin[0], *sizes]
+        out = list(cin)
+        k = 0
+        for first, last in spans:
+            out[first:last + 1] = sizes[k:k + last - first + 1]
+            k += last - first + 1
+        return out
+
     for steps in range(1, MAX_ITERATIONS + 1):
         held, merit = here
         cin = held.sizing
-        prop = _newton_step(cin, held.grad, held.diag, held.off, a,
-                            model.clamped(cin))
+        prop = _newton_step(cin, held.grad, held.diag, held.off, a, clamped,
+                            spans)
+        rows += len(prop)
         ceiling = merit + abs(merit) * 1e-12
-        nxt = visit([prop[0]] + [max(cref, p) for p in prop[1:]], held)
+        nxt = visit(sized([max(cref, p) for p in prop]), held)
         if nxt[1] > ceiling:
             # Damp along the unclamped direction, clamping after the
             # scale: scaling the clamped proposal instead would keep the
             # bent direction at every lambda.  If every damping ascends,
             # stand still and let the stopping rule decide.
             nxt = here
+            start = cin[1:] if spans is None else _sizes(cin, spans)
             for k in range(1, 21):
                 shrink = 0.5 ** k
-                trial = visit([cin[0]] + [
-                    max(cref, c * (p / c) ** shrink)
-                    for c, p in zip(cin[1:], prop[1:])], held)
+                trial = visit(sized([max(cref, c * (p / c) ** shrink)
+                                     for c, p in zip(start, prop)]), held)
                 if trial[1] <= ceiling:
                     nxt = trial
                     break
         new, _ = here = nxt
+        lo, hi = new.first, new.first + new.gates - 1
+        if spans is None or hi - lo == n - 1:
+            clamped = model.clamped(new.sizing)
+        elif hi > lo:
+            clamped[lo + 1:hi + 1] = model.clamped(new.sizing[lo + 1:hi + 1])
+        if spans is not None and hi > lo:
+            spans = _unpinned(new, a, clamped, cref,
+                              _spans(spans, [(lo + 1, hi)], n))
         if (abs(new.total - held.total) <= DELAY_TOL * new.total
-                and _largest_move(new.sizing, cin) < CAP_TOL
-                and certified(model, new, a)):
+                and _largest_move(new.sizing, cin, lo, hi) < CAP_TOL
+                and certified(model, new, a, spans, clamped)):
             if logger.isEnabledFor(logging.DEBUG):
-                clamped = model.clamped(new.sizing)
                 at_cref = [j for j in range(1, n) if clamped[j]]
                 if at_cref:
                     logger.debug("fixed point clamped gates at cref: %s",
                                  at_cref)
             logger.debug("fixed point at a=%g: %d steps, %d derivative "
-                         "passes, %d of %d gates computed", a, steps,
-                         passes, gates, n * passes)
-            return FixedPoint(tuple(new.sizing), model.evaluate(new.sizing),
-                              steps, new, passes)
+                         "passes, %d of %d gates computed, %d of %d rows "
+                         "swept", a, steps, passes, gates, n * passes, rows,
+                         (n - 1) * steps)
+            sizing = tuple(new.sizing)
+            return FixedPoint(sizing, model.evaluate(sizing, timing), steps,
+                              new, passes)
     logger.debug("fixed point at a=%g: no convergence in %d steps, %d "
-                 "derivative passes, %d of %d gates computed", a,
-                 MAX_ITERATIONS, passes, gates, n * passes)
+                 "derivative passes, %d of %d gates computed, %d of %d "
+                 "rows swept", a, MAX_ITERATIONS, passes, gates, n * passes,
+                 rows, (n - 1) * MAX_ITERATIONS)
     raise ConvergenceError("sizing fixed point did not converge",
                            iterations=MAX_ITERATIONS,
-                           residual=_largest_move(new.sizing, cin))
+                           residual=_largest_move(new.sizing, cin, lo, hi))
 
 
-def certified(model: PathModel, held: Pass, a: float) -> bool:
+def certified(model: PathModel, held: Pass, a: float, spans=None,
+              clamped=None) -> bool:
     """The package's one stopping rule, read off the pass held at target a.
 
     Every unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| +
     RESIDUAL_TOL * T / cref, with T the pass's delay, and no clamped g_j
-    lies more than that below a, which would make it grow.
-    link_fixed_point checks it once a step settles; the bordered Newton
-    of distribute_constraint once its delay lies in its band.
+    lies more than that below a, which would make it grow.  clamped holds
+    the flags of held's sizes (PathModel.clamped), and only the gates of
+    spans, (first, last) runs outside which every gate is pinned, are
+    read (every gate for None): a pinned gate has g_j > a, so it always
+    passes.  link_fixed_point checks it once a step settles; the
+    bordered Newton of distribute_constraint once its delay lies in its
+    band.
     """
     tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * held.total / model.params.cref
-    clamped = model.clamped(held.sizing)
-    return all(g - a >= -tol if c else abs(g - a) <= tol
-               for g, c in zip(held.grad, clamped[1:]))
+    if clamped is None:
+        clamped = model.clamped(held.sizing)
+    grad = held.grad
+    rows = (zip(grad, clamped[1:]) if spans is None else
+            (row for first, last in spans
+             for row in zip(grad[first - 1:last], clamped[first:last + 1])))
+    return all(g - a >= -tol if c else abs(g - a) <= tol for g, c in rows)
 
 
-def _largest_move(new, old) -> float:
-    """The largest relative change of a free gate's size."""
-    return max(abs(x - y) / y for x, y in zip(new[1:], old[1:]))
+def _largest_move(new, old, first: int, last: int) -> float:
+    """The largest relative change of a free gate's size, read off gates
+    first..last, outside which no size changed (0.0 for none)."""
+    first = max(first, 1)
+    if first > last:
+        return 0.0
+    return max(abs(x - y) / y for x, y in zip(new[first:last + 1],
+                                              old[first:last + 1]))
 
 
 def splice_sizing(sizes, path: LogicPath, cref: float) -> list[float]:

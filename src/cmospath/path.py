@@ -18,7 +18,9 @@ from; they step on it, judge steps by its total and stop on its
 gradient.  A pass taken on a base (an earlier ``Pass``) computes only
 the gates next to the sizes that moved and splices them in, equal to
 the full pass bit for bit; the full pass is that window over the whole
-chain, so the per-gate algebra is written once (``_window``).
+chain, so the per-gate algebra is written once (``_window``).  An
+evaluation on a base (an earlier ``PathTiming``) is windowed the same
+way.
 ``path_coefficients`` regroups the same expression by each gate's output
 transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
 cin[i], freezing the Miller factors and parasitics at the current sizing.
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from operator import add, ne
 from typing import NamedTuple, Sequence
@@ -155,12 +157,17 @@ class LogicPath:
 
 @dataclass(frozen=True)
 class PathTiming:
-    """Result of one exact path evaluation."""
+    """Result of one exact path evaluation.
+
+    sizing is the sizing evaluated, which a later evaluation on this one
+    as its base compares against; it is left out of repr and ==.
+    """
 
     per_gate_delay: tuple[float, ...]
     per_gate_slope: tuple[float, ...]
     total_delay: float
     total_width: float
+    sizing: Sizing = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -194,7 +201,8 @@ class Pass(NamedTuple):
     delay terms whose running sum is total: the driving slope's constant,
     then each gate's f_i; a later pass on this one as its base splices
     into them.  gates counts the gates the pass computed (n for a full
-    pass, 0 when no size moved).
+    pass, 0 when no size moved), and first is the first of them: rows
+    first+1..first+gates-1 are the ones it computed.
     """
 
     grad: tuple[float, ...]
@@ -204,6 +212,7 @@ class Pass(NamedTuple):
     sizing: Sequence[float]
     terms: list[float]
     gates: int
+    first: int = 0
 
 
 def _gate_constants(template: GateTemplate, edge_in: str,
@@ -296,30 +305,58 @@ class PathModel:
         return stage_delay(tau_s, v_half, gamma * cin + cm_fixed, cin,
                            x + par * cin, slope)
 
-    def evaluate(self, sizing) -> PathTiming:
-        """Exact chained delay of the path at one sizing."""
+    def evaluate(self, sizing, base: PathTiming | None = None) -> PathTiming:
+        """Exact chained delay of the path at one sizing.
+
+        Gate i's output transition depends only on its own size and load,
+        so its delay depends only on cin[i-1..i+1].  With base, an earlier
+        timing of this model, if sizes lo..hi differ from base's, only
+        gates lo-1..hi+1 are computed and spliced into base's, and the
+        total is re-added from 0.0 in gate order, so the timing equals the
+        full one bit for bit; if no size differs, no gate is computed.
+        The full evaluation is the same window over the whole chain.
+        With slope_warn_ratio set, every gate whose input transition
+        exceeds that many times its output transition warns, in gate
+        order, whether the gate was computed or spliced.
+        """
         self.check_sizing(sizing)
-        warn_ratio = self.params.slope_warn_ratio
-        slope = self.path.driver_slope()
         n = self.n
+        first, last = 0, n - 1
+        if base is not None:
+            moved = list(map(ne, sizing, base.sizing))
+            if not any(moved):
+                first, last = 0, -1
+            else:
+                first = max(0, moved.index(True) - 1)
+                last = min(n - 1, n - moved[::-1].index(True))
+        driver = self.path.driver_slope()
+        slope = base.per_gate_slope[first - 1] if first else driver
         delays = []
         slopes = []
-        total = 0.0
-        for i in range(n):
+        for i in range(first, last + 1):
             x = sizing[i + 1] if i < n - 1 else self.terminal_load
-            d, t_out = self.stage(i, sizing[i], x, slope)
-            if warn_ratio is not None and slope > warn_ratio * t_out:
-                warnings.warn(
-                    f"gate {i} ({self.path.gates[i]}): input transition "
-                    f"{slope:.4g} ps exceeds {warn_ratio:g}x its output "
-                    f"transition {t_out:.4g} ps; model accuracy degrades "
-                    "for slow inputs", stacklevel=2)
+            d, slope = self.stage(i, sizing[i], x, slope)
             delays.append(d)
-            slopes.append(t_out)
-            total += d
-            slope = t_out
-        return PathTiming(tuple(delays), tuple(slopes), total,
-                          self.total_width(sizing))
+            slopes.append(slope)
+        if base is not None:
+            delays = (*base.per_gate_delay[:first], *delays,
+                      *base.per_gate_delay[last + 1:])
+            slopes = (*base.per_gate_slope[:first], *slopes,
+                      *base.per_gate_slope[last + 1:])
+        warn_ratio = self.params.slope_warn_ratio
+        if warn_ratio is not None:
+            slope = driver
+            for i, t_out in enumerate(slopes):
+                if slope > warn_ratio * t_out:
+                    warnings.warn(
+                        f"gate {i} ({self.path.gates[i]}): input transition "
+                        f"{slope:.4g} ps exceeds {warn_ratio:g}x its output "
+                        f"transition {t_out:.4g} ps; model accuracy "
+                        "degrades for slow inputs", stacklevel=2)
+                slope = t_out
+        return PathTiming(tuple(delays), tuple(slopes),
+                          reduce(add, delays, 0.0), self.total_width(sizing),
+                          tuple(sizing))
 
     def coefficients(self, sizing) -> CoefficientSet:
         """Freeze Miller factors and parasitics at the given sizing.
@@ -396,7 +433,7 @@ class PathModel:
             diag = [*base.diag[:first], *diag, *base.diag[last:]]
             off = [*base.off[:first], *off, *base.off[last:]]
         return Pass(grad, diag, off, reduce(add, terms), sizing, terms,
-                    last - first + 1)
+                    last - first + 1, first)
 
     def _window(self, sizing, first: int, last: int):
         """Gates first..last of a derivative pass, the one copy of its

@@ -282,17 +282,20 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
 
     Rows come back ordered by a ascending (most negative first); solver
     failures (a > 0 among them) are collected per row instead of aborting
-    the sweep.  Each solve starts warm from the last row solved, opening
-    on the pass that solve ended on (its FixedPoint's pass_), and the
-    first from the all-minimum corner, where a -> -inf sends every free
-    gate.  So every row after the first solved
-    takes one derivative pass fewer than solve_at_sensitivity warm from
-    the previous row's sizing, and returns the same row bit for bit.
+    the sweep.  Each solve starts warm from the last row solved, handed
+    its FixedPoint: it opens on the pass that solve ended on (pass_) and
+    evaluates its own result windowed on that solve's timing, so a row
+    computes only the gates near the sizes it moved.  The first starts
+    from the all-minimum corner, where a -> -inf sends every free gate.
+    So every row after the first solved takes one derivative pass fewer
+    than solve_at_sensitivity warm from the previous row's sizing, and
+    returns the same row bit for bit.
     """
     model = PathModel(path, params, library)
     solutions: list[SensitivitySolution] = []
     failures: list[tuple[float, Exception]] = []
-    warm: Pass | Sizing = (path.input_cap,) + (params.cref,) * (model.n - 1)
+    warm: FixedPoint | Sizing = \
+        (path.input_cap,) + (params.cref,) * (model.n - 1)
     for a in sorted(a_values):
         try:
             fixed = link_fixed_point(model, a=a, warm=warm)
@@ -300,7 +303,7 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
             failures.append((a, exc))
             continue
         solutions.append(_solution(a, fixed))
-        warm = fixed.pass_
+        warm = fixed
     return solutions, failures
 
 

@@ -197,6 +197,32 @@ class TestMinDelaySolver:
         assert warm_t == pytest.approx(t_min, rel=1e-9)
         assert warm_iters <= 10
 
+    @pytest.mark.parametrize("scale", [-1e6, -1e-3, 0.0])
+    def test_every_step_lifts_warm_sizes_below_cref(self, ref_params,
+                                                    ref_library, scale,
+                                                    monkeypatch):
+        # check_sizing accepts sizes down to cref * (1 - 1e-9).  A warm
+        # start there opens on them, and every later sizing the solve
+        # visits has each of them at cref or above, pinned or free.
+        cref = ref_params.cref
+        path = LogicPath(gates=("inv", "nand2", "nor2", "inv", "nand3",
+                                "inv"), input_cap=4.0, terminal_load=60.0)
+        model = PathModel(path, ref_params, ref_library)
+        a = scale * max_delay_sizing(path, ref_params, ref_library)[1] / cref
+        visited = []
+        derivatives = PathModel.derivatives
+
+        def recording(model, sizing, base=None):
+            visited.append(tuple(sizing))
+            return derivatives(model, sizing, base)
+
+        monkeypatch.setattr(PathModel, "derivatives", recording)
+        low = cref * (1.0 - 5e-10)
+        link_fixed_point(model, a, [path.input_cap] + [low] * 5)
+        assert visited[0][1:] == (low,) * 5
+        assert len(visited) >= 2
+        assert all(min(sizes[1:]) >= cref for sizes in visited[1:])
+
     def test_appending_a_stage_to_a_staged_path_slows_it(self, ref_params,
                                                          ref_library,
                                                          chain11):
@@ -300,9 +326,9 @@ class TestMinDelaySolver:
             totals.append(out[3])
             return out
 
-        def counting_evaluate(model, sizing):
+        def counting_evaluate(model, sizing, base=None):
             evaluated.append(tuple(sizing))
-            return evaluate(model, sizing)
+            return evaluate(model, sizing, base)
 
         monkeypatch.setattr(PathModel, "derivatives", counting_derivatives)
         monkeypatch.setattr(PathModel, "evaluate", counting_evaluate)
@@ -361,16 +387,20 @@ class TestMinDelaySolver:
         warm = link_fixed_point(model, a=-2e-2, warm=cold.pass_)
         lines = [re.fullmatch(
             r"fixed point at a=(\S+): (\d+) steps, (\d+) derivative passes, "
-            r"(\d+) of (\d+) gates computed", r.getMessage())
+            r"(\d+) of (\d+) gates computed, (\d+) of (\d+) rows swept",
+            r.getMessage())
             for r in caplog.records if r.name == "cmospath.bounds"]
         lines = [m.groups() for m in lines if m]
-        assert [(float(a), int(steps), int(passes)) for a, steps, passes, _, _
+        assert [(float(a), int(steps), int(passes)) for a, steps, passes, *_
                 in lines] == [(-1e-2, cold.steps, cold.passes),
                               (-2e-2, warm.steps, warm.passes)]
         n = chain13.n
-        for fixed, (_, _, _, gates, full) in zip((cold, warm), lines):
+        for fixed, (_, _, _, gates, full, swept, rows) in zip((cold, warm),
+                                                              lines):
             assert int(full) == n * fixed.passes
             assert int(gates) <= int(full)
+            assert int(rows) == (n - 1) * fixed.steps
+            assert int(swept) <= int(rows)
         assert int(lines[0][3]) >= n
 
     @pytest.mark.parametrize("gates", [
@@ -457,11 +487,14 @@ class TestDominantHessianStep:
         failures = []
         original = bounds_module._newton_solve
 
-        def recording(cin, grad, hd, ho, a, clamped, border=False):
-            solved = original(cin, grad, hd, ho, a, clamped, border)
+        def recording(cin, grad, hd, ho, a, clamped, border=False,
+                      spans=None):
+            # Every gate outside spans is pinned, so the oracle, which
+            # tests every row, pins it too.
+            solved = original(cin, grad, hd, ho, a, clamped, border, spans)
             want, fixed = oracles.newton_solve(cin, grad, hd, ho, a, clamped,
                                                border)
-            assert repr(solved) == repr(want)
+            assert repr(full(solved, spans, len(cin))) == repr(want)
             if fixed:
                 failures.append(len(cin) - 1)
             return solved
@@ -547,6 +580,22 @@ class TestDominantHessianStep:
         assert sol.a_value < 0.0
 
 
+def full(solved, spans, n):
+    """The kernel's solutions over the rows of spans, spread over every row
+    with 0.0 on the rows left out."""
+    if solved is None or spans is None:
+        return solved
+    out = []
+    for values in solved:
+        row = [0.0] * (n - 1)
+        values = iter(values)
+        for first, last in spans:
+            for j in range(first, last + 1):
+                row[j - 1] = next(values)
+        out.append(row)
+    return out
+
+
 class TestNewtonKernel:
     """The kernel builds and eliminates each row of the log-space Newton
     system in one sweep, pinned rows as unit rows; the oracle builds the
@@ -596,6 +645,90 @@ class TestNewtonKernel:
                                    zip(want[0], clamped[1:]))
         assert min(outcomes.values()) >= 200, outcomes
         assert pinned_rows >= 1000
+
+    PATTERNS = ("first", "last", "adjacent", "alternating", "all", "none")
+
+    @pytest.mark.parametrize("border", [False, True])
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    def test_pinned_blocks_match_the_oracle(self, ref_params, ref_library,
+                                            pattern, border):
+        # Passes of random coupled libraries at random sizes, which are
+        # mostly indefinite in log space, with the gates of pattern
+        # pinned: at cref, their residual pushing down.  Another fifth of
+        # the gates sit at cref with a residual that does not push down,
+        # so they stay free.  The kernel sweeps the free rows block by
+        # block and equals the oracle, which sweeps every row, pinned
+        # ones as unit rows, whether it tests every row or only spans
+        # that leave pinned rows out.  Some free rows are diagonally
+        # dominant without, but not with, the coupling to a pinned
+        # neighbour.
+        rng = random.Random(31 + self.PATTERNS.index(pattern))
+        cref = ref_params.cref
+        outcomes = {"exact": 0, "dominant": 0, "none": 0}
+        pinned_coupling = 0
+        for _ in range(150):
+            library = {kind: dataclasses.replace(
+                t, par_coeff=rng.uniform(0.0, 2.5),
+                cm_override=rng.choice((None, rng.uniform(1.0, 1000.0))))
+                for kind, t in ref_library.items()}
+            m = rng.randint(2 if pattern == "adjacent" else 1, 24)
+            start = rng.randint(1, m - 1) if pattern == "adjacent" else 1
+            pinned = {"first": {1}, "last": {m}, "adjacent": {start,
+                                                              start + 1},
+                      "alternating": set(range(rng.randint(1, 2), m + 1, 2)),
+                      "all": set(range(1, m + 1)), "none": set()}[pattern]
+            path = LogicPath(
+                gates=tuple(rng.choice(KINDS) for _ in range(m + 1)),
+                input_cap=rng.uniform(2.0, 10.0),
+                terminal_load=rng.uniform(2.0, 500.0))
+            cin = [path.input_cap] + [
+                cref if j in pinned or rng.random() < 0.2
+                else cref * rng.uniform(1.0, 300.0) for j in range(1, m + 1)]
+            model = PathModel(path, ref_params, library)
+            held = model.derivatives(cin)
+            a = rng.choice((0.0, -rng.uniform(0.0, 1.0)
+                            * 10.0 ** rng.uniform(-4.0, 0.0)))
+            grad = [a + 1.0 if j in pinned
+                    else a - abs(g - a) * rng.uniform(0.0, 4.0)
+                    if cin[j] == cref else g
+                    for j, g in enumerate(held.grad, 1)]
+            clamped = model.clamped(cin)
+            want, fixed = oracles.newton_solve(cin, grad, held.diag,
+                                               held.off, a, clamped, border)
+            outcomes["none" if want is None
+                     else "dominant" if fixed else "exact"] += 1
+            # Every row visited, then, as link_fixed_point sweeps, only the
+            # free rows and a window, each run led by the row before it.
+            got = bounds_module._newton_solve(cin, grad, held.diag, held.off,
+                                              a, clamped, border)
+            assert repr(got) == repr(want)
+            runs = [(j, j) for j in range(1, m + 1) if j not in pinned]
+            lo = rng.randint(1, m)
+            spans = bounds_module._spans([], [*runs, (lo, rng.randint(lo, m))],
+                                         m + 1)
+            got = full(bounds_module._newton_solve(
+                cin, grad, held.diag, held.off, a, clamped, border, spans),
+                spans, m + 1)
+            assert repr(got) == repr(want)
+            if fixed:
+                diag, off, _ = oracles.newton_system(cin, grad, held.diag,
+                                                     held.off, a)
+                for j in set(range(1, m + 1)) - pinned:
+                    below = abs(off[j - 2]) if j > 1 else 0.0
+                    above = abs(off[j - 1])
+                    free_coupling = ((below if j - 1 not in pinned else 0.0)
+                                     + (above if j + 1 not in pinned
+                                        else 0.0))
+                    pinned_coupling += (free_coupling < diag[j - 1]
+                                        <= below + above)
+        if pattern == "all":
+            assert outcomes == {"exact": 150, "dominant": 0, "none": 0}
+            assert repr(got) == repr([[0.0] * m] * (2 if border else 1))
+        else:
+            assert outcomes["dominant"] >= 20, outcomes
+            assert outcomes["exact"] >= 10, outcomes
+        if pattern not in ("all", "none"):
+            assert pinned_coupling >= 10
 
 
 class TestCertified:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -506,13 +507,55 @@ class TestExactGradient:
             assert f == pytest.approx(e, rel=1e-12)
 
 
+WINDOWS = ("gate 0", "last gate", "interior gate", "empty", "whole",
+           "at cref")
+
+
+def windowed_case(rng, n):
+    """A seeded path of n library gate kinds."""
+    return LogicPath(gates=tuple(rng.choice(KINDS) for _ in range(n)),
+                     input_cap=rng.uniform(2.0, 10.0),
+                     terminal_load=rng.uniform(30.0, 5000.0),
+                     input_edge=rng.choice(("rising", "falling")),
+                     driver_slope_rise=rng.uniform(0.0, 60.0),
+                     driver_slope_fall=rng.uniform(0.0, 60.0))
+
+
+def window_edit(rng, path, sizing, window, cref):
+    """(sizes, lo, hi): sizing with sizes lo..hi moved in one window of
+    WINDOWS, lo > hi when none moved."""
+    n = path.n
+    moved = list(sizing)
+    # cin[0] may sit within 1e-9 of input_cap
+    nudged = path.input_cap * (1.0 + rng.uniform(1e-12, 5e-10))
+    if window == "gate 0":
+        moved[0] = nudged if sizing[0] == path.input_cap \
+            else path.input_cap
+        return moved, 0, 0
+    if window == "empty" or (n == 1 and window != "whole"):
+        return moved, 1, 0
+    if window == "whole":
+        return [nudged] + [s * rng.uniform(1.01, 2.0)
+                           for s in sizing[1:]], 0, n - 1
+    lo = {"last gate": n - 1}.get(window, rng.randint(1, n - 1))
+    hi = lo if window != "at cref" else rng.randint(lo, n - 1)
+    for j in range(lo, hi + 1):
+        moved[j] = (sizing[j] * rng.uniform(1.01, 3.0)
+                    if window != "at cref" or sizing[j] > cref
+                    else rng.uniform(cref, 2.0 * cref))
+        if window == "at cref" and sizing[j] > cref \
+                and rng.random() < 0.7:
+            moved[j] = cref
+    if window == "at cref":
+        changed = [j for j in range(n) if moved[j] != sizing[j]]
+        lo, hi = (changed[0], changed[-1]) if changed else (1, 0)
+    return moved, lo, hi
+
+
 class TestDerivativePass:
     """The pass takes gate 0 as a stand-in row and zeroes the last off
     entry; a pass on a base recomputes only the gates its moved sizes
     touch."""
-
-    WINDOWS = ("gate 0", "last gate", "interior gate", "empty", "whole",
-               "at cref")
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
@@ -530,12 +573,7 @@ class TestDerivativePass:
         if coupled:
             library = {kind: dataclasses.replace(t, cm_override=500.0)
                        for kind, t in ref_library.items()}
-        path = LogicPath(gates=tuple(rng.choice(KINDS) for _ in range(n)),
-                         input_cap=rng.uniform(2.0, 10.0),
-                         terminal_load=rng.uniform(30.0, 5000.0),
-                         input_edge=rng.choice(("rising", "falling")),
-                         driver_slope_rise=rng.uniform(0.0, 60.0),
-                         driver_slope_fall=rng.uniform(0.0, 60.0))
+        path = windowed_case(rng, n)
         model = PathModel(path, ref_params, library)
 
         def size():
@@ -546,34 +584,7 @@ class TestDerivativePass:
         assert held.sizing is sizing
         assert held.gates == n
         for _ in range(3):
-            moved = list(sizing)
-            # cin[0] may sit within 1e-9 of input_cap
-            nudged = path.input_cap * (1.0 + rng.uniform(1e-12, 5e-10))
-            if window == "gate 0":
-                moved[0] = nudged if sizing[0] == path.input_cap \
-                    else path.input_cap
-                lo = hi = 0
-            elif window == "empty":
-                lo, hi = 1, 0
-            elif window == "whole":
-                lo, hi = 0, n - 1
-                moved = [nudged] + [s * rng.uniform(1.01, 2.0)
-                                    for s in sizing[1:]]
-            elif n == 1:
-                lo, hi = 1, 0
-            else:
-                lo = {"last gate": n - 1}.get(window, rng.randint(1, n - 1))
-                hi = lo if window != "at cref" else rng.randint(lo, n - 1)
-                for j in range(lo, hi + 1):
-                    moved[j] = (sizing[j] * rng.uniform(1.01, 3.0)
-                                if window != "at cref" or sizing[j] > cref
-                                else rng.uniform(cref, 2.0 * cref))
-                    if window == "at cref" and sizing[j] > cref \
-                            and rng.random() < 0.7:
-                        moved[j] = cref
-                if window == "at cref":
-                    changed = [j for j in range(n) if moved[j] != sizing[j]]
-                    lo, hi = (changed[0], changed[-1]) if changed else (1, 0)
+            moved, lo, hi = window_edit(rng, path, sizing, window, cref)
             got = model.derivatives(moved, held)
             # grad, diag, off, total, sizing and terms; not the gate count
             assert repr(got[:6]) == repr(model.derivatives(moved)[:6])
@@ -633,6 +644,56 @@ class TestDerivativePass:
                 if j < n - 1:
                     assert col[j] == pytest.approx(off[j - 1], rel=5e-5,
                                                    abs=1e-12)
+
+
+class TestWindowedEvaluate:
+    """An evaluation on a base timing recomputes only the gates next to
+    the sizes that moved, and warns as the full one does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           window=st.sampled_from(WINDOWS), warn=st.booleans())
+    def test_windowed_evaluation_equals_the_full_one(self, ref_params,
+                                                     ref_library, seed, n,
+                                                     window, warn):
+        # A seeded ref.proc path; a base timing at one sizing, then
+        # timings at sizes moved in one window, each on the timing
+        # before, equal the full evaluation at the same sizes by repr.
+        # With warn, slope_warn_ratio is the median input-to-output
+        # transition ratio of the first sizing, so about half its gates
+        # warn, and both evaluations warn about the same gates in the
+        # same order.
+        rng = random.Random(seed)
+        cref = ref_params.cref
+        path = windowed_case(rng, n)
+        sizing = [path.input_cap] + [
+            cref if rng.random() < 0.3 else rng.uniform(cref, 400.0)
+            for _ in range(n - 1)]
+        params = ref_params
+        if warn:
+            slopes = PathModel(path, params, ref_library).evaluate(
+                sizing).per_gate_slope
+            ratios = sorted(s_in / s_out for s_in, s_out in zip(
+                (path.driver_slope(), *slopes), slopes))
+            params = dataclasses.replace(
+                params, slope_warn_ratio=max(ratios[n // 2], 1e-3))
+        model = PathModel(path, params, ref_library)
+
+        def evaluated(*args):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                timing = model.evaluate(*args)
+            return timing, [str(w.message) for w in caught]
+
+        timing, _ = evaluated(sizing)
+        for _ in range(3):
+            moved, _, _ = window_edit(rng, path, sizing, window, cref)
+            got, got_warnings = evaluated(moved, timing)
+            want, want_warnings = evaluated(moved)
+            assert repr(got) == repr(want)
+            assert got.sizing == tuple(moved)
+            assert got_warnings == want_warnings
+            sizing, timing = moved, got
 
 
 class TestConvexity:

@@ -1,8 +1,10 @@
 """Constant-sensitivity sizing, constraint distribution, and the baseline."""
 
 import dataclasses
+import logging
 import math
 import random
+import re
 
 import pytest
 
@@ -465,6 +467,37 @@ class TestUnitResponse:
         assert repr(got) == repr(want)
         assert sizing._delay_curvature(model, held) == sum(want) > 0.0
 
+    def test_coupled_passes_match_the_oracle(self, ref_params, ref_library):
+        # Passes of random coupled libraries at random sizes, a fifth of
+        # the gates at cref: most of their H_ff are not positive
+        # definite, and the response is then the dominance-fixed one.
+        # It equals the oracle's solve at unit sizes and a = 0, clamped
+        # gates pinned by a positive residual, bit for bit.
+        rng = random.Random(37)
+        cref = ref_params.cref
+        fixed_count = 0
+        for _ in range(300):
+            library = {kind: dataclasses.replace(
+                t, par_coeff=rng.uniform(0.0, 2.5),
+                cm_override=rng.choice((None, rng.uniform(1.0, 1000.0))))
+                for kind, t in ref_library.items()}
+            n = rng.randint(2, 25)
+            path = LogicPath(gates=tuple(rng.choice(KINDS) for _ in range(n)),
+                             input_cap=rng.uniform(2.0, 10.0),
+                             terminal_load=rng.uniform(2.0, 500.0))
+            model = PathModel(path, ref_params, library)
+            held = model.derivatives([path.input_cap] + [
+                cref if rng.random() < 0.2 else cref * rng.uniform(1.0, 300.0)
+                for _ in range(n - 1)])
+            clamped = model.clamped(held.sizing)
+            want, fixed = oracles.newton_solve(
+                [1.0] * n, [float(c) for c in clamped[1:]], held.diag,
+                held.off, 0.0, clamped, border=True)
+            got = sizing._unit_response(model, held)
+            assert repr(got) == repr(None if want is None else want[1])
+            fixed_count += fixed and want is not None
+        assert fixed_count >= 200
+
 
 class TestSweep:
     def test_single_zero_row(self, ref_params, ref_library, chain13):
@@ -586,16 +619,11 @@ class TestSweep:
                 else:
                     assert got == want, (path, a)
 
-    def test_long_chain_rows_equal_their_solves_one_by_one(
-            self, ref_params, ref_library, monkeypatch):
-        # A 400-gate seeded path on the CLI's 24-point ladder.  Most rows
-        # hold at least 90% of the gates at cref, so most of their passes
-        # are windowed on a few moved gates; the rows still equal, by
-        # repr, a loop of solve_at_sensitivity, each warm from the row
-        # before, whose every pass is a full one.
+    @staticmethod
+    def _long_chain(ref_params, ref_library):
+        """A 400-gate seeded path and the CLI's 24-point ladder on it."""
         rng = random.Random(400)
         n = 400
-        cref = ref_params.cref
         path = LogicPath(gates=tuple(rng.choice(KINDS) for _ in range(n)),
                          input_cap=rng.uniform(2.0, 8.0),
                          terminal_load=rng.uniform(100.0, 2000.0),
@@ -603,9 +631,20 @@ class TestSweep:
                          driver_slope_rise=rng.uniform(0.0, 50.0),
                          driver_slope_fall=rng.uniform(0.0, 50.0))
         t_min = min_delay_sizing(path, ref_params, ref_library)[1]
-        a_deep = -100.0 * t_min / cref
+        a_deep = -100.0 * t_min / ref_params.cref
         ratio = 1e-5 ** (1.0 / 22)
-        ladder = [a_deep * ratio ** k for k in range(23)] + [0.0]
+        return path, [a_deep * ratio ** k for k in range(23)] + [0.0]
+
+    def test_long_chain_rows_equal_their_solves_one_by_one(
+            self, ref_params, ref_library, monkeypatch):
+        # A 400-gate seeded path on the CLI's 24-point ladder.  Most rows
+        # hold at least 90% of the gates at cref, so most of their passes
+        # are windowed on a few moved gates; the rows still equal, by
+        # repr, a loop of solve_at_sensitivity, each warm from the row
+        # before, whose every pass is a full one.
+        path, ladder = self._long_chain(ref_params, ref_library)
+        n = path.n
+        cref = ref_params.cref
         rows, failures = sweep(path, ladder, ref_params, ref_library)
         assert not failures
 
@@ -625,6 +664,30 @@ class TestSweep:
         model = PathModel(path, ref_params, ref_library)
         held = [sum(model.clamped(row.sizing)[1:]) for row in rows]
         assert sum(h >= 0.9 * (n - 1) for h in held) > len(rows) / 2
+
+    def test_long_chain_rows_sweep_only_their_free_rows(
+            self, ref_params, ref_library, caplog):
+        # Each solve logs the Newton rows its steps swept against n - 1
+        # per step.  A row that ends with at least 90% of its gates at
+        # cref sweeps fewer than 10% of them.
+        path, ladder = self._long_chain(ref_params, ref_library)
+        n = path.n
+        caplog.set_level(logging.DEBUG, logger="cmospath.bounds")
+        rows, failures = sweep(path, ladder, ref_params, ref_library)
+        assert not failures
+        swept = [re.search(r"(\d+) steps, .* (\d+) of (\d+) rows swept$",
+                           r.getMessage())
+                 for r in caplog.records if r.name == "cmospath.bounds"]
+        swept = [tuple(map(int, m.groups())) for m in swept if m]
+        assert len(swept) == len(rows) == 24
+        model = PathModel(path, ref_params, ref_library)
+        pinned = 0
+        for row, (steps, done, total) in zip(rows, swept):
+            assert total == (n - 1) * steps
+            if sum(model.clamped(row.sizing)[1:]) >= 0.9 * (n - 1):
+                pinned += 1
+                assert done < 0.1 * total, (row.a_value, done, total)
+        assert pinned > len(rows) / 2
 
     def test_saturated_rows_identical(self, ref_params, ref_library,
                                       chain13):
