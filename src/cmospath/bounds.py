@@ -13,15 +13,15 @@ for bit the full pass, so a step that moves a few gates costs a few
 gates, and one that moves none computes none.  Each step solves the
 log-space system in one sweep that builds and eliminates each row; it
 is the package's one Thomas sweep.  A row pinned at cref solves to
-exactly 0 and cuts the chain, so a warm solve, which can hold most
-gates pinned (a sweep row, say), sweeps only spans of rows that leave
+exactly 0 and cuts the chain, so a solve that starts with many gates
+clamped (a warm sweep row, say) sweeps only spans of rows that leave
 the long runs of pinned rows out.  It tests again only the rows it
 swept and those each new pass computed, since no other row can come
 free, and its proposal, clamp, largest move and certificate read only
 those rows, so an iteration costs about its free rows and the gates it
-moves.  The solve returns its last pass (a path.Pass) in its
-FixedPoint, and a solve warm from that pass opens on it, so it takes no
-pass at its start.
+moves.  Any other solve sweeps every row.  The solve returns its last
+pass (a path.Pass) in its FixedPoint, and a solve warm from that pass
+opens on it, so it takes no pass at its start.
 Steps go in this order of preference: exact Newton; Newton on the exact
 Hessian made diagonally dominant where it loses positive definiteness,
 which strong fixed coupling causes; the chosen step damped toward the
@@ -44,7 +44,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .errors import ConvergenceError
@@ -60,7 +60,8 @@ RESIDUAL_TOL = 1e-6
 SENSITIVITY_REL = 5e-5
 # A sweep visits the pinned rows of a gap shorter than this rather than
 # skip them: a row costs its pin test, a skipped gap about as much as
-# visiting this many rows.
+# visiting this many rows.  A solve that starts with fewer gates clamped
+# holds no such gap worth its bookkeeping and sweeps every row.
 SPAN_GAP = 8
 
 
@@ -132,44 +133,45 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped,
     in the same sweep, each over the rows visited; None when a sweep of
     the dominance-fixed M fails too or a solution is not finite.
     """
-    n = len(cin)
     for dominant in (False, True):
         # A unit row stands ahead of the first; it is dropped at the end.
         piv, r, rv, o, o_raw = 1.0, 0.0, 0.0, 0.0, 0.0
         eliminated = []  # (off, pivot, rhs, border rhs) of each row
         push = eliminated.append
-        rows = (zip(cin[1:], (*cin[2:], 0.0), grad, hd, ho, clamped[1:])
-                if spans is None else chain.from_iterable(
-                    zip(cin[first:last + 1],
-                        (cin[first + 1:last + 2] if last < n - 1
-                         else (*cin[first + 1:], 0.0)),
-                        grad[first - 1:last], hd[first - 1:last],
-                        ho[first - 1:last], clamped[first:last + 1])
-                    for first, last in spans))
-        for cj, cn, g, d, oo, cl in rows:
-            res = cj * (g - a)
-            if cl and res > 0.0:
-                # Pinned: the row above loses its coupling to this one.
-                push((0.0, piv, r, rv))
-                piv, r, rv, o = 1.0, 0.0, 0.0, 0.0
+        blocks = (((cin[1:], (*cin[2:], 0.0), grad, hd, ho, clamped[1:]),)
+                  if spans is None else
+                  [(cin[first:last + 1], (*cin[first + 1:last + 2], 0.0),
+                    grad[first - 1:last], hd[first - 1:last],
+                    ho[first - 1:last], clamped[first:last + 1])
+                   for first, last in spans])
+        for block in blocks:
+            for cj, cn, g, d, oo, cl in zip(*block):
+                res = cj * (g - a)
+                if cl and res > 0.0:
+                    # Pinned: the row above loses its coupling to this one.
+                    push((0.0, piv, r, rv))
+                    piv, r, rv, o = 1.0, 0.0, 0.0, 0.0
+                    if dominant:
+                        o_raw = cj * cn * oo
+                    continue
+                d = cj * cj * d + res
+                o_next = cj * cn * oo
                 if dominant:
-                    o_raw = cj * cn * oo
+                    coupling = abs(o_next) + abs(o_raw)
+                    if not d > coupling:
+                        d = coupling * (1.0 + 1e-9) if coupling else abs(d)
+                    o_raw = o_next
+                push((o, piv, r, rv))
+                w = o / piv
+                piv = d - w * o
+                if not piv > 0.0:
+                    break
+                r = -res - w * r
+                rv = cj - w * rv
+                o = o_next
+            else:
                 continue
-            d = cj * cj * d + res
-            o_next = cj * cn * oo
-            if dominant:
-                coupling = abs(o_next) + abs(o_raw)
-                if not d > coupling:
-                    d = coupling * (1.0 + 1e-9) if coupling else abs(d)
-                o_raw = o_next
-            push((o, piv, r, rv))
-            w = o / piv
-            piv = d - w * o
-            if not piv > 0.0:
-                break
-            r = -res - w * r
-            rv = cj - w * rv
-            o = o_next
+            break  # a pivot failed
         else:
             if not eliminated:
                 return [[], []] if border else [[]]  # no row visited
@@ -195,44 +197,40 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped,
     return None
 
 
-def _spans(spans, runs, n: int):
-    """spans with runs of gates added, each led by the gate before it, and
-    runs that meet or lie fewer than SPAN_GAP rows apart joined; None when
-    they cover every row."""
+def _spans(runs) -> list[tuple[int, int]]:
+    """The spans a sweep visits to cover runs of rows, disjoint and in
+    order: each run led by the row before it, and runs that meet or lie
+    fewer than SPAN_GAP rows apart joined."""
     out = []
-    for lo, hi in sorted([*spans, *((max(1, lo - 1), hi) for lo, hi in runs)]):
+    for lo, hi in sorted((max(1, lo - 1), hi) for lo, hi in runs):
         if out and lo <= out[-1][1] + SPAN_GAP:
             if hi > out[-1][1]:
                 out[-1] = (out[-1][0], hi)
         else:
             out.append((lo, hi))
-    return None if out == [(1, n - 1)] else out
+    return out
 
 
-def _unpinned(held: Pass, a: float, clamped, cref: float, spans=None):
-    """The spans of a sweep over the rows of spans (every row for None)
-    that leaves out those pinned in held by the kernel's own test, but not
-    one below cref, which the clamp lifts; None for every row."""
+def _unpinned(held: Pass, a: float, clamped, cref: float, rows):
+    """The spans of a sweep over rows, (first, last) runs in order of first
+    that may overlap, that leave out the rows held pins by the kernel's
+    own test, but not one below cref, which the clamp lifts."""
     sizes, grad = held.sizing, held.grad
-    n = len(sizes)
-    rows = ((1, n - 1),) if spans is None else spans
-    pins = [j for first, last in rows for j in range(first, last + 1)
-            if clamped[j] and sizes[j] >= cref
-            and sizes[j] * (grad[j - 1] - a) > 0.0]
-    if spans is None and len(pins) < SPAN_GAP:
-        return None  # no run of pinned rows to leave out
     runs = []
-    pins.append(n)
-    k = 0
+    done = 0
     for first, last in rows:
-        while pins[k] <= last:
-            if first < pins[k]:
-                runs.append((first, pins[k] - 1))
-            first = pins[k] + 1
-            k += 1
+        first = max(first, done + 1)
+        if first > last:
+            continue
+        done = last
+        for j in compress(range(first, last + 1), clamped[first:last + 1]):
+            if sizes[j] >= cref and sizes[j] * (grad[j - 1] - a) > 0.0:
+                if first < j:
+                    runs.append((first, j - 1))
+                first = j + 1
         if first <= last:
             runs.append((first, last))
-    return _spans([], runs, n)
+    return _spans(runs)
 
 
 def _newton_step(cin, grad, hd, ho, a: float, clamped,
@@ -242,28 +240,42 @@ def _newton_step(cin, grad, hd, ho, a: float, clamped,
     Solves the system of _newton_solve over spans, exact or made
     diagonally dominant, so the step descends the merit.  The step is
     scaled to at most one e-fold per gate and applied multiplicatively:
-    it returns the proposed sizes of the rows of spans, in order, a pinned
-    row's its own size.  The proposal is returned unclamped so the caller
-    can damp along the undistorted direction; clamping each coordinate
-    here would bend the direction and can turn it uphill.
+    it returns the proposed sizes of the rows of spans (every row for
+    None), in order, a pinned row's its own size.  The proposal is
+    returned unclamped so the caller can damp along the undistorted
+    direction; clamping each coordinate here would bend the direction and
+    can turn it uphill.
     """
-    solved = _newton_solve(cin, grad, hd, ho, a, clamped, spans=spans)
+    solved = _newton_solve(cin, grad, hd, ho, a, clamped, False, spans)
     if solved is None:
         raise ConvergenceError("Newton system degenerated")
     step = solved[0]
     widest = max(map(abs, step)) if step else 0.0
     if widest > 1.0:
         step = [s / widest for s in step]
-    return [c * math.exp(s) for c, s in zip(
-        cin[1:] if spans is None else _sizes(cin, spans), step)]
+    return [c * math.exp(s) for c, s in zip(_rows(cin, spans), step)]
 
 
-def _sizes(cin, spans) -> list[float]:
-    """The sizes of the rows of spans, in order."""
+def _rows(cin, spans) -> list[float]:
+    """The sizes of the rows of spans (every row for None), in order."""
+    if spans is None:
+        return cin[1:]
     sizes = []
     for first, last in spans:
         sizes += cin[first:last + 1]
     return sizes
+
+
+def _put(cin, spans, sizes) -> list[float]:
+    """cin with the rows of spans (every row for None) at sizes."""
+    if spans is None:
+        return [cin[0], *sizes]
+    out = list(cin)
+    k = 0
+    for first, last in spans:
+        out[first:last + 1] = sizes[k:k + last - first + 1]
+        k += last - first + 1
+    return out
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
@@ -285,19 +297,20 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     for every unclamped gate, within MAX_ITERATIONS steps.  Each iteration
     takes a tridiagonal Newton step off the derivative pass that opens it,
     on the exact Hessian; where that is not positive definite, each row
-    that is not diagonally dominant is made so.  A warm solve sweeps only
-    spans of rows (_unpinned): every row but the runs of at least
-    SPAN_GAP rows pinned in the pass held, and tests again after each
-    step only the rows it swept and those the new pass computed (its
-    window), outside which every row keeps its pin; a cold one sweeps
-    every row.  So a gate pinned at cref neither moves nor costs more
-    than its test, often not even that.  Every later
-    pass is windowed on the pass the iteration holds
-    (PathModel.derivatives with a base), so it computes only the gates
-    around the sizes the step moved.  The proposal's own pass gives its
-    delay; the step is accepted only if it does not increase the descent
-    merit T - a * sum(cin), else it is damped toward the previous sizing in
-    log space, up to 20 halvings of one pass each.  A step from a
+    that is not diagonally dominant is made so.  A solve whose first pass
+    has at least SPAN_GAP gates clamped sweeps only spans of rows
+    (_unpinned): every row but the runs of at least SPAN_GAP rows pinned
+    in the pass held.  After each step it tests again only the rows it
+    swept and those the new pass computed (its window), outside which
+    every row keeps its pin.  So a gate pinned at cref neither moves nor
+    costs more than its test, often not even that.  Any other solve
+    sweeps every row at every step.  Every later pass is windowed on the
+    pass the iteration holds (PathModel.derivatives with a base), so it
+    computes only the gates around the sizes the step moved.  The
+    proposal's own pass gives its delay; the step is accepted only if it
+    does not increase the descent merit T - a * sum(cin), else it is
+    damped toward the previous sizing in log space, up to 20 halvings of
+    one pass each.  A step from a
     positive-definite system always descends, so if every damping ascends
     the point is stationary to rounding and the iteration stands still.
     Sizes are clamped at cref from below.  a = 0 is the minimum-delay
@@ -347,24 +360,15 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         here = visit(splice_sizing([None] * n if warm is None else warm,
                                    model.path, cref), None)
     clamped = model.clamped(here[0].sizing)
-    # A warm start (a sweep row's, say) can hold most gates pinned at
-    # cref, so its steps leave out those rows; a cold one, on the taper,
-    # visits every row at every step.  Rows outside the gates a pass
-    # computed keep their pins, so each later step tests only the rows
-    # the step before visited and the new pass's window.
-    spans = (_unpinned(here[0], a, clamped, cref)
-             if warm is not None and n > SPAN_GAP else None)
-
-    def sized(sizes):
-        """cin with the rows of spans (every row for None) at sizes."""
-        if spans is None:
-            return [cin[0], *sizes]
-        out = list(cin)
-        k = 0
-        for first, last in spans:
-            out[first:last + 1] = sizes[k:k + last - first + 1]
-            k += last - first + 1
-        return out
+    # A start with at least SPAN_GAP gates clamped (a sweep row's, say)
+    # can hold long runs of rows pinned at cref, so its steps sweep spans
+    # that leave them out.  Rows outside the gates a pass computed keep
+    # their pins, so each later step tests again only the rows the step
+    # before visited and the new pass's window.  Any other solve
+    # (optimize's, mostly) sweeps every row (spans None) and tests none
+    # again: on optimize's paths that costs less than keeping spans.
+    spans = (_unpinned(here[0], a, clamped, cref, [(1, n - 1)])
+             if sum(clamped) >= SPAN_GAP else None)
 
     for steps in range(1, MAX_ITERATIONS + 1):
         held, merit = here
@@ -373,30 +377,33 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                             spans)
         rows += len(prop)
         ceiling = merit + abs(merit) * 1e-12
-        nxt = visit(sized([max(cref, p) for p in prop]), held)
+        # p if p > cref else cref is max(cref, p) bit for bit, in a third
+        # of the time.
+        nxt = visit(_put(cin, spans, [p if p > cref else cref for p in prop]),
+                    held)
         if nxt[1] > ceiling:
             # Damp along the unclamped direction, clamping after the
             # scale: scaling the clamped proposal instead would keep the
             # bent direction at every lambda.  If every damping ascends,
             # stand still and let the stopping rule decide.
             nxt = here
-            start = cin[1:] if spans is None else _sizes(cin, spans)
+            start = _rows(cin, spans)
             for k in range(1, 21):
                 shrink = 0.5 ** k
-                trial = visit(sized([max(cref, c * (p / c) ** shrink)
-                                     for c, p in zip(start, prop)]), held)
+                trial = visit(_put(cin, spans, [
+                    max(cref, c * (p / c) ** shrink)
+                    for c, p in zip(start, prop)]), held)
                 if trial[1] <= ceiling:
                     nxt = trial
                     break
         new, _ = here = nxt
-        lo, hi = new.first, new.first + new.gates - 1
-        if spans is None or hi - lo == n - 1:
+        lo, hi = new.first + 1, new.first + new.gates - 1
+        if spans is None:
             clamped = model.clamped(new.sizing)
-        elif hi > lo:
-            clamped[lo + 1:hi + 1] = model.clamped(new.sizing[lo + 1:hi + 1])
-        if spans is not None and hi > lo:
+        elif lo <= hi:
+            clamped[lo:hi + 1] = model.clamped(new.sizing[lo:hi + 1])
             spans = _unpinned(new, a, clamped, cref,
-                              _spans(spans, [(lo + 1, hi)], n))
+                              sorted([*spans, (lo, hi)]))
         if (abs(new.total - held.total) <= DELAY_TOL * new.total
                 and _largest_move(new.sizing, cin, lo, hi) < CAP_TOL
                 and certified(model, new, a, spans, clamped)):
@@ -427,13 +434,13 @@ def certified(model: PathModel, held: Pass, a: float, spans=None,
 
     Every unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| +
     RESIDUAL_TOL * T / cref, with T the pass's delay, and no clamped g_j
-    lies more than that below a, which would make it grow.  clamped holds
-    the flags of held's sizes (PathModel.clamped), and only the gates of
-    spans, (first, last) runs outside which every gate is pinned, are
-    read (every gate for None): a pinned gate has g_j > a, so it always
-    passes.  link_fixed_point checks it once a step settles; the
-    bordered Newton of distribute_constraint once its delay lies in its
-    band.
+    lies more than that below a, which would make it grow.  Only the gates
+    of spans are read, (first, last) runs outside which every gate is
+    pinned (every gate by default): a pinned gate has g_j > a, so it
+    always passes.  clamped holds the flags of held's sizes
+    (PathModel.clamped), taken afresh by default.  link_fixed_point checks
+    it once a step settles; the bordered Newton of distribute_constraint
+    once its delay lies in its band.
     """
     tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * held.total / model.params.cref
     if clamped is None:
@@ -446,9 +453,8 @@ def certified(model: PathModel, held: Pass, a: float, spans=None,
 
 
 def _largest_move(new, old, first: int, last: int) -> float:
-    """The largest relative change of a free gate's size, read off gates
-    first..last, outside which no size changed (0.0 for none)."""
-    first = max(first, 1)
+    """The largest relative change of a size among gates first..last,
+    outside which no size changed (0.0 for none)."""
     if first > last:
         return 0.0
     return max(abs(x - y) / y for x, y in zip(new[first:last + 1],

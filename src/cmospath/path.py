@@ -215,6 +215,18 @@ class Pass(NamedTuple):
     first: int = 0
 
 
+def _moved(sizing, base, reach: int) -> tuple[int, int]:
+    """(first, last): the gates from reach before the first size that
+    differs from base's to one past the last, clipped to the chain;
+    (0, -1) when no size differs."""
+    moved = list(map(ne, sizing, base))
+    if not any(moved):
+        return 0, -1
+    n = len(moved)
+    return (max(0, moved.index(True) - reach),
+            min(n - 1, n - moved[::-1].index(True)))
+
+
 def _gate_constants(template: GateTemplate, edge_in: str,
                     params: ProcessParams, v_next: float) -> tuple:
     """A gate's delay constants for one input edge, as a plain tuple:
@@ -323,26 +335,26 @@ class PathModel:
         n = self.n
         first, last = 0, n - 1
         if base is not None:
-            moved = list(map(ne, sizing, base.sizing))
-            if not any(moved):
-                first, last = 0, -1
-            else:
-                first = max(0, moved.index(True) - 1)
-                last = min(n - 1, n - moved[::-1].index(True))
+            first, last = _moved(sizing, base.sizing, 1)
         driver = self.path.driver_slope()
         slope = base.per_gate_slope[first - 1] if first else driver
         delays = []
         slopes = []
+        total = 0.0
         for i in range(first, last + 1):
             x = sizing[i + 1] if i < n - 1 else self.terminal_load
             d, slope = self.stage(i, sizing[i], x, slope)
             delays.append(d)
             slopes.append(slope)
+            total += d
         if base is not None:
             delays = (*base.per_gate_delay[:first], *delays,
                       *base.per_gate_delay[last + 1:])
             slopes = (*base.per_gate_slope[:first], *slopes,
                       *base.per_gate_slope[last + 1:])
+            total = 0.0
+            for d in delays:
+                total += d
         warn_ratio = self.params.slope_warn_ratio
         if warn_ratio is not None:
             slope = driver
@@ -354,9 +366,8 @@ class PathModel:
                         f"transition {t_out:.4g} ps; model accuracy "
                         "degrades for slow inputs", stacklevel=2)
                 slope = t_out
-        return PathTiming(tuple(delays), tuple(slopes),
-                          reduce(add, delays, 0.0), self.total_width(sizing),
-                          tuple(sizing))
+        return PathTiming(tuple(delays), tuple(slopes), total,
+                          self.total_width(sizing), tuple(sizing))
 
     def coefficients(self, sizing) -> CoefficientSet:
         """Freeze Miller factors and parasitics at the given sizing.
@@ -415,12 +426,10 @@ class PathModel:
         n = self.n
         first, last = 0, n - 1
         if base is not None:
-            moved = list(map(ne, sizing, base.sizing))
-            if not any(moved):
+            first, last = _moved(sizing, base.sizing, 2)
+            if first > last:
                 return Pass(base.grad, base.diag, base.off, base.total,
                             sizing, base.terms, 0)
-            first = max(0, moved.index(True) - 2)
-            last = min(n - 1, n - moved[::-1].index(True))
         terms, grad, diag, off = self._window(sizing, first, last)
         if last == n - 1 and off:
             off[-1] = 0.0  # the last gate drives the fixed terminal load

@@ -203,10 +203,14 @@ class TestMinDelaySolver:
                                                     monkeypatch):
         # check_sizing accepts sizes down to cref * (1 - 1e-9).  A warm
         # start there opens on them, and every later sizing the solve
-        # visits has each of them at cref or above, pinned or free.
+        # visits has each of them at cref or above, pinned or free.  With
+        # 11 of them clamped the solve sweeps spans of rows (_unpinned),
+        # and at scale -1e6 the kernel pins every row, so a row below cref
+        # that the spans left out would never be lifted.
         cref = ref_params.cref
         path = LogicPath(gates=("inv", "nand2", "nor2", "inv", "nand3",
-                                "inv"), input_cap=4.0, terminal_load=60.0)
+                                "inv") * 2, input_cap=4.0,
+                         terminal_load=60.0)
         model = PathModel(path, ref_params, ref_library)
         a = scale * max_delay_sizing(path, ref_params, ref_library)[1] / cref
         visited = []
@@ -216,10 +220,19 @@ class TestMinDelaySolver:
             visited.append(tuple(sizing))
             return derivatives(model, sizing, base)
 
+        spans = []
+        unpinned = bounds_module._unpinned
+
+        def tracked(*args):
+            spans.append(unpinned(*args))
+            return spans[-1]
+
         monkeypatch.setattr(PathModel, "derivatives", recording)
+        monkeypatch.setattr(bounds_module, "_unpinned", tracked)
         low = cref * (1.0 - 5e-10)
-        link_fixed_point(model, a, [path.input_cap] + [low] * 5)
-        assert visited[0][1:] == (low,) * 5
+        link_fixed_point(model, a, [path.input_cap] + [low] * 11)
+        assert spans[0] == [(1, 11)]
+        assert visited[0][1:] == (low,) * 11
         assert len(visited) >= 2
         assert all(min(sizes[1:]) >= cref for sizes in visited[1:])
 
@@ -704,8 +717,7 @@ class TestNewtonKernel:
             assert repr(got) == repr(want)
             runs = [(j, j) for j in range(1, m + 1) if j not in pinned]
             lo = rng.randint(1, m)
-            spans = bounds_module._spans([], [*runs, (lo, rng.randint(lo, m))],
-                                         m + 1)
+            spans = bounds_module._spans([*runs, (lo, rng.randint(lo, m))])
             got = full(bounds_module._newton_solve(
                 cin, grad, held.diag, held.off, a, clamped, border, spans),
                 spans, m + 1)
