@@ -22,11 +22,9 @@ each in its own interpreter, and compares the results case by case:
   coupled library (each kind's par_coeff drawn from 0-2.5 and its
   cm_override_ff from None or 1-1000 fF), at 1.01, 1.5 and 3 times its
   t_min there, each result or failure compared by its repr and each
-  difference listed.  On ref.proc alone distribute_constraint never
-  leaves the bordered Newton; with these libraries a few calls do;
-* coupled distribute, fallback forced: the same calls again with the
-  bordered Newton made to give up at once, so every one that reaches a
-  solve runs the bracketed search on a alone, compared the same way;
+  difference listed.  On ref.proc alone the bordered Newton of
+  distribute_constraint never takes a corrector step at fixed a; with
+  these libraries a few calls do;
 * the largest relative numeric drift over every number of the cases
   whose structure agrees (sizes, delays, areas, a values, trace values).
 
@@ -43,8 +41,8 @@ repository root, e.g.
 
 The other tree's src/ comes first; "-" lines are its results, "+" lines
 this tree's.  Exits 1 when any structural difference, infeasible flip,
-area change, sweep row difference or coupled distribute difference
-(forced fallback included) is found, 0 otherwise.
+area change, sweep row difference or coupled distribute difference is
+found, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PROC = os.path.join(ROOT, "fixtures", "ref.proc")
@@ -166,10 +163,6 @@ def worker(argv) -> int:
         out = {"spec": spec, "numbers": {},
                "coupled": coupled_distribute(path, int(seed), index, params,
                                              library)}
-        with mock.patch.object(cmospath.sizing, "_bordered_newton",
-                               lambda *args: (None, 0)):
-            out["fallback"] = coupled_distribute(path, int(seed), index,
-                                                 params, library)
         try:
             t_min = cmospath.min_delay_sizing(path, params, library)[1]
             out["numbers"]["t_min"] = t_min
@@ -256,8 +249,7 @@ def main(argv=None) -> int:
           f"gates={args.gates[0]}-{args.gates[1]}: - {args.other}  + {this}")
 
     structural = flips = area_changes = rows = rows_differ = 0
-    calls = {"coupled": 0, "fallback": 0}
-    calls_differ = dict.fromkeys(calls, 0)
+    calls = calls_differ = 0
     greedy = {mode: {"lower": 0, "higher": 0, "equal": 0}
               for mode in ("pair", "single")}
     largest_area = (0.0, None)
@@ -303,15 +295,13 @@ def main(argv=None) -> int:
                 print(f"{label}: sweep row {k} differs")
                 print(f"  - {ra}")
                 print(f"  + {rb}")
-        for key, what in (("coupled", ""), ("fallback", ", fallback forced")):
-            calls[key] += len(a[key])
-            for ratio, ra, rb in zip(COUPLED_RATIOS, a[key], b[key]):
-                if ra != rb:
-                    calls_differ[key] += 1
-                    print(f"{label}: coupled distribute{what} at {ratio} "
-                          f"t_min differs")
-                    print(f"  - {ra}")
-                    print(f"  + {rb}")
+        calls += len(a["coupled"])
+        for ratio, ra, rb in zip(COUPLED_RATIOS, a["coupled"], b["coupled"]):
+            if ra != rb:
+                calls_differ += 1
+                print(f"{label}: coupled distribute at {ratio} t_min differs")
+                print(f"  - {ra}")
+                print(f"  + {rb}")
         if sa["result"] == sb["result"] == "ok":
             change = (nb["area"] - na["area"]) / na["area"]
             if abs(change) > abs(largest_area[0]):
@@ -328,15 +318,12 @@ def main(argv=None) -> int:
               f"{counts['higher']} higher, {counts['equal']} equal")
     print(f"# sweep on the {SWEEP_POINTS}-point ladder: {rows} rows, "
           f"{rows_differ} differ")
-    print(f"# coupled distribute: {calls['coupled']} calls, "
-          f"{calls_differ['coupled']} differ")
-    print(f"# coupled distribute, fallback forced: {calls['fallback']} "
-          f"calls, {calls_differ['fallback']} differ")
+    print(f"# coupled distribute: {calls} calls, {calls_differ} differ")
     print(f"# largest area change {largest_area[0]:+.3e} "
           f"(case {largest_area[1]}); largest relative drift "
           f"{drift[0]:.3e} (case {drift[1]}, {drift[2]})")
     differs = (structural or flips or area_changes or rows_differ
-               or any(calls_differ.values()))
+               or calls_differ)
     return 1 if differs else 0
 
 

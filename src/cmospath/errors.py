@@ -38,16 +38,17 @@ class InfeasibleError(CmosPathError):
 
 
 class ConvergenceError(CmosPathError):
-    """An iterative solver ran out of iterations.
+    """An iterative solver gave up or ran out of iterations.
 
-    Carries the iteration count and the last residual so the failure is
-    diagnosable from the message alone.
+    Carries the iteration count and the last residual, when the solver
+    has one, so the failure is diagnosable from the message alone.
     """
 
     def __init__(self, message: str, iterations: int | None = None,
                  residual: float | None = None):
         if iterations is not None:
-            message = f"{message} (iterations={iterations}, residual={residual:.3e})"
+            tail = "" if residual is None else f", residual={residual:.3e}"
+            message = f"{message} (iterations={iterations}{tail})"
         super().__init__(message)
         self.iterations = iterations
         self.residual = residual

@@ -33,8 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from operator import add, ne
+from operator import ne
 from typing import NamedTuple, Sequence
 
 from .errors import ConfigError
@@ -441,8 +440,11 @@ class PathModel:
             grad = (*base.grad[:first], *grad, *base.grad[last:])
             diag = [*base.diag[:first], *diag, *base.diag[last:]]
             off = [*base.off[:first], *off, *base.off[last:]]
-        return Pass(grad, diag, off, reduce(add, terms), sizing, terms,
-                    last - first + 1, first)
+        total = 0.0
+        for term in terms:
+            total += term
+        return Pass(grad, diag, off, total, sizing, terms, last - first + 1,
+                    first)
 
     def _window(self, sizing, first: int, last: int):
         """Gates first..last of a derivative pass, the one copy of its

@@ -11,12 +11,12 @@ engine's are, and one Thomas sweep with two right-hand sides per step,
 opened by an Euler predictor from the fastest sizing.  Every sweep, the
 predictor's H^-1 1 included, is the engine's (bounds._newton_solve).
 It stops on the engine's one certificate (bounds.certified) once the
-delay lands in tc * (1 - 1e-3) <= delay <= tc.  Where it gives up
-(strong fixed coupling can leave the log-space system indefinite), a
-bracketed Newton search on a alone, one fixed-point solve per step,
-takes over.  A tc at or above the all-minimum-drive delay takes that
-corner with no solve.  The equal-delay-per-stage reference sizing is a
-heuristic for comparison, not an optimizer.
+delay lands in tc * (1 - 1e-3) <= delay <= tc.  Where strong fixed
+coupling folds the solution branch back in a and the iterate leaves it,
+a corrector step at fixed a, from the same sweep, takes it back.  A tc
+at or above the all-minimum-drive delay takes that corner with no
+solve.  The equal-delay-per-stage reference sizing is a heuristic for
+comparison, not an optimizer.
 """
 
 from __future__ import annotations
@@ -92,21 +92,8 @@ def _unit_response(model: PathModel, held: Pass) -> list[float] | None:
     return None if solved is None else solved[1]
 
 
-def _delay_curvature(model: PathModel, held: Pass) -> float | None:
-    """q = 1^T H_ff^-1 1 at a constant-sensitivity point, so dT/da = a * q.
-
-    dT/da = g^T dcin/da = a * q, with dcin/da from _unit_response.
-    Returns None when that fails or q is not positive.
-    """
-    x = _unit_response(model, held)
-    if x is None:
-        return None
-    q = sum(x)
-    return q if 0.0 < q < math.inf else None
-
-
 def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
-                     first: Pass) -> tuple[SensitivitySolution | None, int]:
+                     first: Pass) -> tuple[SensitivitySolution, int, int]:
     """Newton on the log sizes y and the sensitivity a together.
 
     The unknowns (y, a) solve r_j = c_j (g_j - a) = 0 over the free gates
@@ -116,27 +103,32 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
     derivative pass, windowed on the pass it holds (`first` on the first
     step), and one sweep of M for two right-hand sides, M u = -r and
     M v = c; then da = (target - T - (c*g).u) / ((c*g).v) and dy = u + v
-    da.  At a = 0 the
+    da.  Where (c*g).v is not negative, the iterate has left the solution
+    branch (strong fixed coupling can fold it back in a), and the step is
+    a corrector at fixed a instead: da = 0 and dy = u.  At a = 0 the
     delay is flat to first order, so the first step is the Euler
     predictor from the fastest sizing, whose pass is `first`: da = a0 =
     -sqrt(2 (target - t_min) / q) and dy = a0 * H^-1 1 / c.  Every step
     is scaled to at most one e-fold per gate, and further so that a stops
     halfway to 0 if it would reach it; sizes are clamped at cref.  It
     stops on the engine's certificate (bounds.certified) once the
-    evaluated delay lies in the band.  Returns the solution (None when it
-    gives up: a sweep fails even on the dominance-fixed M, (c*g).v is not
-    negative and finite, or MAX_SENSITIVITY_STEPS iterations pass) and
-    the iterations taken.
+    evaluated delay lies in the band.  Returns the solution, the
+    iterations and the corrector steps among them.  Raises
+    ConvergenceError with the iterations and the last (T - tc) / tc when
+    q is not positive, a sweep fails even on the dominance-fixed M, da is
+    not finite, or MAX_SENSITIVITY_STEPS iterations pass.
     """
     cref = model.params.cref
     low = tc * (1.0 - DELAY_MATCH_TOL)
     target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
-    a, cin, held = 0.0, list(bounds.sizing_min), first
+    a, cin, held, delay = 0.0, list(bounds.sizing_min), first, bounds.t_min
+    corrections = 0
     x = _unit_response(model, first)
     q = sum(x) if x is not None else math.nan
     if not 0.0 < q < math.inf:
-        return None, 0
-    da = -math.sqrt(2.0 * (target - bounds.t_min) / q)
+        raise ConvergenceError("no delay curvature at the fastest sizing",
+                               iterations=0, residual=(delay - tc) / tc)
+    da = -math.sqrt(2.0 * (target - delay) / q)
     dy = [da * dc / c for c, dc in zip(cin[1:], x)]
     for iteration in range(1, MAX_SENSITIVITY_STEPS + 1):
         scale = 1.0 / max(1.0, max(abs(d) for d in dy))
@@ -152,77 +144,32 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
             if low <= timing.total_delay <= tc:
                 return SensitivitySolution(
                     a_value=a, sizing=tuple(cin), delay=timing.total_delay,
-                    area=timing.total_width), iteration
+                    area=timing.total_width), iteration, corrections
         solved = _newton_solve(cin, grad, held.diag, held.off, a,
                                model.clamped(cin), border=True)
         if solved is None:
-            return None, iteration
+            break
         u, v = solved
         cg = [c * g for c, g in zip(cin[1:], grad)]
         slope = sum(w * vj for w, vj in zip(cg, v))
         if not -math.inf < slope < 0.0:
-            return None, iteration
+            da, dy = 0.0, u
+            corrections += 1
+            continue
         da = (target - delay - sum(w * uj for w, uj in zip(cg, u))) / slope
         if not math.isfinite(da):
-            return None, iteration
+            break
         dy = [uj + vj * da for uj, vj in zip(u, v)]
-    return None, MAX_SENSITIVITY_STEPS
+    raise ConvergenceError("sensitivity search did not meet the constraint",
+                           iterations=iteration, residual=(delay - tc) / tc)
 
 
 def _floor_sensitivity(model: PathModel, bounds: DelayBounds) -> float:
-    """An a at which the all-minimum corner holds: too slow below t_max.
-
-    The lower of -1e6 * t_min / cref and twice the steepest gate
-    sensitivity at the corner, so below every one of them.
-    """
+    """The a reported with the all-minimum corner, tc >= t_max: the lower
+    of -1e6 * t_min / cref and twice the steepest gate sensitivity there,
+    so below every one of them, where the corner holds."""
     return min(-1e6 * bounds.t_min / model.params.cref, 2.0 * min(
         model.derivatives(bounds.sizing_max).grad, default=0.0))
-
-
-def _bracketed(model: PathModel, bounds: DelayBounds, tc: float,
-               first: Pass) -> tuple[SensitivitySolution, int]:
-    """The fallback: a safeguarded Newton search on a alone.
-
-    Each step solves the fixed point at a, warm from the last pass of the
-    previous one, with dT/da = a * q; q is read off the Hessian of that
-    pass.  first is the pass at the fastest sizing, where the first solve
-    opens and the first step uses the quadratic model T = t_min + q a^2 /
-    2.  A step that leaves the
-    bracket of a values known to be too slow and too fast falls back to
-    the bracket's geometric mean.  Returns the solution and the
-    derivative passes taken.
-    """
-    low = tc * (1.0 - DELAY_MATCH_TOL)
-    target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
-    # T(a) rises monotonically as a falls below 0.  lo is too slow (at
-    # the floor T = t_max > tc), hi too fast.
-    lo, hi = _floor_sensitivity(model, bounds), 0.0
-    passes = 1  # the floor's pass at the all-minimum corner
-    a, held, delay = 0.0, first, bounds.t_min
-    for _ in range(MAX_SENSITIVITY_STEPS):
-        q = _delay_curvature(model, held)
-        if q is None:
-            step = math.nan  # fails the bracket test below
-        elif a == 0.0:
-            step = -math.sqrt(2.0 * (target - delay) / q)
-        else:
-            step = a - (delay - target) / (a * q)
-        if lo < step < hi:
-            a = step
-        else:
-            a = -math.sqrt(lo * hi) if hi < 0.0 else lo / 8.0
-        fixed = link_fixed_point(model, a=a, warm=held)
-        held, delay = fixed.pass_, fixed.timing.total_delay
-        passes += fixed.passes
-        if low <= delay <= tc:
-            return _solution(a, fixed), passes
-        if delay > tc:
-            lo = a
-        else:
-            hi = a
-    raise ConvergenceError("sensitivity search did not meet the constraint",
-                           iterations=MAX_SENSITIVITY_STEPS,
-                           residual=(delay - tc) / tc)
 
 
 def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
@@ -233,14 +180,12 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
     The result's evaluated delay lies in the one-sided band tc * (1 -
     1e-3) <= delay <= tc, and its sizing carries bounds.certified at its
     sensitivity a.  The fastest sizing (a = 0, taken from bounds) answers
-    when it already lies in the band.  Otherwise one
-    Newton iteration on the log sizes and a together (_bordered_newton)
-    aims at the band's middle from the fastest sizing; if it gives up,
-    the bracketed search on a alone (_bracketed), which runs a full
-    fixed-point solve per step, takes over from the fastest sizing.  tc
-    below t_min raises InfeasibleError carrying t_min; tc at or above
-    t_max returns the all-minimum sizing with a note, at the floor
-    sensitivity (_floor_sensitivity).
+    when it already lies in the band.  Otherwise one Newton iteration on
+    the log sizes and a together (_bordered_newton) aims at the band's
+    middle from the fastest sizing, and raises ConvergenceError where it
+    cannot go on.  tc below t_min raises InfeasibleError carrying t_min;
+    tc at or above t_max returns the all-minimum sizing with a note, at
+    the floor sensitivity (_floor_sensitivity).
     """
     if not tc > 0:
         raise ValueError("tc must be positive")
@@ -264,14 +209,10 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
             area=model.total_width(bounds.sizing_min))
 
     first = model.derivatives(bounds.sizing_min)
-    sol, iterations = _bordered_newton(model, bounds, tc, first)
-    route, passes = "bordered", 1 + iterations
-    if sol is None:
-        route = "fallback"
-        sol, extra = _bracketed(model, bounds, tc, first)
-        passes += extra
-    logger.debug("distribute: %s route, %d bordered iterations, "
-                 "%d derivative passes", route, iterations, passes)
+    sol, iterations, corrections = _bordered_newton(model, bounds, tc, first)
+    logger.debug("distribute: %d bordered iterations, %d corrector steps, "
+                 "%d derivative passes", iterations, corrections,
+                 1 + iterations)
     return sol
 
 

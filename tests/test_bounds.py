@@ -389,6 +389,13 @@ class TestMinDelaySolver:
         assert err.value.iterations == 1
         assert err.value.residual is not None
 
+    def test_convergence_error_formats_a_residual_only_when_given(self):
+        assert str(ConvergenceError("x", iterations=3)) == \
+            "x (iterations=3)"
+        assert str(ConvergenceError("x", iterations=3, residual=-0.5)) == \
+            "x (iterations=3, residual=-5.000e-01)"
+        assert str(ConvergenceError("x")) == "x"
+
     def test_logs_one_line_per_solve(self, ref_params, ref_library,
                                      chain13, caplog):
         # steps and passes as the FixedPoint counts them, and the gates

@@ -1,6 +1,7 @@
 """Constant-sensitivity sizing, constraint distribution, and the baseline."""
 
 import dataclasses
+import itertools
 import logging
 import math
 import random
@@ -127,23 +128,29 @@ class TestDistributeConstraint:
 
     FIXTURE_RATIOS = (1.05, 1.1, 1.2, 1.5, 2.0, 2.5, 3.0, 4.0)
 
+    @staticmethod
+    def _logged_steps(caplog):
+        """(bordered iterations, corrector steps, derivative passes) of each
+        distribute call logged so far, in call order."""
+        logged = [re.fullmatch(r"distribute: (\d+) bordered iterations, "
+                               r"(\d+) corrector steps, (\d+) derivative "
+                               r"passes", r.getMessage())
+                  for r in caplog.records if r.name == "cmospath.sizing"]
+        return [tuple(map(int, m.groups())) for m in logged if m]
+
     @pytest.fixture
     def fixture_calls(self, ref_params, ref_library, chain11, chain13,
-                      heavy_path, monkeypatch):
+                      heavy_path, monkeypatch, caplog):
         """Run the 24 fixture calls; each call's derivative passes, the
-        sizings they were taken at, its route and its floor passes."""
+        sizings they were taken at, its corrector steps and its floor
+        passes."""
         real_derivatives = PathModel.derivatives
-        real_bracketed = sizing._bracketed
         real_floor = sizing._floor_sensitivity
         calls = []
 
         def derivatives(model, at, base=None):
             calls[-1]["passes"].append(tuple(at))
             return real_derivatives(model, at, base)
-
-        def bracketed(*args):
-            calls[-1]["route"] = "fallback"
-            return real_bracketed(*args)
 
         def floor(*args):
             calls[-1]["floor"] += 1
@@ -152,16 +159,20 @@ class TestDistributeConstraint:
         paths = [(path, compute_bounds(path, ref_params, ref_library))
                  for path in (chain11, chain13, heavy_path)]
         monkeypatch.setattr(PathModel, "derivatives", derivatives)
-        monkeypatch.setattr(sizing, "_bracketed", bracketed)
         monkeypatch.setattr(sizing, "_floor_sensitivity", floor)
+        caplog.set_level(logging.DEBUG, logger="cmospath.sizing")
         for path, bounds in paths:
             for ratio in self.FIXTURE_RATIOS:
                 tc = ratio * bounds.t_min
-                calls.append({"bounds": bounds, "route": "bordered",
-                              "passes": [], "floor": 0})
+                calls.append({"bounds": bounds, "passes": [], "floor": 0})
+                caplog.clear()
                 sol = distribute_constraint(path, tc, ref_params, ref_library,
                                             bounds=bounds)
                 assert tc * (1.0 - 1e-3) <= sol.delay <= tc
+                (iterations, corrections, passes), = \
+                    self._logged_steps(caplog)
+                assert passes == len(calls[-1]["passes"]) == 1 + iterations
+                calls[-1]["corrections"] = corrections
         return calls
 
     def test_few_passes_per_call(self, fixture_calls):
@@ -174,13 +185,14 @@ class TestDistributeConstraint:
         assert max(passes) <= 16
 
     def test_fixture_calls_take_the_bordered_route(self, fixture_calls):
-        assert [call["route"] for call in fixture_calls] == \
-            ["bordered"] * 24
+        # On ref.proc the delay always falls along the step in a: no call
+        # needs a corrector step at fixed a.
+        assert [call["corrections"] for call in fixture_calls] == [0] * 24
 
     def test_no_corner_pass_below_the_ceiling(self, fixture_calls):
         # The first pass is at the fastest sizing, which the bounds hold.
         # The floor sensitivity, and its pass at the all-minimum corner,
-        # is only needed at or above t_max or by the fallback's bracket.
+        # is only needed at or above t_max.
         for call in fixture_calls:
             assert call["passes"][0] == call["bounds"].sizing_min
             assert call["floor"] == 0
@@ -256,111 +268,99 @@ class TestDistributeConstraint:
         assert len(computed) > 2
         assert sum(computed) < path.n * len(computed)
 
-    def test_bracket_alone_meets_the_band(self, ref_params, ref_library,
-                                          chain11, monkeypatch):
-        # With the joint iteration giving up and no usable dT/da (an
-        # indefinite Hessian), every step falls back to the bracket:
-        # a_floor / 8 toward 0 until the delay drops below tc, then
-        # geometric means.
-        monkeypatch.setattr(sizing, "_bordered_newton",
-                            lambda *args: (None, 0))
-        monkeypatch.setattr(sizing, "_delay_curvature", lambda *args: None)
-        bounds = compute_bounds(chain11, ref_params, ref_library)
-        for ratio in (1.01, 1.5, 4.0):
-            tc = ratio * bounds.t_min
-            sol = distribute_constraint(chain11, tc, ref_params, ref_library,
-                                        bounds=bounds)
-            assert tc * (1.0 - 1e-3) <= sol.delay <= tc
-
-    @pytest.mark.parametrize("curvature", ["exact", "none"])
-    def test_bracket_opens_each_solve_on_the_pass_before(
-            self, ref_params, ref_library, chain11, curvature, monkeypatch):
-        # The fallback alone, as in the test above (and with its dT/da
-        # left in), run twice: as it is, and with every warm solve started
-        # from the FixedPoint's sizing alone, which takes a fresh pass
-        # there.  The results agree bit for bit, and each solve saves one
-        # pass.
-        monkeypatch.setattr(sizing, "_bordered_newton",
-                            lambda *args: (None, 0))
-        if curvature == "none":
-            monkeypatch.setattr(sizing, "_delay_curvature",
-                                lambda *args: None)
-        real_solve = sizing.link_fixed_point
-        real_derivatives = PathModel.derivatives
-        count = {}
-
-        def derivatives(model, at, base=None):
-            count["passes"] += 1
-            return real_derivatives(model, at, base)
-
-        def run(path, tc, bounds, from_sizing):
-            def solve(model, a=0.0, warm=None):
-                count["solves"] += 1
-                assert isinstance(warm, Pass)
-                return real_solve(model, a=a,
-                                  warm=warm.sizing if from_sizing else warm)
-
-            monkeypatch.setattr(sizing, "link_fixed_point", solve)
-            count.update(passes=0, solves=0)
-            sol = distribute_constraint(path, tc, ref_params, ref_library,
-                                        bounds=bounds)
-            assert tc * (1.0 - 1e-3) <= sol.delay <= tc
-            return repr(sol), dict(count)
-
-        bounds = compute_bounds(chain11, ref_params, ref_library)
-        monkeypatch.setattr(PathModel, "derivatives", derivatives)
-        for ratio in (1.01, 1.5, 4.0):
-            tc = ratio * bounds.t_min
-            got, counts = run(chain11, tc, bounds, from_sizing=False)
-            want, fresh = run(chain11, tc, bounds, from_sizing=True)
-            assert got == want
-            assert counts["solves"] == fresh["solves"] > 0
-            assert counts["passes"] == fresh["passes"] - fresh["solves"]
-
-    @pytest.mark.parametrize("route", ["chosen", "fallback"])
-    def test_random_coupled_results_are_certified(self, ref_params,
-                                                  ref_library, route,
-                                                  monkeypatch):
-        # Random coupled libraries, as in the fixed-point engine's test:
-        # every result lands in the band and carries the fixed point's
-        # certificate at its own sizing and a, whichever route made it.
-        # This seed sends a few calls to the fallback by itself; the
-        # second run sends every call there.
-        if route == "fallback":
-            monkeypatch.setattr(sizing, "_bordered_newton",
-                                lambda *args: (None, 0))
-        rng = random.Random(2)
-        for _ in range(200):
+    @staticmethod
+    def _coupled_draws(ref_library, seed):
+        """Random coupled libraries and paths, as in the fixed-point
+        engine's test: an endless stream of (library, path) draws."""
+        rng = random.Random(seed)
+        while True:
             library = {kind: dataclasses.replace(
                 t, par_coeff=rng.uniform(0.0, 2.5),
                 cm_override=rng.choice((None, rng.uniform(1.0, 1000.0))))
                 for kind, t in ref_library.items()}
             n = rng.randint(2, 24)
-            path = LogicPath(gates=tuple(rng.choice(KINDS) for _ in range(n)),
-                             input_cap=rng.uniform(2.0, 10.0),
-                             terminal_load=rng.uniform(2.0, 500.0))
+            yield library, LogicPath(
+                gates=tuple(rng.choice(KINDS) for _ in range(n)),
+                input_cap=rng.uniform(2.0, 10.0),
+                terminal_load=rng.uniform(2.0, 500.0))
+
+    @staticmethod
+    def _assert_certified(sol, tc, model, label):
+        """sol lands in the band and carries the fixed point's certificate
+        at its own sizing and a, unless it is the all-minimum corner."""
+        assert sol.delay <= tc, label
+        if sol.note is not None:
+            return  # the all-minimum corner, tc >= t_max
+        assert tc * (1.0 - 1e-3) <= sol.delay, label
+        grad, _, _, delay = model.derivatives(sol.sizing)[:4]
+        a = sol.a_value
+        tol = 5e-5 * -a + 1e-6 * delay / model.params.cref
+        clamped = model.clamped(sol.sizing)
+        assert all(abs(grad[j - 1] - a) <= tol for j in range(1, model.n)
+                   if not clamped[j]), label
+
+    def test_random_coupled_results_are_certified(self, ref_params,
+                                                  ref_library):
+        # Every result lands in the band and carries the certificate.
+        draws = self._coupled_draws(ref_library, 2)
+        for library, path in itertools.islice(draws, 200):
             model = PathModel(path, ref_params, library)
             bounds = compute_bounds(path, ref_params, library)
             for ratio in (1.01, 1.5, 3.0):
                 tc = ratio * bounds.t_min
                 sol = distribute_constraint(path, tc, ref_params, library,
                                             bounds=bounds)
-                assert sol.delay <= tc, (path, ratio)
-                if sol.note is not None:
-                    continue  # the all-minimum corner, tc >= t_max
-                assert tc * (1.0 - 1e-3) <= sol.delay, (path, ratio)
-                grad, _, _, delay = model.derivatives(sol.sizing)[:4]
-                a = sol.a_value
-                tol = 5e-5 * -a + 1e-6 * delay / ref_params.cref
-                clamped = model.clamped(sol.sizing)
-                assert all(abs(grad[j - 1] - a) <= tol for j in range(1, n)
-                           if not clamped[j]), (path, ratio)
+                self._assert_certified(sol, tc, model, (path, ratio))
+
+    # (rng seed, draw index, t_min ratio) of the coupled draws whose
+    # iterate leaves the solution branch: (c*g).v turns positive, so the
+    # delay would rise along the step in a, while it still sits at 1.05
+    # to 1.18 t_min.  Each needs a corrector step at fixed a.
+    FOLDS = ((0, 0, 1.5), (0, 0, 3.0), (0, 209, 1.5), (2, 79, 3.0),
+             (2, 85, 1.5), (2, 85, 3.0), (2, 215, 1.5))
+
+    @pytest.mark.parametrize("seed, index, ratio", FOLDS)
+    def test_folds_take_a_corrector_step_and_are_certified(
+            self, ref_params, ref_library, seed, index, ratio, caplog):
+        library, path = next(itertools.islice(
+            self._coupled_draws(ref_library, seed), index, None))
+        bounds = compute_bounds(path, ref_params, library)
+        tc = ratio * bounds.t_min
+        caplog.set_level(logging.DEBUG, logger="cmospath.sizing")
+        sol = distribute_constraint(path, tc, ref_params, library,
+                                    bounds=bounds)
+        self._assert_certified(sol, tc, PathModel(path, ref_params, library),
+                               path)
+        (_, corrections, _), = self._logged_steps(caplog)
+        assert corrections >= 1
+
+    def test_gives_up_with_a_typed_error(self, ref_params, ref_library,
+                                         chain11, monkeypatch):
+        # A sweep of the bordered system that fails even on the
+        # dominance-fixed M leaves no step to take: the call raises
+        # ConvergenceError with the iterations taken and the relative miss
+        # (delay - tc) / tc of the pass it holds.  The predictor's sweep,
+        # at a = 0, still runs.
+        real_solve = sizing._newton_solve
+        monkeypatch.setattr(
+            sizing, "_newton_solve",
+            lambda cin, grad, hd, ho, a, clamped, border=False:
+            None if a < 0.0 else real_solve(cin, grad, hd, ho, a, clamped,
+                                            border))
+        bounds = compute_bounds(chain11, ref_params, ref_library)
+        tc = 1.5 * bounds.t_min
+        with pytest.raises(ConvergenceError, match=r"\(iterations=1, "
+                           r"residual=-?\d\.\d{3}e[+-]\d\d\)") as err:
+            distribute_constraint(chain11, tc, ref_params, ref_library,
+                                  bounds=bounds)
+        assert err.value.iterations == 1
+        assert -1.0 < err.value.residual < 1.0
 
     def test_floor_sits_below_the_corner_sensitivities(self, ref_params,
                                                        ref_library):
         # Under a huge load the corner's steepest sensitivity lies far
-        # below -1e6 * t_min / cref, so the bracket's too-slow end is twice
-        # that steepest sensitivity, where the corner still holds.
+        # below -1e6 * t_min / cref, so the floor sensitivity reported at
+        # the corner is twice that steepest one, where the corner holds.
         path = LogicPath(gates=("inv",) * 3, input_cap=4.0,
                          terminal_load=1e12)
         bounds = compute_bounds(path, ref_params, ref_library)
@@ -465,7 +465,6 @@ class TestUnitResponse:
                                  diag, off)
         got = sizing._unit_response(model, held)
         assert repr(got) == repr(want)
-        assert sizing._delay_curvature(model, held) == sum(want) > 0.0
 
     def test_coupled_passes_match_the_oracle(self, ref_params, ref_library):
         # Passes of random coupled libraries at random sizes, a fifth of
