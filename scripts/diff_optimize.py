@@ -10,6 +10,9 @@ each in its own interpreter, and compares the results case by case:
   infeasible;
 * area changes: both trees solve the case but their areas differ by more
   than 1e-9 relative, with or without a structural difference;
+* min-delay steps: the Newton steps min_delay_sizing takes on the
+  case's path (the third item it returns), each change listed, so a
+  refactor shows the same iterations as well as the same outputs;
 * greedy t_min: min_delay_with_buffers on the case's path in its buffer
   mode, counted per mode as lower, higher or equal (1e-9 relative),
   each change listed;
@@ -42,7 +45,8 @@ repository root, e.g.
 The other tree's src/ comes first; "-" lines are its results, "+" lines
 this tree's.  Exits 1 when any structural difference, infeasible flip,
 area change, sweep row difference or coupled distribute difference is
-found, 0 otherwise.
+found, 0 otherwise; min-delay step and greedy t_min changes are listed
+but leave the exit status alone.
 """
 
 from __future__ import annotations
@@ -164,7 +168,8 @@ def worker(argv) -> int:
                "coupled": coupled_distribute(path, int(seed), index, params,
                                              library)}
         try:
-            t_min = cmospath.min_delay_sizing(path, params, library)[1]
+            _, t_min, out["steps"] = cmospath.min_delay_sizing(path, params,
+                                                               library)
             out["numbers"]["t_min"] = t_min
             out["sweep"] = sweep_rows(path, t_min, params, library)
             out["numbers"]["greedy_t_min"] = cmospath.min_delay_with_buffers(
@@ -249,6 +254,7 @@ def main(argv=None) -> int:
           f"gates={args.gates[0]}-{args.gates[1]}: - {args.other}  + {this}")
 
     structural = flips = area_changes = rows = rows_differ = 0
+    steps_differ = 0
     calls = calls_differ = 0
     greedy = {mode: {"lower": 0, "higher": 0, "equal": 0}
               for mode in ("pair", "single")}
@@ -278,6 +284,10 @@ def main(argv=None) -> int:
                 gap = relative(na[name], nb[name])
                 if gap > drift[0]:
                     drift = (gap, index, name)
+        if a.get("steps") != b.get("steps"):
+            steps_differ += 1
+            print(f"{label}: min-delay steps {a.get('steps')} -> "
+                  f"{b.get('steps')}")
         if "greedy_t_min" in na and "greedy_t_min" in nb:
             old_t, new_t = na["greedy_t_min"], nb["greedy_t_min"]
             verdict = ("equal" if relative(old_t, new_t) <= RTOL
@@ -313,6 +323,7 @@ def main(argv=None) -> int:
 
     print(f"# {len(old)} cases: {structural} structural differences, "
           f"{flips} infeasible flips, {area_changes} area changes")
+    print(f"# min-delay steps: {len(old)} cases, {steps_differ} differ")
     for mode, counts in greedy.items():
         print(f"# greedy t_min, {mode} mode: {counts['lower']} lower, "
               f"{counts['higher']} higher, {counts['equal']} equal")

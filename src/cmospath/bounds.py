@@ -1,27 +1,28 @@
 """Delay bounds of a bounded path: slowest and fastest reachable delay.
 
-The slowest corner is every free gate at minimum drive.  The fastest
-corner makes every free gate's exact delay sensitivity vanish.  A cold
-solve starts on the geometric taper from the fixed input capacitance to
-the terminal load, cin[i] = input_cap * (load / input_cap)^(i/n) held at
-cref or above, then runs log-space Newton iterations on the exact model.
-Each sizing visited gets one pass (exact gradient, tridiagonal Hessian
-and delay), which judges the step to it and opens the next iteration.
-A pass is windowed on the pass the iteration holds: it computes only
-the gates next to the sizes the step moved and splices them in, bit
-for bit the full pass, so a step that moves a few gates costs a few
-gates, and one that moves none computes none.  Each step solves the
-log-space system in one sweep that builds and eliminates each row; it
-is the package's one Thomas sweep.  A row pinned at cref solves to
-exactly 0 and cuts the chain, so a solve that starts with many gates
-clamped (a warm sweep row, say) sweeps only spans of rows that leave
-the long runs of pinned rows out.  It tests again only the rows it
-swept and those each new pass computed, since no other row can come
-free, and its proposal, clamp, largest move and certificate read only
-those rows, so an iteration costs about its free rows and the gates it
-moves.  Any other solve sweeps every row.  The solve returns its last
-pass (a path.Pass) in its FixedPoint, and a solve warm from that pass
-opens on it, so it takes no pass at its start.
+The slowest corner is every free gate at minimum drive (all_minimum).
+The fastest makes every free gate's exact delay sensitivity vanish.  A
+cold solve starts on the geometric taper from the fixed input
+capacitance to the terminal load, cin[i] = input_cap * (load /
+input_cap)^(i/n) held at cref or above, then runs log-space Newton
+iterations on the exact model.  Each sizing visited gets one pass (exact
+gradient, tridiagonal Hessian and delay), which judges the step to it
+and opens the next iteration.  A pass is windowed on the pass the
+iteration holds: it computes only the gates next to the sizes the step
+moved and splices them in, bit for bit the full pass, so a step that
+moves a few gates costs a few gates, and one that moves none computes
+none.  Each step solves the log-space system in one sweep that builds
+and eliminates each row; it is the package's one Thomas sweep.  The
+sweep, the proposal, the clamp and the certificate read one row set,
+spans: (first, last) runs of gates, the whole chain [(1, n - 1)] unless
+the solve leaves rows out.  A row pinned at cref solves to exactly 0 and
+cuts the chain, so a solve that starts with many gates clamped (a warm
+sweep row, say) sweeps spans that leave the long runs of pinned rows
+out, and tests again only the rows it swept and those each new pass
+computed, since no other row can come free; its iterations cost about
+its free rows and the gates they move.  The solve returns its last pass
+in its FixedPoint, and a solve warm from that FixedPoint opens on the
+pass, so it takes no pass at its start.
 Steps go in this order of preference: exact Newton; Newton on the exact
 Hessian made diagonally dominant where it loses positive definiteness,
 which strong fixed coupling causes; the chosen step damped toward the
@@ -31,10 +32,8 @@ stationary to rounding.
 It stops on the package's one certificate (certified), read off the pass
 the step made, after a step that settled: every unclamped sensitivity
 lies within 5e-5 * |a| + 1e-6 * delay / cref of a, and no clamped one
-more than that below a.  The timing is evaluated once, on the result;
-a solve warm from a FixedPoint evaluates it windowed on that solve's
-timing, computing only the gates next to the sizes that moved, bit for
-bit the full evaluation.
+more than that below a.  The timing is evaluated once, on the result,
+windowed on the warm FixedPoint's timing if there is one.
 The same engine with target a < 0 solves the constant-sensitivity
 problem of the area distribution module.
 """
@@ -83,14 +82,11 @@ class FixedPoint(NamedTuple):
     """A converged link fixed point and the derivative pass it stopped on.
 
     pass_ is that pass (a path.Pass, taken at sizing): a caller that needs
-    the gradient or curvature there has it without another pass, and
-    link_fixed_point warm-started from it opens on it, takes no new pass,
-    and windows its next pass on it; warm-started from the whole
-    FixedPoint, it also windows its closing evaluation on timing.  passes
-    counts every derivative pass the solve took, damping trials included;
-    a one-gate path takes one, at its only sizing, and no step.  A named
-    tuple, not a frozen dataclass: creating a dataclass costs about 1 ms
-    at import.
+    the gradient or curvature there has it without another pass, and a
+    solve warm from this FixedPoint opens on it.  passes counts every
+    derivative pass the solve took, damping trials included; a one-gate
+    path takes one, at its only sizing, and no step.  A named tuple, not a
+    frozen dataclass: creating a dataclass costs about 1 ms at import.
     """
 
     sizing: Sizing
@@ -100,17 +96,21 @@ class FixedPoint(NamedTuple):
     passes: int
 
 
+def all_minimum(model: PathModel) -> Sizing:
+    """The all-minimum corner: every free gate at minimum drive (cref)."""
+    return (model.input_cap,) + (model.params.cref,) * (model.n - 1)
+
+
 def max_delay_sizing(path: LogicPath, params: ProcessParams,
                      library: GateLibrary) -> tuple[Sizing, float]:
-    """Every free gate at minimum drive; the slowest the path can be."""
+    """The all-minimum corner and its delay; the slowest the path can be."""
     model = PathModel(path, params, library)
-    sizing = (path.input_cap,) + (params.cref,) * (model.n - 1)
+    sizing = all_minimum(model)
     return sizing, model.evaluate(sizing).total_delay
 
 
-def _newton_solve(cin, grad, hd, ho, a: float, clamped,
-                  border: bool = False,
-                  spans=None) -> list[list[float]] | None:
+def _newton_solve(cin, grad, hd, ho, a: float, clamped, spans,
+                  border: bool = False) -> list[list[float]] | None:
     """Solve the log-space Newton system at cin; None if it degenerates.
 
     The system M is the Jacobian of the residual r_j = cin[j] * (dT/dcin[j]
@@ -119,33 +119,31 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped,
     (clamped[j]) whose residual pushes further down are pinned: each is a
     unit row with a zero right-hand side and no coupling, so it solves to
     exactly 0, and its coefficients are not computed.  The sweep visits
-    the rows of spans, (first, last) runs of gates in order, every row by
-    default; every row it leaves out must be pinned, and each span must
-    start at gate 1 or at a pinned row, so a row left out changes nothing.
-    Each row is built and eliminated in one Thomas sweep; a pivot that is
-    not positive means M is not positive definite, which strong fixed
-    coupling causes.  Then the sweep runs again with every row whose
-    diagonal does not exceed the sum of its absolute couplings (pinned
-    neighbours included) given that sum times 1 + 1e-9 (its |diagonal| if
-    it has no coupling).  The result is strictly diagonally dominant with
-    a positive diagonal, hence positive definite.  Returns [M^-1 (-r)],
-    and with border also M^-1 c, the response to the target a, eliminated
-    in the same sweep, each over the rows visited; None when a sweep of
-    the dominance-fixed M fails too or a solution is not finite.
+    the rows of spans, (first, last) runs of gates in order ([(1, n - 1)]
+    for every row); every row it leaves out must be pinned, and each span
+    must start at gate 1 or at a pinned row, so a row left out changes
+    nothing.  Each row is built and eliminated in one Thomas sweep; a
+    pivot that is not positive means M is not positive definite, which
+    strong fixed coupling causes.  Then the sweep runs again with every
+    row whose diagonal does not exceed the sum of its absolute couplings
+    (pinned neighbours included) given that sum times 1 + 1e-9 (its
+    |diagonal| if it has no coupling).  The result is strictly diagonally
+    dominant with a positive diagonal, hence positive definite.  Returns
+    [M^-1 (-r)], and with border also M^-1 c, the response to the target
+    a, eliminated in the same sweep, each over the rows visited; None when
+    a sweep of the dominance-fixed M fails too or a solution is not
+    finite.
     """
     for dominant in (False, True):
         # A unit row stands ahead of the first; it is dropped at the end.
         piv, r, rv, o, o_raw = 1.0, 0.0, 0.0, 0.0, 0.0
         eliminated = []  # (off, pivot, rhs, border rhs) of each row
         push = eliminated.append
-        blocks = (((cin[1:], (*cin[2:], 0.0), grad, hd, ho, clamped[1:]),)
-                  if spans is None else
-                  [(cin[first:last + 1], (*cin[first + 1:last + 2], 0.0),
+        for first, last in spans:
+            for cj, cn, g, d, oo, cl in zip(
+                    cin[first:last + 1], (*cin[first + 1:last + 2], 0.0),
                     grad[first - 1:last], hd[first - 1:last],
-                    ho[first - 1:last], clamped[first:last + 1])
-                   for first, last in spans])
-        for block in blocks:
-            for cj, cn, g, d, oo, cl in zip(*block):
+                    ho[first - 1:last], clamped[first:last + 1]):
                 res = cj * (g - a)
                 if cl and res > 0.0:
                     # Pinned: the row above loses its coupling to this one.
@@ -234,19 +232,18 @@ def _unpinned(held: Pass, a: float, clamped, cref: float, rows):
 
 
 def _newton_step(cin, grad, hd, ho, a: float, clamped,
-                 spans=None) -> list[float]:
+                 spans) -> list[float]:
     """One log-space Newton step on the stationarity residual.
 
     Solves the system of _newton_solve over spans, exact or made
     diagonally dominant, so the step descends the merit.  The step is
     scaled to at most one e-fold per gate and applied multiplicatively:
-    it returns the proposed sizes of the rows of spans (every row for
-    None), in order, a pinned row's its own size.  The proposal is
-    returned unclamped so the caller can damp along the undistorted
-    direction; clamping each coordinate here would bend the direction and
-    can turn it uphill.
+    it returns the proposed sizes of the rows of spans, in order, a pinned
+    row's its own size.  The proposal is returned unclamped so the caller
+    can damp along the undistorted direction; clamping each coordinate
+    here would bend the direction and can turn it uphill.
     """
-    solved = _newton_solve(cin, grad, hd, ho, a, clamped, False, spans)
+    solved = _newton_solve(cin, grad, hd, ho, a, clamped, spans)
     if solved is None:
         raise ConvergenceError("Newton system degenerated")
     step = solved[0]
@@ -257,9 +254,7 @@ def _newton_step(cin, grad, hd, ho, a: float, clamped,
 
 
 def _rows(cin, spans) -> list[float]:
-    """The sizes of the rows of spans (every row for None), in order."""
-    if spans is None:
-        return cin[1:]
+    """The sizes of the rows of spans, in order."""
     sizes = []
     for first, last in spans:
         sizes += cin[first:last + 1]
@@ -267,9 +262,7 @@ def _rows(cin, spans) -> list[float]:
 
 
 def _put(cin, spans, sizes) -> list[float]:
-    """cin with the rows of spans (every row for None) at sizes."""
-    if spans is None:
-        return [cin[0], *sizes]
+    """cin with the rows of spans at sizes."""
     out = list(cin)
     k = 0
     for first, last in spans:
@@ -279,49 +272,43 @@ def _put(cin, spans, sizes) -> list[float]:
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
-                     warm: FixedPoint | Pass | Sequence[float | None]
+                     warm: FixedPoint | Sequence[float | None]
                      | None = None) -> FixedPoint:
     """Solve the equal-sensitivity stationarity system at target a <= 0.
 
-    Starts from warm, each None in it filled by splice_sizing; no warm is
-    all None, the geometric taper cin[i] = max(cref, input_cap * (load /
-    input_cap)^(i/n)), which does not depend on a, nor on cref unless it
-    clamps.  A warm Pass must be one of this same model (a FixedPoint's
-    pass_, say): the solve starts from its sizing and opens on it, so it
-    takes no pass at the start, and windows its next pass on it; its sizing
-    and rows must have this path's lengths, else ValueError.  A pass of
-    another model of the same length would be spliced in silently.  A warm
-    FixedPoint of this model opens on its pass_ the same way and windows
-    the closing evaluation on its timing.  Any other start takes a full
-    pass there.  It then drives the exact sensitivities dT/dcin[i] to a
-    for every unclamped gate, within MAX_ITERATIONS steps.  Each iteration
-    takes a tridiagonal Newton step off the derivative pass that opens it,
-    on the exact Hessian; where that is not positive definite, each row
-    that is not diagonally dominant is made so.  A solve whose first pass
-    has at least SPAN_GAP gates clamped sweeps only spans of rows
-    (_unpinned): every row but the runs of at least SPAN_GAP rows pinned
-    in the pass held.  After each step it tests again only the rows it
-    swept and those the new pass computed (its window), outside which
-    every row keeps its pin.  So a gate pinned at cref neither moves nor
-    costs more than its test, often not even that.  Any other solve
-    sweeps every row at every step.  Every later pass is windowed on the
-    pass the iteration holds (PathModel.derivatives with a base), so it
-    computes only the gates around the sizes the step moved.  The
-    proposal's own pass gives its delay; the step is accepted only if it
-    does not increase the descent merit T - a * sum(cin), else it is
-    damped toward the previous sizing in log space, up to 20 halvings of
-    one pass each.  A step from a
-    positive-definite system always descends, so if every damping ascends
-    the point is stationary to rounding and the iteration stands still.
-    Sizes are clamped at cref from below.  a = 0 is the minimum-delay
-    condition.  Once a step settles (sizes move less than CAP_TOL, the delay
-    less than DELAY_TOL, both relative), its pass returns the sizing, its
-    evaluated timing, the steps taken, that pass and the passes taken as a
-    FixedPoint if that pass is certified (certified).  The accepted pass
-    opens the next iteration, and the last one rides along in the
-    FixedPoint.  Each solve logs one debug line: its steps, its passes and
-    the gates they computed against n per pass, and the Newton rows its
-    steps swept against n - 1 per step.
+    warm is one of three starts.  A FixedPoint of this same model (a
+    sweep's previous row, say): the solve opens on its pass_, takes no
+    pass there, and windows its next pass on it and its closing
+    evaluation on its timing.  The pass must have this path's lengths,
+    else ValueError; one of another model of the same length would be
+    spliced in silently.  A size list, each None filled by splice_sizing,
+    or None, all None: the geometric taper cin[i] = max(cref, input_cap *
+    (load / input_cap)^(i/n)), which depends neither on a nor on cref
+    unless it clamps; either takes a full pass there.  A bare Pass is a
+    TypeError, and a start whose delay is not finite a ConvergenceError
+    at iteration 0.  The solve drives the exact sensitivities dT/dcin[i]
+    to a for every unclamped gate, within MAX_ITERATIONS steps.  Each
+    iteration takes a tridiagonal Newton step off the pass that opens it,
+    on the exact Hessian, each row that is not diagonally dominant made so
+    where that is not positive definite.  The step sweeps the spans of
+    rows: the whole chain, or, if the first pass has at least SPAN_GAP
+    gates clamped, every row but the runs of at least SPAN_GAP rows pinned
+    in the pass held (_unpinned), tested again after each step on the rows
+    swept and the new pass's window only.  Every solve updates its clamped
+    flags on that window.  Every later pass is windowed on the pass the
+    iteration holds (PathModel.derivatives with a base).  A step is
+    accepted only if it does not raise the descent merit T - a *
+    sum(cin), else it is damped toward the previous sizing in log space,
+    up to 20 halvings of one pass each.  A step from a positive-definite
+    system always descends, so if every damping ascends the point is
+    stationary to rounding and the iteration stands still.  Sizes are
+    clamped at cref from below; a = 0 is the minimum-delay condition.
+    Once a step settles (sizes move less than CAP_TOL, the delay less than
+    DELAY_TOL, both relative) on a certified pass (certified), it returns
+    the sizing, its evaluated timing, the steps, that pass and the passes
+    taken as a FixedPoint.  Each solve logs one debug line, converged or
+    not: its steps, its passes and the gates they computed against n per
+    pass, and the Newton rows its steps swept against n - 1 per step.
     """
     if a > 0:
         raise ValueError("sensitivity target a must be <= 0")
@@ -346,30 +333,34 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         gates += dv.gates
         return opened(dv)
 
+    if isinstance(warm, Pass):
+        raise TypeError("warm takes a FixedPoint, sizes or None, not a "
+                        "bare Pass")
     timing = None
     if isinstance(warm, FixedPoint):
-        timing, warm = warm.timing, warm.pass_
-    if isinstance(warm, Pass):
-        model.check_sizing(warm.sizing)
-        if not (len(warm.grad) == len(warm.diag) == len(warm.off) == n - 1
-                and len(warm.terms) == n + 1):
+        timing, held = warm.timing, warm.pass_
+        model.check_sizing(held.sizing)
+        if not (len(held.grad) == len(held.diag) == len(held.off) == n - 1
+                and len(held.terms) == n + 1):
             raise ValueError(f"warm pass does not match the path's {n} "
                              "gates")
-        here = opened(warm)
+        here = opened(held)
     else:
         here = visit(splice_sizing([None] * n if warm is None else warm,
                                    model.path, cref), None)
+    if not math.isfinite(here[0].total):
+        raise ConvergenceError("sizing fixed point starts at a delay that "
+                               "is not finite", iterations=0)
     clamped = model.clamped(here[0].sizing)
-    # A start with at least SPAN_GAP gates clamped (a sweep row's, say)
-    # can hold long runs of rows pinned at cref, so its steps sweep spans
-    # that leave them out.  Rows outside the gates a pass computed keep
-    # their pins, so each later step tests again only the rows the step
-    # before visited and the new pass's window.  Any other solve
-    # (optimize's, mostly) sweeps every row (spans None) and tests none
-    # again: on optimize's paths that costs less than keeping spans.
-    spans = (_unpinned(here[0], a, clamped, cref, [(1, n - 1)])
-             if sum(clamped) >= SPAN_GAP else None)
+    # Only a start with many gates clamped (a sweep row's, say) can hold
+    # runs of pinned rows worth retesting pins for; other solves
+    # (optimize's, mostly) sweep the whole chain, which costs them less.
+    retest = sum(clamped) >= SPAN_GAP
+    spans = [(1, n - 1)]
+    if retest:
+        spans = _unpinned(here[0], a, clamped, cref, spans)
 
+    settled = False
     for steps in range(1, MAX_ITERATIONS + 1):
         held, merit = here
         cin = held.sizing
@@ -397,59 +388,50 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                     nxt = trial
                     break
         new, _ = here = nxt
+        # Only the sizes of the window moved, so no other flag changes.
         lo, hi = new.first + 1, new.first + new.gates - 1
-        if spans is None:
-            clamped = model.clamped(new.sizing)
-        elif lo <= hi:
+        if lo <= hi:
             clamped[lo:hi + 1] = model.clamped(new.sizing[lo:hi + 1])
-            spans = _unpinned(new, a, clamped, cref,
-                              sorted([*spans, (lo, hi)]))
+            if retest:
+                spans = _unpinned(new, a, clamped, cref,
+                                  sorted([*spans, (lo, hi)]))
         if (abs(new.total - held.total) <= DELAY_TOL * new.total
                 and _largest_move(new.sizing, cin, lo, hi) < CAP_TOL
                 and certified(model, new, a, spans, clamped)):
-            if logger.isEnabledFor(logging.DEBUG):
-                at_cref = [j for j in range(1, n) if clamped[j]]
-                if at_cref:
-                    logger.debug("fixed point clamped gates at cref: %s",
-                                 at_cref)
-            logger.debug("fixed point at a=%g: %d steps, %d derivative "
-                         "passes, %d of %d gates computed, %d of %d rows "
-                         "swept", a, steps, passes, gates, n * passes, rows,
-                         (n - 1) * steps)
-            sizing = tuple(new.sizing)
-            return FixedPoint(sizing, model.evaluate(sizing, timing), steps,
-                              new, passes)
-    logger.debug("fixed point at a=%g: no convergence in %d steps, %d "
-                 "derivative passes, %d of %d gates computed, %d of %d "
-                 "rows swept", a, MAX_ITERATIONS, passes, gates, n * passes,
-                 rows, (n - 1) * MAX_ITERATIONS)
-    raise ConvergenceError("sizing fixed point did not converge",
-                           iterations=MAX_ITERATIONS,
-                           residual=_largest_move(new.sizing, cin, lo, hi))
+            settled = True
+            break
+    logger.debug("fixed point at a=%g: %d steps, %d derivative passes, %d "
+                 "of %d gates computed, %d of %d rows swept", a, steps,
+                 passes, gates, n * passes, rows, (n - 1) * steps)
+    if not settled:
+        raise ConvergenceError("sizing fixed point did not converge",
+                               iterations=steps,
+                               residual=_largest_move(new.sizing, cin, lo,
+                                                      hi))
+    sizing = tuple(new.sizing)
+    return FixedPoint(sizing, model.evaluate(sizing, timing), steps, new,
+                      passes)
 
 
-def certified(model: PathModel, held: Pass, a: float, spans=None,
-              clamped=None) -> bool:
+def certified(model: PathModel, held: Pass, a: float, spans,
+              clamped) -> bool:
     """The package's one stopping rule, read off the pass held at target a.
 
     Every unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| +
     RESIDUAL_TOL * T / cref, with T the pass's delay, and no clamped g_j
     lies more than that below a, which would make it grow.  Only the gates
     of spans are read, (first, last) runs outside which every gate is
-    pinned (every gate by default): a pinned gate has g_j > a, so it
-    always passes.  clamped holds the flags of held's sizes
-    (PathModel.clamped), taken afresh by default.  link_fixed_point checks
-    it once a step settles; the bordered Newton of distribute_constraint
-    once its delay lies in its band.
+    pinned ([(1, n - 1)] for every gate; [] reads none): a pinned gate has
+    g_j > a, so it always passes.  clamped holds the flags of held's sizes
+    (PathModel.clamped).  link_fixed_point checks it once a step settles;
+    the bordered Newton of distribute_constraint once its delay lies in
+    its band.
     """
     tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * held.total / model.params.cref
-    if clamped is None:
-        clamped = model.clamped(held.sizing)
     grad = held.grad
-    rows = (zip(grad, clamped[1:]) if spans is None else
-            (row for first, last in spans
-             for row in zip(grad[first - 1:last], clamped[first:last + 1])))
-    return all(g - a >= -tol if c else abs(g - a) <= tol for g, c in rows)
+    return all(g - a >= -tol if c else abs(g - a) <= tol
+               for first, last in spans
+               for g, c in zip(grad[first - 1:last], clamped[first:last + 1]))
 
 
 def _largest_move(new, old, first: int, last: int) -> float:
@@ -515,11 +497,14 @@ def min_delay_sizing(path: LogicPath, params: ProcessParams,
 
 def compute_bounds(path: LogicPath, params: ProcessParams,
                    library: GateLibrary) -> DelayBounds:
-    """Both delay extremes of a path."""
-    sizing_max, t_max = max_delay_sizing(path, params, library)
-    sizing_min, t_min, _ = min_delay_sizing(path, params, library)
-    return DelayBounds(t_min=t_min, t_max=t_max,
-                       sizing_min=sizing_min, sizing_max=sizing_max)
+    """Both delay extremes of a path: the all-minimum corner's delay, then
+    the cold a = 0 solve of min_delay_sizing, on one PathModel."""
+    model = PathModel(path, params, library)
+    sizing_max = all_minimum(model)
+    t_max = model.evaluate(sizing_max).total_delay
+    fixed = link_fixed_point(model)
+    return DelayBounds(t_min=fixed.timing.total_delay, t_max=t_max,
+                       sizing_min=fixed.sizing, sizing_max=sizing_max)
 
 
 def feasibility(path: LogicPath, tc: float, bounds: DelayBounds) -> bool:

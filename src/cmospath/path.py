@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 from operator import ne
 from typing import NamedTuple, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 from .process import (
     FALLING,
     RISING,
@@ -419,7 +419,8 @@ class PathModel:
         terms spliced into base's, and the total re-added from the terms
         in their order, so the pass equals the full one bit for bit; if no
         size differs, no gate is computed.  The full pass is the same
-        window over the whole chain.
+        window over the whole chain.  A node capacitance so small that
+        its square underflows to 0 raises ConvergenceError.
         """
         self.check_sizing(sizing)
         n = self.n
@@ -429,7 +430,11 @@ class PathModel:
             if first > last:
                 return Pass(base.grad, base.diag, base.off, base.total,
                             sizing, base.terms, 0)
-        terms, grad, diag, off = self._window(sizing, first, last)
+        try:
+            terms, grad, diag, off = self._window(sizing, first, last)
+        except ZeroDivisionError:
+            raise ConvergenceError("derivative pass underflowed: a node "
+                                   "capacitance squares to 0") from None
         if last == n - 1 and off:
             off[-1] = 0.0  # the last gate drives the fixed terminal load
         if first == 0 and last == n - 1:
@@ -534,7 +539,7 @@ def path_coefficients(path: LogicPath, sizing, params: ProcessParams,
 def exact_path_gradient(path: LogicPath, sizing, params: ProcessParams,
                         library: GateLibrary) -> tuple[float, ...]:
     """Exact-model gradient over the free gates."""
-    return PathModel(path, params, library).model_gradient(sizing)
+    return PathModel(path, params, library).derivatives(sizing).grad
 
 
 _PATH_HEADER_KEYS = {

@@ -13,7 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bounds import DelayBounds, max_delay_sizing, min_delay_sizing
+from .bounds import (DelayBounds, compute_bounds, max_delay_sizing,
+                     min_delay_sizing)
 from .buffering import (check_polarity_mode, insert_buffers,
                         min_delay_with_buffers)
 from .errors import InfeasibleError, InvariantError
@@ -196,11 +197,12 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
     check_polarity_mode(buffer_mode)
     trace: list[TraceStep] = []
 
-    sizing_min, t_min0, _ = min_delay_sizing(path, params, library)
-    corner = max_delay_sizing(path, params, library)
-    base = _Route(path, (), t_min0, sizing_min, corner)
-    trace.append(TraceStep("bounds", {"t_min": t_min0, "t_max": corner[1]}))
-    domain = classify_constraint(tc, t_min0, params)
+    bounds = compute_bounds(path, params, library)
+    base = _Route(path, (), bounds.t_min, bounds.sizing_min,
+                  (bounds.sizing_max, bounds.t_max))
+    trace.append(TraceStep("bounds", {"t_min": bounds.t_min,
+                                      "t_max": bounds.t_max}))
+    domain = classify_constraint(tc, bounds.t_min, params)
     trace.append(TraceStep("classify", {
         "domain": domain.kind.value, "ratio": domain.ratio, "tc": tc}))
 

@@ -25,8 +25,8 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .bounds import (DelayBounds, FixedPoint, _newton_solve, certified,
-                     compute_bounds, link_fixed_point)
+from .bounds import (DelayBounds, FixedPoint, _newton_solve, all_minimum,
+                     certified, compute_bounds, link_fixed_point)
 from .errors import ConvergenceError, InfeasibleError
 from .path import GateLibrary, LogicPath, Pass, PathModel, Sizing
 from .process import ProcessParams
@@ -88,7 +88,8 @@ def _unit_response(model: PathModel, held: Pass) -> list[float] | None:
     """
     clamped = model.clamped(held.sizing)
     solved = _newton_solve([1.0] * model.n, list(map(float, clamped[1:])),
-                           held.diag, held.off, 0.0, clamped, border=True)
+                           held.diag, held.off, 0.0, clamped,
+                           [(1, model.n - 1)], border=True)
     return None if solved is None else solved[1]
 
 
@@ -119,6 +120,7 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
     not finite, or MAX_SENSITIVITY_STEPS iterations pass.
     """
     cref = model.params.cref
+    whole = [(1, model.n - 1)]
     low = tc * (1.0 - DELAY_MATCH_TOL)
     target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
     a, cin, held, delay = 0.0, list(bounds.sizing_min), first, bounds.t_min
@@ -139,14 +141,15 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
                           for c, d in zip(cin[1:], dy)]
         held = model.derivatives(cin, held)
         grad, delay = held.grad, held.total
-        if low <= delay <= tc and certified(model, held, a):
+        clamped = model.clamped(cin)
+        if low <= delay <= tc and certified(model, held, a, whole, clamped):
             timing = model.evaluate(cin)
             if low <= timing.total_delay <= tc:
                 return SensitivitySolution(
                     a_value=a, sizing=tuple(cin), delay=timing.total_delay,
                     area=timing.total_width), iteration, corrections
-        solved = _newton_solve(cin, grad, held.diag, held.off, a,
-                               model.clamped(cin), border=True)
+        solved = _newton_solve(cin, grad, held.diag, held.off, a, clamped,
+                               whole, border=True)
         if solved is None:
             break
         u, v = solved
@@ -235,8 +238,7 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
     model = PathModel(path, params, library)
     solutions: list[SensitivitySolution] = []
     failures: list[tuple[float, Exception]] = []
-    warm: FixedPoint | Sizing = \
-        (path.input_cap,) + (params.cref,) * (model.n - 1)
+    warm: FixedPoint | Sizing = all_minimum(model)
     for a in sorted(a_values):
         try:
             fixed = link_fixed_point(model, a=a, warm=warm)
@@ -268,7 +270,7 @@ def equal_delay_distribution(path: LogicPath, tc: float,
     model = PathModel(path, params, library)
     n = model.n
     cref = params.cref
-    sizing = [path.input_cap] + [cref] * (n - 1)
+    sizing = list(all_minimum(model))
 
     for sweep_round in range(2):
         slopes_in = [path.driver_slope()] + \

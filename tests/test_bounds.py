@@ -7,6 +7,7 @@ import re
 import pathlib
 import random
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,6 +294,44 @@ class TestMinDelaySolver:
         assert results[1] == results[0]
         assert results[2] == results[0]
 
+    def test_underflowing_derivative_pass_is_a_typed_error(self, ref_params,
+                                                           ref_library):
+        # At cref = 1e-300 a node near cref squares to 0 in the derivative
+        # pass: warm at the all-minimum corner, or cold with a load of
+        # 1e-200 fF and neither parasitics nor fixed coupling to hold the
+        # last node up.
+        gates = ("inv", "nand2", "nor3", "inv")
+        params = dataclasses.replace(ref_params, cref=1e-300)
+        path = LogicPath(gates=gates, input_cap=1e6, terminal_load=1e9)
+        with pytest.raises(ConvergenceError, match="underflowed"):
+            min_delay_sizing(path, params, ref_library,
+                             warm=(1e6, 1e-300, 1e-300, 1e-300))
+        bare = {kind: dataclasses.replace(t, par_coeff=0.0, cm_override=0.0)
+                for kind, t in ref_library.items()}
+        path = LogicPath(gates=gates, input_cap=4.0, terminal_load=1e-200)
+        with pytest.raises(ConvergenceError, match="underflowed"):
+            min_delay_sizing(path, params, bare)
+
+    def test_start_that_overflows_fails_at_once(self, ref_params,
+                                                ref_library, monkeypatch):
+        # tau = 1e300 makes the opening delay infinite; the solve stops on
+        # that first pass instead of stepping to MAX_ITERATIONS.
+        path = LogicPath(gates=("inv", "nand2", "nor3", "inv"),
+                         input_cap=1e6, terminal_load=1e9)
+        params = dataclasses.replace(ref_params, tau=1e300)
+        passes = []
+        derivatives = PathModel.derivatives
+
+        def counting(model, sizing, base=None):
+            passes.append(base)
+            return derivatives(model, sizing, base)
+
+        monkeypatch.setattr(PathModel, "derivatives", counting)
+        with pytest.raises(ConvergenceError, match="not finite") as err:
+            min_delay_sizing(path, params, ref_library)
+        assert err.value.iterations == 0
+        assert passes == [None]
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_cold_and_warm_solves_agree(self, ref_params, ref_library, data):
@@ -404,7 +443,7 @@ class TestMinDelaySolver:
         model = PathModel(chain13, ref_params, ref_library)
         caplog.set_level(logging.DEBUG, logger="cmospath.bounds")
         cold = link_fixed_point(model, a=-1e-2)
-        warm = link_fixed_point(model, a=-2e-2, warm=cold.pass_)
+        warm = link_fixed_point(model, a=-2e-2, warm=cold)
         lines = [re.fullmatch(
             r"fixed point at a=(\S+): (\d+) steps, (\d+) derivative passes, "
             r"(\d+) of (\d+) gates computed, (\d+) of (\d+) rows swept",
@@ -423,6 +462,25 @@ class TestMinDelaySolver:
             assert int(swept) <= int(rows)
         assert int(lines[0][3]) >= n
 
+    def test_logs_the_same_line_when_out_of_steps(self, ref_params,
+                                                  ref_library, chain13,
+                                                  caplog, monkeypatch):
+        # A solve that runs out of steps logs the one line of a converged
+        # solve, its steps at MAX_ITERATIONS, before it raises.
+        monkeypatch.setattr(bounds_module, "MAX_ITERATIONS", 2)
+        caplog.set_level(logging.DEBUG, logger="cmospath.bounds")
+        with pytest.raises(ConvergenceError, match=r"iterations=2\b"):
+            link_fixed_point(PathModel(chain13, ref_params, ref_library),
+                             a=-1e-2)
+        n = chain13.n
+        lines = [r.getMessage() for r in caplog.records
+                 if r.name == "cmospath.bounds"]
+        assert len(lines) == 1
+        assert re.fullmatch(
+            rf"fixed point at a=-0\.01: 2 steps, \d+ derivative passes, "
+            rf"\d+ of \d+ gates computed, \d+ of {2 * (n - 1)} rows swept",
+            lines[0]), lines
+
     @pytest.mark.parametrize("gates", [
         ("inv", "nand2", "nor2", "inv", "inv", "nand3"), ("inv", "nand2")])
     def test_rejects_a_warm_fixed_point_of_another_path(
@@ -435,12 +493,24 @@ class TestMinDelaySolver:
         other = PathModel(dataclasses.replace(path, gates=gates), ref_params,
                           ref_library)
         with pytest.raises(ValueError, match="mismatched sizing length"):
-            link_fixed_point(other, a=-0.5, warm=fixed.pass_)
+            link_fixed_point(other, a=-0.5, warm=fixed)
         # Sizes of the right length, a pass of the wrong one.
         sizing = (path.input_cap,) + (ref_params.cref,) * (len(gates) - 1)
         with pytest.raises(ValueError, match="does not match"):
-            link_fixed_point(other, a=-0.5,
-                             warm=fixed.pass_._replace(sizing=sizing))
+            link_fixed_point(other, a=-0.5, warm=fixed._replace(
+                pass_=fixed.pass_._replace(sizing=sizing)))
+
+    def test_rejects_a_bare_warm_pass(self, ref_params, ref_library,
+                                      chain11):
+        # A warm start is a FixedPoint, sizes or None; the pass alone
+        # does not say which model it came from.
+        model = PathModel(chain11, ref_params, ref_library)
+        fixed = link_fixed_point(model, a=-0.5)
+        with pytest.raises(TypeError, match="bare Pass"):
+            link_fixed_point(model, a=-0.5, warm=fixed.pass_)
+        again = link_fixed_point(model, a=-0.5, warm=fixed)
+        assert again.timing.total_delay == pytest.approx(
+            fixed.timing.total_delay, rel=1e-9)
 
     def test_degenerate_newton_system_raises_convergence_error(
             self, ref_params, ref_library, chain11, monkeypatch):
@@ -507,11 +577,10 @@ class TestDominantHessianStep:
         failures = []
         original = bounds_module._newton_solve
 
-        def recording(cin, grad, hd, ho, a, clamped, border=False,
-                      spans=None):
+        def recording(cin, grad, hd, ho, a, clamped, spans, border=False):
             # Every gate outside spans is pinned, so the oracle, which
             # tests every row, pins it too.
-            solved = original(cin, grad, hd, ho, a, clamped, border, spans)
+            solved = original(cin, grad, hd, ho, a, clamped, spans, border)
             want, fixed = oracles.newton_solve(cin, grad, hd, ho, a, clamped,
                                                border)
             assert repr(full(solved, spans, len(cin))) == repr(want)
@@ -603,7 +672,7 @@ class TestDominantHessianStep:
 def full(solved, spans, n):
     """The kernel's solutions over the rows of spans, spread over every row
     with 0.0 on the rows left out."""
-    if solved is None or spans is None:
+    if solved is None:
         return solved
     out = []
     for values in solved:
@@ -653,7 +722,7 @@ class TestNewtonKernel:
             m = rng.randint(1, 30)
             cin, grad, hd, ho, a, clamped = self._system(rng, m, kind)
             got = bounds_module._newton_solve(cin, grad, hd, ho, a, clamped,
-                                              border)
+                                              [(1, m)], border)
             want, fixed = oracles.newton_solve(cin, grad, hd, ho, a, clamped,
                                                border)
             assert repr(got) == repr(want), (k, kind)
@@ -720,13 +789,13 @@ class TestNewtonKernel:
             # Every row visited, then, as link_fixed_point sweeps, only the
             # free rows and a window, each run led by the row before it.
             got = bounds_module._newton_solve(cin, grad, held.diag, held.off,
-                                              a, clamped, border)
+                                              a, clamped, [(1, m)], border)
             assert repr(got) == repr(want)
             runs = [(j, j) for j in range(1, m + 1) if j not in pinned]
             lo = rng.randint(1, m)
             spans = bounds_module._spans([*runs, (lo, rng.randint(lo, m))])
             got = full(bounds_module._newton_solve(
-                cin, grad, held.diag, held.off, a, clamped, border, spans),
+                cin, grad, held.diag, held.off, a, clamped, spans, border),
                 spans, m + 1)
             assert repr(got) == repr(want)
             if fixed:
@@ -750,6 +819,48 @@ class TestNewtonKernel:
             assert pinned_coupling >= 10
 
 
+class TestOneRowSet:
+    """Every solve sweeps spans of rows, the whole chain [(1, n - 1)] or
+    spans that leave runs of pinned rows out; the choice changes the work,
+    never the solve."""
+
+    CLAMPS = ("none", "few", "gap", "all")
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), clamp=st.sampled_from(CLAMPS),
+           scale=st.sampled_from((0.0, -1e-3, -1e-1, -10.0)))
+    def test_span_rule_leaves_the_fixed_point_unchanged(
+            self, ref_params, ref_library, seed, clamp, scale):
+        # SPAN_GAP = 1 sweeps spans whenever the start clamps a gate and
+        # joins only runs that meet; SPAN_GAP > n sweeps the whole chain
+        # in every solve.  Both give the default's FixedPoint by repr,
+        # steps and passes included, and so does a failure.
+        rng = random.Random(seed)
+        path = random_path(rng, n_max=130)
+        n = path.n
+        cref = ref_params.cref
+        model = PathModel(path, ref_params, ref_library)
+        gap = bounds_module.SPAN_GAP
+        k = {"none": 0, "few": rng.randint(1, min(n - 1, gap - 1)),
+             "gap": rng.randint(min(n - 1, gap), n - 1), "all": n - 1}[clamp]
+        pinned = set(rng.sample(range(1, n), k))
+        warm = [path.input_cap] + [
+            cref if j in pinned else cref * math.exp(rng.uniform(0.0, 6.0))
+            for j in range(1, n)]
+        assert sum(model.clamped(warm)[1:]) == k
+        t_max = model.evaluate(bounds_module.all_minimum(model)).total_delay
+        a = scale * t_max / cref
+        got = []
+        for span_gap in (gap, 1, n + 1):
+            with mock.patch.object(bounds_module, "SPAN_GAP", span_gap):
+                try:
+                    got.append(repr(link_fixed_point(model, a, warm)))
+                except ConvergenceError as exc:
+                    got.append(repr(exc))
+        assert got[1] == got[0]
+        assert got[2] == got[0]
+
+
 class TestCertified:
     """The one stopping rule: every unclamped g_j within tol = 5e-5 * |a|
     + 1e-6 * T / cref of a, and no clamped g_j more than tol below a."""
@@ -768,6 +879,13 @@ class TestCertified:
         sizing = (4.0, cref, 3.0 * cref, 9.0 * cref)
         return Pass(tuple(grad), [1.0] * 3, [0.0] * 3, self.TOTAL, sizing,
                     [], 0)
+
+    def certified(self, model, grad, a, spans=((1, 3),)):
+        """The rule on held(model, grad), read over spans (every gate by
+        default) with the flags of its sizes."""
+        held = self.held(model, grad)
+        return certified(model, held, a, list(spans),
+                         model.clamped(held.sizing))
 
     def edges(self, model):
         """The farthest g above and below a within tol, as the rule
@@ -790,22 +908,32 @@ class TestCertified:
             for j in (1, 2):
                 grad = [a + 1.0, a, a]  # gate 1 clamped, wanting to shrink
                 grad[j] = edge
-                assert certified(model, self.held(model, grad), a)
+                assert self.certified(model, grad, a)
                 grad[j] = math.nextafter(edge, math.copysign(math.inf,
                                                              edge - a))
-                assert not certified(model, self.held(model, grad), a)
+                assert not self.certified(model, grad, a)
 
     def test_clamped_gate_above_a_passes(self, model):
         a = self.A
         for g in (a, a + 1e-3, a + 1e3):
-            assert certified(model, self.held(model, [g, a, a]), a)
+            assert self.certified(model, [g, a, a], a)
 
     def test_clamped_gate_below_a_fails_past_the_tolerance(self, model):
         a = self.A
         _, low = self.edges(model)
-        assert certified(model, self.held(model, [low, a, a]), a)
+        assert self.certified(model, [low, a, a], a)
         for g in (math.nextafter(low, -math.inf), a - 1.0):
-            assert not certified(model, self.held(model, [g, a, a]), a)
+            assert not self.certified(model, [g, a, a], a)
+
+    def test_no_span_reads_no_gate(self, model):
+        # An empty span list means every gate is pinned, so no row is
+        # read and the rule holds for any gradient, even one that fails
+        # on every gate over the whole chain.
+        a = self.A
+        for grad in ([a - 1.0, a + 1.0, a - 1e3], [math.nan] * 3,
+                     [math.inf, -math.inf, a]):
+            assert not self.certified(model, grad, a)
+            assert self.certified(model, grad, a, ())
 
 
 class TestFeasibility:

@@ -310,8 +310,9 @@ class TestRewriteSplice:
                      allow_buffer=False)
         except InfeasibleError:
             pass
-        assert solves[0] == (path, None)
-        rewritten, warm = solves[1]
+        # The base route comes from compute_bounds, so the first solve
+        # recorded is the rewrite's.
+        rewritten, warm = solves[0]
         # nor2 -> inv + nand2 + inv; the trailing inv cancels the parent's
         # gate 1, whose size leaves with it.
         assert rewritten.gates == ("inv", "nand2", "nand2", "inv")

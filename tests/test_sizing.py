@@ -344,9 +344,9 @@ class TestDistributeConstraint:
         real_solve = sizing._newton_solve
         monkeypatch.setattr(
             sizing, "_newton_solve",
-            lambda cin, grad, hd, ho, a, clamped, border=False:
+            lambda cin, grad, hd, ho, a, clamped, spans, border=False:
             None if a < 0.0 else real_solve(cin, grad, hd, ho, a, clamped,
-                                            border))
+                                            spans, border))
         bounds = compute_bounds(chain11, ref_params, ref_library)
         tc = 1.5 * bounds.t_min
         with pytest.raises(ConvergenceError, match=r"\(iterations=1, "
