@@ -10,9 +10,11 @@ each in its own interpreter, and compares the results case by case:
   infeasible;
 * area changes: both trees solve the case but their areas differ by more
   than 1e-9 relative, with or without a structural difference;
-* min-delay steps: the Newton steps min_delay_sizing takes on the
-  case's path (the third item it returns), each change listed, so a
-  refactor shows the same iterations as well as the same outputs;
+* min-delay steps and passes: the Newton steps and the derivative
+  passes of the cold min-delay solve of the case's path
+  (bounds.link_fixed_point at a = 0, as min_delay_sizing runs it), each
+  change listed, so an engine refactor shows the same iterations and
+  passes as well as the same outputs;
 * greedy t_min: min_delay_with_buffers on the case's path in its buffer
   mode, counted per mode as lower, higher or equal (1e-9 relative),
   each change listed;
@@ -45,8 +47,8 @@ repository root, e.g.
 The other tree's src/ comes first; "-" lines are its results, "+" lines
 this tree's.  Exits 1 when any structural difference, infeasible flip,
 area change, sweep row difference or coupled distribute difference is
-found, 0 otherwise; min-delay step and greedy t_min changes are listed
-but leave the exit status alone.
+found, 0 otherwise; min-delay step and pass changes and greedy t_min
+changes are listed but leave the exit status alone.
 """
 
 from __future__ import annotations
@@ -152,6 +154,7 @@ def coupled_distribute(path, seed: int, index: int, params,
 def worker(argv) -> int:
     """Solve every case under the tree on PYTHONPATH; one JSON line each."""
     import cmospath
+    from cmospath.bounds import link_fixed_point
 
     seed, count, lo, hi = argv
     params, library = cmospath.load_process_file(PROC)
@@ -168,8 +171,10 @@ def worker(argv) -> int:
                "coupled": coupled_distribute(path, int(seed), index, params,
                                              library)}
         try:
-            _, t_min, out["steps"] = cmospath.min_delay_sizing(path, params,
-                                                               library)
+            fixed = link_fixed_point(cmospath.PathModel(path, params,
+                                                        library))
+            t_min = fixed.timing.total_delay
+            out["steps"], out["passes"] = fixed.steps, fixed.passes
             out["numbers"]["t_min"] = t_min
             out["sweep"] = sweep_rows(path, t_min, params, library)
             out["numbers"]["greedy_t_min"] = cmospath.min_delay_with_buffers(
@@ -254,7 +259,7 @@ def main(argv=None) -> int:
           f"gates={args.gates[0]}-{args.gates[1]}: - {args.other}  + {this}")
 
     structural = flips = area_changes = rows = rows_differ = 0
-    steps_differ = 0
+    steps_differ = passes_differ = 0
     calls = calls_differ = 0
     greedy = {mode: {"lower": 0, "higher": 0, "equal": 0}
               for mode in ("pair", "single")}
@@ -288,6 +293,10 @@ def main(argv=None) -> int:
             steps_differ += 1
             print(f"{label}: min-delay steps {a.get('steps')} -> "
                   f"{b.get('steps')}")
+        if a.get("passes") != b.get("passes"):
+            passes_differ += 1
+            print(f"{label}: min-delay derivative passes {a.get('passes')} "
+                  f"-> {b.get('passes')}")
         if "greedy_t_min" in na and "greedy_t_min" in nb:
             old_t, new_t = na["greedy_t_min"], nb["greedy_t_min"]
             verdict = ("equal" if relative(old_t, new_t) <= RTOL
@@ -324,6 +333,8 @@ def main(argv=None) -> int:
     print(f"# {len(old)} cases: {structural} structural differences, "
           f"{flips} infeasible flips, {area_changes} area changes")
     print(f"# min-delay steps: {len(old)} cases, {steps_differ} differ")
+    print(f"# min-delay derivative passes: {len(old)} cases, "
+          f"{passes_differ} differ")
     for mode, counts in greedy.items():
         print(f"# greedy t_min, {mode} mode: {counts['lower']} lower, "
               f"{counts['higher']} higher, {counts['equal']} equal")

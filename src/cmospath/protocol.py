@@ -84,9 +84,6 @@ class TraceStep:
         return f"step={self.kind} detail=<{' '.join(parts)}>"
 
 
-STRUCTURAL_STEPS = ("insert_buffer", "restruct")
-
-
 @dataclass(frozen=True)
 class OptimizationResult:
     """Final structure and sizing meeting the constraint."""

@@ -25,8 +25,8 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .bounds import (DelayBounds, FixedPoint, _newton_solve, all_minimum,
-                     certified, compute_bounds, link_fixed_point)
+from .bounds import (DelayBounds, FixedPoint, _model_bounds, _newton_solve,
+                     all_minimum, certified, link_fixed_point)
 from .errors import ConvergenceError, InfeasibleError
 from .path import GateLibrary, LogicPath, Pass, PathModel, Sizing
 from .process import ProcessParams
@@ -88,8 +88,8 @@ def _unit_response(model: PathModel, held: Pass) -> list[float] | None:
     """
     clamped = model.clamped(held.sizing)
     solved = _newton_solve([1.0] * model.n, list(map(float, clamped[1:])),
-                           held.diag, held.off, 0.0, clamped,
-                           [(1, model.n - 1)], border=True)
+                           held.diag, held.off, 0.0, clamped, 1, model.n - 1,
+                           border=True)
     return None if solved is None else solved[1]
 
 
@@ -119,8 +119,7 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
     q is not positive, a sweep fails even on the dominance-fixed M, da is
     not finite, or MAX_SENSITIVITY_STEPS iterations pass.
     """
-    cref = model.params.cref
-    whole = [(1, model.n - 1)]
+    cref, n = model.params.cref, model.n
     low = tc * (1.0 - DELAY_MATCH_TOL)
     target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
     a, cin, held, delay = 0.0, list(bounds.sizing_min), first, bounds.t_min
@@ -142,14 +141,14 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
         held = model.derivatives(cin, held)
         grad, delay = held.grad, held.total
         clamped = model.clamped(cin)
-        if low <= delay <= tc and certified(model, held, a, whole, clamped):
+        if low <= delay <= tc and certified(model, held, a, 1, n - 1, clamped):
             timing = model.evaluate(cin)
             if low <= timing.total_delay <= tc:
                 return SensitivitySolution(
                     a_value=a, sizing=tuple(cin), delay=timing.total_delay,
                     area=timing.total_width), iteration, corrections
         solved = _newton_solve(cin, grad, held.diag, held.off, a, clamped,
-                               whole, border=True)
+                               1, n - 1, border=True)
         if solved is None:
             break
         u, v = solved
@@ -194,7 +193,7 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
         raise ValueError("tc must be positive")
     model = PathModel(path, params, library)
     if bounds is None:
-        bounds = compute_bounds(path, params, library)
+        bounds = _model_bounds(model)
     if tc < bounds.t_min:
         raise InfeasibleError(
             f"constraint {tc:.6g} ps below minimum achievable delay "

@@ -204,10 +204,10 @@ class TestMinDelaySolver:
                                                     monkeypatch):
         # check_sizing accepts sizes down to cref * (1 - 1e-9).  A warm
         # start there opens on them, and every later sizing the solve
-        # visits has each of them at cref or above, pinned or free.  With
-        # 11 of them clamped the solve sweeps spans of rows (_unpinned),
-        # and at scale -1e6 the kernel pins every row, so a row below cref
-        # that the spans left out would never be lifted.
+        # visits has each of them at cref or above, pinned or free.  The
+        # solve sweeps one window of rows (_unpinned), and at scale -1e6
+        # the kernel pins every row, so a row below cref that the window
+        # left out would never be lifted.
         cref = ref_params.cref
         path = LogicPath(gates=("inv", "nand2", "nor2", "inv", "nand3",
                                 "inv") * 2, input_cap=4.0,
@@ -221,18 +221,18 @@ class TestMinDelaySolver:
             visited.append(tuple(sizing))
             return derivatives(model, sizing, base)
 
-        spans = []
+        windows = []
         unpinned = bounds_module._unpinned
 
         def tracked(*args):
-            spans.append(unpinned(*args))
-            return spans[-1]
+            windows.append(unpinned(*args))
+            return windows[-1]
 
         monkeypatch.setattr(PathModel, "derivatives", recording)
         monkeypatch.setattr(bounds_module, "_unpinned", tracked)
         low = cref * (1.0 - 5e-10)
         link_fixed_point(model, a, [path.input_cap] + [low] * 11)
-        assert spans[0] == [(1, 11)]
+        assert windows[0] == (1, 11)
         assert visited[0][1:] == (low,) * 11
         assert len(visited) >= 2
         assert all(min(sizes[1:]) >= cref for sizes in visited[1:])
@@ -577,13 +577,13 @@ class TestDominantHessianStep:
         failures = []
         original = bounds_module._newton_solve
 
-        def recording(cin, grad, hd, ho, a, clamped, spans, border=False):
-            # Every gate outside spans is pinned, so the oracle, which
+        def recording(cin, grad, hd, ho, a, clamped, lo, hi, border=False):
+            # Every gate outside lo..hi is pinned, so the oracle, which
             # tests every row, pins it too.
-            solved = original(cin, grad, hd, ho, a, clamped, spans, border)
+            solved = original(cin, grad, hd, ho, a, clamped, lo, hi, border)
             want, fixed = oracles.newton_solve(cin, grad, hd, ho, a, clamped,
                                                border)
-            assert repr(full(solved, spans, len(cin))) == repr(want)
+            assert repr(full(solved, lo, hi, len(cin))) == repr(want)
             if fixed:
                 failures.append(len(cin) - 1)
             return solved
@@ -669,20 +669,13 @@ class TestDominantHessianStep:
         assert sol.a_value < 0.0
 
 
-def full(solved, spans, n):
-    """The kernel's solutions over the rows of spans, spread over every row
-    with 0.0 on the rows left out."""
+def full(solved, lo, hi, n):
+    """The kernel's solutions over rows lo..hi, spread over every row with
+    0.0 on the rows left out."""
     if solved is None:
         return solved
-    out = []
-    for values in solved:
-        row = [0.0] * (n - 1)
-        values = iter(values)
-        for first, last in spans:
-            for j in range(first, last + 1):
-                row[j - 1] = next(values)
-        out.append(row)
-    return out
+    return [[0.0] * (lo - 1) + values + [0.0] * (n - 1 - hi)
+            for values in solved]
 
 
 class TestNewtonKernel:
@@ -722,7 +715,7 @@ class TestNewtonKernel:
             m = rng.randint(1, 30)
             cin, grad, hd, ho, a, clamped = self._system(rng, m, kind)
             got = bounds_module._newton_solve(cin, grad, hd, ho, a, clamped,
-                                              [(1, m)], border)
+                                              1, m, border)
             want, fixed = oracles.newton_solve(cin, grad, hd, ho, a, clamped,
                                                border)
             assert repr(got) == repr(want), (k, kind)
@@ -747,10 +740,10 @@ class TestNewtonKernel:
         # the gates sit at cref with a residual that does not push down,
         # so they stay free.  The kernel sweeps the free rows block by
         # block and equals the oracle, which sweeps every row, pinned
-        # ones as unit rows, whether it tests every row or only spans
-        # that leave pinned rows out.  Some free rows are diagonally
-        # dominant without, but not with, the coupling to a pinned
-        # neighbour.
+        # ones as unit rows, whether it visits every row or the window
+        # that _unpinned trims the pinned rows off.  Some free rows are
+        # diagonally dominant without, but not with, the coupling to a
+        # pinned neighbour.
         rng = random.Random(31 + self.PATTERNS.index(pattern))
         cref = ref_params.cref
         outcomes = {"exact": 0, "dominant": 0, "none": 0}
@@ -786,17 +779,20 @@ class TestNewtonKernel:
                                                held.off, a, clamped, border)
             outcomes["none" if want is None
                      else "dominant" if fixed else "exact"] += 1
-            # Every row visited, then, as link_fixed_point sweeps, only the
-            # free rows and a window, each run led by the row before it.
+            # Every row visited, then, as link_fixed_point sweeps, the
+            # window _unpinned trims off rows lo..hi, which hold every
+            # free row.
             got = bounds_module._newton_solve(cin, grad, held.diag, held.off,
-                                              a, clamped, [(1, m)], border)
+                                              a, clamped, 1, m, border)
             assert repr(got) == repr(want)
-            runs = [(j, j) for j in range(1, m + 1) if j not in pinned]
-            lo = rng.randint(1, m)
-            spans = bounds_module._spans([*runs, (lo, rng.randint(lo, m))])
+            free = [j for j in range(1, m + 1) if j not in pinned]
+            lo, hi = (rng.randint(1, free[0]), rng.randint(free[-1], m)) \
+                if free else (1, m)
+            lo, hi = bounds_module._unpinned(held._replace(grad=grad), a,
+                                             clamped, cref, lo, hi)
             got = full(bounds_module._newton_solve(
-                cin, grad, held.diag, held.off, a, clamped, spans, border),
-                spans, m + 1)
+                cin, grad, held.diag, held.off, a, clamped, lo, hi, border),
+                lo, hi, m + 1)
             assert repr(got) == repr(want)
             if fixed:
                 diag, off, _ = oracles.newton_system(cin, grad, held.diag,
@@ -820,29 +816,27 @@ class TestNewtonKernel:
 
 
 class TestOneRowSet:
-    """Every solve sweeps spans of rows, the whole chain [(1, n - 1)] or
-    spans that leave runs of pinned rows out; the choice changes the work,
-    never the solve."""
+    """Every solve sweeps one window of rows, the chain less the pinned
+    rows at its ends; trimming them changes the work, never the solve."""
 
-    CLAMPS = ("none", "few", "gap", "all")
+    CLAMPS = ("none", "few", "most", "all")
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), clamp=st.sampled_from(CLAMPS),
            scale=st.sampled_from((0.0, -1e-3, -1e-1, -10.0)))
-    def test_span_rule_leaves_the_fixed_point_unchanged(
+    def test_end_trim_leaves_the_fixed_point_unchanged(
             self, ref_params, ref_library, seed, clamp, scale):
-        # SPAN_GAP = 1 sweeps spans whenever the start clamps a gate and
-        # joins only runs that meet; SPAN_GAP > n sweeps the whole chain
-        # in every solve.  Both give the default's FixedPoint by repr,
+        # With _unpinned returning the whole chain, every step sweeps
+        # every row.  That gives the trimmed solve's FixedPoint by repr,
         # steps and passes included, and so does a failure.
         rng = random.Random(seed)
         path = random_path(rng, n_max=130)
         n = path.n
         cref = ref_params.cref
         model = PathModel(path, ref_params, ref_library)
-        gap = bounds_module.SPAN_GAP
-        k = {"none": 0, "few": rng.randint(1, min(n - 1, gap - 1)),
-             "gap": rng.randint(min(n - 1, gap), n - 1), "all": n - 1}[clamp]
+        half = max(1, (n - 1) // 2)
+        k = {"none": 0, "few": rng.randint(1, half),
+             "most": rng.randint(half, n - 1), "all": n - 1}[clamp]
         pinned = set(rng.sample(range(1, n), k))
         warm = [path.input_cap] + [
             cref if j in pinned else cref * math.exp(rng.uniform(0.0, 6.0))
@@ -850,15 +844,18 @@ class TestOneRowSet:
         assert sum(model.clamped(warm)[1:]) == k
         t_max = model.evaluate(bounds_module.all_minimum(model)).total_delay
         a = scale * t_max / cref
-        got = []
-        for span_gap in (gap, 1, n + 1):
-            with mock.patch.object(bounds_module, "SPAN_GAP", span_gap):
-                try:
-                    got.append(repr(link_fixed_point(model, a, warm)))
-                except ConvergenceError as exc:
-                    got.append(repr(exc))
-        assert got[1] == got[0]
-        assert got[2] == got[0]
+
+        def solved():
+            try:
+                return repr(link_fixed_point(model, a, warm))
+            except ConvergenceError as exc:
+                return repr(exc)
+
+        trimmed = solved()
+        with mock.patch.object(bounds_module, "_unpinned",
+                               lambda held, a, clamped, cref, lo, hi:
+                               (1, n - 1)):
+            assert solved() == trimmed
 
 
 class TestCertified:
@@ -880,11 +877,11 @@ class TestCertified:
         return Pass(tuple(grad), [1.0] * 3, [0.0] * 3, self.TOTAL, sizing,
                     [], 0)
 
-    def certified(self, model, grad, a, spans=((1, 3),)):
-        """The rule on held(model, grad), read over spans (every gate by
-        default) with the flags of its sizes."""
+    def certified(self, model, grad, a, window=(1, 3)):
+        """The rule on held(model, grad), read over gates window[0] to
+        window[1] (every gate by default) with the flags of its sizes."""
         held = self.held(model, grad)
-        return certified(model, held, a, list(spans),
+        return certified(model, held, a, *window,
                          model.clamped(held.sizing))
 
     def edges(self, model):
@@ -925,15 +922,16 @@ class TestCertified:
         for g in (math.nextafter(low, -math.inf), a - 1.0):
             assert not self.certified(model, [g, a, a], a)
 
-    def test_no_span_reads_no_gate(self, model):
-        # An empty span list means every gate is pinned, so no row is
-        # read and the rule holds for any gradient, even one that fails
-        # on every gate over the whole chain.
+    def test_an_empty_window_reads_no_gate(self, model):
+        # An empty window (lo > hi) means every gate is pinned, so no row
+        # is read and the rule holds for any gradient, even one that
+        # fails on every gate over the whole chain.
         a = self.A
         for grad in ([a - 1.0, a + 1.0, a - 1e3], [math.nan] * 3,
                      [math.inf, -math.inf, a]):
             assert not self.certified(model, grad, a)
-            assert self.certified(model, grad, a, ())
+            for window in ((1, 0), (2, 1), (4, 3)):
+                assert self.certified(model, grad, a, window)
 
 
 class TestFeasibility:

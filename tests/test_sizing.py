@@ -344,9 +344,9 @@ class TestDistributeConstraint:
         real_solve = sizing._newton_solve
         monkeypatch.setattr(
             sizing, "_newton_solve",
-            lambda cin, grad, hd, ho, a, clamped, spans, border=False:
+            lambda cin, grad, hd, ho, a, clamped, lo, hi, border=False:
             None if a < 0.0 else real_solve(cin, grad, hd, ho, a, clamped,
-                                            spans, border))
+                                            lo, hi, border))
         bounds = compute_bounds(chain11, ref_params, ref_library)
         tc = 1.5 * bounds.t_min
         with pytest.raises(ConvergenceError, match=r"\(iterations=1, "
@@ -398,6 +398,46 @@ class TestDistributeConstraint:
                                              ref_library)
                 assert sol.note is not None
         assert calls == []
+
+    def test_builds_one_model_without_bounds(self, ref_params, ref_library,
+                                             chain11, monkeypatch):
+        # Without bounds the call computes them on the model it holds, so
+        # it builds one PathModel, and gives the result it gives with
+        # compute_bounds' bounds, bit for bit.
+        bounds = compute_bounds(chain11, ref_params, ref_library)
+        tc = 1.5 * bounds.t_min
+        want = distribute_constraint(chain11, tc, ref_params, ref_library,
+                                     bounds=bounds)
+        built = []
+        init = PathModel.__init__
+
+        def counting(model, *args, **kwargs):
+            built.append(model)
+            init(model, *args, **kwargs)
+
+        monkeypatch.setattr(PathModel, "__init__", counting)
+        got = distribute_constraint(chain11, tc, ref_params, ref_library)
+        assert len(built) == 1
+        assert repr(got) == repr(want)
+
+    def test_no_delay_curvature_is_a_typed_error(self, ref_params,
+                                                 ref_library):
+        # At tau = 1e-300 the Hessian at the fastest sizing is subnormal,
+        # so its unit response is not finite and the predictor finds no
+        # delay curvature: ConvergenceError at iteration 0 with the miss
+        # (t_min - tc) / tc = -1/3.  Delay is linear in tau, so this path
+        # should solve; a scale-free model (ROADMAP item 6) is the open
+        # fix.
+        params = dataclasses.replace(ref_params, tau=1e-300)
+        path = LogicPath(gates=("inv", "nand2", "nor3", "inv"),
+                         input_cap=1e6, terminal_load=1e9)
+        bounds = compute_bounds(path, params, ref_library)
+        with pytest.raises(ConvergenceError,
+                           match="no delay curvature") as err:
+            distribute_constraint(path, 1.5 * bounds.t_min, params,
+                                  ref_library, bounds=bounds)
+        assert err.value.iterations == 0
+        assert err.value.residual == pytest.approx(-1.0 / 3.0, rel=1e-9)
 
 
 class TestUnitResponse:
