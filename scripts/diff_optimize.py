@@ -30,6 +30,10 @@ each in its own interpreter, and compares the results case by case:
   difference listed.  On ref.proc alone the bordered Newton of
   distribute_constraint never takes a corrector step at fixed a; with
   these libraries a few calls do;
+* equal-delay flips: equal_delay_distribution on the case's path at
+  1.05, 1.5 and 3 times its t_min, each call one tree solves and the
+  other raises on listed, and the largest relative drift of the sizes
+  where both solve;
 * the largest relative numeric drift over every number of the cases
   whose structure agrees (sizes, delays, areas, a values, trace values).
 
@@ -47,8 +51,9 @@ repository root, e.g.
 The other tree's src/ comes first; "-" lines are its results, "+" lines
 this tree's.  Exits 1 when any structural difference, infeasible flip,
 area change, sweep row difference or coupled distribute difference is
-found, 0 otherwise; min-delay step and pass changes and greedy t_min
-changes are listed but leave the exit status alone.
+found, or any equal-delay flip, 0 otherwise; min-delay step and pass
+changes, greedy t_min changes and the equal-delay drift are reported but
+leave the exit status alone.
 """
 
 from __future__ import annotations
@@ -70,6 +75,7 @@ RATIOS = (0.8, 0.9, 0.97, 1.02, 1.1, 1.2, 1.5, 2.0, 2.5, 3.5)
 RTOL = 1e-9
 SWEEP_POINTS = 24
 COUPLED_RATIOS = (1.01, 1.5, 3.0)
+EQUAL_DELAY_RATIOS = (1.05, 1.5, 3.0)
 
 
 def cases(seed: int, count: int, gates: tuple[int, int], kinds):
@@ -151,6 +157,21 @@ def coupled_distribute(path, seed: int, index: int, params,
     return out
 
 
+def equal_delay(path, t_min: float, params, library) -> list:
+    """equal_delay_distribution on path at each of EQUAL_DELAY_RATIOS
+    times t_min: its sizes, or its failure as a string."""
+    from cmospath import equal_delay_distribution
+
+    out = []
+    for ratio in EQUAL_DELAY_RATIOS:
+        try:
+            out.append(list(equal_delay_distribution(
+                path, ratio * t_min, params, library)))
+        except Exception as exc:  # reported, not raised: it is a result
+            out.append(f"ratio={ratio} failed: {exc!r}")
+    return out
+
+
 def worker(argv) -> int:
     """Solve every case under the tree on PYTHONPATH; one JSON line each."""
     import cmospath
@@ -177,6 +198,7 @@ def worker(argv) -> int:
             out["steps"], out["passes"] = fixed.steps, fixed.passes
             out["numbers"]["t_min"] = t_min
             out["sweep"] = sweep_rows(path, t_min, params, library)
+            out["equal_delay"] = equal_delay(path, t_min, params, library)
             out["numbers"]["greedy_t_min"] = cmospath.min_delay_with_buffers(
                 path, params, library,
                 polarity_mode=spec["buffer_mode"]).t_min
@@ -261,6 +283,8 @@ def main(argv=None) -> int:
     structural = flips = area_changes = rows = rows_differ = 0
     steps_differ = passes_differ = 0
     calls = calls_differ = 0
+    equal_calls = equal_flips = 0
+    equal_drift = (0.0, None, None)
     greedy = {mode: {"lower": 0, "higher": 0, "equal": 0}
               for mode in ("pair", "single")}
     largest_area = (0.0, None)
@@ -321,6 +345,18 @@ def main(argv=None) -> int:
                 print(f"{label}: coupled distribute at {ratio} t_min differs")
                 print(f"  - {ra}")
                 print(f"  + {rb}")
+        for ratio, ea, eb in zip(EQUAL_DELAY_RATIOS, a.get("equal_delay", []),
+                                 b.get("equal_delay", [])):
+            equal_calls += 1
+            if isinstance(ea, str) != isinstance(eb, str):
+                equal_flips += 1
+                print(f"{label}: equal-delay at {ratio} t_min flips")
+                print(f"  - {ea}")
+                print(f"  + {eb}")
+            elif not isinstance(ea, str):
+                gap = max(map(relative, ea, eb))
+                if gap > equal_drift[0]:
+                    equal_drift = (gap, index, ratio)
         if sa["result"] == sb["result"] == "ok":
             change = (nb["area"] - na["area"]) / na["area"]
             if abs(change) > abs(largest_area[0]):
@@ -341,11 +377,14 @@ def main(argv=None) -> int:
     print(f"# sweep on the {SWEEP_POINTS}-point ladder: {rows} rows, "
           f"{rows_differ} differ")
     print(f"# coupled distribute: {calls} calls, {calls_differ} differ")
+    print(f"# equal-delay: {equal_calls} calls, {equal_flips} raise/solve "
+          f"flips; largest size drift {equal_drift[0]:.3e} (case "
+          f"{equal_drift[1]}, {equal_drift[2]} t_min)")
     print(f"# largest area change {largest_area[0]:+.3e} "
           f"(case {largest_area[1]}); largest relative drift "
           f"{drift[0]:.3e} (case {drift[1]}, {drift[2]})")
     differs = (structural or flips or area_changes or rows_differ
-               or calls_differ)
+               or calls_differ or equal_flips)
     return 1 if differs else 0
 
 

@@ -103,9 +103,8 @@ def _cmd_flimit(args, params, library, path, out) -> int:
 def _cmd_sweep(args, params, library, path, out) -> int:
     if args.points < 2:
         raise ConfigError("sweep needs at least 2 points")
-    bounds = compute_bounds(path, params, library)
-    a_deep = args.a_min if args.a_min is not None else \
-        -100.0 * bounds.t_min / params.cref
+    a_deep = args.a_min if args.a_min is not None else -100.0 * \
+        compute_bounds(path, params, library).t_min / params.cref
     if not a_deep < 0:
         raise ConfigError("--a-min must be negative")
     # Geometric ladder of magnitudes down to 1e-5 of the deepest value,

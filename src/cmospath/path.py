@@ -9,7 +9,8 @@ gate's output transition time into the next gate's delay term.
 ``PathModel`` builds one constant tuple per gate kind and input edge,
 which ``stage``, ``evaluate``, ``coefficients`` and ``derivatives`` all
 read, and ``PathModel.stage`` is the one place the stage delay is
-written (``process.stage_delay``, shared with ``gate_delay``).  Two
+written (``process.stage_delay``, shared with ``gate_delay``), with its
+inverse ``stage_size`` and its unbounded-size floor next to it.  Two
 views of the total delay coexist.  ``evaluate_path`` is the exact
 chained model, and ``PathModel.derivatives`` gives its exact gradient,
 tridiagonal Hessian and total delay in one pass, always as a ``Pass``,
@@ -315,6 +316,29 @@ class PathModel:
         tau_s, v_half, gamma, cm_fixed, par = self._consts[i][:5]
         return stage_delay(tau_s, v_half, gamma * cin + cm_fixed, cin,
                            x + par * cin, slope)
+
+    def stage_floor(self, i: int, slope: float) -> float:
+        """The delay stage(i, cin, x, slope) approaches from above as cin
+        grows without bound, for any x."""
+        tau_s, v_half, gamma, _, par = self._consts[i][:5]
+        span = par + gamma
+        return v_half * slope + (
+            tau_s * par * (par + 3.0 * gamma) / (2.0 * span) if span else 0.0)
+
+    def stage_size(self, i: int, delay: float, x: float,
+                   slope: float) -> float:
+        """The one cin at which stage(i, cin, x, slope) takes a delay above
+        stage_floor: the positive root of the stage delay times 2 cin (load
+        + c_m) / tau_s, a quadratic q2 cin^2 + q1 cin + q0 with q2 <= 0 <
+        q0, in the root form whose denominator does not cancel."""
+        tau_s, v_half, gamma, cm_fixed, par = self._consts[i][:5]
+        k = 2.0 * (delay - v_half * slope) / tau_s
+        q2 = par * (par + 3.0 * gamma) - k * (par + gamma)
+        q1 = (x * (par + 3.0 * gamma) + par * (x + 3.0 * cm_fixed)
+              - k * (x + cm_fixed))
+        q0 = x * (x + 3.0 * cm_fixed)
+        r = math.sqrt(q1 * q1 - 4.0 * q2 * q0)
+        return (q1 + r) / (-2.0 * q2) if q1 > 0 else 2.0 * q0 / (r - q1)
 
     def evaluate(self, sizing, base: PathTiming | None = None) -> PathTiming:
         """Exact chained delay of the path at one sizing.

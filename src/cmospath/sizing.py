@@ -15,8 +15,8 @@ delay lands in tc * (1 - 1e-3) <= delay <= tc.  Where strong fixed
 coupling folds the solution branch back in a and the iterate leaves it,
 a corrector step at fixed a, from the same sweep, takes it back.  A tc
 at or above the all-minimum-drive delay takes that corner with no
-solve.  The equal-delay-per-stage reference sizing is a heuristic for
-comparison, not an optimizer.
+solve.  The equal-delay-per-stage reference sizing, a heuristic for
+comparison, sizes each stage in closed form (PathModel.stage_size).
 """
 
 from __future__ import annotations
@@ -254,15 +254,14 @@ def equal_delay_distribution(path: LogicPath, tc: float,
                              library: GateLibrary) -> Sizing:
     """Reference sizing giving every stage the same delay budget tc/n.
 
-    Backward per-stage solves with input slopes taken from the previous
-    full evaluation, then one slope-refresh round and a final check that
-    the exact total stays within 1% of tc.  Stages already at minimum
-    drive below their budget are left clamped.  A stage whose parasitic
-    self-loading floor sits above the equal share takes its achievable
-    floor instead (paying for it in size) and the stages closer to the
-    input absorb the deficit; this is the saturated extreme of the
-    over-sizing the method is known for.  Raises InfeasibleError when
-    even that redistribution cannot land the total under tc.
+    One backward pass per slope round (two rounds, slopes from the last
+    full evaluation): each stage takes its share of what is left of tc
+    at the size that meets it exactly (PathModel.stage_size), or cref if
+    cref does.  A stage whose floor (PathModel.stage_floor) reaches its
+    share budgets 5% above it, at any size, and the stages nearer the
+    input absorb the deficit: the saturated extreme of the method's
+    over-sizing.  Raises InfeasibleError when that bump takes the rest
+    of tc, or the exact total lands above 1.01 tc.
     """
     if not tc > 0:
         raise ValueError("tc must be positive")
@@ -271,48 +270,25 @@ def equal_delay_distribution(path: LogicPath, tc: float,
     cref = params.cref
     sizing = list(all_minimum(model))
 
-    for sweep_round in range(2):
+    for _ in range(2):
         slopes_in = [path.driver_slope()] + \
             list(model.evaluate(sizing).per_gate_slope[:-1])
         pool = tc
         for i in range(n - 1, 0, -1):
-            next_cap = sizing[i + 1] if i < n - 1 else model.terminal_load
+            x = sizing[i + 1] if i < n - 1 else model.terminal_load
             slope = slopes_in[i]
             # stages i..0 still have to fit into what is left of tc
             target = pool / (i + 1)
-            # delay never falls below the huge-size limit; budget at
-            # least that, plus a margin the bisection can actually hit
-            floor = model.stage(i, 1e9, next_cap, slope)[0]
+            floor = model.stage_floor(i, slope)
             if floor >= target:
                 target = floor * 1.05
-            if target >= pool:
-                raise InfeasibleError(
-                    f"stage {i} needs {target:.6g} ps, exhausting the "
-                    f"remaining budget {pool:.6g} ps of the equal split")
-            if model.stage(i, cref, next_cap, slope)[0] <= target:
-                sizing[i] = cref
-            else:
-                lo = cref
-                hi = cref * 2.0
-                guard = 0
-                while model.stage(i, hi, next_cap, slope)[0] > target:
-                    lo = hi
-                    hi *= 2.0
-                    guard += 1
-                    if guard > 120:
-                        raise InfeasibleError(
-                            f"stage {i} cannot reach its budget "
-                            f"{target:.6g} ps at any realizable size")
-                for _ in range(100):
-                    mid = 0.5 * (lo + hi)
-                    if model.stage(i, mid, next_cap, slope)[0] > target:
-                        lo = mid
-                    else:
-                        hi = mid
-                    if hi - lo <= 1e-12 * hi:
-                        break
-                sizing[i] = hi
-            pool -= model.stage(i, sizing[i], next_cap, slope)[0]
+                if target >= pool:
+                    raise InfeasibleError(
+                        f"stage {i} needs {target:.6g} ps, exhausting the "
+                        f"remaining budget {pool:.6g} ps of the equal split")
+            sizing[i] = (cref if model.stage(i, cref, x, slope)[0] <= target
+                         else model.stage_size(i, target, x, slope))
+            pool -= model.stage(i, sizing[i], x, slope)[0]
 
     total = model.evaluate(sizing).total_delay
     if total > tc * 1.01:

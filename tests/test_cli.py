@@ -6,6 +6,7 @@ separation, and the documented exit codes.
 """
 
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -141,6 +142,16 @@ class TestEqualDelay:
             tc / 13.0, rel=1e-5)
         assert grab(r"total_delay_ps = ([0-9.]+)", out) <= tc * 1.01
 
+    def test_unbounded_tc_takes_the_all_minimum_corner(self, capsys):
+        # as size and optimize do: every free gate at cref
+        code, out, err = run_cli(
+            ["equal-delay", "--tc", "inf", REF_PROC, CHAIN11], capsys)
+        assert (code, err) == (0, "")
+        assert "stage_budget_ps = inf\n" in out
+        sizes = [line.split()[2] for line in out.splitlines()
+                 if re.match(r"^\d+ ", line)]
+        assert sizes == ["4"] + ["2"] * 10
+
 
 class TestFlimit:
     def test_single_pair(self, capsys):
@@ -214,6 +225,26 @@ class TestSweep:
         assert code == 1
         assert out == ""
         assert err == "error: --a-min must be negative\n"
+
+    def test_a_min_is_checked_before_any_solve(self, capsys, tmp_path):
+        # At tau = 1e300 this path's bounds solve starts at an infinite
+        # delay and fails; a given --a-min needs no bounds, so its check
+        # speaks first.
+        proc = tmp_path / "slow.proc"
+        proc.write_text(re.sub(r"(?m)^tau_ps = .*$", "tau_ps = 1e300",
+                               pathlib.Path(REF_PROC).read_text()))
+        path = tmp_path / "big.path"
+        path.write_text("input_cap_ff = 1e6\nload_ff = 1e9\ninv\nnand2\n"
+                        "inv\n")
+        code, out, err = run_cli(
+            ["sweep", "--points", "3", "--a-min", "1", str(proc), str(path)],
+            capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --a-min must be negative\n"
+        code, out, err = run_cli(
+            ["sweep", "--points", "3", str(proc), str(path)], capsys)
+        assert code == 3
+        assert err.startswith("no convergence:")
 
     def test_failed_rows_go_to_stderr(self, capsys, monkeypatch):
         # The bounds solve runs in full; the sweep's own solves get one

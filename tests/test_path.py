@@ -319,6 +319,70 @@ class TestEvaluate:
             edge = out
 
 
+def stage_draw(rng, params, library):
+    """A one-gate model on a random edge, over a ref.proc kind or a
+    generated template (par_coeff 0-2.5, cm_override None, 0 or 1-1000
+    fF), with a load x of 1-1e12 fF and an input slope of 0 or 0-200
+    ps."""
+    if rng.random() < 0.5:
+        template = library[rng.choice(KINDS)]
+    else:
+        template = GateTemplate(
+            name="g", n_inputs=rng.randint(1, 3), dw_hl=1.0, dw_lh=1.0,
+            par_coeff=rng.choice((0.0, rng.uniform(0.0, 2.5))),
+            cm_override=rng.choice((None, 0.0, rng.uniform(1.0, 1000.0))))
+    path = LogicPath(gates=(template.name,), input_cap=params.cref,
+                     terminal_load=1.0,
+                     input_edge=rng.choice(("rising", "falling")))
+    model = PathModel(path, params, {template.name: template})
+    return (model, 10.0 ** rng.uniform(0.0, 12.0),
+            rng.choice((0.0, rng.uniform(0.0, 200.0))))
+
+
+class TestStageInverse:
+    """PathModel.stage_size inverts stage above stage_floor."""
+
+    def test_size_meets_the_delay(self, ref_params, ref_library):
+        rng = random.Random(59)
+        unloaded = 0
+        for _ in range(4000):
+            model, x, slope = stage_draw(rng, ref_params, ref_library)
+            floor = model.stage_floor(0, slope)
+            scale = floor if floor > 0 else model.stage(0, x, x, slope)[0]
+            unloaded += floor == 0
+            # from 1e-9 above the floor to 100 times it
+            target = floor + scale * 10.0 ** rng.uniform(-9.0, 2.0)
+            size = model.stage_size(0, target, x, slope)
+            assert 0 < size < math.inf
+            assert model.stage(0, size, x, slope)[0] == pytest.approx(
+                target, rel=1e-11, abs=0)
+        assert unloaded  # par = gamma = 0 and a still input are drawn
+
+    def test_floor_is_approached_from_above(self, ref_params, ref_library):
+        rng = random.Random(61)
+        for _ in range(300):
+            model, x, slope = stage_draw(rng, ref_params, ref_library)
+            floor = model.stage_floor(0, slope)
+            gaps = [model.stage(0, x * 10.0 ** k, x, slope)[0] - floor
+                    for k in range(9)]
+            assert all(g > 0 for g in gaps)
+            assert gaps == sorted(gaps, reverse=True)
+            assert gaps[-1] < 1e-6 * gaps[0]
+
+    def test_floor_without_parasitic_or_coupling(self, ref_params):
+        bare = GateTemplate(name="bare", n_inputs=1, dw_hl=1.0, dw_lh=1.0,
+                            par_coeff=0.0, cm_override=0.0)
+        path = LogicPath(gates=("bare",), input_cap=ref_params.cref,
+                         terminal_load=1.0)
+        model = PathModel(path, ref_params, {"bare": bare})
+        v_half = ref_params.threshold("rising") / 2.0
+        assert model.stage_floor(0, 30.0) == v_half * 30.0
+        # the delay is v_half * slope + tau_s * x / (2 c): one root
+        tau_s = model._consts[0][0]
+        size = model.stage_size(0, v_half * 30.0 + 5.0, 100.0, 30.0)
+        assert size == pytest.approx(tau_s * 100.0 / 10.0, rel=1e-15)
+
+
 class TestCoefficients:
     def test_frozen_matches_exact_at_snapshot(self, ref_params, ref_library):
         rng = random.Random(11)

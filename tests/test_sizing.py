@@ -29,7 +29,7 @@ from cmospath import (
     solve_at_sensitivity,
     sweep,
 )
-from cmospath.path import Pass
+from cmospath.path import MAX_CAP_FF, Pass
 
 KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
 
@@ -797,6 +797,27 @@ class TestEqualDelay:
         with pytest.raises(InfeasibleError):
             equal_delay_distribution(chain13, 0.5 * bounds.t_min,
                                      ref_params, ref_library)
+
+    def test_unbounded_tc_takes_the_all_minimum_corner(
+            self, ref_params, ref_library, chain11):
+        # as distribute_constraint does: no stage needs more than cref
+        sizing = equal_delay_distribution(chain11, math.inf, ref_params,
+                                          ref_library)
+        assert sizing == distribute_constraint(
+            chain11, math.inf, ref_params, ref_library).sizing
+        assert sizing == (chain11.input_cap,) + (ref_params.cref,) * 10
+
+    def test_largest_load_has_no_size_cap(self, ref_params, ref_library):
+        # At the largest accepted load the last stage's share calls for
+        # about 2e9 fF; no stage is capped short of the size it needs.
+        path = dataclasses.replace(FOUR_GATE, terminal_load=MAX_CAP_FF,
+                                   driver_slope_rise=0.0,
+                                   driver_slope_fall=0.0)
+        tc = 1.05 * compute_bounds(path, ref_params, ref_library).t_min
+        sizing = equal_delay_distribution(path, tc, ref_params, ref_library)
+        timing = evaluate_path(path, sizing, ref_params, ref_library)
+        assert timing.total_delay < 0.96 * tc
+        assert sizing[-1] > 2e9
 
 
 class TestPathArea:
