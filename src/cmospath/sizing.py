@@ -270,7 +270,7 @@ def equal_delay_distribution(path: LogicPath, tc: float,
     cref = params.cref
     sizing = list(all_minimum(model))
 
-    for _ in range(2):
+    for sweep_round in range(2):
         slopes_in = [path.driver_slope()] + \
             list(model.evaluate(sizing).per_gate_slope[:-1])
         pool = tc
