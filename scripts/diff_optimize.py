@@ -18,6 +18,9 @@ each in its own interpreter, and compares the results case by case:
 * greedy t_min: min_delay_with_buffers on the case's path in its buffer
   mode, counted per mode as lower, higher or equal (1e-9 relative),
   each change listed;
+* infeasible t_min: the minimum delay InfeasibleError reports in the
+  cases both trees raise on, counted as lower, higher or equal (1e-9
+  relative), each change listed;
 * sweep rows: sweep on the case's path over the CLI's 24-point ladder
   (23 geometric values from -100 t_min / cref down to 1e-5 of that, then
   a = 0), each row or row failure compared by its repr, so a row that
@@ -52,8 +55,8 @@ The other tree's src/ comes first; "-" lines are its results, "+" lines
 this tree's.  Exits 1 when any structural difference, infeasible flip,
 area change, sweep row difference or coupled distribute difference is
 found, or any equal-delay flip, 0 otherwise; min-delay step and pass
-changes, greedy t_min changes and the equal-delay drift are reported but
-leave the exit status alone.
+changes, greedy and infeasible t_min changes and the equal-delay drift
+are reported but leave the exit status alone.
 """
 
 from __future__ import annotations
@@ -252,6 +255,17 @@ def relative(old: float, new: float) -> float:
     return abs(new - old) / max(abs(old), abs(new))
 
 
+def compare(label: str, what: str, old_t: float, new_t: float) -> str:
+    """"lower", "higher" or "equal" (RTOL relative) for a delay, printing
+    the change unless equal."""
+    verdict = ("equal" if relative(old_t, new_t) <= RTOL
+               else "lower" if new_t < old_t else "higher")
+    if verdict != "equal":
+        print(f"{label}: {what} {old_t:.9g} -> {new_t:.9g} ps "
+              f"({(new_t - old_t) / old_t:+.3e})")
+    return verdict
+
+
 def describe(index: int, spec: dict) -> str:
     return (f"case {index} (n={len(spec['gates'])} r={spec['ratio']} "
             f"mode={spec['buffer_mode']})")
@@ -287,6 +301,7 @@ def main(argv=None) -> int:
     equal_drift = (0.0, None, None)
     greedy = {mode: {"lower": 0, "higher": 0, "equal": 0}
               for mode in ("pair", "single")}
+    infeasible = {"lower": 0, "higher": 0, "equal": 0}
     largest_area = (0.0, None)
     drift = (0.0, None, None)
     for index, (a, b) in enumerate(zip(old, new)):
@@ -322,13 +337,12 @@ def main(argv=None) -> int:
             print(f"{label}: min-delay derivative passes {a.get('passes')} "
                   f"-> {b.get('passes')}")
         if "greedy_t_min" in na and "greedy_t_min" in nb:
-            old_t, new_t = na["greedy_t_min"], nb["greedy_t_min"]
-            verdict = ("equal" if relative(old_t, new_t) <= RTOL
-                       else "lower" if new_t < old_t else "higher")
+            verdict = compare(label, "greedy t_min", na["greedy_t_min"],
+                              nb["greedy_t_min"])
             greedy[a["spec"]["buffer_mode"]][verdict] += 1
-            if verdict != "equal":
-                print(f"{label}: greedy t_min {old_t:.9g} -> {new_t:.9g} ps "
-                      f"({(new_t - old_t) / old_t:+.3e})")
+        if sa["result"] == sb["result"] == "infeasible":
+            infeasible[compare(label, "infeasible t_min", na["best_t_min"],
+                               nb["best_t_min"])] += 1
         sweep_a, sweep_b = a.get("sweep", []), b.get("sweep", [])
         rows += max(len(sweep_a), len(sweep_b))
         for k, (ra, rb) in enumerate(itertools.zip_longest(sweep_a,
@@ -374,6 +388,8 @@ def main(argv=None) -> int:
     for mode, counts in greedy.items():
         print(f"# greedy t_min, {mode} mode: {counts['lower']} lower, "
               f"{counts['higher']} higher, {counts['equal']} equal")
+    print(f"# infeasible t_min: {infeasible['lower']} lower, "
+          f"{infeasible['higher']} higher, {infeasible['equal']} equal")
     print(f"# sweep on the {SWEEP_POINTS}-point ladder: {rows} rows, "
           f"{rows_differ} differ")
     print(f"# coupled distribute: {calls} calls, {calls_differ} differ")

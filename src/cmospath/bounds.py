@@ -263,7 +263,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     not: its steps, its passes and the gates they computed against n per
     pass, and the Newton rows its steps swept against n - 1 per step.
     """
-    if a > 0:
+    if not a <= 0:
         raise ValueError("sensitivity target a must be <= 0")
     n = model.n
     cref = model.params.cref

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -103,6 +104,8 @@ def _cmd_flimit(args, params, library, path, out) -> int:
 def _cmd_sweep(args, params, library, path, out) -> int:
     if args.points < 2:
         raise ConfigError("sweep needs at least 2 points")
+    if args.a_min in (-math.inf, math.inf):
+        raise ConfigError("--a-min must be finite")
     a_deep = args.a_min if args.a_min is not None else -100.0 * \
         compute_bounds(path, params, library).t_min / params.cref
     if not a_deep < 0:

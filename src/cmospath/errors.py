@@ -24,9 +24,9 @@ class ConfigError(CmosPathError):
 class InfeasibleError(CmosPathError):
     """A delay constraint below what the structure can achieve.
 
-    Carries the best achievable minimum delay so callers can report how
-    far away the constraint is.  The optimizer also attaches the best
-    structure it found and the trace of attempted transformations.
+    Carries the best achievable minimum delay.  optimize reports the
+    fastest route it built: its t_min, its path as best_path, and a trace
+    (bounds, classify, its steps) that replay_trace turns into best_path.
     """
 
     def __init__(self, message: str, t_min: float | None = None,

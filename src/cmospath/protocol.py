@@ -182,26 +182,27 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
              buffer_kind: str = "inv") -> OptimizationResult:
     """Meet delay constraint tc at minimum area, restructuring if needed.
 
-    Weak constraints distribute area directly.  Medium ones try buffer
-    insertion but keep it only on measured area improvement.  Hard ones
-    buffer first, then distribute.  Infeasible ones restructure the least
-    efficient gates (then buffer if still short); a buffer-only route is
-    kept as the alternative and the smaller final area wins, ties going to
-    restructuring.  Still-unreachable constraints raise InfeasibleError
-    carrying the best achievable t_min and the trace.  An unknown
+    The domain picks the candidate routes: weak the path as it is,
+    medium that and its greedy-buffered route, hard the buffered route
+    (the path itself without allow_buffer), infeasible the restructure
+    walk (least efficient gates rewritten while t_min misses tc, then
+    buffered if still short) and the buffer-only route.  Each candidate
+    meeting tc is distributed at tc; the smallest area wins, the earlier
+    on ties.  Else InfeasibleError carries the fastest route built: its
+    t_min, its path as best_path, and a trace (bounds, classify, its
+    steps) that replay_trace turns into best_path.  An unknown
     buffer_mode raises ValueError in every domain.
     """
     check_polarity_mode(buffer_mode)
-    trace: list[TraceStep] = []
-
     bounds = compute_bounds(path, params, library)
     base = _Route(path, (), bounds.t_min, bounds.sizing_min,
                   (bounds.sizing_max, bounds.t_max))
-    trace.append(TraceStep("bounds", {"t_min": bounds.t_min,
-                                      "t_max": bounds.t_max}))
     domain = classify_constraint(tc, bounds.t_min, params)
-    trace.append(TraceStep("classify", {
-        "domain": domain.kind.value, "ratio": domain.ratio, "tc": tc}))
+    trace = [TraceStep("bounds", {"t_min": bounds.t_min,
+                                  "t_max": bounds.t_max}),
+             TraceStep("classify", {"domain": domain.kind.value,
+                                    "ratio": domain.ratio, "tc": tc})]
+    visited = [base]  # every route built, for the error's fastest one
 
     def buffered(route: _Route) -> _Route:
         """Greedy buffering of a route, its insertions appended as steps."""
@@ -211,8 +212,9 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
         steps = tuple(TraceStep("insert_buffer", {
             "index": index, "mode": mode, "kind": buffer_kind})
             for index, mode in outcome.insertions)
-        return _Route(outcome.path, route.steps + steps, outcome.t_min,
-                      outcome.sizing)
+        visited.append(_Route(outcome.path, route.steps + steps,
+                              outcome.t_min, outcome.sizing))
+        return visited[-1]
 
     def distribute(route: _Route) -> SensitivitySolution:
         sizing_max, t_max = route.max_corner \
@@ -223,29 +225,8 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
                                sizing_min=route.sizing_min,
                                sizing_max=sizing_max))
 
-    if domain.kind is not Domain.INFEASIBLE:
-        hard = domain.kind is Domain.HARD
-        chosen = buffered(base) if hard and allow_buffer else base
-        trace.extend(chosen.steps)
-        if chosen.steps:
-            trace.append(TraceStep("rebound", {"t_min": chosen.t_min}))
-        solution = distribute(chosen)
-        if domain.kind is Domain.MEDIUM and allow_buffer:
-            # Buffers must pay for themselves in area at this constraint.
-            alt = buffered(base)
-            if alt.steps:
-                alt_solution = distribute(alt)
-                areas = {"area_with": alt_solution.area,
-                         "area_without": solution.area}
-                if alt_solution.area < solution.area:
-                    trace.extend(alt.steps)
-                    trace.append(TraceStep("buffering_kept", areas))
-                    chosen, solution = alt, alt_solution
-                else:
-                    trace.append(TraceStep("buffering_rejected", areas))
-
-    else:  # infeasible at the current structure
-        routes: list[tuple[str, _Route]] = []
+    candidates: list[tuple[str, _Route]] = []
+    if domain.kind is Domain.INFEASIBLE:
         if allow_restruct:
             ranking = rank_gate_efficiency(library, params, buffer_kind)
             rank_pos = {kind: i for i, (kind, _) in enumerate(ranking)}
@@ -264,40 +245,54 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
                     "to": f"inv+{dual_kind(old_kind)}+inv",
                     "cancelled": pairs, "equivalent": True, "t_min": t_min})
                 route = _Route(new_path, route.steps + (step,), t_min, sizing)
+                visited.append(route)
             if route.steps and tc < route.t_min and allow_buffer:
                 route = buffered(route)
-            routes.append(("restruct", route))
+            candidates.append(("restruct", route))
         # The buffer-only route competes with restructuring, and is all
         # that is left when restructuring found nothing to rewrite.
         if allow_buffer:
-            routes.append(("buffer", buffered(base)))
+            candidates.append(("buffer", buffered(base)))
+    elif domain.kind is Domain.HARD and allow_buffer:
+        candidates.append(("buffer", buffered(base)))
+    else:
+        candidates.append(("plain", base))
+        if domain.kind is Domain.MEDIUM and allow_buffer:
+            # Buffers must pay for themselves in area at this constraint.
+            alt = buffered(base)
+            if alt.steps:
+                candidates.append(("buffer", alt))
 
-        fastest = min([base] + [route for _, route in routes],
-                      key=lambda route: route.t_min)
-        scored = [(name, route, distribute(route)) for name, route in routes
-                  if tc >= route.t_min]
-        if not scored:
-            raise InfeasibleError(
-                f"constraint {tc:.6g} ps unreachable; best achievable "
-                f"minimum delay is {fastest.t_min:.6g} ps",
-                t_min=fastest.t_min, best_path=fastest.path,
-                trace=tuple(trace))
-        name, chosen, solution = min(scored, key=lambda s: s[2].area)
-        trace.extend(chosen.steps)
+    scored = [(name, route, distribute(route)) for name, route in candidates
+              if route.t_min <= tc]
+    if not scored:
+        fastest = min(visited, key=lambda route: route.t_min)
+        raise InfeasibleError(
+            f"constraint {tc:.6g} ps unreachable; best achievable "
+            f"minimum delay is {fastest.t_min:.6g} ps",
+            t_min=fastest.t_min, best_path=fastest.path,
+            trace=(*trace, *fastest.steps))
+    name, chosen, solution = min(scored, key=lambda s: s[2].area)
+    trace.extend(chosen.steps)
+    if domain.kind is Domain.INFEASIBLE:
         trace.append(TraceStep("route", {"chosen": name}))
-
+    elif len(scored) == 2:
+        trace.append(TraceStep(
+            "buffering_kept" if chosen.steps else "buffering_rejected",
+            {"area_with": scored[1][2].area,
+             "area_without": scored[0][2].area}))
+    elif chosen.steps:
+        trace.append(TraceStep("rebound", {"t_min": chosen.t_min}))
     trace.append(TraceStep("distribute", {
         "a": solution.a_value, "delay": solution.delay,
         "area": solution.area}))
 
-    notes = (solution.note,) if solution.note else ()
-    achieved = solution.delay
-    if achieved > tc:
+    if solution.delay > tc:
         raise InvariantError(
-            f"optimizer produced delay {achieved:.6g} ps above constraint "
-            f"{tc:.6g} ps")
+            f"optimizer produced delay {solution.delay:.6g} ps above "
+            f"constraint {tc:.6g} ps")
     return OptimizationResult(
         final_path=chosen.path, sizing=solution.sizing,
-        achieved_delay=achieved, area=solution.area,
+        achieved_delay=solution.delay, area=solution.area,
         a_value=solution.a_value, domain=domain, trace=tuple(trace),
-        notes=notes)
+        notes=(solution.note,) if solution.note else ())

@@ -226,6 +226,16 @@ class TestSweep:
         assert out == ""
         assert err == "error: --a-min must be negative\n"
 
+    def test_rejects_an_infinite_a_min(self, capsys):
+        # -inf would make the first two ladder rows both -inf, so the rows
+        # would not be ascending in a.
+        for value in ("-inf", "inf"):
+            code, out, err = run_cli(
+                ["sweep", "--points", "3", f"--a-min={value}", REF_PROC,
+                 CHAIN11], capsys)
+            assert (code, out) == (1, "")
+            assert err == "error: --a-min must be finite\n"
+
     def test_a_min_is_checked_before_any_solve(self, capsys, tmp_path):
         # At tau = 1e300 this path's bounds solve starts at an infinite
         # delay and fails; a given --a-min needs no bounds, so its check

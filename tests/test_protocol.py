@@ -6,6 +6,8 @@ package's own model cannot slip through.
 """
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -223,6 +225,80 @@ class TestInfeasibleDomain:
         assert str(errors[0]) == str(errors[1])
         assert errors[0].best_path == errors[1].best_path
         assert errors[0].trace == errors[1].trace
+
+    @staticmethod
+    def _outcomes(ref_params, ref_library, seed, count):
+        """(path, InfeasibleError or None if it solved) for seeded random
+        paths at 0.8-0.97 of their t_min, each under both buffer modes and
+        with buffering, restructuring or both allowed."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            path = LogicPath(
+                gates=tuple(rng.choice(KINDS)
+                            for _ in range(rng.randint(2, 12))),
+                input_cap=rng.uniform(2.0, 8.0),
+                terminal_load=rng.uniform(100.0, 2000.0),
+                input_edge=rng.choice(("rising", "falling")),
+                driver_slope_rise=rng.uniform(0.0, 50.0),
+                driver_slope_fall=rng.uniform(0.0, 50.0))
+            _, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
+            tc = rng.choice((0.8, 0.9, 0.97)) * t_min
+            for mode, buffer, restruct in itertools.product(
+                    ("pair", "single"), (True, False), (True, False)):
+                if not (buffer or restruct):
+                    continue
+                try:
+                    optimize(path, tc, ref_params, ref_library,
+                             allow_buffer=buffer, allow_restruct=restruct,
+                             buffer_mode=mode)
+                except InfeasibleError as err:
+                    yield path, err
+                else:
+                    yield path, None
+
+    def test_every_raise_replays_to_its_best_path(self, ref_params,
+                                                   ref_library):
+        # The error trace holds the steps that built the fastest route,
+        # so it replays to best_path.
+        raises = 0
+        for path, err in self._outcomes(ref_params, ref_library, 1, 12):
+            if err is None:
+                continue
+            raises += 1
+            assert [s.kind for s in err.trace[:2]] == ["bounds", "classify"]
+            assert replay_trace(path, err.trace, ref_library) \
+                == err.best_path
+        assert raises > 20
+
+    def test_error_reports_the_fastest_route_built(self, ref_params,
+                                                    ref_library,
+                                                    monkeypatch):
+        # Every route optimize builds comes from one of these three: the
+        # input path's bounds, a restructure step's min-delay solve and a
+        # greedy buffering run.  The error carries the least of them.
+        seen = []
+
+        def recording(function, t_min_of):
+            def wrapper(*args, **kwargs):
+                result = function(*args, **kwargs)
+                seen.append(t_min_of(result))
+                return result
+            return wrapper
+
+        for name, t_min_of in (("compute_bounds", lambda r: r.t_min),
+                               ("min_delay_sizing", lambda r: r[1]),
+                               ("min_delay_with_buffers",
+                                lambda r: r.t_min)):
+            monkeypatch.setattr(protocol, name, recording(
+                getattr(protocol, name), t_min_of))
+        lower = 0
+        for _, err in self._outcomes(ref_params, ref_library, 2, 12):
+            if err is not None:
+                assert err.t_min == min(seen)
+                assert err.t_min > err.trace[1].data["tc"]
+                lower += err.t_min < seen[0]
+            seen.clear()
+        assert lower
 
 
 class TestInternalChecks:

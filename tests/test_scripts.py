@@ -124,6 +124,9 @@ def test_diff_optimize_finds_no_difference_against_its_own_tree():
     for mode in ("pair", "single"):
         assert re.search(rf"^# greedy t_min, {mode} mode: 0 lower, 0 higher, "
                          r"\d+ equal$", proc.stdout, flags=re.M), proc.stdout
+    # ... and the InfeasibleError raises report the same t_min.
+    assert re.search(r"^# infeasible t_min: 0 lower, 0 higher, \d+ equal$",
+                     proc.stdout, flags=re.M), proc.stdout
     # Each of the 12 cases sweeps the 24 points of the CLI's ladder.
     assert re.search(r"^# sweep on the 24-point ladder: 288 rows, 0 differ$",
                      proc.stdout, flags=re.M), proc.stdout

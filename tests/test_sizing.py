@@ -53,6 +53,17 @@ class TestSolveAtSensitivity:
         with pytest.raises(ValueError, match="must be <= 0"):
             solve_at_sensitivity(chain11, 0.5, ref_params, ref_library)
 
+    def test_rejects_nan_sensitivity(self, ref_params, ref_library,
+                                     chain11):
+        # A NaN target is no a <= 0: it is refused before any Newton step
+        # instead of degenerating the system, and sweep files that error.
+        with pytest.raises(ValueError, match="must be <= 0"):
+            solve_at_sensitivity(chain11, math.nan, ref_params, ref_library)
+        rows, failures = sweep(chain11, [math.nan, 0.0], ref_params,
+                               ref_library)
+        assert [row.a_value for row in rows] == [0.0]
+        assert [type(exc) for _, exc in failures] == [ValueError]
+
     def test_solution_rejects_positive_sensitivity(self):
         with pytest.raises(ValueError, match="a_value must be <= 0"):
             SensitivitySolution(a_value=0.1, sizing=(4.0, 2.0), delay=10.0,
