@@ -13,8 +13,8 @@ each in its own interpreter, and compares the results case by case:
 * min-delay steps and passes: the Newton steps and the derivative
   passes of the cold min-delay solve of the case's path
   (bounds.link_fixed_point at a = 0, as min_delay_sizing runs it), each
-  change listed, so an engine refactor shows the same iterations and
-  passes as well as the same outputs;
+  change listed and each tree's totals printed, so an engine refactor
+  shows the same iterations and passes as well as the same outputs;
 * greedy t_min: min_delay_with_buffers on the case's path in its buffer
   mode, counted per mode as lower, higher or equal (1e-9 relative),
   each change listed;
@@ -382,9 +382,11 @@ def main(argv=None) -> int:
 
     print(f"# {len(old)} cases: {structural} structural differences, "
           f"{flips} infeasible flips, {area_changes} area changes")
-    print(f"# min-delay steps: {len(old)} cases, {steps_differ} differ")
-    print(f"# min-delay derivative passes: {len(old)} cases, "
-          f"{passes_differ} differ")
+    for what, key, differ in (("steps", "steps", steps_differ),
+                              ("derivative passes", "passes", passes_differ)):
+        print(f"# min-delay {what}: {len(old)} cases, {differ} differ; total "
+              f"{sum(a.get(key, 0) for a in old)} -> "
+              f"{sum(b.get(key, 0) for b in new)}")
     for mode, counts in greedy.items():
         print(f"# greedy t_min, {mode} mode: {counts['lower']} lower, "
               f"{counts['higher']} higher, {counts['equal']} equal")

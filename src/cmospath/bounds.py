@@ -2,9 +2,13 @@
 
 The slowest corner is every free gate at minimum drive (all_minimum).
 The fastest makes every free gate's exact delay sensitivity vanish.  A
-cold solve starts on the geometric taper from the fixed input
-capacitance to the terminal load, cin[i] = input_cap * (load /
-input_cap)^(i/n) held at cref or above, then runs log-space Newton
+cold solve starts on the logical-effort taper from the fixed input
+capacitance to the terminal load (splice_sizing): with the Miller and
+coupling terms dropped the delay is sum_i w_i x_i / cin[i], and its
+stationary sizing gives every stage the same weighted effort w_i
+cin[i+1] / cin[i], held at cref or above.  A path with fixed coupling
+weighs every gate 1, the geometric taper cin[i] = input_cap * (load /
+input_cap)^(i/n).  From there the solve runs log-space Newton
 iterations on the exact model.  Each sizing visited gets one pass (exact
 gradient, tridiagonal Hessian and delay), which judges the step to it
 and opens the next iteration.  A pass is windowed on the pass the
@@ -235,12 +239,13 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     pass there, and windows its next pass on it and its closing
     evaluation on its timing.  The pass must have this path's lengths,
     else ValueError; one of another model of the same length would be
-    spliced in silently.  A size list, each None filled by splice_sizing,
-    or None, all None: the geometric taper cin[i] = max(cref, input_cap *
-    (load / input_cap)^(i/n)), which depends neither on a nor on cref
-    unless it clamps; either takes a full pass there.  A bare Pass is a
-    TypeError, and a start whose delay is not finite a ConvergenceError
-    at iteration 0.  The solve drives the exact sensitivities dT/dcin[i]
+    spliced in silently.  A size list, each None filled by splice_sizing
+    on the model's effort_weights, or None, all None: the logical-effort
+    taper from input_cap to the load (the geometric taper cin[i] =
+    max(cref, input_cap * (load / input_cap)^(i/n)) on a path with fixed
+    coupling), which depends neither on a nor on cref unless it clamps;
+    either takes a full pass there.  A bare Pass is a TypeError, and a
+    start whose delay is not finite a ConvergenceError at iteration 0.  The solve drives the exact sensitivities dT/dcin[i]
     to a for every unclamped gate, within MAX_ITERATIONS steps.  Each
     iteration takes a tridiagonal Newton step off the pass that opens it,
     on the exact Hessian, each row that is not diagonally dominant made so
@@ -300,7 +305,8 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         here = opened(held)
     else:
         here = visit(splice_sizing([None] * n if warm is None else warm,
-                                   model.path, cref), None)
+                                   model.path, cref,
+                                   model.effort_weights()), None)
     if not math.isfinite(here[0].total):
         raise ConvergenceError("sizing fixed point starts at a delay that "
                                "is not finite", iterations=0)
@@ -388,19 +394,29 @@ def _largest_move(new, old, first: int, last: int) -> float:
                                               old[first:last + 1]))
 
 
-def splice_sizing(sizes, path: LogicPath, cref: float) -> list[float]:
+def splice_sizing(sizes, path: LogicPath, cref: float,
+                  weights: Sequence[float]) -> list[float]:
     """The start link_fixed_point solves from: sizes with its gaps filled.
 
     sizes runs gate by gate along the path: a size for each gate that has
     one, None for each that has not (a gate an edit added, or every gate
     of a cold start).  A sized gate keeps its size.  Each run of None goes
-    on the geometric taper from the sized gate on its left to the one on
-    its right (the terminal load past the last gate), held at cref or
-    above.  Gate 0 is the path's input_cap, so all None is the cold taper.
+    on the logical-effort taper from the sized gate on its left to the one
+    on its right (the terminal load past the last gate), the stationary
+    point of the delay sum_k w_k x_k / cin[k] over the run, with weights
+    w per gate (PathModel.effort_weights): stage k, gate k driving gate
+    k + 1, takes the gain h_k with w_k h_k the same for every stage, and
+    the h_k multiply to the ratio of the right size to the left.  So the
+    s-th gate of a run of span stages sits at left * ratio^(s / span)
+    times exp(s / span * (sum of log w over the run) - (sum of log w over
+    its s stages)), held at cref or above: with all weights 1 that
+    factor is exp(0), and the fill is the geometric taper bit for bit.
+    Gate 0 is the path's input_cap, so all None is the cold start.
     """
     out = list(sizes)
     out[0] = path.input_cap
     n = len(out)
+    logs = [math.log(w) for w in weights]
     start = 1
     while start < n:
         if out[start] is not None:
@@ -412,8 +428,13 @@ def splice_sizing(sizes, path: LogicPath, cref: float) -> list[float]:
         left = out[start - 1]
         ratio = (out[stop] if stop < n else path.terminal_load) / left
         span = stop - start + 1
+        effort = sum(logs[start - 1:stop])
+        drop = 0.0
         for i in range(start, stop):
-            out[i] = max(cref, left * ratio ** ((i - start + 1) / span))
+            drop += logs[i - 1]
+            share = (i - start + 1) / span
+            out[i] = max(cref, left * ratio ** share
+                         * math.exp(share * effort - drop))
         start = stop
     return out
 
@@ -426,14 +447,18 @@ def min_delay_sizing(path: LogicPath, params: ProcessParams,
 
     The a = 0 solve of link_fixed_point, so it stops once every unclamped
     exact sensitivity g_i has |g_i| <= 1e-6 * t_min / cref.  A cold solve
-    starts on the geometric taper from input_cap to the terminal load;
-    warm starts anywhere else, each None in it on the taper between its
-    sized neighbours (splice_sizing).  On libraries with strong fixed
+    starts on the logical-effort taper from input_cap to the terminal
+    load; warm starts anywhere else, each None in it on the taper between
+    its sized neighbours (splice_sizing).  Where that taper clamps no gate
+    and every kind has cm_override_ff = 0, it is the fastest sizing, and
+    the solve certifies it in one step.  On libraries with strong fixed
     coupling (cm_override_ff) the delay can have several local minima,
-    and the answer is the minimum whose basin the start lies in.  optimize
-    and greedy buffering start every edited path from its parent's fastest
-    sizing, None for each gate the edit added, so an edited path starts
-    in its parent's basin.
+    and the answer is the minimum whose basin the start lies in; a path
+    with fixed coupling fills on the geometric taper, since the weighted
+    one can start in a slower minimum's basin.  optimize and greedy
+    buffering start every edited path from its parent's fastest sizing,
+    None for each gate the edit added, so an edited path starts in its
+    parent's basin.
     """
     fixed = link_fixed_point(PathModel(path, params, library), a=0.0,
                              warm=warm)

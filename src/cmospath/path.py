@@ -542,6 +542,20 @@ class PathModel:
         """(diag, off) of the exact tridiagonal Hessian over the free gates."""
         return self.derivatives(sizing)[1:3]
 
+    def effort_weights(self) -> list[float]:
+        """Each gate's logical-effort weight w_i = k_half_i (1 + v_next_i).
+
+        With the Miller and coupling terms dropped the total is a constant
+        plus sum_i w_i (x_i / cin[i] + par_i), whose stationary sizing is
+        the taper of equal weighted stage effort (bounds.splice_sizing).
+        A path with any fixed coupling (cm_override) weighs every gate 1,
+        the geometric taper: there the weighted one can start the solve
+        in a slower minimum's basin.
+        """
+        if any(c[3] for c in self._consts):
+            return [1.0] * self.n
+        return [c[5] * (1.0 + c[6]) for c in self._consts]
+
     def clamped(self, sizing) -> list[bool]:
         """Which free gates sit at the minimum realizable size."""
         floor = self.params.cref * (1.0 + 1e-9)

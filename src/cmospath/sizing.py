@@ -225,14 +225,17 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
 
     Rows come back ordered by a ascending (most negative first); solver
     failures (a > 0 among them) are collected per row instead of aborting
-    the sweep.  Each solve starts warm from the last row solved, handed
-    its FixedPoint: it opens on the pass that solve ended on (pass_) and
-    evaluates its own result windowed on that solve's timing, so a row
-    computes only the gates near the sizes it moved.  The first starts
-    from the all-minimum corner, where a -> -inf sends every free gate.
-    So every row after the first solved takes one derivative pass fewer
-    than solve_at_sensitivity warm from the previous row's sizing, and
-    returns the same row bit for bit.
+    the sweep.  Each solve with a < 0 starts warm from the last row
+    solved, handed its FixedPoint: it opens on the pass that solve ended
+    on (pass_) and evaluates its own result windowed on that solve's
+    timing, so a row computes only the gates near the sizes it moved.
+    The first starts from the all-minimum corner, where a -> -inf sends
+    every free gate.  So every such row after the first solved takes one
+    derivative pass fewer than solve_at_sensitivity warm from the
+    previous row's sizing, and returns the same row bit for bit.  The a =
+    0 row starts cold, on the logical-effort taper, which lies nearer the
+    fastest sizing than the row before it, whose gates mostly sit at
+    cref; that row is min_delay_sizing's result bit for bit.
     """
     model = PathModel(path, params, library)
     solutions: list[SensitivitySolution] = []
@@ -240,7 +243,7 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
     warm: FixedPoint | Sizing = all_minimum(model)
     for a in sorted(a_values):
         try:
-            fixed = link_fixed_point(model, a=a, warm=warm)
+            fixed = link_fixed_point(model, a=a, warm=warm if a else None)
         except (ConvergenceError, ValueError) as exc:
             failures.append((a, exc))
             continue

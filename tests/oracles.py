@@ -95,6 +95,47 @@ def frozen_coefficients(templates, cins, load, input_edge, slope_rise,
     return constant, a, c_par
 
 
+def effort_weights(templates, input_edge, params):
+    """Each gate's weight w_i = tau * S_i * (1 + v_next) / 2 in the delay
+    with the Miller factor dropped: constant + sum w_i * (c[i+1] /
+    c[i] + par_i), with v_next the threshold of the next gate's input
+    edge and 0 past the last gate."""
+    n = len(templates)
+    edge = input_edge
+    weights = []
+    for i, tpl in enumerate(templates):
+        out = FALLING if edge == RISING else RISING
+        v_next = 0.0
+        if i + 1 < n:
+            v_next = params.vtn if out == RISING else params.vtp
+        weights.append(params.tau * pull_strength(tpl, out, params)
+                       * (1.0 + v_next) / 2.0)
+        edge = out
+    return weights
+
+
+def effort_taper(weights, left, right):
+    """The sizes strictly between left and right that minimize sum_k
+    weights[k] * c[k+1] / c[k] over len(weights) stages from c[0] = left
+    to c[-1] = right: every stage bears the same weighted effort f =
+    weights[k] * c[k+1] / c[k], and the gains multiply to right / left,
+    so f is the geometric mean of weights[k] * (right / left)^(1/m)."""
+    m = len(weights)
+    f = (right / left) ** (1.0 / m) * math.prod(weights) ** (1.0 / m)
+    sizes = [left]
+    for w in weights[:-1]:
+        sizes.append(sizes[-1] * f / w)
+    return sizes[1:]
+
+
+def logical_effort_seed(templates, input_cap, load, input_edge, params):
+    """The cold logical-effort start of a chain: input_cap, then the
+    effort taper to the load, each size held at cref or above."""
+    weights = effort_weights(templates, input_edge, params)
+    return [input_cap] + [max(params.cref, c) for c in
+                          effort_taper(weights, input_cap, load)]
+
+
 def central_diff(f, x, index, h):
     """Central finite difference of f along one coordinate of x."""
     up = list(x)

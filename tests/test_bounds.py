@@ -114,6 +114,78 @@ class TestMinDelayClosedForms:
             assert sizing[i] == pytest.approx(want, rel=1e-5)
 
 
+class TestLogicalEffortSeed:
+    @staticmethod
+    def uncoupled(ref_library):
+        """ref.proc's kinds with cm_override_ff = 0: the Miller factor is
+        1, so the delay is the posynomial the seed minimizes."""
+        return {kind: dataclasses.replace(t, cm_override=0.0)
+                for kind, t in ref_library.items()}
+
+    def test_cold_start_is_the_oracle_seed(self, ref_params, ref_library):
+        # Every kind at cm_override_ff = 0: the cold start equals the
+        # oracle's seed, clamped or not, and where it clamps no gate it is
+        # the fastest sizing, which the solve certifies in one step.
+        library = self.uncoupled(ref_library)
+        rng = random.Random(27)
+        unclamped = 0
+        for _ in range(400):
+            path = random_path(rng)
+            templates = [library[kind] for kind in path.gates]
+            seed = oracles.logical_effort_seed(
+                templates, path.input_cap, path.terminal_load,
+                path.input_edge, ref_params)
+            start = bounds_module.splice_sizing(
+                [None] * path.n, path, ref_params.cref,
+                PathModel(path, ref_params, library).effort_weights())
+            assert start == pytest.approx(seed, rel=1e-13, abs=0.0), path
+            weights = oracles.effort_weights(templates, path.input_edge,
+                                             ref_params)
+            if min(oracles.effort_taper(weights, path.input_cap,
+                                        path.terminal_load)) < ref_params.cref:
+                continue
+            unclamped += 1
+            sizing, _, steps = min_delay_sizing(path, ref_params, library)
+            assert steps == 1, path
+            assert sizing == pytest.approx(seed, rel=1e-13, abs=0.0), path
+        assert unclamped > 300
+
+    def test_unit_weights_fill_the_geometric_taper(self):
+        # All-1 weights give the geometric taper bit for bit.
+        path = LogicPath(gates=("inv",) * 6, input_cap=3.0,
+                         terminal_load=700.0)
+        out = bounds_module.splice_sizing([None, 5.0, None, None, None, None],
+                                          path, 2.0, [1.0] * 6)
+        assert out[2:] == [
+            max(2.0, 5.0 * (700.0 / 5.0) ** (k / 5)) for k in range(1, 5)]
+
+    def test_weighted_fill_equalizes_stage_effort(self):
+        # A run between two sized gates: each stage's weight times its
+        # gain is the same, and the gains span the sized neighbours.
+        path = LogicPath(gates=("inv",) * 6, input_cap=3.0,
+                         terminal_load=700.0)
+        weights = [1.0, 2.5, 0.7, 1.9, 3.0, 1.2]
+        out = bounds_module.splice_sizing([None, 5.0, None, None, None, 90.0],
+                                          path, 0.1, weights)
+        assert out[:2] == [3.0, 5.0] and out[5] == 90.0
+        assert out[2:5] == pytest.approx(
+            oracles.effort_taper(weights[1:5], 5.0, 90.0), rel=1e-14)
+        efforts = [weights[k] * out[k + 1] / out[k] for k in range(1, 5)]
+        assert efforts == pytest.approx([efforts[0]] * 4, rel=1e-14)
+
+    def test_fixed_coupling_weighs_every_gate_one(self, ref_params,
+                                                  ref_library):
+        path = LogicPath(gates=("inv", "nand2", "nor3"), input_cap=3.0,
+                         terminal_load=300.0)
+        one = dict(ref_library, nand2=dataclasses.replace(
+            ref_library["nand2"], cm_override=40.0))
+        assert PathModel(path, ref_params, one).effort_weights() == [1.0] * 3
+        weights = PathModel(path, ref_params, ref_library).effort_weights()
+        assert weights == pytest.approx(oracles.effort_weights(
+            [ref_library[kind] for kind in path.gates], path.input_edge,
+            ref_params), rel=1e-15)
+
+
 class TestMinDelaySolver:
     def test_matches_grid_oracle(self, ref_params, ref_library):
         path = LogicPath(gates=("inv", "nand2", "nor2", "inv"),
@@ -369,7 +441,9 @@ class TestMinDelaySolver:
         # other sizing a solve visits gets one derivative pass: the start,
         # one Newton proposal per iteration, and each damping trial.  A
         # trial is a pass that follows one whose delay (the a = 0 merit)
-        # rose above the last accepted, up to 20 in a row.
+        # rose above the last accepted, up to 20 in a row.  Each solve
+        # starts on the geometric taper: from the cold logical-effort seed
+        # none of these paths damps.
         totals, evaluated = [], []
         derivatives, evaluate = PathModel.derivatives, PathModel.evaluate
 
@@ -389,7 +463,11 @@ class TestMinDelaySolver:
             path = random_path(random.Random(seed))
             totals.clear()
             evaluated.clear()
-            sizing, _, iters = min_delay_sizing(path, ref_params, ref_library)
+            taper = bounds_module.splice_sizing([None] * path.n, path,
+                                                ref_params.cref,
+                                                [1.0] * path.n)
+            sizing, _, iters = min_delay_sizing(path, ref_params, ref_library,
+                                                warm=taper)
             assert evaluated == [sizing]
             accepted, left, trials = totals[0], 0, 0
             for total in totals[1:]:

@@ -570,12 +570,6 @@ class TestMinDelayWithBuffers:
         assert solved and heavy_path not in solved
 
 
-def taper(left, right, count, cref):
-    """`count` sizes on the geometric taper strictly between left and right."""
-    return [max(cref, left * (right / left) ** (k / (count + 1)))
-            for k in range(1, count + 1)]
-
-
 class TestSpliceSizing:
     PATH = LogicPath(gates=("inv", "nand2", "nor2", "inv"), input_cap=4.0,
                      terminal_load=400.0)
@@ -608,7 +602,8 @@ class TestSpliceSizing:
         # The trial passes the parent sizing with the buffers unsized.
         assert warm == [*sizing[:node + 1], *(None,) * count,
                         *sizing[node + 1:]]
-        start = splice_sizing(warm, trial, ref_params.cref)
+        weights = PathModel(trial, ref_params, ref_library).effort_weights()
+        start = splice_sizing(warm, trial, ref_params.cref, weights)
         assert len(start) == self.PATH.n + count
         # Survivors keep their parent size bit for bit, gate 0 included.
         assert start[:node + 1] == list(sizing[:node + 1])
@@ -617,30 +612,38 @@ class TestSpliceSizing:
         # Past the last gate the terminal load is the right neighbour.
         right = (sizing[node + 1] if node + 1 < self.PATH.n
                  else self.PATH.terminal_load)
+        # The buffers sit on the logical-effort taper of the stages from
+        # the gate before them to that neighbour, held at cref or above.
         new = start[node + 1:node + 1 + count]
+        stages = oracles.effort_weights(
+            [ref_library[kind] for kind in trial.gates], trial.input_edge,
+            ref_params)[node:node + count + 1]
         assert new == pytest.approx(
-            taper(sizing[node], right, count, ref_params.cref), rel=1e-15)
+            [max(ref_params.cref, c) for c in oracles.effort_taper(
+                stages, sizing[node], right)], rel=1e-14)
         assert all(c >= ref_params.cref for c in new)
 
     def test_new_gates_held_at_cref(self):
         # A terminal load below cref would pull the taper under it.
         path = LogicPath(gates=("inv",) * 4, input_cap=4.0,
                          terminal_load=0.5)
-        warm = splice_sizing([4.0, 3.0, None, None], path, 2.0)
+        warm = splice_sizing([4.0, 3.0, None, None], path, 2.0, [1.0] * 4)
         assert warm[:2] == [4.0, 3.0]
         assert warm[2:] == [2.0, 2.0]
 
     def test_new_gate_zero_is_the_input_cap(self):
         path = LogicPath(gates=("inv", "inv", "nand2"), input_cap=4.0,
                          terminal_load=100.0)
-        warm = splice_sizing([None, None, 36.0], path, 2.0)
+        warm = splice_sizing([None, None, 36.0], path, 2.0, [1.0] * 3)
         assert warm == [4.0, pytest.approx(12.0, rel=1e-15), 36.0]
 
     def test_warm_trials_take_fewer_iterations(self, ref_params, ref_library):
         # Buffer pairs inserted along a long chain, each trial solved from
         # the parent sizing with the pair unsized, as greedy buffering
-        # passes it, must take at most 3/4 of the cold iterations and reach
-        # the same t_min.
+        # passes it, must take fewer iterations than cold solves from the
+        # logical-effort seed and reach the same t_min: 32 against 39 here
+        # (40 against 71 when the cold solves started on the geometric
+        # taper), so the bound is 0.85 of the cold iterations.
         rng = random.Random(4)
         path = LogicPath(
             gates=tuple(rng.choice(sorted(ref_library)) for _ in range(120)),
@@ -658,4 +661,4 @@ class TestSpliceSizing:
             assert t_warm == pytest.approx(t_cold, rel=1e-12)
             warm += iters
             cold += cold_iters
-        assert warm <= 0.75 * cold
+        assert warm <= 0.85 * cold

@@ -18,7 +18,7 @@ from cmospath.bounds import min_delay_sizing, splice_sizing
 from cmospath.buffering import insert_buffers
 from cmospath.errors import (CmosPathError, ConfigError, InfeasibleError,
                              InvariantError)
-from cmospath.path import LogicPath
+from cmospath.path import LogicPath, PathModel
 from cmospath.protocol import (Domain, TraceStep, classify_constraint,
                                optimize, replay_trace)
 from cmospath.sizing import distribute_constraint
@@ -393,13 +393,19 @@ class TestRewriteSplice:
         # gate 1, whose size leaves with it.
         assert rewritten.gates == ("inv", "nand2", "nand2", "inv")
         assert warm == [None, None, *sizing[2:]]
-        # The solve fills the new gates on the taper from the input cap.
-        start = splice_sizing(warm, rewritten, ref_params.cref)
+        # The solve fills the new gates on the logical-effort taper from
+        # the input cap: w0 c1 / c0 = w1 c2 / c1.
+        start = splice_sizing(warm, rewritten, ref_params.cref,
+                              PathModel(rewritten, ref_params,
+                                        ref_library).effort_weights())
         assert start[0] == path.input_cap
         assert start[2:] == list(sizing[2:])
+        w0, w1 = oracles.effort_weights(
+            [ref_library[kind] for kind in rewritten.gates],
+            rewritten.input_edge, ref_params)[:2]
         assert start[1] == pytest.approx(
-            max(ref_params.cref, (path.input_cap * sizing[2]) ** 0.5),
-            rel=1e-15)
+            max(ref_params.cref, (path.input_cap * sizing[2] * w1 / w0)
+                ** 0.5), rel=1e-14)
         assert start[1] >= ref_params.cref
 
     def test_wide_window_is_checked_on_the_rewritten_gate_alone(
@@ -447,7 +453,9 @@ class TestRewriteSplice:
             edited = insert_buffers(path, [node], polarity_mode=edit)
             sizes = [*sizing[:node + 1], *(None,) * (edited.n - path.n),
                      *sizing[node + 1:]]
-        start = splice_sizing(sizes, edited, ref_params.cref)
+        start = splice_sizing(sizes, edited, ref_params.cref,
+                              PathModel(edited, ref_params,
+                                        ref_library).effort_weights())
         assert len(start) == edited.n
         assert all(c >= ref_params.cref for c in start[1:])
         _, t_warm, _ = min_delay_sizing(edited, ref_params, ref_library,
