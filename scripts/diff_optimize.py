@@ -30,9 +30,12 @@ each in its own interpreter, and compares the results case by case:
   coupled library (each kind's par_coeff drawn from 0-2.5 and its
   cm_override_ff from None or 1-1000 fF), at 1.01, 1.5 and 3 times its
   t_min there, each result or failure compared by its repr and each
-  difference listed.  On ref.proc alone the bordered Newton of
-  distribute_constraint never takes a corrector step at fixed a; with
-  these libraries a few calls do;
+  difference listed, with the largest relative drift of the numbers (a,
+  delay, area and sizes) of the results that differ in nothing else; a
+  difference in anything else, or a drift above 1e-9 relative, is a
+  change.  On ref.proc alone the bordered Newton of distribute_constraint
+  never takes a corrector step at fixed a; with these libraries a few
+  calls do;
 * equal-delay flips: equal_delay_distribution on the case's path at
   1.05, 1.5 and 3 times its t_min, each call one tree solves and the
   other raises on listed, and the largest relative drift of the sizes
@@ -54,9 +57,10 @@ repository root, e.g.
 The other tree's src/ comes first; "-" lines are its results, "+" lines
 this tree's.  Exits 1 when any structural difference, infeasible flip,
 area change, sweep row difference or coupled distribute difference is
-found, or any equal-delay flip, 0 otherwise; min-delay step and pass
-changes, greedy and infeasible t_min changes and the equal-delay drift
-are reported but leave the exit status alone.
+found, any coupled distribute change or any equal-delay flip, 0
+otherwise; min-delay step and pass changes, greedy and infeasible t_min
+changes and the coupled-distribute and equal-delay drifts are reported
+but leave the exit status alone.
 """
 
 from __future__ import annotations
@@ -133,10 +137,11 @@ def sweep_rows(path, t_min: float, params, library) -> list[str]:
 
 
 def coupled_distribute(path, seed: int, index: int, params,
-                       library) -> list[str]:
+                       library) -> list[dict]:
     """distribute_constraint on path's gates under case index's coupled
-    library and endpoints, at each of COUPLED_RATIOS times its t_min, as
-    reprs."""
+    library and endpoints, at each of COUPLED_RATIOS times its t_min:
+    each result's repr, note and numbers (a, delay, area, sizes), or
+    each failure's repr alone."""
     from cmospath import compute_bounds, distribute_constraint
 
     rng = random.Random(1_000_003 * seed + index)
@@ -149,14 +154,18 @@ def coupled_distribute(path, seed: int, index: int, params,
     try:
         bounds = compute_bounds(path, params, coupled)
     except Exception as exc:  # reported, not raised: it is a result
-        return [f"bounds failed: {exc!r}"] * len(COUPLED_RATIOS)
+        return [{"repr": f"bounds failed: {exc!r}"}] * len(COUPLED_RATIOS)
     out = []
     for ratio in COUPLED_RATIOS:
         try:
-            out.append(repr(distribute_constraint(
-                path, ratio * bounds.t_min, params, coupled, bounds=bounds)))
+            sol = distribute_constraint(path, ratio * bounds.t_min, params,
+                                        coupled, bounds=bounds)
         except Exception as exc:
-            out.append(f"ratio={ratio} failed: {exc!r}")
+            out.append({"repr": f"ratio={ratio} failed: {exc!r}"})
+        else:
+            out.append({"repr": repr(sol), "note": sol.note,
+                        "numbers": [sol.a_value, sol.delay, sol.area,
+                                    *sol.sizing]})
     return out
 
 
@@ -296,7 +305,8 @@ def main(argv=None) -> int:
 
     structural = flips = area_changes = rows = rows_differ = 0
     steps_differ = passes_differ = 0
-    calls = calls_differ = 0
+    calls = calls_differ = calls_changed = 0
+    coupled_drift = (0.0, None, None)
     equal_calls = equal_flips = 0
     equal_drift = (0.0, None, None)
     greedy = {mode: {"lower": 0, "higher": 0, "equal": 0}
@@ -354,11 +364,20 @@ def main(argv=None) -> int:
                 print(f"  + {rb}")
         calls += len(a["coupled"])
         for ratio, ra, rb in zip(COUPLED_RATIOS, a["coupled"], b["coupled"]):
-            if ra != rb:
-                calls_differ += 1
-                print(f"{label}: coupled distribute at {ratio} t_min differs")
-                print(f"  - {ra}")
-                print(f"  + {rb}")
+            if ra["repr"] == rb["repr"]:
+                continue
+            calls_differ += 1
+            gap = math.inf
+            if ("numbers" in ra and "numbers" in rb
+                    and ra["note"] == rb["note"]
+                    and len(ra["numbers"]) == len(rb["numbers"])):
+                gap = max(map(relative, ra["numbers"], rb["numbers"]))
+                if gap > coupled_drift[0]:
+                    coupled_drift = (gap, index, ratio)
+            calls_changed += gap > RTOL
+            print(f"{label}: coupled distribute at {ratio} t_min differs")
+            print(f"  - {ra['repr']}")
+            print(f"  + {rb['repr']}")
         for ratio, ea, eb in zip(EQUAL_DELAY_RATIOS, a.get("equal_delay", []),
                                  b.get("equal_delay", [])):
             equal_calls += 1
@@ -394,7 +413,10 @@ def main(argv=None) -> int:
           f"{infeasible['higher']} higher, {infeasible['equal']} equal")
     print(f"# sweep on the {SWEEP_POINTS}-point ladder: {rows} rows, "
           f"{rows_differ} differ")
-    print(f"# coupled distribute: {calls} calls, {calls_differ} differ")
+    print(f"# coupled distribute: {calls} calls, {calls_differ} differ, "
+          f"{calls_changed} beyond drift; largest drift "
+          f"{coupled_drift[0]:.3e} (case {coupled_drift[1]}, "
+          f"{coupled_drift[2]} t_min)")
     print(f"# equal-delay: {equal_calls} calls, {equal_flips} raise/solve "
           f"flips; largest size drift {equal_drift[0]:.3e} (case "
           f"{equal_drift[1]}, {equal_drift[2]} t_min)")
@@ -402,7 +424,7 @@ def main(argv=None) -> int:
           f"(case {largest_area[1]}); largest relative drift "
           f"{drift[0]:.3e} (case {drift[1]}, {drift[2]})")
     differs = (structural or flips or area_changes or rows_differ
-               or calls_differ or equal_flips)
+               or calls_changed or equal_flips)
     return 1 if differs else 0
 
 

@@ -9,35 +9,34 @@ stationary sizing gives every stage the same weighted effort w_i
 cin[i+1] / cin[i], held at cref or above.  A path with fixed coupling
 weighs every gate 1, the geometric taper cin[i] = input_cap * (load /
 input_cap)^(i/n).  From there the solve runs log-space Newton
-iterations on the exact model.  Each sizing visited gets one pass (exact
-gradient, tridiagonal Hessian and delay), which judges the step to it
-and opens the next iteration.  A pass is windowed on the pass the
-iteration holds: it computes only the gates next to the sizes the step
-moved and splices them in, bit for bit the full pass, so a step that
-moves a few gates costs a few gates, and one that moves none computes
-none.  Each step solves the log-space system in one sweep that builds
-and eliminates each row; it is the package's one Thomas sweep.  The
-sweep, the proposal, the clamp and the certificate read one window of
-rows, lo..hi.  A row pinned at cref solves to exactly 0, so the window
-leaves out the pinned rows at either end of the chain: a solve that
-holds most gates clamped (a warm sweep row, say) sweeps from the row
-before its first free one to its last free one, the pinned rows between
-them included.  After each step it trims again only the hull of its
-window and the rows the new pass computed, since no other row can come
-free.  The solve returns its last pass in its FixedPoint, and a solve
-warm from that FixedPoint opens on the pass, so it takes no pass at its
-start.
+iterations on the exact model.  Each sizing visited gets one pass (stage
+delays, exact gradient, tridiagonal Hessian and total delay), which
+judges the step to it and opens the next iteration.  A pass is
+windowed on the pass the iteration holds: it computes only the gates
+next to the sizes the step moved and splices them in, bit for bit the
+full pass, so a step that moves a few gates costs a few gates, and one
+that moves none computes none.  Each step solves the log-space system
+in one sweep that builds and eliminates each row; it is the package's
+one Thomas sweep.  The sweep, the proposal, the clamp and the
+certificate read one window of rows, lo..hi.  A row pinned at cref
+solves to exactly 0, so the window leaves out the pinned rows at either
+end of the chain: a solve that holds most gates clamped (a warm sweep
+row, say) sweeps from the row before its first free one to its last
+free one, the pinned rows between them included.  After each step it
+trims again only the hull of its window and the rows the new pass
+computed, since no other row can come free.  The solve returns its last
+pass in its FixedPoint, and a solve warm from that FixedPoint opens on
+the pass, so it takes no pass at its start.
 Steps go in this order of preference: exact Newton; Newton on the exact
 Hessian made diagonally dominant where it loses positive definiteness,
 which strong fixed coupling causes; the chosen step damped toward the
-previous sizing when it would raise the descent merit; and standing
-still when every damping ascends, which only happens at a point
-stationary to rounding.
+previous sizing when it would raise the descent merit; when every
+damping ascends, only the gates the clamp held at cref in the last
+damping moved to cref; and standing still when that ascends too.
 It stops on the package's one certificate (certified), read off the pass
 the step made, after a step that settled: every unclamped sensitivity
 lies within 5e-5 * |a| + 1e-6 * delay / cref of a, and no clamped one
-more than that below a.  The timing is evaluated once, on the result,
-windowed on the warm FixedPoint's timing if there is one.
+more than that below a.  The result's timing is a view of that pass.
 The same engine with target a < 0 solves the constant-sensitivity
 problem of the area distribution module.
 """
@@ -81,10 +80,11 @@ class FixedPoint(NamedTuple):
 
     pass_ is that pass (a path.Pass, taken at sizing): a caller that needs
     the gradient or curvature there has it without another pass, and a
-    solve warm from this FixedPoint opens on it.  passes counts every
-    derivative pass the solve took, damping trials included; a one-gate
-    path takes one, at its only sizing, and no step.  A named tuple, not a
-    frozen dataclass: creating a dataclass costs about 1 ms at import.
+    solve warm from this FixedPoint opens on it; timing is
+    PathModel.evaluate's view of it.  passes counts every derivative pass
+    the solve took, damping trials included; a one-gate path takes one,
+    at its only sizing, and no step.  A named tuple, not a frozen
+    dataclass: creating a dataclass costs about 1 ms at import.
     """
 
     sizing: Sizing
@@ -236,16 +236,16 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
 
     warm is one of three starts.  A FixedPoint of this same model (a
     sweep's previous row, say): the solve opens on its pass_, takes no
-    pass there, and windows its next pass on it and its closing
-    evaluation on its timing.  The pass must have this path's lengths,
-    else ValueError; one of another model of the same length would be
-    spliced in silently.  A size list, each None filled by splice_sizing
-    on the model's effort_weights, or None, all None: the logical-effort
-    taper from input_cap to the load (the geometric taper cin[i] =
-    max(cref, input_cap * (load / input_cap)^(i/n)) on a path with fixed
-    coupling), which depends neither on a nor on cref unless it clamps;
-    either takes a full pass there.  A bare Pass is a TypeError, and a
-    start whose delay is not finite a ConvergenceError at iteration 0.  The solve drives the exact sensitivities dT/dcin[i]
+    pass there, and windows its next pass on it.  The pass must have this
+    path's lengths, else ValueError; one of another model of the same
+    length would be spliced in silently.  A size list, each None filled
+    by splice_sizing on the model's effort_weights, or None, all None:
+    the logical-effort taper from input_cap to the load (the geometric
+    taper cin[i] = max(cref, input_cap * (load / input_cap)^(i/n)) on a
+    path with fixed coupling), which depends neither on a nor on cref
+    unless it clamps; either takes a full pass there.  A bare Pass is a
+    TypeError, and a start whose delay is not finite a ConvergenceError
+    at iteration 0.  The solve drives the exact sensitivities dT/dcin[i]
     to a for every unclamped gate, within MAX_ITERATIONS steps.  Each
     iteration takes a tridiagonal Newton step off the pass that opens it,
     on the exact Hessian, each row that is not diagonally dominant made so
@@ -257,16 +257,19 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     the iteration holds (PathModel.derivatives with a base).  A step is
     accepted only if it does not raise the descent merit T - a *
     sum(cin), else it is damped toward the previous sizing in log space,
-    up to 20 halvings of one pass each.  A step from a positive-definite
-    system always descends, so if every damping ascends the point is
-    stationary to rounding and the iteration stands still.  Sizes are
-    clamped at cref from below; a = 0 is the minimum-delay condition.
-    Once a step settles (sizes move less than CAP_TOL, the delay less than
-    DELAY_TOL, both relative) on a certified pass (certified), it returns
-    the sizing, its evaluated timing, the steps, that pass and the passes
-    taken as a FixedPoint.  Each solve logs one debug line, converged or
-    not: its steps, its passes and the gates they computed against n per
-    pass, and the Newton rows its steps swept against n - 1 per step.
+    up to 20 halvings of one pass each.  Sizes are clamped at cref from
+    below, which can bend every damping uphill (a free gate just above
+    cref that the step shrinks); then one more pass moves only the gates
+    the last damping held at cref, taken if it does not raise the merit,
+    else the iteration stands still.  a = 0 is the minimum-delay
+    condition.  Once a step settles (sizes move less than CAP_TOL, the
+    delay less than DELAY_TOL, both relative) on a certified pass
+    (certified), it returns the sizing, its timing (evaluate on that
+    pass, which computes no gate), the steps, that pass and the passes
+    taken as a FixedPoint.
+    Each solve logs one debug line, converged or not: its steps, its
+    passes and the gates they computed against n per pass, and the
+    Newton rows its steps swept against n - 1 per step.
     """
     if not a <= 0:
         raise ValueError("sensitivity target a must be <= 0")
@@ -275,8 +278,8 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
 
     if n == 1:
         sizing = (model.input_cap,)
-        return FixedPoint(sizing, model.evaluate(sizing), 0,
-                          model.derivatives(sizing), 1)
+        dv = model.derivatives(sizing)
+        return FixedPoint(sizing, model.evaluate(sizing, dv), 0, dv, 1)
 
     passes = gates = rows = 0
 
@@ -294,12 +297,11 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     if isinstance(warm, Pass):
         raise TypeError("warm takes a FixedPoint, sizes or None, not a "
                         "bare Pass")
-    timing = None
     if isinstance(warm, FixedPoint):
-        timing, held = warm.timing, warm.pass_
+        held = warm.pass_
         model.check_sizing(held.sizing)
         if not (len(held.grad) == len(held.diag) == len(held.off) == n - 1
-                and len(held.terms) == n + 1):
+                and len(held.terms) == len(held.slopes) == n):
             raise ValueError(f"warm pass does not match the path's {n} "
                              "gates")
         here = opened(held)
@@ -329,17 +331,27 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
             # Damp along the unclamped direction, clamping after the
             # scale: scaling the clamped proposal instead would keep the
             # bent direction at every lambda.  If every damping ascends,
-            # stand still and let the stopping rule decide.
+            # try moving only the gates the last one held at cref (and
+            # lifting any other below cref), unless that is the last
+            # damping or no move; else stand still and let the stopping
+            # rule decide.
             nxt = here
             start = cin[lo:hi + 1]
             for k in range(1, 21):
                 shrink = 0.5 ** k
-                trial = visit([*cin[:lo], *[max(cref, c * (p / c) ** shrink)
-                                            for c, p in zip(start, prop)],
-                               *cin[hi + 1:]], held)
+                sizes = [max(cref, c * (p / c) ** shrink)
+                         for c, p in zip(start, prop)]
+                trial = visit([*cin[:lo], *sizes, *cin[hi + 1:]], held)
                 if trial[1] <= ceiling:
                     nxt = trial
                     break
+            else:
+                snap = [max(cref, c) if s > cref else cref
+                        for s, c in zip(sizes, start)]
+                if snap != sizes and snap != list(start):
+                    trial = visit([*cin[:lo], *snap, *cin[hi + 1:]], held)
+                    if trial[1] <= ceiling:
+                        nxt = trial
         new, _ = here = nxt
         # Only the sizes of the pass's window moved, so no other flag
         # changes, and no row outside it and lo..hi can come free.
@@ -362,8 +374,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                                residual=_largest_move(new.sizing, cin, first,
                                                       last))
     sizing = tuple(new.sizing)
-    return FixedPoint(sizing, model.evaluate(sizing, timing), steps, new,
-                      passes)
+    return FixedPoint(sizing, model.evaluate(sizing, new), steps, new, passes)
 
 
 def certified(model: PathModel, held: Pass, a: float, lo: int, hi: int,

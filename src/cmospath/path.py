@@ -7,33 +7,34 @@ chain once, alternating transition polarity at every node and feeding each
 gate's output transition time into the next gate's delay term.
 
 ``PathModel`` builds one constant tuple per gate kind and input edge,
-which ``stage``, ``evaluate``, ``coefficients`` and ``derivatives`` all
-read, and ``PathModel.stage`` is the one place the stage delay is
-written (``process.stage_delay``, shared with ``gate_delay``), with its
-inverse ``stage_size`` and its unbounded-size floor next to it.  Two
-views of the total delay coexist.  ``evaluate_path`` is the exact
-chained model, and ``PathModel.derivatives`` gives its exact gradient,
-tridiagonal Hessian and total delay in one pass, always as a ``Pass``,
-the one record of a pass the solvers hold, hand on and warm-start
-from; they step on it, judge steps by its total and stop on its
-gradient.  A pass taken on a base (an earlier ``Pass``) computes only
-the gates next to the sizes that moved and splices them in, equal to
-the full pass bit for bit; the full pass is that window over the whole
-chain, so the per-gate algebra is written once (``_window``).  An
-evaluation on a base (an earlier ``PathTiming``) is windowed the same
-way.
+which ``stage``, ``coefficients`` and ``derivatives`` all read.
+``process.stage_delay`` writes the stage delay: ``PathModel.stage`` and
+``gate_delay`` call it, and ``stage_size`` and ``stage_floor``, its
+inverse and its unbounded-size floor, sit next to ``stage``.  The
+per-gate algebra lives in one kernel (``_window``): one walk down the
+chain gives each gate's stage delay, in stage_delay's order of
+operations, and its output transition time, the exact gradient and
+tridiagonal Hessian, and the total delay.  ``PathModel.derivatives``
+returns them as a ``Pass``, the one record of a pass the solvers hold,
+hand on and warm-start from; they step on it, judge steps by its total
+and stop on its gradient, and its total is the delay they report.  A
+pass taken on a base (an earlier ``Pass``) computes only the gates next
+to the sizes that moved and splices them in, equal to the full pass bit
+for bit; the full pass is that window over the whole chain.
+``evaluate`` is a view of a pass: its stage delays, transition times
+and total, plus the slow-input warnings.
 ``path_coefficients`` regroups the same expression by each gate's output
 transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
 cin[i], freezing the Miller factors and parasitics at the current sizing.
-At the freezing point both views agree to rounding; nothing in the
-package reads the frozen view.
+At the freezing point it agrees with the pass's total to rounding;
+nothing in the package reads the frozen view.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from operator import ne
 from typing import NamedTuple, Sequence
 
@@ -157,17 +158,12 @@ class LogicPath:
 
 @dataclass(frozen=True)
 class PathTiming:
-    """Result of one exact path evaluation.
-
-    sizing is the sizing evaluated, which a later evaluation on this one
-    as its base compares against; it is left out of repr and ==.
-    """
+    """Result of one exact path evaluation."""
 
     per_gate_delay: tuple[float, ...]
     per_gate_slope: tuple[float, ...]
     total_delay: float
     total_width: float
-    sizing: Sizing = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -198,10 +194,11 @@ class Pass(NamedTuple):
 
     grad, diag and off are the exact gradient and tridiagonal Hessian over
     the free gates at sizing, total the exact delay there.  terms are the
-    delay terms whose running sum is total: the driving slope's constant,
-    then each gate's f_i; a later pass on this one as its base splices
-    into them.  gates counts the gates the pass computed (n for a full
-    pass, 0 when no size moved), and first is the first of them: rows
+    n stage delays, the driving slope's share in gate 0's, whose running
+    sum from 0.0 in gate order is total; slopes are the n output
+    transition times.  A later pass on this one as its base splices into
+    both.  gates counts the gates the pass computed (n for a full pass, 0
+    when no size moved), and first is the first of them: rows
     first+1..first+gates-1 are the ones it computed.
     """
 
@@ -211,19 +208,20 @@ class Pass(NamedTuple):
     total: float
     sizing: Sequence[float]
     terms: list[float]
+    slopes: list[float]
     gates: int
     first: int = 0
 
 
-def _moved(sizing, base, reach: int) -> tuple[int, int]:
-    """(first, last): the gates from reach before the first size that
+def _moved(sizing, base) -> tuple[int, int]:
+    """(first, last): the gates from two before the first size that
     differs from base's to one past the last, clipped to the chain;
     (0, -1) when no size differs."""
     moved = list(map(ne, sizing, base))
     if not any(moved):
         return 0, -1
     n = len(moved)
-    return (max(0, moved.index(True) - reach),
+    return (max(0, moved.index(True) - 2),
             min(n - 1, n - moved[::-1].index(True)))
 
 
@@ -340,48 +338,19 @@ class PathModel:
         r = math.sqrt(q1 * q1 - 4.0 * q2 * q0)
         return (q1 + r) / (-2.0 * q2) if q1 > 0 else 2.0 * q0 / (r - q1)
 
-    def evaluate(self, sizing, base: PathTiming | None = None) -> PathTiming:
-        """Exact chained delay of the path at one sizing.
-
-        Gate i's output transition depends only on its own size and load,
-        so its delay depends only on cin[i-1..i+1].  With base, an earlier
-        timing of this model, if sizes lo..hi differ from base's, only
-        gates lo-1..hi+1 are computed and spliced into base's, and the
-        total is re-added from 0.0 in gate order, so the timing equals the
-        full one bit for bit; if no size differs, no gate is computed.
-        The full evaluation is the same window over the whole chain.
-        With slope_warn_ratio set, every gate whose input transition
-        exceeds that many times its output transition warns, in gate
-        order, whether the gate was computed or spliced.
+    def evaluate(self, sizing, base: Pass | None = None) -> PathTiming:
+        """Exact chained delay of the path at one sizing: the stage
+        delays, output transition times and total of derivatives(sizing,
+        base), and the total width.  With slope_warn_ratio set, every
+        gate whose input transition exceeds that many times its output
+        transition warns, in gate order, whether the pass computed the
+        gate or spliced it from base.
         """
-        self.check_sizing(sizing)
-        n = self.n
-        first, last = 0, n - 1
-        if base is not None:
-            first, last = _moved(sizing, base.sizing, 1)
-        driver = self.path.driver_slope()
-        slope = base.per_gate_slope[first - 1] if first else driver
-        delays = []
-        slopes = []
-        total = 0.0
-        for i in range(first, last + 1):
-            x = sizing[i + 1] if i < n - 1 else self.terminal_load
-            d, slope = self.stage(i, sizing[i], x, slope)
-            delays.append(d)
-            slopes.append(slope)
-            total += d
-        if base is not None:
-            delays = (*base.per_gate_delay[:first], *delays,
-                      *base.per_gate_delay[last + 1:])
-            slopes = (*base.per_gate_slope[:first], *slopes,
-                      *base.per_gate_slope[last + 1:])
-            total = 0.0
-            for d in delays:
-                total += d
+        dv = self.derivatives(sizing, base)
         warn_ratio = self.params.slope_warn_ratio
         if warn_ratio is not None:
-            slope = driver
-            for i, t_out in enumerate(slopes):
+            slope = self.path.driver_slope()
+            for i, t_out in enumerate(dv.slopes):
                 if slope > warn_ratio * t_out:
                     warnings.warn(
                         f"gate {i} ({self.path.gates[i]}): input transition "
@@ -389,8 +358,8 @@ class PathModel:
                         f"transition {t_out:.4g} ps; model accuracy "
                         "degrades for slow inputs", stacklevel=2)
                 slope = t_out
-        return PathTiming(tuple(delays), tuple(slopes), total,
-                          self.total_width(sizing), tuple(sizing))
+        return PathTiming(tuple(dv.terms), tuple(dv.slopes), dv.total,
+                          self.total_width(sizing))
 
     def coefficients(self, sizing) -> CoefficientSet:
         """Freeze Miller factors and parasitics at the given sizing.
@@ -415,16 +384,19 @@ class PathModel:
                               self.terminal_load)
 
     def derivatives(self, sizing, base: Pass | None = None) -> Pass:
-        """Exact delay gradient, tridiagonal Hessian and total in one pass.
+        """Stage delays, exact gradient, tridiagonal Hessian and total in
+        one pass.
 
-        The exact total is a constant plus sum_i f_i(cin[i], x_i), where
-        x_i is gate i's downstream node (cin[i+1], or the terminal load for
-        the last gate) and f_i = tau * S_i * (M_i + v_next) * load_i /
-        (2 * cin[i]) collects gate i's output transition time from its own
-        Miller term and gate i+1's slope term.  Growing cin[j] loads gate
-        j-1 (raising its transition time but lowering its Miller factor),
-        speeds up gate j's own fanout and raises gate j's coupling share,
-        so over the free gates 1..n-1:
+        Gate i's stage delay is process.stage_delay's, v_half_i * t_in +
+        M_i * t_out_i / 2, with t_in the driving slope for gate 0 and
+        t_out_(i-1) after it.  Collecting gate i's output transition time
+        from its own Miller term and gate i+1's slope term, the total is
+        a constant plus sum_i f_i(cin[i], x_i), where x_i is gate i's
+        downstream node (cin[i+1], or the terminal load for the last gate)
+        and f_i = tau * S_i * (M_i + v_next) * load_i / (2 * cin[i]).
+        Growing cin[j] loads gate j-1 (raising its transition time but
+        lowering its Miller factor), speeds up gate j's own fanout and
+        raises gate j's coupling share, so over the free gates 1..n-1:
 
             grad[j-1] = f_x[j-1] + f_c[j]     dT/dcin[j]
             diag[j-1] = f_xx[j-1] + f_cc[j]   d2T/dcin[j]^2
@@ -432,16 +404,15 @@ class PathModel:
 
         with off zero for the last gate, whose downstream node is the
         fixed terminal load.  Only adjacent gates couple, so the full
-        Hessian is this symmetric tridiagonal matrix.  Last comes the
-        total, the constant plus sum_i f_i added in gate order: the frozen
-        regrouping at its own freezing point, which is evaluate's
-        total_delay to rounding.  A one-gate path has no free gate: its
-        grad, diag and off are empty.
+        Hessian is this symmetric tridiagonal matrix.  The total is the
+        stage delays added from 0.0 in gate order.  A one-gate path has
+        no free gate: its grad, diag and off are empty.
 
         With base, an earlier Pass of this model, if sizes lo..hi differ
-        from base's, only gates lo-2..hi+1 are computed, their rows and
-        terms spliced into base's, and the total re-added from the terms
-        in their order, so the pass equals the full one bit for bit; if no
+        from base's, only gates lo-2..hi+1 are computed, the first of them
+        driven by base's transition time before it, their rows, delays
+        and transition times spliced into base's, and the total re-added
+        in gate order, so the pass equals the full one bit for bit; if no
         size differs, no gate is computed.  The full pass is the same
         window over the whole chain.  A node capacitance so small that
         its square underflows to 0 raises ConvergenceError.
@@ -450,46 +421,53 @@ class PathModel:
         n = self.n
         first, last = 0, n - 1
         if base is not None:
-            first, last = _moved(sizing, base.sizing, 2)
+            first, last = _moved(sizing, base.sizing)
             if first > last:
-                return Pass(base.grad, base.diag, base.off, base.total,
-                            sizing, base.terms, 0)
+                return base._replace(sizing=sizing, gates=0, first=0)
+        slope = base.slopes[first - 1] if first else self.path.driver_slope()
         try:
-            terms, grad, diag, off = self._window(sizing, first, last)
+            terms, slopes, grad, diag, off = self._window(sizing, first,
+                                                          last, slope)
         except ZeroDivisionError:
             raise ConvergenceError("derivative pass underflowed: a node "
                                    "capacitance squares to 0") from None
         if last == n - 1 and off:
             off[-1] = 0.0  # the last gate drives the fixed terminal load
         if first == 0 and last == n - 1:
-            terms.insert(0, self._consts[0][1] * self.path.driver_slope())
             grad = tuple(grad)
         else:
-            terms = [*base.terms[:first + 1], *terms, *base.terms[last + 2:]]
+            terms = [*base.terms[:first], *terms, *base.terms[last + 1:]]
+            slopes = [*base.slopes[:first], *slopes, *base.slopes[last + 1:]]
             grad = (*base.grad[:first], *grad, *base.grad[last:])
             diag = [*base.diag[:first], *diag, *base.diag[last:]]
             off = [*base.off[:first], *off, *base.off[last:]]
         total = 0.0
         for term in terms:
             total += term
-        return Pass(grad, diag, off, total, sizing, terms, last - first + 1,
-                    first)
+        return Pass(grad, diag, off, total, sizing, terms, slopes,
+                    last - first + 1, first)
 
-    def _window(self, sizing, first: int, last: int):
+    def _window(self, sizing, first: int, last: int, t_out: float):
         """Gates first..last of a derivative pass, the one copy of its
-        per-gate algebra: their delay terms f_i, and (grad, diag, off) of
-        rows first+1..last.  Gate first is peeled off the loop: its own
-        row lies outside the window, so only its term and its pull on row
-        first+1 are taken.  sizing is checked."""
+        per-gate algebra: their stage delays and output transition times,
+        gate first driven by the transition time t_out, and (grad, diag,
+        off) of rows first+1..last.  Each stage delay and transition time
+        is process.stage_delay's, operation for operation.  Gate first is
+        peeled off the loop: its own row lies outside the window, so only
+        its delay, its transition time and its pull on row first+1 are
+        taken.  sizing is checked."""
         gates = zip(self._consts[first:last + 1], sizing[first:last + 1],
                     (*sizing[first + 1:last + 2], self.terminal_load))
-        (_, _, gamma, cm_fixed, p, k_half, v_next, _, _, _), c, x = \
+        (tau_s, v_half, gamma, cm_fixed, p, k_half, v_next, _, _, _), c, x = \
             next(gates)
         load = x + p * c
         m = gamma * c + cm_fixed
         den = m + load
-        mil_v = 1.0 + 2.0 * m / den + v_next
-        terms = [k_half * mil_v * load / c]
+        miller = 1.0 + 2.0 * m / den
+        mil_v = miller + v_next
+        t_in, t_out = t_out, tau_s * load / c
+        terms = [v_half * t_in + miller * t_out / 2.0]
+        slopes = [t_out]
         den2 = den * den
         mil_load = -2.0 * m / den2
         mil_loadload = 4.0 * m / (den2 * den)
@@ -498,13 +476,16 @@ class PathModel:
         grad = []
         diag = []
         off = []
-        for ((_, _, gamma, cm_fixed, p, k_half, v_next, gamma_gamma,
+        for ((tau_s, v_half, gamma, cm_fixed, p, k_half, v_next, gamma_gamma,
               gamma_par2, par_par), c, x) in gates:
             load = x + p * c
             m = gamma * c + cm_fixed
             den = m + load
-            mil_v = 1.0 + 2.0 * m / den + v_next
-            terms.append(k_half * mil_v * load / c)
+            miller = 1.0 + 2.0 * m / den
+            mil_v = miller + v_next
+            t_in, t_out = t_out, tau_s * load / c
+            terms.append(v_half * t_in + miller * t_out / 2.0)
+            slopes.append(t_out)
             den2 = den * den
             den3 = den2 * den
             mil_m = 2.0 * load / den2
@@ -527,7 +508,7 @@ class PathModel:
                 + mil_c / c - mil_load * x / cc - mil_v / cc))
             f_x_up = k_half * (mil_load * load / c + mil_v / c)
             f_xx_up = k_half * (mil_loadload * load / c + 2.0 * mil_load / c)
-        return terms, grad, diag, off
+        return terms, slopes, grad, diag, off
 
     def _nodes(self, sizing) -> list[float]:
         """Each gate's downstream node: the next cin, then the terminal

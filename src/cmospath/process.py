@@ -218,10 +218,11 @@ def stage_delay(tau_s: float, v_half: float, c_m: float, cin: float,
                 load: float, input_slope: float) -> tuple[float, float]:
     """(delay, output transition time) of one gate from its constants.
 
-    The one place the stage delay is written: half the input threshold
-    times the input slope, plus half the output transition time tau * S *
-    load / cin amplified by the Miller factor (inlined here, so a path
-    evaluation costs one call per gate below the model).
+    Half the input threshold times the input slope, plus half the output
+    transition time tau * S * load / cin amplified by the Miller factor
+    (inlined here).  A path's derivative pass (path.PathModel._window)
+    writes the same expression in the same order of operations, so the
+    two agree bit for bit.
     """
     t_out = tau_s * load / cin
     miller = 1.0 + 2.0 * c_m / (c_m + load)

@@ -112,9 +112,10 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
     -sqrt(2 (target - t_min) / q) and dy = a0 * H^-1 1 / c.  Every step
     is scaled to at most one e-fold per gate, and further so that a stops
     halfway to 0 if it would reach it; sizes are clamped at cref.  It
-    stops on the engine's certificate (bounds.certified) once the
-    evaluated delay lies in the band.  Returns the solution, the
-    iterations and the corrector steps among them.  Raises
+    stops on the engine's certificate (bounds.certified) once the pass's
+    delay, the evaluated delay bit for bit, lies in the band, with that
+    pass's timing (evaluate on it, which computes no gate).  Returns the
+    solution, the iterations and the corrector steps among them.  Raises
     ConvergenceError with the iterations and the last (T - tc) / tc when
     q is not positive, a sweep fails even on the dominance-fixed M, da is
     not finite, or MAX_SENSITIVITY_STEPS iterations pass.
@@ -142,11 +143,10 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
         grad, delay = held.grad, held.total
         clamped = model.clamped(cin)
         if low <= delay <= tc and certified(model, held, a, 1, n - 1, clamped):
-            timing = model.evaluate(cin)
-            if low <= timing.total_delay <= tc:
-                return SensitivitySolution(
-                    a_value=a, sizing=tuple(cin), delay=timing.total_delay,
-                    area=timing.total_width), iteration, corrections
+            timing = model.evaluate(cin, held)
+            return SensitivitySolution(
+                a_value=a, sizing=tuple(cin), delay=timing.total_delay,
+                area=timing.total_width), iteration, corrections
         solved = _newton_solve(cin, grad, held.diag, held.off, a, clamped,
                                1, n - 1, border=True)
         if solved is None:
@@ -179,8 +179,8 @@ def distribute_constraint(path: LogicPath, tc: float, params: ProcessParams,
                           bounds: DelayBounds | None = None) -> SensitivitySolution:
     """Minimum-area sizing meeting delay constraint tc.
 
-    The result's evaluated delay lies in the one-sided band tc * (1 -
-    1e-3) <= delay <= tc, and its sizing carries bounds.certified at its
+    The result's delay lies in the one-sided band tc * (1 - 1e-3) <=
+    delay <= tc, and its sizing carries bounds.certified at its
     sensitivity a.  The fastest sizing (a = 0, taken from bounds) answers
     when it already lies in the band.  Otherwise one Newton iteration on
     the log sizes and a together (_bordered_newton) aims at the band's
@@ -227,8 +227,8 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
     failures (a > 0 among them) are collected per row instead of aborting
     the sweep.  Each solve with a < 0 starts warm from the last row
     solved, handed its FixedPoint: it opens on the pass that solve ended
-    on (pass_) and evaluates its own result windowed on that solve's
-    timing, so a row computes only the gates near the sizes it moved.
+    on (pass_), so a row computes only the gates near the sizes it
+    moved.
     The first starts from the all-minimum corner, where a -> -inf sends
     every free gate.  So every such row after the first solved takes one
     derivative pass fewer than solve_at_sensitivity warm from the

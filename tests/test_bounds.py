@@ -1,6 +1,7 @@
 """Delay window of a path: minimum-delay solver and the all-cref ceiling."""
 
 import dataclasses
+import json
 import logging
 import math
 import re
@@ -279,19 +280,22 @@ class TestMinDelaySolver:
         # visits has each of them at cref or above, pinned or free.  The
         # solve sweeps one window of rows (_unpinned), and at scale -1e6
         # the kernel pins every row, so a row below cref that the window
-        # left out would never be lifted.
+        # left out would never be lifted.  Only passes that compute gates
+        # visit a sizing: the closing evaluation, a view of the last
+        # pass, computes none.
         cref = ref_params.cref
         path = LogicPath(gates=("inv", "nand2", "nor2", "inv", "nand3",
                                 "inv") * 2, input_cap=4.0,
                          terminal_load=60.0)
         model = PathModel(path, ref_params, ref_library)
         a = scale * max_delay_sizing(path, ref_params, ref_library)[1] / cref
-        visited = []
+        passes = []
         derivatives = PathModel.derivatives
 
         def recording(model, sizing, base=None):
-            visited.append(tuple(sizing))
-            return derivatives(model, sizing, base)
+            out = derivatives(model, sizing, base)
+            passes.append((tuple(sizing), out.gates))
+            return out
 
         windows = []
         unpinned = bounds_module._unpinned
@@ -303,11 +307,34 @@ class TestMinDelaySolver:
         monkeypatch.setattr(PathModel, "derivatives", recording)
         monkeypatch.setattr(bounds_module, "_unpinned", tracked)
         low = cref * (1.0 - 5e-10)
-        link_fixed_point(model, a, [path.input_cap] + [low] * 11)
+        fixed = link_fixed_point(model, a, [path.input_cap] + [low] * 11)
+        assert passes[-1] == (fixed.sizing, 0)
+        visited = [sizes for sizes, gates in passes if gates]
         assert windows[0] == (1, 11)
         assert visited[0][1:] == (low,) * 11
         assert len(visited) >= 2
         assert all(min(sizes[1:]) >= cref for sizes in visited[1:])
+
+    def test_clamp_bent_dampings_move_the_held_gate_to_cref(
+            self, ref_params, ref_library):
+        # A warm start with a free gate 5.75e-9 relative above cref that
+        # the Newton step shrinks: the clamp holds it at cref in every
+        # damping while the other gates barely move, and each damping
+        # ascends.  Moving only that gate to cref descends, so the solve
+        # certifies the cold solve's minimum instead of standing still
+        # for MAX_ITERATIONS steps.
+        case = json.loads((pathlib.Path(__file__).parent / "data"
+                           / "stand_still.json").read_text())
+        path = LogicPath(
+            gates=tuple(case["gates"]), input_cap=case["input_cap"],
+            terminal_load=case["terminal_load"],
+            input_edge=case["input_edge"],
+            driver_slope_rise=case["driver_slope_rise"],
+            driver_slope_fall=case["driver_slope_fall"])
+        _, t_cold, _ = min_delay_sizing(path, ref_params, ref_library)
+        _, t_warm, _ = min_delay_sizing(path, ref_params, ref_library,
+                                        warm=case["warm"])
+        assert t_warm == pytest.approx(t_cold, rel=1e-12)
 
     def test_appending_a_stage_to_a_staged_path_slows_it(self, ref_params,
                                                          ref_library,
@@ -437,19 +464,20 @@ class TestMinDelaySolver:
 
     def test_one_pass_per_visited_sizing(self, ref_params, ref_library,
                                          monkeypatch):
-        # The full timing is evaluated once, on the returned sizing.  Every
-        # other sizing a solve visits gets one derivative pass: the start,
-        # one Newton proposal per iteration, and each damping trial.  A
-        # trial is a pass that follows one whose delay (the a = 0 merit)
-        # rose above the last accepted, up to 20 in a row.  Each solve
-        # starts on the geometric taper: from the cold logical-effort seed
-        # none of these paths damps.
-        totals, evaluated = [], []
+        # The timing is evaluated once, on the returned sizing, as a view
+        # of the pass there: that evaluation computes no gate.  Every
+        # sizing a solve visits gets one derivative pass that computes
+        # gates: the start, one Newton proposal per iteration, and each
+        # damping trial.  A trial is a pass that follows one whose delay
+        # (the a = 0 merit) rose above the last accepted, up to 20 in a
+        # row.  Each solve starts on the geometric taper: from the cold
+        # logical-effort seed none of these paths damps.
+        passes, evaluated = [], []
         derivatives, evaluate = PathModel.derivatives, PathModel.evaluate
 
         def counting_derivatives(model, sizing, base=None):
             out = derivatives(model, sizing, base)
-            totals.append(out[3])
+            passes.append((out.total, out.gates))
             return out
 
         def counting_evaluate(model, sizing, base=None):
@@ -461,7 +489,7 @@ class TestMinDelaySolver:
         all_trials = 0
         for seed in range(40):
             path = random_path(random.Random(seed))
-            totals.clear()
+            passes.clear()
             evaluated.clear()
             taper = bounds_module.splice_sizing([None] * path.n, path,
                                                 ref_params.cref,
@@ -469,6 +497,8 @@ class TestMinDelaySolver:
             sizing, _, iters = min_delay_sizing(path, ref_params, ref_library,
                                                 warm=taper)
             assert evaluated == [sizing]
+            assert passes[-1][1] == 0
+            totals = [total for total, gates in passes if gates]
             accepted, left, trials = totals[0], 0, 0
             for total in totals[1:]:
                 is_trial = left > 0
@@ -953,7 +983,7 @@ class TestCertified:
         cref = model.params.cref
         sizing = (4.0, cref, 3.0 * cref, 9.0 * cref)
         return Pass(tuple(grad), [1.0] * 3, [0.0] * 3, self.TOTAL, sizing,
-                    [], 0)
+                    [], [], 0)
 
     def certified(self, model, grad, a, window=(1, 3)):
         """The rule on held(model, grad), read over gates window[0] to

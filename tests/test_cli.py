@@ -153,6 +153,22 @@ class TestEqualDelay:
         assert sizes == ["4"] + ["2"] * 10
 
 
+    def test_underflow_at_tiny_scale_exits_3(self, capsys, tmp_path):
+        # At cref = 1e-300 fF node capacitances square to 0: the first
+        # evaluation raises the derivative pass's typed error, not a bare
+        # ZeroDivisionError from the stage kernel.
+        proc = tmp_path / "tiny.proc"
+        proc.write_text(re.sub(r"(?m)^cref_ff = .*$", "cref_ff = 1e-300",
+                               pathlib.Path(REF_PROC).read_text()))
+        path = tmp_path / "tiny.path"
+        path.write_text("input_cap_ff = 1e-299\nload_ff = 1e-297\ninv\n"
+                        "inv\ninv\n")
+        code, out, err = run_cli(
+            ["equal-delay", "--tc", "500", str(proc), str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("no convergence: derivative pass underflowed: a "
+                       "node capacitance squares to 0\n")
+
 class TestFlimit:
     def test_single_pair(self, capsys):
         code, out, err = run_cli(["flimit", "--gate", "nor3", REF_PROC],

@@ -618,7 +618,7 @@ class TestDerivativePass:
         # A seeded ref.proc path, or the same gates on the cm_override_ff
         # = 500 library; a base pass at one sizing, then passes at sizes
         # moved in one window, each on the pass before, equal the full
-        # pass at the same sizes by repr, terms included.
+        # pass at the same sizes by repr, terms and slopes included.
         rng = random.Random(seed)
         cref = ref_params.cref
         library = ref_library
@@ -638,8 +638,9 @@ class TestDerivativePass:
         for _ in range(3):
             moved, lo, hi = window_edit(rng, path, sizing, window, cref)
             got = model.derivatives(moved, held)
-            # grad, diag, off, total, sizing and terms; not the gate count
-            assert repr(got[:6]) == repr(model.derivatives(moved)[:6])
+            # grad, diag, off, total, sizing, terms and slopes; not the
+            # gate count
+            assert repr(got[:7]) == repr(model.derivatives(moved)[:7])
             assert got.sizing is moved
             if lo > hi:
                 assert got.gates == 0
@@ -699,8 +700,9 @@ class TestDerivativePass:
 
 
 class TestWindowedEvaluate:
-    """An evaluation on a base timing recomputes only the gates next to
-    the sizes that moved, and warns as the full one does."""
+    """An evaluation on a base pass recomputes only the gates next to the
+    sizes that moved, and warns as the full one does; it is a view of the
+    derivative pass, whose stage delays are PathModel.stage's."""
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
@@ -708,13 +710,13 @@ class TestWindowedEvaluate:
     def test_windowed_evaluation_equals_the_full_one(self, ref_params,
                                                      ref_library, seed, n,
                                                      window, warn):
-        # A seeded ref.proc path; a base timing at one sizing, then
-        # timings at sizes moved in one window, each on the timing
-        # before, equal the full evaluation at the same sizes by repr.
-        # With warn, slope_warn_ratio is the median input-to-output
-        # transition ratio of the first sizing, so about half its gates
-        # warn, and both evaluations warn about the same gates in the
-        # same order.
+        # A seeded ref.proc path; a base pass at one sizing, then
+        # timings at sizes moved in one window, each on the pass before,
+        # equal the full evaluation at the same sizes by repr, slopes
+        # included.  With warn, slope_warn_ratio is the median
+        # input-to-output transition ratio of the first sizing, so about
+        # half its gates warn, and both evaluations warn about the same
+        # gates in the same order.
         rng = random.Random(seed)
         cref = ref_params.cref
         path = windowed_case(rng, n)
@@ -737,15 +739,44 @@ class TestWindowedEvaluate:
                 timing = model.evaluate(*args)
             return timing, [str(w.message) for w in caught]
 
-        timing, _ = evaluated(sizing)
+        held = model.derivatives(sizing)
         for _ in range(3):
             moved, _, _ = window_edit(rng, path, sizing, window, cref)
-            got, got_warnings = evaluated(moved, timing)
+            got, got_warnings = evaluated(moved, held)
             want, want_warnings = evaluated(moved)
             assert repr(got) == repr(want)
-            assert got.sizing == tuple(moved)
+            assert got.per_gate_slope == want.per_gate_slope
             assert got_warnings == want_warnings
-            sizing, timing = moved, got
+            sizing, held = moved, model.derivatives(moved, held)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           coupled=st.booleans())
+    def test_stage_delays_are_the_stage_kernel(self, ref_params, ref_library,
+                                               seed, n, coupled):
+        # On a seeded path, each gate's delay and transition time in the
+        # evaluation are PathModel.stage's bit for bit, driven by the
+        # transition time before it, and the pass's total is the
+        # evaluation's.
+        rng = random.Random(seed)
+        cref = ref_params.cref
+        library = ref_library
+        if coupled:
+            library = {kind: dataclasses.replace(t, cm_override=500.0)
+                       for kind, t in ref_library.items()}
+        path = windowed_case(rng, n)
+        model = PathModel(path, ref_params, library)
+        sizing = [path.input_cap] + [
+            cref if rng.random() < 0.3 else rng.uniform(cref, 400.0)
+            for _ in range(n - 1)]
+        timing = model.evaluate(sizing)
+        slope = path.driver_slope()
+        for i, (d, t_out) in enumerate(zip(timing.per_gate_delay,
+                                           timing.per_gate_slope)):
+            x = sizing[i + 1] if i < n - 1 else path.terminal_load
+            assert (d, t_out) == model.stage(i, sizing[i], x, slope)
+            slope = t_out
+        assert model.derivatives(sizing).total == timing.total_delay
 
 
 class TestConvexity:

@@ -155,14 +155,16 @@ class TestDistributeConstraint:
                       heavy_path, monkeypatch, caplog):
         """Run the 24 fixture calls; each call's derivative passes, the
         sizings they were taken at, its corrector steps and its floor
-        passes."""
+        passes.  The result's timing is a view of the last pass, and the
+        pass that evaluation takes computes no gate; it is not listed."""
         real_derivatives = PathModel.derivatives
         real_floor = sizing._floor_sensitivity
         calls = []
 
         def derivatives(model, at, base=None):
-            calls[-1]["passes"].append(tuple(at))
-            return real_derivatives(model, at, base)
+            held = real_derivatives(model, at, base)
+            calls[-1]["passes"].append((tuple(at), held.gates))
+            return held
 
         def floor(*args):
             calls[-1]["floor"] += 1
@@ -181,6 +183,8 @@ class TestDistributeConstraint:
                 sol = distribute_constraint(path, tc, ref_params, ref_library,
                                             bounds=bounds)
                 assert tc * (1.0 - 1e-3) <= sol.delay <= tc
+                assert calls[-1]["passes"].pop() == (sol.sizing, 0)
+                calls[-1]["passes"] = [at for at, _ in calls[-1]["passes"]]
                 (iterations, corrections, passes), = \
                     self._logged_steps(caplog)
                 assert passes == len(calls[-1]["passes"]) == 1 + iterations
@@ -489,7 +493,7 @@ class TestUnitResponse:
         path = LogicPath(gates=("inv",) * len(sizes), input_cap=sizes[0],
                          terminal_load=100.0)
         return (PathModel(path, params, library),
-                Pass((), diag, off, 0.0, sizes, [], 0))
+                Pass((), diag, off, 0.0, sizes, [], [], 0))
 
     def test_matches_the_oracle_sweep(self, ref_params, ref_library):
         # Random systems, a third of their rows pinned (clamped at cref),
