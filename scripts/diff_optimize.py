@@ -206,7 +206,7 @@ def worker(argv) -> int:
         try:
             fixed = link_fixed_point(cmospath.PathModel(path, params,
                                                         library))
-            t_min = fixed.timing.total_delay
+            t_min = fixed.pass_.total
             out["steps"], out["passes"] = fixed.steps, fixed.passes
             out["numbers"]["t_min"] = t_min
             out["sweep"] = sweep_rows(path, t_min, params, library)

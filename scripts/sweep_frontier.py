@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         sizing = equal_delay_distribution(path, tc, params, library)
         timing = evaluate_path(path, sizing, params, library)
         print(f"# equal-delay baseline at tc={tc:.4f}: "
-              f"delay={timing.total_delay:.4f} ps "
+              f"delay={timing.total:.4f} ps "
               f"area={path_area(path, sizing, params, library):.4f} um")
 
     if args.csv:

@@ -25,7 +25,6 @@ from .path import (
     CoefficientSet,
     LogicPath,
     PathModel,
-    PathTiming,
     evaluate_path,
     exact_path_gradient,
     parse_path_file,

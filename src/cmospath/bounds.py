@@ -8,22 +8,24 @@ coupling terms dropped the delay is sum_i w_i x_i / cin[i], and its
 stationary sizing gives every stage the same weighted effort w_i
 cin[i+1] / cin[i], held at cref or above.  A path with fixed coupling
 weighs every gate 1, the geometric taper cin[i] = input_cap * (load /
-input_cap)^(i/n).  From there the solve runs log-space Newton
-iterations on the exact model.  Each sizing visited gets one pass (stage
-delays, exact gradient, tridiagonal Hessian and total delay), which
-judges the step to it and opens the next iteration.  A pass is
-windowed on the pass the iteration holds: it computes only the gates
-next to the sizes the step moved and splices them in, bit for bit the
-full pass, so a step that moves a few gates costs a few gates, and one
-that moves none computes none.  Each step solves the log-space system
-in one sweep that builds and eliminates each row; it is the package's
-one Thomas sweep.  The sweep, the proposal, the clamp and the
-certificate read one window of rows, lo..hi.  A row pinned at cref
-solves to exactly 0, so the window leaves out the pinned rows at either
-end of the chain: a solve that holds most gates clamped (a warm sweep
-row, say) sweeps from the row before its first free one to its last
-free one, the pinned rows between them included.  After each step it
-trims again only the hull of its window and the rows the new pass
+input_cap)^(i/n).  A start is lifted to cref where it lies below
+(check_sizing accepts sizes to within 1e-9 of it), so every sizing the
+solve visits has its free gates at cref or above.  From there the solve
+runs log-space Newton iterations on the exact model.  Each sizing
+visited gets one pass (stage delays, exact gradient, tridiagonal Hessian
+and total delay), which judges the step to it and opens the next
+iteration.  A pass is windowed on the pass the iteration holds: it
+computes only the gates next to the sizes the step moved and splices
+them in, bit for bit the full pass, so a step that moves a few gates
+costs a few gates, and one that moves none computes none.  Each step
+solves the log-space system in one sweep that builds and eliminates each
+row; it is the package's one Thomas sweep.  The sweep, the proposal, the
+clamp and the certificate read one window of rows, lo..hi.  A row pinned
+at cref solves to exactly 0, so the window leaves out the pinned rows at
+either end of the chain: a solve that holds most gates clamped (a warm
+sweep row, say) sweeps from the row before its first free one to its
+last free one, the pinned rows between them included.  After each step
+it trims again only the hull of its window and the rows the new pass
 computed, since no other row can come free.  The solve returns its last
 pass in its FixedPoint, and a solve warm from that FixedPoint opens on
 the pass, so it takes no pass at its start.
@@ -36,7 +38,8 @@ damping moved to cref; and standing still when that ascends too.
 It stops on the package's one certificate (certified), read off the pass
 the step made, after a step that settled: every unclamped sensitivity
 lies within 5e-5 * |a| + 1e-6 * delay / cref of a, and no clamped one
-more than that below a.  The result's timing is a view of that pass.
+more than that below a.  The result carries that pass as evaluate
+returns it: its total is the delay, and total_width gives the width.
 The same engine with target a < 0 solves the constant-sensitivity
 problem of the area distribution module.
 """
@@ -49,7 +52,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import ConvergenceError
-from .path import GateLibrary, LogicPath, Pass, PathModel, PathTiming, Sizing
+from .path import GateLibrary, LogicPath, Pass, PathModel, Sizing
 from .process import ProcessParams
 
 logger = logging.getLogger(__name__)
@@ -78,19 +81,19 @@ class DelayBounds:
 class FixedPoint(NamedTuple):
     """A converged link fixed point and the derivative pass it stopped on.
 
-    pass_ is that pass (a path.Pass, taken at sizing): a caller that needs
-    the gradient or curvature there has it without another pass, and a
-    solve warm from this FixedPoint opens on it; timing is
-    PathModel.evaluate's view of it.  passes counts every derivative pass
-    the solve took, damping trials included; a one-gate path takes one,
-    at its only sizing, and no step.  A named tuple, not a frozen
-    dataclass: creating a dataclass costs about 1 ms at import.
+    pass_ is that pass (a path.Pass at sizing) as PathModel.evaluate
+    returns it, which computes no gate: its total is the delay, and a
+    caller that needs the gradient or curvature there has it without
+    another pass; a solve warm from this FixedPoint opens on it.  steps
+    stays at index 2, where tracing reads it.  passes counts every
+    derivative pass the solve took, damping trials included; a one-gate
+    path takes one, at its only sizing, and no step.  A named tuple, not
+    a frozen dataclass: creating a dataclass costs about 1 ms at import.
     """
 
     sizing: Sizing
-    timing: PathTiming
-    steps: int
     pass_: Pass
+    steps: int
     passes: int
 
 
@@ -104,7 +107,7 @@ def max_delay_sizing(path: LogicPath, params: ProcessParams,
     """The all-minimum corner and its delay; the slowest the path can be."""
     model = PathModel(path, params, library)
     sizing = all_minimum(model)
-    return sizing, model.evaluate(sizing).total_delay
+    return sizing, model.evaluate(sizing).total
 
 
 def _newton_solve(cin, grad, hd, ho, a: float, clamped, lo: int, hi: int,
@@ -187,22 +190,20 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped, lo: int, hi: int,
     return None
 
 
-def _unpinned(held: Pass, a: float, clamped, cref: float, lo: int,
+def _unpinned(held: Pass, a: float, clamped, lo: int,
               hi: int) -> tuple[int, int]:
     """The window a sweep over rows lo..hi visits: lo..hi less the rows at
-    either end that held pins by the kernel's own test (but not one below
-    cref, which the clamp lifts), led by the row before the first row
-    kept; empty (lo > hi) when every row is pinned."""
+    either end that held pins by the kernel's own test, led by the row
+    before the first row kept; empty (lo > hi) when every row is
+    pinned."""
     sizes, grad = held.sizing, held.grad
     # The pin test is written out twice: a nested function for it made a
     # 10-gate solve about 1.5% slower.
-    while lo <= hi and clamped[lo] and sizes[lo] >= cref \
-            and sizes[lo] * (grad[lo - 1] - a) > 0.0:
+    while lo <= hi and clamped[lo] and sizes[lo] * (grad[lo - 1] - a) > 0.0:
         lo += 1
     if lo > hi:
         return lo, hi
-    while clamped[hi] and sizes[hi] >= cref \
-            and sizes[hi] * (grad[hi - 1] - a) > 0.0:
+    while clamped[hi] and sizes[hi] * (grad[hi - 1] - a) > 0.0:
         hi -= 1
     return max(1, lo - 1), hi
 
@@ -243,29 +244,30 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     the logical-effort taper from input_cap to the load (the geometric
     taper cin[i] = max(cref, input_cap * (load / input_cap)^(i/n)) on a
     path with fixed coupling), which depends neither on a nor on cref
-    unless it clamps; either takes a full pass there.  A bare Pass is a
-    TypeError, and a start whose delay is not finite a ConvergenceError
-    at iteration 0.  The solve drives the exact sensitivities dT/dcin[i]
-    to a for every unclamped gate, within MAX_ITERATIONS steps.  Each
-    iteration takes a tridiagonal Newton step off the pass that opens it,
-    on the exact Hessian, each row that is not diagonally dominant made so
-    where that is not positive definite.  The step sweeps one window of
-    rows: the chain less the rows pinned at either end of it in the first
-    pass (_unpinned), trimmed so again after each step on the hull of the
-    window and the rows the new pass computed, where the solve also
-    updates its clamped flags.  Every later pass is windowed on the pass
-    the iteration holds (PathModel.derivatives with a base).  A step is
-    accepted only if it does not raise the descent merit T - a *
-    sum(cin), else it is damped toward the previous sizing in log space,
-    up to 20 halvings of one pass each.  Sizes are clamped at cref from
-    below, which can bend every damping uphill (a free gate just above
-    cref that the step shrinks); then one more pass moves only the gates
-    the last damping held at cref, taken if it does not raise the merit,
-    else the iteration stands still.  a = 0 is the minimum-delay
-    condition.  Once a step settles (sizes move less than CAP_TOL, the
-    delay less than DELAY_TOL, both relative) on a certified pass
-    (certified), it returns the sizing, its timing (evaluate on that
-    pass, which computes no gate), the steps, that pass and the passes
+    unless it clamps; either is checked (PathModel.check_sizing), each
+    free gate below cref is lifted to cref, and the solve takes a full
+    pass there.  A bare Pass is a TypeError, and a start whose delay is
+    not finite a ConvergenceError at iteration 0.  The solve drives the
+    exact sensitivities dT/dcin[i] to a for every unclamped gate, within
+    MAX_ITERATIONS steps.  Each iteration takes a tridiagonal Newton step
+    off the pass that opens it, on the exact Hessian, each row that is not
+    diagonally dominant made so where that is not positive definite.  The
+    step sweeps one window of rows: the chain less the rows pinned at
+    either end of it in the first pass (_unpinned), trimmed so again after
+    each step on the hull of the window and the rows the new pass
+    computed, where the solve also updates its clamped flags.  Every later
+    pass is windowed on the pass the iteration holds
+    (PathModel.derivatives with a base).  A step is accepted only if it
+    does not raise the descent merit T - a * sum(cin), else it is damped
+    toward the previous sizing in log space, up to 20 halvings of one pass
+    each.  Sizes are clamped at cref from below, which can bend every
+    damping uphill (a free gate just above cref that the step shrinks);
+    then one more pass moves only the gates the last damping held at cref,
+    taken if it does not raise the merit, else the iteration stands still.
+    a = 0 is the minimum-delay condition.  Once a step settles (sizes move
+    less than CAP_TOL, the delay less than DELAY_TOL, both relative) on a
+    certified pass (certified), it returns the sizing, that pass as
+    evaluate returns it (which computes no gate), the steps and the passes
     taken as a FixedPoint.
     Each solve logs one debug line, converged or not: its steps, its
     passes and the gates they computed against n per pass, and the
@@ -279,7 +281,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     if n == 1:
         sizing = (model.input_cap,)
         dv = model.derivatives(sizing)
-        return FixedPoint(sizing, model.evaluate(sizing, dv), 0, dv, 1)
+        return FixedPoint(sizing, model.evaluate(sizing, dv), 0, 1)
 
     passes = gates = rows = 0
 
@@ -306,14 +308,16 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                              "gates")
         here = opened(held)
     else:
-        here = visit(splice_sizing([None] * n if warm is None else warm,
-                                   model.path, cref,
-                                   model.effort_weights()), None)
+        spliced = splice_sizing([None] * n if warm is None else warm,
+                                model.path, cref, model.effort_weights())
+        model.check_sizing(spliced)  # then lift what it admits below cref
+        here = visit([spliced[0], *[c if c > cref else cref
+                                    for c in spliced[1:]]], None)
     if not math.isfinite(here[0].total):
         raise ConvergenceError("sizing fixed point starts at a delay that "
                                "is not finite", iterations=0)
     clamped = model.clamped(here[0].sizing)
-    lo, hi = _unpinned(here[0], a, clamped, cref, 1, n - 1)
+    lo, hi = _unpinned(here[0], a, clamped, 1, n - 1)
 
     settled = False
     for steps in range(1, MAX_ITERATIONS + 1):
@@ -331,10 +335,9 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
             # Damp along the unclamped direction, clamping after the
             # scale: scaling the clamped proposal instead would keep the
             # bent direction at every lambda.  If every damping ascends,
-            # try moving only the gates the last one held at cref (and
-            # lifting any other below cref), unless that is the last
-            # damping or no move; else stand still and let the stopping
-            # rule decide.
+            # try moving only the gates the last one held at cref, unless
+            # that is the last damping or no move; else stand still and
+            # let the stopping rule decide.
             nxt = here
             start = cin[lo:hi + 1]
             for k in range(1, 21):
@@ -346,8 +349,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                     nxt = trial
                     break
             else:
-                snap = [max(cref, c) if s > cref else cref
-                        for s, c in zip(sizes, start)]
+                snap = [c if s > cref else cref for s, c in zip(sizes, start)]
                 if snap != sizes and snap != list(start):
                     trial = visit([*cin[:lo], *snap, *cin[hi + 1:]], held)
                     if trial[1] <= ceiling:
@@ -358,8 +360,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         first, last = new.first + 1, new.first + new.gates - 1
         if first <= last:
             clamped[first:last + 1] = model.clamped(new.sizing[first:last + 1])
-            lo, hi = _unpinned(new, a, clamped, cref, min(lo, first),
-                               max(hi, last))
+            lo, hi = _unpinned(new, a, clamped, min(lo, first), max(hi, last))
         if (abs(new.total - held.total) <= DELAY_TOL * new.total
                 and _largest_move(new.sizing, cin, first, last) < CAP_TOL
                 and certified(model, new, a, lo, hi, clamped)):
@@ -374,7 +375,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                                residual=_largest_move(new.sizing, cin, first,
                                                       last))
     sizing = tuple(new.sizing)
-    return FixedPoint(sizing, model.evaluate(sizing, new), steps, new, passes)
+    return FixedPoint(sizing, model.evaluate(sizing, new), steps, passes)
 
 
 def certified(model: PathModel, held: Pass, a: float, lo: int, hi: int,
@@ -422,7 +423,9 @@ def splice_sizing(sizes, path: LogicPath, cref: float,
     times exp(s / span * (sum of log w over the run) - (sum of log w over
     its s stages)), held at cref or above: with all weights 1 that
     factor is exp(0), and the fill is the geometric taper bit for bit.
-    Gate 0 is the path's input_cap, so all None is the cold start.
+    Gate 0 is the path's input_cap, so all None is the cold start.  A
+    given size is kept as it is, even one below cref or not positive:
+    link_fixed_point checks the start and lifts it to cref.
     """
     out = list(sizes)
     out[0] = path.input_cap
@@ -473,7 +476,7 @@ def min_delay_sizing(path: LogicPath, params: ProcessParams,
     """
     fixed = link_fixed_point(PathModel(path, params, library), a=0.0,
                              warm=warm)
-    return fixed.sizing, fixed.timing.total_delay, fixed.steps
+    return fixed.sizing, fixed.pass_.total, fixed.steps
 
 
 def compute_bounds(path: LogicPath, params: ProcessParams,
@@ -486,9 +489,9 @@ def compute_bounds(path: LogicPath, params: ProcessParams,
 def _model_bounds(model: PathModel) -> DelayBounds:
     """compute_bounds on a model of the path already built."""
     sizing_max = all_minimum(model)
-    t_max = model.evaluate(sizing_max).total_delay
+    t_max = model.evaluate(sizing_max).total
     fixed = link_fixed_point(model)
-    return DelayBounds(t_min=fixed.timing.total_delay, t_max=t_max,
+    return DelayBounds(t_min=fixed.pass_.total, t_max=t_max,
                        sizing_min=fixed.sizing, sizing_max=sizing_max)
 
 

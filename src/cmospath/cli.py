@@ -54,10 +54,10 @@ def _gate_table(path: LogicPath, sizing, params, library, out) -> None:
     for i, kind in enumerate(path.gates):
         w_n, w_p = width_of(sizing[i], params)
         print(" ".join([str(i), kind, _fmt(sizing[i]), _fmt(w_n), _fmt(w_p),
-                        _fmt(timing.per_gate_delay[i]),
-                        _fmt(timing.per_gate_slope[i])]), file=out)
-    print(f"total_delay_ps = {_fmt(timing.total_delay)}", file=out)
-    print(f"total_width_um = {_fmt(timing.total_width)}", file=out)
+                        _fmt(timing.terms[i]), _fmt(timing.slopes[i])]),
+              file=out)
+    print(f"total_delay_ps = {_fmt(timing.total)}", file=out)
+    print(f"total_width_um = {_fmt(model.total_width(sizing))}", file=out)
 
 
 def _cmd_bounds(args, params, library, path, out) -> int:

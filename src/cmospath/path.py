@@ -21,8 +21,9 @@ and stop on its gradient, and its total is the delay they report.  A
 pass taken on a base (an earlier ``Pass``) computes only the gates next
 to the sizes that moved and splices them in, equal to the full pass bit
 for bit; the full pass is that window over the whole chain.
-``evaluate`` is a view of a pass: its stage delays, transition times
-and total, plus the slow-input warnings.
+``evaluate`` is ``derivatives`` plus the slow-input warnings: it returns
+the same Pass, whose stage delays, transition times and total are the
+evaluation; ``total_width`` gives the width.
 ``path_coefficients`` regroups the same expression by each gate's output
 transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
 cin[i], freezing the Miller factors and parasitics at the current sizing.
@@ -157,16 +158,6 @@ class LogicPath:
 
 
 @dataclass(frozen=True)
-class PathTiming:
-    """Result of one exact path evaluation."""
-
-    per_gate_delay: tuple[float, ...]
-    per_gate_slope: tuple[float, ...]
-    total_delay: float
-    total_width: float
-
-
-@dataclass(frozen=True)
 class CoefficientSet:
     """Frozen regrouping of the path delay at one sizing snapshot.
 
@@ -190,7 +181,8 @@ class CoefficientSet:
 
 
 class Pass(NamedTuple):
-    """One derivative pass of a PathModel, the one record of it.
+    """One derivative pass of a PathModel, the one record of it, which
+    evaluate returns too.
 
     grad, diag and off are the exact gradient and tridiagonal Hessian over
     the free gates at sizing, total the exact delay there.  terms are the
@@ -338,11 +330,11 @@ class PathModel:
         r = math.sqrt(q1 * q1 - 4.0 * q2 * q0)
         return (q1 + r) / (-2.0 * q2) if q1 > 0 else 2.0 * q0 / (r - q1)
 
-    def evaluate(self, sizing, base: Pass | None = None) -> PathTiming:
-        """Exact chained delay of the path at one sizing: the stage
-        delays, output transition times and total of derivatives(sizing,
-        base), and the total width.  With slope_warn_ratio set, every
-        gate whose input transition exceeds that many times its output
+    def evaluate(self, sizing, base: Pass | None = None) -> Pass:
+        """Exact chained delay of the path at one sizing: the Pass of
+        derivatives(sizing, base), its stage delays, output transition
+        times and total included.  With slope_warn_ratio set, every gate
+        whose input transition exceeds that many times its output
         transition warns, in gate order, whether the pass computed the
         gate or spliced it from base.
         """
@@ -358,8 +350,7 @@ class PathModel:
                         f"transition {t_out:.4g} ps; model accuracy "
                         "degrades for slow inputs", stacklevel=2)
                 slope = t_out
-        return PathTiming(tuple(dv.terms), tuple(dv.slopes), dv.total,
-                          self.total_width(sizing))
+        return dv
 
     def coefficients(self, sizing) -> CoefficientSet:
         """Freeze Miller factors and parasitics at the given sizing.
@@ -544,8 +535,8 @@ class PathModel:
 
 
 def evaluate_path(path: LogicPath, sizing, params: ProcessParams,
-                  library: GateLibrary) -> PathTiming:
-    """Exact chained delay, slopes, and total width at one sizing."""
+                  library: GateLibrary) -> Pass:
+    """Exact chained delay, stage delays and slopes at one sizing."""
     return PathModel(path, params, library).evaluate(sizing)
 
 

@@ -140,26 +140,6 @@ def _checked_rewrite(path: LogicPath, index: int, library: GateLibrary,
     return cancelled, (rewritten.n - cancelled.n) // 2, sizes
 
 
-def _pick_rewrite(path: LogicPath, rank_pos: dict[str, int]) -> int | None:
-    """Lowest-efficiency gate whose De Morgan dual ranks strictly better.
-
-    rank_pos holds every library kind, so a kind missing from it (the
-    dual, or the inverters the rewrite adds) is missing from the library.
-    """
-    best: tuple[int, int] | None = None
-    for i, kind in enumerate(path.gates):
-        partner = dual_kind(kind)
-        if partner not in rank_pos or kind not in rank_pos \
-                or "inv" not in rank_pos:
-            continue
-        if rank_pos[partner] <= rank_pos[kind]:
-            continue
-        key = (rank_pos[kind], i)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[1]
-
-
 class _Route(NamedTuple):
     """One candidate structure for optimize: the path, the trace steps
     that built it from the input path, its fastest sizing and, once
@@ -228,11 +208,19 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
     candidates: list[tuple[str, _Route]] = []
     if domain.kind is Domain.INFEASIBLE:
         if allow_restruct:
-            ranking = rank_gate_efficiency(library, params, buffer_kind)
-            rank_pos = {kind: i for i, (kind, _) in enumerate(ranking)}
+            # The rank of each library kind whose De Morgan dual, and the
+            # inv the rewrite adds, are in the library, the dual ranked
+            # strictly later.
+            rank = {kind: i for i, (kind, _) in enumerate(
+                rank_gate_efficiency(library, params, buffer_kind))}
+            rewritable = {kind: i for kind, i in rank.items() if "inv" in rank
+                          and rank.get(dual_kind(kind), -1) > i}
             route = base
             while tc < route.t_min:
-                index = _pick_rewrite(route.path, rank_pos)
+                # The least efficient rewritable gate, the first on ties.
+                _, index = min(((rewritable[kind], i) for i, kind in
+                                enumerate(route.path.gates)
+                                if kind in rewritable), default=(0, None))
                 if index is None:
                     break
                 old_kind = route.path.gates[index]

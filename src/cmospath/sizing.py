@@ -11,12 +11,14 @@ engine's are, and one Thomas sweep with two right-hand sides per step,
 opened by an Euler predictor from the fastest sizing.  Every sweep, the
 predictor's H^-1 1 included, is the engine's (bounds._newton_solve).
 It stops on the engine's one certificate (bounds.certified) once the
-delay lands in tc * (1 - 1e-3) <= delay <= tc.  Where strong fixed
-coupling folds the solution branch back in a and the iterate leaves it,
-a corrector step at fixed a, from the same sweep, takes it back.  A tc
-at or above the all-minimum-drive delay takes that corner with no
-solve.  The equal-delay-per-stage reference sizing, a heuristic for
-comparison, sizes each stage in closed form (PathModel.stage_size).
+delay lands in tc * (1 - 1e-3) <= delay <= tc.  Every solution takes
+its delay from the pass it stopped on (its total) and its area from
+PathModel.total_width.  Where strong fixed coupling folds the solution
+branch back in a and the iterate leaves it, a corrector step at fixed
+a, from the same sweep, takes it back.  A tc at or above the
+all-minimum-drive delay takes that corner with no solve.  The
+equal-delay-per-stage reference sizing, a heuristic for comparison,
+sizes each stage in closed form (PathModel.stage_size).
 """
 
 from __future__ import annotations
@@ -52,10 +54,11 @@ class SensitivitySolution:
             raise ValueError("a_value must be <= 0")
 
 
-def _solution(a: float, fixed: FixedPoint) -> SensitivitySolution:
+def _solution(model: PathModel, a: float,
+              fixed: FixedPoint) -> SensitivitySolution:
     return SensitivitySolution(a_value=a, sizing=fixed.sizing,
-                               delay=fixed.timing.total_delay,
-                               area=fixed.timing.total_width)
+                               delay=fixed.pass_.total,
+                               area=model.total_width(fixed.sizing))
 
 
 def solve_at_sensitivity(path: LogicPath, a: float, params: ProcessParams,
@@ -67,8 +70,8 @@ def solve_at_sensitivity(path: LogicPath, a: float, params: ProcessParams,
     every unclamped exact sensitivity g_j ends within 5e-5 * |a| +
     1e-6 * delay / cref of a, so their spread stays within twice that.
     """
-    return _solution(a, link_fixed_point(PathModel(path, params, library),
-                                         a=a, warm=warm))
+    model = PathModel(path, params, library)
+    return _solution(model, a, link_fixed_point(model, a=a, warm=warm))
 
 
 def _unit_response(model: PathModel, held: Pass) -> list[float] | None:
@@ -113,8 +116,8 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
     is scaled to at most one e-fold per gate, and further so that a stops
     halfway to 0 if it would reach it; sizes are clamped at cref.  It
     stops on the engine's certificate (bounds.certified) once the pass's
-    delay, the evaluated delay bit for bit, lies in the band, with that
-    pass's timing (evaluate on it, which computes no gate).  Returns the
+    delay lies in the band, and reports that pass as evaluate returns it
+    (which computes no gate), with total_width's area.  Returns the
     solution, the iterations and the corrector steps among them.  Raises
     ConvergenceError with the iterations and the last (T - tc) / tc when
     q is not positive, a sweep fails even on the dominance-fixed M, da is
@@ -143,10 +146,10 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
         grad, delay = held.grad, held.total
         clamped = model.clamped(cin)
         if low <= delay <= tc and certified(model, held, a, 1, n - 1, clamped):
-            timing = model.evaluate(cin, held)
             return SensitivitySolution(
-                a_value=a, sizing=tuple(cin), delay=timing.total_delay,
-                area=timing.total_width), iteration, corrections
+                a_value=a, sizing=tuple(cin),
+                delay=model.evaluate(cin, held).total,
+                area=model.total_width(cin)), iteration, corrections
         solved = _newton_solve(cin, grad, held.diag, held.off, a, clamped,
                                1, n - 1, border=True)
         if solved is None:
@@ -247,7 +250,7 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
         except (ConvergenceError, ValueError) as exc:
             failures.append((a, exc))
             continue
-        solutions.append(_solution(a, fixed))
+        solutions.append(_solution(model, a, fixed))
         warm = fixed
     return solutions, failures
 
@@ -274,8 +277,7 @@ def equal_delay_distribution(path: LogicPath, tc: float,
     sizing = list(all_minimum(model))
 
     for sweep_round in range(2):
-        slopes_in = [path.driver_slope()] + \
-            list(model.evaluate(sizing).per_gate_slope[:-1])
+        slopes_in = [path.driver_slope(), *model.evaluate(sizing).slopes[:-1]]
         pool = tc
         for i in range(n - 1, 0, -1):
             x = sizing[i + 1] if i < n - 1 else model.terminal_load
@@ -293,7 +295,7 @@ def equal_delay_distribution(path: LogicPath, tc: float,
                          else model.stage_size(i, target, x, slope))
             pool -= model.stage(i, sizing[i], x, slope)[0]
 
-    total = model.evaluate(sizing).total_delay
+    total = model.evaluate(sizing).total
     if total > tc * 1.01:
         raise InfeasibleError(
             f"equal-delay distribution lands at {total:.6g} ps, above the "

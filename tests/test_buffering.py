@@ -358,7 +358,7 @@ class TestMinDelayWithBuffers:
             len(heavy_path.gates) + 2 * len(out.insertions)
         timing = PathModel(out.path, ref_params,
                            ref_library).evaluate(out.sizing)
-        assert timing.total_delay == pytest.approx(out.t_min, rel=1e-9)
+        assert timing.total == pytest.approx(out.t_min, rel=1e-9)
 
     def test_replay_matches_and_every_step_pays(self, ref_params,
                                                 ref_library, heavy_path):

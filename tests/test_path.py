@@ -227,7 +227,7 @@ class TestEvaluate:
                            par_coeff=0.0, cm_override=0.0)
         path = LogicPath(gates=("inv",), input_cap=5.0, terminal_load=5.0)
         timing = evaluate_path(path, [5.0], params, {"inv": inv})
-        assert timing.total_delay == pytest.approx(12.0, rel=1e-15)
+        assert timing.total == pytest.approx(12.0, rel=1e-15)
 
     def test_taper_four_golden(self, ref_params, ref_library):
         # hand-derived stage values for the reference config, frozen here
@@ -239,20 +239,19 @@ class TestEvaluate:
         expected_delays = (60.945569038933485, 124.14657807786698,
                            77.45644903893348)
         expected_slopes = (102.5544, 205.1088, 102.5544)
-        for got, want in zip(timing.per_gate_delay, expected_delays):
+        for got, want in zip(timing.terms, expected_delays):
             assert got == pytest.approx(want, rel=1e-12)
-        for got, want in zip(timing.per_gate_slope, expected_slopes):
+        for got, want in zip(timing.slopes, expected_slopes):
             assert got == pytest.approx(want, rel=1e-12)
-        assert timing.total_delay == pytest.approx(262.54859615573395,
-                                                   rel=1e-12)
+        assert timing.total == pytest.approx(262.54859615573395, rel=1e-12)
 
     def test_totals_are_sums(self, ref_params, ref_library, chain11):
         sizing = [chain11.input_cap] + [12.0] * (chain11.n - 1)
         timing = evaluate_path(chain11, sizing, ref_params, ref_library)
-        assert timing.total_delay == pytest.approx(
-            sum(timing.per_gate_delay), rel=1e-12)
+        assert timing.total == pytest.approx(sum(timing.terms), rel=1e-12)
         per_width = sum(c / ref_params.cap_per_width for c in sizing)
-        assert timing.total_width == pytest.approx(per_width, rel=1e-12)
+        width = PathModel(chain11, ref_params, ref_library).total_width(sizing)
+        assert width == pytest.approx(per_width, rel=1e-12)
 
     def test_stage_matches_gate_delay(self, ref_params, ref_library):
         # PathModel.stage and process.gate_delay share one stage
@@ -269,8 +268,8 @@ class TestEvaluate:
                 want = gate_delay(gate, slope, model.out_edges[i],
                                   x + gate.c_par, ref_params)
                 assert model.stage(i, sizing[i], x, slope) == want
-                assert want == (timing.per_gate_delay[i],
-                                timing.per_gate_slope[i])
+                assert want == (timing.terms[i],
+                                timing.slopes[i])
                 slope = want[1]
 
     def test_matches_direct_recurrence(self, ref_params, ref_library):
@@ -282,7 +281,7 @@ class TestEvaluate:
                 templates_for(path, ref_library), sizing,
                 path.terminal_load, path.input_edge,
                 path.driver_slope_rise, path.driver_slope_fall, ref_params)
-            assert timing.total_delay == pytest.approx(want, rel=1e-12)
+            assert timing.total == pytest.approx(want, rel=1e-12)
 
     def test_scale_invariance_of_ratios(self, ref_params, ref_library):
         # scaling every cap, endpoints included, must not move the delay
@@ -298,8 +297,7 @@ class TestEvaluate:
             driver_slope_fall=path.driver_slope_fall)
         scaled = evaluate_path(scaled_path, [c * lam for c in sizing],
                                ref_params, ref_library)
-        assert scaled.total_delay == pytest.approx(base.total_delay,
-                                                   rel=1e-12)
+        assert scaled.total == pytest.approx(base.total, rel=1e-12)
 
     def test_mismatched_sizing_length(self, ref_params, ref_library, chain11):
         with pytest.raises(ValueError):
@@ -378,7 +376,7 @@ class TestCoefficients:
             path, sizing = random_case(rng, ref_library)
             coeffs = path_coefficients(path, sizing, ref_params, ref_library)
             exact = evaluate_path(path, sizing, ref_params,
-                                  ref_library).total_delay
+                                  ref_library).total
             frozen = coeffs.frozen_delay(sizing)
             assert abs(frozen - exact) / exact <= 1e-9
             fused = PathModel(path, ref_params, ref_library).derivatives(
@@ -672,7 +670,7 @@ class TestDerivativePass:
                 return t
 
             assert total == pytest.approx(full(sizing), rel=1e-12)
-            assert total == pytest.approx(model.evaluate(sizing).total_delay,
+            assert total == pytest.approx(model.evaluate(sizing).total,
                                           rel=1e-12)
             assert len(grad) == len(diag) == len(off) == n - 1
             if n == 1:
@@ -711,9 +709,10 @@ class TestWindowedEvaluate:
                                                      ref_library, seed, n,
                                                      window, warn):
         # A seeded ref.proc path; a base pass at one sizing, then
-        # timings at sizes moved in one window, each on the pass before,
-        # equal the full evaluation at the same sizes by repr, slopes
-        # included.  With warn, slope_warn_ratio is the median
+        # evaluations at sizes moved in one window, each on the pass
+        # before, are the derivative pass on that base and equal the full
+        # evaluation at the same sizes by repr in every field but the
+        # work counts (gates, first), slopes included.  With warn, slope_warn_ratio is the median
         # input-to-output transition ratio of the first sizing, so about
         # half its gates warn, and both evaluations warn about the same
         # gates in the same order.
@@ -726,7 +725,7 @@ class TestWindowedEvaluate:
         params = ref_params
         if warn:
             slopes = PathModel(path, params, ref_library).evaluate(
-                sizing).per_gate_slope
+                sizing).slopes
             ratios = sorted(s_in / s_out for s_in, s_out in zip(
                 (path.driver_slope(), *slopes), slopes))
             params = dataclasses.replace(
@@ -744,8 +743,9 @@ class TestWindowedEvaluate:
             moved, _, _ = window_edit(rng, path, sizing, window, cref)
             got, got_warnings = evaluated(moved, held)
             want, want_warnings = evaluated(moved)
-            assert repr(got) == repr(want)
-            assert got.per_gate_slope == want.per_gate_slope
+            assert got == model.derivatives(moved, held)
+            assert repr(got[:7]) == repr(want[:7])
+            assert got.slopes == want.slopes
             assert got_warnings == want_warnings
             sizing, held = moved, model.derivatives(moved, held)
 
@@ -756,8 +756,8 @@ class TestWindowedEvaluate:
                                                seed, n, coupled):
         # On a seeded path, each gate's delay and transition time in the
         # evaluation are PathModel.stage's bit for bit, driven by the
-        # transition time before it, and the pass's total is the
-        # evaluation's.
+        # transition time before it, and the evaluation is the derivative
+        # pass, field for field.
         rng = random.Random(seed)
         cref = ref_params.cref
         library = ref_library
@@ -771,12 +771,11 @@ class TestWindowedEvaluate:
             for _ in range(n - 1)]
         timing = model.evaluate(sizing)
         slope = path.driver_slope()
-        for i, (d, t_out) in enumerate(zip(timing.per_gate_delay,
-                                           timing.per_gate_slope)):
+        for i, (d, t_out) in enumerate(zip(timing.terms, timing.slopes)):
             x = sizing[i + 1] if i < n - 1 else path.terminal_load
             assert (d, t_out) == model.stage(i, sizing[i], x, slope)
             slope = t_out
-        assert model.derivatives(sizing).total == timing.total_delay
+        assert timing == model.derivatives(sizing)
 
 
 class TestConvexity:

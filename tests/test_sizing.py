@@ -29,7 +29,7 @@ from cmospath import (
     solve_at_sensitivity,
     sweep,
 )
-from cmospath.bounds import splice_sizing
+from cmospath.bounds import certified, splice_sizing
 from cmospath.path import MAX_CAP_FF, Pass
 
 KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
@@ -155,8 +155,8 @@ class TestDistributeConstraint:
                       heavy_path, monkeypatch, caplog):
         """Run the 24 fixture calls; each call's derivative passes, the
         sizings they were taken at, its corrector steps and its floor
-        passes.  The result's timing is a view of the last pass, and the
-        pass that evaluation takes computes no gate; it is not listed."""
+        passes.  The result is evaluated on the last pass, and the pass
+        that evaluation takes computes no gate; it is not listed."""
         real_derivatives = PathModel.derivatives
         real_floor = sizing._floor_sensitivity
         calls = []
@@ -374,6 +374,44 @@ class TestDistributeConstraint:
                                path)
         (_, corrections, _), = self._logged_steps(caplog)
         assert corrections >= 1
+
+    def test_a_stops_halfway_to_zero(self, ref_params, ref_library,
+                                     monkeypatch):
+        # On this path at 1.01 t_min two steps in a would reach 0, so
+        # each is scaled to stop halfway there: the next a is half the
+        # one before.  Every iterate stays negative, and the result lands
+        # in the band with the engine's certificate.
+        path = LogicPath(
+            gates=("nor2", "inv", "inv", "nand3", "inv", "nand3", "inv",
+                   "nor2", "nor2", "nor3", "nand2", "nor2", "nor2",
+                   "nand2", "inv", "nand3", "nand2"),
+            input_cap=4.708900248109605, terminal_load=4.877384519425554,
+            input_edge="rising", driver_slope_rise=5.438749905901529,
+            driver_slope_fall=2.6365366280418137)
+        seen = []
+        real_solve = sizing._newton_solve
+
+        def spy(cin, grad, hd, ho, a, *args, **kwargs):
+            seen.append(a)
+            return real_solve(cin, grad, hd, ho, a, *args, **kwargs)
+
+        bounds = compute_bounds(path, ref_params, ref_library)
+        tc = 1.01 * bounds.t_min
+        monkeypatch.setattr(sizing, "_newton_solve", spy)
+        sol = distribute_constraint(path, tc, ref_params, ref_library,
+                                    bounds=bounds)
+        # The first sweep is the predictor's H^-1 1, at a = 0.
+        assert seen[0] == 0.0
+        iterates = seen[1:]
+        assert all(a < 0.0 for a in iterates)
+        halved = [k for k in range(1, len(iterates))
+                  if abs(iterates[k] - iterates[k - 1] / 2.0)
+                  <= 1e-12 * abs(iterates[k - 1])]
+        assert len(halved) == 2
+        model = PathModel(path, ref_params, ref_library)
+        assert tc * (1.0 - 1e-3) <= sol.delay <= tc
+        assert certified(model, model.derivatives(sol.sizing), sol.a_value,
+                         1, path.n - 1, model.clamped(sol.sizing))
 
     def test_gives_up_with_a_typed_error(self, ref_params, ref_library,
                                          chain11, monkeypatch):
@@ -807,10 +845,10 @@ class TestEqualDelay:
         budget = 1.3 * t_min / 3.0
         # backward split: the solved stages sit on the budget, the input
         # stage absorbs whatever its pinned cap leaves over
-        for d in timing.per_gate_delay[1:]:
+        for d in timing.terms[1:]:
             assert d == pytest.approx(budget, rel=1e-3)
-        assert timing.per_gate_delay[0] < budget
-        assert timing.total_delay <= 1.3 * t_min * 1.01
+        assert timing.terms[0] < budget
+        assert timing.total <= 1.3 * t_min * 1.01
         solved_tapers = [sizing[2] / sizing[1], 64.0 / sizing[2]]
         assert max(solved_tapers) / min(solved_tapers) == pytest.approx(
             1.0, rel=1e-2)
@@ -835,7 +873,7 @@ class TestEqualDelay:
         sizing = equal_delay_distribution(chain13, tc, ref_params,
                                           ref_library)
         timing = evaluate_path(chain13, sizing, ref_params, ref_library)
-        assert timing.total_delay <= tc * 1.01
+        assert timing.total <= tc * 1.01
 
     def test_unreachable_budget_raises(self, ref_params, ref_library,
                                        chain13):
@@ -853,6 +891,26 @@ class TestEqualDelay:
             chain11, math.inf, ref_params, ref_library).sizing
         assert sizing == (chain11.input_cap,) + (ref_params.cref,) * 10
 
+    def test_landing_above_the_constraint_raises(self, ref_params,
+                                                 ref_library):
+        # On this path the split fits every stage's share of 1.05 t_min,
+        # each sized on the slopes of the pass before, yet the exact total
+        # lands at about 1.33 tc: InfeasibleError, with no t_min, since
+        # tc is above t_min.
+        path = LogicPath(
+            gates=("inv", "nor2", "nand2", "nor3", "nor3", "nor3"),
+            input_cap=5.993337375064094, terminal_load=93.9230326604454,
+            input_edge="falling", driver_slope_rise=36.020723728841844,
+            driver_slope_fall=1.3811007870729475)
+        t_min = compute_bounds(path, ref_params, ref_library).t_min
+        assert t_min == pytest.approx(390.7305, rel=1e-6)
+        with pytest.raises(InfeasibleError,
+                           match=r"lands at 546\.847 ps, above the "
+                                 r"constraint 410\.267 ps") as err:
+            equal_delay_distribution(path, 1.05 * t_min, ref_params,
+                                     ref_library)
+        assert err.value.t_min is None
+
     def test_largest_load_has_no_size_cap(self, ref_params, ref_library):
         # At the largest accepted load the last stage's share calls for
         # about 2e9 fF; no stage is capped short of the size it needs.
@@ -862,7 +920,7 @@ class TestEqualDelay:
         tc = 1.05 * compute_bounds(path, ref_params, ref_library).t_min
         sizing = equal_delay_distribution(path, tc, ref_params, ref_library)
         timing = evaluate_path(path, sizing, ref_params, ref_library)
-        assert timing.total_delay < 0.96 * tc
+        assert timing.total < 0.96 * tc
         assert sizing[-1] > 2e9
 
 
