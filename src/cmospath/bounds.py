@@ -2,12 +2,13 @@
 
 The slowest corner is every free gate at minimum drive (all_minimum).
 The fastest makes every free gate's exact delay sensitivity vanish.  A
-cold solve starts on the logical-effort taper from the fixed input
-capacitance to the terminal load (splice_sizing): with the Miller and
-coupling terms dropped the delay is sum_i w_i x_i / cin[i], and its
-stationary sizing gives every stage the same weighted effort w_i
-cin[i+1] / cin[i], held at cref or above.  A path with fixed coupling
-weighs every gate 1, the geometric taper cin[i] = input_cap * (load /
+cold solve starts on the clamped logical-effort optimum from the fixed
+input capacitance to the terminal load (splice_sizing): with the Miller
+and coupling terms dropped the delay is sum_i w_i x_i / cin[i], and the
+start is the sizing at cref or above that minimizes it, which gives
+every stage between two gates held at cref the same weighted effort
+w_i cin[i+1] / cin[i].  A path with fixed coupling weighs every gate 1:
+where nothing clamps, the geometric taper cin[i] = input_cap * (load /
 input_cap)^(i/n).  A start is lifted to cref where it lies below
 (check_sizing accepts sizes to within 1e-9 of it), so every sizing the
 solve visits has its free gates at cref or above.  From there the solve
@@ -241,10 +242,11 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     path's lengths, else ValueError; one of another model of the same
     length would be spliced in silently.  A size list, each None filled
     by splice_sizing on the model's effort_weights, or None, all None:
-    the logical-effort taper from input_cap to the load (the geometric
-    taper cin[i] = max(cref, input_cap * (load / input_cap)^(i/n)) on a
-    path with fixed coupling), which depends neither on a nor on cref
-    unless it clamps; either is checked (PathModel.check_sizing), each
+    the clamped optimum of the logical-effort delay from input_cap to the
+    load (with every weight 1 on a path with fixed coupling, the
+    geometric taper cin[i] = input_cap * (load / input_cap)^(i/n) where
+    that clamps no gate), which depends neither on a nor on cref unless
+    it clamps; either is checked (PathModel.check_sizing), each
     free gate below cref is lifted to cref, and the solve takes a full
     pass there.  A bare Pass is a TypeError, and a start whose delay is
     not finite a ConvergenceError at iteration 0.  The solve drives the
@@ -413,19 +415,23 @@ def splice_sizing(sizes, path: LogicPath, cref: float,
     sizes runs gate by gate along the path: a size for each gate that has
     one, None for each that has not (a gate an edit added, or every gate
     of a cold start).  A sized gate keeps its size.  Each run of None goes
-    on the logical-effort taper from the sized gate on its left to the one
-    on its right (the terminal load past the last gate), the stationary
-    point of the delay sum_k w_k x_k / cin[k] over the run, with weights
-    w per gate (PathModel.effort_weights): stage k, gate k driving gate
-    k + 1, takes the gain h_k with w_k h_k the same for every stage, and
-    the h_k multiply to the ratio of the right size to the left.  So the
-    s-th gate of a run of span stages sits at left * ratio^(s / span)
-    times exp(s / span * (sum of log w over the run) - (sum of log w over
-    its s stages)), held at cref or above: with all weights 1 that
-    factor is exp(0), and the fill is the geometric taper bit for bit.
-    Gate 0 is the path's input_cap, so all None is the cold start.  A
-    given size is kept as it is, even one below cref or not positive:
-    link_fixed_point checks the start and lifts it to cref.
+    on the clamped optimum of the delay sum_k w_k x_k / cin[k] over the
+    run's stages, from the sized gate on its left to the one on its right
+    (the terminal load past the last gate), with weights w per gate
+    (PathModel.effort_weights): the sizes at cref or above that minimize
+    it.  Unclamped, that is the logical-effort taper: stage k, gate k
+    driving gate k + 1, takes the gain h_k with w_k h_k the same for every
+    stage, and the h_k multiply to the ratio of the right size to the
+    left.  So the s-th gate of a run of span stages sits at left *
+    ratio^(s / span) times exp(s / span * (sum of log w over the run) -
+    (sum of log w over its s stages)); with all weights 1 that factor is
+    exp(0), and the fill is the geometric taper bit for bit.  A run whose
+    taper dips below cref instead holds at cref the gates of one concave
+    hull (_held) and fills each stretch between them on its own taper,
+    held at cref or above, once.  A run that does not dip keeps the taper
+    bit for bit.  Gate 0 is the path's input_cap, so all None is the cold
+    start.  A given size is kept as it is, even one below cref or not
+    positive: link_fixed_point checks the start and lifts it to cref.
     """
     out = list(sizes)
     out[0] = path.input_cap
@@ -439,18 +445,65 @@ def splice_sizing(sizes, path: LogicPath, cref: float,
         stop = start + 1
         while stop < n and out[stop] is None:
             stop += 1
-        left = out[start - 1]
-        ratio = (out[stop] if stop < n else path.terminal_load) / left
-        span = stop - start + 1
-        effort = sum(logs[start - 1:stop])
-        drop = 0.0
-        for i in range(start, stop):
-            drop += logs[i - 1]
-            share = (i - start + 1) / span
-            out[i] = max(cref, left * ratio ** share
-                         * math.exp(share * effort - drop))
+        right = out[stop] if stop < n else path.terminal_load
+        if _taper(out, logs, start, stop, right, cref):
+            ends = [start - 1, *_held(out[start - 1], right, logs, start,
+                                      stop, cref), stop]
+            for first, last in zip(ends, ends[1:]):
+                if last < stop:
+                    out[last] = cref
+                _taper(out, logs, first + 1, last,
+                       right if last == stop else cref, cref)
         start = stop
     return out
+
+
+def _taper(out, logs, start: int, stop: int, right: float,
+           cref: float) -> bool:
+    """Fill gates start..stop - 1 of out on the logical-effort taper from
+    out[start - 1] to right (splice_sizing), each held at cref or above;
+    whether the taper dipped below cref at any of them."""
+    left = out[start - 1]
+    ratio = right / left
+    span = stop - start + 1
+    effort = sum(logs[start - 1:stop])
+    drop = 0.0
+    dipped = False
+    for i in range(start, stop):
+        drop += logs[i - 1]
+        share = (i - start + 1) / span
+        c = left * ratio ** share * math.exp(share * effort - drop)
+        dipped = dipped or c < cref
+        out[i] = max(cref, c)
+    return dipped
+
+
+def _held(left: float, right: float, logs, start: int, stop: int,
+          cref: float) -> list[int]:
+    """The gates of the run start..stop - 1 that the clamped optimum holds
+    at cref, in order.
+
+    With z_i = log cin[i] + sum_{k<i} log w_k every stage costs exp(z[i+1]
+    - z[i]), a convex function of the rise, so the optimum over cin >=
+    cref is the least concave majorant (the taut string) of the run's two
+    ends and the floor points (i, log cref + sum_{k<i} log w_k).  Its
+    interior vertices are the gates held at cref; between them it is
+    straight, which is the unclamped taper.  One monotone-chain upper hull
+    builds it; a point on a chord is not a vertex.
+    """
+    floor = math.log(cref)
+    hull = [(start - 1, math.log(left))]
+    rise = 0.0
+    for i in range(start, stop + 1):
+        rise += logs[i - 1]
+        y = rise + (math.log(right) if i == stop else floor)
+        while len(hull) > 1:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (y1 - y0) * (i - x0) > (y - y0) * (x1 - x0):
+                break
+            hull.pop()
+        hull.append((i, y))
+    return [i for i, _ in hull[1:-1]]
 
 
 def min_delay_sizing(path: LogicPath, params: ProcessParams,
@@ -461,11 +514,12 @@ def min_delay_sizing(path: LogicPath, params: ProcessParams,
 
     The a = 0 solve of link_fixed_point, so it stops once every unclamped
     exact sensitivity g_i has |g_i| <= 1e-6 * t_min / cref.  A cold solve
-    starts on the logical-effort taper from input_cap to the terminal
-    load; warm starts anywhere else, each None in it on the taper between
-    its sized neighbours (splice_sizing).  Where that taper clamps no gate
-    and every kind has cm_override_ff = 0, it is the fastest sizing, and
-    the solve certifies it in one step.  On libraries with strong fixed
+    starts on the clamped optimum of the logical-effort delay from
+    input_cap to the terminal load; warm starts anywhere else, each None
+    in it on the clamped optimum between its sized neighbours
+    (splice_sizing).  Where every kind has cm_override_ff = 0, the cold
+    start is the fastest sizing, clamped or not, and the solve certifies
+    it in one step.  On libraries with strong fixed
     coupling (cm_override_ff) the delay can have several local minima,
     and the answer is the minimum whose basin the start lies in; a path
     with fixed coupling fills on the geometric taper, since the weighted

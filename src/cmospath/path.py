@@ -518,11 +518,13 @@ class PathModel:
         """Each gate's logical-effort weight w_i = k_half_i (1 + v_next_i).
 
         With the Miller and coupling terms dropped the total is a constant
-        plus sum_i w_i (x_i / cin[i] + par_i), whose stationary sizing is
-        the taper of equal weighted stage effort (bounds.splice_sizing).
-        A path with any fixed coupling (cm_override) weighs every gate 1,
-        the geometric taper: there the weighted one can start the solve
-        in a slower minimum's basin.
+        plus sum_i w_i (x_i / cin[i] + par_i).  Its clamped optimum, the
+        sizing at cref or above that minimizes it, starts cold solves
+        (bounds.splice_sizing): the taper of equal weighted stage effort
+        between the gates it holds at cref.  A path with any fixed
+        coupling (cm_override) weighs every gate 1, the geometric taper:
+        there the weighted one can start the solve in a slower minimum's
+        basin.
         """
         if any(c[3] for c in self._consts):
             return [1.0] * self.n

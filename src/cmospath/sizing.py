@@ -236,9 +236,10 @@ def sweep(path: LogicPath, a_values, params: ProcessParams,
     every free gate.  So every such row after the first solved takes one
     derivative pass fewer than solve_at_sensitivity warm from the
     previous row's sizing, and returns the same row bit for bit.  The a =
-    0 row starts cold, on the logical-effort taper, which lies nearer the
-    fastest sizing than the row before it, whose gates mostly sit at
-    cref; that row is min_delay_sizing's result bit for bit.
+    0 row starts cold, on the clamped optimum of the logical-effort delay,
+    which lies nearer the fastest sizing than the row before it, whose
+    gates mostly sit at cref; that row is min_delay_sizing's result bit
+    for bit.
     """
     model = PathModel(path, params, library)
     solutions: list[SensitivitySolution] = []

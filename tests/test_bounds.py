@@ -125,31 +125,116 @@ class TestLogicalEffortSeed:
 
     def test_cold_start_is_the_oracle_seed(self, ref_params, ref_library):
         # Every kind at cm_override_ff = 0: the cold start equals the
-        # oracle's seed, clamped or not, and where it clamps no gate it is
-        # the fastest sizing, which the solve certifies in one step.
+        # oracle's exact clamped optimum, clamped or not, and it is the
+        # fastest sizing, which the solve certifies in one step.
         library = self.uncoupled(ref_library)
         rng = random.Random(27)
-        unclamped = 0
+        clamped = 0
         for _ in range(400):
             path = random_path(rng)
             templates = [library[kind] for kind in path.gates]
-            seed = oracles.logical_effort_seed(
+            seed = oracles.clamped_effort_seed(
                 templates, path.input_cap, path.terminal_load,
                 path.input_edge, ref_params)
             start = bounds_module.splice_sizing(
                 [None] * path.n, path, ref_params.cref,
                 PathModel(path, ref_params, library).effort_weights())
             assert start == pytest.approx(seed, rel=1e-13, abs=0.0), path
-            weights = oracles.effort_weights(templates, path.input_edge,
-                                             ref_params)
-            if min(oracles.effort_taper(weights, path.input_cap,
-                                        path.terminal_load)) < ref_params.cref:
-                continue
-            unclamped += 1
+            clamped += ref_params.cref in start[1:]
             sizing, _, steps = min_delay_sizing(path, ref_params, library)
             assert steps == 1, path
             assert sizing == pytest.approx(seed, rel=1e-13, abs=0.0), path
-        assert unclamped > 300
+        assert clamped > 5
+
+    def test_long_clamped_cold_starts_are_the_oracle_seed(self, ref_params,
+                                                          ref_library):
+        # Paths of 2 to 200 gates whose closed-form taper dips below cref:
+        # the hull's fill equals the oracle's Gauss-Seidel optimum, and
+        # the solve certifies it in one step.
+        library = self.uncoupled(ref_library)
+        cref = ref_params.cref
+        rng = random.Random(31)
+        lengths = []
+        while len(lengths) < 20:
+            path = dataclasses.replace(
+                random_path(rng, n_max=rng.choice((20, 200))),
+                terminal_load=10 ** rng.uniform(0, 4))
+            templates = [library[kind] for kind in path.gates]
+            weights = oracles.effort_weights(templates, path.input_edge,
+                                             ref_params)
+            if min(oracles.effort_taper(weights, path.input_cap,
+                                        path.terminal_load)) >= cref:
+                continue
+            lengths.append(path.n)
+            seed = oracles.clamped_effort_seed(
+                templates, path.input_cap, path.terminal_load,
+                path.input_edge, ref_params)
+            start = bounds_module.splice_sizing(
+                [None] * path.n, path, cref,
+                PathModel(path, ref_params, library).effort_weights())
+            assert start == pytest.approx(seed, rel=1e-12, abs=0.0), path
+            assert min(start[1:]) == cref
+            sizing, _, steps = min_delay_sizing(path, ref_params, library)
+            assert steps == 1, path
+            assert sizing == pytest.approx(seed, rel=1e-12, abs=0.0), path
+        assert min(lengths) < 10 and max(lengths) > 150
+
+    @staticmethod
+    def closed_form(sizes, path, weights):
+        """sizes with each run of None on the closed-form logical-effort
+        taper between its neighbours, unclamped, operation for operation
+        as splice_sizing fills a run that clamps no gate."""
+        out = list(sizes)
+        out[0] = path.input_cap
+        logs = [math.log(w) for w in weights]
+        start = 1
+        while start < len(out):
+            stop = start
+            while stop < len(out) and out[stop] is None:
+                stop += 1
+            if stop > start:
+                left = out[start - 1]
+                ratio = (out[stop] if stop < len(out)
+                         else path.terminal_load) / left
+                span = stop - start + 1
+                effort = sum(logs[start - 1:stop])
+                drop = 0.0
+                for i in range(start, stop):
+                    drop += logs[i - 1]
+                    share = (i - start + 1) / span
+                    out[i] = left * ratio ** share * math.exp(
+                        share * effort - drop)
+            start = stop + 1
+        return out
+
+    def test_runs_that_clamp_no_gate_keep_the_closed_form(
+            self, ref_params, ref_library):
+        # Cold and warm: a run whose closed-form taper stays at cref or
+        # above is filled with it bit for bit, and one that dips is at
+        # cref or above everywhere, next to sizes kept as they were.
+        cref = ref_params.cref
+        rng = random.Random(28)
+        kept = dipped = 0
+        for _ in range(300):
+            path = random_path(rng, n_max=60)
+            weights = PathModel(path, ref_params,
+                                ref_library).effort_weights()
+            share = rng.choice((1.0, 0.7, 0.3))
+            sizes = [None if rng.random() < share
+                     else cref * 10 ** rng.uniform(0, 2)
+                     for _ in range(path.n)]
+            want = self.closed_form(sizes, path, weights)
+            out = bounds_module.splice_sizing(sizes, path, cref, weights)
+            assert out[0] == path.input_cap
+            assert all(out[i] == c for i, c in enumerate(sizes)
+                       if i and c is not None)
+            if min(want[1:]) >= cref:
+                kept += 1
+                assert out == want, path
+            else:
+                dipped += 1
+                assert min(out[1:]) >= cref, path
+        assert kept > 100 and dipped > 20
 
     def test_unit_weights_fill_the_geometric_taper(self):
         # All-1 weights give the geometric taper bit for bit.

@@ -760,8 +760,9 @@ class TestSweep:
         # hold at least 90% of the gates at cref, so most of their passes
         # are windowed on a few moved gates; the rows still equal, by
         # repr, a loop of solve_at_sensitivity, each warm from the row
-        # before but the a = 0 row, which starts cold, whose every pass
-        # is a full one.  That row is min_delay_sizing's result.
+        # before but the a = 0 row, which starts cold on the clamped
+        # optimum of the logical-effort delay.  That row is
+        # min_delay_sizing's result.
         path, ladder = self._long_chain(ref_params, ref_library)
         n = path.n
         cref = ref_params.cref
@@ -790,22 +791,27 @@ class TestSweep:
 
     def test_long_chain_rows_sweep_only_their_free_rows(
             self, ref_params, ref_library, caplog):
-        # Each solve logs the Newton rows its steps swept against n - 1
-        # per step.  A row that ends with at least 90% of its gates at
-        # cref sweeps fewer than 10% of them.
+        # Each solve logs its steps, its passes and the Newton rows its
+        # steps swept against n - 1 per step.  A row that ends with at
+        # least 90% of its gates at cref sweeps fewer than 10% of them.
+        # The cold a = 0 row starts on the clamped optimum of the
+        # logical-effort delay: 3 steps and 4 passes (7 and 8 from the
+        # taper clamped afterwards).
         path, ladder = self._long_chain(ref_params, ref_library)
         n = path.n
         caplog.set_level(logging.DEBUG, logger="cmospath.bounds")
         rows, failures = sweep(path, ladder, ref_params, ref_library)
         assert not failures
-        swept = [re.search(r"(\d+) steps, .* (\d+) of (\d+) rows swept$",
-                           r.getMessage())
+        swept = [re.search(r"(\d+) steps, (\d+) derivative passes, .* "
+                           r"(\d+) of (\d+) rows swept$", r.getMessage())
                  for r in caplog.records if r.name == "cmospath.bounds"]
         swept = [tuple(map(int, m.groups())) for m in swept if m]
         assert len(swept) == len(rows) == 24
+        assert rows[-1].a_value == 0.0
+        assert swept[-1][0] <= 3 and swept[-1][1] <= 4
         model = PathModel(path, ref_params, ref_library)
         pinned = 0
-        for row, (steps, done, total) in zip(rows, swept):
+        for row, (steps, _, done, total) in zip(rows, swept):
             assert total == (n - 1) * steps
             if sum(model.clamped(row.sizing)[1:]) >= 0.9 * (n - 1):
                 pinned += 1
