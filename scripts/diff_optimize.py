@@ -36,6 +36,11 @@ each in its own interpreter, and compares the results case by case:
   change.  On ref.proc alone the bordered Newton of distribute_constraint
   never takes a corrector step at fixed a; with these libraries a few
   calls do;
+* coupled optimize: optimize on the same gates and endpoints under the
+  same coupled library, at the case's ratio of its t_min there and in
+  its buffer mode, counted by the area of the cases both trees solve as
+  lower, higher or equal (1e-9 relative), and each case one tree solves
+  and the other reports infeasible as a flip, each change listed;
 * equal-delay flips: equal_delay_distribution on the case's path at
   1.05, 1.5 and 3 times its t_min, each call one tree solves and the
   other raises on listed, and the largest relative drift of the sizes
@@ -57,10 +62,10 @@ repository root, e.g.
 The other tree's src/ comes first; "-" lines are its results, "+" lines
 this tree's.  Exits 1 when any structural difference, infeasible flip,
 area change, sweep row difference or coupled distribute difference is
-found, any coupled distribute change or any equal-delay flip, 0
-otherwise; min-delay step and pass changes, greedy and infeasible t_min
-changes and the coupled-distribute and equal-delay drifts are reported
-but leave the exit status alone.
+found, any coupled distribute change, coupled optimize area change or
+flip, or any equal-delay flip, 0 otherwise; min-delay step and pass
+changes, greedy and infeasible t_min changes and the coupled-distribute
+and equal-delay drifts are reported but leave the exit status alone.
 """
 
 from __future__ import annotations
@@ -136,13 +141,17 @@ def sweep_rows(path, t_min: float, params, library) -> list[str]:
     return [by_a[a] for a in sorted(values)]
 
 
-def coupled_distribute(path, seed: int, index: int, params,
-                       library) -> list[dict]:
-    """distribute_constraint on path's gates under case index's coupled
-    library and endpoints, at each of COUPLED_RATIOS times its t_min:
-    each result's repr, note and numbers (a, delay, area, sizes), or
-    each failure's repr alone."""
-    from cmospath import compute_bounds, distribute_constraint
+def coupled_runs(path, spec: dict, seed: int, index: int, params,
+                 library) -> tuple[list[dict], dict]:
+    """distribute_constraint and optimize on path's gates under case
+    index's coupled library and endpoints.  distribute_constraint runs
+    at each of COUPLED_RATIOS times the t_min there: each result's repr,
+    note and numbers (a, delay, area, sizes), or each failure's repr
+    alone.  optimize runs at the case's ratio of that t_min, in its
+    buffer mode: its result ("ok", "infeasible" or the failure's repr)
+    and, when it solves, its area."""
+    from cmospath import (InfeasibleError, compute_bounds,
+                          distribute_constraint, optimize)
 
     rng = random.Random(1_000_003 * seed + index)
     coupled = {kind: dataclasses.replace(
@@ -154,7 +163,8 @@ def coupled_distribute(path, seed: int, index: int, params,
     try:
         bounds = compute_bounds(path, params, coupled)
     except Exception as exc:  # reported, not raised: it is a result
-        return [{"repr": f"bounds failed: {exc!r}"}] * len(COUPLED_RATIOS)
+        failed = f"bounds failed: {exc!r}"
+        return [{"repr": failed}] * len(COUPLED_RATIOS), {"result": failed}
     out = []
     for ratio in COUPLED_RATIOS:
         try:
@@ -166,7 +176,14 @@ def coupled_distribute(path, seed: int, index: int, params,
             out.append({"repr": repr(sol), "note": sol.note,
                         "numbers": [sol.a_value, sol.delay, sol.area,
                                     *sol.sizing]})
-    return out
+    try:
+        result = optimize(path, spec["ratio"] * bounds.t_min, params,
+                          coupled, buffer_mode=spec["buffer_mode"])
+    except InfeasibleError:
+        return out, {"result": "infeasible"}
+    except Exception as exc:
+        return out, {"result": repr(exc)}
+    return out, {"result": "ok", "area": result.area}
 
 
 def equal_delay(path, t_min: float, params, library) -> list:
@@ -200,9 +217,9 @@ def worker(argv) -> int:
             input_edge=spec["input_edge"],
             driver_slope_rise=spec["driver_slope_rise"],
             driver_slope_fall=spec["driver_slope_fall"])
-        out = {"spec": spec, "numbers": {},
-               "coupled": coupled_distribute(path, int(seed), index, params,
-                                             library)}
+        out = {"spec": spec, "numbers": {}}
+        out["coupled"], out["coupled_optimize"] = coupled_runs(
+            path, spec, int(seed), index, params, library)
         try:
             fixed = link_fixed_point(cmospath.PathModel(path, params,
                                                         library))
@@ -264,13 +281,14 @@ def relative(old: float, new: float) -> float:
     return abs(new - old) / max(abs(old), abs(new))
 
 
-def compare(label: str, what: str, old_t: float, new_t: float) -> str:
-    """"lower", "higher" or "equal" (RTOL relative) for a delay, printing
-    the change unless equal."""
+def compare(label: str, what: str, old_t: float, new_t: float,
+            unit: str = "ps") -> str:
+    """"lower", "higher" or "equal" (RTOL relative) for a delay or an
+    area, printing the change unless equal."""
     verdict = ("equal" if relative(old_t, new_t) <= RTOL
                else "lower" if new_t < old_t else "higher")
     if verdict != "equal":
-        print(f"{label}: {what} {old_t:.9g} -> {new_t:.9g} ps "
+        print(f"{label}: {what} {old_t:.9g} -> {new_t:.9g} {unit} "
               f"({(new_t - old_t) / old_t:+.3e})")
     return verdict
 
@@ -306,6 +324,8 @@ def main(argv=None) -> int:
     structural = flips = area_changes = rows = rows_differ = 0
     steps_differ = passes_differ = 0
     calls = calls_differ = calls_changed = 0
+    coupled_areas = {"lower": 0, "higher": 0, "equal": 0}
+    coupled_flips = 0
     coupled_drift = (0.0, None, None)
     equal_calls = equal_flips = 0
     equal_drift = (0.0, None, None)
@@ -378,6 +398,14 @@ def main(argv=None) -> int:
             print(f"{label}: coupled distribute at {ratio} t_min differs")
             print(f"  - {ra['repr']}")
             print(f"  + {rb['repr']}")
+        oa, ob = a["coupled_optimize"], b["coupled_optimize"]
+        if oa["result"] == ob["result"] == "ok":
+            coupled_areas[compare(label, "coupled optimize area",
+                                  oa["area"], ob["area"], "um")] += 1
+        elif oa["result"] != ob["result"]:
+            coupled_flips += "ok" in (oa["result"], ob["result"])
+            print(f"{label}: coupled optimize {oa['result']} -> "
+                  f"{ob['result']}")
         for ratio, ea, eb in zip(EQUAL_DELAY_RATIOS, a.get("equal_delay", []),
                                  b.get("equal_delay", [])):
             equal_calls += 1
@@ -417,6 +445,10 @@ def main(argv=None) -> int:
           f"{calls_changed} beyond drift; largest drift "
           f"{coupled_drift[0]:.3e} (case {coupled_drift[1]}, "
           f"{coupled_drift[2]} t_min)")
+    print(f"# coupled optimize: {len(old)} calls, "
+          f"{coupled_areas['lower']} lower, {coupled_areas['higher']} "
+          f"higher, {coupled_areas['equal']} equal area; {coupled_flips} "
+          f"infeasible flips")
     print(f"# equal-delay: {equal_calls} calls, {equal_flips} raise/solve "
           f"flips; largest size drift {equal_drift[0]:.3e} (case "
           f"{equal_drift[1]}, {equal_drift[2]} t_min)")
@@ -424,7 +456,8 @@ def main(argv=None) -> int:
           f"(case {largest_area[1]}); largest relative drift "
           f"{drift[0]:.3e} (case {drift[1]}, {drift[2]})")
     differs = (structural or flips or area_changes or rows_differ
-               or calls_changed or equal_flips)
+               or calls_changed or coupled_areas["lower"]
+               or coupled_areas["higher"] or coupled_flips or equal_flips)
     return 1 if differs else 0
 
 

@@ -3,7 +3,7 @@
 The slowest corner is every free gate at minimum drive (all_minimum).
 The fastest makes every free gate's exact delay sensitivity vanish.  A
 cold solve starts on the clamped logical-effort optimum from the fixed
-input capacitance to the terminal load (splice_sizing): with the Miller
+input capacitance to the terminal load (effort_seed): with the Miller
 and coupling terms dropped the delay is sum_i w_i x_i / cin[i], and the
 start is the sizing at cref or above that minimizes it, which gives
 every stage between two gates held at cref the same weighted effort
@@ -232,21 +232,21 @@ def _newton_step(cin, grad, hd, ho, a: float, clamped, lo: int,
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
-                     warm: FixedPoint | Sequence[float | None]
-                     | None = None) -> FixedPoint:
+                     warm: FixedPoint | Sequence[float] | None = None
+                     ) -> FixedPoint:
     """Solve the equal-sensitivity stationarity system at target a <= 0.
 
     warm is one of three starts.  A FixedPoint of this same model (a
     sweep's previous row, say): the solve opens on its pass_, takes no
     pass there, and windows its next pass on it.  The pass must have this
     path's lengths, else ValueError; one of another model of the same
-    length would be spliced in silently.  A size list, each None filled
-    by splice_sizing on the model's effort_weights, or None, all None:
-    the clamped optimum of the logical-effort delay from input_cap to the
-    load (with every weight 1 on a path with fixed coupling, the
-    geometric taper cin[i] = input_cap * (load / input_cap)^(i/n) where
-    that clamps no gate), which depends neither on a nor on cref unless
-    it clamps; either is checked (PathModel.check_sizing), each
+    length would be spliced in silently.  A full sizing, or None, the
+    cold start (effort_seed): the clamped optimum of the logical-effort
+    delay from input_cap to the load (with every weight 1 on a path with
+    fixed coupling, the geometric taper cin[i] = input_cap * (load /
+    input_cap)^(i/n) where that clamps no gate), which depends neither
+    on a nor on cref unless it clamps; either is checked
+    (PathModel.check_sizing, a ValueError for a size that is None), each
     free gate below cref is lifted to cref, and the solve takes a full
     pass there.  A bare Pass is a TypeError, and a start whose delay is
     not finite a ConvergenceError at iteration 0.  The solve drives the
@@ -299,8 +299,8 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         return opened(dv)
 
     if isinstance(warm, Pass):
-        raise TypeError("warm takes a FixedPoint, sizes or None, not a "
-                        "bare Pass")
+        raise TypeError("warm takes a FixedPoint, a sizing or None, not "
+                        "a bare Pass")
     if isinstance(warm, FixedPoint):
         held = warm.pass_
         model.check_sizing(held.sizing)
@@ -310,11 +310,10 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                              "gates")
         here = opened(held)
     else:
-        spliced = splice_sizing([None] * n if warm is None else warm,
-                                model.path, cref, model.effort_weights())
-        model.check_sizing(spliced)  # then lift what it admits below cref
-        here = visit([spliced[0], *[c if c > cref else cref
-                                    for c in spliced[1:]]], None)
+        start = effort_seed(model) if warm is None else warm
+        model.check_sizing(start)  # then lift what it admits below cref
+        here = visit([start[0], *[c if c > cref else cref
+                                  for c in start[1:]]], None)
     if not math.isfinite(here[0].total):
         raise ConvergenceError("sizing fixed point starts at a delay that "
                                "is not finite", iterations=0)
@@ -408,60 +407,40 @@ def _largest_move(new, old, first: int, last: int) -> float:
                                               old[first:last + 1]))
 
 
-def splice_sizing(sizes, path: LogicPath, cref: float,
-                  weights: Sequence[float]) -> list[float]:
-    """The start link_fixed_point solves from: sizes with its gaps filled.
+def effort_seed(model: PathModel) -> list[float]:
+    """The cold start of link_fixed_point: the clamped optimum of the
+    delay sum_k w_k x_k / cin[k] from input_cap to the terminal load,
+    with weights w per gate (PathModel.effort_weights): the sizes at cref
+    or above that minimize it.
 
-    sizes runs gate by gate along the path: a size for each gate that has
-    one, None for each that has not (a gate an edit added, or every gate
-    of a cold start).  A sized gate keeps its size.  Each run of None goes
-    on the clamped optimum of the delay sum_k w_k x_k / cin[k] over the
-    run's stages, from the sized gate on its left to the one on its right
-    (the terminal load past the last gate), with weights w per gate
-    (PathModel.effort_weights): the sizes at cref or above that minimize
-    it.  Unclamped, that is the logical-effort taper: stage k, gate k
-    driving gate k + 1, takes the gain h_k with w_k h_k the same for every
-    stage, and the h_k multiply to the ratio of the right size to the
-    left.  So the s-th gate of a run of span stages sits at left *
-    ratio^(s / span) times exp(s / span * (sum of log w over the run) -
-    (sum of log w over its s stages)); with all weights 1 that factor is
-    exp(0), and the fill is the geometric taper bit for bit.  A run whose
-    taper dips below cref instead holds at cref the gates of one concave
-    hull (_held) and fills each stretch between them on its own taper,
-    held at cref or above, once.  A run that does not dip keeps the taper
-    bit for bit.  Gate 0 is the path's input_cap, so all None is the cold
-    start.  A given size is kept as it is, even one below cref or not
-    positive: link_fixed_point checks the start and lifts it to cref.
+    Unclamped, that is the logical-effort taper: stage k, gate k driving
+    gate k + 1, takes the gain h_k with w_k h_k the same for every stage,
+    and the h_k multiply to the load over input_cap.  So gate i sits at
+    input_cap * ratio^(i / n) times exp(i / n * (sum of log w) - (sum of
+    log w over its i stages)); with all weights 1 that factor is exp(0),
+    and the seed is the geometric taper bit for bit.  A taper that dips
+    below cref instead holds at cref the gates of one concave hull
+    (_held) and fills each stretch between them on its own taper, held
+    at cref or above, once.  A taper that does not dip is kept bit for
+    bit.
     """
-    out = list(sizes)
-    out[0] = path.input_cap
-    n = len(out)
-    logs = [math.log(w) for w in weights]
-    start = 1
-    while start < n:
-        if out[start] is not None:
-            start += 1
-            continue
-        stop = start + 1
-        while stop < n and out[stop] is None:
-            stop += 1
-        right = out[stop] if stop < n else path.terminal_load
-        if _taper(out, logs, start, stop, right, cref):
-            ends = [start - 1, *_held(out[start - 1], right, logs, start,
-                                      stop, cref), stop]
-            for first, last in zip(ends, ends[1:]):
-                if last < stop:
-                    out[last] = cref
-                _taper(out, logs, first + 1, last,
-                       right if last == stop else cref, cref)
-        start = stop
+    cref, n, right = model.params.cref, model.n, model.terminal_load
+    logs = [math.log(w) for w in model.effort_weights()]
+    out = [model.input_cap] * n
+    if _taper(out, logs, 1, n, right, cref):
+        ends = [0, *_held(out[0], right, logs, cref), n]
+        for first, last in zip(ends, ends[1:]):
+            if last < n:
+                out[last] = cref
+            _taper(out, logs, first + 1, last,
+                   right if last == n else cref, cref)
     return out
 
 
 def _taper(out, logs, start: int, stop: int, right: float,
            cref: float) -> bool:
     """Fill gates start..stop - 1 of out on the logical-effort taper from
-    out[start - 1] to right (splice_sizing), each held at cref or above;
+    out[start - 1] to right (effort_seed), each held at cref or above;
     whether the taper dipped below cref at any of them."""
     left = out[start - 1]
     ratio = right / left
@@ -478,25 +457,26 @@ def _taper(out, logs, start: int, stop: int, right: float,
     return dipped
 
 
-def _held(left: float, right: float, logs, start: int, stop: int,
-          cref: float) -> list[int]:
-    """The gates of the run start..stop - 1 that the clamped optimum holds
-    at cref, in order.
+def _held(left: float, right: float, logs, cref: float) -> list[int]:
+    """The gates 1..n - 1 that the clamped optimum from left (gate 0) to
+    right (the load past gate n - 1), with n = len(logs), holds at cref,
+    in order.
 
     With z_i = log cin[i] + sum_{k<i} log w_k every stage costs exp(z[i+1]
     - z[i]), a convex function of the rise, so the optimum over cin >=
-    cref is the least concave majorant (the taut string) of the run's two
-    ends and the floor points (i, log cref + sum_{k<i} log w_k).  Its
+    cref is the least concave majorant (the taut string) of the two ends
+    and the floor points (i, log cref + sum_{k<i} log w_k).  Its
     interior vertices are the gates held at cref; between them it is
     straight, which is the unclamped taper.  One monotone-chain upper hull
     builds it; a point on a chord is not a vertex.
     """
     floor = math.log(cref)
-    hull = [(start - 1, math.log(left))]
+    n = len(logs)
+    hull = [(0, math.log(left))]
     rise = 0.0
-    for i in range(start, stop + 1):
+    for i in range(1, n + 1):
         rise += logs[i - 1]
-        y = rise + (math.log(right) if i == stop else floor)
+        y = rise + (math.log(right) if i == n else floor)
         while len(hull) > 1:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
             if (y1 - y0) * (i - x0) > (y - y0) * (x1 - x0):
@@ -507,29 +487,23 @@ def _held(left: float, right: float, logs, start: int, stop: int,
 
 
 def min_delay_sizing(path: LogicPath, params: ProcessParams,
-                     library: GateLibrary,
-                     warm: Sequence[float | None] | None = None
-                     ) -> tuple[Sizing, float, int]:
+                     library: GateLibrary) -> tuple[Sizing, float, int]:
     """Fastest sizing of the path, its delay and the Newton steps taken.
 
-    The a = 0 solve of link_fixed_point, so it stops once every unclamped
-    exact sensitivity g_i has |g_i| <= 1e-6 * t_min / cref.  A cold solve
+    The cold a = 0 solve of link_fixed_point, so it stops once every
+    unclamped exact sensitivity g_i has |g_i| <= 1e-6 * t_min / cref.  It
     starts on the clamped optimum of the logical-effort delay from
-    input_cap to the terminal load; warm starts anywhere else, each None
-    in it on the clamped optimum between its sized neighbours
-    (splice_sizing).  Where every kind has cm_override_ff = 0, the cold
-    start is the fastest sizing, clamped or not, and the solve certifies
-    it in one step.  On libraries with strong fixed
-    coupling (cm_override_ff) the delay can have several local minima,
-    and the answer is the minimum whose basin the start lies in; a path
-    with fixed coupling fills on the geometric taper, since the weighted
-    one can start in a slower minimum's basin.  optimize and greedy
-    buffering start every edited path from its parent's fastest sizing,
-    None for each gate the edit added, so an edited path starts in its
-    parent's basin.
+    input_cap to the terminal load (effort_seed).  Where every kind has
+    cm_override_ff = 0, that start is the fastest sizing, clamped or
+    not, and the solve certifies it in one step.  On libraries with
+    strong fixed coupling (cm_override_ff) the delay can have several
+    local minima, and the answer is the minimum whose basin the start
+    lies in; a path with fixed coupling starts on the geometric taper,
+    since the weighted one can start in a slower minimum's basin.  So
+    the answer depends on the path alone: optimize, greedy buffering and
+    the fanout probe solve every edited path this way.
     """
-    fixed = link_fixed_point(PathModel(path, params, library), a=0.0,
-                             warm=warm)
+    fixed = link_fixed_point(PathModel(path, params, library), a=0.0)
     return fixed.sizing, fixed.pass_.total, fixed.steps
 
 

@@ -64,9 +64,6 @@ def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
 
     The kind names ride along with their templates because the probe
     paths refer to the gates by the names the library files them under.
-    Each midpoint's buffered solve starts warm from the previous
-    midpoint's buffer size, scaled by the square root of the fanout ratio
-    as the optimal buffer scales; the two ends of the range start cold.
     """
     library = {gate: gate_template, buffer_kind: buffer_template}
     cin = 64.0 * params.cref
@@ -75,23 +72,14 @@ def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
     plain = {edge: PathModel(LogicPath(gates=(gate,), input_cap=cin,
                                        terminal_load=cin, input_edge=edge),
                              params, library) for edge in EDGES}
-    # (buffer size, fanout) at the previous midpoint, per input edge.
-    warm: dict[str, tuple[float, float]] = {}
 
-    def gap(fanout: float, midpoint: bool = False) -> float:
+    def gap(fanout: float) -> float:
         total = 0.0
         for edge in EDGES:
             buffered = LogicPath(gates=(gate, buffer_kind), input_cap=cin,
                                  terminal_load=fanout * cin, input_edge=edge)
-            start = None
-            if edge in warm:
-                size, at = warm[edge]
-                start = (cin, size * math.sqrt(fanout / at))
-            sizing, delay, _ = min_delay_sizing(buffered, params, library,
-                                                warm=start)
-            if midpoint:
-                warm[edge] = sizing[1], fanout
-            total += delay - plain[edge].stage(0, cin, fanout * cin, 0.0)[0]
+            total += (min_delay_sizing(buffered, params, library)[1]
+                      - plain[edge].stage(0, cin, fanout * cin, 0.0)[0])
         return total / len(EDGES)
 
     lo, hi = FLIMIT_LO, FLIMIT_HI
@@ -102,7 +90,7 @@ def _crossing(params: ProcessParams, gate: str, gate_template: GateTemplate,
         return math.inf
     while hi - lo > FLIMIT_TOL:
         mid = 0.5 * (lo + hi)
-        if gap(mid, midpoint=True) > 0.0:
+        if gap(mid) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -276,11 +264,10 @@ def min_delay_with_buffers(path: LogicPath, params: ProcessParams,
     Each round tries the sites of the site rule (_sites): the worst gate
     and, in single mode, the other over-limit gates and the flip site.
     After each tentative insertion the whole path is resized for minimum
-    delay, starting from the current sizing with the new buffers unsized,
-    on the taper between their neighbours; an insertion pays if it
-    improves t_min by at least 0.1%.  The round keeps the fastest that
-    pays, the first tried among equals, and its sizing is the one the
-    next round starts from.  Stops when a round's trials all fail.
+    delay, cold (min_delay_sizing), so a trial's t_min depends on its
+    path alone; an insertion pays if it improves t_min by at least 0.1%.
+    The round keeps the fastest that pays, the first tried among equals.
+    Stops when a round's trials all fail.
     Never returns a slower path than the input, whose min-delay solve
     (sizing, t_min) is passed as `start` when the caller already has it.
     An unknown buffer kind or polarity mode raises before any solve.
@@ -292,13 +279,10 @@ def min_delay_with_buffers(path: LogicPath, params: ProcessParams,
     steps: list[tuple[int, str]] = []
 
     def trial(node: int) -> tuple[float, int, LogicPath, Sizing]:
-        """(t_min, node, path, sizing) with buffers after node, solved warm."""
+        """(t_min, node, path, sizing) with buffers after node."""
         candidate = insert_buffers(current, [node], buffer_kind,
                                    polarity_mode)
-        warm = [*sizing[:node + 1], *(None,) * (candidate.n - current.n),
-                *sizing[node + 1:]]
-        cand_sizing, cand_t, _ = min_delay_sizing(candidate, params,
-                                                  library, warm=warm)
+        cand_sizing, cand_t, _ = min_delay_sizing(candidate, params, library)
         return cand_t, node, candidate, cand_sizing
 
     for _ in range(MAX_INSERTIONS):

@@ -286,10 +286,16 @@ class PathModel:
         if len(sizing) != self.n:
             raise ValueError("mismatched sizing length: "
                              f"{len(sizing)} sizes for {self.n} gates")
-        if abs(sizing[0] - self.input_cap) > 1e-9 * self.input_cap:
+        try:
+            moved = abs(sizing[0] - self.input_cap) > 1e-9 * self.input_cap
+            smallest = min(sizing)
+        except TypeError:  # None, checked here to keep every pass cheap
+            raise ValueError(f"cin[{list(sizing).index(None)}] has no size"
+                             ) from None
+        if moved:
             raise ValueError("cin[0] must equal the path's fixed input_cap")
         floor = self.params.cref * (1.0 - 1e-9)
-        if not min(sizing) >= floor:
+        if not smallest >= floor:
             for i, c in enumerate(sizing):
                 if c < floor:
                     raise ValueError(
@@ -520,7 +526,7 @@ class PathModel:
         With the Miller and coupling terms dropped the total is a constant
         plus sum_i w_i (x_i / cin[i] + par_i).  Its clamped optimum, the
         sizing at cref or above that minimizes it, starts cold solves
-        (bounds.splice_sizing): the taper of equal weighted stage effort
+        (bounds.effort_seed): the taper of equal weighted stage effort
         between the gates it holds at cref.  A path with any fixed
         coupling (cm_override) weighs every gate 1, the geometric taper:
         there the weighted one can start the solve in a slower minimum's

@@ -28,7 +28,6 @@ from .restructure import (
     local_equivalence_check,
     rank_gate_efficiency,
     segment_of,
-    without_inverter_pairs,
 )
 from .sizing import SensitivitySolution, distribute_constraint
 
@@ -112,15 +111,12 @@ def replay_trace(path: LogicPath, trace, library: GateLibrary) -> LogicPath:
     return current
 
 
-def _checked_rewrite(path: LogicPath, index: int, library: GateLibrary,
-                     sizing: Sizing) -> tuple[LogicPath, int, list]:
+def _checked_rewrite(path: LogicPath, index: int,
+                     library: GateLibrary) -> tuple[LogicPath, int]:
     """demorgan_rewrite + cancellation, with a truth-table window check.
 
-    Returns the new path, the number of inverter pairs cancelled and, as
-    a warm start, the parent's sizing carried through the same edit: the
-    three gates the rewrite puts in place of gate `index` are unsized
-    (None), and a cancelled pair takes its sizes with it.  A rewrite that
-    changes the window's function raises InvariantError.
+    Returns the new path and the number of inverter pairs cancelled.  A
+    rewrite that changes the window's function raises InvariantError.
     """
     lo = max(0, index - 1)
     hi = min(path.n - 1, index + 1)
@@ -134,10 +130,7 @@ def _checked_rewrite(path: LogicPath, index: int, library: GateLibrary,
         raise InvariantError(
             f"rewrite at gate {index} changed the segment function")
     cancelled = cancel_inverter_pairs(rewritten)
-    sizes = [*sizing[:index], None, None, None, *sizing[index + 1:]]
-    sizes = [size for _, size in
-             without_inverter_pairs(zip(rewritten.gates, sizes))]
-    return cancelled, (rewritten.n - cancelled.n) // 2, sizes
+    return cancelled, (rewritten.n - cancelled.n) // 2
 
 
 class _Route(NamedTuple):
@@ -224,10 +217,9 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
                 if index is None:
                     break
                 old_kind = route.path.gates[index]
-                new_path, pairs, sizes = _checked_rewrite(
-                    route.path, index, library, route.sizing_min)
-                sizing, t_min, _ = min_delay_sizing(new_path, params,
-                                                    library, warm=sizes)
+                new_path, pairs = _checked_rewrite(route.path, index,
+                                                   library)
+                sizing, t_min, _ = min_delay_sizing(new_path, params, library)
                 step = TraceStep("restruct", {
                     "index": index, "from": old_kind,
                     "to": f"inv+{dual_kind(old_kind)}+inv",

@@ -184,28 +184,18 @@ def demorgan_rewrite(path: LogicPath, index: int,
         path.offpath_inverters + (-n_side if was_inverted else n_side)))
 
 
-def without_inverter_pairs(records) -> list:
-    """Per-gate records with back-to-back inverter pairs removed, to fixpoint.
-
-    A record is any tuple whose first item is the gate kind, so whatever
-    else it carries (a seed, a size) leaves with its gate.
-    """
-    stack = []
-    for record in records:
-        if stack and record[0] == "inv" and stack[-1][0] == "inv":
-            stack.pop()
-        else:
-            stack.append(record)
-    return stack
-
-
 def cancel_inverter_pairs(path: LogicPath) -> LogicPath:
     """Remove back-to-back inverter pairs on the critical line, to fixpoint.
 
     Only plain ``inv`` gates cancel; the operation preserves the segment
     function exactly and leaves off-path bookkeeping untouched.
     """
-    stack = without_inverter_pairs(path.records())
+    stack = []
+    for record in path.records():
+        if stack and record[0] == "inv" and stack[-1][0] == "inv":
+            stack.pop()
+        else:
+            stack.append(record)
     if len(stack) == path.n:
         return path
     # A pure inverter chain of even length cancels to nothing; keep one

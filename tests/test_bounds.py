@@ -56,6 +56,12 @@ def ideal_chain(n, input_cap, load, params_kwargs=None):
     return path, params, {"inv": inv}
 
 
+def warm_min_delay(path, params, library, warm):
+    """min_delay_sizing's (sizing, t_min, steps), solved from warm."""
+    fixed = link_fixed_point(PathModel(path, params, library), warm=warm)
+    return fixed.sizing, fixed.pass_.total, fixed.steps
+
+
 def random_path(rng, n_max=40):
     n = rng.randint(2, n_max)
     return LogicPath(gates=tuple(rng.choice(KINDS) for _ in range(n)),
@@ -136,9 +142,8 @@ class TestLogicalEffortSeed:
             seed = oracles.clamped_effort_seed(
                 templates, path.input_cap, path.terminal_load,
                 path.input_edge, ref_params)
-            start = bounds_module.splice_sizing(
-                [None] * path.n, path, ref_params.cref,
-                PathModel(path, ref_params, library).effort_weights())
+            start = bounds_module.effort_seed(
+                PathModel(path, ref_params, library))
             assert start == pytest.approx(seed, rel=1e-13, abs=0.0), path
             clamped += ref_params.cref in start[1:]
             sizing, _, steps = min_delay_sizing(path, ref_params, library)
@@ -169,9 +174,8 @@ class TestLogicalEffortSeed:
             seed = oracles.clamped_effort_seed(
                 templates, path.input_cap, path.terminal_load,
                 path.input_edge, ref_params)
-            start = bounds_module.splice_sizing(
-                [None] * path.n, path, cref,
-                PathModel(path, ref_params, library).effort_weights())
+            start = bounds_module.effort_seed(
+                PathModel(path, ref_params, library))
             assert start == pytest.approx(seed, rel=1e-12, abs=0.0), path
             assert min(start[1:]) == cref
             sizing, _, steps = min_delay_sizing(path, ref_params, library)
@@ -180,54 +184,36 @@ class TestLogicalEffortSeed:
         assert min(lengths) < 10 and max(lengths) > 150
 
     @staticmethod
-    def closed_form(sizes, path, weights):
-        """sizes with each run of None on the closed-form logical-effort
-        taper between its neighbours, unclamped, operation for operation
-        as splice_sizing fills a run that clamps no gate."""
-        out = list(sizes)
-        out[0] = path.input_cap
+    def closed_form(path, weights):
+        """The closed-form logical-effort taper from input_cap to the
+        terminal load, unclamped, operation for operation as effort_seed
+        fills a path that clamps no gate."""
+        n = path.n
         logs = [math.log(w) for w in weights]
-        start = 1
-        while start < len(out):
-            stop = start
-            while stop < len(out) and out[stop] is None:
-                stop += 1
-            if stop > start:
-                left = out[start - 1]
-                ratio = (out[stop] if stop < len(out)
-                         else path.terminal_load) / left
-                span = stop - start + 1
-                effort = sum(logs[start - 1:stop])
-                drop = 0.0
-                for i in range(start, stop):
-                    drop += logs[i - 1]
-                    share = (i - start + 1) / span
-                    out[i] = left * ratio ** share * math.exp(
-                        share * effort - drop)
-            start = stop + 1
+        ratio = path.terminal_load / path.input_cap
+        effort = sum(logs)
+        out, drop = [path.input_cap], 0.0
+        for i in range(1, n):
+            drop += logs[i - 1]
+            share = i / n
+            out.append(path.input_cap * ratio ** share * math.exp(
+                share * effort - drop))
         return out
 
     def test_runs_that_clamp_no_gate_keep_the_closed_form(
             self, ref_params, ref_library):
-        # Cold and warm: a run whose closed-form taper stays at cref or
-        # above is filled with it bit for bit, and one that dips is at
-        # cref or above everywhere, next to sizes kept as they were.
+        # A cold start whose closed-form taper stays at cref or above is
+        # that taper bit for bit, and one that dips is at cref or above
+        # everywhere.
         cref = ref_params.cref
         rng = random.Random(28)
         kept = dipped = 0
         for _ in range(300):
             path = random_path(rng, n_max=60)
-            weights = PathModel(path, ref_params,
-                                ref_library).effort_weights()
-            share = rng.choice((1.0, 0.7, 0.3))
-            sizes = [None if rng.random() < share
-                     else cref * 10 ** rng.uniform(0, 2)
-                     for _ in range(path.n)]
-            want = self.closed_form(sizes, path, weights)
-            out = bounds_module.splice_sizing(sizes, path, cref, weights)
+            model = PathModel(path, ref_params, ref_library)
+            want = self.closed_form(path, model.effort_weights())
+            out = bounds_module.effort_seed(model)
             assert out[0] == path.input_cap
-            assert all(out[i] == c for i, c in enumerate(sizes)
-                       if i and c is not None)
             if min(want[1:]) >= cref:
                 kept += 1
                 assert out == want, path
@@ -237,27 +223,39 @@ class TestLogicalEffortSeed:
         assert kept > 100 and dipped > 20
 
     def test_unit_weights_fill_the_geometric_taper(self):
-        # All-1 weights give the geometric taper bit for bit.
-        path = LogicPath(gates=("inv",) * 6, input_cap=3.0,
-                         terminal_load=700.0)
-        out = bounds_module.splice_sizing([None, 5.0, None, None, None, None],
-                                          path, 2.0, [1.0] * 6)
-        assert out[2:] == [
-            max(2.0, 5.0 * (700.0 / 5.0) ** (k / 5)) for k in range(1, 5)]
+        # Fixed coupling weighs every gate 1, which gives the geometric
+        # taper bit for bit.
+        path, params, lib = ideal_chain(6, 3.0, 700.0)
+        lib = {"inv": dataclasses.replace(lib["inv"], cm_override=5.0)}
+        out = bounds_module.effort_seed(PathModel(path, params, lib))
+        assert out == [3.0 * (700.0 / 3.0) ** (k / 6) for k in range(6)]
 
-    def test_weighted_fill_equalizes_stage_effort(self):
-        # A run between two sized gates: each stage's weight times its
-        # gain is the same, and the gains span the sized neighbours.
-        path = LogicPath(gates=("inv",) * 6, input_cap=3.0,
-                         terminal_load=700.0)
-        weights = [1.0, 2.5, 0.7, 1.9, 3.0, 1.2]
-        out = bounds_module.splice_sizing([None, 5.0, None, None, None, 90.0],
-                                          path, 0.1, weights)
-        assert out[:2] == [3.0, 5.0] and out[5] == 90.0
-        assert out[2:5] == pytest.approx(
-            oracles.effort_taper(weights[1:5], 5.0, 90.0), rel=1e-14)
-        efforts = [weights[k] * out[k + 1] / out[k] for k in range(1, 5)]
-        assert efforts == pytest.approx([efforts[0]] * 4, rel=1e-14)
+    def test_a_load_below_cref_holds_the_last_gate_at_cref(self):
+        # A terminal load below cref would pull the taper under it.  The
+        # clamped optimum holds the last gate at cref and tapers the one
+        # before it from input_cap to there, sqrt(3.0 * 2.0); no size
+        # goes below cref.
+        path, params, lib = ideal_chain(3, 3.0, 0.5, {"cref": 2.0})
+        lib = {"inv": dataclasses.replace(lib["inv"], cm_override=5.0)}
+        out = bounds_module.effort_seed(PathModel(path, params, lib))
+        assert out == [3.0, pytest.approx(math.sqrt(6.0), rel=1e-15), 2.0]
+
+    def test_weighted_fill_equalizes_stage_effort(self, ref_params,
+                                                  ref_library):
+        # A cold start that clamps no gate: each stage's weight times its
+        # gain is the same over the whole run, the last stage driving the
+        # load included, and the gains span input_cap to the load.
+        path = LogicPath(gates=("inv", "nand2", "nor3", "inv", "nand3",
+                                "inv"), input_cap=3.0, terminal_load=700.0)
+        model = PathModel(path, ref_params, ref_library)
+        weights = model.effort_weights()
+        out = bounds_module.effort_seed(model)
+        assert out[0] == 3.0 and min(out[1:]) > ref_params.cref
+        assert out[1:] == pytest.approx(
+            oracles.effort_taper(weights, 3.0, 700.0), rel=1e-14)
+        nodes = [*out, path.terminal_load]
+        efforts = [weights[k] * nodes[k + 1] / nodes[k] for k in range(6)]
+        assert efforts == pytest.approx([efforts[0]] * 6, rel=1e-14)
 
     def test_fixed_coupling_weighs_every_gate_one(self, ref_params,
                                                   ref_library):
@@ -293,8 +291,8 @@ class TestMinDelaySolver:
         for factor in (1.0, 4.0, 10.0, 100.0):
             warm = (chain13.input_cap,) + (factor * ref_params.cref,) * (
                 chain13.n - 1)
-            _, t_min, iters = min_delay_sizing(
-                chain13, ref_params, ref_library, warm=warm)
+            _, t_min, iters = warm_min_delay(
+                chain13, ref_params, ref_library, warm)
             assert iters < 500
             results.append(t_min)
         spread = (max(results) - min(results)) / min(results)
@@ -351,8 +349,8 @@ class TestMinDelaySolver:
         sizing, t_min, _ = min_delay_sizing(chain11, ref_params, ref_library)
         bumped = [c * 1.3 for c in sizing]
         bumped[0] = chain11.input_cap
-        warm_sizing, warm_t, warm_iters = min_delay_sizing(
-            chain11, ref_params, ref_library, warm=bumped)
+        warm_sizing, warm_t, warm_iters = warm_min_delay(
+            chain11, ref_params, ref_library, bumped)
         assert warm_t == pytest.approx(t_min, rel=1e-9)
         assert warm_iters <= 10
 
@@ -410,8 +408,8 @@ class TestMinDelaySolver:
             driver_slope_rise=case["driver_slope_rise"],
             driver_slope_fall=case["driver_slope_fall"])
         _, t_cold, _ = min_delay_sizing(path, ref_params, ref_library)
-        _, t_warm, _ = min_delay_sizing(path, ref_params, ref_library,
-                                        warm=case["warm"])
+        _, t_warm, _ = warm_min_delay(path, ref_params, ref_library,
+                                      case["warm"])
         assert t_warm == pytest.approx(t_cold, rel=1e-12)
 
     def test_appending_a_stage_to_a_staged_path_slows_it(self, ref_params,
@@ -481,8 +479,8 @@ class TestMinDelaySolver:
         params = dataclasses.replace(ref_params, cref=1e-300)
         path = LogicPath(gates=gates, input_cap=1e6, terminal_load=1e9)
         with pytest.raises(ConvergenceError, match="underflowed"):
-            min_delay_sizing(path, params, ref_library,
-                             warm=(1e6, 1e-300, 1e-300, 1e-300))
+            warm_min_delay(path, params, ref_library,
+                           (1e6, 1e-300, 1e-300, 1e-300))
         bare = {kind: dataclasses.replace(t, par_coeff=0.0, cm_override=0.0)
                 for kind, t in ref_library.items()}
         path = LogicPath(gates=gates, input_cap=4.0, terminal_load=1e-200)
@@ -525,7 +523,7 @@ class TestMinDelaySolver:
         warm = (path.input_cap,) + tuple(data.draw(st.lists(
             st.floats(cref, 1000.0 * cref), min_size=n - 1, max_size=n - 1)))
         cold = min_delay_sizing(path, ref_params, ref_library)
-        hot = min_delay_sizing(path, ref_params, ref_library, warm=warm)
+        hot = warm_min_delay(path, ref_params, ref_library, warm)
         # Both ends meet the stopping bound |g| <= 1e-6 * delay / cref on
         # every unclamped gate, so on the convex delay their delays differ
         # by at most that bound times the distance between the sizings.
@@ -569,11 +567,10 @@ class TestMinDelaySolver:
             path = random_path(random.Random(seed))
             passes.clear()
             evaluated.clear()
-            taper = bounds_module.splice_sizing([None] * path.n, path,
-                                                ref_params.cref,
-                                                [1.0] * path.n)
-            sizing, _, iters = min_delay_sizing(path, ref_params, ref_library,
-                                                warm=taper)
+            taper = [path.input_cap, *oracles.effort_taper(
+                [1.0] * path.n, path.input_cap, path.terminal_load)]
+            sizing, _, iters = warm_min_delay(path, ref_params, ref_library,
+                                              taper)
             assert evaluated == [sizing]
             assert passes[-1][1] == 0
             totals = [total for total, gates in passes if gates]
@@ -712,8 +709,22 @@ class TestMinDelaySolver:
         warm = [chain11.input_cap] + [8.0] * (chain11.n - 1)
         warm[5] = 0.0
         with pytest.raises(ValueError):
-            min_delay_sizing(chain11, ref_params, ref_library,
-                             warm=tuple(warm))
+            warm_min_delay(chain11, ref_params, ref_library, tuple(warm))
+
+    @pytest.mark.parametrize("warm, gate", [
+        ([None, 0.0, None, 20.0], 0), ([None, -1.0, None, 20.0], 0),
+        ([4.0, None, 9.0, 20.0], 1), ([4.0, 0.0, 10.0, 20.0], 1)])
+    def test_rejects_a_bad_warm_list_naming_the_gate(
+            self, ref_params, ref_library, warm, gate):
+        # A warm list is a full sizing: a size that is None or below cref
+        # is the same ValueError, naming the first gate at fault.
+        path = LogicPath(gates=("inv",) * 4, input_cap=4.0,
+                         terminal_load=60.0)
+        model = PathModel(path, ref_params, ref_library)
+        with pytest.raises(ValueError, match=rf"^cin\[{gate}\] "):
+            model.check_sizing(warm)
+        with pytest.raises(ValueError, match=rf"^cin\[{gate}\] "):
+            link_fixed_point(model, warm=warm)
 
 
 def fd_gradient(model, sizing):

@@ -15,7 +15,7 @@ import pytest
 import oracles
 from conftest import REF_PROC
 from cmospath import bounds, buffering, path as path_module
-from cmospath.bounds import min_delay_sizing, splice_sizing
+from cmospath.bounds import min_delay_sizing
 from cmospath.buffering import (_crossing, _sites, fanout_limits, flimit,
                                 insert_buffers, load_ratios,
                                 min_delay_with_buffers)
@@ -569,101 +569,3 @@ class TestMinDelayWithBuffers:
         assert result.final_path.gates != heavy_path.gates
         assert solved and heavy_path not in solved
 
-
-class TestSpliceSizing:
-    PATH = LogicPath(gates=("inv", "nand2", "nor2", "inv"), input_cap=4.0,
-                     terminal_load=400.0)
-
-    def first_trial_warm(self, node, mode, params, library, monkeypatch):
-        """The parent sizing, and the path and warm start of greedy
-        buffering's trial at `node`, taken from the call the loop makes."""
-        sizing, t_min, _ = min_delay_sizing(self.PATH, params, library)
-        nodes = [[node]]
-        solves = []
-
-        def recording(path, params, library, *args, warm=None, **kwargs):
-            solves.append((path, warm))
-            return min_delay_sizing(path, params, library, *args, warm=warm,
-                                    **kwargs)
-
-        monkeypatch.setattr(buffering, "_sites",
-                            lambda *args: nodes.pop() if nodes else [])
-        monkeypatch.setattr(buffering, "min_delay_sizing", recording)
-        min_delay_with_buffers(self.PATH, params, library,
-                               polarity_mode=mode, start=(sizing, t_min))
-        return sizing, *solves[0]
-
-    @pytest.mark.parametrize("mode, count", [("single", 1), ("pair", 2)])
-    @pytest.mark.parametrize("node", [0, 1, 3])
-    def test_insertion_keeps_the_parent_and_tapers_the_buffers(
-            self, ref_params, ref_library, monkeypatch, node, mode, count):
-        sizing, trial, warm = self.first_trial_warm(
-            node, mode, ref_params, ref_library, monkeypatch)
-        # The trial passes the parent sizing with the buffers unsized.
-        assert warm == [*sizing[:node + 1], *(None,) * count,
-                        *sizing[node + 1:]]
-        weights = PathModel(trial, ref_params, ref_library).effort_weights()
-        start = splice_sizing(warm, trial, ref_params.cref, weights)
-        assert len(start) == self.PATH.n + count
-        # Survivors keep their parent size bit for bit, gate 0 included.
-        assert start[:node + 1] == list(sizing[:node + 1])
-        assert start[node + 1 + count:] == list(sizing[node + 1:])
-        assert start[0] == self.PATH.input_cap
-        # Past the last gate the terminal load is the right neighbour.
-        right = (sizing[node + 1] if node + 1 < self.PATH.n
-                 else self.PATH.terminal_load)
-        # The buffers sit on the logical-effort taper of the stages from
-        # the gate before them to that neighbour, held at cref or above.
-        new = start[node + 1:node + 1 + count]
-        stages = oracles.effort_weights(
-            [ref_library[kind] for kind in trial.gates], trial.input_edge,
-            ref_params)[node:node + count + 1]
-        assert new == pytest.approx(
-            [max(ref_params.cref, c) for c in oracles.effort_taper(
-                stages, sizing[node], right)], rel=1e-14)
-        assert all(c >= ref_params.cref for c in new)
-
-    def test_new_gates_held_at_cref(self):
-        # A terminal load below cref would pull the taper under it.  The
-        # clamped optimum holds the last gate at cref and tapers the one
-        # before it from 3.0 to there, sqrt(3.0 * 2.0); no size goes below
-        # cref.
-        path = LogicPath(gates=("inv",) * 4, input_cap=4.0,
-                         terminal_load=0.5)
-        warm = splice_sizing([4.0, 3.0, None, None], path, 2.0, [1.0] * 4)
-        assert warm[:2] == [4.0, 3.0]
-        assert warm[2:] == [pytest.approx(math.sqrt(6.0), rel=1e-15), 2.0]
-        assert min(warm[1:]) >= 2.0
-
-    def test_new_gate_zero_is_the_input_cap(self):
-        path = LogicPath(gates=("inv", "inv", "nand2"), input_cap=4.0,
-                         terminal_load=100.0)
-        warm = splice_sizing([None, None, 36.0], path, 2.0, [1.0] * 3)
-        assert warm == [4.0, pytest.approx(12.0, rel=1e-15), 36.0]
-
-    def test_warm_trials_reach_the_cold_minimum(self, ref_params,
-                                                ref_library):
-        # Buffer pairs inserted along a long chain, each trial solved from
-        # the parent sizing with the pair unsized, as greedy buffering
-        # passes it, reach the t_min of a cold solve.  The cold solves
-        # start on the exact clamped optimum of the logical-effort delay
-        # and take fewer iterations: 24 against 32 here (39 cold from the
-        # taper clamped afterwards, 71 from the geometric taper).
-        rng = random.Random(4)
-        path = LogicPath(
-            gates=tuple(rng.choice(sorted(ref_library)) for _ in range(120)),
-            input_cap=rng.uniform(2.0, 8.0),
-            terminal_load=rng.uniform(100.0, 2000.0))
-        sizing, _, _ = min_delay_sizing(path, ref_params, ref_library)
-        warm = cold = 0
-        for node in (10, 14, 34, 64, 78, 80, 88, 110):
-            trial = insert_buffers(path, [node])
-            start = [*sizing[:node + 1], None, None, *sizing[node + 1:]]
-            _, t_warm, iters = min_delay_sizing(trial, ref_params,
-                                                ref_library, warm=start)
-            _, t_cold, cold_iters = min_delay_sizing(trial, ref_params,
-                                                     ref_library)
-            assert t_warm == pytest.approx(t_cold, rel=1e-12)
-            warm += iters
-            cold += cold_iters
-        assert warm <= 32 and cold <= 0.8 * warm

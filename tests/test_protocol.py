@@ -14,11 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cmospath import protocol, restructure
-from cmospath.bounds import min_delay_sizing, splice_sizing
-from cmospath.buffering import insert_buffers
+from cmospath.bounds import min_delay_sizing
 from cmospath.errors import (CmosPathError, ConfigError, InfeasibleError,
                              InvariantError)
-from cmospath.path import LogicPath, PathModel
+from cmospath.path import LogicPath
 from cmospath.protocol import (Domain, TraceStep, classify_constraint,
                                optimize, replay_trace)
 from cmospath.sizing import distribute_constraint
@@ -372,13 +371,12 @@ class TestRewriteSplice:
             self, ref_params, ref_library, monkeypatch):
         path = LogicPath(gates=("nor2", "inv", "nand2", "inv"),
                          input_cap=4.0, terminal_load=400.0)
-        sizing, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
+        _, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
         solves = []
 
-        def recording(path, params, library, *args, warm=None, **kwargs):
-            solves.append((path, warm))
-            return min_delay_sizing(path, params, library, *args, warm=warm,
-                                    **kwargs)
+        def recording(path, params, library):
+            solves.append(path)
+            return min_delay_sizing(path, params, library)
 
         monkeypatch.setattr(protocol, "min_delay_sizing", recording)
         try:
@@ -387,29 +385,14 @@ class TestRewriteSplice:
         except InfeasibleError:
             pass
         # The base route comes from compute_bounds, so the first solve
-        # recorded is the rewrite's.
-        rewritten, warm = solves[0]
-        # nor2 -> inv + nand2 + inv; the trailing inv cancels the parent's
-        # gate 1, whose size leaves with it.
-        assert rewritten.gates == ("inv", "nand2", "nand2", "inv")
-        assert warm == [None, None, *sizing[2:]]
-        # The solve fills the new gates on the logical-effort taper from
-        # the input cap: w0 c1 / c0 = w1 c2 / c1.
-        start = splice_sizing(warm, rewritten, ref_params.cref,
-                              PathModel(rewritten, ref_params,
-                                        ref_library).effort_weights())
-        assert start[0] == path.input_cap
-        assert start[2:] == list(sizing[2:])
-        w0, w1 = oracles.effort_weights(
-            [ref_library[kind] for kind in rewritten.gates],
-            rewritten.input_edge, ref_params)[:2]
-        assert start[1] == pytest.approx(
-            max(ref_params.cref, (path.input_cap * sizing[2] * w1 / w0)
-                ** 0.5), rel=1e-14)
-        assert start[1] >= ref_params.cref
+        # recorded is the rewrite's.  nor2 -> inv + nand2 + inv; the
+        # trailing inv cancels the parent's gate 1, one pair.
+        assert solves[0].gates == ("inv", "nand2", "nand2", "inv")
+        assert protocol._checked_rewrite(path, 0, ref_library) == (
+            solves[0], 1)
 
     def test_wide_window_is_checked_on_the_rewritten_gate_alone(
-            self, ref_params, ref_library):
+            self, ref_library):
         # Gates 0-2 of nor3 nor3 nor3 have 7 inputs (the path input and
         # two side inputs each), past what the exhaustive check takes, so
         # the window narrows to the middle gate.
@@ -417,51 +400,48 @@ class TestRewriteSplice:
                          terminal_load=400.0)
         assert restructure.segment_of(path, ref_library, 0, 3).n_inputs \
             == 7 > restructure.MAX_EQUIV_INPUTS
-        sizing, _, _ = min_delay_sizing(path, ref_params, ref_library)
-        edited, pairs, sizes = protocol._checked_rewrite(
-            path, 1, ref_library, sizing)
+        edited, pairs = protocol._checked_rewrite(path, 1, ref_library)
         assert edited.gates == ("nor3", "inv", "nand3", "inv", "nor3")
         assert pairs == 0
-        assert sizes == [sizing[0], None, None, None, sizing[2]]
-        assert len(sizes) == edited.n
-        _, t_warm, _ = min_delay_sizing(edited, ref_params, ref_library,
-                                        warm=sizes)
-        _, t_cold, _ = min_delay_sizing(edited, ref_params, ref_library)
-        assert t_warm == pytest.approx(t_cold, rel=1e-12)
 
-    @settings(max_examples=40, deadline=None)
-    @given(gates=st.lists(st.sampled_from(KINDS), min_size=2, max_size=40),
-           input_cap=st.floats(2.0, 8.0), load=st.floats(10.0, 2000.0),
-           edge=st.sampled_from(("rising", "falling")),
-           pick=st.floats(0.0, 1.0), edit=st.sampled_from(
-               ("single", "pair", "rewrite")))
-    def test_spliced_start_reaches_the_cold_minimum(
-            self, ref_params, ref_library, gates, input_cap, load, edge,
-            pick, edit):
-        path = LogicPath(gates=tuple(gates), input_cap=input_cap,
-                         terminal_load=load, input_edge=edge)
-        sizing, _, _ = min_delay_sizing(path, ref_params, ref_library)
-        if edit == "rewrite":
-            sites = [i for i, kind in enumerate(gates) if kind != "inv"]
-            if not sites:
-                return
-            index = sites[int(pick * (len(sites) - 1))]
-            edited, _, sizes = protocol._checked_rewrite(
-                path, index, ref_library, sizing)
-        else:
-            node = int(pick * (path.n - 1))
-            edited = insert_buffers(path, [node], polarity_mode=edit)
-            sizes = [*sizing[:node + 1], *(None,) * (edited.n - path.n),
-                     *sizing[node + 1:]]
-        start = splice_sizing(sizes, edited, ref_params.cref,
-                              PathModel(edited, ref_params,
-                                        ref_library).effort_weights())
-        assert len(start) == edited.n
-        assert all(c >= ref_params.cref for c in start[1:])
-        _, t_warm, _ = min_delay_sizing(edited, ref_params, ref_library,
-                                        warm=sizes)
-        _, t_cold, _ = min_delay_sizing(edited, ref_params, ref_library)
-        assert t_warm == pytest.approx(t_cold, rel=1e-12)
+
+class TestRouteMinimumDelay:
+    @pytest.mark.parametrize("mode", ["pair", "single"])
+    def test_route_t_min_is_its_paths_cold_minimum(self, ref_params,
+                                                   ref_library, mode):
+        # Every min-delay solve of an edited path starts cold, so the
+        # t_min a route reports is min_delay_sizing's on its path, bit
+        # for bit, however the walk reached it: the rebound step's of a
+        # buffered hard route, and InfeasibleError's of the fastest route
+        # built.
+        rng = random.Random(32)
+        kinds = sorted(ref_library)
+        rebounds = raises = 0
+        for _ in range(30):
+            path = LogicPath(
+                gates=tuple(rng.choice(kinds)
+                            for _ in range(rng.randint(2, 20))),
+                input_cap=rng.uniform(2.0, 8.0),
+                terminal_load=rng.uniform(100.0, 2000.0),
+                input_edge=rng.choice(("rising", "falling")),
+                driver_slope_rise=rng.uniform(0.0, 50.0),
+                driver_slope_fall=rng.uniform(0.0, 50.0))
+            _, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
+            for ratio in (0.8, 1.02, 1.1):
+                try:
+                    result = optimize(path, ratio * t_min, ref_params,
+                                      ref_library, buffer_mode=mode)
+                except InfeasibleError as exc:
+                    raises += 1
+                    assert exc.t_min == min_delay_sizing(
+                        exc.best_path, ref_params, ref_library)[1]
+                    continue
+                for step in result.trace:
+                    if step.kind == "rebound":
+                        rebounds += 1
+                        assert step.data["t_min"] == min_delay_sizing(
+                            result.final_path, ref_params, ref_library)[1]
+        assert rebounds >= 5 and raises >= 5
 
 
 @st.composite

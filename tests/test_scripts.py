@@ -135,6 +135,10 @@ def test_diff_optimize_finds_no_difference_against_its_own_tree():
     assert re.search(r"^# coupled distribute: 36 calls, 0 differ, 0 beyond "
                      r"drift; largest drift 0\.000e\+00 ", proc.stdout,
                      flags=re.M), proc.stdout
+    # ... and optimize at its own ratio under that library.
+    assert re.search(r"^# coupled optimize: 12 calls, 0 lower, 0 higher, "
+                     r"\d+ equal area; 0 infeasible flips$", proc.stdout,
+                     flags=re.M), proc.stdout
     # ... and equal_delay_distribution at three ratios of its t_min.
     assert re.search(r"^# equal-delay: 36 calls, 0 raise/solve flips; "
                      r"largest size drift 0\.000e\+00 ", proc.stdout,

@@ -29,7 +29,7 @@ from cmospath import (
     solve_at_sensitivity,
     sweep,
 )
-from cmospath.bounds import certified, splice_sizing
+from cmospath.bounds import certified, link_fixed_point
 from cmospath.path import MAX_CAP_FF, Pass
 
 KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
@@ -340,18 +340,19 @@ class TestDistributeConstraint:
             self, ref_params, ref_library, seed, index):
         library, path = next(itertools.islice(
             self._coupled_draws(ref_library, seed), index, None))
-        cref = ref_params.cref
+        model = PathModel(path, ref_params, library)
         t_min = min_delay_sizing(path, ref_params, library)[1]
-        geometric = splice_sizing([None] * path.n, path, cref,
-                                  [1.0] * path.n)
-        assert t_min == pytest.approx(min_delay_sizing(
-            path, ref_params, library, warm=geometric)[1], rel=1e-12)
-        weights = oracles.effort_weights(
-            [library[kind] for kind in path.gates], path.input_edge,
-            ref_params)
-        seeded = splice_sizing([None] * path.n, path, cref, weights)
-        assert min_delay_sizing(path, ref_params, library,
-                                warm=seeded)[1] > 1.007 * t_min
+        geometric = [path.input_cap, *(max(ref_params.cref, c) for c in
+                                       oracles.effort_taper(
+                                           [1.0] * path.n, path.input_cap,
+                                           path.terminal_load))]
+        assert t_min == pytest.approx(link_fixed_point(
+            model, warm=geometric).pass_.total, rel=1e-12)
+        seeded = oracles.logical_effort_seed(
+            [library[kind] for kind in path.gates], path.input_cap,
+            path.terminal_load, path.input_edge, ref_params)
+        assert link_fixed_point(
+            model, warm=seeded).pass_.total > 1.007 * t_min
 
     # (rng seed, draw index, t_min ratio) of the coupled draws whose
     # iterate leaves the solution branch: (c*g).v turns positive, so the
