@@ -46,7 +46,10 @@ each in its own interpreter, and compares the results case by case:
   other raises on listed, and the largest relative drift of the sizes
   where both solve;
 * the largest relative numeric drift over every number of the cases
-  whose structure agrees (sizes, delays, areas, a values, trace values).
+  whose structure agrees (sizes, delays, areas, a values, trace values);
+* fanout limits: fanout_limits on ref.proc for each buffer kind of
+  FANOUT_BUFFERS, each limit compared by its repr and each difference
+  listed.
 
 Paths draw their gate kinds from fixtures/ref.proc, input cap 2-8 fF, a
 log-uniform load of 100-2000 fF, a random input edge, driver slopes of
@@ -63,9 +66,10 @@ The other tree's src/ comes first; "-" lines are its results, "+" lines
 this tree's.  Exits 1 when any structural difference, infeasible flip,
 area change, sweep row difference or coupled distribute difference is
 found, any coupled distribute change, coupled optimize area change or
-flip, or any equal-delay flip, 0 otherwise; min-delay step and pass
-changes, greedy and infeasible t_min changes and the coupled-distribute
-and equal-delay drifts are reported but leave the exit status alone.
+flip, any equal-delay flip, or any fanout limit difference, 0 otherwise;
+min-delay step and pass changes, greedy and infeasible t_min changes and
+the coupled-distribute and equal-delay drifts are reported but leave the
+exit status alone.
 """
 
 from __future__ import annotations
@@ -88,6 +92,7 @@ RTOL = 1e-9
 SWEEP_POINTS = 24
 COUPLED_RATIOS = (1.01, 1.5, 3.0)
 EQUAL_DELAY_RATIOS = (1.05, 1.5, 3.0)
+FANOUT_BUFFERS = ("inv", "nand2")
 
 
 def cases(seed: int, count: int, gates: tuple[int, int], kinds):
@@ -202,13 +207,20 @@ def equal_delay(path, t_min: float, params, library) -> list:
 
 
 def worker(argv) -> int:
-    """Solve every case under the tree on PYTHONPATH; one JSON line each."""
+    """Solve every case under the tree on PYTHONPATH; one JSON line each,
+    after a first line naming the package and holding its fanout limits
+    on ref.proc, by buffer kind and gate kind, each limit by its repr."""
     import cmospath
     from cmospath.bounds import link_fixed_point
 
     seed, count, lo, hi = argv
     params, library = cmospath.load_process_file(PROC)
-    print(json.dumps({"package": os.path.abspath(cmospath.__file__)}))
+    print(json.dumps({
+        "package": os.path.abspath(cmospath.__file__),
+        "fanout_limits": {
+            buffer: {kind: repr(limit) for kind, limit in
+                     cmospath.fanout_limits(params, library, buffer).items()}
+            for buffer in FANOUT_BUFFERS}}))
     for index, spec in enumerate(cases(int(seed), int(count),
                                        (int(lo), int(hi)), sorted(library))):
         path = cmospath.LogicPath(
@@ -258,7 +270,8 @@ def worker(argv) -> int:
 
 
 def run_tree(src: str, args) -> list[dict]:
-    """The case records of the worker run under one source tree."""
+    """The records of the worker run under one source tree: its first
+    line, then one per case."""
     done = subprocess.run(
         [sys.executable, os.path.abspath(__file__), "--worker",
          str(args.seed), str(args.count), str(args.gates[0]),
@@ -272,7 +285,7 @@ def run_tree(src: str, args) -> list[dict]:
     if os.path.commonpath([package, os.path.abspath(src)]) \
             != os.path.abspath(src):
         raise SystemExit(f"worker under {src} imported {package}")
-    return lines[1:]
+    return lines
 
 
 def relative(old: float, new: float) -> float:
@@ -316,8 +329,8 @@ def main(argv=None) -> int:
         parser.error("--gates needs 1 <= LO <= HI")
     this = os.path.join(ROOT, "src")
     with ThreadPoolExecutor(max_workers=2) as pool:
-        old, new = pool.map(lambda src: run_tree(src, args),
-                            (args.other, this))
+        (head_a, *old), (head_b, *new) = pool.map(
+            lambda src: run_tree(src, args), (args.other, this))
     print(f"# diff_optimize seed={args.seed} count={args.count} "
           f"gates={args.gates[0]}-{args.gates[1]}: - {args.other}  + {this}")
 
@@ -452,12 +465,24 @@ def main(argv=None) -> int:
     print(f"# equal-delay: {equal_calls} calls, {equal_flips} raise/solve "
           f"flips; largest size drift {equal_drift[0]:.3e} (case "
           f"{equal_drift[1]}, {equal_drift[2]} t_min)")
+    limits = limits_differ = 0
+    for buffer in FANOUT_BUFFERS:
+        la = head_a["fanout_limits"][buffer]
+        lb = head_b["fanout_limits"][buffer]
+        for kind in sorted(set(la) | set(lb)):
+            limits += 1
+            if la.get(kind) != lb.get(kind):
+                limits_differ += 1
+                print(f"fanout limit of {kind} buffered by {buffer}: "
+                      f"{la.get(kind)} -> {lb.get(kind)}")
+    print(f"# fanout limits: {limits} limits, {limits_differ} differ")
     print(f"# largest area change {largest_area[0]:+.3e} "
           f"(case {largest_area[1]}); largest relative drift "
           f"{drift[0]:.3e} (case {drift[1]}, {drift[2]})")
     differs = (structural or flips or area_changes or rows_differ
                or calls_changed or coupled_areas["lower"]
-               or coupled_areas["higher"] or coupled_flips or equal_flips)
+               or coupled_areas["higher"] or coupled_flips or equal_flips
+               or limits_differ)
     return 1 if differs else 0
 
 

@@ -26,22 +26,17 @@ from .path import (
     LogicPath,
     PathModel,
     evaluate_path,
-    exact_path_gradient,
     parse_path_file,
     parse_path_text_file,
-    path_coefficients,
 )
 from .process import (
     FALLING,
     RISING,
-    GateInstance,
     GateTemplate,
     ProcessParams,
-    gate_delay,
     load_process_config,
     load_process_file,
     symmetry_factors,
-    transition_time,
     width_of,
 )
 from .protocol import (

@@ -246,10 +246,10 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     fixed coupling, the geometric taper cin[i] = input_cap * (load /
     input_cap)^(i/n) where that clamps no gate), which depends neither
     on a nor on cref unless it clamps; either is checked
-    (PathModel.check_sizing, a ValueError for a size that is None), each
-    free gate below cref is lifted to cref, and the solve takes a full
-    pass there.  A bare Pass is a TypeError, and a start whose delay is
-    not finite a ConvergenceError at iteration 0.  The solve drives the
+    (PathModel.check_sizing, a ValueError for a size that is None or not
+    finite), each free gate below cref is lifted to cref, and the solve
+    takes a full pass there.  A bare Pass is a TypeError, and a start
+    whose delay is not finite a ConvergenceError at iteration 0.  The solve drives the
     exact sensitivities dT/dcin[i] to a for every unclamped gate, within
     MAX_ITERATIONS steps.  Each iteration takes a tridiagonal Newton step
     off the pass that opens it, on the exact Hessian, each row that is not

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from .bounds import min_delay_sizing
 from .errors import ConfigError
 from .path import GateLibrary, LogicPath, PathModel, Sizing
-from .process import (EDGES, GateInstance, GateTemplate, ProcessParams,
-                      gate_delay, other_edge, output_scale, transition_time)
+from .process import (EDGES, GateTemplate, ProcessParams, coupling_split,
+                      other_edge, output_scale, stage_delay)
 
 FLIMIT_LO = 1.0
 FLIMIT_HI = 100.0
@@ -126,15 +126,19 @@ def _chain_stage_delay(template: GateTemplate, params: ProcessParams,
     """Stage delay in a long chain of one gate kind at a given stage effort.
 
     Each stage drives effort times its own cin and is driven by its twin's
-    output transition; the two output edges alternate, so they are
-    averaged.  Sized at the probe's cin, since coupling may be fixed.
+    output transition, which falls on its input edge; the two edges
+    alternate, so they are averaged.  Sized at the probe's cin, since
+    coupling may be fixed.
     """
-    gate = GateInstance(template, 64.0 * params.cref)
-    load = (effort + template.par_coeff) * gate.cin
+    cin = 64.0 * params.cref
+    load = (effort + template.par_coeff) * cin
     total = 0.0
-    for edge in EDGES:
-        slope = transition_time(gate, other_edge(edge), load, params)
-        total += gate_delay(gate, slope, edge, load, params)[0]
+    for edge_in in EDGES:
+        gamma, fixed = coupling_split(template, edge_in, params)
+        total += stage_delay(
+            output_scale(template, other_edge(edge_in), params),
+            params.threshold(edge_in) / 2.0, gamma * cin + fixed, cin, load,
+            output_scale(template, edge_in, params) * load / cin)[0]
     return total / len(EDGES)
 
 

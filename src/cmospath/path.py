@@ -8,27 +8,29 @@ gate's output transition time into the next gate's delay term.
 
 ``PathModel`` builds one constant tuple per gate kind and input edge,
 which ``stage``, ``coefficients`` and ``derivatives`` all read.
-``process.stage_delay`` writes the stage delay: ``PathModel.stage`` and
-``gate_delay`` call it, and ``stage_size`` and ``stage_floor``, its
-inverse and its unbounded-size floor, sit next to ``stage``.  The
-per-gate algebra lives in one kernel (``_window``): one walk down the
-chain gives each gate's stage delay, in stage_delay's order of
-operations, and its output transition time, the exact gradient and
-tridiagonal Hessian, and the total delay.  ``PathModel.derivatives``
-returns them as a ``Pass``, the one record of a pass the solvers hold,
-hand on and warm-start from; they step on it, judge steps by its total
-and stop on its gradient, and its total is the delay they report.  A
-pass taken on a base (an earlier ``Pass``) computes only the gates next
-to the sizes that moved and splices them in, equal to the full pass bit
-for bit; the full pass is that window over the whole chain.
+``process.stage_delay`` writes the stage delay: ``PathModel.stage``
+calls it, and ``stage_size`` and ``stage_floor``, its inverse and its
+unbounded-size floor, sit next to ``stage``.  The per-gate algebra lives
+in one kernel (``_window``): one walk down the chain gives each gate's
+stage delay, in stage_delay's order of operations, and its output
+transition time, the exact gradient and tridiagonal Hessian, and the
+total delay.  ``PathModel.derivatives`` returns them as a ``Pass``, the
+one record of a pass the solvers hold, hand on and warm-start from; they
+step on it, judge steps by its total and stop on its gradient, and its
+total is the delay they report.  A pass taken on a base (an earlier
+``Pass``) computes only the gates next to the sizes that moved and
+splices them in, equal to the full pass bit for bit; the full pass is
+that window over the whole chain.
 ``evaluate`` is ``derivatives`` plus the slow-input warnings: it returns
 the same Pass, whose stage delays, transition times and total are the
 evaluation; ``total_width`` gives the width.
-``path_coefficients`` regroups the same expression by each gate's output
+``coefficients`` regroups the same expression by each gate's output
 transition time into T = const + sum A_i * (cin[i+1] + c_par[i]) /
 cin[i], freezing the Miller factors and parasitics at the current sizing.
-At the freezing point it agrees with the pass's total to rounding;
-nothing in the package reads the frozen view.
+At the freezing point it agrees with the pass's total to rounding.
+Nothing in the package reads the frozen view (``CoefficientSet``,
+``coefficients``, ``model_gradient`` and ``model_curvature``); it stays
+only until the benchmark's trace spans on those methods are retired.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .process import (
     check_keys,
     config_lines,
     coupling_split,
-    miller_factor,
     other_edge,
     output_scale,
     parse_number,
@@ -289,9 +290,14 @@ class PathModel:
         try:
             moved = abs(sizing[0] - self.input_cap) > 1e-9 * self.input_cap
             smallest = min(sizing)
+            finite = math.isfinite(sum(sizing))
         except TypeError:  # None, checked here to keep every pass cheap
             raise ValueError(f"cin[{list(sizing).index(None)}] has no size"
                              ) from None
+        if not finite:
+            for i, c in enumerate(sizing):
+                if not math.isfinite(c):
+                    raise ValueError(f"cin[{i}] must be finite, got {c!r}")
         if moved:
             raise ValueError("cin[0] must equal the path's fixed input_cap")
         floor = self.params.cref * (1.0 - 1e-9)
@@ -370,10 +376,12 @@ class PathModel:
         a = []
         c_par = []
         for ((tau_s, _, gamma, cm_fixed, par, _, v_next, _, _, _), c,
-             x) in zip(self._consts, sizing, self._nodes(sizing)):
+             x) in zip(self._consts, sizing,
+                       (*sizing[1:], self.terminal_load)):
             cp = par * c
             load = x + cp
-            m = miller_factor(gamma * c + cm_fixed, load)
+            c_m = gamma * c + cm_fixed
+            m = 1.0 + 2.0 * c_m / (c_m + load)
             a.append(tau_s * (m + v_next) / 2.0)
             c_par.append(cp)
         constant = self._consts[0][1] * self.path.driver_slope()
@@ -507,11 +515,6 @@ class PathModel:
             f_xx_up = k_half * (mil_loadload * load / c + 2.0 * mil_load / c)
         return terms, slopes, grad, diag, off
 
-    def _nodes(self, sizing) -> list[float]:
-        """Each gate's downstream node: the next cin, then the terminal
-        load."""
-        return [*sizing[1:], self.terminal_load]
-
     def model_gradient(self, sizing) -> tuple[float, ...]:
         """Exact-model delay sensitivities for the free gates 1..n-1."""
         return self.derivatives(sizing)[0]
@@ -546,18 +549,6 @@ def evaluate_path(path: LogicPath, sizing, params: ProcessParams,
                   library: GateLibrary) -> Pass:
     """Exact chained delay, stage delays and slopes at one sizing."""
     return PathModel(path, params, library).evaluate(sizing)
-
-
-def path_coefficients(path: LogicPath, sizing, params: ProcessParams,
-                      library: GateLibrary) -> CoefficientSet:
-    """Frozen coefficient snapshot at one sizing."""
-    return PathModel(path, params, library).coefficients(sizing)
-
-
-def exact_path_gradient(path: LogicPath, sizing, params: ProcessParams,
-                        library: GateLibrary) -> tuple[float, ...]:
-    """Exact-model gradient over the free gates."""
-    return PathModel(path, params, library).derivatives(sizing).grad
 
 
 _PATH_HEADER_KEYS = {

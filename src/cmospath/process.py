@@ -1,4 +1,4 @@
-"""Process constants, gate library, and single-gate delay equations.
+"""Process constants, gate library, and the one stage-delay expression.
 
 Units are fixed package-wide: times in ps, capacitances in fF, transistor
 widths in um.  A gate's electrical state is its input capacitance ``cin``;
@@ -172,81 +172,19 @@ def coupling_split(template: GateTemplate, input_edge: str,
     return share / (2.0 * (1.0 + k)), 0.0
 
 
-@dataclass(frozen=True)
-class GateInstance:
-    """A sized gate: a template plus an input capacitance in fF."""
-
-    template: GateTemplate
-    cin: float
-
-    def __post_init__(self):
-        if not self.cin > 0:
-            raise ValueError("cin must be positive")
-
-    @property
-    def c_par(self) -> float:
-        """Output parasitic capacitance, proportional to the input cap."""
-        return self.template.par_coeff * self.cin
-
-    def coupling_cap(self, input_edge: str, params: ProcessParams) -> float:
-        """Input-to-output coupling capacitance seen during a transition."""
-        gamma, fixed = coupling_split(self.template, input_edge, params)
-        return gamma * self.cin + fixed
-
-
-def transition_time(gate: GateInstance, edge: str, load: float,
-                    params: ProcessParams) -> float:
-    """Output transition time for the given output edge, in ps.
-
-    Linear in the load and inversely proportional to the gate's own input
-    capacitance.
-    """
-    if not load > 0:
-        raise ValueError("load must be positive")
-    return output_scale(gate.template, edge, params) * load / gate.cin
-
-
-def miller_factor(c_m: float, load: float) -> float:
-    """Amplification of the output transition by input-output coupling.
-
-    Always in (1, 3); equals 1 when the coupling capacitance is zero.
-    """
-    return 1.0 + 2.0 * c_m / (c_m + load)
-
-
 def stage_delay(tau_s: float, v_half: float, c_m: float, cin: float,
                 load: float, input_slope: float) -> tuple[float, float]:
     """(delay, output transition time) of one gate from its constants.
 
     Half the input threshold times the input slope, plus half the output
     transition time tau * S * load / cin amplified by the Miller factor
-    (inlined here).  A path's derivative pass (path.PathModel._window)
-    writes the same expression in the same order of operations, so the
-    two agree bit for bit.
+    1 + 2 c_m / (c_m + load), in (1, 3).  A path's derivative pass
+    (path.PathModel._window) writes the same expression in the same order
+    of operations, so the two agree bit for bit.
     """
     t_out = tau_s * load / cin
     miller = 1.0 + 2.0 * c_m / (c_m + load)
     return v_half * input_slope + miller * t_out / 2.0, t_out
-
-
-def gate_delay(gate: GateInstance, input_slope: float, edge: str, load: float,
-               params: ProcessParams) -> tuple[float, float]:
-    """(propagation delay, output transition time) for one switching event.
-
-    ``edge`` is the OUTPUT transition polarity; the input edge is its
-    opposite.  ``input_slope`` is the transition time of the driving
-    signal and ``load`` the total capacitance at the output node, both of
-    which must be in the gate's own units (ps, fF).
-    """
-    if input_slope < 0:
-        raise ValueError("input_slope must be non-negative")
-    if not load > 0:
-        raise ValueError("load must be positive")
-    input_edge = other_edge(edge)
-    return stage_delay(output_scale(gate.template, edge, params),
-                       params.threshold(input_edge) / 2.0,
-                       gate.coupling_cap(input_edge, params), gate.cin, load,
-                       input_slope)
 
 
 def width_of(cin: float, params: ProcessParams) -> tuple[float, float]:

@@ -306,5 +306,8 @@ def equal_delay_distribution(path: LogicPath, tc: float,
 
 def path_area(path: LogicPath, sizing, params: ProcessParams,
               library: GateLibrary) -> float:
-    """Total transistor width of a sizing, off-path inverters included."""
-    return PathModel(path, params, library).total_width(sizing)
+    """Total transistor width of a checked sizing, off-path inverters
+    included."""
+    model = PathModel(path, params, library)
+    model.check_sizing(sizing)
+    return model.total_width(sizing)

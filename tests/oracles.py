@@ -35,6 +35,29 @@ def coupling_cap(template, in_edge, cin, params):
     return share * cin / (2.0 * (1.0 + params.k_ratio))
 
 
+def uniform_chain_stage_delay(template, cin, effort, params):
+    """Mean stage delay of a long chain of one gate kind, all at size cin.
+
+    Each stage drives effort * cin plus its own parasitic.  In the steady
+    state a stage's input transition is its twin's output transition on
+    the stage's input edge, and the two output edges alternate, so their
+    delays are averaged.
+    """
+    c_load = (effort + template.par_coeff) * cin
+    total = 0.0
+    for edge in (RISING, FALLING):
+        out = FALLING if edge == RISING else RISING
+        t_in = params.tau * pull_strength(template, edge, params) \
+            * c_load / cin
+        t_out = params.tau * pull_strength(template, out, params) \
+            * c_load / cin
+        c_m = coupling_cap(template, edge, cin, params)
+        miller = 1.0 + 2.0 * c_m / (c_m + c_load)
+        v = params.vtn if edge == RISING else params.vtp
+        total += v / 2.0 * t_in + miller * t_out / 2.0
+    return total / 2.0
+
+
 def chain_delay(templates, cins, load, input_edge, slope_rise, slope_fall,
                 params):
     """Total delay of a sized chain, directly from the stage recurrence.

@@ -16,7 +16,7 @@ import oracles
 from cmospath.bounds import (compute_bounds, link_fixed_point,
                              min_delay_sizing)
 from cmospath.buffering import fanout_limits, min_delay_with_buffers
-from cmospath.path import LogicPath, PathModel, exact_path_gradient
+from cmospath.path import LogicPath, PathModel
 from cmospath.protocol import Domain, classify_constraint, optimize
 from cmospath.restructure import cancel_inverter_pairs, demorgan_rewrite
 from cmospath.sizing import (distribute_constraint, equal_delay_distribution,
@@ -97,8 +97,8 @@ def test_criterion_03_gradient_matches_finite_differences(ref_params,
         sizing = [path.input_cap] + [
             math.exp(rng.uniform(math.log(2.0), math.log(150.0)))
             for _ in range(n - 1)]
-        analytic = exact_path_gradient(path, sizing, ref_params,
-                                       ref_library)
+        analytic = PathModel(path, ref_params, ref_library).derivatives(
+            sizing).grad
         templates = [ref_library[k] for k in gates]
 
         def exact(x):

@@ -25,12 +25,10 @@ from cmospath import (
     compute_bounds,
     distribute_constraint,
     evaluate_path,
-    exact_path_gradient,
     feasibility,
     load_process_file,
     max_delay_sizing,
     min_delay_sizing,
-    path_coefficients,
     solve_at_sensitivity,
     sweep,
 )
@@ -113,7 +111,7 @@ class TestMinDelayClosedForms:
                                         {"vtn": 0.2, "vtp": 0.3,
                                          "k_ratio": 1.0})
         sizing, _, _ = min_delay_sizing(path, params, lib)
-        coeffs = path_coefficients(path, sizing, params, lib)
+        coeffs = PathModel(path, params, lib).coefficients(sizing)
         for i in range(1, path.n):
             nxt = sizing[i + 1] if i + 1 < path.n else path.terminal_load
             want = math.sqrt(coeffs.a[i] / coeffs.a[i - 1]
@@ -305,9 +303,9 @@ class TestMinDelaySolver:
         # a = 0 is the scaled residual test and for a < 0 bounds the
         # spread of the unclamped sensitivities by twice that.
         def check(path, a, sizing, delay):
-            grad = exact_path_gradient(path, sizing, ref_params,
-                                       ref_library)
-            clamped = PathModel(path, ref_params, ref_library).clamped(sizing)
+            model = PathModel(path, ref_params, ref_library)
+            grad = model.derivatives(sizing).grad
+            clamped = model.clamped(sizing)
             free = [g for g, c in zip(grad, clamped[1:]) if not c]
             bound = 5e-5 * abs(a) + 1e-6 * delay / ref_params.cref
             worst = max((abs(g - a) for g in free), default=0.0)

@@ -16,7 +16,8 @@ import oracles
 from conftest import REF_PROC
 from cmospath import bounds, buffering, path as path_module
 from cmospath.bounds import min_delay_sizing
-from cmospath.buffering import (_crossing, _sites, fanout_limits, flimit,
+from cmospath.buffering import (_chain_stage_delay, _crossing, _sites,
+                                _wants_more_stages, fanout_limits, flimit,
                                 insert_buffers, load_ratios,
                                 min_delay_with_buffers)
 from cmospath.errors import ConfigError
@@ -196,6 +197,44 @@ class TestFlimitMemo:
         assert ref_library == copies
         assert all(ref_library[k] is t for k, t in snapshot.items())
         assert set(ref_library) == set(snapshot)
+
+
+def chain_templates(library):
+    """Every library kind, then each with a fixed coupling of 0, 3 and
+    586 fF."""
+    return [*library.values(), *(
+        dataclasses.replace(t, cm_override=cm) for t in library.values()
+        for cm in (0.0, 3.0, 586.0))]
+
+
+class TestChainStageDelay:
+    EFFORTS = [0.5 * 400.0 ** (k / 12) for k in range(13)]
+
+    @pytest.mark.parametrize("thresholds", [{}, {"vtn": 0.3, "vtp": 0.15}],
+                             ids=["ref", "split-thresholds"])
+    def test_matches_steady_state_chain(self, ref_params, ref_library,
+                                        thresholds):
+        # the logical-effort screen times a stage of a long uniform chain
+        # at the probe's cin, both output edges averaged; unequal
+        # thresholds tell which edge drives which stage
+        params = dataclasses.replace(ref_params, **thresholds)
+        cin = 64.0 * params.cref
+        for template in chain_templates(ref_library):
+            for effort in self.EFFORTS:
+                want = oracles.uniform_chain_stage_delay(template, cin,
+                                                         effort, params)
+                assert _chain_stage_delay(template, params, effort) \
+                    == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("gates, load, wanted", [
+        (("inv",), 2000.0, True),
+        (("inv",) * 8, 8.0, False)])
+    def test_wants_more_stages_by_chain_delay(self, ref_params, ref_library,
+                                              gates, load, wanted):
+        # N + 1 stages of the buffer kind beat N at the path's effort
+        path = LogicPath(gates=gates, input_cap=4.0, terminal_load=load)
+        model = PathModel(path, ref_params, ref_library)
+        assert _wants_more_stages(model, ref_library["inv"]) is wanted
 
 
 def sites(path, sizing, limits, params, library, mode):
@@ -418,6 +457,7 @@ class TestMinDelayWithBuffers:
             terminal_load=math.exp(rng.uniform(math.log(100.0),
                                                math.log(2000.0))))
         sizing, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
+        fanout_limits(ref_params, ref_library)  # probe solves are no trials
         solved = []
 
         def recording(path, *args, **kwargs):
@@ -541,6 +581,7 @@ class TestMinDelayWithBuffers:
         path = LogicPath(gates=("nand2", "nor2", "inv"), input_cap=4.0,
                          terminal_load=20.0)
         sizing, t_min, _ = min_delay_sizing(path, ref_params, ref_library)
+        fanout_limits(ref_params, ref_library)  # probe solves are no trials
         solved = []
 
         def recording(path, *args, **kwargs):

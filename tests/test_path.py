@@ -11,20 +11,18 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from cmospath import (
     ConfigError,
-    GateInstance,
     GateTemplate,
     LogicPath,
     PathModel,
     ProcessParams,
     evaluate_path,
-    exact_path_gradient,
-    gate_delay,
     parse_path_file,
-    path_coefficients,
 )
 from cmospath.bounds import min_delay_sizing
 from cmospath.buffering import insert_buffers
 from cmospath.path import MAX_CAP_FF
+from cmospath.process import (coupling_split, other_edge, output_scale,
+                              stage_delay)
 from cmospath.restructure import cancel_inverter_pairs, demorgan_rewrite
 
 KINDS = ("inv", "nand2", "nand3", "nor2", "nor3")
@@ -254,8 +252,9 @@ class TestEvaluate:
         assert width == pytest.approx(per_width, rel=1e-12)
 
     def test_stage_matches_gate_delay(self, ref_params, ref_library):
-        # PathModel.stage and process.gate_delay share one stage
-        # expression: gate by gate they agree exactly.
+        # PathModel.stage, the derivative pass and process.stage_delay on
+        # each gate's own constants share one stage expression: gate by
+        # gate they agree exactly.
         rng = random.Random(31)
         for _ in range(25):
             path, sizing = random_case(rng, ref_library)
@@ -264,9 +263,14 @@ class TestEvaluate:
             slope = path.driver_slope()
             for i, kind in enumerate(path.gates):
                 x = sizing[i + 1] if i < path.n - 1 else path.terminal_load
-                gate = GateInstance(ref_library[kind], sizing[i])
-                want = gate_delay(gate, slope, model.out_edges[i],
-                                  x + gate.c_par, ref_params)
+                tpl, edge = ref_library[kind], model.out_edges[i]
+                gamma, fixed = coupling_split(tpl, other_edge(edge),
+                                              ref_params)
+                want = stage_delay(
+                    output_scale(tpl, edge, ref_params),
+                    ref_params.threshold(other_edge(edge)) / 2.0,
+                    gamma * sizing[i] + fixed, sizing[i],
+                    x + tpl.par_coeff * sizing[i], slope)
                 assert model.stage(i, sizing[i], x, slope) == want
                 assert want == (timing.terms[i],
                                 timing.slopes[i])
@@ -374,19 +378,20 @@ class TestCoefficients:
         rng = random.Random(11)
         for _ in range(25):
             path, sizing = random_case(rng, ref_library)
-            coeffs = path_coefficients(path, sizing, ref_params, ref_library)
+            model = PathModel(path, ref_params, ref_library)
+            coeffs = model.coefficients(sizing)
             exact = evaluate_path(path, sizing, ref_params,
                                   ref_library).total
             frozen = coeffs.frozen_delay(sizing)
             assert abs(frozen - exact) / exact <= 1e-9
-            fused = PathModel(path, ref_params, ref_library).derivatives(
-                sizing)[3]
+            fused = model.derivatives(sizing)[3]
             assert abs(fused - exact) / exact <= 1e-14
 
     def test_matches_independent_regrouping(self, ref_params, ref_library,
                                             chain11):
         sizing = [chain11.input_cap] + [15.0] * (chain11.n - 1)
-        coeffs = path_coefficients(chain11, sizing, ref_params, ref_library)
+        coeffs = PathModel(chain11, ref_params, ref_library).coefficients(
+            sizing)
         const, a, c_par = oracles.frozen_coefficients(
             templates_for(chain11, ref_library), sizing,
             chain11.terminal_load, chain11.input_edge,
@@ -401,8 +406,8 @@ class TestCoefficients:
         path = LogicPath(gates=("inv", "inv", "inv"), input_cap=4.0,
                          terminal_load=256.0, input_edge="rising",
                          driver_slope_rise=40.0, driver_slope_fall=40.0)
-        coeffs = path_coefficients(path, [4.0, 16.0, 64.0], ref_params,
-                                   ref_library)
+        coeffs = PathModel(path, ref_params, ref_library).coefficients(
+            [4.0, 16.0, 64.0])
         assert coeffs.constant_term == pytest.approx(4.0, rel=1e-12)
         golden = (15.7265238442661, 31.4530476885322, 13.326523844266102)
         for got, want in zip(coeffs.a, golden):
@@ -414,14 +419,14 @@ class TestCoefficients:
         path = LogicPath(gates=("inv", "nor2"), input_cap=4.0,
                          terminal_load=40.0, input_edge="rising")
         sizing = [4.0, 12.0]
-        coeffs = path_coefficients(path, sizing, ref_params, ref_library)
         model = PathModel(path, ref_params, ref_library)
+        coeffs = model.coefficients(sizing)
         nor2 = ref_library["nor2"]
         s_lh = (ref_params.r_ratio * (1.0 + ref_params.k_ratio)
                 / ref_params.k_ratio * nor2.dw_lh)
         # gate 1's input edge is gate 0's output edge
-        c_m = GateInstance(nor2, 12.0).coupling_cap(model.out_edges[0],
-                                                    ref_params)
+        c_m = oracles.coupling_cap(nor2, model.out_edges[0], 12.0,
+                                   ref_params)
         load = 40.0 + nor2.par_coeff * 12.0
         miller = 1.0 + 2.0 * c_m / (c_m + load)
         assert coeffs.a[1] == pytest.approx(
@@ -436,7 +441,7 @@ class TestCoefficients:
         path = LogicPath(gates=("inv",) * 6, input_cap=2.0,
                          terminal_load=128.0)
         sizing = [2.0, 3.0, 5.0, 9.0, 17.0, 33.0]
-        coeffs = path_coefficients(path, sizing, params, {"inv": inv})
+        coeffs = PathModel(path, params, {"inv": inv}).coefficients(sizing)
         assert coeffs.a[0] == pytest.approx(coeffs.a[2], rel=1e-12)
         assert coeffs.a[2] == pytest.approx(coeffs.a[4], rel=1e-12)
         assert coeffs.a[1] == pytest.approx(coeffs.a[3], rel=1e-12)
@@ -451,7 +456,8 @@ class TestFrozenGradient:
         rng = random.Random(23)
         for _ in range(20):
             path, sizing = random_case(rng, ref_library, n_gates=5)
-            grad = exact_path_gradient(path, sizing, ref_params, ref_library)
+            grad = PathModel(path, ref_params, ref_library).derivatives(
+                sizing).grad
             tpls = templates_for(path, ref_library)
 
             def full(c):
@@ -470,9 +476,10 @@ class TestFrozenGradient:
         path = LogicPath(gates=("inv", "inv"), input_cap=4.0,
                          terminal_load=64.0, input_edge="rising")
 
+        model = PathModel(path, ref_params, ref_library)
+
         def component(c):
-            return exact_path_gradient(path, [4.0, c], ref_params,
-                                       ref_library)[0]
+            return model.derivatives([4.0, c]).grad[0]
 
         assert component(6.0) < 0.0
         assert component(40.0) > 0.0
@@ -494,7 +501,8 @@ class TestExactGradient:
         rng = random.Random(31)
         for _ in range(20):
             path, sizing = random_case(rng, ref_library)
-            grad = exact_path_gradient(path, sizing, ref_params, ref_library)
+            grad = PathModel(path, ref_params, ref_library).derivatives(
+                sizing).grad
             tpls = templates_for(path, ref_library)
 
             def full(c):
@@ -547,12 +555,13 @@ class TestExactGradient:
                          terminal_load=100.0, driver_slope_rise=20.0,
                          driver_slope_fall=20.0)
         sizing = [2.0, 4.5, 11.0, 26.0, 60.0]
-        coeffs = PathModel(path, params, lib).coefficients(sizing)
+        model = PathModel(path, params, lib)
+        coeffs = model.coefficients(sizing)
         a, cp = coeffs.a, coeffs.c_par
         frozen = [a[j - 1] / sizing[j - 1] - a[j] * (
             (sizing[j + 1] if j < path.n - 1 else path.terminal_load)
             + cp[j]) / sizing[j] ** 2 for j in range(1, path.n)]
-        exact = exact_path_gradient(path, sizing, params, lib)
+        exact = model.derivatives(sizing).grad
         for f, e in zip(frozen, exact):
             assert f == pytest.approx(e, rel=1e-12)
 

@@ -1,4 +1,4 @@
-"""Gate-level model: config parsing, symmetry factors, single-stage delay."""
+"""Gate-level model: config parsing, symmetry factors, the stage delay."""
 
 import math
 
@@ -9,19 +9,17 @@ from cmospath import (
     FALLING,
     RISING,
     ConfigError,
-    GateInstance,
     GateTemplate,
     ProcessParams,
-    gate_delay,
     load_process_config,
     symmetry_factors,
-    transition_time,
     width_of,
 )
 from cmospath import path as path_module
 from cmospath import process
 from cmospath.path import parse_path_file
-from cmospath.process import miller_factor
+from cmospath.process import (coupling_split, other_edge, output_scale,
+                              stage_delay)
 
 caps = st.floats(min_value=0.1, max_value=1e4, allow_nan=False,
                  allow_infinity=False)
@@ -74,11 +72,24 @@ def make_params(**overrides):
     return ProcessParams(**base)
 
 
-def ideal_inv(cin):
-    # no parasitic, no coupling: the bare fanout model
-    tpl = GateTemplate(name="inv", n_inputs=1, dw_hl=1.0, dw_lh=1.0,
-                       par_coeff=0.0, cm_override=0.0)
-    return GateInstance(template=tpl, cin=cin)
+# no parasitic, no coupling: the bare fanout model
+IDEAL_INV = GateTemplate(name="inv", n_inputs=1, dw_hl=1.0, dw_lh=1.0,
+                         par_coeff=0.0, cm_override=0.0)
+
+
+def stage(tpl, cin, input_slope, edge, load, p):
+    """(delay, output transition time) of a gate of kind tpl at size cin
+    for output edge `edge`: process.stage_delay on its constants."""
+    input_edge = other_edge(edge)
+    gamma, fixed = coupling_split(tpl, input_edge, p)
+    return stage_delay(output_scale(tpl, edge, p),
+                       p.threshold(input_edge) / 2.0, gamma * cin + fixed,
+                       cin, load, input_slope)
+
+
+def transition(cin, edge, load, p):
+    """The ideal inverter's output transition time."""
+    return stage(IDEAL_INV, cin, 0.0, edge, load, p)[1]
 
 
 class TestConfigParsing:
@@ -197,10 +208,6 @@ class TestTemplateValidation:
             GateTemplate(name="buf", n_inputs=1, dw_hl=1.0, dw_lh=1.0,
                          par_coeff=0.0, inverting=False)
 
-    def test_instance_needs_positive_cin(self):
-        with pytest.raises(ValueError):
-            ideal_inv(0.0)
-
     def test_params_threshold_window(self):
         with pytest.raises(ValueError, match="vtp"):
             make_params(vtp=0.5)
@@ -268,34 +275,26 @@ class TestSymmetryFactors:
 class TestTransitionTime:
     def test_unit_fanout_falling(self):
         p = make_params()
-        g = ideal_inv(5.0)
-        assert transition_time(g, FALLING, 5.0, p) == pytest.approx(
+        assert transition(5.0, FALLING, 5.0, p) == pytest.approx(
             2.0 * p.tau, rel=1e-15)
 
     def test_linear_in_load(self):
         p = make_params()
-        g = ideal_inv(5.0)
-        assert transition_time(g, FALLING, 20.0, p) == pytest.approx(
+        assert transition(5.0, FALLING, 20.0, p) == pytest.approx(
             8.0 * p.tau, rel=1e-15)
 
     def test_unit_fanout_rising(self):
         p = make_params()
-        g = ideal_inv(5.0)
-        assert transition_time(g, RISING, 5.0, p) == pytest.approx(
+        assert transition(5.0, RISING, 5.0, p) == pytest.approx(
             4.0 * p.tau, rel=1e-15)
-
-    def test_rejects_nonpositive_load(self):
-        p = make_params()
-        with pytest.raises(ValueError, match="load"):
-            transition_time(ideal_inv(5.0), FALLING, 0.0, p)
 
     @given(cin=caps, load=caps, scale=st.floats(min_value=0.01,
                                                 max_value=100.0))
     def test_ratio_scaling(self, cin, load, scale):
         p = make_params()
-        base = transition_time(ideal_inv(cin), FALLING, load, p)
-        by_load = transition_time(ideal_inv(cin), FALLING, load * scale, p)
-        by_cin = transition_time(ideal_inv(cin * scale), FALLING, load, p)
+        base = transition(cin, FALLING, load, p)
+        by_load = transition(cin, FALLING, load * scale, p)
+        by_cin = transition(cin * scale, FALLING, load, p)
         assert by_load == pytest.approx(base * scale, rel=1e-12)
         assert by_cin == pytest.approx(base / scale, rel=1e-12)
 
@@ -303,66 +302,58 @@ class TestTransitionTime:
 class TestGateDelay:
     def test_no_coupling_no_slope_is_half_transition(self):
         p = make_params()
-        g = ideal_inv(4.0)
-        delay, slope = gate_delay(g, 0.0, FALLING, 16.0, p)
+        delay, slope = stage(IDEAL_INV, 4.0, 0.0, FALLING, 16.0, p)
         assert delay == pytest.approx(
-            transition_time(g, FALLING, 16.0, p) / 2.0, rel=1e-15)
-        assert slope == transition_time(g, FALLING, 16.0, p)
+            transition(4.0, FALLING, 16.0, p) / 2.0, rel=1e-15)
+        assert slope == transition(4.0, FALLING, 16.0, p)
 
     def test_coupling_equal_to_load_doubles_the_half(self):
         p = make_params()
         tpl = GateTemplate(name="inv", n_inputs=1, dw_hl=1.0, dw_lh=1.0,
                            par_coeff=0.0, cm_override=16.0)
-        g = GateInstance(template=tpl, cin=4.0)
-        delay, _ = gate_delay(g, 0.0, FALLING, 16.0, p)
+        delay, _ = stage(tpl, 4.0, 0.0, FALLING, 16.0, p)
         assert delay == pytest.approx(
-            transition_time(g, FALLING, 16.0, p), rel=1e-15)
+            transition(4.0, FALLING, 16.0, p), rel=1e-15)
 
     def test_slope_term_weighting(self):
         # rising input drives a falling output through vtn
         p = make_params(vtn=0.25)
-        g = ideal_inv(4.0)
-        with_slope, _ = gate_delay(g, 100.0, FALLING, 16.0, p)
-        without, _ = gate_delay(g, 0.0, FALLING, 16.0, p)
+        with_slope, _ = stage(IDEAL_INV, 4.0, 100.0, FALLING, 16.0, p)
+        without, _ = stage(IDEAL_INV, 4.0, 0.0, FALLING, 16.0, p)
         assert with_slope - without == pytest.approx(12.5, rel=1e-12)
-
-    def test_rejects_negative_slope(self):
-        p = make_params()
-        with pytest.raises(ValueError):
-            gate_delay(ideal_inv(4.0), -1.0, FALLING, 16.0, p)
 
     @given(load=caps, bump=st.floats(min_value=0.01, max_value=100.0))
     def test_strictly_increasing_in_load(self, load, bump):
         p = make_params()
         tpl = GateTemplate(name="inv", n_inputs=1, dw_hl=1.0, dw_lh=1.0,
                            par_coeff=0.0)
-        g = GateInstance(template=tpl, cin=4.0)
-        lo, _ = gate_delay(g, 10.0, FALLING, load, p)
-        hi, _ = gate_delay(g, 10.0, FALLING, load + bump, p)
+        lo, _ = stage(tpl, 4.0, 10.0, FALLING, load, p)
+        hi, _ = stage(tpl, 4.0, 10.0, FALLING, load + bump, p)
         assert hi > lo
 
     @given(slope=st.floats(min_value=0.0, max_value=1e3),
            bump=st.floats(min_value=0.1, max_value=1e3))
     def test_strictly_increasing_in_slope(self, slope, bump):
         p = make_params()
-        g = ideal_inv(4.0)
-        lo, _ = gate_delay(g, slope, FALLING, 16.0, p)
-        hi, _ = gate_delay(g, slope + bump, FALLING, 16.0, p)
+        lo, _ = stage(IDEAL_INV, 4.0, slope, FALLING, 16.0, p)
+        hi, _ = stage(IDEAL_INV, 4.0, slope + bump, FALLING, 16.0, p)
         assert hi > lo
 
     @given(c_m=caps, load=caps)
     def test_miller_factor_window(self, c_m, load):
-        m = miller_factor(c_m, load)
-        assert 1.0 < m < 3.0
+        # at zero input slope the delay is the Miller factor times half
+        # the output transition time
+        delay, t_out = stage_delay(12.0, 0.1, c_m, 4.0, load, 0.0)
+        assert 1.0 < 2.0 * delay / t_out < 3.0
 
     def test_coupling_split_by_edge(self):
         p = make_params(k_ratio=3.0)
         tpl = GateTemplate(name="inv", n_inputs=1, dw_hl=1.0, dw_lh=1.0,
                            par_coeff=0.0)
-        g = GateInstance(template=tpl, cin=8.0)
         # rising input sees the P share k/(2(1+k)), falling the N share
-        assert g.coupling_cap(RISING, p) == pytest.approx(3.0, rel=1e-15)
-        assert g.coupling_cap(FALLING, p) == pytest.approx(1.0, rel=1e-15)
+        for edge, want in ((RISING, 3.0), (FALLING, 1.0)):
+            gamma, fixed = coupling_split(tpl, edge, p)
+            assert gamma * 8.0 + fixed == pytest.approx(want, rel=1e-15)
 
 
 class TestWidthOf:

@@ -143,4 +143,8 @@ def test_diff_optimize_finds_no_difference_against_its_own_tree():
     assert re.search(r"^# equal-delay: 36 calls, 0 raise/solve flips; "
                      r"largest size drift 0\.000e\+00 ", proc.stdout,
                      flags=re.M), proc.stdout
+    # ... and the fanout limits of every ref.proc kind, buffered by inv
+    # and by nand2, agree by repr.
+    assert re.search(r"^# fanout limits: 10 limits, 0 differ$", proc.stdout,
+                     flags=re.M), proc.stdout
     assert not re.search(r"^case ", proc.stdout, flags=re.M)

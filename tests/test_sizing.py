@@ -23,7 +23,6 @@ from cmospath import (
     distribute_constraint,
     equal_delay_distribution,
     evaluate_path,
-    exact_path_gradient,
     min_delay_sizing,
     path_area,
     solve_at_sensitivity,
@@ -84,9 +83,8 @@ class TestSolveAtSensitivity:
         _, t_min, _ = min_delay_sizing(chain11, ref_params, ref_library)
         for a in (-0.05, -0.5, -2.0):
             sol = solve_at_sensitivity(chain11, a, ref_params, ref_library)
-            grad = exact_path_gradient(chain11, sol.sizing, ref_params,
-                                       ref_library)
             model = PathModel(chain11, ref_params, ref_library)
+            grad = model.derivatives(sol.sizing).grad
             clamped = model.clamped(sol.sizing)
             free = [g for g, c in zip(grad, clamped[1:]) if not c]
             assert free, "every gate clamped at this sensitivity"
@@ -942,3 +940,39 @@ class TestPathArea:
         charged = path_area(with_side, sizing, ref_params, ref_library)
         extra = 2.0 * ref_params.cref / ref_params.cap_per_width
         assert charged == pytest.approx(plain + extra, rel=1e-12)
+
+    @pytest.mark.parametrize("sizing, message", [
+        ([4.0, -1.0, 5.0], r"^cin\[1\] below the minimum"),
+        ([4.0, 5.0], "^mismatched sizing length")])
+    def test_sizing_is_checked(self, ref_params, ref_library, sizing,
+                               message):
+        path = LogicPath(gates=("inv", "nand2", "inv"), input_cap=4.0,
+                         terminal_load=30.0)
+        with pytest.raises(ValueError, match=message):
+            path_area(path, sizing, ref_params, ref_library)
+
+
+class TestNonFiniteSizes:
+    PATH = LogicPath(gates=("inv", "nand2", "inv", "nor2"), input_cap=4.0,
+                     terminal_load=100.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("gate", [1, 3], ids=["interior", "last"])
+    def test_rejected_naming_the_gate(self, ref_params, ref_library, value,
+                                      gate):
+        # A NaN size is no size: it must not be lifted to cref (nan > cref
+        # is false) or solved around, nor an inf one end in a
+        # ConvergenceError; each entry point names the gate.
+        sizing = [4.0, 6.0, 9.0, 20.0]
+        sizing[gate] = value
+        message = rf"^cin\[{gate}\] must be finite"
+        model = PathModel(self.PATH, ref_params, ref_library)
+        with pytest.raises(ValueError, match=message):
+            evaluate_path(self.PATH, sizing, ref_params, ref_library)
+        with pytest.raises(ValueError, match=message):
+            link_fixed_point(model, warm=sizing)
+        with pytest.raises(ValueError, match=message):
+            solve_at_sensitivity(self.PATH, -0.01, ref_params, ref_library,
+                                 warm=sizing)
+        with pytest.raises(ValueError, match=message):
+            path_area(self.PATH, sizing, ref_params, ref_library)
