@@ -25,6 +25,10 @@ each in its own interpreter, and compares the results case by case:
   (23 geometric values from -100 t_min / cref down to 1e-5 of that, then
   a = 0), each row or row failure compared by its repr, so a row that
   differs by any bit counts, and each one is listed;
+* sweep work: the Newton steps and derivative passes of those sweeps'
+  fixed-point solves (sizing.link_fixed_point, the failed ones left
+  out), each tree's totals printed, so a change to the engine's
+  bookkeeping shows what it saved beside identical rows;
 * coupled distribute: distribute_constraint on the case's gates, with
   an input cap of 2-10 fF and a load of 2-500 fF, under a random
   coupled library (each kind's par_coeff drawn from 0-2.5 and its
@@ -67,9 +71,9 @@ this tree's.  Exits 1 when any structural difference, infeasible flip,
 area change, sweep row difference or coupled distribute difference is
 found, any coupled distribute change, coupled optimize area change or
 flip, any equal-delay flip, or any fanout limit difference, 0 otherwise;
-min-delay step and pass changes, greedy and infeasible t_min changes and
-the coupled-distribute and equal-delay drifts are reported but leave the
-exit status alone.
+min-delay step and pass changes, the sweep work totals, greedy and
+infeasible t_min changes and the coupled-distribute and equal-delay
+drifts are reported but leave the exit status alone.
 """
 
 from __future__ import annotations
@@ -135,15 +139,30 @@ def ladder(t_min: float, cref: float) -> list[float]:
     return [a_deep * ratio ** k for k in range(SWEEP_POINTS - 1)] + [0.0]
 
 
-def sweep_rows(path, t_min: float, params, library) -> list[str]:
-    """Each ladder point's sweep row or failure, as its repr, by a."""
-    from cmospath import sweep
+def sweep_rows(path, t_min: float, params,
+               library) -> tuple[list[str], int, int]:
+    """Each ladder point's sweep row or failure, as its repr, by a; and
+    the Newton steps and derivative passes of the sweep's solves."""
+    from cmospath import sizing
 
     values = ladder(t_min, params.cref)
-    rows, failures = sweep(path, values, params, library)
+    real_solve = sizing.link_fixed_point
+    work = [0, 0]
+
+    def counted(*args, **kwargs):
+        fixed = real_solve(*args, **kwargs)
+        work[0] += fixed.steps
+        work[1] += fixed.passes
+        return fixed
+
+    sizing.link_fixed_point = counted
+    try:
+        rows, failures = sizing.sweep(path, values, params, library)
+    finally:
+        sizing.link_fixed_point = real_solve
     by_a = {row.a_value: repr(row) for row in rows}
     by_a.update((a, f"a={a!r} failed: {exc!r}") for a, exc in failures)
-    return [by_a[a] for a in sorted(values)]
+    return [by_a[a] for a in sorted(values)], *work
 
 
 def coupled_runs(path, spec: dict, seed: int, index: int, params,
@@ -238,7 +257,9 @@ def worker(argv) -> int:
             t_min = fixed.pass_.total
             out["steps"], out["passes"] = fixed.steps, fixed.passes
             out["numbers"]["t_min"] = t_min
-            out["sweep"] = sweep_rows(path, t_min, params, library)
+            out["sweep"], steps, passes = sweep_rows(path, t_min, params,
+                                                     library)
+            out["sweep_work"] = [steps, passes]
             out["equal_delay"] = equal_delay(path, t_min, params, library)
             out["numbers"]["greedy_t_min"] = cmospath.min_delay_with_buffers(
                 path, params, library,
@@ -454,6 +475,11 @@ def main(argv=None) -> int:
           f"{infeasible['higher']} higher, {infeasible['equal']} equal")
     print(f"# sweep on the {SWEEP_POINTS}-point ladder: {rows} rows, "
           f"{rows_differ} differ")
+    (steps_a, passes_a), (steps_b, passes_b) = (
+        map(sum, zip(*(case.get("sweep_work", (0, 0)) for case in tree)))
+        for tree in (old, new))
+    print(f"# sweep work: steps {steps_a} -> {steps_b}, derivative passes "
+          f"{passes_a} -> {passes_b}")
     print(f"# coupled distribute: {calls} calls, {calls_differ} differ, "
           f"{calls_changed} beyond drift; largest drift "
           f"{coupled_drift[0]:.3e} (case {coupled_drift[1]}, "

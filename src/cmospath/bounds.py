@@ -18,18 +18,22 @@ and total delay), which judges the step to it and opens the next
 iteration.  A pass is windowed on the pass the iteration holds: it
 computes only the gates next to the sizes the step moved and splices
 them in, bit for bit the full pass, so a step that moves a few gates
-costs a few gates, and one that moves none computes none.  Each step
+costs a few gates, and one that moves none computes none.  The solve
+checks its start once and takes every later pass through
+PathModel._pass, which checks nothing and looks for moved sizes only in
+the rows the step swept.  Each step
 solves the log-space system in one sweep that builds and eliminates each
 row; it is the package's one Thomas sweep.  The sweep, the proposal, the
 clamp and the certificate read one window of rows, lo..hi.  A row pinned
 at cref solves to exactly 0, so the window leaves out the pinned rows at
 either end of the chain: a solve that holds most gates clamped (a warm
 sweep row, say) sweeps from the row before its first free one to its
-last free one, the pinned rows between them included.  After each step
-it trims again only the hull of its window and the rows the new pass
-computed, since no other row can come free.  The solve returns its last
-pass in its FixedPoint, and a solve warm from that FixedPoint opens on
-the pass, so it takes no pass at its start.
+last free one, the pinned rows between them included.  A solve whose
+every row is pinned at its start returns the start, with no step.
+After each step it trims again only the hull of its window and the rows
+the new pass computed, since no other row can come free.  The solve
+returns its last pass in its FixedPoint, and a solve warm from that
+FixedPoint opens on the pass, so it takes no pass at its start.
 Steps go in this order of preference: exact Newton; Newton on the exact
 Hessian made diagonally dominant where it loses positive definiteness,
 which strong fixed coupling causes; the chosen step damped toward the
@@ -82,14 +86,16 @@ class DelayBounds:
 class FixedPoint(NamedTuple):
     """A converged link fixed point and the derivative pass it stopped on.
 
-    pass_ is that pass (a path.Pass at sizing) as PathModel.evaluate
-    returns it, which computes no gate: its total is the delay, and a
-    caller that needs the gradient or curvature there has it without
-    another pass; a solve warm from this FixedPoint opens on it.  steps
-    stays at index 2, where tracing reads it.  passes counts every
-    derivative pass the solve took, damping trials included; a one-gate
-    path takes one, at its only sizing, and no step.  A named tuple, not
-    a frozen dataclass: creating a dataclass costs about 1 ms at import.
+    pass_ is that pass (a path.Pass whose sizing is this sizing object)
+    as PathModel.evaluate returns it, which computes no gate: its total
+    is the delay, and a caller that needs the gradient or curvature
+    there has it without another pass; a solve warm from this
+    FixedPoint opens on it.  steps stays at index 2, where tracing reads
+    it.  passes counts every derivative pass the solve took, damping
+    trials included; a one-gate path takes one, at its only sizing, and
+    no step, and so does a solve whose every row is pinned at its start
+    (none from a FixedPoint).  A named tuple, not a frozen dataclass:
+    creating a dataclass costs about 1 ms at import.
     """
 
     sizing: Sizing
@@ -196,8 +202,18 @@ def _unpinned(held: Pass, a: float, clamped, lo: int,
     """The window a sweep over rows lo..hi visits: lo..hi less the rows at
     either end that held pins by the kernel's own test, led by the row
     before the first row kept; empty (lo > hi) when every row is
-    pinned."""
+    pinned.  The clamped run at lo is tested whole first (_pins); the
+    window is the row loops' bit for bit.  The run at hi is left to its
+    row loop: the last gate drives the terminal load, so it is rarely
+    clamped."""
     sizes, grad = held.sizing, held.grad
+    if lo <= hi and clamped[lo]:
+        try:
+            end = clamped.index(False, lo, hi + 1)
+        except ValueError:
+            end = hi + 1
+        if _pins(sizes, grad, a, lo, end - 1):
+            lo = end
     # The pin test is written out twice: a nested function for it made a
     # 10-gate solve about 1.5% slower.
     while lo <= hi and clamped[lo] and sizes[lo] * (grad[lo - 1] - a) > 0.0:
@@ -207,6 +223,18 @@ def _unpinned(held: Pass, a: float, clamped, lo: int,
     while clamped[hi] and sizes[hi] * (grad[hi - 1] - a) > 0.0:
         hi -= 1
     return max(1, lo - 1), hi
+
+
+def _pins(sizes, grad, a: float, first: int, last: int) -> bool:
+    """Whether the kernel pins every row of the clamped run first..last,
+    by one test on the whole run: its smallest size times its smallest
+    g - a is positive.  Sizes are positive and rounding is monotone, so
+    each row's own sizes[j] * (grad[j - 1] - a) is then positive too.
+    False for a run with a NaN g, which min can pass over, so the row
+    loop of _unpinned decides there."""
+    g = grad[first - 1:last]
+    return (min(sizes[first:last + 1]) * (min(g) - a) > 0.0
+            and not math.isnan(sum(g)))
 
 
 def _newton_step(cin, grad, hd, ho, a: float, clamped, lo: int,
@@ -248,8 +276,9 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     on a nor on cref unless it clamps; either is checked
     (PathModel.check_sizing, a ValueError for a size that is None or not
     finite), each free gate below cref is lifted to cref, and the solve
-    takes a full pass there.  A bare Pass is a TypeError, and a start
-    whose delay is not finite a ConvergenceError at iteration 0.  The solve drives the
+    takes a full pass there; no later pass is checked.  A bare Pass is
+    a TypeError, and a start whose delay is not finite a
+    ConvergenceError at iteration 0.  The solve drives the
     exact sensitivities dT/dcin[i] to a for every unclamped gate, within
     MAX_ITERATIONS steps.  Each iteration takes a tridiagonal Newton step
     off the pass that opens it, on the exact Hessian, each row that is not
@@ -257,9 +286,10 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     step sweeps one window of rows: the chain less the rows pinned at
     either end of it in the first pass (_unpinned), trimmed so again after
     each step on the hull of the window and the rows the new pass
-    computed, where the solve also updates its clamped flags.  Every later
-    pass is windowed on the pass the iteration holds
-    (PathModel.derivatives with a base).  A step is accepted only if it
+    computed, where the solve also updates its clamped flags; when the
+    first pass pins every row, the start is returned with no step.
+    Every later pass is windowed on the pass the iteration holds
+    (PathModel._pass).  A step is accepted only if it
     does not raise the descent merit T - a * sum(cin), else it is damped
     toward the previous sizing in log space, up to 20 halvings of one pass
     each.  Sizes are clamped at cref from below, which can bend every
@@ -269,8 +299,8 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     a = 0 is the minimum-delay condition.  Once a step settles (sizes move
     less than CAP_TOL, the delay less than DELAY_TOL, both relative) on a
     certified pass (certified), it returns the sizing, that pass as
-    evaluate returns it (which computes no gate), the steps and the passes
-    taken as a FixedPoint.
+    evaluate returns it (which computes no gate), the steps and the
+    passes taken as a FixedPoint.
     Each solve logs one debug line, converged or not: its steps, its
     passes and the gates they computed against n per pass, and the
     Newton rows its steps swept against n - 1 per step.
@@ -291,9 +321,11 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         """(a derivative pass, its descent merit)."""
         return dv, dv.total - a * sum(dv.sizing[1:])
 
-    def visit(sizing, base):
+    def visit(sizing, base, lo, hi):
+        """The pass at sizing, whose sizes differ from base's in lo..hi
+        alone."""
         nonlocal passes, gates
-        dv = model.derivatives(sizing, base)
+        dv = model._pass(sizing, base, lo, hi)
         passes += 1
         gates += dv.gates
         return opened(dv)
@@ -313,15 +345,19 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         start = effort_seed(model) if warm is None else warm
         model.check_sizing(start)  # then lift what it admits below cref
         here = visit([start[0], *[c if c > cref else cref
-                                  for c in start[1:]]], None)
-    if not math.isfinite(here[0].total):
+                                  for c in start[1:]]], None, 0, n - 1)
+    new = here[0]
+    if not math.isfinite(new.total):
         raise ConvergenceError("sizing fixed point starts at a delay that "
                                "is not finite", iterations=0)
-    clamped = model.clamped(here[0].sizing)
-    lo, hi = _unpinned(here[0], a, clamped, 1, n - 1)
+    clamped = model.clamped(new.sizing)
+    lo, hi = _unpinned(new, a, clamped, 1, n - 1)
 
-    settled = False
-    for steps in range(1, MAX_ITERATIONS + 1):
+    # With every row pinned the start is the fixed point: no step.
+    settled = lo > hi
+    steps = 0
+    while not settled and steps < MAX_ITERATIONS:
+        steps += 1
         held, merit = here
         cin = held.sizing
         prop = _newton_step(cin, held.grad, held.diag, held.off, a, clamped,
@@ -331,7 +367,7 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         # p if p > cref else cref is max(cref, p) bit for bit, in a third
         # of the time.
         nxt = visit([*cin[:lo], *[p if p > cref else cref for p in prop],
-                     *cin[hi + 1:]], held)
+                     *cin[hi + 1:]], held, lo, hi)
         if nxt[1] > ceiling:
             # Damp along the unclamped direction, clamping after the
             # scale: scaling the clamped proposal instead would keep the
@@ -345,14 +381,16 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                 shrink = 0.5 ** k
                 sizes = [max(cref, c * (p / c) ** shrink)
                          for c, p in zip(start, prop)]
-                trial = visit([*cin[:lo], *sizes, *cin[hi + 1:]], held)
+                trial = visit([*cin[:lo], *sizes, *cin[hi + 1:]], held, lo,
+                              hi)
                 if trial[1] <= ceiling:
                     nxt = trial
                     break
             else:
                 snap = [c if s > cref else cref for s, c in zip(sizes, start)]
                 if snap != sizes and snap != list(start):
-                    trial = visit([*cin[:lo], *snap, *cin[hi + 1:]], held)
+                    trial = visit([*cin[:lo], *snap, *cin[hi + 1:]], held,
+                                  lo, hi)
                     if trial[1] <= ceiling:
                         nxt = trial
         new, _ = here = nxt
@@ -362,11 +400,9 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         if first <= last:
             clamped[first:last + 1] = model.clamped(new.sizing[first:last + 1])
             lo, hi = _unpinned(new, a, clamped, min(lo, first), max(hi, last))
-        if (abs(new.total - held.total) <= DELAY_TOL * new.total
-                and _largest_move(new.sizing, cin, first, last) < CAP_TOL
-                and certified(model, new, a, lo, hi, clamped)):
-            settled = True
-            break
+        settled = (abs(new.total - held.total) <= DELAY_TOL * new.total
+                   and _largest_move(new.sizing, cin, first, last) < CAP_TOL
+                   and certified(model, new, a, lo, hi, clamped))
     logger.debug("fixed point at a=%g: %d steps, %d derivative passes, %d "
                  "of %d gates computed, %d of %d rows swept", a, steps,
                  passes, gates, n * passes, rows, (n - 1) * steps)
@@ -375,8 +411,9 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                                iterations=steps,
                                residual=_largest_move(new.sizing, cin, first,
                                                       last))
-    sizing = tuple(new.sizing)
-    return FixedPoint(sizing, model.evaluate(sizing, new), steps, passes)
+    new = new._replace(sizing=tuple(new.sizing))
+    return FixedPoint(new.sizing, model.evaluate(new.sizing, new), steps,
+                      passes)
 
 
 def certified(model: PathModel, held: Pass, a: float, lo: int, hi: int,

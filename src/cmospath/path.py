@@ -20,7 +20,10 @@ step on it, judge steps by its total and stop on its gradient, and its
 total is the delay they report.  A pass taken on a base (an earlier
 ``Pass``) computes only the gates next to the sizes that moved and
 splices them in, equal to the full pass bit for bit; the full pass is
-that window over the whole chain.
+that window over the whole chain.  ``derivatives`` checks its sizing and
+searches all of it for moved sizes; the solvers check their start once
+and take every later pass through ``PathModel._pass``, the same entry
+without the check, searching only the rows they moved.
 ``evaluate`` is ``derivatives`` plus the slow-input warnings: it returns
 the same Pass, whose stage delays, transition times and total are the
 evaluation; ``total_width`` gives the width.
@@ -206,16 +209,16 @@ class Pass(NamedTuple):
     first: int = 0
 
 
-def _moved(sizing, base) -> tuple[int, int]:
-    """(first, last): the gates from two before the first size that
-    differs from base's to one past the last, clipped to the chain;
-    (0, -1) when no size differs."""
-    moved = list(map(ne, sizing, base))
+def _moved(sizing, base, lo: int, hi: int) -> tuple[int, int]:
+    """(first, last): the gates from two before the first size among
+    lo..hi that differs from base's to one past the last, clipped to the
+    chain; (0, -1) when none differs.  No size outside lo..hi may
+    differ."""
+    moved = list(map(ne, sizing[lo:hi + 1], base[lo:hi + 1]))
     if not any(moved):
         return 0, -1
-    n = len(moved)
-    return (max(0, moved.index(True) - 2),
-            min(n - 1, n - moved[::-1].index(True)))
+    return (max(0, lo + moved.index(True) - 2),
+            min(len(sizing) - 1, hi + 1 - moved[::-1].index(True)))
 
 
 def _gate_constants(template: GateTemplate, edge_in: str,
@@ -418,15 +421,26 @@ class PathModel:
         driven by base's transition time before it, their rows, delays
         and transition times spliced into base's, and the total re-added
         in gate order, so the pass equals the full one bit for bit; if no
-        size differs, no gate is computed.  The full pass is the same
+        size differs, no gate is computed.  Handed base's own sizing
+        object, it returns base with no check and no scan: that sizing
+        was checked when base was taken.  The full pass is the same
         window over the whole chain.  A node capacitance so small that
         its square underflows to 0 raises ConvergenceError.
         """
-        self.check_sizing(sizing)
+        if base is None or sizing is not base.sizing:
+            self.check_sizing(sizing)
+        return self._pass(sizing, base, 0, self.n - 1)
+
+    def _pass(self, sizing, base: Pass | None, lo: int, hi: int) -> Pass:
+        """derivatives(sizing, base) without the check, for a sizing
+        that differs from base's in sizes lo..hi alone, which are the
+        only ones searched: every pass goes through here, and the
+        solvers, which check their start once, call it directly."""
         n = self.n
         first, last = 0, n - 1
         if base is not None:
-            first, last = _moved(sizing, base.sizing)
+            first, last = ((0, -1) if sizing is base.sizing
+                           else _moved(sizing, base.sizing, lo, hi))
             if first > last:
                 return base._replace(sizing=sizing, gates=0, first=0)
         slope = base.slopes[first - 1] if first else self.path.driver_slope()

@@ -191,9 +191,10 @@ def width_of(cin: float, params: ProcessParams) -> tuple[float, float]:
     """(w_n, w_p) transistor widths in um realizing an input cap of cin fF.
 
     The total width is cin / cap_per_width, split so that w_p = k * w_n.
+    A cin that is not positive and finite raises ValueError.
     """
-    if not cin > 0:
-        raise ValueError("cin must be positive")
+    if not 0 < cin < math.inf:
+        raise ValueError(f"cin must be positive and finite, got {cin!r}")
     total = cin / params.cap_per_width
     w_n = total / (1.0 + params.k_ratio)
     return w_n, params.k_ratio * w_n

@@ -105,11 +105,13 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
     tridiagonal, [[M, -c], [(c*g)^T, 0]], with M the log-space system of
     the fixed-point engine (_newton_solve), so each iteration takes one
     derivative pass, windowed on the pass it holds (`first` on the first
-    step), and one sweep of M for two right-hand sides, M u = -r and
-    M v = c; then da = (target - T - (c*g).u) / ((c*g).v) and dy = u + v
-    da.  Where (c*g).v is not negative, the iterate has left the solution
-    branch (strong fixed coupling can fold it back in a), and the step is
-    a corrector at fixed a instead: da = 0 and dy = u.  At a = 0 the
+    step) and unchecked (PathModel._pass; `first`'s sizing was checked,
+    and each step keeps cin[0] and clamps at cref), and one sweep of M
+    for two right-hand sides, M u = -r and M v = c; then da = (target -
+    T - (c*g).u) / ((c*g).v) and dy = u + v da.  Where (c*g).v is not
+    negative, the iterate has left the solution branch (strong fixed
+    coupling can fold it back in a), and the step is a corrector at
+    fixed a instead: da = 0 and dy = u.  At a = 0 the
     delay is flat to first order, so the first step is the Euler
     predictor from the fastest sizing, whose pass is `first`: da = a0 =
     -sqrt(2 (target - t_min) / q) and dy = a0 * H^-1 1 / c.  Every step
@@ -142,7 +144,7 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
         a += scale * da
         cin = [cin[0]] + [max(cref, c * math.exp(scale * d))
                           for c, d in zip(cin[1:], dy)]
-        held = model.derivatives(cin, held)
+        held = model._pass(cin, held, 1, n - 1)
         grad, delay = held.grad, held.total
         clamped = model.clamped(cin)
         if low <= delay <= tc and certified(model, held, a, 1, n - 1, clamped):

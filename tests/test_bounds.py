@@ -33,7 +33,7 @@ from cmospath import (
     sweep,
 )
 from cmospath import bounds as bounds_module
-from cmospath.bounds import certified, link_fixed_point
+from cmospath.bounds import FixedPoint, certified, link_fixed_point
 from cmospath.path import MAX_CAP_FF, Pass
 
 
@@ -363,7 +363,8 @@ class TestMinDelaySolver:
         # -1e6 the kernel pins every row at cref, so the solve returns
         # its start.  Only passes that compute gates visit a sizing: the
         # closing evaluation, the last pass as evaluate returns it,
-        # computes none.
+        # computes none.  Every pass, the solve's and evaluate's, goes
+        # through PathModel._pass.
         cref = ref_params.cref
         path = LogicPath(gates=("inv", "nand2", "nor2", "inv", "nand3",
                                 "inv") * 2, input_cap=4.0,
@@ -371,14 +372,14 @@ class TestMinDelaySolver:
         model = PathModel(path, ref_params, ref_library)
         a = scale * max_delay_sizing(path, ref_params, ref_library)[1] / cref
         passes = []
-        derivatives = PathModel.derivatives
+        real_pass = PathModel._pass
 
-        def recording(model, sizing, base=None):
-            out = derivatives(model, sizing, base)
+        def recording(model, sizing, base, lo, hi):
+            out = real_pass(model, sizing, base, lo, hi)
             passes.append((tuple(sizing), out.gates))
             return out
 
-        monkeypatch.setattr(PathModel, "derivatives", recording)
+        monkeypatch.setattr(PathModel, "_pass", recording)
         low = cref * (1.0 - 5e-10)
         fixed = link_fixed_point(model, a, [path.input_cap] + [low] * 11)
         assert passes[-1] == (fixed.sizing, 0)
@@ -493,13 +494,13 @@ class TestMinDelaySolver:
                          input_cap=1e6, terminal_load=1e9)
         params = dataclasses.replace(ref_params, tau=1e300)
         passes = []
-        derivatives = PathModel.derivatives
+        real_pass = PathModel._pass
 
-        def counting(model, sizing, base=None):
+        def counting(model, sizing, base, lo, hi):
             passes.append(base)
-            return derivatives(model, sizing, base)
+            return real_pass(model, sizing, base, lo, hi)
 
-        monkeypatch.setattr(PathModel, "derivatives", counting)
+        monkeypatch.setattr(PathModel, "_pass", counting)
         with pytest.raises(ConvergenceError, match="not finite") as err:
             min_delay_sizing(path, params, ref_library)
         assert err.value.iterations == 0
@@ -547,10 +548,10 @@ class TestMinDelaySolver:
         # row.  Each solve starts on the geometric taper: from the cold
         # logical-effort seed none of these paths damps.
         passes, evaluated = [], []
-        derivatives, evaluate = PathModel.derivatives, PathModel.evaluate
+        real_pass, evaluate = PathModel._pass, PathModel.evaluate
 
-        def counting_derivatives(model, sizing, base=None):
-            out = derivatives(model, sizing, base)
+        def counting_passes(model, sizing, base, lo, hi):
+            out = real_pass(model, sizing, base, lo, hi)
             passes.append((out.total, out.gates))
             return out
 
@@ -558,7 +559,7 @@ class TestMinDelaySolver:
             evaluated.append(tuple(sizing))
             return evaluate(model, sizing, base)
 
-        monkeypatch.setattr(PathModel, "derivatives", counting_derivatives)
+        monkeypatch.setattr(PathModel, "_pass", counting_passes)
         monkeypatch.setattr(PathModel, "evaluate", counting_evaluate)
         all_trials = 0
         for seed in range(40):
@@ -1023,7 +1024,10 @@ class TestOneRowSet:
             self, ref_params, ref_library, seed, clamp, scale):
         # With _unpinned returning the whole chain, every step sweeps
         # every row.  That gives the trimmed solve's FixedPoint by repr,
-        # steps and passes included, and so does a failure.
+        # steps and passes included, and so does a failure.  A trimmed
+        # solve whose every row is pinned at its start returns the start
+        # with no step; the untrimmed one takes one step that moves
+        # nothing, and one pass more, to the same FixedPoint.
         rng = random.Random(seed)
         path = random_path(rng, n_max=130)
         n = path.n
@@ -1042,15 +1046,163 @@ class TestOneRowSet:
 
         def solved():
             try:
-                return repr(link_fixed_point(model, a, warm))
+                return link_fixed_point(model, a, warm)
             except ConvergenceError as exc:
-                return repr(exc)
+                return exc
 
         trimmed = solved()
+        if isinstance(trimmed, FixedPoint) and trimmed.steps == 0:
+            trimmed = trimmed._replace(steps=1, passes=trimmed.passes + 1)
+        trimmed = repr(trimmed)
         with mock.patch.object(bounds_module, "_unpinned",
                                lambda held, a, clamped, lo, hi:
                                (1, n - 1)):
-            assert solved() == trimmed
+            assert repr(solved()) == trimmed
+
+
+    @staticmethod
+    def _row_loop(held, a, clamped, lo, hi):
+        """The window of _unpinned found row by row from both ends."""
+        sizes, grad = held.sizing, held.grad
+        while (lo <= hi and clamped[lo]
+               and sizes[lo] * (grad[lo - 1] - a) > 0.0):
+            lo += 1
+        if lo > hi:
+            return lo, hi
+        while clamped[hi] and sizes[hi] * (grad[hi - 1] - a) > 0.0:
+            hi -= 1
+        return max(1, lo - 1), hi
+
+    @pytest.mark.parametrize("cref", [2.0, 1e-300])
+    def test_run_skip_matches_the_row_loop(self, cref):
+        # _unpinned tests the clamped run at either end of its window
+        # whole.  Held passes with long clamped runs, some of their rows
+        # not pinned (g_j below a), a NaN g_j, and at cref = 1e-300
+        # products sizes[j] * (g_j - a) that underflow to 0 or stay
+        # subnormal: the window is the row loop's every time, and the
+        # whole-run test both pins runs and declines them.
+        rng = random.Random(7)
+        real_pins = bounds_module._pins
+        verdicts = []
+
+        def pins(*args):
+            verdicts.append(real_pins(*args))
+            return verdicts[-1]
+
+        tiny = cref < 1e-200
+        half = 5e-324 / cref / 2.0
+        with mock.patch.object(bounds_module, "_pins", pins):
+            for _ in range(3000):
+                n = rng.randint(2, 60)
+                clamped = [False] + [rng.random() < 0.85
+                                     for _ in range(n - 1)]
+                sizes = [rng.uniform(1.0, 10.0)] + [
+                    cref * (1.0 + rng.uniform(-1e-9, 1e-9)) if c
+                    else cref * rng.uniform(1.0, 50.0) for c in clamped[1:]]
+                a = rng.choice((0.0, -rng.uniform(1e-3, 1.0)))
+                # Mostly above a, so that runs pin; at cref = 1e-300 by
+                # 1e-24 to 1e-22, or by as much as puts the product within
+                # 3e-9 of half the least subnormal, where it rounds to 0
+                # or not by the size's own last bits.
+                grad = [a + (rng.choice((rng.uniform(1e-24, 1e-22),
+                                         half * (1.0 + rng.uniform(
+                                             -2e-9, 2e-9))))
+                             if tiny else rng.uniform(1e-6, 1.0))
+                        if rng.random() < 0.9 else a - rng.uniform(0.0, 1.0)
+                        for _ in range(n - 1)]
+                if rng.random() < 0.2:
+                    grad[rng.randrange(n - 1)] = math.nan
+                held = Pass(tuple(grad), [1.0] * (n - 1), [0.0] * (n - 1),
+                            1.0, tuple(sizes), [], [], 0)
+                lo = rng.randint(1, n - 1)
+                hi = rng.choice((n - 1, rng.randint(lo - 1, n - 1)))
+                want = self._row_loop(held, a, clamped, lo, hi)
+                assert bounds_module._unpinned(held, a, clamped, lo,
+                                               hi) == want
+        assert verdicts.count(True) > 100
+        assert verdicts.count(False) > 100
+
+    def test_all_pinned_warm_solve_returns_its_start(self, ref_params,
+                                                     ref_library):
+        # Far below every sensitivity the kernel pins every row at cref.
+        # A solve warm from a FixedPoint there returns it: no step and no
+        # pass, the same sizing and the same pass.  A solve that sweeps
+        # every row instead takes one step that moves nothing, and one
+        # pass, to the same sizing and pass.
+        path = LogicPath(gates=("inv", "nand2", "nor2", "inv", "nand3",
+                                "inv") * 2, input_cap=4.0,
+                         terminal_load=60.0)
+        model = PathModel(path, ref_params, ref_library)
+        cref = ref_params.cref
+        deep = -1e6 * max_delay_sizing(path, ref_params, ref_library)[1] / cref
+        start = link_fixed_point(model, deep,
+                                 bounds_module.all_minimum(model))
+        assert (start.steps, start.passes) == (0, 1)
+        assert start.sizing == bounds_module.all_minimum(model)
+        real_pass = PathModel._pass
+        passes = []
+
+        def recording(model, sizing, base, lo, hi):
+            passes.append(real_pass(model, sizing, base, lo, hi))
+            return passes[-1]
+
+        with mock.patch.object(PathModel, "_pass", recording):
+            got = link_fixed_point(model, 2.0 * deep, start)
+        assert (got.steps, got.passes) == (0, 0)
+        assert got.sizing is start.sizing
+        assert repr(got.pass_) == repr(start.pass_)
+        assert [p.gates for p in passes] == [0]  # the closing evaluation
+        n = path.n
+        with mock.patch.object(bounds_module, "_unpinned",
+                               lambda held, a, clamped, lo, hi: (1, n - 1)):
+            swept = link_fixed_point(model, 2.0 * deep, start)
+        assert repr(swept) == repr(got._replace(steps=1, passes=1))
+
+    def test_each_solve_checks_its_sizing_once(self, ref_params,
+                                               ref_library):
+        # A solve checks its start, and no pass after it: the cold, warm
+        # and FixedPoint starts of link_fixed_point, every row of a
+        # sweep, the bordered Newton of distribute_constraint (at its
+        # opening pass, given the bounds) and a one-gate path.
+        rng = random.Random(11)
+        path = LogicPath(gates=tuple(rng.choice(KINDS) for _ in range(120)),
+                         input_cap=4.0, terminal_load=900.0)
+        model = PathModel(path, ref_params, ref_library)
+        bounds = compute_bounds(path, ref_params, ref_library)
+        cref = ref_params.cref
+        ladder = [-100.0 * bounds.t_min / cref * 1e-5 ** (k / 22)
+                  for k in range(23)] + [0.0]
+        real_check = PathModel.check_sizing
+        checks = []
+
+        def counting(model, sizing):
+            checks.append(len(sizing))
+            return real_check(model, sizing)
+
+        with mock.patch.object(PathModel, "check_sizing", counting):
+            cold = link_fixed_point(model)
+            assert len(checks) == 1 and cold.steps > 1
+            warm = link_fixed_point(model, ladder[12],
+                                    bounds_module.all_minimum(model))
+            assert len(checks) == 2 and warm.steps > 1
+            hot = link_fixed_point(model, ladder[14], warm)
+            assert len(checks) == 3 and hot.steps > 1
+            del checks[:]
+            rows, failures = sweep(path, ladder, ref_params, ref_library)
+            assert len(rows) == 24 and not failures
+            assert len(checks) == 24
+            del checks[:]
+            sol = distribute_constraint(path, 1.5 * bounds.t_min,
+                                        ref_params, ref_library,
+                                        bounds=bounds)
+            assert sol.a_value < 0.0
+            assert len(checks) == 1
+            del checks[:]
+            one = PathModel(LogicPath(gates=("inv",), input_cap=4.0,
+                                      terminal_load=30.0),
+                            ref_params, ref_library)
+            link_fixed_point(one)
+            assert checks == [1]
 
 
 class TestCertified:

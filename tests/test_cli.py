@@ -87,6 +87,19 @@ class TestBounds:
         code, out, err = run_cli([], capsys)
         assert code == 1
 
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # The parser is built once per process; a usage error still goes
+        # to the stderr of the call, and parsing leaves no state behind.
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        first = run_cli(["size", REF_PROC, CHAIN11], capsys)
+        assert first[0] == EXIT_USAGE and "--tc" in first[2]
+        assert run_cli(["bounds", REF_PROC, CHAIN11], capsys)[0] == 0
+        monkeypatch.setattr(sys, "stderr", sys.stdout)
+        code, out, err = run_cli(["size", REF_PROC, CHAIN11], capsys)
+        assert code == EXIT_USAGE and out == first[2] and not err
+        assert cli.build_parser() is parser
+
 
 class TestSize:
     def test_feasible_constraint(self, capsys, ref_tmin):

@@ -371,6 +371,12 @@ class TestWidthOf:
         with pytest.raises(ValueError, match="cin"):
             width_of(0.0, make_params())
 
+    @pytest.mark.parametrize("cin", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_cin(self, cin):
+        with pytest.raises(ValueError, match="cin must be positive and "
+                                             "finite"):
+            width_of(cin, make_params())
+
     @given(cin=caps)
     def test_round_trip(self, cin):
         p = make_params(k_ratio=1.7)

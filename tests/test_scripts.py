@@ -127,9 +127,14 @@ def test_diff_optimize_finds_no_difference_against_its_own_tree():
     # ... and the InfeasibleError raises report the same t_min.
     assert re.search(r"^# infeasible t_min: 0 lower, 0 higher, \d+ equal$",
                      proc.stdout, flags=re.M), proc.stdout
-    # Each of the 12 cases sweeps the 24 points of the CLI's ladder.
+    # Each of the 12 cases sweeps the 24 points of the CLI's ladder, with
+    # the same steps and passes in both trees.
     assert re.search(r"^# sweep on the 24-point ladder: 288 rows, 0 differ$",
                      proc.stdout, flags=re.M), proc.stdout
+    work = re.search(r"^# sweep work: steps (\d+) -> (\d+), derivative "
+                     r"passes (\d+) -> (\d+)$", proc.stdout, flags=re.M)
+    assert work and work[1] == work[2] != "0", proc.stdout
+    assert work[3] == work[4] != "0", proc.stdout
     # ... and runs distribute_constraint at three ratios under a random
     # coupled library of its own.
     assert re.search(r"^# coupled distribute: 36 calls, 0 differ, 0 beyond "

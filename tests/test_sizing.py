@@ -154,13 +154,14 @@ class TestDistributeConstraint:
         """Run the 24 fixture calls; each call's derivative passes, the
         sizings they were taken at, its corrector steps and its floor
         passes.  The result is evaluated on the last pass, and the pass
-        that evaluation takes computes no gate; it is not listed."""
-        real_derivatives = PathModel.derivatives
+        that evaluation takes computes no gate; it is not listed.  Every
+        pass goes through PathModel._pass."""
+        real_pass = PathModel._pass
         real_floor = sizing._floor_sensitivity
         calls = []
 
-        def derivatives(model, at, base=None):
-            held = real_derivatives(model, at, base)
+        def recording(model, at, base, lo, hi):
+            held = real_pass(model, at, base, lo, hi)
             calls[-1]["passes"].append((tuple(at), held.gates))
             return held
 
@@ -170,7 +171,7 @@ class TestDistributeConstraint:
 
         paths = [(path, compute_bounds(path, ref_params, ref_library))
                  for path in (chain11, chain13, heavy_path)]
-        monkeypatch.setattr(PathModel, "derivatives", derivatives)
+        monkeypatch.setattr(PathModel, "_pass", recording)
         monkeypatch.setattr(sizing, "_floor_sensitivity", floor)
         caplog.set_level(logging.DEBUG, logger="cmospath.sizing")
         for path, bounds in paths:
@@ -229,7 +230,7 @@ class TestDistributeConstraint:
         # Each pass of the bordered Newton is windowed on the pass it
         # holds: `first` on its first step, then the pass before.
         real_newton = sizing._bordered_newton
-        real_derivatives = PathModel.derivatives
+        real_pass = PathModel._pass
         calls, inside = [], []
 
         def bordered(model, bounds, tc, first):
@@ -240,8 +241,8 @@ class TestDistributeConstraint:
             finally:
                 inside.pop()
 
-        def derivatives(model, at, base=None):
-            held = real_derivatives(model, at, base)
+        def recording(model, at, base, lo, hi):
+            held = real_pass(model, at, base, lo, hi)
             if inside:
                 assert base is calls[-1][-1]
                 calls[-1].append(held)
@@ -251,7 +252,7 @@ class TestDistributeConstraint:
                  for path in (chain11, chain13, heavy_path,
                               self._seeded_chain(2))]
         monkeypatch.setattr(sizing, "_bordered_newton", bordered)
-        monkeypatch.setattr(PathModel, "derivatives", derivatives)
+        monkeypatch.setattr(PathModel, "_pass", recording)
         for path, bounds in paths:
             for ratio in (1.05, 1.5, 3.0):
                 distribute_constraint(path, ratio * bounds.t_min, ref_params,
@@ -266,15 +267,15 @@ class TestDistributeConstraint:
         # each on average; full passes would compute n each.
         path = self._seeded_chain(2)
         bounds = compute_bounds(path, ref_params, ref_library)
-        real_derivatives = PathModel.derivatives
+        real_pass = PathModel._pass
         computed = []
 
-        def derivatives(model, at, base=None):
-            held = real_derivatives(model, at, base)
+        def recording(model, at, base, lo, hi):
+            held = real_pass(model, at, base, lo, hi)
             computed.append(held.gates)
             return held
 
-        monkeypatch.setattr(PathModel, "derivatives", derivatives)
+        monkeypatch.setattr(PathModel, "_pass", recording)
         tc = 1.5 * bounds.t_min
         sol = distribute_constraint(path, tc, ref_params, ref_library,
                                     bounds=bounds)
@@ -688,13 +689,13 @@ class TestSweep:
         # takes exactly one derivative pass fewer.
         cases = self._sweep_cases(ref_params, ref_library)
         real_solve = sizing.link_fixed_point
-        real_derivatives = PathModel.derivatives
+        real_pass = PathModel._pass
         solves = []  # (a, derivative passes) per fixed-point solve
 
-        def derivatives(model, at, base=None):
+        def counting(model, at, base, lo, hi):
             a, passes = solves[-1]
             solves[-1] = a, passes + 1
-            return real_derivatives(model, at, base)
+            return real_pass(model, at, base, lo, hi)
 
         def solve(model, a=0.0, warm=None):
             solves.append((a, 0))
@@ -702,7 +703,7 @@ class TestSweep:
                 raise ConvergenceError("forced failure")
             return real_solve(model, a=a, warm=warm)
 
-        monkeypatch.setattr(PathModel, "derivatives", derivatives)
+        monkeypatch.setattr(PathModel, "_pass", counting)
         monkeypatch.setattr(sizing, "link_fixed_point", solve)
         for path, library, ladder, fail in cases:
             del solves[:]
@@ -768,10 +769,11 @@ class TestSweep:
         rows, failures = sweep(path, ladder, ref_params, ref_library)
         assert not failures
 
-        real_derivatives = PathModel.derivatives
+        real_pass = PathModel._pass
         monkeypatch.setattr(
-            PathModel, "derivatives",
-            lambda model, at, base=None: real_derivatives(model, at))
+            PathModel, "_pass",
+            lambda model, at, base, lo, hi: real_pass(model, at, None, lo,
+                                                      hi))
         want = []
         warm = (path.input_cap,) + (cref,) * (n - 1)
         for a in sorted(ladder):
@@ -792,7 +794,8 @@ class TestSweep:
             self, ref_params, ref_library, caplog):
         # Each solve logs its steps, its passes and the Newton rows its
         # steps swept against n - 1 per step.  A row that ends with at
-        # least 90% of its gates at cref sweeps fewer than 10% of them.
+        # least 90% of its gates at cref sweeps fewer than 10% of them,
+        # and none when it takes no step.
         # The cold a = 0 row starts on the clamped optimum of the
         # logical-effort delay: 3 steps and 4 passes (7 and 8 from the
         # taper clamped afterwards).
@@ -814,7 +817,8 @@ class TestSweep:
             assert total == (n - 1) * steps
             if sum(model.clamped(row.sizing)[1:]) >= 0.9 * (n - 1):
                 pinned += 1
-                assert done < 0.1 * total, (row.a_value, done, total)
+                assert done < 0.1 * total if steps else done == 0, \
+                    (row.a_value, done, total)
         assert pinned > len(rows) / 2
 
     def test_saturated_rows_identical(self, ref_params, ref_library,
