@@ -53,7 +53,9 @@ each in its own interpreter, and compares the results case by case:
   whose structure agrees (sizes, delays, areas, a values, trace values);
 * fanout limits: fanout_limits on ref.proc for each buffer kind of
   FANOUT_BUFFERS, each limit compared by its repr and each difference
-  listed.
+  listed;
+* source lines: the lines of each tree's cmospath/*.py, as wc -l counts
+  them, so a refactor shows its line delta beside identical outputs.
 
 Paths draw their gate kinds from fixtures/ref.proc, input cap 2-8 fF, a
 log-uniform load of 100-2000 fF, a random input edge, driver slopes of
@@ -72,14 +74,15 @@ area change, sweep row difference or coupled distribute difference is
 found, any coupled distribute change, coupled optimize area change or
 flip, any equal-delay flip, or any fanout limit difference, 0 otherwise;
 min-delay step and pass changes, the sweep work totals, greedy and
-infeasible t_min changes and the coupled-distribute and equal-delay
-drifts are reported but leave the exit status alone.
+infeasible t_min changes, the coupled-distribute and equal-delay drifts
+and the source lines are reported but leave the exit status alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import glob
 import itertools
 import json
 import math
@@ -309,6 +312,15 @@ def run_tree(src: str, args) -> list[dict]:
     return lines
 
 
+def src_lines(src: str) -> int:
+    """The lines of src's cmospath/*.py, as wc -l counts them."""
+    total = 0
+    for name in glob.glob(os.path.join(src, "cmospath", "*.py")):
+        with open(name, "rb") as f:
+            total += f.read().count(b"\n")
+    return total
+
+
 def relative(old: float, new: float) -> float:
     if old == new:
         return 0.0
@@ -502,6 +514,7 @@ def main(argv=None) -> int:
                 print(f"fanout limit of {kind} buffered by {buffer}: "
                       f"{la.get(kind)} -> {lb.get(kind)}")
     print(f"# fanout limits: {limits} limits, {limits_differ} differ")
+    print(f"# src lines: {src_lines(args.other)} -> {src_lines(this)}")
     print(f"# largest area change {largest_area[0]:+.3e} "
           f"(case {largest_area[1]}); largest relative drift "
           f"{drift[0]:.3e} (case {drift[1]}, {drift[2]})")

@@ -24,14 +24,15 @@ PathModel._pass, which checks nothing and looks for moved sizes only in
 the rows the step swept.  Each step
 solves the log-space system in one sweep that builds and eliminates each
 row; it is the package's one Thomas sweep.  The sweep, the proposal, the
-clamp and the certificate read one window of rows, lo..hi.  A row pinned
-at cref solves to exactly 0, so the window leaves out the pinned rows at
-either end of the chain: a solve that holds most gates clamped (a warm
-sweep row, say) sweeps from the row before its first free one to its
-last free one, the pinned rows between them included.  A solve whose
-every row is pinned at its start returns the start, with no step.
-After each step it trims again only the hull of its window and the rows
-the new pass computed, since no other row can come free.  The solve
+clamp and the certificate read one window of rows, the suffix lo..n-1.
+A row pinned at cref solves to exactly 0, so the window leaves out the
+pinned rows at the front of the chain: a solve that holds most gates
+clamped (a warm sweep row, say) sweeps from the row before its first
+free one to the last, the pinned rows after it included.  A solve whose
+every row is pinned at its start, a one-gate path's among them, returns
+the start with no step.  After each step it trims again from the
+earlier of its window's first row and the new pass's, since no row
+before that can come free.  The solve
 returns its last pass in its FixedPoint, and a solve warm from that
 FixedPoint opens on the pass, so it takes no pass at its start.
 Steps go in this order of preference: exact Newton; Newton on the exact
@@ -92,8 +93,8 @@ class FixedPoint(NamedTuple):
     there has it without another pass; a solve warm from this
     FixedPoint opens on it.  steps stays at index 2, where tracing reads
     it.  passes counts every derivative pass the solve took, damping
-    trials included; a one-gate path takes one, at its only sizing, and
-    no step, and so does a solve whose every row is pinned at its start
+    trials included; a solve whose every row is pinned at its start, a
+    one-gate path's among them, takes no step and one pass, at its start
     (none from a FixedPoint).  A named tuple, not a frozen dataclass:
     creating a dataclass costs about 1 ms at import.
     """
@@ -117,7 +118,7 @@ def max_delay_sizing(path: LogicPath, params: ProcessParams,
     return sizing, model.evaluate(sizing).total
 
 
-def _newton_solve(cin, grad, hd, ho, a: float, clamped, lo: int, hi: int,
+def _newton_solve(cin, grad, hd, ho, a: float, clamped, lo: int,
                   border: bool = False) -> list[list[float]] | None:
     """Solve the log-space Newton system at cin; None if it degenerates.
 
@@ -127,9 +128,9 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped, lo: int, hi: int,
     (clamped[j]) whose residual pushes further down are pinned: each is a
     unit row with a zero right-hand side and no coupling, so it solves to
     exactly 0, and its coefficients are not computed.  The sweep visits
-    rows lo..hi (1, n - 1 for every row; none when lo > hi); every row it
-    leaves out must be pinned, and lo must be gate 1 or a pinned row, so
-    a row left out changes nothing.  Each row is built and eliminated in
+    rows lo..n-1 (lo = 1 for every row; none when lo = n); every row
+    before lo must be pinned, and lo must be gate 1 or a pinned row, so a
+    row left out changes nothing.  Each row is built and eliminated in
     one Thomas sweep; a pivot that is not positive means M is not
     positive definite, which strong fixed coupling causes.  Then the
     sweep runs again with every row whose diagonal does not exceed the
@@ -138,7 +139,7 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped, lo: int, hi: int,
     result is strictly diagonally dominant with a positive diagonal,
     hence positive definite.  Returns [M^-1 (-r)], and with border also
     M^-1 c, the response to the target a, eliminated in the same sweep,
-    each over rows lo..hi; None when a sweep of the dominance-fixed M
+    each over rows lo..n-1; None when a sweep of the dominance-fixed M
     fails too or a solution is not finite.
     """
     for dominant in (False, True):
@@ -147,8 +148,8 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped, lo: int, hi: int,
         eliminated = []  # (off, pivot, rhs, border rhs) of each row
         push = eliminated.append
         for cj, cn, g, d, oo, cl in zip(
-                cin[lo:hi + 1], (*cin[lo + 1:hi + 2], 0.0), grad[lo - 1:hi],
-                hd[lo - 1:hi], ho[lo - 1:hi], clamped[lo:hi + 1]):
+                cin[lo:], (*cin[lo + 1:], 0.0), grad[lo - 1:], hd[lo - 1:],
+                ho[lo - 1:], clamped[lo:]):
             res = cj * (g - a)
             if cl and res > 0.0:
                 # Pinned: the row above loses its coupling to this one.
@@ -197,32 +198,25 @@ def _newton_solve(cin, grad, hd, ho, a: float, clamped, lo: int, hi: int,
     return None
 
 
-def _unpinned(held: Pass, a: float, clamped, lo: int,
-              hi: int) -> tuple[int, int]:
-    """The window a sweep over rows lo..hi visits: lo..hi less the rows at
-    either end that held pins by the kernel's own test, led by the row
-    before the first row kept; empty (lo > hi) when every row is
+def _unpinned(held: Pass, a: float, clamped, lo: int) -> int:
+    """The first row of the window a sweep from row lo visits: past the
+    rows from lo on that the kernel's own test pins, led by the row before
+    the first row kept; n, the empty window, when every row from lo on is
     pinned.  The clamped run at lo is tested whole first (_pins); the
-    window is the row loops' bit for bit.  The run at hi is left to its
-    row loop: the last gate drives the terminal load, so it is rarely
-    clamped."""
-    sizes, grad = held.sizing, held.grad
-    if lo <= hi and clamped[lo]:
+    result is the row loop's bit for bit.  A pinned row after the first
+    free one stays in the window: a unit row, it solves to exactly 0, and
+    its proposal is its own size."""
+    sizes, grad, n = held.sizing, held.grad, len(clamped)
+    if lo < n and clamped[lo]:
         try:
-            end = clamped.index(False, lo, hi + 1)
+            end = clamped.index(False, lo)
         except ValueError:
-            end = hi + 1
+            end = n
         if _pins(sizes, grad, a, lo, end - 1):
             lo = end
-    # The pin test is written out twice: a nested function for it made a
-    # 10-gate solve about 1.5% slower.
-    while lo <= hi and clamped[lo] and sizes[lo] * (grad[lo - 1] - a) > 0.0:
+    while lo < n and clamped[lo] and sizes[lo] * (grad[lo - 1] - a) > 0.0:
         lo += 1
-    if lo > hi:
-        return lo, hi
-    while clamped[hi] and sizes[hi] * (grad[hi - 1] - a) > 0.0:
-        hi -= 1
-    return max(1, lo - 1), hi
+    return lo if lo == n else max(1, lo - 1)
 
 
 def _pins(sizes, grad, a: float, first: int, last: int) -> bool:
@@ -237,26 +231,26 @@ def _pins(sizes, grad, a: float, first: int, last: int) -> bool:
             and not math.isnan(sum(g)))
 
 
-def _newton_step(cin, grad, hd, ho, a: float, clamped, lo: int,
-                 hi: int) -> list[float]:
+def _newton_step(cin, grad, hd, ho, a: float, clamped,
+                 lo: int) -> list[float]:
     """One log-space Newton step on the stationarity residual.
 
-    Solves the system of _newton_solve over rows lo..hi, exact or made
+    Solves the system of _newton_solve over rows lo..n-1, exact or made
     diagonally dominant, so the step descends the merit.  The step is
     scaled to at most one e-fold per gate and applied multiplicatively:
-    it returns the proposed sizes of rows lo..hi, a pinned row's its own
+    it returns the proposed sizes of rows lo..n-1, a pinned row's its own
     size.  The proposal is returned unclamped so the caller can damp
     along the undistorted direction; clamping each coordinate here would
     bend the direction and can turn it uphill.
     """
-    solved = _newton_solve(cin, grad, hd, ho, a, clamped, lo, hi)
+    solved = _newton_solve(cin, grad, hd, ho, a, clamped, lo)
     if solved is None:
         raise ConvergenceError("Newton system degenerated")
     step = solved[0]
     widest = max(map(abs, step)) if step else 0.0
     if widest > 1.0:
         step = [s / widest for s in step]
-    return [c * math.exp(s) for c, s in zip(cin[lo:hi + 1], step)]
+    return [c * math.exp(s) for c, s in zip(cin[lo:], step)]
 
 
 def link_fixed_point(model: PathModel, a: float = 0.0,
@@ -283,11 +277,12 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     MAX_ITERATIONS steps.  Each iteration takes a tridiagonal Newton step
     off the pass that opens it, on the exact Hessian, each row that is not
     diagonally dominant made so where that is not positive definite.  The
-    step sweeps one window of rows: the chain less the rows pinned at
-    either end of it in the first pass (_unpinned), trimmed so again after
-    each step on the hull of the window and the rows the new pass
-    computed, where the solve also updates its clamped flags; when the
-    first pass pins every row, the start is returned with no step.
+    step sweeps one window of rows, a suffix of the chain: the chain less
+    the rows pinned at its front in the first pass (_unpinned), trimmed so
+    again after each step from the earlier of the window's first row and
+    the new pass's, where the solve also updates its clamped flags; when
+    the first pass pins every row, as on a one-gate path, the start is
+    returned with no step.
     Every later pass is windowed on the pass the iteration holds
     (PathModel._pass).  A step is accepted only if it
     does not raise the descent merit T - a * sum(cin), else it is damped
@@ -310,22 +305,17 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
     n = model.n
     cref = model.params.cref
 
-    if n == 1:
-        sizing = (model.input_cap,)
-        dv = model.derivatives(sizing)
-        return FixedPoint(sizing, model.evaluate(sizing, dv), 0, 1)
-
     passes = gates = rows = 0
 
     def opened(dv):
         """(a derivative pass, its descent merit)."""
         return dv, dv.total - a * sum(dv.sizing[1:])
 
-    def visit(sizing, base, lo, hi):
-        """The pass at sizing, whose sizes differ from base's in lo..hi
+    def visit(sizing, base, lo):
+        """The pass at sizing, whose sizes differ from base's in lo..n-1
         alone."""
         nonlocal passes, gates
-        dv = model._pass(sizing, base, lo, hi)
+        dv = model._pass(sizing, base, lo)
         passes += 1
         gates += dv.gates
         return opened(dv)
@@ -345,29 +335,29 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
         start = effort_seed(model) if warm is None else warm
         model.check_sizing(start)  # then lift what it admits below cref
         here = visit([start[0], *[c if c > cref else cref
-                                  for c in start[1:]]], None, 0, n - 1)
+                                  for c in start[1:]]], None, 0)
     new = here[0]
     if not math.isfinite(new.total):
         raise ConvergenceError("sizing fixed point starts at a delay that "
                                "is not finite", iterations=0)
     clamped = model.clamped(new.sizing)
-    lo, hi = _unpinned(new, a, clamped, 1, n - 1)
+    lo = _unpinned(new, a, clamped, 1)
 
     # With every row pinned the start is the fixed point: no step.
-    settled = lo > hi
+    settled = lo == n
     steps = 0
     while not settled and steps < MAX_ITERATIONS:
         steps += 1
         held, merit = here
         cin = held.sizing
         prop = _newton_step(cin, held.grad, held.diag, held.off, a, clamped,
-                            lo, hi)
+                            lo)
         rows += len(prop)
         ceiling = merit + abs(merit) * 1e-12
         # p if p > cref else cref is max(cref, p) bit for bit, in a third
         # of the time.
-        nxt = visit([*cin[:lo], *[p if p > cref else cref for p in prop],
-                     *cin[hi + 1:]], held, lo, hi)
+        nxt = visit([*cin[:lo], *[p if p > cref else cref for p in prop]],
+                    held, lo)
         if nxt[1] > ceiling:
             # Damp along the unclamped direction, clamping after the
             # scale: scaling the clamped proposal instead would keep the
@@ -376,33 +366,31 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
             # that is the last damping or no move; else stand still and
             # let the stopping rule decide.
             nxt = here
-            start = cin[lo:hi + 1]
+            start = cin[lo:]
             for k in range(1, 21):
                 shrink = 0.5 ** k
                 sizes = [max(cref, c * (p / c) ** shrink)
                          for c, p in zip(start, prop)]
-                trial = visit([*cin[:lo], *sizes, *cin[hi + 1:]], held, lo,
-                              hi)
+                trial = visit([*cin[:lo], *sizes], held, lo)
                 if trial[1] <= ceiling:
                     nxt = trial
                     break
             else:
                 snap = [c if s > cref else cref for s, c in zip(sizes, start)]
                 if snap != sizes and snap != list(start):
-                    trial = visit([*cin[:lo], *snap, *cin[hi + 1:]], held,
-                                  lo, hi)
+                    trial = visit([*cin[:lo], *snap], held, lo)
                     if trial[1] <= ceiling:
                         nxt = trial
         new, _ = here = nxt
         # Only the sizes of the pass's window moved, so no other flag
-        # changes, and no row outside it and lo..hi can come free.
+        # changes, and no row before it and lo can come free.
         first, last = new.first + 1, new.first + new.gates - 1
         if first <= last:
             clamped[first:last + 1] = model.clamped(new.sizing[first:last + 1])
-            lo, hi = _unpinned(new, a, clamped, min(lo, first), max(hi, last))
+            lo = _unpinned(new, a, clamped, min(lo, first))
         settled = (abs(new.total - held.total) <= DELAY_TOL * new.total
                    and _largest_move(new.sizing, cin, first, last) < CAP_TOL
-                   and certified(model, new, a, lo, hi, clamped))
+                   and certified(model, new, a, lo, clamped))
     logger.debug("fixed point at a=%g: %d steps, %d derivative passes, %d "
                  "of %d gates computed, %d of %d rows swept", a, steps,
                  passes, gates, n * passes, rows, (n - 1) * steps)
@@ -416,23 +404,23 @@ def link_fixed_point(model: PathModel, a: float = 0.0,
                       passes)
 
 
-def certified(model: PathModel, held: Pass, a: float, lo: int, hi: int,
+def certified(model: PathModel, held: Pass, a: float, lo: int,
               clamped) -> bool:
     """The package's one stopping rule, read off the pass held at target a.
 
     Every unclamped gate has |g_j - a| <= SENSITIVITY_REL * |a| +
     RESIDUAL_TOL * T / cref, with T the pass's delay, and no clamped g_j
     lies more than that below a, which would make it grow.  Only gates
-    lo..hi are read, outside which every gate is pinned (1, n - 1 for
-    every gate; lo > hi reads none): a pinned gate has g_j > a, so it
-    always passes.  clamped holds the flags of held's sizes
+    lo..n-1 are read, before which every gate is pinned (lo = 1 for every
+    gate; lo = n reads none): a pinned gate has g_j > a, so it always
+    passes.  clamped holds the flags of held's sizes
     (PathModel.clamped).  link_fixed_point checks it once a step settles;
     the bordered Newton of distribute_constraint once its delay lies in
     its band.
     """
     tol = SENSITIVITY_REL * -a + RESIDUAL_TOL * held.total / model.params.cref
     return all(g - a >= -tol if c else abs(g - a) <= tol
-               for g, c in zip(held.grad[lo - 1:hi], clamped[lo:hi + 1]))
+               for g, c in zip(held.grad[lo - 1:], clamped[lo:]))
 
 
 def _largest_move(new, old, first: int, last: int) -> float:

@@ -23,7 +23,7 @@ splices them in, equal to the full pass bit for bit; the full pass is
 that window over the whole chain.  ``derivatives`` checks its sizing and
 searches all of it for moved sizes; the solvers check their start once
 and take every later pass through ``PathModel._pass``, the same entry
-without the check, searching only the rows they moved.
+without the check, searching only from the first row their step swept.
 ``evaluate`` is ``derivatives`` plus the slow-input warnings: it returns
 the same Pass, whose stage delays, transition times and total are the
 evaluation; ``total_width`` gives the width.
@@ -209,16 +209,16 @@ class Pass(NamedTuple):
     first: int = 0
 
 
-def _moved(sizing, base, lo: int, hi: int) -> tuple[int, int]:
-    """(first, last): the gates from two before the first size among
-    lo..hi that differs from base's to one past the last, clipped to the
-    chain; (0, -1) when none differs.  No size outside lo..hi may
-    differ."""
-    moved = list(map(ne, sizing[lo:hi + 1], base[lo:hi + 1]))
+def _moved(sizing, base, lo: int) -> tuple[int, int]:
+    """(first, last): the gates from two before the first size from lo
+    on that differs from base's to one past the last, clipped to the
+    chain; (0, -1) when none differs.  No size before lo may differ."""
+    moved = list(map(ne, sizing[lo:], base[lo:]))
     if not any(moved):
         return 0, -1
+    n = len(sizing)
     return (max(0, lo + moved.index(True) - 2),
-            min(len(sizing) - 1, hi + 1 - moved[::-1].index(True)))
+            min(n - 1, n - moved[::-1].index(True)))
 
 
 def _gate_constants(template: GateTemplate, edge_in: str,
@@ -416,31 +416,32 @@ class PathModel:
         stage delays added from 0.0 in gate order.  A one-gate path has
         no free gate: its grad, diag and off are empty.
 
-        With base, an earlier Pass of this model, if sizes lo..hi differ
-        from base's, only gates lo-2..hi+1 are computed, the first of them
-        driven by base's transition time before it, their rows, delays
-        and transition times spliced into base's, and the total re-added
-        in gate order, so the pass equals the full one bit for bit; if no
-        size differs, no gate is computed.  Handed base's own sizing
-        object, it returns base with no check and no scan: that sizing
-        was checked when base was taken.  The full pass is the same
-        window over the whole chain.  A node capacitance so small that
-        its square underflows to 0 raises ConvergenceError.
+        With base, an earlier Pass of this model, if gates i and j hold
+        the first and last sizes that differ from base's, only gates
+        i-2..j+1 are computed, the first of them driven by base's
+        transition time before it, their rows, delays and transition
+        times spliced into base's, and the total re-added in gate order,
+        so the pass equals the full one bit for bit; if no size differs,
+        no gate is computed.  Handed base's own sizing object, it
+        returns base with no check and no scan: that sizing was checked
+        when base was taken.  The full pass is the same window over the
+        whole chain.  A node capacitance so small that its square
+        underflows to 0 raises ConvergenceError.
         """
         if base is None or sizing is not base.sizing:
             self.check_sizing(sizing)
-        return self._pass(sizing, base, 0, self.n - 1)
+        return self._pass(sizing, base, 0)
 
-    def _pass(self, sizing, base: Pass | None, lo: int, hi: int) -> Pass:
+    def _pass(self, sizing, base: Pass | None, lo: int) -> Pass:
         """derivatives(sizing, base) without the check, for a sizing
-        that differs from base's in sizes lo..hi alone, which are the
-        only ones searched: every pass goes through here, and the
-        solvers, which check their start once, call it directly."""
+        whose sizes before lo are base's, so only sizes lo..n-1 are
+        searched: every pass goes through here, and the solvers, which
+        check their start once, call it directly."""
         n = self.n
         first, last = 0, n - 1
         if base is not None:
             first, last = ((0, -1) if sizing is base.sizing
-                           else _moved(sizing, base.sizing, lo, hi))
+                           else _moved(sizing, base.sizing, lo))
             if first > last:
                 return base._replace(sizing=sizing, gates=0, first=0)
         slope = base.slopes[first - 1] if first else self.path.driver_slope()

@@ -17,7 +17,7 @@ from .bounds import (DelayBounds, compute_bounds, max_delay_sizing,
                      min_delay_sizing)
 from .buffering import (check_polarity_mode, insert_buffers,
                         min_delay_with_buffers)
-from .errors import InfeasibleError, InvariantError
+from .errors import ConfigError, InfeasibleError, InvariantError
 from .path import GateLibrary, LogicPath, Sizing
 from .process import ProcessParams
 from .restructure import (
@@ -164,9 +164,12 @@ def optimize(path: LogicPath, tc: float, params: ProcessParams,
     on ties.  Else InfeasibleError carries the fastest route built: its
     t_min, its path as best_path, and a trace (bounds, classify, its
     steps) that replay_trace turns into best_path.  An unknown
-    buffer_mode raises ValueError in every domain.
+    buffer_mode raises ValueError, and a buffer_kind not in the library
+    ConfigError, in every domain, before any solve.
     """
     check_polarity_mode(buffer_mode)
+    if buffer_kind not in library:
+        raise ConfigError(f"unknown gate kind: {buffer_kind}")
     bounds = compute_bounds(path, params, library)
     base = _Route(path, (), bounds.t_min, bounds.sizing_min,
                   (bounds.sizing_max, bounds.t_max))

@@ -91,8 +91,7 @@ def _unit_response(model: PathModel, held: Pass) -> list[float] | None:
     """
     clamped = model.clamped(held.sizing)
     solved = _newton_solve([1.0] * model.n, list(map(float, clamped[1:])),
-                           held.diag, held.off, 0.0, clamped, 1, model.n - 1,
-                           border=True)
+                           held.diag, held.off, 0.0, clamped, 1, border=True)
     return None if solved is None else solved[1]
 
 
@@ -125,7 +124,7 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
     q is not positive, a sweep fails even on the dominance-fixed M, da is
     not finite, or MAX_SENSITIVITY_STEPS iterations pass.
     """
-    cref, n = model.params.cref, model.n
+    cref = model.params.cref
     low = tc * (1.0 - DELAY_MATCH_TOL)
     target = tc * (1.0 - 0.5 * DELAY_MATCH_TOL)
     a, cin, held, delay = 0.0, list(bounds.sizing_min), first, bounds.t_min
@@ -144,16 +143,16 @@ def _bordered_newton(model: PathModel, bounds: DelayBounds, tc: float,
         a += scale * da
         cin = [cin[0]] + [max(cref, c * math.exp(scale * d))
                           for c, d in zip(cin[1:], dy)]
-        held = model._pass(cin, held, 1, n - 1)
+        held = model._pass(cin, held, 1)
         grad, delay = held.grad, held.total
         clamped = model.clamped(cin)
-        if low <= delay <= tc and certified(model, held, a, 1, n - 1, clamped):
+        if low <= delay <= tc and certified(model, held, a, 1, clamped):
             return SensitivitySolution(
                 a_value=a, sizing=tuple(cin),
                 delay=model.evaluate(cin, held).total,
                 area=model.total_width(cin)), iteration, corrections
-        solved = _newton_solve(cin, grad, held.diag, held.off, a, clamped,
-                               1, n - 1, border=True)
+        solved = _newton_solve(cin, grad, held.diag, held.off, a, clamped, 1,
+                               border=True)
         if solved is None:
             break
         u, v = solved

@@ -374,8 +374,8 @@ class TestMinDelaySolver:
         passes = []
         real_pass = PathModel._pass
 
-        def recording(model, sizing, base, lo, hi):
-            out = real_pass(model, sizing, base, lo, hi)
+        def recording(model, sizing, base, lo):
+            out = real_pass(model, sizing, base, lo)
             passes.append((tuple(sizing), out.gates))
             return out
 
@@ -496,9 +496,9 @@ class TestMinDelaySolver:
         passes = []
         real_pass = PathModel._pass
 
-        def counting(model, sizing, base, lo, hi):
+        def counting(model, sizing, base, lo):
             passes.append(base)
-            return real_pass(model, sizing, base, lo, hi)
+            return real_pass(model, sizing, base, lo)
 
         monkeypatch.setattr(PathModel, "_pass", counting)
         with pytest.raises(ConvergenceError, match="not finite") as err:
@@ -550,8 +550,8 @@ class TestMinDelaySolver:
         passes, evaluated = [], []
         real_pass, evaluate = PathModel._pass, PathModel.evaluate
 
-        def counting_passes(model, sizing, base, lo, hi):
-            out = real_pass(model, sizing, base, lo, hi)
+        def counting_passes(model, sizing, base, lo):
+            out = real_pass(model, sizing, base, lo)
             passes.append((out.total, out.gates))
             return out
 
@@ -725,6 +725,30 @@ class TestMinDelaySolver:
         with pytest.raises(ValueError, match=rf"^cin\[{gate}\] "):
             link_fixed_point(model, warm=warm)
 
+    def test_one_gate_path_runs_the_general_loop(self, ref_params,
+                                                 ref_library):
+        # A one-gate path has no free gate: its opening pass leaves an
+        # empty window, so the solve returns its start with no step.  A
+        # bad warm start is check_sizing's ValueError, as on any path; a
+        # FixedPoint start takes no pass, a cold or a list start one.
+        path = LogicPath(gates=("inv",), input_cap=4.0, terminal_load=50.0)
+        model = PathModel(path, ref_params, ref_library)
+        for warm in ([999.0], [4.0, 5.0], [math.nan]):
+            with pytest.raises(ValueError) as want:
+                model.check_sizing(warm)
+            with pytest.raises(ValueError) as got:
+                link_fixed_point(model, warm=warm)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match="mismatched sizing length"):
+            solve_at_sensitivity(path, -1.0, ref_params, ref_library,
+                                 warm=[999.0, 1.0])
+        cold = link_fixed_point(model)
+        assert (cold.sizing, cold.steps, cold.passes) == ((4.0,), 0, 1)
+        assert repr(link_fixed_point(model, warm=[4.0])) == repr(cold)
+        hot = link_fixed_point(model, -1.0, warm=cold)
+        assert (hot.steps, hot.passes) == (0, 0)
+        assert repr(hot.pass_) == repr(cold.pass_)
+
 
 def fd_gradient(model, sizing):
     """Central differences of the exact delay over the free gates."""
@@ -773,13 +797,13 @@ class TestDominantHessianStep:
         failures = []
         original = bounds_module._newton_solve
 
-        def recording(cin, grad, hd, ho, a, clamped, lo, hi, border=False):
-            # Every gate outside lo..hi is pinned, so the oracle, which
-            # tests every row, pins it too.
-            solved = original(cin, grad, hd, ho, a, clamped, lo, hi, border)
+        def recording(cin, grad, hd, ho, a, clamped, lo, border=False):
+            # Every gate before lo is pinned, so the oracle, which tests
+            # every row, pins it too.
+            solved = original(cin, grad, hd, ho, a, clamped, lo, border)
             want, fixed = oracles.newton_solve(cin, grad, hd, ho, a, clamped,
                                                border)
-            assert repr(full(solved, lo, hi, len(cin))) == repr(want)
+            assert repr(full(solved, lo)) == repr(want)
             if fixed:
                 failures.append(len(cin) - 1)
             return solved
@@ -865,13 +889,12 @@ class TestDominantHessianStep:
         assert sol.a_value < 0.0
 
 
-def full(solved, lo, hi, n):
-    """The kernel's solutions over rows lo..hi, spread over every row with
-    0.0 on the rows left out."""
+def full(solved, lo):
+    """The kernel's solutions over rows lo..n-1, spread over every row
+    with 0.0 on the rows before lo."""
     if solved is None:
         return solved
-    return [[0.0] * (lo - 1) + values + [0.0] * (n - 1 - hi)
-            for values in solved]
+    return [[0.0] * (lo - 1) + values for values in solved]
 
 
 class TestNewtonKernel:
@@ -911,7 +934,7 @@ class TestNewtonKernel:
             m = rng.randint(1, 30)
             cin, grad, hd, ho, a, clamped = self._system(rng, m, kind)
             got = bounds_module._newton_solve(cin, grad, hd, ho, a, clamped,
-                                              1, m, border)
+                                              1, border)
             want, fixed = oracles.newton_solve(cin, grad, hd, ho, a, clamped,
                                                border)
             assert repr(got) == repr(want), (k, kind)
@@ -937,13 +960,14 @@ class TestNewtonKernel:
         # so they stay free.  The kernel sweeps the free rows block by
         # block and equals the oracle, which sweeps every row, pinned
         # ones as unit rows, whether it visits every row or the window
-        # that _unpinned trims the pinned rows off.  Some free rows are
-        # diagonally dominant without, but not with, the coupling to a
-        # pinned neighbour.
+        # that _unpinned trims the leading pinned rows off.  A pinned last
+        # row stays in that window and solves to exactly 0.  Some free
+        # rows are diagonally dominant without, but not with, the
+        # coupling to a pinned neighbour.
         rng = random.Random(31 + self.PATTERNS.index(pattern))
         cref = ref_params.cref
         outcomes = {"exact": 0, "dominant": 0, "none": 0}
-        pinned_coupling = 0
+        pinned_coupling = tails = 0
         for _ in range(150):
             library = {kind: dataclasses.replace(
                 t, par_coeff=rng.uniform(0.0, 2.5),
@@ -976,20 +1000,22 @@ class TestNewtonKernel:
             outcomes["none" if want is None
                      else "dominant" if fixed else "exact"] += 1
             # Every row visited, then, as link_fixed_point sweeps, the
-            # window _unpinned trims off rows lo..hi, which hold every
-            # free row.
+            # window lo..m that _unpinned trims from a row at or before
+            # the first free one.
             got = bounds_module._newton_solve(cin, grad, held.diag, held.off,
-                                              a, clamped, 1, m, border)
+                                              a, clamped, 1, border)
             assert repr(got) == repr(want)
             free = [j for j in range(1, m + 1) if j not in pinned]
-            lo, hi = (rng.randint(1, free[0]), rng.randint(free[-1], m)) \
-                if free else (1, m)
-            lo, hi = bounds_module._unpinned(held._replace(grad=grad), a,
-                                             clamped, lo, hi)
+            lo = rng.randint(1, free[0]) if free else 1
+            lo = bounds_module._unpinned(held._replace(grad=grad), a,
+                                         clamped, lo)
             got = full(bounds_module._newton_solve(
-                cin, grad, held.diag, held.off, a, clamped, lo, hi, border),
-                lo, hi, m + 1)
+                cin, grad, held.diag, held.off, a, clamped, lo, border), lo)
             assert repr(got) == repr(want)
+            if pattern == "last" and free:
+                # The window holds the pinned last row, which solves to 0.
+                assert lo <= m
+                tails += got is not None and all(x[-1] == 0.0 for x in got)
             if fixed:
                 diag, off, _ = oracles.newton_system(cin, grad, held.diag,
                                                      held.off, a)
@@ -1009,11 +1035,13 @@ class TestNewtonKernel:
             assert outcomes["exact"] >= 10, outcomes
         if pattern not in ("all", "none"):
             assert pinned_coupling >= 10
+        if pattern == "last":
+            assert tails >= 100
 
 
 class TestOneRowSet:
     """Every solve sweeps one window of rows, the chain less the pinned
-    rows at its ends; trimming them changes the work, never the solve."""
+    rows at its front; trimming them changes the work, never the solve."""
 
     CLAMPS = ("none", "few", "most", "all")
 
@@ -1022,12 +1050,12 @@ class TestOneRowSet:
            scale=st.sampled_from((0.0, -1e-3, -1e-1, -10.0)))
     def test_end_trim_leaves_the_fixed_point_unchanged(
             self, ref_params, ref_library, seed, clamp, scale):
-        # With _unpinned returning the whole chain, every step sweeps
-        # every row.  That gives the trimmed solve's FixedPoint by repr,
-        # steps and passes included, and so does a failure.  A trimmed
-        # solve whose every row is pinned at its start returns the start
-        # with no step; the untrimmed one takes one step that moves
-        # nothing, and one pass more, to the same FixedPoint.
+        # With _unpinned returning row 1, every step sweeps every row.
+        # That gives the trimmed solve's FixedPoint by repr, steps and
+        # passes included, and so does a failure.  A trimmed solve whose
+        # every row is pinned at its start returns the start with no
+        # step; the untrimmed one takes one step that moves nothing, and
+        # one pass more, to the same FixedPoint.
         rng = random.Random(seed)
         path = random_path(rng, n_max=130)
         n = path.n
@@ -1055,27 +1083,21 @@ class TestOneRowSet:
             trimmed = trimmed._replace(steps=1, passes=trimmed.passes + 1)
         trimmed = repr(trimmed)
         with mock.patch.object(bounds_module, "_unpinned",
-                               lambda held, a, clamped, lo, hi:
-                               (1, n - 1)):
+                               lambda held, a, clamped, lo: 1):
             assert repr(solved()) == trimmed
 
 
     @staticmethod
-    def _row_loop(held, a, clamped, lo, hi):
-        """The window of _unpinned found row by row from both ends."""
-        sizes, grad = held.sizing, held.grad
-        while (lo <= hi and clamped[lo]
-               and sizes[lo] * (grad[lo - 1] - a) > 0.0):
+    def _row_loop(held, a, clamped, lo):
+        """The window of _unpinned found row by row from its front."""
+        sizes, grad, n = held.sizing, held.grad, len(clamped)
+        while lo < n and clamped[lo] and sizes[lo] * (grad[lo - 1] - a) > 0.0:
             lo += 1
-        if lo > hi:
-            return lo, hi
-        while clamped[hi] and sizes[hi] * (grad[hi - 1] - a) > 0.0:
-            hi -= 1
-        return max(1, lo - 1), hi
+        return lo if lo == n else max(1, lo - 1)
 
     @pytest.mark.parametrize("cref", [2.0, 1e-300])
     def test_run_skip_matches_the_row_loop(self, cref):
-        # _unpinned tests the clamped run at either end of its window
+        # _unpinned tests the clamped run at the front of its window
         # whole.  Held passes with long clamped runs, some of their rows
         # not pinned (g_j below a), a NaN g_j, and at cref = 1e-300
         # products sizes[j] * (g_j - a) that underflow to 0 or stay
@@ -1115,10 +1137,8 @@ class TestOneRowSet:
                 held = Pass(tuple(grad), [1.0] * (n - 1), [0.0] * (n - 1),
                             1.0, tuple(sizes), [], [], 0)
                 lo = rng.randint(1, n - 1)
-                hi = rng.choice((n - 1, rng.randint(lo - 1, n - 1)))
-                want = self._row_loop(held, a, clamped, lo, hi)
-                assert bounds_module._unpinned(held, a, clamped, lo,
-                                               hi) == want
+                want = self._row_loop(held, a, clamped, lo)
+                assert bounds_module._unpinned(held, a, clamped, lo) == want
         assert verdicts.count(True) > 100
         assert verdicts.count(False) > 100
 
@@ -1142,8 +1162,8 @@ class TestOneRowSet:
         real_pass = PathModel._pass
         passes = []
 
-        def recording(model, sizing, base, lo, hi):
-            passes.append(real_pass(model, sizing, base, lo, hi))
+        def recording(model, sizing, base, lo):
+            passes.append(real_pass(model, sizing, base, lo))
             return passes[-1]
 
         with mock.patch.object(PathModel, "_pass", recording):
@@ -1152,9 +1172,8 @@ class TestOneRowSet:
         assert got.sizing is start.sizing
         assert repr(got.pass_) == repr(start.pass_)
         assert [p.gates for p in passes] == [0]  # the closing evaluation
-        n = path.n
         with mock.patch.object(bounds_module, "_unpinned",
-                               lambda held, a, clamped, lo, hi: (1, n - 1)):
+                               lambda held, a, clamped, lo: 1):
             swept = link_fixed_point(model, 2.0 * deep, start)
         assert repr(swept) == repr(got._replace(steps=1, passes=1))
 
@@ -1224,12 +1243,11 @@ class TestCertified:
         return Pass(tuple(grad), [1.0] * 3, [0.0] * 3, self.TOTAL, sizing,
                     [], [], 0)
 
-    def certified(self, model, grad, a, window=(1, 3)):
-        """The rule on held(model, grad), read over gates window[0] to
-        window[1] (every gate by default) with the flags of its sizes."""
+    def certified(self, model, grad, a, lo=1):
+        """The rule on held(model, grad), read over gates lo to 3 (every
+        gate by default) with the flags of its sizes."""
         held = self.held(model, grad)
-        return certified(model, held, a, *window,
-                         model.clamped(held.sizing))
+        return certified(model, held, a, lo, model.clamped(held.sizing))
 
     def edges(self, model):
         """The farthest g above and below a within tol, as the rule
@@ -1270,15 +1288,17 @@ class TestCertified:
             assert not self.certified(model, [g, a, a], a)
 
     def test_an_empty_window_reads_no_gate(self, model):
-        # An empty window (lo > hi) means every gate is pinned, so no row
+        # An empty window (lo = n) means every gate is pinned, so no row
         # is read and the rule holds for any gradient, even one that
-        # fails on every gate over the whole chain.
+        # fails on every gate over the whole chain.  A window from gate
+        # 2 reads gates 2 and 3 alone.
         a = self.A
         for grad in ([a - 1.0, a + 1.0, a - 1e3], [math.nan] * 3,
                      [math.inf, -math.inf, a]):
             assert not self.certified(model, grad, a)
-            for window in ((1, 0), (2, 1), (4, 3)):
-                assert self.certified(model, grad, a, window)
+            assert self.certified(model, grad, a, lo=4)
+        assert not self.certified(model, [a - 1.0, a, a], a)
+        assert self.certified(model, [a - 1.0, a, a], a, lo=2)
 
 
 class TestFeasibility:

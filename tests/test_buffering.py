@@ -574,6 +574,25 @@ class TestMinDelayWithBuffers:
             optimize(chain11, ratio * t_min, ref_params, ref_library,
                      buffer_mode="bogus")
 
+    @pytest.mark.parametrize("ratio", [0.9, 1.1, 2.0, 3.0])
+    def test_optimize_rejects_an_unknown_buffer_kind(
+            self, ref_params, ref_library, chain11, monkeypatch, ratio):
+        # infeasible, hard, medium and weak, before any solve: the weak
+        # domain would otherwise read no buffer kind at all
+        _, t_min, _ = min_delay_sizing(chain11, ref_params, ref_library)
+        solves = []
+        real = bounds.link_fixed_point
+
+        def counting(*args, **kwargs):
+            solves.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "link_fixed_point", counting)
+        with pytest.raises(ConfigError, match="unknown gate kind: nope"):
+            optimize(chain11, ratio * t_min, ref_params, ref_library,
+                     buffer_kind="nope")
+        assert solves == []
+
     def test_no_extra_trial_on_a_lightly_loaded_short_path(
             self, ref_params, ref_library, monkeypatch):
         # Three stages already exceed what a light load wants, and no gate

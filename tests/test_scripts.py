@@ -152,4 +152,8 @@ def test_diff_optimize_finds_no_difference_against_its_own_tree():
     # and by nand2, agree by repr.
     assert re.search(r"^# fanout limits: 10 limits, 0 differ$", proc.stdout,
                      flags=re.M), proc.stdout
+    # ... and its own source lines on both sides.
+    lines = re.search(r"^# src lines: (\d+) -> (\d+)$", proc.stdout,
+                      flags=re.M)
+    assert lines and lines[1] == lines[2] != "0", proc.stdout
     assert not re.search(r"^case ", proc.stdout, flags=re.M)

@@ -160,8 +160,8 @@ class TestDistributeConstraint:
         real_floor = sizing._floor_sensitivity
         calls = []
 
-        def recording(model, at, base, lo, hi):
-            held = real_pass(model, at, base, lo, hi)
+        def recording(model, at, base, lo):
+            held = real_pass(model, at, base, lo)
             calls[-1]["passes"].append((tuple(at), held.gates))
             return held
 
@@ -241,8 +241,8 @@ class TestDistributeConstraint:
             finally:
                 inside.pop()
 
-        def recording(model, at, base, lo, hi):
-            held = real_pass(model, at, base, lo, hi)
+        def recording(model, at, base, lo):
+            held = real_pass(model, at, base, lo)
             if inside:
                 assert base is calls[-1][-1]
                 calls[-1].append(held)
@@ -270,8 +270,8 @@ class TestDistributeConstraint:
         real_pass = PathModel._pass
         computed = []
 
-        def recording(model, at, base, lo, hi):
-            held = real_pass(model, at, base, lo, hi)
+        def recording(model, at, base, lo):
+            held = real_pass(model, at, base, lo)
             computed.append(held.gates)
             return held
 
@@ -411,7 +411,7 @@ class TestDistributeConstraint:
         model = PathModel(path, ref_params, ref_library)
         assert tc * (1.0 - 1e-3) <= sol.delay <= tc
         assert certified(model, model.derivatives(sol.sizing), sol.a_value,
-                         1, path.n - 1, model.clamped(sol.sizing))
+                         1, model.clamped(sol.sizing))
 
     def test_gives_up_with_a_typed_error(self, ref_params, ref_library,
                                          chain11, monkeypatch):
@@ -423,9 +423,9 @@ class TestDistributeConstraint:
         real_solve = sizing._newton_solve
         monkeypatch.setattr(
             sizing, "_newton_solve",
-            lambda cin, grad, hd, ho, a, clamped, lo, hi, border=False:
+            lambda cin, grad, hd, ho, a, clamped, lo, border=False:
             None if a < 0.0 else real_solve(cin, grad, hd, ho, a, clamped,
-                                            lo, hi, border))
+                                            lo, border))
         bounds = compute_bounds(chain11, ref_params, ref_library)
         tc = 1.5 * bounds.t_min
         with pytest.raises(ConvergenceError, match=r"\(iterations=1, "
@@ -692,10 +692,10 @@ class TestSweep:
         real_pass = PathModel._pass
         solves = []  # (a, derivative passes) per fixed-point solve
 
-        def counting(model, at, base, lo, hi):
+        def counting(model, at, base, lo):
             a, passes = solves[-1]
             solves[-1] = a, passes + 1
-            return real_pass(model, at, base, lo, hi)
+            return real_pass(model, at, base, lo)
 
         def solve(model, a=0.0, warm=None):
             solves.append((a, 0))
@@ -772,8 +772,7 @@ class TestSweep:
         real_pass = PathModel._pass
         monkeypatch.setattr(
             PathModel, "_pass",
-            lambda model, at, base, lo, hi: real_pass(model, at, None, lo,
-                                                      hi))
+            lambda model, at, base, lo: real_pass(model, at, None, lo))
         want = []
         warm = (path.input_cap,) + (cref,) * (n - 1)
         for a in sorted(ladder):
