@@ -231,8 +231,8 @@ def insert_buffers(path: LogicPath, node_indices, buffer_kind: str = "inv",
     """Insert buffers after the given gate indices.
 
     ``pair`` mode adds two inverters (polarity preserving), ``single``
-    adds one and records the net inversion on the path.  New gates enter
-    unsized (minimum drive until the next global resize).
+    adds one and records the net inversion on the path.  New gates carry
+    no size: the next solve sizes them.
     """
     check_polarity_mode(polarity_mode)
     indices = sorted(set(node_indices))
@@ -244,7 +244,7 @@ def insert_buffers(path: LogicPath, node_indices, buffer_kind: str = "inv",
     count = 1 if polarity_mode == "single" else 2
     records = path.records()
     for i in reversed(indices):
-        records[i + 1:i + 1] = [(buffer_kind, None, False)] * count
+        records[i + 1:i + 1] = [(buffer_kind, False)] * count
     return path.with_records(records, polarity_flips=(
         path.polarity_flips + (len(indices) if count == 1 else 0)))
 

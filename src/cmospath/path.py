@@ -41,6 +41,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from numbers import Real
 from operator import ne
 from typing import NamedTuple, Sequence
 
@@ -58,7 +59,6 @@ from .process import (
     coupling_split,
     other_edge,
     output_scale,
-    parse_number,
     read_config_file,
     require_finite,
     stage_delay,
@@ -81,8 +81,6 @@ class LogicPath:
     input_edge       polarity of the transition entering gate 0
     driver_slope_rise / driver_slope_fall
                      transition time of the driving signal per polarity (ps)
-    seed_cin         optional per-gate cin= values from the path file;
-                     checked and carried through edits, read by no solver
     side_inverted    per-gate flag: True when the gate's side inputs pass
                      through added off-path inverters (set by rewrites)
     offpath_inverters  count of off-path inverters charged to this path's
@@ -96,7 +94,6 @@ class LogicPath:
     input_edge: str = RISING
     driver_slope_rise: float = 0.0
     driver_slope_fall: float = 0.0
-    seed_cin: tuple[float | None, ...] | None = None
     side_inverted: tuple[bool, ...] | None = None
     offpath_inverters: int = 0
     polarity_flips: int = 0
@@ -112,23 +109,19 @@ class LogicPath:
                 raise ValueError(f"{name} must be at most {MAX_CAP_FF:g} fF")
             if not value > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.seed_cin is not None and not all(
-                s is None or (math.isfinite(s) and s <= MAX_CAP_FF)
-                for s in self.seed_cin):
-            raise ValueError(
-                f"seed_cin must be finite and at most {MAX_CAP_FF:g} fF")
         if self.input_edge not in (RISING, FALLING):
             raise ValueError("input_edge must be rising or falling, got "
                              f"{self.input_edge!r}")
         for name in ("driver_slope_rise", "driver_slope_fall"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.seed_cin is not None and len(self.seed_cin) != len(self.gates):
-            raise ValueError("seed_cin length must match gates")
         if self.side_inverted is not None and len(self.side_inverted) != len(self.gates):
             raise ValueError("side_inverted length must match gates")
-        if self.offpath_inverters < 0:
-            raise ValueError("offpath_inverters must be non-negative")
+        for name in ("offpath_inverters", "polarity_flips"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(
+                    f"{name} must be a non-negative integer, got {value!r}")
 
     @property
     def n(self) -> int:
@@ -141,24 +134,20 @@ class LogicPath:
     def side_flag(self, i: int) -> bool:
         return bool(self.side_inverted[i]) if self.side_inverted is not None else False
 
-    def records(self) -> list[tuple[str, float | None, bool]]:
-        """Per-gate (kind, seed_cin, side_inverted), input to output."""
-        seeds = self.seed_cin or (None,) * self.n
-        flags = self.side_inverted or (False,) * self.n
-        return list(zip(self.gates, seeds, flags))
+    def records(self) -> list[tuple[str, bool]]:
+        """Per-gate (kind, side_inverted), input to output."""
+        return list(zip(self.gates, self.side_inverted or (False,) * self.n))
 
     def with_records(self, records, **changes) -> LogicPath:
         """This path with its gates replaced by `records`.
 
         The one constructor of every path edit: the endpoints, edge and
         driver slopes carry over, `changes` sets any other field, and
-        all-None seeds or all-False flags are stored as None.
+        all-False flags are stored as None.
         """
-        gates, seeds, flags = zip(*records)
-        return replace(
-            self, gates=gates,
-            seed_cin=seeds if any(s is not None for s in seeds) else None,
-            side_inverted=flags if any(flags) else None, **changes)
+        gates, flags = zip(*records)
+        return replace(self, gates=gates,
+                       side_inverted=flags if any(flags) else None, **changes)
 
 
 @dataclass(frozen=True)
@@ -294,9 +283,11 @@ class PathModel:
             moved = abs(sizing[0] - self.input_cap) > 1e-9 * self.input_cap
             smallest = min(sizing)
             finite = math.isfinite(sum(sizing))
-        except TypeError:  # None, checked here to keep every pass cheap
-            raise ValueError(f"cin[{list(sizing).index(None)}] has no size"
-                             ) from None
+        except TypeError:  # checked here to keep every pass cheap
+            i, c = next((i, c) for i, c in enumerate(sizing)
+                        if not isinstance(c, Real))
+            raise ValueError(f"cin[{i}] has no size" if c is None else
+                             f"cin[{i}] must be a number, got {c!r}") from None
         if not finite:
             for i, c in enumerate(sizing):
                 if not math.isfinite(c):
@@ -582,13 +573,13 @@ def parse_path_file(text: str) -> LogicPath:
 
     Header ``key = value`` lines first (input_cap_ff and load_ff required;
     input_edge defaults to rising, driver slopes to 0), then one gate kind
-    per line with an optional ``cin=<fF>`` starting size.  The grammar is
-    the process config's: ``#`` comments, a one-word key before ``=``,
-    unknown keys rejected, errors reported with the key and its line.
+    per line and nothing else on it: sizes are the solvers' output, so a
+    further token is an error.  The grammar is the process config's:
+    ``#`` comments, a one-word key before ``=``, unknown keys rejected,
+    errors reported with the key and its line.
     """
     header: dict = {}
     gates: list[str] = []
-    seeds: list[float | None] = []
 
     for line_no, line, key, raw_value in config_lines(text):
         if key is not None:
@@ -598,26 +589,16 @@ def parse_path_file(text: str) -> LogicPath:
                       number=key != "input_edge")
             continue
         kind, *tokens = line.split()
-        seed = None
-        for token in tokens:
-            name, _, raw_seed = token.partition("=")
-            if name != "cin" or not raw_seed:
-                raise ConfigError(f"unexpected token {token!r} on gate line",
-                                  line_no)
-            seed = parse_number(raw_seed, line_no,
-                                f"cin on gate line: {token!r}")
-            if not 0 < seed <= MAX_CAP_FF:
-                raise ConfigError("cin on gate line must be positive and "
-                                  f"finite, at most {MAX_CAP_FF:g} fF", line_no)
+        if tokens:
+            raise ConfigError(f"unexpected token {tokens[0]!r} on gate line",
+                              line_no)
         gates.append(kind)
-        seeds.append(seed)
 
     check_keys(header, _PATH_HEADER_KEYS, _PATH_REQUIRED)
     if not gates:
         raise ConfigError("path file lists no gates")
-    return build_from_file(
-        LogicPath, header, _PATH_HEADER_KEYS, gates=tuple(gates),
-        seed_cin=tuple(seeds) if any(s is not None for s in seeds) else None)
+    return build_from_file(LogicPath, header, _PATH_HEADER_KEYS,
+                           gates=tuple(gates))
 
 
 def parse_path_text_file(path: str) -> LogicPath:

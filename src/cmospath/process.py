@@ -243,14 +243,6 @@ def config_lines(text: str):
             yield line_no, line, key, raw_value.strip()
 
 
-def parse_number(raw: str, line_no: int, what: str) -> float:
-    """float(raw), or a ConfigError "non-numeric <what>" at its line."""
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"non-numeric {what}", line_no) from None
-
-
 def add_entry(entries: dict, key: str, value: str, line_no: int,
               number: bool = True) -> None:
     """Record entries[key] = (value, line_no), the value parsed as a
@@ -258,7 +250,11 @@ def add_entry(entries: dict, key: str, value: str, line_no: int,
     if key in entries:
         raise ConfigError(f"duplicate key {key}", line_no)
     if number:
-        value = parse_number(value, line_no, f"value for {key}: {value!r}")
+        try:
+            value = float(value)
+        except ValueError:
+            raise ConfigError(f"non-numeric value for {key}: {value!r}",
+                              line_no) from None
     entries[key] = (value, line_no)
 
 

@@ -177,9 +177,8 @@ def demorgan_rewrite(path: LogicPath, index: int,
             f"{n_side} off-path inverters, but the path counts only "
             f"{path.offpath_inverters}")
     records = path.records()
-    records[index:index + 1] = [("inv", None, False),
-                                (partner, None, not was_inverted),
-                                ("inv", None, False)]
+    records[index:index + 1] = [("inv", False), (partner, not was_inverted),
+                                ("inv", False)]
     return path.with_records(records, offpath_inverters=(
         path.offpath_inverters + (-n_side if was_inverted else n_side)))
 
@@ -200,7 +199,7 @@ def cancel_inverter_pairs(path: LogicPath) -> LogicPath:
         return path
     # A pure inverter chain of even length cancels to nothing; keep one
     # pair so the path stays structurally valid.
-    return path.with_records(stack or [("inv", None, False)] * 2)
+    return path.with_records(stack or [("inv", False)] * 2)
 
 
 def rank_gate_efficiency(library: GateLibrary, params: ProcessParams,

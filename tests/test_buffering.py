@@ -380,10 +380,9 @@ class TestInsertBuffers:
 
     def test_seeds_and_side_flags_kept_in_place(self):
         path = LogicPath(gates=("inv", "nand2", "inv"), input_cap=4.0,
-                         terminal_load=100.0, seed_cin=(4.0, 9.0, 20.0),
+                         terminal_load=100.0,
                          side_inverted=(False, True, False))
         out = insert_buffers(path, [1], polarity_mode="pair")
-        assert out.seed_cin == (4.0, 9.0, None, None, 20.0)
         assert out.side_inverted == (False, True, False, False, False)
 
 

@@ -76,6 +76,17 @@ class TestBounds:
         assert err.startswith("error:")
         assert "unknown gate kind: xor2" in err
 
+    def test_a_size_on_a_gate_line_is_a_usage_error(self, capsys, tmp_path):
+        # Sizes are the solvers' output: a gate line is one kind word.
+        path_file = tmp_path / "sized.path"
+        path_file.write_text("input_cap_ff = 4\nload_ff = 80\ninv\nnand2 cin=8\n")
+        code, out, err = run_cli(["bounds", REF_PROC, str(path_file)],
+                                 capsys)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (f"error: {path_file}: line 4: unexpected token "
+                       "'cin=8' on gate line\n")
+
     def test_process_error_wins_over_the_path_error(self, capsys):
         code, out, err = run_cli(["bounds", "nope.proc", "nope.path"],
                                  capsys)

@@ -60,7 +60,7 @@ driver_slope_rise_ps = 10
 driver_slope_fall_ps = 12
 
 inv
-nand2 cin=8
+nand2
 inv
 """
 
@@ -143,7 +143,7 @@ CASES = [
     # path file: accepted texts
     ("path-valid", "path", PATH),
     ("path-defaults-and-seeds", "path",
-     "input_cap_ff=3\nload_ff = 50  # out\ninv cin=2\nnand2\ninv cin=4 cin=5\n"),
+     "input_cap_ff=3\nload_ff = 50  # out\ninv\n  nand2  # two inputs\ninv\n"),
     # path file: header lines
     ("path-empty", "path", ""),
     ("path-missing-load", "path", _path("load_ff = 200\n", "")),
@@ -163,14 +163,10 @@ CASES = [
      _path("driver_slope_rise_ps = 10", "driver_slope_rise_ps = -1")),
     ("path-unknown-key", "path", _path("load_ff = 200", "load_ff = 200\nfoo = 3")),
     # path file: gate lines
-    ("path-bare-cin-line", "path", _path("nand2 cin=8", "nand2\ncin=3")),
-    ("path-empty-key-line", "path", _path("nand2 cin=8", "nand2\n= 3")),
-    ("path-unexpected-token", "path", _path("nand2 cin=8", "nand2 big")),
-    ("path-empty-cin", "path", _path("nand2 cin=8", "nand2 cin=")),
-    ("path-non-numeric-cin", "path", _path("nand2 cin=8", "nand2 cin=abc")),
-    ("path-cin-zero", "path", _path("nand2 cin=8", "nand2 cin=0")),
-    ("path-cin-huge", "path", _path("nand2 cin=8", "nand2 cin=1e300")),
-    ("path-cin-nan", "path", _path("nand2 cin=8", "nand2 cin=nan")),
+    ("path-bare-cin-line", "path", _path("nand2\n", "nand2\ncin=3\n")),
+    ("path-empty-key-line", "path", _path("nand2\n", "nand2\n= 3\n")),
+    ("path-unexpected-token", "path", _path("nand2\n", "nand2 big\n")),
+    ("path-cin-token", "path", _path("nand2\n", "nand2 cin=8\n")),
 ]
 
 # (case id, reader, file contents or None for a missing file)

@@ -60,12 +60,6 @@ class TestParsing:
         assert chain11.input_edge == "rising"
         assert chain11.driver_slope_rise == 40.0
 
-    def test_inline_seed_sizes(self):
-        text = ("input_cap_ff = 3\nload_ff = 50\n"
-                "inv\nnand2 cin=7.5\ninv\n")
-        path = parse_path_file(text)
-        assert path.seed_cin == (None, 7.5, None)
-
     def test_missing_load_rejected(self):
         with pytest.raises(ConfigError, match="load_ff"):
             parse_path_file("input_cap_ff = 3\ninv\n")
@@ -106,9 +100,6 @@ class TestParsing:
         fields[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             LogicPath(**fields)
-        with pytest.raises(ValueError, match="seed_cin"):
-            LogicPath(gates=("inv", "inv"), input_cap=3.0, terminal_load=50.0,
-                      seed_cin=(None, value))
 
     @pytest.mark.parametrize("field", ["input_cap", "terminal_load"])
     def test_huge_capacitance_rejected(self, field):
@@ -119,35 +110,25 @@ class TestParsing:
             LogicPath(**fields)
         fields[field] = MAX_CAP_FF
         assert getattr(LogicPath(**fields), field) == MAX_CAP_FF
-        with pytest.raises(ValueError, match="seed_cin"):
-            LogicPath(gates=("inv", "inv"), input_cap=3.0, terminal_load=50.0,
-                      seed_cin=(None, 1e300))
 
     def test_loader_reports_huge_capacitance_with_its_line(self):
         with pytest.raises(ConfigError, match="load_ff") as err:
             parse_path_file("input_cap_ff = 3\nload_ff = 1e300\ninv\n")
         assert err.value.line == 2
-        with pytest.raises(ConfigError, match="cin") as err:
-            parse_path_file("input_cap_ff = 3\nload_ff = 50\ninv cin=1e300\n")
-        assert err.value.line == 3
 
     def test_loader_reports_non_finite_with_its_line(self):
         text = "input_cap_ff = 3\nload_ff = inf\ninv\n"
         with pytest.raises(ConfigError, match="load_ff") as err:
             parse_path_file(text)
         assert err.value.line == 2
-        with pytest.raises(ConfigError, match="finite") as err:
-            parse_path_file("input_cap_ff = 3\nload_ff = 50\ninv cin=inf\n")
-        assert err.value.line == 3
 
 
 class TestPathEdits:
-    # Falling input, distinct non-zero driver slopes, seeds and flags set,
+    # Falling input, distinct non-zero driver slopes, flags and counts set,
     # so an edit that rebuilt a field from a default would show.
     PATH = LogicPath(gates=("inv", "inv", "nor2", "inv"), input_cap=5.0,
                      terminal_load=120.0, input_edge="falling",
                      driver_slope_rise=12.0, driver_slope_fall=31.0,
-                     seed_cin=(5.0, None, 9.0, None),
                      side_inverted=(False, False, True, False),
                      offpath_inverters=1, polarity_flips=1)
 
@@ -156,16 +137,13 @@ class TestPathEdits:
                           terminal_load=60.0)
         for path in (self.PATH, plain):
             assert path.with_records(path.records()) == path
-        assert self.PATH.records()[2] == ("nor2", 9.0, True)
-        assert plain.records() == [("inv", None, False),
-                                   ("nand2", None, False)]
+        assert self.PATH.records()[2] == ("nor2", True)
+        assert plain.records() == [("inv", False), ("nand2", False)]
 
     def test_all_none_seeds_and_all_false_flags_store_none(self):
-        out = self.PATH.with_records([("inv", None, False),
-                                      ("nand2", None, False)],
+        out = self.PATH.with_records([("inv", False), ("nand2", False)],
                                      offpath_inverters=0)
         assert out.gates == ("inv", "nand2")
-        assert out.seed_cin is None
         assert out.side_inverted is None
         assert out.offpath_inverters == 0
         assert out.polarity_flips == 1
@@ -189,17 +167,33 @@ class TestPathEdits:
 class TestInputChecks:
     @pytest.mark.parametrize("fields, message", [
         (dict(gates=()), "at least one gate"),
-        (dict(seed_cin=(4.0, None)), "seed_cin length"),
         (dict(side_inverted=(False, True, False, True)),
          "side_inverted length"),
         (dict(offpath_inverters=-1), "offpath_inverters must be"),
-    ], ids=("no gates", "seed_cin length", "side_inverted length",
-            "negative offpath_inverters"))
+        (dict(offpath_inverters=1.5), "offpath_inverters must be"),
+        (dict(polarity_flips=-3), "polarity_flips must be"),
+        (dict(polarity_flips=1.0), "polarity_flips must be"),
+    ], ids=("no gates", "side_inverted length", "negative offpath_inverters",
+            "fractional offpath_inverters", "negative polarity_flips",
+            "float polarity_flips"))
     def test_logic_path_rejects(self, fields, message):
         kwargs = dict(gates=("inv", "nand2", "inv"), input_cap=4.0,
                       terminal_load=60.0)
         with pytest.raises(ValueError, match=message):
             LogicPath(**{**kwargs, **fields})
+
+    @pytest.mark.parametrize("value, message", [
+        (None, "has no size"), ("x", "must be a number, got 'x'"),
+        ([1], r"must be a number, got \[1\]")], ids=("None", "str", "list"))
+    @pytest.mark.parametrize("gate", [0, 1])
+    def test_sizing_check_names_a_size_that_is_not_a_number(
+            self, ref_params, ref_library, value, message, gate):
+        path = LogicPath(gates=("inv", "nand2", "inv"), input_cap=4.0,
+                         terminal_load=60.0)
+        sizing = [4.0, 5.0, 6.0]
+        sizing[gate] = value
+        with pytest.raises(ValueError, match=rf"^cin\[{gate}\] {message}$"):
+            PathModel(path, ref_params, ref_library).check_sizing(sizing)
 
     def test_model_rejects_input_cap_below_cref(self, ref_params,
                                                 ref_library):

@@ -240,9 +240,12 @@ class TestCancelInverterPairs:
 
     def test_seeds_follow_surviving_gates(self):
         path = LogicPath(gates=("inv", "inv", "nand2"), input_cap=4.0,
-                         terminal_load=60.0, seed_cin=(4.0, 9.0, 17.0))
+                         terminal_load=60.0,
+                         side_inverted=(False, False, True),
+                         offpath_inverters=1)
         out = cancel_inverter_pairs(path)
-        assert out.seed_cin == (17.0,)
+        assert out.gates == ("nand2",)
+        assert out.side_inverted == (True,)
 
     def test_rewrite_then_cancel_keeps_function(self, ref_params,
                                                 ref_library, heavy_path):
